@@ -39,31 +39,3 @@ class EmptyModelError(MinimaError):
 
 class PlanMismatchError(MinimaError):
     """Compression plan does not cover exactly the model's patches."""
-
-
-class DraftSupportError(MinimaError):
-    """Draft model proposed a token it assigns zero probability."""
-
-
-class OracleTooLargeError(MinimaError):
-    """Exact enumeration limits (vocabulary or horizon) exceeded."""
-
-
-class FormatError(MinimaError):
-    """Container file has a bad magic number, version, or index."""
-
-
-class TruncationError(MinimaError):
-    """Container payload is shorter than its index declares."""
-
-
-class DuplicateEntryError(MinimaError):
-    """Container index declares the same entry name twice."""
-
-
-class ConfigError(MinimaError):
-    """Run configuration has unknown keys or out-of-range values."""
-
-
-class UsageError(MinimaError):
-    """Command invoked with missing or inconsistent inputs."""

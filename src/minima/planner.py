@@ -14,6 +14,7 @@ from minima.tensor_core import ParamBudget
 from minima.tn_decompositions import (
     FAMILIES,
     default_mode_shape,
+    maximal_ranks,
     param_count_formula,
     select_ranks,
 )
@@ -272,11 +273,35 @@ def _uniform_selection(options, family: str, ratio: float):
     return total, chosen
 
 
+def _rank_one_floor(options, family: str) -> float:
+    """Smallest shared ratio at which every compressible patch fits rank 1.
+
+    Patches whose rank-1 configuration is not smaller than dense never
+    compress and do not count.
+    """
+    floor = 0.0
+    for opt in options:
+        if not opt.compressible or opt.geometry is None:
+            continue
+        mode_shape, _ = default_mode_shape(*opt.geometry)
+        params = param_count_formula(family, mode_shape, (1,) * len(maximal_ranks(family, mode_shape)))
+        if params >= opt.dense_params:
+            continue
+        ratio = params / opt.dense_params
+        # (params / dense) * dense may round below params
+        while math.floor(ratio * opt.dense_params) < params:
+            ratio = math.nextafter(ratio, 1.0)
+        floor = max(floor, ratio)
+    return floor
+
+
 def _uniform(options, target_ratio, family) -> CompressionPlan:
     dense_total = sum(o.dense_params for o in options)
     budget = target_ratio * dense_total
 
-    lo, hi = 1e-4, 1.0
+    # total is not monotone in the ratio (below the rank-1 floor patches fall
+    # back to dense), so the bisection keeps total(lo) <= budget as its invariant
+    lo, hi = _rank_one_floor(options, family), 1.0
     total_lo, _ = _uniform_selection(options, family, lo)
     if total_lo > budget:
         raise InfeasibleBudgetError(

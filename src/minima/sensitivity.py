@@ -109,8 +109,9 @@ def extract_features(w: np.ndarray, patch: Patch, total_layers: int) -> np.ndarr
         stable_rank = total / float(energies[0])
         k = math.ceil(0.1 * min(w.shape))
         top_energy = float(energies[:k].sum()) / total
-        positive = s[s > 0]
-        log_cond = float(np.log10(positive[0] / positive[-1]))
+        # values at or below the numerical-rank cutoff are rounding noise
+        kept = s[s > max(w.shape) * np.finfo(np.float64).eps * s[0]]
+        log_cond = float(np.log10(kept[0] / kept[-1]))
         p = energies[energies > 0] / total
         entropy = float(-(p * np.log(p)).sum())
 

@@ -6,9 +6,9 @@ Conventions used everywhere in this package:
   varies fastest);
 * mode-k unfolding puts mode k on the rows and enumerates the remaining
   modes on the columns in increasing mode order, last varying fastest;
-* the SVD is a cyclic one-sided Jacobi (tolerance 1e-12, at most 60
-  sweeps) with a fixed sign convention, so identical input bits always
-  produce identical output bits on a given kernel backend.
+* every SVD is LAPACK's (``numpy.linalg.svd``) under a fixed sign
+  convention, so identical input bits give identical output bits on a
+  given numpy/LAPACK build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from minima._backend import jacobi_sweeps
 from minima.errors import (
     DegenerateReferenceError,
     InfeasibleBudgetError,
@@ -28,9 +27,6 @@ from minima.errors import (
 )
 
 Tensor = np.ndarray
-
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
 
 
 def as_tensor(data, shape=None) -> np.ndarray:
@@ -200,41 +196,6 @@ def _complete_basis(u: np.ndarray, fixed: int) -> None:
         u[:, j] = v / np.linalg.norm(v)
 
 
-def _jacobi_svd(a: np.ndarray) -> SvdResult:
-    """Full deterministic SVD of a rank-2 array, all min(m, n) triplets."""
-    m, n = a.shape
-    transposed = m < n
-    if transposed:
-        a = a.T
-        m, n = a.shape
-    work = a.T.copy()  # one contiguous row per column of a; never alias the input
-    rot = np.eye(n)
-    jacobi_sweeps(work, rot, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-
-    norms = np.linalg.norm(work, axis=1)
-    order = np.argsort(-norms, kind="stable")
-    values = norms[order]
-    left = np.zeros((m, n))
-    right = rot[order].T.copy()
-    positive = int(np.count_nonzero(values > 0.0))
-    for j in range(positive):
-        left[:, j] = work[order[j]] / values[j]
-    if positive < n:
-        # exactly-zero columns sort to the tail; pad with orthonormal filler
-        _complete_basis(left, positive)
-
-    # sign convention: largest-magnitude entry of each left vector positive
-    for j in range(n):
-        pivot = int(np.argmax(np.abs(left[:, j])))
-        if left[pivot, j] < 0.0:
-            left[:, j] = -left[:, j]
-            right[:, j] = -right[:, j]
-
-    if transposed:
-        left, right = right, left
-    return SvdResult(left=left, values=values, right=right)
-
-
 def _select_rank(values: np.ndarray, shape, policy: TruncationPolicy) -> int:
     m, n = shape
     kmax = min(m, n)
@@ -267,10 +228,15 @@ def _select_rank(values: np.ndarray, shape, policy: TruncationPolicy) -> int:
 
 
 def truncated_svd(matrix: np.ndarray, policy: TruncationPolicy) -> SvdResult:
-    """Deterministic truncated SVD of a rank-2 tensor.
+    """Truncated SVD of a rank-2 tensor, bitwise reproducible per build.
 
-    FixedRank keeps exactly ``r`` triplets, padding with zero singular
-    values (and orthonormal filler vectors) past the numerical rank.
+    The thin LAPACK SVD yields all ``min(m, n)`` triplets with values in
+    non-increasing order; each kept pair of singular vectors is flipped
+    together so that the largest-magnitude entry of the left vector is
+    positive (lowest row index on ties).
+
+    FixedRank keeps exactly ``r`` triplets; past the numerical rank their
+    values are zero up to rounding and their vectors stay orthonormal.
     RelativeError keeps the smallest rank whose Frobenius residual is
     within ``epsilon`` of the input norm, never less than 1. ParamBudget
     keeps the largest rank with ``r * (m + n + 1)`` stored scalars inside
@@ -279,12 +245,15 @@ def truncated_svd(matrix: np.ndarray, policy: TruncationPolicy) -> SvdResult:
     m = as_tensor(matrix)
     if m.ndim != 2:
         raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
-    full = _jacobi_svd(m)
-    r = _select_rank(full.values, m.shape, policy)
+    left, values, right_t = np.linalg.svd(m, full_matrices=False)
+    r = _select_rank(values, m.shape, policy)
+    left, right = left[:, :r], right_t[:r].T
+    pivots = np.argmax(np.abs(left), axis=0)
+    signs = np.where(left[pivots, np.arange(r)] < 0.0, -1.0, 1.0)
     return SvdResult(
-        left=np.ascontiguousarray(full.left[:, :r]),
-        values=full.values[:r].copy(),
-        right=np.ascontiguousarray(full.right[:, :r]),
+        left=np.ascontiguousarray(left * signs),
+        values=values[:r].copy(),
+        right=np.ascontiguousarray(right * signs),
     )
 
 

@@ -101,6 +101,14 @@ class TestFeatures:
         f = extract_features(np.array([[1.0, 2.0], [2.0, 4.0]]), meta_patch(), 1)
         assert f[0] == pytest.approx(1.0)
         assert f[1] == pytest.approx(1.0)
+        assert f[2] == 0.0  # the rounding-level second singular value is cut off
+
+    def test_rank_three_patch_log_condition(self, rng):
+        s = np.array([1.0, 0.5, 0.1])
+        u, _ = np.linalg.qr(rng.standard_normal((32, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((32, 3)))
+        f = extract_features((u * s) @ v.T, meta_patch(), 1)
+        assert f[2] == pytest.approx(np.log10(s[0] / s[2]))
 
     def test_zero_patch_convention(self):
         f = extract_features(np.zeros((4, 4)), meta_patch(), 1)

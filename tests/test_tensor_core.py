@@ -222,12 +222,20 @@ class TestTruncatedSvd:
             truncated_svd(np.ones((3, 5)), FixedRank(4))
 
     def test_determinism_bitwise(self, rng):
-        m = rng.standard_normal((9, 6))
-        a = truncated_svd(m.copy(), FixedRank(4))
-        b = truncated_svd(m.copy(), FixedRank(4))
-        assert a.left.tobytes() == b.left.tobytes()
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.right.tobytes() == b.right.tobytes()
+        # small, square and thin inputs, repeated with unrelated SVD calls in between
+        cases = [
+            (rng.standard_normal((9, 6)), FixedRank(4)),
+            (rng.standard_normal((128, 128)), FixedRank(128)),
+            (rng.standard_normal((96, 12)), FixedRank(12)),
+        ]
+        first = [truncated_svd(m.copy(), policy) for m, policy in cases]
+        for _ in range(3):
+            for (m, policy), a in zip(cases, first):
+                full_svd(rng.standard_normal(m.shape[::-1]))
+                b = truncated_svd(m.copy(), policy)
+                assert a.left.tobytes() == b.left.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+                assert a.right.tobytes() == b.right.tobytes()
 
     def test_policy_validation(self):
         with pytest.raises(RankError):
