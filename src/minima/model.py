@@ -37,7 +37,6 @@ class ModelContainer:
 
     entries: dict[str, LayerEntry] = field(default_factory=dict)
     total_layers: int = 0
-    provenance: str = ""
 
     def __post_init__(self):
         self.validate()
@@ -58,9 +57,6 @@ class ModelContainer:
         if layer_index >= self.total_layers:
             self.total_layers = layer_index + 1
         self.entries[name] = entry
-
-    def dense_params(self) -> int:
-        return int(sum(e.matrix.size for e in self.entries.values()))
 
     def names(self) -> list[str]:
         return list(self.entries.keys())

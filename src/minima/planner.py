@@ -3,23 +3,20 @@ model-wide compression plan that satisfies a parameter budget."""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from minima.errors import InfeasibleBudgetError
-from minima.tensor_core import ParamBudget
 from minima.tn_decompositions import (
     FAMILIES,
     default_mode_shape,
     maximal_ranks,
     param_count_formula,
+    ratio_budget,
     select_ranks,
 )
-
-log = logging.getLogger(__name__)
 
 MODES = ("uniform", "sensitivity", "sensitivity_mixed")
 
@@ -42,11 +39,14 @@ class PatchOptions:
     candidates: list[Candidate] = field(default_factory=list)
     compressible: bool = True  # False: excluded by submodule kind in every mode
     pinned: bool = False  # fragile: forced dense in sensitivity modes
-    geometry: tuple[int, int] | None = None
     layer_name: str = ""
     submodule_kind: str = "other"
     row_range: tuple[int, int] = (0, 0)
     col_range: tuple[int, int] = (0, 0)
+
+    @property
+    def geometry(self) -> tuple[int, int]:
+        return self.row_range[1] - self.row_range[0], self.col_range[1] - self.col_range[0]
 
 
 @dataclass
@@ -76,11 +76,23 @@ class CompressionPlan:
     def achieved_ratio(self) -> float:
         return self.achieved_params / self.dense_params if self.dense_params else 1.0
 
-    def entry(self, patch_id: int) -> PlanEntry:
-        return self._index()[patch_id]
 
-    def _index(self) -> dict[int, PlanEntry]:
-        return {e.patch_id: e for e in self.entries}
+def _fit(geometry: tuple[int, int], family: str, ratio: float):
+    """``(ranks, params)`` of ``family`` on a rows x cols patch at ``ratio``.
+
+    None when no ranks fit the ratio's budget or the fit stores no fewer
+    scalars than the dense patch.
+    """
+    mode_shape, _ = default_mode_shape(*geometry)
+    dense = geometry[0] * geometry[1]
+    try:
+        spec = select_ranks(mode_shape, family, ratio_budget(ratio, dense))
+    except InfeasibleBudgetError:
+        return None
+    params = param_count_formula(family, mode_shape, spec.ranks)
+    if params >= dense:
+        return None
+    return spec.ranks, params
 
 
 def build_options(
@@ -107,37 +119,21 @@ def build_options(
             patch_id=patch.patch_id,
             dense_params=patch.dense_params,
             compressible=patch.submodule_kind not in exclude_kinds,
-            geometry=(patch.rows, patch.cols),
             layer_name=patch.layer_name,
             submodule_kind=patch.submodule_kind,
             row_range=patch.row_range,
             col_range=patch.col_range,
         )
         if record is not None and opt.compressible:
-            mode_shape, _ = default_mode_shape(patch.rows, patch.cols)
             for family in ordered_families:
                 curve = record.predictions.get(family, {})
                 for ratio in ratio_grid:
-                    if ratio not in curve:
-                        continue
-                    budget = max(int(math.floor(ratio * patch.dense_params)), 1)
-                    try:
-                        spec = select_ranks(mode_shape, family, ParamBudget(budget))
-                    except InfeasibleBudgetError:
-                        log.debug("no %s ranks fit patch %d at ratio %g", family, patch.patch_id, ratio)
-                        continue
-                    params = param_count_formula(family, mode_shape, spec.ranks)
-                    if params >= patch.dense_params:
-                        continue
-                    opt.candidates.append(
-                        Candidate(
-                            family=family,
-                            ratio=float(ratio),
-                            params=params,
-                            predicted_degradation=curve[ratio],
-                            ranks=spec.ranks,
+                    fit = _fit(opt.geometry, family, ratio) if ratio in curve else None
+                    if fit is not None:
+                        ranks, params = fit
+                        opt.candidates.append(
+                            Candidate(family, float(ratio), params, curve[ratio], ranks)
                         )
-                    )
             if opt.candidates and all(
                 c.predicted_degradation > degradation_cap for c in opt.candidates
             ):
@@ -146,19 +142,21 @@ def build_options(
     return options
 
 
-def _family_index(family: str) -> int:
-    return FAMILIES.index(family)
-
-
-def _dense_entry(opt: PatchOptions) -> PlanEntry:
+def _entry(opt: PatchOptions, cand: Candidate | None) -> PlanEntry:
+    """The plan entry of a patch compressed as ``cand``, or dense if None."""
+    if cand is None:
+        family, ratio, ranks, params, deg = "dense", None, None, opt.dense_params, 0.0
+    else:
+        family, ratio, ranks, params = cand.family, cand.ratio, cand.ranks, cand.params
+        deg = cand.predicted_degradation
     return PlanEntry(
         patch_id=opt.patch_id,
         dense_params=opt.dense_params,
-        family="dense",
-        target_ratio=None,
-        ranks=None,
-        params=opt.dense_params,
-        predicted_degradation=0.0,
+        family=family,
+        target_ratio=ratio,
+        ranks=ranks,
+        params=params,
+        predicted_degradation=deg,
         layer_name=opt.layer_name,
         submodule_kind=opt.submodule_kind,
         row_range=opt.row_range,
@@ -167,17 +165,12 @@ def _dense_entry(opt: PatchOptions) -> PlanEntry:
 
 
 def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
-    usable: dict[int, list[Candidate]] = {}
-    for opt in options:
-        if not opt.compressible or opt.pinned:
-            usable[opt.patch_id] = []
-            continue
-        cands = opt.candidates
-        if mode == "sensitivity":
-            cands = [c for c in cands if c.family == single_family]
-        usable[opt.patch_id] = cands
+    usable = {
+        o.patch_id: [c for c in o.candidates if mode == "sensitivity_mixed" or c.family == single_family]
+        for o in options
+        if o.compressible and not o.pinned
+    }
 
-    by_id = {o.patch_id: o for o in options}
     current: dict[int, Candidate | None] = {o.patch_id: None for o in options}
     params_now = {o.patch_id: o.dense_params for o in options}
     deg_now = {o.patch_id: 0.0 for o in options}
@@ -195,7 +188,7 @@ def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
                 saved = params_now[pid] - cand.params
                 added = cand.predicted_degradation - deg_now[pid]
                 score = math.inf if added <= 0 else saved / added
-                key = (-score, pid, _family_index(cand.family), -cand.ratio)
+                key = (-score, pid, FAMILIES.index(cand.family), -cand.ratio)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (pid, cand)
@@ -211,29 +204,9 @@ def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
         deg_now[pid] = cand.predicted_degradation
         current[pid] = cand
 
-    entries = []
-    for opt in sorted(options, key=lambda o: o.patch_id):
-        cand = current[opt.patch_id]
-        if cand is None:
-            entries.append(_dense_entry(opt))
-        else:
-            entries.append(
-                PlanEntry(
-                    patch_id=opt.patch_id,
-                    dense_params=opt.dense_params,
-                    family=cand.family,
-                    target_ratio=cand.ratio,
-                    ranks=cand.ranks,
-                    params=cand.params,
-                    predicted_degradation=cand.predicted_degradation,
-                    layer_name=opt.layer_name,
-                    submodule_kind=opt.submodule_kind,
-                    row_range=opt.row_range,
-                    col_range=opt.col_range,
-                )
-            )
+    entries = [_entry(opt, current[opt.patch_id]) for opt in sorted(options, key=lambda o: o.patch_id)]
     return CompressionPlan(
-        mode="sensitivity_mixed" if mode == "sensitivity_mixed" else mode,
+        mode=mode,
         target_ratio=target_ratio,
         dense_params=dense_total,
         achieved_params=total,
@@ -257,19 +230,10 @@ def _uniform_selection(options, family: str, ratio: float):
     total = sum(o.dense_params for o in options)
     chosen = {}
     for opt in options:
-        if not opt.compressible or opt.geometry is None:
-            continue
-        mode_shape, _ = default_mode_shape(*opt.geometry)
-        budget = max(int(math.floor(ratio * opt.dense_params)), 1)
-        try:
-            spec = select_ranks(mode_shape, family, ParamBudget(budget))
-        except InfeasibleBudgetError:
-            continue
-        params = param_count_formula(family, mode_shape, spec.ranks)
-        if params >= opt.dense_params:
-            continue
-        chosen[opt.patch_id] = (spec.ranks, params)
-        total += params - opt.dense_params
+        fit = _fit(opt.geometry, family, ratio) if opt.compressible else None
+        if fit is not None:
+            chosen[opt.patch_id] = fit
+            total += fit[1] - opt.dense_params
     return total, chosen
 
 
@@ -281,7 +245,7 @@ def _rank_one_floor(options, family: str) -> float:
     """
     floor = 0.0
     for opt in options:
-        if not opt.compressible or opt.geometry is None:
+        if not opt.compressible:
             continue
         mode_shape, _ = default_mode_shape(*opt.geometry)
         params = param_count_formula(family, mode_shape, (1,) * len(maximal_ranks(family, mode_shape)))
@@ -289,7 +253,7 @@ def _rank_one_floor(options, family: str) -> float:
             continue
         ratio = params / opt.dense_params
         # (params / dense) * dense may round below params
-        while math.floor(ratio * opt.dense_params) < params:
+        while ratio_budget(ratio, opt.dense_params).budget < params:
             ratio = math.nextafter(ratio, 1.0)
         floor = max(floor, ratio)
     return floor
@@ -320,25 +284,11 @@ def _uniform(options, target_ratio, family) -> CompressionPlan:
 
     entries = []
     for opt in sorted(options, key=lambda o: o.patch_id):
-        if opt.patch_id not in chosen:
-            entries.append(_dense_entry(opt))
-            continue
-        ranks, params = chosen[opt.patch_id]
-        entries.append(
-            PlanEntry(
-                patch_id=opt.patch_id,
-                dense_params=opt.dense_params,
-                family=family,
-                target_ratio=ratio,
-                ranks=ranks,
-                params=params,
-                predicted_degradation=_interp_degradation(opt, family, ratio),
-                layer_name=opt.layer_name,
-                submodule_kind=opt.submodule_kind,
-                row_range=opt.row_range,
-                col_range=opt.col_range,
-            )
-        )
+        cand = None
+        if opt.patch_id in chosen:
+            ranks, params = chosen[opt.patch_id]
+            cand = Candidate(family, ratio, params, _interp_degradation(opt, family, ratio), ranks)
+        entries.append(_entry(opt, cand))
     return CompressionPlan(
         mode="uniform",
         target_ratio=target_ratio,
@@ -366,6 +316,8 @@ def allocate(
         raise ValueError(f"target ratio must be in (0, 1], got {target_ratio}")
     if mode not in MODES:
         raise ValueError(f"unknown planner mode {mode!r}")
+    if single_family not in FAMILIES:
+        raise ValueError(f"unknown family {single_family!r}")
     if not options:
         raise ValueError("no patches to plan over")
     seen = set()
@@ -376,37 +328,3 @@ def allocate(
     if mode == "uniform":
         return _uniform(options, target_ratio, single_family)
     return _greedy(options, target_ratio, mode, single_family)
-
-
-def plan_summary(plan: CompressionPlan) -> dict:
-    """Aggregate counts: totals, per-submodule and per-family breakdowns."""
-    per_kind: dict[str, dict] = {}
-    per_family: dict[str, int] = {}
-    total_deg = 0.0
-    compressed = 0
-    for entry in plan.entries:
-        kind = per_kind.setdefault(
-            entry.submodule_kind,
-            {"patches": 0, "dense_params": 0, "planned_params": 0, "compressed_patches": 0},
-        )
-        kind["patches"] += 1
-        kind["dense_params"] += entry.dense_params
-        kind["planned_params"] += entry.params
-        per_family[entry.family] = per_family.get(entry.family, 0) + 1
-        total_deg += entry.predicted_degradation
-        if entry.family != "dense":
-            compressed += 1
-            kind["compressed_patches"] += 1
-    n = len(plan.entries)
-    return {
-        "mode": plan.mode,
-        "target_ratio": plan.target_ratio,
-        "dense_params": plan.dense_params,
-        "achieved_params": plan.achieved_params,
-        "achieved_ratio": plan.achieved_ratio,
-        "patches": n,
-        "compressed_patches": compressed,
-        "mean_predicted_degradation": total_deg / n if n else 0.0,
-        "per_submodule": per_kind,
-        "per_family": per_family,
-    }

@@ -11,8 +11,8 @@ import numpy as np
 
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError
 from minima.model import ModelContainer
-from minima.tensor_core import ParamBudget, full_svd
-from minima.tn_decompositions import FAMILIES, compress_matrix, layer_to_matrix
+from minima.tensor_core import full_svd
+from minima.tn_decompositions import FAMILIES, compress_matrix, layer_to_matrix, ratio_budget
 
 log = logging.getLogger(__name__)
 
@@ -189,9 +189,8 @@ def probe_patch(
     ordered = [f for f in FAMILIES if f in set(families)]
     for family in ordered:
         for ratio in ratio_grid:
-            budget = int(math.floor(ratio * m * n))
             try:
-                layer = compress_matrix(w, family, ParamBudget(max(budget, 1)), hooi_iters=hooi_iters)
+                layer = compress_matrix(w, family, ratio_budget(ratio, m * n), hooi_iters=hooi_iters)
             except InfeasibleBudgetError as exc:
                 log.info("probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, exc)
                 continue

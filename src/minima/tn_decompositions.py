@@ -128,19 +128,24 @@ class CompressedLayer:
 
 @dataclass(frozen=True)
 class RankSpec:
-    """Concrete ranks for a family, or a relative-error threshold to resolve them."""
+    """Concrete ranks for a TN family; ``RankSpec("dense")`` needs none.
+
+    ``select_ranks`` resolves a parameter budget into one.
+    """
 
     family: str
     ranks: tuple[int, ...] | None = None
-    rel_error: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES and self.family != DENSE:
             raise RankError(f"unknown family {self.family!r}")
-        if self.ranks is not None:
-            object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-            if any(r < 1 for r in self.ranks):
-                raise RankError(f"ranks must be >= 1, got {self.ranks}")
+        if self.ranks is None:
+            if self.family != DENSE:
+                raise RankError(f"{self.family} needs ranks")
+            return
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        if any(r < 1 for r in self.ranks):
+            raise RankError(f"ranks must be >= 1, got {self.ranks}")
 
 
 # --- decomposition routines -------------------------------------------------
@@ -427,10 +432,6 @@ def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
     raise RankError(f"unknown family {family!r}")
 
 
-def _rank_positions(family: str, d: int) -> int:
-    return {"tucker": d, "tt": d - 1, "tr": d}[family]
-
-
 def _ranks_feasible(family: str, shape, ranks) -> bool:
     caps = maximal_ranks(family, shape)
     if family == "tucker":
@@ -451,42 +452,34 @@ def _ranks_feasible(family: str, shape, ranks) -> bool:
         return False
 
 
-def select_ranks(mode_shape, family: str, target: TruncationPolicy) -> RankSpec:
-    """Rank selection toward a truncation target.
+def ratio_budget(ratio: float, dense: int) -> ParamBudget:
+    """Parameter budget of a compression ratio: ``max(floor(ratio * dense), 1)``."""
+    return ParamBudget(max(int(math.floor(ratio * dense)), 1))
 
-    ParamBudget: budgets at or above the dense size return the maximal
-    (exact) ranks; otherwise the largest feasible uniform rank is found
-    and individual positions are then greedily incremented in ascending
-    order while the budget allows. RelativeError targets defer to
-    per-bond / per-mode thresholds applied during decomposition.
+
+def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
+    """Largest feasible ranks of a TN family within a parameter budget.
+
+    Budgets at or above the dense size return the maximal (exact) ranks;
+    otherwise the largest feasible uniform rank is found and individual
+    positions are then greedily incremented in ascending order while the
+    budget allows. Budgets below the rank-1 count raise
+    ``InfeasibleBudgetError``. Only a ``ParamBudget`` selects ranks (other
+    targets raise ``TypeError``) and only for Tucker, TT or TR (others raise
+    ``RankError``); dense layers come from ``decompose(t, RankSpec("dense"))``.
     """
     shape = tuple(int(s) for s in mode_shape)
-    if family == DENSE:
-        return RankSpec(family=DENSE)
     if family not in FAMILIES:
-        raise RankError(f"unknown family {family!r}")
-    d = len(shape)
-    npos = _rank_positions(family, d)
-
-    if isinstance(target, RelativeError):
-        return RankSpec(family=family, ranks=None, rel_error=target.epsilon)
-
-    if isinstance(target, FixedRank):
-        caps = maximal_ranks(family, shape)
-        ranks = tuple(min(target.rank, c) for c in caps)
-        while not _ranks_feasible(family, shape, ranks):
-            ranks = tuple(max(1, r - 1) if i == int(np.argmax(ranks)) else r for i, r in enumerate(ranks))
-        return RankSpec(family=family, ranks=ranks)
-
+        raise RankError(f"no ranks to select for family {family!r}")
     if not isinstance(target, ParamBudget):
-        raise TypeError(f"unsupported target {target!r}")
+        raise TypeError(f"ranks are selected by a ParamBudget, got {target!r}")
 
     budget = target.budget
-    dense_size = math.prod(shape)
-    if budget >= dense_size:
-        return RankSpec(family=family, ranks=maximal_ranks(family, shape))
-
     caps = maximal_ranks(family, shape)
+    npos = len(caps)
+    if budget >= math.prod(shape):
+        return RankSpec(family=family, ranks=caps)
+
     floor = tuple([1] * npos)
     floor_cost = param_count_formula(family, shape, floor)
     if floor_cost > budget:
@@ -522,7 +515,6 @@ def select_ranks(mode_shape, family: str, target: TruncationPolicy) -> RankSpec:
 def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
     """Dispatch a tensor to the decomposition named by ``spec``."""
     t = as_tensor(t)
-    d = t.ndim
     if spec.family == DENSE:
         rows = math.prod(t.shape[:row_mode_count])
         return CompressedLayer(
@@ -532,29 +524,11 @@ def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count
             matrix=t.reshape(rows, -1),
         )
     if spec.family == "tucker":
-        if spec.ranks is not None:
-            layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
-        else:
-            eps = spec.rel_error / math.sqrt(d)
-            ranks = tuple(
-                truncated_svd(unfold(t, k), RelativeError(eps)).rank for k in range(d)
-            )
-            layer = tucker_decompose(t, ranks, hooi_iters=hooi_iters)
+        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
     elif spec.family == "tt":
-        if spec.ranks is not None:
-            layer = tt_decompose(t, [FixedRank(r) for r in spec.ranks])
-        else:
-            layer = tt_decompose(t, RelativeError(spec.rel_error / math.sqrt(d - 1)))
-    elif spec.family == "tr":
-        if spec.ranks is not None:
-            layer = tr_decompose(t, spec.ranks)
-        else:
-            tt = tt_decompose(t, RelativeError(spec.rel_error / math.sqrt(d - 1)))
-            layer = CompressedLayer(
-                family="tr", mode_shape=t.shape, row_mode_count=row_mode_count, cores=tt.cores
-            )
+        layer = tt_decompose(t, [FixedRank(r) for r in spec.ranks])
     else:
-        raise RankError(f"unknown family {spec.family!r}")
+        layer = tr_decompose(t, spec.ranks)
     layer.row_mode_count = row_mode_count
     layer.validate()
     return layer
@@ -563,14 +537,18 @@ def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count
 def compress_matrix(
     w: np.ndarray,
     family: str,
-    target: TruncationPolicy,
+    target: ParamBudget,
     hooi_iters: int = 2,
 ) -> CompressedLayer:
-    """Reshape a weight matrix into balanced modes and decompose it."""
+    """Reshape a weight matrix into balanced modes and decompose it with
+    Tucker, TT or TR ranks that fit the parameter budget ``target``.
+
+    Dense storage takes no budget: use ``decompose(t, RankSpec("dense"))``.
+    """
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
     t = reshape_to_modes(w, mode_shape)
-    spec = select_ranks(mode_shape, family, target) if family != DENSE else RankSpec(DENSE)
+    spec = select_ranks(mode_shape, family, target)
     return decompose(t, spec, hooi_iters=hooi_iters, row_mode_count=row_mode_count)

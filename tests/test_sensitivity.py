@@ -151,6 +151,17 @@ class TestProbes:
         by_ratio = {r.target_ratio: r.measured_degradation for r in recs}
         assert by_ratio[0.25] >= by_ratio[0.5] - 1e-9
 
+    def test_ratio_below_every_rank_one_count_is_skipped(self, rng):
+        # 0.05 of a 16 x 16 patch is a budget of 12; on its (4, 4, 4, 4) modes
+        # rank 1 stores 17 (tucker), 16 (tt) and 16 (tr) scalars
+        w = rng.standard_normal((16, 16))
+        recs = probe_patch(w, ("tucker", "tt", "tr"), (0.5, 0.05), None, seed=3)
+        assert [(r.family, r.target_ratio) for r in recs] == [
+            ("tucker", 0.5),
+            ("tt", 0.5),
+            ("tr", 0.5),
+        ]
+
     def test_deterministic_given_seed(self, rng):
         w = rng.standard_normal((32, 32))
         a = probe_patch(w, ("tt",), (0.5, 0.25), None, seed=9)

@@ -271,6 +271,22 @@ class TestSelectRanks:
         with pytest.raises(InfeasibleBudgetError):
             select_ranks((8, 8, 8, 8), "tt", ParamBudget(10))
 
+    def test_only_a_parameter_budget_selects_ranks(self):
+        for target in (FixedRank(2), RelativeError(0.1)):
+            for family in ("tucker", "tt", "tr"):
+                with pytest.raises(TypeError):
+                    select_ranks((8, 8, 8, 8), family, target)
+        with pytest.raises(RankError):
+            select_ranks((8, 8, 8, 8), "dense", ParamBudget(4096))
+        with pytest.raises(RankError):
+            select_ranks((8, 8, 8, 8), "cp", ParamBudget(4096))
+
+    def test_tn_rank_spec_needs_ranks(self):
+        for family in ("tucker", "tt", "tr"):
+            with pytest.raises(RankError):
+                tn.RankSpec(family)
+        assert tn.RankSpec("dense").ranks is None
+
     def test_selected_tt_ranks_always_achieved(self, rng):
         shape = (8, 8, 8, 8)
         t = rng.standard_normal(shape)
