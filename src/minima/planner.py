@@ -3,6 +3,8 @@ model-wide compression plan that satisfies a parameter budget."""
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -107,9 +109,13 @@ def build_options(
 
     Candidate parameter counts come from actual rank selection on the
     patch's mode shape, so the plan's accounting matches what compression
-    will store. Patches whose every prediction exceeds the cap are pinned
-    dense; excluded kinds never receive candidates.
+    will store. Rank selection runs once per distinct (geometry, family,
+    ratio): a memo of ``_fit`` made for this call and dropped when it
+    returns, so no result outlives the call. Patches whose every prediction
+    exceeds the cap are pinned dense; excluded kinds never receive
+    candidates.
     """
+    fit = functools.cache(_fit)
     by_id = {r.patch_id: r for r in records}
     ordered_families = [f for f in FAMILIES if f in set(families)]
     options = []
@@ -128,9 +134,9 @@ def build_options(
             for family in ordered_families:
                 curve = record.predictions.get(family, {})
                 for ratio in ratio_grid:
-                    fit = _fit(opt.geometry, family, ratio) if ratio in curve else None
-                    if fit is not None:
-                        ranks, params = fit
+                    ranks_params = fit(opt.geometry, family, ratio) if ratio in curve else None
+                    if ranks_params is not None:
+                        ranks, params = ranks_params
                         opt.candidates.append(
                             Candidate(family, float(ratio), params, curve[ratio], ranks)
                         )
@@ -164,45 +170,53 @@ def _entry(opt: PatchOptions, cand: Candidate | None) -> PlanEntry:
     )
 
 
+def _best_step(pid: int, cands, params: int, deg: float):
+    """``(key, candidate)`` of the patch's best next step, or None if no
+    candidate stores fewer params; the smallest key is the best step."""
+    best = None
+    for cand in cands:
+        if cand.params >= params:
+            continue
+        added = cand.predicted_degradation - deg
+        score = math.inf if added <= 0 else (params - cand.params) / added
+        key = (-score, pid, FAMILIES.index(cand.family), -cand.ratio)
+        if best is None or key < best[0]:
+            best = (key, cand)
+    return best
+
+
 def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
     usable = {
         o.patch_id: [c for c in o.candidates if mode == "sensitivity_mixed" or c.family == single_family]
         for o in options
         if o.compressible and not o.pinned
     }
-
+    dense = {o.patch_id: o.dense_params for o in options}
     current: dict[int, Candidate | None] = {o.patch_id: None for o in options}
-    params_now = {o.patch_id: o.dense_params for o in options}
-    deg_now = {o.patch_id: 0.0 for o in options}
-    dense_total = sum(o.dense_params for o in options)
+    dense_total = sum(dense.values())
     budget = target_ratio * dense_total
     total = dense_total
 
+    # one entry per patch that can still step: its best next step. Keys hold
+    # the patch id, so they never tie and the heap's minimum is the best step
+    # over all patches. A step changes only its own patch's best step, and
+    # that patch's entry is the one just popped, so no entry goes stale.
+    heap = [step for pid, cands in usable.items() if (step := _best_step(pid, cands, dense[pid], 0.0))]
+    heapq.heapify(heap)
     while total > budget:
-        best_key = None
-        best = None
-        for pid, cands in usable.items():
-            for cand in cands:
-                if cand.params >= params_now[pid]:
-                    continue
-                saved = params_now[pid] - cand.params
-                added = cand.predicted_degradation - deg_now[pid]
-                score = math.inf if added <= 0 else saved / added
-                key = (-score, pid, FAMILIES.index(cand.family), -cand.ratio)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (pid, cand)
-        if best is None:
+        if not heap:
             raise InfeasibleBudgetError(
                 f"no candidate steps left at {total}/{dense_total} params "
                 f"(target ratio {target_ratio})",
                 best_achievable=total / dense_total if dense_total else 1.0,
             )
-        pid, cand = best
-        total -= params_now[pid] - cand.params
-        params_now[pid] = cand.params
-        deg_now[pid] = cand.predicted_degradation
+        (_, pid, *_), cand = heapq.heappop(heap)
+        prev = current[pid]
+        total -= (dense[pid] if prev is None else prev.params) - cand.params
         current[pid] = cand
+        step = _best_step(pid, usable[pid], cand.params, cand.predicted_degradation)
+        if step:
+            heapq.heappush(heap, step)
 
     entries = [_entry(opt, current[opt.patch_id]) for opt in sorted(options, key=lambda o: o.patch_id)]
     return CompressionPlan(
@@ -225,15 +239,16 @@ def _interp_degradation(opt: PatchOptions, family: str, ratio: float) -> float:
     return float(np.interp(ratio, xs, ys))
 
 
-def _uniform_selection(options, family: str, ratio: float):
-    """Per-patch rank selection at one shared compression ratio."""
+def _uniform_selection(options, family: str, ratio: float, fit):
+    """Per-patch rank selection at one shared compression ratio, by ``fit``:
+    the calling ``_uniform``'s memo of ``_fit``."""
     total = sum(o.dense_params for o in options)
     chosen = {}
     for opt in options:
-        fit = _fit(opt.geometry, family, ratio) if opt.compressible else None
-        if fit is not None:
-            chosen[opt.patch_id] = fit
-            total += fit[1] - opt.dense_params
+        ranks_params = fit(opt.geometry, family, ratio) if opt.compressible else None
+        if ranks_params is not None:
+            chosen[opt.patch_id] = ranks_params
+            total += ranks_params[1] - opt.dense_params
     return total, chosen
 
 
@@ -262,11 +277,12 @@ def _rank_one_floor(options, family: str) -> float:
 def _uniform(options, target_ratio, family) -> CompressionPlan:
     dense_total = sum(o.dense_params for o in options)
     budget = target_ratio * dense_total
+    fit = functools.cache(_fit)  # shared by every bisection pass of this call
 
     # total is not monotone in the ratio (below the rank-1 floor patches fall
     # back to dense), so the bisection keeps total(lo) <= budget as its invariant
     lo, hi = _rank_one_floor(options, family), 1.0
-    total_lo, _ = _uniform_selection(options, family, lo)
+    total_lo, _ = _uniform_selection(options, family, lo, fit)
     if total_lo > budget:
         raise InfeasibleBudgetError(
             f"uniform {family} cannot reach ratio {target_ratio}",
@@ -274,13 +290,13 @@ def _uniform(options, target_ratio, family) -> CompressionPlan:
         )
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        total_mid, _ = _uniform_selection(options, family, mid)
+        total_mid, _ = _uniform_selection(options, family, mid, fit)
         if total_mid <= budget:
             lo = mid
         else:
             hi = mid
     ratio = lo
-    total, chosen = _uniform_selection(options, family, ratio)
+    total, chosen = _uniform_selection(options, family, ratio, fit)
 
     entries = []
     for opt in sorted(options, key=lambda o: o.patch_id):
@@ -307,10 +323,17 @@ def allocate(
     """Produce a plan meeting ``achieved <= target_ratio * dense_params``.
 
     ``uniform`` compresses every eligible patch with one family at one
-    shared ratio found by bisection; ``sensitivity`` runs the greedy
-    marginal-cost loop restricted to ``single_family``;
-    ``sensitivity_mixed`` searches all families. Ties break on lower
-    patch id, then family order (tucker, tt, tr), then larger ratio.
+    shared ratio found by bisection; rank selection runs once per distinct
+    (geometry, ratio) over all bisection passes, from a memo that lives
+    only for this call. ``sensitivity`` runs the greedy marginal-cost loop
+    restricted to ``single_family``; ``sensitivity_mixed`` searches all
+    families. Each greedy step takes the candidate with the most params
+    saved per unit of added predicted degradation (steps that add none
+    come first). A heap holds each patch's best next step, keyed
+    ``(-score, patch id, family order (tucker, tt, tr), -ratio)``, so ties
+    break on lower patch id, then family order, then larger ratio; after a
+    step only the stepped patch's entry is recomputed. A non-finite
+    ``predicted_degradation`` on any candidate raises ``ValueError``.
     """
     if not 0.0 < target_ratio <= 1.0:
         raise ValueError(f"target ratio must be in (0, 1], got {target_ratio}")
@@ -325,6 +348,12 @@ def allocate(
         if opt.patch_id in seen:
             raise ValueError(f"duplicate patch id {opt.patch_id}")
         seen.add(opt.patch_id)
+        for cand in opt.candidates:
+            if not math.isfinite(cand.predicted_degradation):
+                raise ValueError(
+                    f"patch {opt.patch_id}: predicted degradation {cand.predicted_degradation} "
+                    f"of {cand.family} at ratio {cand.ratio} is not finite"
+                )
     if mode == "uniform":
         return _uniform(options, target_ratio, single_family)
     return _greedy(options, target_ratio, mode, single_family)

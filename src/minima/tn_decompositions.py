@@ -432,13 +432,14 @@ def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
     raise RankError(f"unknown family {family!r}")
 
 
-def _ranks_feasible(family: str, shape, ranks) -> bool:
-    caps = maximal_ranks(family, shape)
-    if family == "tucker":
-        return all(r <= n for r, n in zip(ranks, shape))
+def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
+    """Whether the decomposition reaches ``ranks``; ``caps`` is
+    ``maximal_ranks(family, shape)``, which the caller already holds."""
+    if any(r > c for r, c in zip(ranks, caps)):
+        return False
+    if family == "tucker":  # every Tucker cap is at most its mode size
+        return True
     if family == "tt":
-        if any(r > c for r, c in zip(ranks, caps)):
-            return False
         # sequential achievability: each bond fits the running split rows
         left = 1
         for k, r in enumerate(ranks):
@@ -489,11 +490,7 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
         )
 
     def fits(ranks) -> bool:
-        return (
-            all(r <= c for r, c in zip(ranks, caps))
-            and _ranks_feasible(family, shape, ranks)
-            and param_count_formula(family, shape, ranks) <= budget
-        )
+        return _ranks_feasible(family, shape, ranks, caps) and param_count_formula(family, shape, ranks) <= budget
 
     uniform = 1
     while fits(tuple([uniform + 1] * npos)):

@@ -1,9 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minima import planner
 from minima.errors import InfeasibleBudgetError
 from minima.model import ModelContainer
-from minima.planner import Candidate, allocate, build_options
+from minima.planner import MODES, Candidate, CompressionPlan, PatchOptions, allocate, build_options
 from minima.sensitivity import SensitivityRecord, partition_patches
 from minima.tn_decompositions import FAMILIES, default_mode_shape, maximal_ranks, param_count_formula
 
@@ -154,3 +160,215 @@ class TestAllocateArguments:
     def test_unknown_family(self, mode):
         with pytest.raises(ValueError, match="unknown family 'TT'"):
             allocate(plan_options([(128, 128)]), 0.5, mode=mode, single_family="TT")
+
+
+def reference_greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
+    """The greedy of ``allocate`` as a full rescan: every step scores every
+    candidate of every patch and takes the smallest key."""
+    usable = {
+        o.patch_id: [c for c in o.candidates if mode == "sensitivity_mixed" or c.family == single_family]
+        for o in options
+        if o.compressible and not o.pinned
+    }
+
+    current = {o.patch_id: None for o in options}
+    params_now = {o.patch_id: o.dense_params for o in options}
+    deg_now = {o.patch_id: 0.0 for o in options}
+    dense_total = sum(o.dense_params for o in options)
+    budget = target_ratio * dense_total
+    total = dense_total
+
+    while total > budget:
+        best_key = None
+        best = None
+        for pid, cands in usable.items():
+            for cand in cands:
+                if cand.params >= params_now[pid]:
+                    continue
+                saved = params_now[pid] - cand.params
+                added = cand.predicted_degradation - deg_now[pid]
+                score = math.inf if added <= 0 else saved / added
+                key = (-score, pid, FAMILIES.index(cand.family), -cand.ratio)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (pid, cand)
+        if best is None:
+            raise InfeasibleBudgetError(
+                f"no candidate steps left at {total}/{dense_total} params "
+                f"(target ratio {target_ratio})",
+                best_achievable=total / dense_total if dense_total else 1.0,
+            )
+        pid, cand = best
+        total -= params_now[pid] - cand.params
+        params_now[pid] = cand.params
+        deg_now[pid] = cand.predicted_degradation
+        current[pid] = cand
+
+    entries = [planner._entry(opt, current[opt.patch_id]) for opt in sorted(options, key=lambda o: o.patch_id)]
+    return CompressionPlan(
+        mode=mode,
+        target_ratio=target_ratio,
+        dense_params=dense_total,
+        achieved_params=total,
+        entries=entries,
+    )
+
+
+def plan_or_error(plan_fn, options, target, mode, family):
+    """The plan, or the message and best_achievable of the InfeasibleBudgetError."""
+    try:
+        return plan_fn(options, target, mode=mode, single_family=family)
+    except InfeasibleBudgetError as exc:
+        return str(exc), exc.best_achievable
+
+
+@st.composite
+def patch_options(draw):
+    """A few patches; their candidates share a few (params, degradation)
+    pairs, so scores tie across patches, families and ratios. A degradation
+    below the current one makes a step's score inf."""
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from([8, 16, 24, 32, 48, 64, 96]), st.sampled_from([0.0, 1e-3, 2e-3, 4e-3, 8e-3])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    candidates = st.builds(
+        lambda family, ratio, step: Candidate(family, ratio, *step),
+        st.sampled_from(FAMILIES),
+        st.sampled_from(RATIO_GRID),
+        st.sampled_from(steps),
+    )
+    n = draw(st.integers(1, 8))
+    pids = draw(st.permutations(range(0, 3 * n, 3)))
+    return [
+        PatchOptions(
+            patch_id=pid,
+            dense_params=draw(st.sampled_from([32, 64])),
+            candidates=draw(st.lists(candidates, max_size=6)),
+            compressible=draw(st.booleans()),
+            pinned=draw(st.booleans()),
+            layer_name=f"w{pid}",
+        )
+        for pid in pids
+    ]
+
+
+class TestHeapGreedy:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        options=patch_options(),
+        target=st.sampled_from([0.05, 0.2, 0.4, 0.5, 0.7, 0.9, 1.0]),
+        mode=st.sampled_from(["sensitivity_mixed", "sensitivity"]),
+        family=st.sampled_from(FAMILIES),
+    )
+    def test_equals_the_full_rescan(self, options, target, mode, family):
+        expected = plan_or_error(reference_greedy, options, target, mode, family)
+        assert plan_or_error(allocate, options, target, mode, family) == expected
+
+    @pytest.mark.parametrize("mode", ["sensitivity_mixed", "sensitivity"])
+    def test_tied_scores_break_like_the_full_rescan(self, mode):
+        # identical patches tie on score (lower id wins), and within a patch
+        # tt at two ratios ties with tucker at one (tucker, then larger ratio)
+        cands = [
+            Candidate("tt", 0.25, 16, 4e-3),
+            Candidate("tucker", 0.5, 32, 2e-3),
+            Candidate("tt", 0.5, 32, 2e-3),
+            Candidate("tt", 0.35, 32, 2e-3),
+        ]
+        options = [PatchOptions(pid, 64, list(cands)) for pid in (5, 2, 7)]
+        for target in (0.9, 0.7, 0.4, 0.25):
+            expected = plan_or_error(reference_greedy, options, target, mode, "tt")
+            assert plan_or_error(allocate, options, target, mode, "tt") == expected
+        plan = allocate(options, 0.7, mode=mode, single_family="tt")
+        assert [(e.patch_id, e.family, e.target_ratio) for e in plan.entries] == [
+            (2, "tucker" if mode == "sensitivity_mixed" else "tt", 0.5),
+            (5, "tucker" if mode == "sensitivity_mixed" else "tt", 0.5),
+            (7, "dense", None),
+        ]
+
+        # equal keys within one patch: the candidate listed first wins
+        twins = [PatchOptions(0, 64, [Candidate("tt", 0.5, 32, 2e-3), Candidate("tt", 0.5, 48, 1e-3)])]
+        for target in (0.8, 0.4):
+            expected = plan_or_error(reference_greedy, twins, target, mode, "tt")
+            assert plan_or_error(allocate, twins, target, mode, "tt") == expected
+        assert allocate(twins, 0.8, mode=mode, single_family="tt").achieved_params == 32
+
+    def test_each_step_rescores_only_its_patch(self, monkeypatch):
+        options = plan_options([(256, 256)] * 4)
+        scored = []
+        best_step = planner._best_step
+
+        def recording(pid, cands, params, deg):
+            scored.append(pid)
+            return best_step(pid, cands, params, deg)
+
+        monkeypatch.setattr(planner, "_best_step", recording)
+        plan = allocate(options, 0.3)
+        assert all(e.family != "dense" for e in plan.entries)
+        # each patch is scored once to fill the heap, then once after each of
+        # its own steps; a step lowers its patch's params, so each candidate
+        # is taken at most once
+        assert sorted(scored[: len(options)]) == [o.patch_id for o in options]
+        assert len(scored) - len(options) <= sum(len(o.candidates) for o in options)
+
+
+class TestNonFinitePrediction:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_raises_naming_the_patch(self, mode, value):
+        options = plan_options([(128, 128)])
+        bad = options[2].candidates[5]
+        options[2].candidates[5] = dataclasses.replace(bad, predicted_degradation=value)
+        with pytest.raises(ValueError, match=f"patch 2: predicted degradation {value} of {bad.family}"):
+            allocate(options, 0.5, mode=mode, single_family="tt")
+
+
+def counting_select_ranks(monkeypatch):
+    """Record the arguments of every ``select_ranks`` call the planner makes."""
+    calls = []
+    select_ranks = planner.select_ranks
+
+    def counting(mode_shape, family, target):
+        calls.append((mode_shape, family, target))
+        return select_ranks(mode_shape, family, target)
+
+    monkeypatch.setattr(planner, "select_ranks", counting)
+    return calls
+
+
+class TestRankFitMemo:
+    def test_build_options_fits_each_geometry_family_ratio_once(self, monkeypatch):
+        # 64 x 64 and 64 x 32 patches, and two excluded embedding patches
+        model_shapes = [(128, 128), (64, 96), (64, 128)]
+        calls = counting_select_ranks(monkeypatch)
+        options = plan_options(model_shapes, kinds=["ffn", "attention_proj", "embedding"])
+        assert {o.geometry for o in options if o.compressible} == {(64, 64), (64, 32)}
+        assert len(calls) == len(set(calls)) == 2 * len(FAMILIES) * len(RATIO_GRID)
+
+        calls.clear()
+        again = plan_options(model_shapes, kinds=["ffn", "attention_proj", "embedding"])
+        assert again == options
+        assert len(calls) == 2 * len(FAMILIES) * len(RATIO_GRID)  # no memo outlives a call
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_uniform_fits_each_geometry_ratio_once(self, monkeypatch, family):
+        options = plan_options([(128, 128), (128, 128)])
+        calls = counting_select_ranks(monkeypatch)
+        ratios = []
+        selection = planner._uniform_selection
+
+        def recording(options, family, ratio, fit):
+            ratios.append(ratio)
+            return selection(options, family, ratio, fit)
+
+        monkeypatch.setattr(planner, "_uniform_selection", recording)
+        allocate(options, 0.3, mode="uniform", single_family=family)
+        # eight 64 x 64 patches, 47 selection passes over 46 distinct ratios
+        assert len(ratios) == 47
+        assert len(calls) == len(set(ratios)) == 46
+
+        calls.clear()
+        allocate(options, 0.3, mode="uniform", single_family=family)
+        assert len(calls) == 46

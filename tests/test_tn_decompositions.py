@@ -281,6 +281,25 @@ class TestSelectRanks:
         with pytest.raises(RankError):
             select_ranks((8, 8, 8, 8), "cp", ParamBudget(4096))
 
+    def test_caps_computed_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(family, mode_shape):
+            calls.append((family, mode_shape))
+            return maximal_ranks(family, mode_shape)
+
+        monkeypatch.setattr(tn, "maximal_ranks", counting)
+        for shape in ((8, 8, 8, 8), (4, 3, 2, 5), (16, 16)):
+            for family in ("tucker", "tt", "tr"):
+                dense = int(np.prod(shape))
+                for budget in (dense // 8, dense // 3, dense // 2, dense):
+                    calls.clear()
+                    try:
+                        select_ranks(shape, family, ParamBudget(budget))
+                    except InfeasibleBudgetError:
+                        pass
+                    assert calls == [(family, shape)]
+
     def test_tn_rank_spec_needs_ranks(self):
         for family in ("tucker", "tt", "tr"):
             with pytest.raises(RankError):
