@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,36 +240,42 @@ def _interp_degradation(opt: PatchOptions, family: str, ratio: float) -> float:
     return float(np.interp(ratio, xs, ys))
 
 
-def _uniform_selection(options, family: str, ratio: float, fit):
-    """Per-patch rank selection at one shared compression ratio, by ``fit``:
-    the calling ``_uniform``'s memo of ``_fit``."""
-    total = sum(o.dense_params for o in options)
+def _uniform_selection(shapes, family: str, ratio: float, fit):
+    """Stored scalars of all patches at one shared compression ratio, and
+    the ``(ranks, params)`` chosen for each shape that compresses.
+
+    ``shapes`` counts the patches per (geometry, dense params, compressible),
+    so a pass makes one ``fit`` lookup per compressible geometry; ``fit`` is
+    the calling ``_uniform``'s memo of ``_fit``.
+    """
+    total = 0
     chosen = {}
-    for opt in options:
-        ranks_params = fit(opt.geometry, family, ratio) if opt.compressible else None
+    for shape, count in shapes.items():
+        geometry, dense, compressible = shape
+        ranks_params = fit(geometry, family, ratio) if compressible else None
         if ranks_params is not None:
-            chosen[opt.patch_id] = ranks_params
-            total += ranks_params[1] - opt.dense_params
+            chosen[shape] = ranks_params
+        total += count * (dense if ranks_params is None else ranks_params[1])
     return total, chosen
 
 
-def _rank_one_floor(options, family: str) -> float:
+def _rank_one_floor(shapes, family: str) -> float:
     """Smallest shared ratio at which every compressible patch fits rank 1.
 
-    Patches whose rank-1 configuration is not smaller than dense never
-    compress and do not count.
+    ``shapes`` is keyed like ``_uniform_selection``'s. Shapes whose rank-1
+    configuration is not smaller than dense never compress and do not count.
     """
     floor = 0.0
-    for opt in options:
-        if not opt.compressible:
+    for geometry, dense, compressible in shapes:
+        if not compressible:
             continue
-        mode_shape, _ = default_mode_shape(*opt.geometry)
+        mode_shape, _ = default_mode_shape(*geometry)
         params = param_count_formula(family, mode_shape, (1,) * len(maximal_ranks(family, mode_shape)))
-        if params >= opt.dense_params:
+        if params >= dense:
             continue
-        ratio = params / opt.dense_params
+        ratio = params / dense
         # (params / dense) * dense may round below params
-        while ratio_budget(ratio, opt.dense_params).budget < params:
+        while ratio_budget(ratio, dense).budget < params:
             ratio = math.nextafter(ratio, 1.0)
         floor = max(floor, ratio)
     return floor
@@ -277,12 +284,13 @@ def _rank_one_floor(options, family: str) -> float:
 def _uniform(options, target_ratio, family) -> CompressionPlan:
     dense_total = sum(o.dense_params for o in options)
     budget = target_ratio * dense_total
+    shapes = Counter((o.geometry, o.dense_params, o.compressible) for o in options)
     fit = functools.cache(_fit)  # shared by every bisection pass of this call
 
     # total is not monotone in the ratio (below the rank-1 floor patches fall
     # back to dense), so the bisection keeps total(lo) <= budget as its invariant
-    lo, hi = _rank_one_floor(options, family), 1.0
-    total_lo, _ = _uniform_selection(options, family, lo, fit)
+    lo, hi = _rank_one_floor(shapes, family), 1.0
+    total_lo, _ = _uniform_selection(shapes, family, lo, fit)
     if total_lo > budget:
         raise InfeasibleBudgetError(
             f"uniform {family} cannot reach ratio {target_ratio}",
@@ -290,19 +298,20 @@ def _uniform(options, target_ratio, family) -> CompressionPlan:
         )
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        total_mid, _ = _uniform_selection(options, family, mid, fit)
+        total_mid, _ = _uniform_selection(shapes, family, mid, fit)
         if total_mid <= budget:
             lo = mid
         else:
             hi = mid
     ratio = lo
-    total, chosen = _uniform_selection(options, family, ratio, fit)
+    total, chosen = _uniform_selection(shapes, family, ratio, fit)
 
     entries = []
     for opt in sorted(options, key=lambda o: o.patch_id):
         cand = None
-        if opt.patch_id in chosen:
-            ranks, params = chosen[opt.patch_id]
+        ranks_params = chosen.get((opt.geometry, opt.dense_params, opt.compressible))
+        if ranks_params is not None:
+            ranks, params = ranks_params
             cand = Candidate(family, ratio, params, _interp_degradation(opt, family, ratio), ranks)
         entries.append(_entry(opt, cand))
     return CompressionPlan(
@@ -323,13 +332,14 @@ def allocate(
     """Produce a plan meeting ``achieved <= target_ratio * dense_params``.
 
     ``uniform`` compresses every eligible patch with one family at one
-    shared ratio found by bisection; rank selection runs once per distinct
-    (geometry, ratio) over all bisection passes, from a memo that lives
-    only for this call. ``sensitivity`` runs the greedy marginal-cost loop
-    restricted to ``single_family``; ``sensitivity_mixed`` searches all
-    families. Each greedy step takes the candidate with the most params
-    saved per unit of added predicted degradation (steps that add none
-    come first). A heap holds each patch's best next step, keyed
+    shared ratio found by bisection. Patches are grouped by geometry once,
+    so a bisection pass costs one lookup per geometry, and rank selection
+    runs once per distinct (geometry, ratio) over all passes, from a memo
+    that lives only for this call. ``sensitivity`` runs the greedy
+    marginal-cost loop restricted to ``single_family``;
+    ``sensitivity_mixed`` searches all families. Each greedy step takes
+    the candidate with the most params saved per unit of added predicted
+    degradation (steps that add none come first). A heap holds each patch's best next step, keyed
     ``(-score, patch id, family order (tucker, tt, tr), -ratio)``, so ties
     break on lower patch id, then family order, then larger ratio; after a
     step only the stepped patch's entry is recomputed. A non-finite

@@ -1,4 +1,4 @@
-"""Dense tensor substrate: reshaping, unfolding, contraction, truncated SVD.
+"""Dense tensor substrate: reshaping, unfolding, mode products, truncated SVD.
 
 Conventions used everywhere in this package:
 
@@ -8,7 +8,10 @@ Conventions used everywhere in this package:
   modes on the columns in increasing mode order, last varying fastest;
 * every SVD is LAPACK's (``numpy.linalg.svd``) under a fixed sign
   convention, so identical input bits give identical output bits on a
-  given numpy/LAPACK build and BLAS thread count.
+  given numpy/LAPACK build and BLAS thread count;
+* the only truncation is an integer rank: keep the leading ``r`` triplets.
+  Ranks come from a :class:`ParamBudget` through
+  ``tn_decompositions.select_ranks``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from minima.errors import (
-    DegenerateReferenceError,
-    InfeasibleBudgetError,
-    NumericsError,
-    RankError,
-    ShapeError,
-)
+from minima.errors import DegenerateReferenceError, NumericsError, RankError, ShapeError
 
 Tensor = np.ndarray
 
@@ -82,18 +79,6 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1))
 
 
-def fold(mat: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given full tensor shape."""
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= mode < len(shape):
-        raise IndexError(f"mode {mode} out of range for rank-{len(shape)} tensor")
-    mat = np.asarray(mat)
-    rest = shape[:mode] + shape[mode + 1 :]
-    if mat.shape != (shape[mode], math.prod(rest)):
-        raise ShapeError(f"unfolding of shape {mat.shape} does not match tensor shape {shape}")
-    return np.ascontiguousarray(np.moveaxis(mat.reshape((shape[mode],) + rest), 0, mode))
-
-
 def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
     """Contract mode ``mode`` of ``t`` with the first axis of ``mat``.
 
@@ -106,60 +91,16 @@ def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(out, -1, mode)
 
 
-def contract(a: np.ndarray, a_modes, b: np.ndarray, b_modes) -> np.ndarray:
-    """Contract paired modes; free modes of ``a`` precede free modes of ``b``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    a_modes = [int(i) for i in np.atleast_1d(a_modes)]
-    b_modes = [int(i) for i in np.atleast_1d(b_modes)]
-    if len(a_modes) != len(b_modes):
-        raise ShapeError("paired mode lists must have equal length")
-    if len(set(a_modes)) != len(a_modes) or len(set(b_modes)) != len(b_modes):
-        raise ShapeError("contracted modes must be distinct")
-    for am, bm in zip(a_modes, b_modes):
-        if not 0 <= am < a.ndim or not 0 <= bm < b.ndim:
-            raise IndexError(f"contraction mode out of range: a mode {am}, b mode {bm}")
-        if a.shape[am] != b.shape[bm]:
-            raise ShapeError(
-                f"paired mode sizes differ: a mode {am} has {a.shape[am]}, b mode {bm} has {b.shape[bm]}"
-            )
-    return np.tensordot(a, b, axes=(a_modes, b_modes))
-
-
-# --- truncation policies ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedRank:
-    rank: int
-
-    def __post_init__(self):
-        if int(self.rank) < 1:
-            raise RankError(f"fixed rank must be >= 1, got {self.rank}")
-        object.__setattr__(self, "rank", int(self.rank))
-
-
-@dataclass(frozen=True)
-class RelativeError:
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < float(self.epsilon) <= 1.0:
-            raise RankError(f"relative-error threshold must be in (0, 1], got {self.epsilon}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-
-
 @dataclass(frozen=True)
 class ParamBudget:
+    """Number of scalars a decomposition may store; ``select_ranks`` turns it into ranks."""
+
     budget: int
 
     def __post_init__(self):
         if int(self.budget) < 1:
             raise RankError(f"parameter budget must be >= 1, got {self.budget}")
         object.__setattr__(self, "budget", int(self.budget))
-
-
-TruncationPolicy = FixedRank | RelativeError | ParamBudget
 
 
 @dataclass(frozen=True)
@@ -196,63 +137,31 @@ def _complete_basis(u: np.ndarray, fixed: int) -> None:
         u[:, j] = v / np.linalg.norm(v)
 
 
-def _select_rank(values: np.ndarray, shape, policy: TruncationPolicy) -> int:
-    m, n = shape
-    kmax = min(m, n)
-    if isinstance(policy, FixedRank):
-        if policy.rank > kmax:
-            raise RankError(f"fixed rank {policy.rank} exceeds min(m, n) = {kmax}")
-        return policy.rank
-    if isinstance(policy, RelativeError):
-        energies = values**2
-        total = float(energies.sum())
-        if total == 0.0:
-            return 1
-        tail = total
-        target = (policy.epsilon**2) * total
-        for r in range(1, kmax + 1):
-            tail -= float(energies[r - 1])
-            if tail <= target:
-                return r
-        return kmax
-    if isinstance(policy, ParamBudget):
-        per_triplet = m + n + 1
-        r = min(policy.budget // per_triplet, kmax)
-        if r < 1:
-            raise InfeasibleBudgetError(
-                f"budget {policy.budget} below one (u, s, v) triplet of size {per_triplet}",
-                best_achievable=per_triplet,
-            )
-        return r
-    raise TypeError(f"unknown truncation policy: {policy!r}")
-
-
-def truncated_svd(matrix: np.ndarray, policy: TruncationPolicy) -> SvdResult:
-    """Truncated SVD of a rank-2 tensor, bitwise reproducible per build.
+def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
+    """The leading ``rank`` singular triplets of a rank-2 tensor, bitwise
+    reproducible per build.
 
     The thin LAPACK SVD yields all ``min(m, n)`` triplets with values in
     non-increasing order; each kept pair of singular vectors is flipped
     together so that the largest-magnitude entry of the left vector is
-    positive (lowest row index on ties).
-
-    FixedRank keeps exactly ``r`` triplets; past the numerical rank their
-    values are zero up to rounding and their vectors stay orthonormal.
-    RelativeError keeps the smallest rank whose Frobenius residual is
-    within ``epsilon`` of the input norm, never less than 1. ParamBudget
-    keeps the largest rank with ``r * (m + n + 1)`` stored scalars inside
-    the budget.
+    positive (lowest row index on ties). The sign of a pair depends only on
+    its own column, so the result is a prefix of ``full_svd`` bit for bit.
+    Past the numerical rank the kept values are zero up to rounding and
+    their vectors stay orthonormal. ``rank`` outside ``[1, min(m, n)]``
+    raises ``RankError``.
     """
     m = as_tensor(matrix)
     if m.ndim != 2:
         raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
+    if not 1 <= rank <= min(m.shape):
+        raise RankError(f"rank {rank} out of range [1, {min(m.shape)}] for a {m.shape} matrix")
     left, values, right_t = np.linalg.svd(m, full_matrices=False)
-    r = _select_rank(values, m.shape, policy)
-    left, right = left[:, :r], right_t[:r].T
+    left, right = left[:, :rank], right_t[:rank].T
     pivots = np.argmax(np.abs(left), axis=0)
-    signs = np.where(left[pivots, np.arange(r)] < 0.0, -1.0, 1.0)
+    signs = np.where(left[pivots, np.arange(rank)] < 0.0, -1.0, 1.0)
     return SvdResult(
         left=np.ascontiguousarray(left * signs),
-        values=values[:r].copy(),
+        values=values[:rank].copy(),
         right=np.ascontiguousarray(right * signs),
     )
 
@@ -260,6 +169,4 @@ def truncated_svd(matrix: np.ndarray, policy: TruncationPolicy) -> SvdResult:
 def full_svd(matrix: np.ndarray) -> SvdResult:
     """All ``min(m, n)`` singular triplets."""
     m = as_tensor(matrix)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
-    return truncated_svd(m, FixedRank(min(m.shape)))
+    return truncated_svd(m, min(m.shape))

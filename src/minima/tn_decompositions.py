@@ -14,7 +14,6 @@ Rank conventions:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,21 +21,15 @@ import numpy as np
 
 from minima.errors import InfeasibleBudgetError, NumericsError, RankError, ShapeError
 from minima.tensor_core import (
-    FixedRank,
     ParamBudget,
-    RelativeError,
-    TruncationPolicy,
     _complete_basis,
     as_tensor,
     frobenius,
     mode_dot,
-    relative_error,
     reshape_to_modes,
     truncated_svd,
     unfold,
 )
-
-log = logging.getLogger(__name__)
 
 FAMILIES = ("tucker", "tt", "tr")
 DENSE = "dense"
@@ -155,7 +148,7 @@ def _orthonormal_factor(unfolding: np.ndarray, rank: int) -> np.ndarray:
     """Leading left singular vectors, padded to ``rank`` orthonormal columns."""
     reachable = min(unfolding.shape)
     keep = min(rank, reachable)
-    u = truncated_svd(unfolding, FixedRank(keep)).left
+    u = truncated_svd(unfolding, keep).left
     if keep < rank:
         padded = np.zeros((unfolding.shape[0], rank))
         padded[:, :keep] = u
@@ -224,27 +217,20 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
     )
 
 
-def _as_policy_list(policy, count: int) -> list[TruncationPolicy]:
-    if isinstance(policy, (FixedRank, RelativeError, ParamBudget)):
-        return [policy] * count
-    policies = list(policy)
-    if len(policies) != count:
-        raise RankError(f"need {count} per-bond policies, got {len(policies)}")
-    return policies
+def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
+    """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``.
 
-
-def tt_decompose(t: np.ndarray, policy) -> CompressedLayer:
-    """Sequential TT-SVD with one truncation policy per bond.
-
-    Fixed ranks are capped at each split's feasible maximum. When every
-    bond uses a RelativeError threshold the final reconstruction is
-    checked against the sqrt(sum of squared thresholds) error bound.
+    Each bond is capped at its split's feasible maximum, the min dimension
+    of the unfolding it truncates, so ``layer.ranks`` may be below
+    ``ranks``. A count other than d-1 raises ``RankError``.
     """
     t = as_tensor(t)
     d = t.ndim
     if d < 2:
         raise ShapeError("tensor-train needs at least 2 modes")
-    policies = _as_policy_list(policy, d - 1)
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != d - 1:
+        raise RankError(f"need {d - 1} bond ranks, got {len(ranks)}")
     shape = t.shape
 
     cores = []
@@ -252,22 +238,12 @@ def tt_decompose(t: np.ndarray, policy) -> CompressedLayer:
     c = t.reshape(shape[0], -1)
     for k in range(d - 1):
         c = c.reshape(r_prev * shape[k], -1)
-        pol = policies[k]
-        if isinstance(pol, FixedRank):
-            pol = FixedRank(min(pol.rank, min(c.shape)))
-        res = truncated_svd(c, pol)
+        res = truncated_svd(c, min(ranks[k], min(c.shape)))
         cores.append(res.left.reshape(r_prev, shape[k], res.rank))
         c = res.values[:, None] * res.right.T
         r_prev = res.rank
     cores.append(c.reshape(r_prev, shape[d - 1], 1))
-
-    layer = CompressedLayer(family="tt", mode_shape=shape, row_mode_count=1, cores=cores)
-    if all(isinstance(p, RelativeError) for p in policies) and frobenius(t) > 0:
-        bound = math.sqrt(sum(p.epsilon**2 for p in policies))
-        measured = relative_error(t, reconstruct(layer))
-        if measured > bound + 1e-12:
-            raise NumericsError(f"tt error {measured} exceeds bound {bound}")
-    return layer
+    return CompressedLayer(family="tt", mode_shape=shape, row_mode_count=1, cores=cores)
 
 
 def tr_feasible(mode_shape, ranks) -> tuple[int, ...]:
@@ -307,7 +283,7 @@ def _padded_split(c: np.ndarray, rank: int):
     requested core shapes, so parameter accounting stays closed-form.
     """
     keep = min(rank, min(c.shape))
-    res = truncated_svd(c, FixedRank(keep))
+    res = truncated_svd(c, keep)
     u = np.zeros((c.shape[0], rank))
     u[:, :keep] = res.left
     rest = np.zeros((rank, c.shape[1]))
@@ -386,10 +362,6 @@ def param_count(layer: CompressedLayer) -> int:
     if layer.family == "tucker":
         return int(layer.core.size + sum(f.size for f in layer.factors))
     return int(sum(c.size for c in layer.cores))
-
-
-def compression_ratio(layer: CompressedLayer) -> float:
-    return param_count(layer) / math.prod(layer.mode_shape)
 
 
 def param_count_formula(family: str, mode_shape, ranks) -> int:
@@ -523,7 +495,7 @@ def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count
     if spec.family == "tucker":
         layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
     elif spec.family == "tt":
-        layer = tt_decompose(t, [FixedRank(r) for r in spec.ranks])
+        layer = tt_decompose(t, spec.ranks)
     else:
         layer = tr_decompose(t, spec.ranks)
     layer.row_mode_count = row_mode_count

@@ -325,7 +325,7 @@ class TestNonFinitePrediction:
             allocate(options, 0.5, mode=mode, single_family="tt")
 
 
-def counting_select_ranks(monkeypatch):
+def select_ranks_calls(monkeypatch):
     """Record the arguments of every ``select_ranks`` call the planner makes."""
     calls = []
     select_ranks = planner.select_ranks
@@ -342,7 +342,7 @@ class TestRankFitMemo:
     def test_build_options_fits_each_geometry_family_ratio_once(self, monkeypatch):
         # 64 x 64 and 64 x 32 patches, and two excluded embedding patches
         model_shapes = [(128, 128), (64, 96), (64, 128)]
-        calls = counting_select_ranks(monkeypatch)
+        calls = select_ranks_calls(monkeypatch)
         options = plan_options(model_shapes, kinds=["ffn", "attention_proj", "embedding"])
         assert {o.geometry for o in options if o.compressible} == {(64, 64), (64, 32)}
         assert len(calls) == len(set(calls)) == 2 * len(FAMILIES) * len(RATIO_GRID)
@@ -355,7 +355,7 @@ class TestRankFitMemo:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_uniform_fits_each_geometry_ratio_once(self, monkeypatch, family):
         options = plan_options([(128, 128), (128, 128)])
-        calls = counting_select_ranks(monkeypatch)
+        calls = select_ranks_calls(monkeypatch)
         ratios = []
         selection = planner._uniform_selection
 
@@ -372,3 +372,55 @@ class TestRankFitMemo:
         calls.clear()
         allocate(options, 0.3, mode="uniform", single_family=family)
         assert len(calls) == 46
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestUniformMixedGeometry:
+    # 64 x 64 and 64 x 32 patches, a ragged 36 x 64 edge and an excluded embedding
+    MODEL = dict(
+        shapes=[(128, 128), (128, 96), (100, 128), (64, 128)],
+        kinds=["ffn", "attention_proj", "ffn", "embedding"],
+    )
+    GEOMETRIES = {(64, 64), (64, 32), (36, 64)}
+
+    def test_entries_are_the_fits_at_the_plan_ratio(self, family):
+        options = plan_options(**self.MODEL)
+        assert {o.geometry for o in options if o.compressible} == self.GEOMETRIES
+        for target in (0.5, 0.35):
+            plan = allocate(options, target, mode="uniform", single_family=family)
+            ratios = {e.target_ratio for e in plan.entries if e.family != "dense"}
+            assert len(ratios) == 1
+            ratio = ratios.pop()
+            compressed = set()
+            for opt, entry in zip(sorted(options, key=lambda o: o.patch_id), plan.entries):
+                fit = planner._fit(opt.geometry, family, ratio) if opt.compressible else None
+                if fit is None:
+                    assert (entry.family, entry.ranks, entry.params) == ("dense", None, opt.dense_params)
+                else:
+                    assert (entry.family, entry.ranks, entry.params) == (family, *fit)
+                    compressed.add(opt.geometry)
+            assert compressed == self.GEOMETRIES
+            assert plan.achieved_params == sum(e.params for e in plan.entries)
+            assert plan.achieved_ratio <= target
+
+    def test_rank_one_floor_counts_each_geometry_once(self, monkeypatch, family):
+        options = plan_options(**self.MODEL)
+        formula, floor = planner.param_count_formula, planner._rank_one_floor
+        in_floor, mode_shapes = [], []
+
+        def counting(family, mode_shape, ranks):
+            if in_floor:
+                mode_shapes.append(mode_shape)
+            return formula(family, mode_shape, ranks)
+
+        def flagged(*args):
+            in_floor.append(True)
+            try:
+                return floor(*args)
+            finally:
+                in_floor.pop()
+
+        monkeypatch.setattr(planner, "param_count_formula", counting)
+        monkeypatch.setattr(planner, "_rank_one_floor", flagged)
+        allocate(options, 0.5, mode="uniform", single_family=family)
+        assert sorted(mode_shapes) == sorted(default_mode_shape(*g)[0] for g in self.GEOMETRIES)
