@@ -1,0 +1,116 @@
+"""Decomposition wall times per family and patch size.
+
+Usage, from the root of the repository:
+
+    python3 bench/decompose_scale.py [--sizes 32 64 128] [--out BENCH_decompose.json]
+
+For each square patch size it builds one synthetic weight matrix (random
+orthonormal singular vectors, singular values decaying as exp(-0.1 k)) and,
+for each of Tucker, TT and TR at ratio 0.25, times ``compress_matrix``
+(2 HOOI sweeps for Tucker, the default) and ``select_ranks`` on the patch's mode
+shape. Each time is the median of five calls; every call's time is kept.
+Each row also records the selected ranks and the relative reconstruction
+error, so two checkouts can be compared for equal outputs. The JSON written
+to ``--out`` records the numpy version, the BLAS build and the BLAS thread
+count, read as ``perfbench/run.py`` reads them; the BLAS is pinned to one
+thread as in ``perfbench/``.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from minima.tensor_core import relative_error  # noqa: E402
+from minima.tn_decompositions import (  # noqa: E402
+    FAMILIES,
+    compress_matrix,
+    default_mode_shape,
+    layer_to_matrix,
+    ratio_budget,
+    select_ranks,
+)
+from run import environment  # noqa: E402  (perfbench/run.py)
+
+RATIO = 0.25
+HOOI_ITERS = 2  # compress_matrix's default
+DECAY = 0.1
+REPEATS = 5
+
+
+def synthetic(n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.exp(-DECAY * np.arange(n))) @ v.T
+
+
+def timed_runs(fn):
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return out, times
+
+
+def measure(n: int) -> list[dict]:
+    w = synthetic(n)
+    mode_shape, _ = default_mode_shape(n, n)
+    budget = ratio_budget(RATIO, n * n)
+    rows = []
+    for family in FAMILIES:
+        layer, compress_s = timed_runs(lambda: compress_matrix(w, family, budget, hooi_iters=HOOI_ITERS))
+        spec, select_s = timed_runs(lambda: select_ranks(mode_shape, family, budget))
+        rows.append(
+            {
+                "patch": [n, n],
+                "mode_shape": list(mode_shape),
+                "family": family,
+                "ranks": list(spec.ranks),
+                "relative_error": relative_error(w, layer_to_matrix(layer)),
+                "compress_matrix_s": statistics.median(compress_s),
+                "select_ranks_s": statistics.median(select_s),
+                "runs": {"compress_matrix_s": compress_s, "select_ranks_s": select_s},
+            }
+        )
+    return rows
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128])
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_decompose.json")
+    args = parser.parse_args()
+    compress_matrix(synthetic(8), "tucker", ratio_budget(RATIO, 64))  # warm-up
+    rows = []
+    for n in args.sizes:
+        for row in measure(n):
+            rows.append(row)
+            print(json.dumps({k: v for k, v in row.items() if k != "runs"}), flush=True)
+    report = {
+        "command": " ".join(["python3 bench/decompose_scale.py", *sys.argv[1:]]),
+        "environment": environment(),
+        "ratio": RATIO,
+        "hooi_iters": HOOI_ITERS,
+        "repeats": REPEATS,
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -132,10 +132,11 @@ def build_options(
             col_range=patch.col_range,
         )
         if record is not None and opt.compressible:
+            geometry = opt.geometry
             for family in ordered_families:
                 curve = record.predictions.get(family, {})
                 for ratio in ratio_grid:
-                    ranks_params = fit(opt.geometry, family, ratio) if ratio in curve else None
+                    ranks_params = fit(geometry, family, ratio) if ratio in curve else None
                     if ranks_params is not None:
                         ranks, params = ranks_params
                         opt.candidates.append(

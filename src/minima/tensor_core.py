@@ -72,11 +72,17 @@ def reshape_to_modes(matrix: np.ndarray, mode_shape) -> np.ndarray:
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-k matricization: mode k on rows, remaining modes on columns."""
+    """Mode-k matricization: mode k on rows, remaining modes on columns.
+
+    One transpose and one copy: the same array ``np.moveaxis`` would give,
+    without its axis bookkeeping.
+    """
     t = np.asarray(t)
-    if not 0 <= mode < t.ndim:
-        raise IndexError(f"mode {mode} out of range for rank-{t.ndim} tensor")
-    return np.ascontiguousarray(np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1))
+    d = t.ndim
+    if not 0 <= mode < d:
+        raise IndexError(f"mode {mode} out of range for rank-{d} tensor")
+    order = (mode, *range(mode), *range(mode + 1, d))
+    return np.ascontiguousarray(t.transpose(order).reshape(t.shape[mode], -1))
 
 
 def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
@@ -84,11 +90,20 @@ def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
 
     The second axis of ``mat`` replaces the contracted mode in place, so a
     factor of shape (n, r) maps an n-sized mode to an r-sized one.
+
+    ``t`` is transposed to (other modes..., mode) and reshaped to (-1, n)
+    for one ``np.dot`` with ``mat``: the same ``np.dot``, on the same
+    operands, that ``np.tensordot(t, mat, axes=(mode, 0))`` makes, so the
+    bits equal it on any build. The result is a transposed view.
     """
     if mat.ndim != 2:
         raise ShapeError("mode_dot expects a matrix")
-    out = np.tensordot(t, mat, axes=(mode, 0))
-    return np.moveaxis(out, -1, mode)
+    d = t.ndim
+    shape = t.shape
+    others = (*range(mode), *range(mode + 1, d))
+    flat = t.transpose((*others, mode)).reshape(-1, shape[mode])
+    out = np.dot(flat, mat).reshape(*(shape[k] for k in others), mat.shape[1])
+    return out.transpose((*range(mode), d - 1, *range(mode, d - 1)))
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,12 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
     of ``64 * d * eps``: that estimate carries a few ulps of rounding per
     mode product, and taking its square root would lift that noise to
     ~sqrt(eps) near an exact fit.
+
+    A sweep's core is its last projection times its last factor: the
+    projection for mode d-1 has already applied the sweep's factors
+    0..d-2 in mode order, so one more ``mode_dot`` is ``_tucker_core(t,
+    factors)`` operation for operation. That core gives the sweep's
+    residual energy, and the last one computed is the one returned.
     """
     t = as_tensor(t)
     d = t.ndim
@@ -189,13 +195,14 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
     norm = frobenius(t)
     slack = 64 * d * np.finfo(np.float64).eps
 
-    def residual_energy() -> float:
+    def residual_energy(core) -> float:
         # unclamped: rounding may leave it a few ulps below zero
         if norm == 0.0:
             return 0.0
-        return 1.0 - (frobenius(_tucker_core(t, factors)) / norm) ** 2
+        return 1.0 - (frobenius(core) / norm) ** 2
 
-    energy = residual_energy()
+    core = _tucker_core(t, factors)
+    energy = residual_energy(core)
     for sweep in range(hooi_iters):
         for k in range(d):
             proj = t
@@ -203,7 +210,8 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
                 if j != k:
                     proj = mode_dot(proj, factors[j], j)
             factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k])
-        new_energy = residual_energy()
+        core = mode_dot(proj, factors[d - 1], d - 1)
+        new_energy = residual_energy(core)
         if new_energy > energy + slack:
             raise NumericsError(
                 f"refinement sweep {sweep} increased the relative residual energy "
@@ -211,7 +219,6 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
             )
         energy = new_energy
 
-    core = _tucker_core(t, factors)
     return CompressedLayer(
         family="tucker", mode_shape=t.shape, row_mode_count=1, core=core, factors=factors
     )
@@ -259,11 +266,21 @@ def tr_feasible(mode_shape, ranks) -> tuple[int, ...]:
         raise RankError(f"need {d} cyclic ranks, got {len(ranks)}")
     if any(r < 1 for r in ranks):
         raise RankError(f"ranks must be >= 1, got {ranks}")
+    achieved = _tr_reach(shape, ranks)
+    if achieved is None:
+        raise RankError(
+            f"first split rank {ranks[0]}*{ranks[1 % d]} infeasible for "
+            f"{shape[0]}x{math.prod(shape[1:])} unfolding"
+        )
+    return achieved
+
+
+def _tr_reach(shape: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...] | None:
+    """``tr_feasible`` on validated int tuples, None where it raises."""
+    d = len(shape)
     rest = math.prod(shape[1:])
     if ranks[0] * ranks[1 % d] > min(shape[0], rest):
-        raise RankError(
-            f"first split rank {ranks[0]}*{ranks[1 % d]} infeasible for {shape[0]}x{rest} unfolding"
-        )
+        return None
     achieved = [ranks[0], ranks[1 % d]]
     r_prev = ranks[1 % d]
     cols = rest * ranks[0]
@@ -334,7 +351,11 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
 
 
 def reconstruct(layer: CompressedLayer) -> np.ndarray:
-    """Dense tensor of the layer's mode shape."""
+    """Dense tensor of the layer's mode shape.
+
+    TT and TR cores are chained as (-1, r) @ (r, -1) products: the same
+    ``np.dot`` operands that ``np.tensordot`` over the shared bond makes.
+    """
     layer.validate()
     if layer.family == DENSE:
         return layer.matrix.reshape(layer.mode_shape)
@@ -343,11 +364,13 @@ def reconstruct(layer: CompressedLayer) -> np.ndarray:
         for k, f in enumerate(layer.factors):
             out = mode_dot(out, f.T, k)
         return out
-    chain = layer.cores[0]
+    first = layer.cores[0]
+    chain = first.reshape(-1, first.shape[2])
     for core in layer.cores[1:]:
-        chain = np.tensordot(chain, core, axes=(chain.ndim - 1, 0))
+        chain = np.dot(chain, core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
     if layer.family == "tt":
         return chain.reshape(layer.mode_shape)
+    chain = chain.reshape(first.shape[0], *layer.mode_shape, chain.shape[1])
     return np.trace(chain, axis1=0, axis2=chain.ndim - 1)
 
 
@@ -371,20 +394,24 @@ def param_count_formula(family: str, mode_shape, ranks) -> int:
         return math.prod(shape)
     ranks = tuple(int(r) for r in ranks)
     d = len(shape)
+    if family not in FAMILIES:
+        raise RankError(f"unknown family {family!r}")
+    if family == "tt" and len(ranks) != d - 1:
+        raise RankError(f"need {d - 1} tt bond ranks")
+    if family != "tt" and len(ranks) != d:
+        raise RankError(f"need {d} {family} ranks")
+    return _param_count(family, shape, ranks)
+
+
+def _param_count(family: str, shape: tuple[int, ...], ranks: tuple[int, ...]) -> int:
+    """``param_count_formula`` of a TN family on validated int tuples."""
+    d = len(shape)
     if family == "tucker":
-        if len(ranks) != d:
-            raise RankError(f"need {d} tucker ranks")
         return math.prod(ranks) + sum(n * r for n, r in zip(shape, ranks))
     if family == "tt":
-        if len(ranks) != d - 1:
-            raise RankError(f"need {d - 1} tt bond ranks")
         bonds = (1,) + ranks + (1,)
         return sum(bonds[k] * shape[k] * bonds[k + 1] for k in range(d))
-    if family == "tr":
-        if len(ranks) != d:
-            raise RankError(f"need {d} tr ranks")
-        return sum(ranks[k] * shape[k] * ranks[(k + 1) % d] for k in range(d))
-    raise RankError(f"unknown family {family!r}")
+    return sum(ranks[k] * shape[k] * ranks[(k + 1) % d] for k in range(d))
 
 
 def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
@@ -406,7 +433,8 @@ def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
 
 def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
     """Whether the decomposition reaches ``ranks``; ``caps`` is
-    ``maximal_ranks(family, shape)``, which the caller already holds."""
+    ``maximal_ranks(family, shape)``, which the caller already holds.
+    ``shape`` and ``ranks`` are int tuples of matching lengths."""
     if any(r > c for r, c in zip(ranks, caps)):
         return False
     if family == "tucker":  # every Tucker cap is at most its mode size
@@ -419,10 +447,7 @@ def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
                 return False
             left = r
         return True
-    try:
-        return tuple(tr_feasible(shape, ranks)) == tuple(ranks)
-    except RankError:
-        return False
+    return _tr_reach(shape, ranks) == ranks
 
 
 def ratio_budget(ratio: float, dense: int) -> ParamBudget:
@@ -440,6 +465,10 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
     ``InfeasibleBudgetError``. Only a ``ParamBudget`` selects ranks (other
     targets raise ``TypeError``) and only for Tucker, TT or TR (others raise
     ``RankError``); dense layers come from ``decompose(t, RankSpec("dense"))``.
+
+    Arguments are validated here, once: each trial of the search goes to
+    the unvalidated cores of ``tr_feasible`` and ``param_count_formula``
+    on int tuples.
     """
     shape = tuple(int(s) for s in mode_shape)
     if family not in FAMILIES:
@@ -453,8 +482,7 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
     if budget >= math.prod(shape):
         return RankSpec(family=family, ranks=caps)
 
-    floor = tuple([1] * npos)
-    floor_cost = param_count_formula(family, shape, floor)
+    floor_cost = _param_count(family, shape, (1,) * npos)
     if floor_cost > budget:
         raise InfeasibleBudgetError(
             f"budget {budget} below rank-1 configuration of {floor_cost} params",
@@ -462,10 +490,10 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
         )
 
     def fits(ranks) -> bool:
-        return _ranks_feasible(family, shape, ranks, caps) and param_count_formula(family, shape, ranks) <= budget
+        return _ranks_feasible(family, shape, ranks, caps) and _param_count(family, shape, ranks) <= budget
 
     uniform = 1
-    while fits(tuple([uniform + 1] * npos)):
+    while fits((uniform + 1,) * npos):
         uniform += 1
     ranks = [uniform] * npos
 

@@ -7,11 +7,16 @@ from minima.tensor_core import (
     as_tensor,
     frobenius,
     full_svd,
+    mode_dot,
     relative_error,
     reshape_to_modes,
     truncated_svd,
     unfold,
 )
+
+
+def bitwise_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def unfold_oracle(t, mode):
@@ -74,6 +79,41 @@ class TestUnfoldFold:
     def test_mode_out_of_range(self):
         with pytest.raises(IndexError):
             unfold(np.ones((2, 2)), 2)
+
+    def test_equals_the_moveaxis_form_bitwise(self, rng):
+        for d in range(1, 6):
+            t = rng.standard_normal((3, 4, 2, 5, 3)[:d])
+            for source in (t, t.transpose(tuple(reversed(range(d))))):
+                for mode in range(d):
+                    expected = np.ascontiguousarray(np.moveaxis(source, mode, 0).reshape(source.shape[mode], -1))
+                    assert bitwise_equal(unfold(source, mode), expected), (d, mode)
+
+
+def tensordot_mode_dot(t, mat, mode):
+    """The ``np.tensordot`` form of a mode product."""
+    return np.moveaxis(np.tensordot(t, mat, axes=(mode, 0)), -1, mode)
+
+
+class TestModeDot:
+    def test_equals_tensordot_bitwise(self, rng):
+        shape = (3, 4, 2, 5, 3)
+        for d in range(1, 6):
+            base = rng.standard_normal(shape[:d])
+            for mode in range(d):
+                n = shape[mode]
+                # a non-contiguous t: the view a previous mode product returns
+                prev = (mode + 1) % d
+                view = mode_dot(base, rng.standard_normal((shape[prev], shape[prev])), prev)
+                mats = (rng.standard_normal((n, 3)), rng.standard_normal((2, n)).T)
+                for t in (base, view):
+                    for mat in mats:
+                        got, expected = mode_dot(t, mat, mode), tensordot_mode_dot(t, mat, mode)
+                        assert bitwise_equal(np.ascontiguousarray(got), np.ascontiguousarray(expected)), (d, mode)
+                        assert got.shape == expected.shape
+
+    def test_rejects_a_non_matrix(self, rng):
+        with pytest.raises(ShapeError):
+            mode_dot(rng.standard_normal((2, 3)), rng.standard_normal(2), 0)
 
 
 class TestRelativeError:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from minima.tn_decompositions import (
     reconstruct,
     select_ranks,
     tr_decompose,
+    tr_feasible,
     tt_decompose,
     tucker_decompose,
 )
@@ -32,6 +35,71 @@ def stored_entry_count(layer):
     arrays.extend(layer.factors)
     arrays.extend(layer.cores)
     return sum(a.size for a in arrays)
+
+
+def bitwise_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def tensordot_chain(layer):
+    """TT / TR reconstruction as a chain of ``np.tensordot`` over each bond."""
+    chain = layer.cores[0]
+    for core in layer.cores[1:]:
+        chain = np.tensordot(chain, core, axes=(chain.ndim - 1, 0))
+    if layer.family == "tt":
+        return chain.reshape(layer.mode_shape)
+    return np.trace(chain, axis1=0, axis2=chain.ndim - 1)
+
+
+def reference_ranks_feasible(family, shape, ranks, caps) -> bool:
+    """Rank feasibility as the search tested it when every trial went
+    through the validating ``tr_feasible``."""
+    if any(r > c for r, c in zip(ranks, caps)):
+        return False
+    if family == "tucker":
+        return True
+    if family == "tt":
+        left = 1
+        for k, r in enumerate(ranks):
+            if r > left * shape[k]:
+                return False
+            left = r
+        return True
+    try:
+        return tuple(tr_feasible(shape, ranks)) == tuple(ranks)
+    except RankError:
+        return False
+
+
+def reference_select_ranks(shape, family, budget):
+    """The rank search with each trial validated by the public
+    ``param_count_formula`` and ``tr_feasible``: the ranks, or the
+    ``best_achievable`` of an infeasible budget as ``("infeasible", n)``."""
+    caps = maximal_ranks(family, shape)
+    npos = len(caps)
+    if budget >= math.prod(shape):
+        return caps
+    floor_cost = param_count_formula(family, shape, tuple([1] * npos))
+    if floor_cost > budget:
+        return ("infeasible", floor_cost)
+
+    def fits(ranks) -> bool:
+        return reference_ranks_feasible(family, shape, ranks, caps) and param_count_formula(family, shape, ranks) <= budget
+
+    uniform = 1
+    while fits(tuple([uniform + 1] * npos)):
+        uniform += 1
+    ranks = [uniform] * npos
+    changed = True
+    while changed:
+        changed = False
+        for i in range(npos):
+            trial = list(ranks)
+            trial[i] += 1
+            if fits(tuple(trial)):
+                ranks = trial
+                changed = True
+    return tuple(ranks)
 
 
 class TestModeShapes:
@@ -114,6 +182,34 @@ class TestTucker:
         with pytest.raises(NumericsError, match="relative residual energy"):
             tucker_decompose(t, (2, 2, 2), hooi_iters=1)
 
+    def test_core_is_the_factors_projection_bitwise(self, rng):
+        shape = (4, 3, 5, 2, 3)
+        for d in range(2, 6):
+            t = rng.standard_normal(shape[:d])
+            ranks = tuple(max(1, n - 1) for n in shape[:d])
+            for iters in range(4):
+                layer = tucker_decompose(t, ranks, hooi_iters=iters)
+                assert bitwise_equal(
+                    np.ascontiguousarray(layer.core), np.ascontiguousarray(tn._tucker_core(t, layer.factors))
+                ), (d, iters)
+
+    def test_mode_products_per_call(self, rng, monkeypatch):
+        calls = []
+        mode_dot_ = tn.mode_dot
+
+        def counting(t, mat, mode):
+            calls.append(mode)
+            return mode_dot_(t, mat, mode)
+
+        monkeypatch.setattr(tn, "mode_dot", counting)
+        for shape in ((4, 8, 4, 8), (4, 4, 4, 4)):
+            d = len(shape)
+            t = rng.standard_normal(shape)
+            for iters in (0, 1, 2):
+                calls.clear()
+                tucker_decompose(t, (2, 3, 2, 3), hooi_iters=iters)
+                assert len(calls) == d + iters * (d * (d - 1) + 1), (shape, iters)
+
 
 class TestTensorTrain:
     def test_rank_one_tensor_of_ones(self):
@@ -173,6 +269,29 @@ class TestTensorRing:
         layer = tr_decompose(t, (3, 3, 3, 3))
         assert [c.shape for c in layer.cores] == [(3, 8, 3)] * 4
         assert relative_error(t, reconstruct(layer)) <= 1.0
+
+
+class TestReconstructChain:
+    def test_tt_and_tr_equal_a_tensordot_chain_bitwise(self, rng):
+        cases = [
+            ((4, 4, 4), (2, 3), (2, 2, 2)),
+            ((8, 8, 8, 8), (4, 5, 3), (1, 4, 5, 3)),
+            ((4, 3, 2, 5), (3, 4, 5), (2, 2, 3, 2)),
+            ((2, 3), (2,), (1, 2)),
+            ((3, 2, 4, 2, 3), (2, 3, 3, 2), (2, 1, 3, 3, 2)),
+        ]
+        for shape, bonds, ring in cases:
+            t = rng.standard_normal(shape)
+            for layer in (tt_decompose(t, bonds), tr_decompose(t, ring)):
+                assert bitwise_equal(reconstruct(layer), tensordot_chain(layer)), (layer.family, shape)
+
+    def test_compressed_patches_equal_a_tensordot_chain_bitwise(self, rng):
+        for shape in ((32, 32), (36, 64), (7, 64)):
+            w = rng.standard_normal(shape)
+            for family in ("tt", "tr"):
+                for ratio in (0.5, 0.25, 0.15):
+                    layer = compress_matrix(w, family, tn.ratio_budget(ratio, w.size))
+                    assert bitwise_equal(reconstruct(layer), tensordot_chain(layer)), (shape, family, ratio)
 
 
 class TestReconstructDense:
@@ -290,6 +409,33 @@ class TestSelectRanks:
                     except InfeasibleBudgetError:
                         pass
                     assert calls == [(family, shape)]
+
+    def test_equals_the_validated_rank_search(self):
+        shapes = ((4, 4, 4, 4), (4, 8, 4, 8), (4, 3, 2, 5), (16, 16), (6, 6, 6), (2, 2, 2, 2, 2, 2), (1, 4, 4), (8, 8, 6, 6))
+        for shape in shapes:
+            dense = math.prod(shape)
+            for family in ("tucker", "tt", "tr"):
+                for budget in range(1, dense + 3):
+                    expected = reference_select_ranks(shape, family, budget)
+                    try:
+                        got = select_ranks(shape, family, ParamBudget(budget)).ranks
+                    except InfeasibleBudgetError as err:
+                        got = ("infeasible", err.best_achievable)
+                    assert got == expected, (shape, family, budget)
+
+    def test_public_counts_still_validate(self):
+        with pytest.raises(RankError):
+            param_count_formula("tucker", (4, 4, 4), (2, 2))
+        with pytest.raises(RankError):
+            param_count_formula("tt", (4, 4, 4), (2, 2, 2))
+        with pytest.raises(RankError):
+            param_count_formula("tr", (4, 4, 4), (2, 2))
+        with pytest.raises(RankError):
+            param_count_formula("cp", (4, 4, 4), (2, 2, 2))
+        for ranks in ((2, 2), (0, 2, 2), (3, 3, 3)):
+            with pytest.raises(RankError):
+                tr_feasible((4, 4, 4), ranks)
+        assert tr_feasible((4, 4, 4), (1, 4, 8)) == (1, 4, 4)
 
     def test_tn_rank_spec_needs_ranks(self):
         for family in ("tucker", "tt", "tr"):
