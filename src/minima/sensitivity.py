@@ -275,11 +275,97 @@ def _score_targets(patch_ids, mean_deg) -> np.ndarray:
     return ranks / max(n - 1, 1)
 
 
+class _Workspace:
+    """Scratch arrays of one ``train_predictor`` call, allocated once.
+
+    ``loss`` runs the forward pass into them; ``grads`` runs the backward
+    pass from what the last ``loss`` call left there.
+    """
+
+    def __init__(self, xs: np.ndarray, target: np.ndarray, mask: np.ndarray, hidden: int):
+        n, nh = target.shape
+        self.xs, self.xs_t = xs, xs.T
+        self.target, self.target0 = target, target[:, 0]
+        self.unmeasured = None if mask.all() else ~mask
+        self.m_count = float(mask.sum())  # divides as the int would, without converting it per call
+        self.pre = np.empty((n, hidden))  # pre-activation, then 1 - hidden**2
+        self.hid = np.empty((n, hidden))
+        self.dhid = np.empty((n, hidden))
+        self.out = np.empty((n, nh))
+        self.resid = np.empty((n, nh))
+        self.sq = np.empty((n, nh))  # squared residual, then the output gradient
+        self.sq_flat = self.sq.reshape(-1)  # summed as one run, the order of sq.sum()
+        self.neg = np.empty(n)  # -out[:, 0], then score * (1 - score)
+        self.score = np.empty(n)
+        self.out0, self.resid0, self.sq0 = self.out[:, 0], self.resid[:, 0], self.sq[:, 0]
+
+    def loss(self, w1, b1, w2, b2) -> float:
+        pre, hid, out, resid, sq, neg, score = (
+            self.pre, self.hid, self.out, self.resid, self.sq, self.neg, self.score
+        )
+        np.dot(self.xs, w1, out=pre)
+        np.add(pre, b1, out=pre)
+        np.tanh(pre, out=hid)
+        np.dot(hid, w2, out=out)
+        np.add(out, b2, out=out)
+        np.negative(self.out0, out=neg)
+        np.exp(neg, out=score)
+        np.add(score, 1.0, out=score)
+        np.divide(1.0, score, out=score)
+        np.subtract(out, self.target, out=resid)
+        if self.unmeasured is not None:
+            np.copyto(resid, 0.0, where=self.unmeasured)
+        np.subtract(score, self.target0, out=self.resid0)
+        np.square(resid, out=sq)
+        return float(np.add.reduce(self.sq_flat)) / self.m_count
+
+    def grads(self, w2, dw1, db1, dw2, db2) -> None:
+        pre, hid, dhid, dout, tmp, score = self.pre, self.hid, self.dhid, self.sq, self.neg, self.score
+        np.multiply(self.resid, 2.0, out=dout)
+        np.divide(dout, self.m_count, out=dout)
+        np.subtract(1.0, score, out=tmp)
+        np.multiply(score, tmp, out=tmp)
+        np.multiply(self.sq0, tmp, out=self.sq0)
+        np.dot(hid.T, dout, out=dw2)
+        np.add.reduce(dout, axis=0, out=db2)
+        np.dot(dout, w2.T, out=dhid)
+        np.square(hid, out=pre)
+        np.subtract(1.0, pre, out=pre)
+        np.multiply(dhid, pre, out=dhid)
+        np.dot(self.xs_t, dhid, out=dw1)
+        np.add.reduce(dhid, axis=0, out=db1)
+
+
+def _param_views(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """Consecutive views of ``flat`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return tuple(views)
+
+
 def train_predictor(records, epochs: int = 2000, lr: float = 0.05, seed: int = 0, hidden: int = 16) -> Predictor:
     """Fit the perceptron on (features, probe) pairs by full-batch descent.
 
     Each step is backtracked (step halving) if it would increase the loss,
     so the final training MSE never exceeds the initial one.
+
+    Buffer layout: w1, b1, w2 and b2 are consecutive views of one flat
+    float64 vector. Two such vectors take turns as the current parameters
+    and the trial, one more holds the gradient and one the scaled step, so
+    a trial is one ``np.multiply`` and one ``np.subtract``. The forward
+    pass writes into scratch arrays allocated once per call
+    (``_Workspace``). The backward pass runs only on accepted steps, from
+    the arrays their forward pass left, so it runs once more than
+    ``training_log["accepted_steps"]``; ``rejected_steps`` counts the rest.
+
+    Every elementwise operation keeps the order of the plain loop that
+    allocates fresh arrays each step and differentiates every trial (kept
+    as ``reference_train_predictor`` in ``tests/test_sensitivity.py``), and
+    each product is an ``np.dot`` on the operands its ``@`` took, so the
+    trained predictor equals that loop's bit for bit.
     """
     records = list(records)
     if len(records) < 32:
@@ -322,51 +408,47 @@ def train_predictor(records, epochs: int = 2000, lr: float = 0.05, seed: int = 0
     xs = (x - feat_mean) / feat_std
 
     gen = np.random.Generator(np.random.Philox(seed))
-    w1 = gen.standard_normal((N_FEATURES, h)) / math.sqrt(N_FEATURES)
-    b1 = np.zeros(h)
-    w2 = gen.standard_normal((h, nh)) / math.sqrt(h)
-    b2 = np.zeros(nh)
-    m_count = int(mask.sum())
+    shapes = ((N_FEATURES, h), (h,), (h, nh), (nh,))
+    current, trial, grad, delta = (np.empty(sum(math.prod(s) for s in shapes)) for _ in range(4))
+    w1, b1, w2, b2 = current_p = _param_views(current, shapes)
+    w1[...] = gen.standard_normal((N_FEATURES, h)) / math.sqrt(N_FEATURES)
+    b1[...] = 0.0
+    w2[...] = gen.standard_normal((h, nh)) / math.sqrt(h)
+    b2[...] = 0.0
+    trial_p = _param_views(trial, shapes)
+    grad_p = _param_views(grad, shapes)
 
-    def loss_and_grads(params):
-        w1, b1, w2, b2 = params
-        hid = np.tanh(xs @ w1 + b1)
-        out = hid @ w2 + b2
-        score = 1.0 / (1.0 + np.exp(-out[:, 0]))
-        resid = np.where(mask, out - target, 0.0)
-        resid[:, 0] = score - target[:, 0]
-        loss = float((resid**2).sum() / m_count)
-        dout = 2.0 * resid / m_count
-        dout[:, 0] *= score * (1.0 - score)
-        dw2 = hid.T @ dout
-        db2 = dout.sum(axis=0)
-        dhid = (dout @ w2.T) * (1.0 - hid**2)
-        dw1 = xs.T @ dhid
-        db1 = dhid.sum(axis=0)
-        return loss, (dw1, db1, dw2, db2)
-
-    params = (w1, b1, w2, b2)
-    loss, grads = loss_and_grads(params)
+    ws = _Workspace(xs, target, mask, h)
+    loss = ws.loss(*current_p)
+    ws.grads(current_p[2], *grad_p)
     initial_loss = loss
     step = float(lr)
+    accepted = rejected = 0
     for _ in range(int(epochs)):
-        trial = tuple(p - step * g for p, g in zip(params, grads))
-        new_loss, new_grads = loss_and_grads(trial)
+        np.multiply(grad, step, out=delta)
+        np.subtract(current, delta, out=trial)
+        new_loss = ws.loss(*trial_p)
         if new_loss <= loss:
-            params, loss, grads = trial, new_loss, new_grads
+            ws.grads(trial_p[2], *grad_p)
+            current, trial = trial, current
+            current_p, trial_p = trial_p, current_p
+            loss = new_loss
             step = min(step * 1.2, 50.0 * lr)
+            accepted += 1
         else:
             step *= 0.5
+            rejected += 1
             if step < 1e-12:
                 break
     if loss > initial_loss:
         raise NumericsError("training increased the fit error")
 
+    w1, b1, w2, b2 = (p.copy() for p in current_p)
     return Predictor(
-        w1=params[0],
-        b1=params[1],
-        w2=params[2],
-        b2=params[3],
+        w1=w1,
+        b1=b1,
+        w2=w2,
+        b2=b2,
         feat_mean=feat_mean,
         feat_std=feat_std,
         head_keys=head_keys,
@@ -375,6 +457,8 @@ def train_predictor(records, epochs: int = 2000, lr: float = 0.05, seed: int = 0
             "initial_mse": initial_loss,
             "final_mse": loss,
             "degenerate_targets": degenerate,
+            "accepted_steps": accepted,
+            "rejected_steps": rejected,
         },
     )
 

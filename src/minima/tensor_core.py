@@ -28,6 +28,18 @@ Tensor = np.ndarray
 
 def as_tensor(data, shape=None) -> np.ndarray:
     """Validate and normalize input to a finite float64 C-ordered array."""
+    t = _as_array(data, shape)
+    if not np.isfinite(t).all():
+        raise NumericsError("tensor entries must be finite")
+    return t
+
+
+def _as_array(data, shape=None) -> np.ndarray:
+    """``as_tensor`` without the scan for non-finite entries.
+
+    For the decompositions, whose first ``truncated_svd`` call scans every
+    entry of their input.
+    """
     t = np.ascontiguousarray(data, dtype=np.float64)
     if shape is not None:
         t = t.reshape(shape)
@@ -35,9 +47,17 @@ def as_tensor(data, shape=None) -> np.ndarray:
         t = t.reshape(1)
     if any(s < 1 for s in t.shape):
         raise ShapeError(f"all mode sizes must be >= 1, got {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise NumericsError("tensor entries must be finite")
     return t
+
+
+def _rejected(t: np.ndarray, exc: Exception) -> Exception:
+    """``exc``, once ``t`` has passed the finiteness scan of ``as_tensor``.
+
+    Entries that skip the scan call this before a shape or rank error, so a
+    NaN or inf input still reports ``NumericsError`` first.
+    """
+    as_tensor(t)
+    return exc
 
 
 def frobenius(t: np.ndarray) -> float:
@@ -164,6 +184,12 @@ def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
     Past the numerical rank the kept values are zero up to rounding and
     their vectors stay orthonormal. ``rank`` outside ``[1, min(m, n)]``
     raises ``RankError``.
+
+    The input is scanned by ``as_tensor`` on every call, also when the
+    decompositions pass an unfolding or projection they derived: LAPACK
+    must never see an inf or NaN (``np.linalg.svd`` of a 4 x 128 matrix
+    with one inf entry does not return under OpenBLAS 0.3.31), and a
+    product of finite entries can overflow.
     """
     m = as_tensor(matrix)
     if m.ndim != 2:

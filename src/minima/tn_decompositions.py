@@ -10,6 +10,13 @@ Rank conventions:
   bond of core k, so ``ranks[0]`` is the bond that closes the ring
   (core d-1's right bond). A TR with ``ranks[0] == 1`` is structurally a
   TT with bonds ``ranks[1:]``.
+
+Input checks: ``compress_matrix`` and ``decompose`` validate their input
+with ``as_tensor`` once and hand it on without another scan. The Tucker,
+TT and TR routines do not scan theirs: their first ``truncated_svd`` call
+reads every entry and raises ``NumericsError`` on a NaN or inf, and a
+failed rank or shape check scans first, so the error types stay those of
+a scan up front.
 """
 
 from __future__ import annotations
@@ -22,11 +29,12 @@ import numpy as np
 from minima.errors import InfeasibleBudgetError, NumericsError, RankError, ShapeError
 from minima.tensor_core import (
     ParamBudget,
+    _as_array,
     _complete_basis,
+    _rejected,
     as_tensor,
     frobenius,
     mode_dot,
-    reshape_to_modes,
     truncated_svd,
     unfold,
 )
@@ -182,14 +190,14 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
     factors)`` operation for operation. That core gives the sweep's
     residual energy, and the last one computed is the one returned.
     """
-    t = as_tensor(t)
+    t = _as_array(t)
     d = t.ndim
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d:
-        raise RankError(f"need {d} ranks, got {len(ranks)}")
+        raise _rejected(t, RankError(f"need {d} ranks, got {len(ranks)}"))
     for k, r in enumerate(ranks):
         if not 1 <= r <= t.shape[k]:
-            raise RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}")
+            raise _rejected(t, RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}"))
 
     factors = [_orthonormal_factor(unfold(t, k), ranks[k]) for k in range(d)]
     norm = frobenius(t)
@@ -231,13 +239,13 @@ def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     of the unfolding it truncates, so ``layer.ranks`` may be below
     ``ranks``. A count other than d-1 raises ``RankError``.
     """
-    t = as_tensor(t)
+    t = _as_array(t)
     d = t.ndim
     if d < 2:
-        raise ShapeError("tensor-train needs at least 2 modes")
+        raise _rejected(t, ShapeError("tensor-train needs at least 2 modes"))
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d - 1:
-        raise RankError(f"need {d - 1} bond ranks, got {len(ranks)}")
+        raise _rejected(t, RankError(f"need {d - 1} bond ranks, got {len(ranks)}"))
     shape = t.shape
 
     cores = []
@@ -317,21 +325,21 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     split must fit the unfolding's column count; splits are zero-padded
     up to the requested ranks otherwise.
     """
-    t = as_tensor(t)
+    t = _as_array(t)
     d = t.ndim
     if d < 2:
-        raise ShapeError("tensor-ring needs at least 2 modes")
+        raise _rejected(t, ShapeError("tensor-ring needs at least 2 modes"))
     shape = t.shape
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d:
-        raise RankError(f"need {d} cyclic ranks, got {len(ranks)}")
+        raise _rejected(t, RankError(f"need {d} cyclic ranks, got {len(ranks)}"))
     if any(r < 1 for r in ranks):
-        raise RankError(f"ranks must be >= 1, got {ranks}")
+        raise _rejected(t, RankError(f"ranks must be >= 1, got {ranks}"))
     rest_size = math.prod(shape[1:])
     r0, r1 = ranks[0], ranks[1 % d]
     if r0 * r1 > rest_size:
-        raise RankError(
-            f"first split rank {r0}*{r1} infeasible for {shape[0]}x{rest_size} unfolding"
+        raise _rejected(
+            t, RankError(f"first split rank {r0}*{r1} infeasible for {shape[0]}x{rest_size} unfolding")
         )
 
     c = t.reshape(shape[0], -1)
@@ -511,7 +519,11 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
 
 def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
     """Dispatch a tensor to the decomposition named by ``spec``."""
-    t = as_tensor(t)
+    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count)
+
+
+def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int) -> CompressedLayer:
+    """``decompose`` of a tensor that ``as_tensor`` has already validated."""
     if spec.family == DENSE:
         rows = math.prod(t.shape[:row_mode_count])
         return CompressedLayer(
@@ -546,6 +558,5 @@ def compress_matrix(
     if w.ndim != 2:
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
-    t = reshape_to_modes(w, mode_shape)
     spec = select_ranks(mode_shape, family, target)
-    return decompose(t, spec, hooi_iters=hooi_iters, row_mode_count=row_mode_count)
+    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count)

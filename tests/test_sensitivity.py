@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minima.errors import EmptyModelError
+from minima import sensitivity
+from minima.errors import EmptyModelError, NumericsError
 from minima.model import LayerEntry, ModelContainer
 from minima.sensitivity import (
+    N_FEATURES,
     Patch,
+    Predictor,
     ProbeRecord,
+    _score_targets,
     analyze,
     extract_features,
     head_key,
@@ -247,6 +253,257 @@ class TestPredictorTraining:
         b = train_predictor(records, epochs=300, lr=0.05, seed=5)
         assert a.w1.tobytes() == b.w1.tobytes()
         assert a.w2.tobytes() == b.w2.tobytes()
+
+
+def reference_train_predictor(records, epochs=2000, lr=0.05, seed=0, hidden=16, counter=None) -> Predictor:
+    """``train_predictor`` as a plain loop: fresh arrays on every step and
+    gradients for every trial, accepted or not. ``counter``, if given,
+    counts its backward passes and its accepted and rejected steps."""
+    records = list(records)
+    if len(records) < 32:
+        raise ValueError(f"need at least 32 training records, got {len(records)}")
+
+    by_patch: dict[int, dict] = {}
+    keys: list[str] = []
+    for feats, probe in records:
+        slot = by_patch.setdefault(
+            probe.patch_id, {"feats": np.asarray(feats, dtype=np.float64), "targets": {}}
+        )
+        key = head_key(probe.family, probe.target_ratio)
+        slot["targets"][key] = probe.measured_degradation
+        if key not in keys:
+            keys.append(key)
+
+    patch_ids = sorted(by_patch)
+    head_keys = ["score"] + keys
+    n, h, nh = len(patch_ids), int(hidden), len(head_keys)
+    x = np.stack([by_patch[pid]["feats"] for pid in patch_ids])
+    target = np.zeros((n, nh))
+    mask = np.zeros((n, nh), dtype=bool)
+    for i, pid in enumerate(patch_ids):
+        for key, deg in by_patch[pid]["targets"].items():
+            j = head_keys.index(key)
+            target[i, j] = deg
+            mask[i, j] = True
+    mean_deg = [float(np.mean(list(by_patch[pid]["targets"].values()))) for pid in patch_ids]
+    target[:, 0] = _score_targets(patch_ids, mean_deg)
+    mask[:, 0] = True
+
+    measured = target[:, 1:][mask[:, 1:]]
+    degenerate = measured.size > 0 and float(np.std(measured)) == 0.0
+
+    feat_mean = x.mean(axis=0)
+    feat_std = x.std(axis=0)
+    feat_std[feat_std < 1e-12] = 1.0
+    xs = (x - feat_mean) / feat_std
+
+    gen = np.random.Generator(np.random.Philox(seed))
+    w1 = gen.standard_normal((N_FEATURES, h)) / math.sqrt(N_FEATURES)
+    b1 = np.zeros(h)
+    w2 = gen.standard_normal((h, nh)) / math.sqrt(h)
+    b2 = np.zeros(nh)
+    m_count = int(mask.sum())
+
+    def loss_and_grads(params):
+        w1, b1, w2, b2 = params
+        hid = np.tanh(xs @ w1 + b1)
+        out = hid @ w2 + b2
+        score = 1.0 / (1.0 + np.exp(-out[:, 0]))
+        resid = np.where(mask, out - target, 0.0)
+        resid[:, 0] = score - target[:, 0]
+        loss = float((resid**2).sum() / m_count)
+        dout = 2.0 * resid / m_count
+        dout[:, 0] *= score * (1.0 - score)
+        if counter is not None:
+            counter["backward"] += 1
+        dw2 = hid.T @ dout
+        db2 = dout.sum(axis=0)
+        dhid = (dout @ w2.T) * (1.0 - hid**2)
+        dw1 = xs.T @ dhid
+        db1 = dhid.sum(axis=0)
+        return loss, (dw1, db1, dw2, db2)
+
+    params = (w1, b1, w2, b2)
+    loss, grads = loss_and_grads(params)
+    initial_loss = loss
+    step = float(lr)
+    for _ in range(int(epochs)):
+        trial = tuple(p - step * g for p, g in zip(params, grads))
+        new_loss, new_grads = loss_and_grads(trial)
+        if new_loss <= loss:
+            params, loss, grads = trial, new_loss, new_grads
+            if counter is not None:
+                counter["accepted"] += 1
+            step = min(step * 1.2, 50.0 * lr)
+        else:
+            step *= 0.5
+            if counter is not None:
+                counter["rejected"] += 1
+            if step < 1e-12:
+                break
+    if loss > initial_loss:
+        raise NumericsError("training increased the fit error")
+
+    return Predictor(
+        w1=params[0],
+        b1=params[1],
+        w2=params[2],
+        b2=params[3],
+        feat_mean=feat_mean,
+        feat_std=feat_std,
+        head_keys=head_keys,
+        hyper={"epochs": int(epochs), "lr": float(lr), "seed": int(seed), "hidden": h},
+        training_log={
+            "initial_mse": initial_loss,
+            "final_mse": loss,
+            "degenerate_targets": degenerate,
+        },
+    )
+
+
+
+def same_bits(a: Predictor, b: Predictor) -> bool:
+    """Whether two predictors agree bit for bit in all that training sets."""
+    arrays = ("w1", "b1", "w2", "b2", "feat_mean", "feat_std")
+    logged = ("initial_mse", "final_mse", "degenerate_targets")
+    return (
+        all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in arrays)
+        and all(getattr(a, k).shape == getattr(b, k).shape for k in arrays)
+        and a.head_keys == b.head_keys
+        and all(a.training_log[k] == b.training_log[k] for k in logged)
+    )
+
+
+def new_counter() -> dict:
+    return {"backward": 0, "accepted": 0, "rejected": 0}
+
+
+def masked_records(seed, n_patches=40, drop=0.1):
+    """Three families x four ratios per patch, with about ``drop`` of the probes missing."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for pid in range(n_patches):
+        feats = rng.standard_normal(12)
+        for family in ("tucker", "tt", "tr"):
+            for ratio in (0.5, 0.35, 0.25, 0.15):
+                if rng.random() < drop:
+                    continue
+                deg = float(abs(rng.normal(0.02 / ratio, 0.01)))
+                records.append((feats, ProbeRecord(pid, family, ratio, deg)))
+    return records
+
+
+@pytest.fixture(scope="module")
+def skipped_probe_records():
+    """Real probes of 16 x 16 and 32 x 32 patches at ratios 0.5, 0.25 and 0.05:
+    0.05 is below every rank-1 count of a 16 x 16 patch, so those probes skip."""
+    rng = np.random.default_rng(77)
+    records = []
+    for pid in range(8):
+        size = 16 if pid % 2 == 0 else 32
+        w = decayed_matrix(rng, size, size, 0.1 + 0.05 * pid)
+        feats = extract_features(w, Patch(pid, "w", pid, "ffn", (0, size), (0, size)), 8)
+        probes = probe_patch(w, ("tucker", "tt", "tr"), (0.5, 0.25, 0.05), None, seed=pid, patch_id=pid)
+        records.extend((feats, r) for r in probes)
+    return records
+
+
+class TestFusedTrainingEqualsPlainLoop:
+    def test_analyze_records(self, analysis):
+        records = [(analysis.features[r.patch_id], r) for r in analysis.probes]
+        assert same_bits(train_predictor(records, seed=3), reference_train_predictor(records, seed=3))
+
+    def test_skipped_probes_leave_unmeasured_heads(self, skipped_probe_records):
+        records = skipped_probe_records
+        heads = {pid: {head_key(r.family, r.target_ratio) for _, r in records if r.patch_id == pid} for pid in range(8)}
+        assert "tt@0.05" not in heads[0] and "tt@0.05" in heads[1]  # the mask has False entries
+        assert same_bits(train_predictor(records), reference_train_predictor(records))
+
+    def test_masked_synthetic_records(self):
+        records = masked_records(5)
+        assert same_bits(train_predictor(records, epochs=500), reference_train_predictor(records, epochs=500))
+
+    def test_degenerate_targets(self):
+        records = linear_records(np.random.default_rng(21), 64, np.zeros(12), intercept=0.3)
+        fused = train_predictor(records, epochs=500, seed=2)
+        assert fused.training_log["degenerate_targets"]
+        assert same_bits(fused, reference_train_predictor(records, epochs=500, seed=2))
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_few_epochs(self, epochs):
+        records = masked_records(6)
+        assert same_bits(train_predictor(records, epochs=epochs), reference_train_predictor(records, epochs=epochs))
+
+    @pytest.mark.parametrize("hidden", [1, 32])
+    def test_hidden_width(self, hidden):
+        records = masked_records(7)
+        fused = train_predictor(records, epochs=400, hidden=hidden)
+        assert same_bits(fused, reference_train_predictor(records, epochs=400, hidden=hidden))
+
+    def test_early_break(self):
+        # constant labels fit to rounding level: at lr 100 the halving runs
+        # below 1e-12 long before the last epoch
+        records = linear_records(np.random.default_rng(1), 32, np.zeros(12), intercept=0.3)
+        counter = new_counter()
+        fused = train_predictor(records, epochs=2000, lr=100.0, hidden=1)
+        plain = reference_train_predictor(records, epochs=2000, lr=100.0, hidden=1, counter=counter)
+        assert counter["accepted"] + counter["rejected"] < 2000
+        assert same_bits(fused, plain)
+
+    def test_returned_weights_own_their_memory(self):
+        fused = train_predictor(masked_records(8), epochs=50)
+        arrays = (fused.w1, fused.b1, fused.w2, fused.b2)
+        assert all(a.base is None and a.flags.c_contiguous for a in arrays)
+
+
+class TestStepCounts:
+    def test_counts_sum_to_epochs_without_a_break(self, analysis):
+        records = [(analysis.features[r.patch_id], r) for r in analysis.probes]
+        counter = new_counter()
+        fused = train_predictor(records, epochs=2000)
+        reference_train_predictor(records, epochs=2000, counter=counter)
+        log = fused.training_log
+        assert log["accepted_steps"] + log["rejected_steps"] == 2000
+        assert (log["accepted_steps"], log["rejected_steps"]) == (counter["accepted"], counter["rejected"])
+        assert log["rejected_steps"] > 0
+
+    def test_counts_fall_short_after_a_break(self):
+        records = linear_records(np.random.default_rng(1), 32, np.zeros(12), intercept=0.3)
+        log = train_predictor(records, epochs=2000, lr=100.0, hidden=1).training_log
+        assert log["accepted_steps"] + log["rejected_steps"] < 2000
+
+    def test_backward_pass_only_on_accepted_steps(self, monkeypatch):
+        records = masked_records(9, n_patches=5)
+        epochs = 400
+        counter = new_counter()
+        plain = reference_train_predictor(records, epochs=epochs, counter=counter)
+
+        calls = {"backward": 0}
+        grads, loss = sensitivity._Workspace.grads, sensitivity._Workspace.loss
+
+        def counted_grads(self, *args):
+            calls["backward"] += 1
+            grads(self, *args)
+
+        monkeypatch.setattr(sensitivity._Workspace, "grads", counted_grads)
+        fused = train_predictor(records, epochs=epochs)
+        lean = calls["backward"]
+        log = fused.training_log
+        assert log["rejected_steps"] > 0
+        assert lean == 1 + log["accepted_steps"]
+        assert counter["backward"] == 1 + epochs > lean  # the plain loop: one per trial
+
+        # mutated copy: a backward pass after every forward pass, into a spare gradient
+        def eager_loss(self, w1, b1, w2, b2):
+            value = loss(self, w1, b1, w2, b2)
+            self.grads(w2, *(np.empty_like(p) for p in (w1, b1, w2, b2)))
+            return value
+
+        calls["backward"] = 0
+        monkeypatch.setattr(sensitivity._Workspace, "loss", eager_loss)
+        eager = train_predictor(records, epochs=epochs)
+        assert calls["backward"] > lean
+        assert same_bits(eager, fused) and same_bits(fused, plain)
 
 
 @pytest.fixture(scope="module")

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import minima.tensor_core as tc
 import minima.tn_decompositions as tn
-from minima.errors import InfeasibleBudgetError, NumericsError, RankError
-from minima.tensor_core import ParamBudget, mode_dot, relative_error
+from minima.errors import InfeasibleBudgetError, NumericsError, RankError, ShapeError
+from minima.tensor_core import ParamBudget, full_svd, mode_dot, relative_error, reshape_to_modes, truncated_svd
 from minima.tn_decompositions import (
+    FAMILIES,
     CompressedLayer,
+    RankSpec,
     balanced_split,
     compress_matrix,
     decompose,
@@ -16,6 +19,7 @@ from minima.tn_decompositions import (
     maximal_ranks,
     param_count,
     param_count_formula,
+    ratio_budget,
     reconstruct,
     select_ranks,
     tr_decompose,
@@ -491,3 +495,148 @@ class TestInvariants:
         layer = compress_matrix(w, "tt", ParamBudget(10**9))
         assert layer.matrix_shape == (12, 10)
         assert relative_error(w, layer_to_matrix(layer)) <= 1e-9
+
+
+MODES_16x32 = (4, 4, 4, 8)
+
+
+def modes(a):
+    """A 16 x 32 matrix as (4, 4, 4, 8); a matrix of no rows as (0, 4, 4, 8)."""
+    return a.reshape(a.shape[0] // 4, 4, 4, 8)
+
+
+# every public entry that takes an array, as (name, call on a 16 x 32 matrix)
+PUBLIC_ENTRIES = (
+    ("compress_matrix_tucker", lambda a: compress_matrix(a, "tucker", ParamBudget(200))),
+    ("compress_matrix_tt", lambda a: compress_matrix(a, "tt", ParamBudget(200))),
+    ("compress_matrix_tr", lambda a: compress_matrix(a, "tr", ParamBudget(200))),
+    ("decompose_tucker", lambda a: decompose(modes(a), RankSpec("tucker", (2, 2, 2, 2)))),
+    ("decompose_tt", lambda a: decompose(modes(a), RankSpec("tt", (2, 2, 2)))),
+    ("decompose_tr", lambda a: decompose(modes(a), RankSpec("tr", (1, 2, 2, 2)))),
+    ("decompose_dense", lambda a: decompose(modes(a), RankSpec("dense"))),
+    ("tucker_decompose", lambda a: tucker_decompose(modes(a), (2, 2, 2, 2))),
+    ("tt_decompose", lambda a: tt_decompose(modes(a), (2, 2, 2))),
+    ("tr_decompose", lambda a: tr_decompose(modes(a), (1, 2, 2, 2))),
+    ("truncated_svd", lambda a: truncated_svd(a, 5)),
+    ("full_svd", full_svd),
+    ("reshape_to_modes", lambda a: reshape_to_modes(a, MODES_16x32)),
+)
+
+
+def payload(layer) -> list:
+    """Every array a Tucker, TT or TR layer stores."""
+    return ([layer.core] if layer.core is not None else []) + layer.factors + layer.cores
+
+
+def near_overflow(rng):
+    """Finite 16 x 32 entries of magnitude up to 1e308: every singular value
+    of its unfoldings exceeds the largest double."""
+    w = rng.uniform(-1.0, 1.0, (16, 32)) * 1e308
+    w[0, 0] = 1e308
+    return w
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(0, 0), (7, 13), (15, 31)])
+    @pytest.mark.parametrize("name, call", PUBLIC_ENTRIES, ids=[e[0] for e in PUBLIC_ENTRIES])
+    def test_non_finite_entry_raises_numerics_error(self, rng, name, call, bad, pos):
+        w = rng.standard_normal((16, 32))
+        w[pos] = bad
+        with pytest.raises(NumericsError):
+            call(w)
+
+    @pytest.mark.parametrize("name, call", PUBLIC_ENTRIES, ids=[e[0] for e in PUBLIC_ENTRIES])
+    def test_empty_input_raises_shape_error(self, name, call):
+        with pytest.raises(ShapeError):
+            call(np.zeros((0, 32)))
+
+    def test_wrong_rank_of_tensor_raises_shape_error(self, rng):
+        for call in (
+            lambda a: compress_matrix(a, "tt", ParamBudget(200)),
+            lambda a: truncated_svd(a, 2),
+            lambda a: full_svd(a),
+            lambda a: reshape_to_modes(a, (2, 2)),
+            lambda a: tt_decompose(a[0, 0], ()),
+            lambda a: tr_decompose(a[0, 0], (1,)),
+        ):
+            with pytest.raises(ShapeError):
+                call(rng.standard_normal((4, 4, 4)))
+
+    @pytest.mark.parametrize(
+        "decomp, bad_ranks",
+        [(tucker_decompose, (9, 2, 2, 2)), (tt_decompose, (2, 2)), (tr_decompose, (12, 12, 2, 2)), (tr_decompose, (0, 1, 1, 1))],
+    )
+    def test_non_finite_entry_outranks_a_rank_error(self, rng, decomp, bad_ranks):
+        t = rng.standard_normal(MODES_16x32)
+        with pytest.raises(RankError):
+            decomp(t, bad_ranks)
+        t[3, 2, 1, 0] = np.nan
+        with pytest.raises(NumericsError):
+            decomp(t, bad_ranks)
+
+    def test_non_finite_entry_outranks_an_infeasible_budget(self, rng):
+        w = rng.standard_normal((16, 32))
+        with pytest.raises(InfeasibleBudgetError):
+            compress_matrix(w, "tt", ParamBudget(3))
+        w[5, 5] = np.inf
+        with pytest.raises(NumericsError):
+            compress_matrix(w, "tt", ParamBudget(3))
+
+    @pytest.mark.parametrize("name, call", PUBLIC_ENTRIES, ids=[e[0] for e in PUBLIC_ENTRIES])
+    def test_near_overflow_input_keeps_its_error_type(self, rng, name, call):
+        # as before input checks were cut: the decompositions raise NumericsError
+        # once a singular value overflows into the next SVD's input; a lone SVD,
+        # a reshape and dense storage return
+        w = near_overflow(rng)
+        passes = name in ("truncated_svd", "full_svd", "reshape_to_modes", "decompose_dense")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if passes:
+                call(w)
+            else:
+                with pytest.raises(NumericsError):
+                    call(w)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_compress_matrix_scans_its_input_once_plus_each_svd_input(self, rng, monkeypatch, family):
+        """compress_matrix scans its input once (four times before: compress_matrix,
+        reshape_to_modes, decompose and the family's routine). Each SVD still
+        scans its own input: an unfolding or projection can overflow, and
+        LAPACK must not see an inf."""
+        calls = {"as_tensor": 0, "svd": 0}
+        as_tensor, svd = tc.as_tensor, tn.truncated_svd
+
+        def counted_as_tensor(*args, **kwargs):
+            calls["as_tensor"] += 1
+            return as_tensor(*args, **kwargs)
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        for module in (tc, tn):
+            monkeypatch.setattr(module, "as_tensor", counted_as_tensor)
+        monkeypatch.setattr(tn, "truncated_svd", counted_svd)
+        w = rng.standard_normal((32, 32))
+        for ratio in (0.5, 0.25):
+            calls.update(as_tensor=0, svd=0)
+            compress_matrix(w, family, ratio_budget(ratio, w.size))
+            assert calls["svd"] > 0
+            assert calls["as_tensor"] == 1 + calls["svd"]
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_compress_matrix_equals_the_validated_chain_bitwise(self, n):
+        """The patches of ``bench/decompose_scale.py``: ``compress_matrix``
+        equals the chain it shortcuts, every step validating its input."""
+        rng = np.random.default_rng(n)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = (u * np.exp(-0.1 * np.arange(n))) @ v.T
+        mode_shape, row_modes = default_mode_shape(n, n)
+        for family in FAMILIES:
+            budget = ratio_budget(0.25, n * n)
+            fast = compress_matrix(w, family, budget, hooi_iters=2)
+            spec = select_ranks(mode_shape, family, budget)
+            chain = decompose(reshape_to_modes(w, mode_shape), spec, hooi_iters=2, row_mode_count=row_modes)
+            assert fast.row_mode_count == chain.row_mode_count and fast.ranks == chain.ranks
+            assert all(bitwise_equal(a, b) for a, b in zip(payload(fast), payload(chain), strict=True))
