@@ -7,13 +7,10 @@ Usage, from the root of the repository:
 For each size it builds synthetic probe records: every patch has 12 normal
 features and one probe per (family, ratio) of Tucker, TT and TR at ratios
 0.5 / 0.35 / 0.25 / 0.15, about 10% of which are missing, as skipped
-probes leave them. It times ``train_predictor`` with its defaults (2,000
-epochs, 16 hidden units) and the plain loop it replaces,
-``reference_train_predictor`` of ``tests/test_sensitivity.py``; each time is
-the median of five calls and every call's time is kept. Each row records
-whether the two predictors are bit-equal (weights, biases, feature scaling,
-head keys and both training errors) and the accepted and rejected step
-counts. The JSON written to ``--out`` records the numpy version, the BLAS
+probes leave them. It times ``train_predictor``, the closed-form per-head
+ridge fit; each time is the median of five calls and every call's time is
+kept. Each row also records the fit's training errors and the per-head
+means'. The JSON written to ``--out`` records the numpy version, the BLAS
 build and the BLAS thread count, read as ``perfbench/run.py`` reads them;
 the BLAS is pinned to one thread as in ``perfbench/``.
 """
@@ -37,7 +34,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from minima.sensitivity import train_predictor  # noqa: E402
 from run import environment  # noqa: E402  (perfbench/run.py)
-from test_sensitivity import masked_records, reference_train_predictor, same_bits  # noqa: E402
+from test_sensitivity import masked_records  # noqa: E402
 
 REPEATS = 5
 
@@ -53,17 +50,14 @@ def timed_runs(fn):
 
 def measure(n_patches: int) -> dict:
     records = masked_records(n_patches, n_patches=n_patches)
-    fused, fused_s = timed_runs(lambda: train_predictor(records))
-    plain, plain_s = timed_runs(lambda: reference_train_predictor(records))
+    predictor, runs = timed_runs(lambda: train_predictor(records))
     return {
         "patches": n_patches,
         "records": len(records),
-        "train_predictor_s": statistics.median(fused_s),
-        "reference_s": statistics.median(plain_s),
-        "bit_equal": same_bits(fused, plain),
-        "accepted_steps": fused.training_log["accepted_steps"],
-        "rejected_steps": fused.training_log["rejected_steps"],
-        "runs": {"train_predictor_s": fused_s, "reference_s": plain_s},
+        "train_predictor_s": statistics.median(runs),
+        "initial_mse": predictor.training_log["initial_mse"],
+        "final_mse": predictor.training_log["final_mse"],
+        "runs": {"train_predictor_s": runs},
     }
 
 
@@ -72,7 +66,7 @@ def main():
     parser.add_argument("--patches", type=int, nargs="+", default=[5, 40, 320])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_train.json")
     args = parser.parse_args()
-    train_predictor(masked_records(0, n_patches=5), epochs=10)  # warm-up
+    train_predictor(masked_records(0, n_patches=5))  # warm-up
     rows = []
     for n in args.patches:
         rows.append(measure(n))
@@ -84,8 +78,6 @@ def main():
         "rows": rows,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    if not all(row["bit_equal"] for row in rows):
-        sys.exit("train_predictor differs from reference_train_predictor")
 
 
 if __name__ == "__main__":

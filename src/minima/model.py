@@ -27,9 +27,6 @@ class LayerEntry:
         if self.submodule_kind not in SUBMODULE_KINDS:
             raise ShapeError(f"unknown submodule kind {self.submodule_kind!r}")
 
-    def matrix64(self) -> np.ndarray:
-        return np.ascontiguousarray(self.matrix, dtype=np.float64)
-
 
 @dataclass
 class ModelContainer:

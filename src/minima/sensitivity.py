@@ -86,11 +86,9 @@ def partition_patches(model: ModelContainer, patch_size=(64, 64)) -> list[Patch]
 
 
 def patch_matrix(model: ModelContainer, patch: Patch) -> np.ndarray:
-    entry = model.entries[patch.layer_name]
-    block = entry.matrix64()[
-        patch.row_range[0] : patch.row_range[1], patch.col_range[0] : patch.col_range[1]
-    ]
-    return np.ascontiguousarray(block)
+    matrix = model.entries[patch.layer_name].matrix
+    block = matrix[patch.row_range[0] : patch.row_range[1], patch.col_range[0] : patch.col_range[1]]
+    return np.ascontiguousarray(block, dtype=np.float64)
 
 
 def extract_features(w: np.ndarray, patch: Patch, total_layers: int) -> np.ndarray:
@@ -209,35 +207,30 @@ def probe_patch(
 # --- predictor ---------------------------------------------------------------
 
 
+RIDGE = 1.0  # ridge strength on the standardized features; the intercept is not penalized
+
+
 @dataclass
 class Predictor:
-    """Two-layer perceptron over the 12 features.
+    """One linear ridge head per output over the 12 standardized features.
 
-    Head 0 predicts the sensitivity score (sigmoid); one linear head per
-    (family, ratio) pair predicts the output deviation of that candidate.
+    Column 0 of ``coef`` predicts the sensitivity score, clipped to [0, 1];
+    column j + 1 predicts the output deviation of the candidate
+    ``heads[j]``, a (family, ratio) pair. Row 0 of ``coef`` holds the
+    intercepts and rows 1 to 12 the weights of the standardized features.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    coef: np.ndarray  # (1 + N_FEATURES, 1 + len(heads))
     feat_mean: np.ndarray
     feat_std: np.ndarray
-    head_keys: list[str]
-    hyper: dict = field(default_factory=dict)
+    heads: list[tuple[str, float]]
     training_log: dict = field(default_factory=dict)
 
     def forward(self, feats: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(feats)
-        x = (x - self.feat_mean) / self.feat_std
-        hidden = np.tanh(x @ self.w1 + self.b1)
-        out = hidden @ self.w2 + self.b2
-        out[:, 0] = 1.0 / (1.0 + np.exp(-out[:, 0]))
+        x = (np.atleast_2d(feats) - self.feat_mean) / self.feat_std
+        out = x @ self.coef[1:] + self.coef[0]
+        out[:, 0] = np.clip(out[:, 0], 0.0, 1.0)
         return out
-
-
-def head_key(family: str, ratio: float) -> str:
-    return f"{family}@{ratio:g}"
 
 
 @dataclass(frozen=True)
@@ -275,124 +268,66 @@ def _score_targets(patch_ids, mean_deg) -> np.ndarray:
     return ranks / max(n - 1, 1)
 
 
-class _Workspace:
-    """Scratch arrays of one ``train_predictor`` call, allocated once.
+def _ridge_head(xs: np.ndarray, y: np.ndarray, clip: bool) -> tuple[float, np.ndarray, float, float]:
+    """Ridge fit of one head in centered form (Hoerl & Kennard 1970).
 
-    ``loss`` runs the forward pass into them; ``grads`` runs the backward
-    pass from what the last ``loss`` call left there.
+    Returns the intercept ȳ − x̄·w, the weights w, and the summed squared
+    training errors of the fit and of the mean ȳ. Where the fit's error is
+    not at or below the mean's, w falls back to 0.
     """
-
-    def __init__(self, xs: np.ndarray, target: np.ndarray, mask: np.ndarray, hidden: int):
-        n, nh = target.shape
-        self.xs, self.xs_t = xs, xs.T
-        self.target, self.target0 = target, target[:, 0]
-        self.unmeasured = None if mask.all() else ~mask
-        self.m_count = float(mask.sum())  # divides as the int would, without converting it per call
-        self.pre = np.empty((n, hidden))  # pre-activation, then 1 - hidden**2
-        self.hid = np.empty((n, hidden))
-        self.dhid = np.empty((n, hidden))
-        self.out = np.empty((n, nh))
-        self.resid = np.empty((n, nh))
-        self.sq = np.empty((n, nh))  # squared residual, then the output gradient
-        self.sq_flat = self.sq.reshape(-1)  # summed as one run, the order of sq.sum()
-        self.neg = np.empty(n)  # -out[:, 0], then score * (1 - score)
-        self.score = np.empty(n)
-        self.out0, self.resid0, self.sq0 = self.out[:, 0], self.resid[:, 0], self.sq[:, 0]
-
-    def loss(self, w1, b1, w2, b2) -> float:
-        pre, hid, out, resid, sq, neg, score = (
-            self.pre, self.hid, self.out, self.resid, self.sq, self.neg, self.score
-        )
-        np.dot(self.xs, w1, out=pre)
-        np.add(pre, b1, out=pre)
-        np.tanh(pre, out=hid)
-        np.dot(hid, w2, out=out)
-        np.add(out, b2, out=out)
-        np.negative(self.out0, out=neg)
-        np.exp(neg, out=score)
-        np.add(score, 1.0, out=score)
-        np.divide(1.0, score, out=score)
-        np.subtract(out, self.target, out=resid)
-        if self.unmeasured is not None:
-            np.copyto(resid, 0.0, where=self.unmeasured)
-        np.subtract(score, self.target0, out=self.resid0)
-        np.square(resid, out=sq)
-        return float(np.add.reduce(self.sq_flat)) / self.m_count
-
-    def grads(self, w2, dw1, db1, dw2, db2) -> None:
-        pre, hid, dhid, dout, tmp, score = self.pre, self.hid, self.dhid, self.sq, self.neg, self.score
-        np.multiply(self.resid, 2.0, out=dout)
-        np.divide(dout, self.m_count, out=dout)
-        np.subtract(1.0, score, out=tmp)
-        np.multiply(score, tmp, out=tmp)
-        np.multiply(self.sq0, tmp, out=self.sq0)
-        np.dot(hid.T, dout, out=dw2)
-        np.add.reduce(dout, axis=0, out=db2)
-        np.dot(dout, w2.T, out=dhid)
-        np.square(hid, out=pre)
-        np.subtract(1.0, pre, out=pre)
-        np.multiply(dhid, pre, out=dhid)
-        np.dot(self.xs_t, dhid, out=dw1)
-        np.add.reduce(dhid, axis=0, out=db1)
+    x_bar, y_bar = xs.mean(axis=0), float(y.mean())
+    xc, yc = xs - x_bar, y - y_bar
+    w = np.linalg.solve(xc.T @ xc + RIDGE * np.eye(xs.shape[1]), xc.T @ yc)
+    fit = xc @ w + y_bar
+    if clip:
+        fit = np.clip(fit, 0.0, 1.0)
+    mean_sse = float(yc @ yc)
+    fit_sse = float(np.sum((fit - y) ** 2))
+    if not fit_sse <= mean_sse:
+        w, fit_sse = np.zeros_like(w), mean_sse
+    return y_bar - float(x_bar @ w), w, fit_sse, mean_sse
 
 
-def _param_views(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
-    """Consecutive views of ``flat`` with the given shapes."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
-        start += size
-    return tuple(views)
+def train_predictor(records) -> Predictor:
+    """Fit the per-head ridge predictor on (features, probe) pairs.
 
-
-def train_predictor(records, epochs: int = 2000, lr: float = 0.05, seed: int = 0, hidden: int = 16) -> Predictor:
-    """Fit the perceptron on (features, probe) pairs by full-batch descent.
-
-    Each step is backtracked (step halving) if it would increase the loss,
-    so the final training MSE never exceeds the initial one.
-
-    Buffer layout: w1, b1, w2 and b2 are consecutive views of one flat
-    float64 vector. Two such vectors take turns as the current parameters
-    and the trial, one more holds the gradient and one the scaled step, so
-    a trial is one ``np.multiply`` and one ``np.subtract``. The forward
-    pass writes into scratch arrays allocated once per call
-    (``_Workspace``). The backward pass runs only on accepted steps, from
-    the arrays their forward pass left, so it runs once more than
-    ``training_log["accepted_steps"]``; ``rejected_steps`` counts the rest.
-
-    Every elementwise operation keeps the order of the plain loop that
-    allocates fresh arrays each step and differentiates every trial (kept
-    as ``reference_train_predictor`` in ``tests/test_sensitivity.py``), and
-    each product is an ``np.dot`` on the operands its ``@`` took, so the
-    trained predictor equals that loop's bit for bit.
+    Each deviation head is fitted only on the patches that measured its
+    (family, ratio); the score head, on every patch's ``_score_targets``
+    rank. Features are standardized over all patches first. ``RIDGE`` is
+    the penalty on the weights. ``training_log`` holds the mean squared
+    training error over all measured cells, of the per-head means
+    (``initial_mse``) and of the fit (``final_mse``); a head whose fit is
+    worse than its mean keeps the mean, so ``final_mse`` never exceeds
+    ``initial_mse``. A non-finite feature or degradation raises
+    ``NumericsError`` before anything is fitted.
     """
     records = list(records)
     if len(records) < 32:
         raise ValueError(f"need at least 32 training records, got {len(records)}")
 
     by_patch: dict[int, dict] = {}
-    keys: list[str] = []
+    column: dict[tuple[str, float], int] = {}  # head -> its column of coef, from 1
     for feats, probe in records:
+        if not math.isfinite(probe.measured_degradation):
+            raise NumericsError(f"non-finite measured degradation in {probe}")
         slot = by_patch.setdefault(
             probe.patch_id, {"feats": np.asarray(feats, dtype=np.float64), "targets": {}}
         )
-        key = head_key(probe.family, probe.target_ratio)
+        key = (probe.family, probe.target_ratio)
         slot["targets"][key] = probe.measured_degradation
-        if key not in keys:
-            keys.append(key)
+        column.setdefault(key, len(column) + 1)
 
     patch_ids = sorted(by_patch)
-    head_keys = ["score"] + keys
-    n, h, nh = len(patch_ids), int(hidden), len(head_keys)
     x = np.stack([by_patch[pid]["feats"] for pid in patch_ids])
+    if not np.isfinite(x).all():
+        raise NumericsError("non-finite feature vector in the training records")
+    n, nh = len(patch_ids), 1 + len(column)
     target = np.zeros((n, nh))
     mask = np.zeros((n, nh), dtype=bool)
     for i, pid in enumerate(patch_ids):
         for key, deg in by_patch[pid]["targets"].items():
-            j = head_keys.index(key)
-            target[i, j] = deg
-            mask[i, j] = True
+            target[i, column[key]] = deg
+            mask[i, column[key]] = True
     mean_deg = [float(np.mean(list(by_patch[pid]["targets"].values()))) for pid in patch_ids]
     target[:, 0] = _score_targets(patch_ids, mean_deg)
     mask[:, 0] = True
@@ -407,58 +342,24 @@ def train_predictor(records, epochs: int = 2000, lr: float = 0.05, seed: int = 0
     feat_std[feat_std < 1e-12] = 1.0
     xs = (x - feat_mean) / feat_std
 
-    gen = np.random.Generator(np.random.Philox(seed))
-    shapes = ((N_FEATURES, h), (h,), (h, nh), (nh,))
-    current, trial, grad, delta = (np.empty(sum(math.prod(s) for s in shapes)) for _ in range(4))
-    w1, b1, w2, b2 = current_p = _param_views(current, shapes)
-    w1[...] = gen.standard_normal((N_FEATURES, h)) / math.sqrt(N_FEATURES)
-    b1[...] = 0.0
-    w2[...] = gen.standard_normal((h, nh)) / math.sqrt(h)
-    b2[...] = 0.0
-    trial_p = _param_views(trial, shapes)
-    grad_p = _param_views(grad, shapes)
+    coef = np.zeros((1 + N_FEATURES, nh))
+    sse = np.zeros((2, nh))  # per head: the fit's, then the mean's
+    for j in range(nh):
+        rows = mask[:, j]
+        coef[0, j], coef[1:, j], sse[0, j], sse[1, j] = _ridge_head(xs[rows], target[rows, j], clip=j == 0)
+    final_mse, initial_mse = (float(s) for s in sse.sum(axis=1) / mask.sum())
+    if not final_mse <= initial_mse:
+        raise NumericsError(f"fit error {final_mse} is not at or below the per-head means' {initial_mse}")
 
-    ws = _Workspace(xs, target, mask, h)
-    loss = ws.loss(*current_p)
-    ws.grads(current_p[2], *grad_p)
-    initial_loss = loss
-    step = float(lr)
-    accepted = rejected = 0
-    for _ in range(int(epochs)):
-        np.multiply(grad, step, out=delta)
-        np.subtract(current, delta, out=trial)
-        new_loss = ws.loss(*trial_p)
-        if new_loss <= loss:
-            ws.grads(trial_p[2], *grad_p)
-            current, trial = trial, current
-            current_p, trial_p = trial_p, current_p
-            loss = new_loss
-            step = min(step * 1.2, 50.0 * lr)
-            accepted += 1
-        else:
-            step *= 0.5
-            rejected += 1
-            if step < 1e-12:
-                break
-    if loss > initial_loss:
-        raise NumericsError("training increased the fit error")
-
-    w1, b1, w2, b2 = (p.copy() for p in current_p)
     return Predictor(
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
+        coef=coef,
         feat_mean=feat_mean,
         feat_std=feat_std,
-        head_keys=head_keys,
-        hyper={"epochs": int(epochs), "lr": float(lr), "seed": int(seed), "hidden": h},
+        heads=list(column),
         training_log={
-            "initial_mse": initial_loss,
-            "final_mse": loss,
+            "initial_mse": initial_mse,
+            "final_mse": final_mse,
             "degenerate_targets": degenerate,
-            "accepted_steps": accepted,
-            "rejected_steps": rejected,
         },
     )
 
@@ -473,9 +374,8 @@ def predict(
     out = predictor.forward(feats)[0]
     score = float(out[0])
     predictions: dict[str, dict[float, float]] = {}
-    for j, key in enumerate(predictor.head_keys[1:], start=1):
-        family, ratio_s = key.split("@")
-        predictions.setdefault(family, {})[float(ratio_s)] = max(float(out[j]), 0.0)
+    for (family, ratio), deg in zip(predictor.heads, out[1:]):
+        predictions.setdefault(family, {})[ratio] = max(float(deg), 0.0)
 
     recommendations = {}
     for family, curve in predictions.items():
@@ -523,15 +423,14 @@ def analyze(
     degradation_cap: float = 0.02,
     probe_stride: int = 4,
     exclude_kinds=("embedding",),
-    epochs: int = 2000,
-    lr: float = 0.05,
-    hidden: int = 16,
     seed: int = 0,
 ) -> AnalysisResult:
     """Run the full analysis stage: features, strided probes, training, scoring.
 
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns.
+    ``seed`` changes no output, since ``calib`` is given and the fit is
+    closed-form; it stays for callers that pass it.
     """
     patches = partition_patches(model, patch_size)
     features = {
@@ -547,7 +446,7 @@ def analyze(
             probe_patch(w, families, ratio_grid, x, seed=seed, patch_id=p.patch_id)
         )
     pairs = [(features[r.patch_id], r) for r in probes]
-    predictor = train_predictor(pairs, epochs=epochs, lr=lr, seed=seed, hidden=hidden)
+    predictor = train_predictor(pairs)
     records = [
         predict(predictor, features[p.patch_id], patch_id=p.patch_id, cap=degradation_cap)
         for p in patches

@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from minima import sensitivity
 from minima.errors import EmptyModelError, NumericsError
 from minima.model import LayerEntry, ModelContainer
+from minima.planner import build_options
 from minima.sensitivity import (
     N_FEATURES,
+    RIDGE,
     Patch,
-    Predictor,
     ProbeRecord,
     _score_targets,
     analyze,
     extract_features,
-    head_key,
     partition_patches,
     patch_matrix,
     predict,
@@ -190,7 +190,7 @@ def linear_records(rng, n_patches, coeffs, intercept=0.2, shuffle=False):
 
 
 def deg_head_mse(predictor, records):
-    j = predictor.head_keys.index(head_key("tt", 0.5))
+    j = 1 + predictor.heads.index(("tt", 0.5))
     feats = np.stack([f for f, _ in records])
     labels = np.array([r.measured_degradation for _, r in records])
     preds = predictor.forward(feats)[:, j]
@@ -204,13 +204,13 @@ class TestPredictorTraining:
         coeffs[[0, 4, 7]] = [0.05, -0.04, 0.03]
         records = linear_records(rng, 192, coeffs)
         train, test = records[:128], records[128:]
-        predictor = train_predictor(train, epochs=2000, lr=0.05, seed=1)
+        predictor = train_predictor(train)
         assert deg_head_mse(predictor, test) <= 1e-3
 
     def test_constant_labels_fit_exactly(self):
         rng = np.random.default_rng(8)
         records = linear_records(rng, 64, np.zeros(12), intercept=0.3)
-        predictor = train_predictor(records, epochs=2000, lr=0.05, seed=1)
+        predictor = train_predictor(records)
         assert predictor.training_log["degenerate_targets"]
         assert deg_head_mse(predictor, records) <= 1e-5
 
@@ -222,14 +222,14 @@ class TestPredictorTraining:
         rng2 = np.random.default_rng(9)
         shuffled = linear_records(rng2, 192, coeffs, shuffle=True)
         test = clean[128:]
-        p_clean = train_predictor(clean[:128], epochs=1500, lr=0.05, seed=2)
-        p_shuf = train_predictor(shuffled[:128], epochs=1500, lr=0.05, seed=2)
+        p_clean = train_predictor(clean[:128])
+        p_shuf = train_predictor(shuffled[:128])
         assert deg_head_mse(p_shuf, test) >= deg_head_mse(p_clean, test)
 
     def test_training_never_worsens_fit(self):
         rng = np.random.default_rng(10)
         records = linear_records(rng, 64, rng.normal(scale=0.05, size=12))
-        predictor = train_predictor(records, epochs=100, lr=5.0, seed=3)  # hostile step size
+        predictor = train_predictor(records)
         assert predictor.training_log["final_mse"] <= predictor.training_log["initial_mse"]
 
     def test_too_few_records_rejected(self):
@@ -240,7 +240,7 @@ class TestPredictorTraining:
     def test_score_head_bounded(self):
         rng = np.random.default_rng(12)
         records = linear_records(rng, 64, np.zeros(12), intercept=0.4)
-        predictor = train_predictor(records, epochs=200, lr=0.05, seed=4)
+        predictor = train_predictor(records)
         wild = rng.standard_normal((1000, 12)) * 50
         for feats in wild:
             rec = predict(predictor, feats)
@@ -249,133 +249,9 @@ class TestPredictorTraining:
     def test_determinism(self):
         rng = np.random.default_rng(13)
         records = linear_records(rng, 64, np.zeros(12), intercept=0.25)
-        a = train_predictor(records, epochs=300, lr=0.05, seed=5)
-        b = train_predictor(records, epochs=300, lr=0.05, seed=5)
-        assert a.w1.tobytes() == b.w1.tobytes()
-        assert a.w2.tobytes() == b.w2.tobytes()
-
-
-def reference_train_predictor(records, epochs=2000, lr=0.05, seed=0, hidden=16, counter=None) -> Predictor:
-    """``train_predictor`` as a plain loop: fresh arrays on every step and
-    gradients for every trial, accepted or not. ``counter``, if given,
-    counts its backward passes and its accepted and rejected steps."""
-    records = list(records)
-    if len(records) < 32:
-        raise ValueError(f"need at least 32 training records, got {len(records)}")
-
-    by_patch: dict[int, dict] = {}
-    keys: list[str] = []
-    for feats, probe in records:
-        slot = by_patch.setdefault(
-            probe.patch_id, {"feats": np.asarray(feats, dtype=np.float64), "targets": {}}
-        )
-        key = head_key(probe.family, probe.target_ratio)
-        slot["targets"][key] = probe.measured_degradation
-        if key not in keys:
-            keys.append(key)
-
-    patch_ids = sorted(by_patch)
-    head_keys = ["score"] + keys
-    n, h, nh = len(patch_ids), int(hidden), len(head_keys)
-    x = np.stack([by_patch[pid]["feats"] for pid in patch_ids])
-    target = np.zeros((n, nh))
-    mask = np.zeros((n, nh), dtype=bool)
-    for i, pid in enumerate(patch_ids):
-        for key, deg in by_patch[pid]["targets"].items():
-            j = head_keys.index(key)
-            target[i, j] = deg
-            mask[i, j] = True
-    mean_deg = [float(np.mean(list(by_patch[pid]["targets"].values()))) for pid in patch_ids]
-    target[:, 0] = _score_targets(patch_ids, mean_deg)
-    mask[:, 0] = True
-
-    measured = target[:, 1:][mask[:, 1:]]
-    degenerate = measured.size > 0 and float(np.std(measured)) == 0.0
-
-    feat_mean = x.mean(axis=0)
-    feat_std = x.std(axis=0)
-    feat_std[feat_std < 1e-12] = 1.0
-    xs = (x - feat_mean) / feat_std
-
-    gen = np.random.Generator(np.random.Philox(seed))
-    w1 = gen.standard_normal((N_FEATURES, h)) / math.sqrt(N_FEATURES)
-    b1 = np.zeros(h)
-    w2 = gen.standard_normal((h, nh)) / math.sqrt(h)
-    b2 = np.zeros(nh)
-    m_count = int(mask.sum())
-
-    def loss_and_grads(params):
-        w1, b1, w2, b2 = params
-        hid = np.tanh(xs @ w1 + b1)
-        out = hid @ w2 + b2
-        score = 1.0 / (1.0 + np.exp(-out[:, 0]))
-        resid = np.where(mask, out - target, 0.0)
-        resid[:, 0] = score - target[:, 0]
-        loss = float((resid**2).sum() / m_count)
-        dout = 2.0 * resid / m_count
-        dout[:, 0] *= score * (1.0 - score)
-        if counter is not None:
-            counter["backward"] += 1
-        dw2 = hid.T @ dout
-        db2 = dout.sum(axis=0)
-        dhid = (dout @ w2.T) * (1.0 - hid**2)
-        dw1 = xs.T @ dhid
-        db1 = dhid.sum(axis=0)
-        return loss, (dw1, db1, dw2, db2)
-
-    params = (w1, b1, w2, b2)
-    loss, grads = loss_and_grads(params)
-    initial_loss = loss
-    step = float(lr)
-    for _ in range(int(epochs)):
-        trial = tuple(p - step * g for p, g in zip(params, grads))
-        new_loss, new_grads = loss_and_grads(trial)
-        if new_loss <= loss:
-            params, loss, grads = trial, new_loss, new_grads
-            if counter is not None:
-                counter["accepted"] += 1
-            step = min(step * 1.2, 50.0 * lr)
-        else:
-            step *= 0.5
-            if counter is not None:
-                counter["rejected"] += 1
-            if step < 1e-12:
-                break
-    if loss > initial_loss:
-        raise NumericsError("training increased the fit error")
-
-    return Predictor(
-        w1=params[0],
-        b1=params[1],
-        w2=params[2],
-        b2=params[3],
-        feat_mean=feat_mean,
-        feat_std=feat_std,
-        head_keys=head_keys,
-        hyper={"epochs": int(epochs), "lr": float(lr), "seed": int(seed), "hidden": h},
-        training_log={
-            "initial_mse": initial_loss,
-            "final_mse": loss,
-            "degenerate_targets": degenerate,
-        },
-    )
-
-
-
-def same_bits(a: Predictor, b: Predictor) -> bool:
-    """Whether two predictors agree bit for bit in all that training sets."""
-    arrays = ("w1", "b1", "w2", "b2", "feat_mean", "feat_std")
-    logged = ("initial_mse", "final_mse", "degenerate_targets")
-    return (
-        all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in arrays)
-        and all(getattr(a, k).shape == getattr(b, k).shape for k in arrays)
-        and a.head_keys == b.head_keys
-        and all(a.training_log[k] == b.training_log[k] for k in logged)
-    )
-
-
-def new_counter() -> dict:
-    return {"backward": 0, "accepted": 0, "rejected": 0}
+        a = train_predictor(records)
+        b = train_predictor(records)
+        assert a.coef.tobytes() == b.coef.tobytes()
 
 
 def masked_records(seed, n_patches=40, drop=0.1):
@@ -408,102 +284,77 @@ def skipped_probe_records():
     return records
 
 
-class TestFusedTrainingEqualsPlainLoop:
-    def test_analyze_records(self, analysis):
-        records = [(analysis.features[r.patch_id], r) for r in analysis.probes]
-        assert same_bits(train_predictor(records, seed=3), reference_train_predictor(records, seed=3))
-
-    def test_skipped_probes_leave_unmeasured_heads(self, skipped_probe_records):
+class TestRidgeFit:
+    def test_heads_equal_an_augmented_least_squares_fit(self, skipped_probe_records):
+        """Each head solves min ||b + X w - y||² + RIDGE ||w||² over the patches
+        that measured it, with the intercept b unpenalized."""
         records = skipped_probe_records
-        heads = {pid: {head_key(r.family, r.target_ratio) for _, r in records if r.patch_id == pid} for pid in range(8)}
-        assert "tt@0.05" not in heads[0] and "tt@0.05" in heads[1]  # the mask has False entries
-        assert same_bits(train_predictor(records), reference_train_predictor(records))
+        predictor = train_predictor(records)
+        patch_ids = sorted({r.patch_id for _, r in records})
+        feats = {r.patch_id: f for f, r in records}
+        xs = (np.stack([feats[pid] for pid in patch_ids]) - predictor.feat_mean) / predictor.feat_std
+        rows_of = {key: [] for key in predictor.heads}
+        for _, r in records:
+            rows_of[(r.family, r.target_ratio)].append((patch_ids.index(r.patch_id), r.measured_degradation))
+        assert len(rows_of[("tt", 0.05)]) == 4  # the 16 x 16 patches skip it
+        mean_deg = [np.mean([r.measured_degradation for _, r in records if r.patch_id == pid]) for pid in patch_ids]
+        heads = [list(enumerate(_score_targets(patch_ids, mean_deg)))] + [rows_of[key] for key in predictor.heads]
+        for j, rows in enumerate(heads):
+            idx, y = np.array([i for i, _ in rows]), np.array([d for _, d in rows])
+            a = np.block([[np.ones((len(idx), 1)), xs[idx]], [np.zeros((N_FEATURES, 1)), np.sqrt(RIDGE) * np.eye(N_FEATURES)]])
+            want = np.linalg.lstsq(a, np.concatenate([y, np.zeros(N_FEATURES)]), rcond=None)[0]
+            np.testing.assert_allclose(predictor.coef[:, j], want, rtol=1e-9, atol=1e-12)
 
-    def test_masked_synthetic_records(self):
+    def test_a_fit_worse_than_the_mean_falls_back_to_it(self, monkeypatch):
+        # one informative feature: its standardized, centered column has a
+        # squared norm of n, so a ridge strength of -3n/4 makes the deviation
+        # head's w four times the exact weight and its error nine times the
+        # mean's (the score head's clipping can hide the overshoot)
+        n = 64
+        t = np.random.default_rng(14).standard_normal(n)
+        feats = np.zeros((n, N_FEATURES))
+        feats[:, 0] = t
+        records = [(feats[i], ProbeRecord(i, "tt", 0.5, 0.2 + 0.01 * t[i])) for i in range(n)]
+        assert train_predictor(records).coef[1].all()  # each head uses the feature
+        monkeypatch.setattr(sensitivity, "RIDGE", -0.75 * n)
+        predictor = train_predictor(records)
+        assert not predictor.coef[1:, 1].any()
+        assert predictor.coef[0, 1] == pytest.approx(np.mean(0.2 + 0.01 * t), rel=1e-12)
+        assert predictor.training_log["final_mse"] <= predictor.training_log["initial_mse"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_degradation_rejected(self, value):
+        records = masked_records(4)
+        feats, probe = records[7]
+        records[7] = (feats, ProbeRecord(probe.patch_id, probe.family, probe.target_ratio, value))
+        with pytest.raises(NumericsError):
+            train_predictor(records)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
         records = masked_records(5)
-        assert same_bits(train_predictor(records, epochs=500), reference_train_predictor(records, epochs=500))
-
-    def test_degenerate_targets(self):
-        records = linear_records(np.random.default_rng(21), 64, np.zeros(12), intercept=0.3)
-        fused = train_predictor(records, epochs=500, seed=2)
-        assert fused.training_log["degenerate_targets"]
-        assert same_bits(fused, reference_train_predictor(records, epochs=500, seed=2))
-
-    @pytest.mark.parametrize("epochs", [0, 1])
-    def test_few_epochs(self, epochs):
-        records = masked_records(6)
-        assert same_bits(train_predictor(records, epochs=epochs), reference_train_predictor(records, epochs=epochs))
-
-    @pytest.mark.parametrize("hidden", [1, 32])
-    def test_hidden_width(self, hidden):
-        records = masked_records(7)
-        fused = train_predictor(records, epochs=400, hidden=hidden)
-        assert same_bits(fused, reference_train_predictor(records, epochs=400, hidden=hidden))
-
-    def test_early_break(self):
-        # constant labels fit to rounding level: at lr 100 the halving runs
-        # below 1e-12 long before the last epoch
-        records = linear_records(np.random.default_rng(1), 32, np.zeros(12), intercept=0.3)
-        counter = new_counter()
-        fused = train_predictor(records, epochs=2000, lr=100.0, hidden=1)
-        plain = reference_train_predictor(records, epochs=2000, lr=100.0, hidden=1, counter=counter)
-        assert counter["accepted"] + counter["rejected"] < 2000
-        assert same_bits(fused, plain)
-
-    def test_returned_weights_own_their_memory(self):
-        fused = train_predictor(masked_records(8), epochs=50)
-        arrays = (fused.w1, fused.b1, fused.w2, fused.b2)
-        assert all(a.base is None and a.flags.c_contiguous for a in arrays)
+        bad = np.full(N_FEATURES, value)
+        records = [(bad if r.patch_id == 2 else f, r) for f, r in records]
+        with pytest.raises(NumericsError):
+            train_predictor(records)
 
 
-class TestStepCounts:
-    def test_counts_sum_to_epochs_without_a_break(self, analysis):
-        records = [(analysis.features[r.patch_id], r) for r in analysis.probes]
-        counter = new_counter()
-        fused = train_predictor(records, epochs=2000)
-        reference_train_predictor(records, epochs=2000, counter=counter)
-        log = fused.training_log
-        assert log["accepted_steps"] + log["rejected_steps"] == 2000
-        assert (log["accepted_steps"], log["rejected_steps"]) == (counter["accepted"], counter["rejected"])
-        assert log["rejected_steps"] > 0
-
-    def test_counts_fall_short_after_a_break(self):
-        records = linear_records(np.random.default_rng(1), 32, np.zeros(12), intercept=0.3)
-        log = train_predictor(records, epochs=2000, lr=100.0, hidden=1).training_log
-        assert log["accepted_steps"] + log["rejected_steps"] < 2000
-
-    def test_backward_pass_only_on_accepted_steps(self, monkeypatch):
-        records = masked_records(9, n_patches=5)
-        epochs = 400
-        counter = new_counter()
-        plain = reference_train_predictor(records, epochs=epochs, counter=counter)
-
-        calls = {"backward": 0}
-        grads, loss = sensitivity._Workspace.grads, sensitivity._Workspace.loss
-
-        def counted_grads(self, *args):
-            calls["backward"] += 1
-            grads(self, *args)
-
-        monkeypatch.setattr(sensitivity._Workspace, "grads", counted_grads)
-        fused = train_predictor(records, epochs=epochs)
-        lean = calls["backward"]
-        log = fused.training_log
-        assert log["rejected_steps"] > 0
-        assert lean == 1 + log["accepted_steps"]
-        assert counter["backward"] == 1 + epochs > lean  # the plain loop: one per trial
-
-        # mutated copy: a backward pass after every forward pass, into a spare gradient
-        def eager_loss(self, w1, b1, w2, b2):
-            value = loss(self, w1, b1, w2, b2)
-            self.grads(w2, *(np.empty_like(p) for p in (w1, b1, w2, b2)))
-            return value
-
-        calls["backward"] = 0
-        monkeypatch.setattr(sensitivity._Workspace, "loss", eager_loss)
-        eager = train_predictor(records, epochs=epochs)
-        assert calls["backward"] > lean
-        assert same_bits(eager, fused) and same_bits(fused, plain)
+def leave_one_layer_out_rmse(result) -> tuple[float, float]:
+    """Held-out RMSE of the predicted deviations, and of each head's training
+    mean, with every probed layer held out in turn."""
+    layer_of = {p.patch_id: p.layer_name for p in result.patches}
+    fit_err, mean_err = [], []
+    for layer in sorted({layer_of[pid] for pid in result.probed_ids}):
+        train = [(result.features[q.patch_id], q) for q in result.probes if layer_of[q.patch_id] != layer]
+        predictor = train_predictor(train)
+        for q in result.probes:
+            if layer_of[q.patch_id] != layer:
+                continue
+            rec = predict(predictor, result.features[q.patch_id])
+            fit_err.append(rec.predictions[q.family][q.target_ratio] - q.measured_degradation)
+            seen = [r.measured_degradation for _, r in train if (r.family, r.target_ratio) == (q.family, q.target_ratio)]
+            mean_err.append(np.mean(seen) - q.measured_degradation)
+    return float(np.sqrt(np.mean(np.square(fit_err)))), float(np.sqrt(np.mean(np.square(mean_err))))
 
 
 @pytest.fixture(scope="module")
@@ -566,3 +417,36 @@ class TestAnalyzeEndToEnd:
         robust = [r.score for r in analysis.records if r.patch_id in
                   {p.patch_id for p in analysis.patches if p.layer_name in ("layer0", "layer2")}]
         assert np.mean(fragile) > np.mean(robust)
+
+    def test_held_out_layers_beat_the_training_mean(self, analysis):
+        fit_rmse, mean_rmse = leave_one_layer_out_rmse(analysis)
+        assert fit_rmse < mean_rmse
+
+    def test_third_ratio_survives_into_planner_candidates(self, rng):
+        grid = (0.5, 1 / 3, 0.2)
+        model = make_model([(f"w{i}", decayed_matrix(rng, 64, 64, g), "ffn") for i, g in enumerate((0.05, 0.3, 0.1))])
+        calib = {name: rng.standard_normal((64, 16)) for name in model.names()}
+        result = analyze(model, calib, patch_size=(32, 32), families=("tt",), ratio_grid=grid, probe_stride=1)
+        assert all(set(rec.predictions["tt"]) == set(grid) for rec in result.records)
+        options = build_options(result.records, result.patches, families=("tt",), ratio_grid=grid, degradation_cap=1.0)
+        assert all({c.ratio for c in opt.candidates} == set(grid) for opt in options)
+
+
+class TestPatchMatrix:
+    def test_float32_layer_patch_equals_the_float64_slice(self, rng):
+        layer = rng.standard_normal((48, 40)).astype(np.float32)
+        model = make_model([("w", layer, "ffn")])
+        for p in partition_patches(model, (32, 16)):  # ragged edges included
+            block = patch_matrix(model, p)
+            want = layer.astype(np.float64)[p.row_range[0] : p.row_range[1], p.col_range[0] : p.col_range[1]]
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert block.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_only_the_patch_is_converted(self, rng):
+        model = make_model([("w", rng.standard_normal((512, 512)).astype(np.float32), "ffn")])
+        patch = partition_patches(model, (16, 16))[5]
+        tracemalloc.start()
+        patch_matrix(model, patch)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 64 * 1024  # the float64 copy of the layer would take 2 MB
