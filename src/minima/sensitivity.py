@@ -333,7 +333,7 @@ def train_predictor(records) -> Predictor:
     mask[:, 0] = True
 
     measured = target[:, 1:][mask[:, 1:]]
-    degenerate = measured.size > 0 and float(np.std(measured)) == 0.0
+    degenerate = measured.size > 0 and float(measured.min()) == float(measured.max())
     if degenerate:
         log.info("degenerate probe targets: all measured degradations equal")
 

@@ -322,6 +322,49 @@ class TestRidgeFit:
         assert predictor.coef[0, 1] == pytest.approx(np.mean(0.2 + 0.01 * t), rel=1e-12)
         assert predictor.training_log["final_mse"] <= predictor.training_log["initial_mse"]
 
+    def test_intercept_is_not_penalized(self):
+        # shifting every degradation by c shifts each deviation head's
+        # intercept by c and leaves its weights and the score head alone
+        records = masked_records(15)
+        shifted = [(f, ProbeRecord(r.patch_id, r.family, r.target_ratio, r.measured_degradation + 0.3)) for f, r in records]
+        a, b = train_predictor(records), train_predictor(shifted)
+        assert a.heads == b.heads
+        np.testing.assert_allclose(b.coef[1:], a.coef[1:], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(b.coef[0, 1:], a.coef[0, 1:] + 0.3, rtol=1e-12)
+        assert b.coef[0, 0] == pytest.approx(a.coef[0, 0], rel=1e-12)
+
+    def test_predictions_invariant_to_feature_units(self):
+        # features are standardized before the fit, so a positive rescale and
+        # shift of any feature column changes no prediction
+        records = masked_records(16)
+        scale, offset = np.geomspace(1e-3, 1e3, N_FEATURES), np.linspace(-5.0, 5.0, N_FEATURES)
+        moved = [(f * scale + offset, r) for f, r in records]
+        a, b = train_predictor(records), train_predictor(moved)
+        probe = np.random.default_rng(17).standard_normal((20, N_FEATURES))
+        np.testing.assert_allclose(b.forward(probe * scale + offset), a.forward(probe), rtol=1e-8, atol=1e-10)
+
+    def test_record_order_does_not_change_predictions(self):
+        records = masked_records(18)
+        order = np.random.default_rng(19).permutation(len(records))
+        a, b = train_predictor(records), train_predictor([records[i] for i in order])
+        assert sorted(a.heads) == sorted(b.heads)
+        for feats in np.random.default_rng(20).standard_normal((10, N_FEATURES)):
+            ra, rb = predict(a, feats), predict(b, feats)
+            assert rb.score == pytest.approx(ra.score, rel=1e-9, abs=1e-12)
+            for family, curve in ra.predictions.items():
+                for ratio, deg in curve.items():
+                    assert rb.predictions[family][ratio] == pytest.approx(deg, rel=1e-9, abs=1e-12)
+
+    def test_equal_degradations_predict_the_constant_everywhere(self, skipped_probe_records):
+        records = [(f, ProbeRecord(r.patch_id, r.family, r.target_ratio, 0.07)) for f, r in skipped_probe_records]
+        predictor = train_predictor(records)
+        assert predictor.training_log["degenerate_targets"]
+        np.testing.assert_allclose(predictor.coef[1:], 0.0, atol=1e-12)
+        wild = np.random.default_rng(21).standard_normal((50, N_FEATURES)) * 100
+        out = predictor.forward(wild)
+        np.testing.assert_allclose(out[:, 0], 0.5, atol=1e-12)
+        np.testing.assert_allclose(out[:, 1:], 0.07, atol=1e-12)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_degradation_rejected(self, value):
         records = masked_records(4)
