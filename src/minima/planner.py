@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from minima.errors import InfeasibleBudgetError
+from minima.sensitivity import Patch
 from minima.tn_decompositions import (
     FAMILIES,
     default_mode_shape,
@@ -35,36 +36,36 @@ class Candidate:
 
 @dataclass
 class PatchOptions:
-    """Planner view of one patch: candidates plus placement metadata."""
+    """Planner view of one patch: where it sits, and how it may be compressed.
 
-    patch_id: int
-    dense_params: int
+    ``candidates`` are the (family, ratio) pairs of the patch's sensitivity
+    record that fit the patch, with their ranks and stored scalars.
+    """
+
+    patch: Patch
     candidates: list[Candidate] = field(default_factory=list)
     compressible: bool = True  # False: excluded by submodule kind in every mode
     pinned: bool = False  # fragile: forced dense in sensitivity modes
-    layer_name: str = ""
-    submodule_kind: str = "other"
-    row_range: tuple[int, int] = (0, 0)
-    col_range: tuple[int, int] = (0, 0)
 
     @property
-    def geometry(self) -> tuple[int, int]:
-        return self.row_range[1] - self.row_range[0], self.col_range[1] - self.col_range[0]
+    def patch_id(self) -> int:
+        return self.patch.patch_id
 
 
 @dataclass
 class PlanEntry:
-    patch_id: int
-    dense_params: int
+    """How the plan stores one patch: dense, or one family at one ratio."""
+
+    patch: Patch
     family: str  # "dense" or a TN family
     target_ratio: float | None
     ranks: tuple[int, ...] | None
     params: int
     predicted_degradation: float
-    layer_name: str = ""
-    submodule_kind: str = "other"
-    row_range: tuple[int, int] = (0, 0)
-    col_range: tuple[int, int] = (0, 0)
+
+    @property
+    def patch_id(self) -> int:
+        return self.patch.patch_id
 
 
 @dataclass
@@ -101,47 +102,36 @@ def _fit(geometry: tuple[int, int], family: str, ratio: float):
 def build_options(
     records,
     patches,
-    families=FAMILIES,
-    ratio_grid=(0.5, 0.35, 0.25, 0.15),
     degradation_cap: float = 0.02,
     exclude_kinds=("embedding",),
 ) -> list[PatchOptions]:
     """Translate sensitivity records into planner inputs.
 
-    Candidate parameter counts come from actual rank selection on the
-    patch's mode shape, so the plan's accounting matches what compression
-    will store. Rank selection runs once per distinct (geometry, family,
-    ratio): a memo of ``_fit`` made for this call and dropped when it
-    returns, so no result outlives the call. Patches whose every prediction
+    A patch's candidates are the (family, ratio) pairs of its record's
+    ``predictions`` that fit the patch, with families in ``FAMILIES``
+    order; a pair fits when ``select_ranks`` finds ranks within the ratio's
+    budget that store fewer scalars than the dense patch. So the plan's
+    accounting matches what compression will store, and the candidate grid
+    is the one the records were predicted on. Rank selection runs once per
+    distinct (geometry, family, ratio): a memo of ``_fit`` made for this
+    call and dropped when it returns. Patches whose every prediction
     exceeds the cap are pinned dense; excluded kinds never receive
     candidates.
     """
     fit = functools.cache(_fit)
     by_id = {r.patch_id: r for r in records}
-    ordered_families = [f for f in FAMILIES if f in set(families)]
     options = []
     for patch in patches:
         record = by_id.get(patch.patch_id)
-        opt = PatchOptions(
-            patch_id=patch.patch_id,
-            dense_params=patch.dense_params,
-            compressible=patch.submodule_kind not in exclude_kinds,
-            layer_name=patch.layer_name,
-            submodule_kind=patch.submodule_kind,
-            row_range=patch.row_range,
-            col_range=patch.col_range,
-        )
+        opt = PatchOptions(patch, compressible=patch.submodule_kind not in exclude_kinds)
         if record is not None and opt.compressible:
-            geometry = opt.geometry
-            for family in ordered_families:
-                curve = record.predictions.get(family, {})
-                for ratio in ratio_grid:
-                    ranks_params = fit(geometry, family, ratio) if ratio in curve else None
+            geometry = (patch.rows, patch.cols)
+            for family in FAMILIES:
+                for ratio, deg in record.predictions.get(family, {}).items():
+                    ranks_params = fit(geometry, family, ratio)
                     if ranks_params is not None:
                         ranks, params = ranks_params
-                        opt.candidates.append(
-                            Candidate(family, float(ratio), params, curve[ratio], ranks)
-                        )
+                        opt.candidates.append(Candidate(family, float(ratio), params, deg, ranks))
             if opt.candidates and all(
                 c.predicted_degradation > degradation_cap for c in opt.candidates
             ):
@@ -150,26 +140,12 @@ def build_options(
     return options
 
 
-def _entry(opt: PatchOptions, cand: Candidate | None) -> PlanEntry:
-    """The plan entry of a patch compressed as ``cand``, or dense if None."""
-    if cand is None:
-        family, ratio, ranks, params, deg = "dense", None, None, opt.dense_params, 0.0
-    else:
-        family, ratio, ranks, params = cand.family, cand.ratio, cand.ranks, cand.params
-        deg = cand.predicted_degradation
-    return PlanEntry(
-        patch_id=opt.patch_id,
-        dense_params=opt.dense_params,
-        family=family,
-        target_ratio=ratio,
-        ranks=ranks,
-        params=params,
-        predicted_degradation=deg,
-        layer_name=opt.layer_name,
-        submodule_kind=opt.submodule_kind,
-        row_range=opt.row_range,
-        col_range=opt.col_range,
-    )
+def _dense_entry(patch: Patch) -> PlanEntry:
+    return PlanEntry(patch, "dense", None, None, patch.dense_params, 0.0)
+
+
+def _entry(patch: Patch, cand: Candidate) -> PlanEntry:
+    return PlanEntry(patch, cand.family, cand.ratio, cand.ranks, cand.params, cand.predicted_degradation)
 
 
 def _best_step(pid: int, cands, params: int, deg: float):
@@ -193,7 +169,7 @@ def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
         for o in options
         if o.compressible and not o.pinned
     }
-    dense = {o.patch_id: o.dense_params for o in options}
+    dense = {o.patch_id: o.patch.dense_params for o in options}
     current: dict[int, Candidate | None] = {o.patch_id: None for o in options}
     dense_total = sum(dense.values())
     budget = target_ratio * dense_total
@@ -207,9 +183,10 @@ def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
     heapq.heapify(heap)
     while total > budget:
         if not heap:
+            pinned = sum(o.compressible and o.pinned for o in options)
             raise InfeasibleBudgetError(
                 f"no candidate steps left at {total}/{dense_total} params "
-                f"(target ratio {target_ratio})",
+                f"(target ratio {target_ratio}; {pinned} compressible patches pinned dense)",
                 best_achievable=total / dense_total if dense_total else 1.0,
             )
         (_, pid, *_), cand = heapq.heappop(heap)
@@ -220,7 +197,10 @@ def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
         if step:
             heapq.heappush(heap, step)
 
-    entries = [_entry(opt, current[opt.patch_id]) for opt in sorted(options, key=lambda o: o.patch_id)]
+    entries = [
+        _dense_entry(o.patch) if (cand := current[o.patch_id]) is None else _entry(o.patch, cand)
+        for o in sorted(options, key=lambda o: o.patch_id)
+    ]
     return CompressionPlan(
         mode=mode,
         target_ratio=target_ratio,
@@ -245,18 +225,18 @@ def _uniform_selection(shapes, family: str, ratio: float, fit):
     """Stored scalars of all patches at one shared compression ratio, and
     the ``(ranks, params)`` chosen for each shape that compresses.
 
-    ``shapes`` counts the patches per (geometry, dense params, compressible),
-    so a pass makes one ``fit`` lookup per compressible geometry; ``fit`` is
-    the calling ``_uniform``'s memo of ``_fit``.
+    ``shapes`` counts the patches per (geometry, compressible), so a pass
+    makes one ``fit`` lookup per compressible geometry; ``fit`` is the
+    calling ``_uniform``'s memo of ``_fit``.
     """
     total = 0
     chosen = {}
     for shape, count in shapes.items():
-        geometry, dense, compressible = shape
+        geometry, compressible = shape
         ranks_params = fit(geometry, family, ratio) if compressible else None
         if ranks_params is not None:
             chosen[shape] = ranks_params
-        total += count * (dense if ranks_params is None else ranks_params[1])
+        total += count * (geometry[0] * geometry[1] if ranks_params is None else ranks_params[1])
     return total, chosen
 
 
@@ -267,10 +247,11 @@ def _rank_one_floor(shapes, family: str) -> float:
     configuration is not smaller than dense never compress and do not count.
     """
     floor = 0.0
-    for geometry, dense, compressible in shapes:
+    for geometry, compressible in shapes:
         if not compressible:
             continue
         mode_shape, _ = default_mode_shape(*geometry)
+        dense = geometry[0] * geometry[1]
         params = param_count_formula(family, mode_shape, (1,) * len(maximal_ranks(family, mode_shape)))
         if params >= dense:
             continue
@@ -283,9 +264,9 @@ def _rank_one_floor(shapes, family: str) -> float:
 
 
 def _uniform(options, target_ratio, family) -> CompressionPlan:
-    dense_total = sum(o.dense_params for o in options)
+    dense_total = sum(o.patch.dense_params for o in options)
     budget = target_ratio * dense_total
-    shapes = Counter((o.geometry, o.dense_params, o.compressible) for o in options)
+    shapes = Counter(((o.patch.rows, o.patch.cols), o.compressible) for o in options)
     fit = functools.cache(_fit)  # shared by every bisection pass of this call
 
     # total is not monotone in the ratio (below the rank-1 floor patches fall
@@ -309,12 +290,12 @@ def _uniform(options, target_ratio, family) -> CompressionPlan:
 
     entries = []
     for opt in sorted(options, key=lambda o: o.patch_id):
-        cand = None
-        ranks_params = chosen.get((opt.geometry, opt.dense_params, opt.compressible))
-        if ranks_params is not None:
+        ranks_params = chosen.get(((opt.patch.rows, opt.patch.cols), opt.compressible))
+        if ranks_params is None:
+            entries.append(_dense_entry(opt.patch))
+        else:
             ranks, params = ranks_params
-            cand = Candidate(family, ratio, params, _interp_degradation(opt, family, ratio), ranks)
-        entries.append(_entry(opt, cand))
+            entries.append(PlanEntry(opt.patch, family, ratio, ranks, params, _interp_degradation(opt, family, ratio)))
     return CompressionPlan(
         mode="uniform",
         target_ratio=target_ratio,
@@ -333,18 +314,24 @@ def allocate(
     """Produce a plan meeting ``achieved <= target_ratio * dense_params``.
 
     ``uniform`` compresses every eligible patch with one family at one
-    shared ratio found by bisection. Patches are grouped by geometry once,
-    so a bisection pass costs one lookup per geometry, and rank selection
-    runs once per distinct (geometry, ratio) over all passes, from a memo
-    that lives only for this call. ``sensitivity`` runs the greedy
-    marginal-cost loop restricted to ``single_family``;
-    ``sensitivity_mixed`` searches all families. Each greedy step takes
-    the candidate with the most params saved per unit of added predicted
-    degradation (steps that add none come first). A heap holds each patch's best next step, keyed
-    ``(-score, patch id, family order (tucker, tt, tr), -ratio)``, so ties
-    break on lower patch id, then family order, then larger ratio; after a
-    step only the stepped patch's entry is recomputed. A non-finite
-    ``predicted_degradation`` on any candidate raises ``ValueError``.
+    shared ratio, found by bisection. Patches are grouped by geometry once,
+    so a bisection pass costs one lookup per geometry. Rank selection runs
+    once per distinct (geometry, ratio) over all passes, from a memo that
+    lives only for this call.
+
+    ``sensitivity`` runs the greedy marginal-cost loop restricted to
+    ``single_family``; ``sensitivity_mixed`` searches all families. Each
+    greedy step takes the candidate with the most params saved per unit of
+    added predicted degradation. Steps that add none come first. A heap
+    holds each patch's best next step, keyed ``(-score, patch id, family
+    order (tucker, tt, tr), -ratio)``. So ties break on lower patch id,
+    then family order, then larger ratio. After a step, only the stepped
+    patch's entry is recomputed. If the steps run out above the budget,
+    ``InfeasibleBudgetError`` says how many compressible patches are
+    pinned dense.
+
+    A non-finite ``predicted_degradation`` on any candidate raises
+    ``ValueError``.
     """
     if not 0.0 < target_ratio <= 1.0:
         raise ValueError(f"target ratio must be in (0, 1], got {target_ratio}")

@@ -163,20 +163,18 @@ def probe_patch(
     w: np.ndarray,
     families,
     ratio_grid,
-    calib: np.ndarray | None,
-    seed: int = 0,
+    calib: np.ndarray,
     patch_id: int = 0,
     hooi_iters: int = 1,
 ) -> list[ProbeRecord]:
     """Measure the output deviation of each candidate (family, ratio).
 
-    Infeasible ratios are skipped with a logged reason rather than raised.
+    ``calib`` holds input samples, one row per column of ``w`` and at least
+    8 sample columns. Infeasible ratios are skipped with a logged reason
+    rather than raised.
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
     m, n = w.shape
-    if calib is None:
-        gen = np.random.Generator(np.random.Philox(seed))
-        calib = gen.standard_normal((n, max(8, min(n, 64))))
     calib = np.ascontiguousarray(calib, dtype=np.float64)
     if calib.shape[0] != n:
         raise ValueError(f"calibration rows {calib.shape[0]} do not match patch columns {n}")
@@ -429,8 +427,9 @@ def analyze(
 
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns.
-    ``seed`` changes no output, since ``calib`` is given and the fit is
-    closed-form; it stays for callers that pass it.
+    ``seed`` is unused: ``calib`` is given and the fit is closed-form, so
+    nothing is drawn at random. It stays because the benchmark workloads in
+    ``perfbench/workloads.py`` pass it.
     """
     patches = partition_patches(model, patch_size)
     features = {
@@ -442,9 +441,7 @@ def analyze(
     for p in probe_targets:
         w = patch_matrix(model, p)
         x = calib[p.layer_name][p.col_range[0] : p.col_range[1], :]
-        probes.extend(
-            probe_patch(w, families, ratio_grid, x, seed=seed, patch_id=p.patch_id)
-        )
+        probes.extend(probe_patch(w, families, ratio_grid, x, patch_id=p.patch_id))
     pairs = [(features[r.patch_id], r) for r in probes]
     predictor = train_predictor(pairs)
     records = [

@@ -16,7 +16,6 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,21 +73,6 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     if ref == 0.0:
         raise DegenerateReferenceError("relative error against a zero tensor")
     return frobenius(a - b) / ref
-
-
-def reshape_to_modes(matrix: np.ndarray, mode_shape) -> np.ndarray:
-    """Reinterpret a matrix as a multi-mode tensor without moving data."""
-    m = as_tensor(matrix)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
-    mode_shape = tuple(int(s) for s in mode_shape)
-    if not 2 <= len(mode_shape) <= 6:
-        raise ShapeError(f"mode shape length must be in [2, 6], got {len(mode_shape)}")
-    if any(s < 1 for s in mode_shape):
-        raise ShapeError(f"all mode sizes must be >= 1, got {mode_shape}")
-    if math.prod(mode_shape) != m.size:
-        raise ShapeError(f"mode shape {mode_shape} does not match {m.shape[0]}x{m.shape[1]} entries")
-    return m.reshape(mode_shape)
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -149,9 +133,6 @@ class SvdResult:
     @property
     def rank(self) -> int:
         return int(self.values.shape[0])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.values) @ self.right.T
 
 
 def _complete_basis(u: np.ndarray, fixed: int) -> None:

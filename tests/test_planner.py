@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from minima import planner
 from minima.errors import InfeasibleBudgetError
 from minima.model import ModelContainer
-from minima.planner import MODES, Candidate, CompressionPlan, PatchOptions, allocate, build_options
-from minima.sensitivity import SensitivityRecord, partition_patches
+from minima.planner import MODES, Candidate, CompressionPlan, PatchOptions, PlanEntry, allocate, build_options
+from minima.sensitivity import Patch, SensitivityRecord, partition_patches
 from minima.tn_decompositions import FAMILIES, default_mode_shape, maximal_ranks, param_count_formula
 
 RATIO_GRID = (0.5, 0.35, 0.25, 0.15)
@@ -42,6 +42,11 @@ MIXED = dict(
     kinds=["ffn", "ffn", "attention_proj", "embedding"],
     fragile=(2,),
 )
+
+
+def flat_patch(pid, dense_params):
+    """A patch of layer ``w{pid}``, 8 rows high, of ``dense_params`` scalars."""
+    return Patch(pid, f"w{pid}", 0, "ffn", (0, 8), (0, dense_params // 8))
 
 
 def rank_one_ratio(family, rows, cols):
@@ -89,7 +94,7 @@ class TestSensitivity:
         for target in (0.9, 0.7, 0.5):
             plan = allocate(options, target, mode=mode, single_family="tt")
             assert plan.mode == mode
-            assert plan.dense_params == sum(o.dense_params for o in options)
+            assert plan.dense_params == sum(o.patch.dense_params for o in options)
             assert plan.achieved_params <= target * plan.dense_params
             assert plan.achieved_params == sum(e.params for e in plan.entries)
             assert [e.patch_id for e in plan.entries] == sorted(candidates)
@@ -108,7 +113,7 @@ class TestSensitivity:
         for e in plan.entries[8:]:
             assert (e.family, e.target_ratio, e.ranks) == ("dense", None, None)
             assert (e.params, e.predicted_degradation) == (4096, 0.0)
-            assert e.layer_name == f"w{2 + (e.patch_id - 8) // 2}"
+            assert e.patch.layer_name == f"w{2 + (e.patch_id - 8) // 2}"
         assert all(e.family != "dense" for e in plan.entries[:8])
 
     def test_unreachable_target_reports_the_smallest_plan(self, mode):
@@ -125,16 +130,47 @@ class TestSensitivity:
             usable = [] if o.pinned or not o.compressible else o.candidates
             if mode == "sensitivity":
                 usable = [c for c in usable if c.family == "tt"]
-            smallest += min((c.params for c in usable), default=o.dense_params)
+            smallest += min((c.params for c in usable), default=o.patch.dense_params)
         with pytest.raises(InfeasibleBudgetError) as exc:
             allocate(options, 0.001, mode=mode, single_family="tt")
-        assert exc.value.best_achievable == smallest / sum(o.dense_params for o in options)
+        assert exc.value.best_achievable == smallest / sum(o.patch.dense_params for o in options)
+
+    def test_all_pinned_error_counts_the_pinned_patches(self, mode):
+        options = plan_options([(128, 128), (64, 128)], fragile=(0, 1))
+        assert all(o.pinned for o in options)
+        with pytest.raises(InfeasibleBudgetError, match="; 6 compressible patches pinned dense") as exc:
+            allocate(options, 0.5, mode=mode, single_family="tt")
+        assert exc.value.best_achievable == 1.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sensitivity_uses_only_its_family(family):
     plan = allocate(plan_options(**MIXED), 0.5, mode="sensitivity", single_family=family)
     assert {e.family for e in plan.entries} == {family, "dense"}
+
+
+def test_candidates_are_the_fitting_record_pairs_in_family_order():
+    model = ModelContainer()
+    model.add("w0", np.ones((64, 64)), layer_index=0, submodule_kind="ffn")
+    patches = partition_patches(model, (64, 64))
+    # 0.001 of 4096 is a budget of 4, below every rank-1 count
+    predictions = {"tr": {0.2: 3e-3}, "tt": {0.5: 1e-3, 1 / 3: 2e-3, 0.001: 5e-3}, "tucker": {0.5: 1e-3}}
+    (opt,) = build_options([SensitivityRecord(0, 0.5, predictions, {})], patches)
+    want = []
+    for family, ratio, deg in [("tucker", 0.5, 1e-3), ("tt", 0.5, 1e-3), ("tt", 1 / 3, 2e-3), ("tr", 0.2, 3e-3)]:
+        ranks, params = planner._fit((64, 64), family, ratio)
+        want.append(Candidate(family, ratio, params, deg, ranks))
+    assert opt.candidates == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_entries_carry_the_options_patches(mode):
+    options = plan_options(**MIXED)
+    plan = allocate(options, 0.5, mode=mode, single_family="tt")
+    assert all(e.patch is o.patch for e, o in zip(plan.entries, options, strict=True))
+    patch_fields = {f.name for f in dataclasses.fields(Patch)} | {"dense_params"}
+    for cls in (PatchOptions, PlanEntry):
+        assert patch_fields.isdisjoint(f.name for f in dataclasses.fields(cls))
 
 
 class TestAllocateArguments:
@@ -172,9 +208,9 @@ def reference_greedy(options, target_ratio, mode, single_family) -> CompressionP
     }
 
     current = {o.patch_id: None for o in options}
-    params_now = {o.patch_id: o.dense_params for o in options}
+    params_now = {o.patch_id: o.patch.dense_params for o in options}
     deg_now = {o.patch_id: 0.0 for o in options}
-    dense_total = sum(o.dense_params for o in options)
+    dense_total = sum(o.patch.dense_params for o in options)
     budget = target_ratio * dense_total
     total = dense_total
 
@@ -193,9 +229,10 @@ def reference_greedy(options, target_ratio, mode, single_family) -> CompressionP
                     best_key = key
                     best = (pid, cand)
         if best is None:
+            pinned = sum(o.compressible and o.pinned for o in options)
             raise InfeasibleBudgetError(
                 f"no candidate steps left at {total}/{dense_total} params "
-                f"(target ratio {target_ratio})",
+                f"(target ratio {target_ratio}; {pinned} compressible patches pinned dense)",
                 best_achievable=total / dense_total if dense_total else 1.0,
             )
         pid, cand = best
@@ -204,7 +241,10 @@ def reference_greedy(options, target_ratio, mode, single_family) -> CompressionP
         deg_now[pid] = cand.predicted_degradation
         current[pid] = cand
 
-    entries = [planner._entry(opt, current[opt.patch_id]) for opt in sorted(options, key=lambda o: o.patch_id)]
+    entries = [
+        planner._dense_entry(o.patch) if current[o.patch_id] is None else planner._entry(o.patch, current[o.patch_id])
+        for o in sorted(options, key=lambda o: o.patch_id)
+    ]
     return CompressionPlan(
         mode=mode,
         target_ratio=target_ratio,
@@ -244,12 +284,10 @@ def patch_options(draw):
     pids = draw(st.permutations(range(0, 3 * n, 3)))
     return [
         PatchOptions(
-            patch_id=pid,
-            dense_params=draw(st.sampled_from([32, 64])),
+            patch=flat_patch(pid, draw(st.sampled_from([32, 64]))),
             candidates=draw(st.lists(candidates, max_size=6)),
             compressible=draw(st.booleans()),
             pinned=draw(st.booleans()),
-            layer_name=f"w{pid}",
         )
         for pid in pids
     ]
@@ -277,7 +315,7 @@ class TestHeapGreedy:
             Candidate("tt", 0.5, 32, 2e-3),
             Candidate("tt", 0.35, 32, 2e-3),
         ]
-        options = [PatchOptions(pid, 64, list(cands)) for pid in (5, 2, 7)]
+        options = [PatchOptions(flat_patch(pid, 64), list(cands)) for pid in (5, 2, 7)]
         for target in (0.9, 0.7, 0.4, 0.25):
             expected = plan_or_error(reference_greedy, options, target, mode, "tt")
             assert plan_or_error(allocate, options, target, mode, "tt") == expected
@@ -289,7 +327,7 @@ class TestHeapGreedy:
         ]
 
         # equal keys within one patch: the candidate listed first wins
-        twins = [PatchOptions(0, 64, [Candidate("tt", 0.5, 32, 2e-3), Candidate("tt", 0.5, 48, 1e-3)])]
+        twins = [PatchOptions(flat_patch(0, 64), [Candidate("tt", 0.5, 32, 2e-3), Candidate("tt", 0.5, 48, 1e-3)])]
         for target in (0.8, 0.4):
             expected = plan_or_error(reference_greedy, twins, target, mode, "tt")
             assert plan_or_error(allocate, twins, target, mode, "tt") == expected
@@ -344,7 +382,7 @@ class TestRankFitMemo:
         model_shapes = [(128, 128), (64, 96), (64, 128)]
         calls = select_ranks_calls(monkeypatch)
         options = plan_options(model_shapes, kinds=["ffn", "attention_proj", "embedding"])
-        assert {o.geometry for o in options if o.compressible} == {(64, 64), (64, 32)}
+        assert {(o.patch.rows, o.patch.cols) for o in options if o.compressible} == {(64, 64), (64, 32)}
         assert len(calls) == len(set(calls)) == 2 * len(FAMILIES) * len(RATIO_GRID)
 
         calls.clear()
@@ -385,7 +423,7 @@ class TestUniformMixedGeometry:
 
     def test_entries_are_the_fits_at_the_plan_ratio(self, family):
         options = plan_options(**self.MODEL)
-        assert {o.geometry for o in options if o.compressible} == self.GEOMETRIES
+        assert {(o.patch.rows, o.patch.cols) for o in options if o.compressible} == self.GEOMETRIES
         for target in (0.5, 0.35):
             plan = allocate(options, target, mode="uniform", single_family=family)
             ratios = {e.target_ratio for e in plan.entries if e.family != "dense"}
@@ -393,12 +431,13 @@ class TestUniformMixedGeometry:
             ratio = ratios.pop()
             compressed = set()
             for opt, entry in zip(sorted(options, key=lambda o: o.patch_id), plan.entries):
-                fit = planner._fit(opt.geometry, family, ratio) if opt.compressible else None
+                geometry = (opt.patch.rows, opt.patch.cols)
+                fit = planner._fit(geometry, family, ratio) if opt.compressible else None
                 if fit is None:
-                    assert (entry.family, entry.ranks, entry.params) == ("dense", None, opt.dense_params)
+                    assert (entry.family, entry.ranks, entry.params) == ("dense", None, opt.patch.dense_params)
                 else:
                     assert (entry.family, entry.ranks, entry.params) == (family, *fit)
-                    compressed.add(opt.geometry)
+                    compressed.add(geometry)
             assert compressed == self.GEOMETRIES
             assert plan.achieved_params == sum(e.params for e in plan.entries)
             assert plan.achieved_ratio <= target

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from minima import sensitivity
 from minima.errors import EmptyModelError, NumericsError
 from minima.model import LayerEntry, ModelContainer
-from minima.planner import build_options
+from minima.planner import allocate, build_options
 from minima.sensitivity import (
     N_FEATURES,
     RIDGE,
@@ -23,6 +23,7 @@ from minima.sensitivity import (
     probe_patch,
     train_predictor,
 )
+from minima.tn_decompositions import FAMILIES
 
 
 def make_model(matrices):
@@ -34,6 +35,11 @@ def make_model(matrices):
 
 def meta_patch(kind="other", layer_index=0):
     return Patch(0, "w", layer_index, kind, (0, 4), (0, 4))
+
+
+def seeded_calib(n, seed):
+    """Seeded standard normal calibration for a patch of n columns."""
+    return np.random.Generator(np.random.Philox(seed)).standard_normal((n, max(8, min(n, 64))))
 
 
 def decayed_matrix(rng, m, n, gamma):
@@ -139,7 +145,7 @@ class TestFeatures:
 class TestProbes:
     def test_full_ratio_is_lossless(self, rng):
         w = rng.standard_normal((32, 32))
-        recs = probe_patch(w, ("tt", "tucker", "tr"), (1.0,), None, seed=3)
+        recs = probe_patch(w, ("tt", "tucker", "tr"), (1.0,), seeded_calib(32, 3))
         assert len(recs) == 3
         assert all(r.measured_degradation <= 1e-9 for r in recs)
 
@@ -147,13 +153,13 @@ class TestProbes:
         # separable across the (4, 8, 4, 8) mode reshape, hence TN-rank one
         u = np.kron(rng.standard_normal(4), rng.standard_normal(8))
         v = np.kron(rng.standard_normal(4), rng.standard_normal(8))
-        recs = probe_patch(np.outer(u, v), ("tt", "tucker"), (0.25, 0.15), None, seed=3)
+        recs = probe_patch(np.outer(u, v), ("tt", "tucker"), (0.25, 0.15), seeded_calib(32, 3))
         assert len(recs) == 4
         assert all(r.measured_degradation <= 1e-9 for r in recs)
 
     def test_monotone_in_ratio(self, rng):
         w = rng.standard_normal((64, 64))
-        recs = probe_patch(w, ("tt",), (0.5, 0.25), None, seed=5)
+        recs = probe_patch(w, ("tt",), (0.5, 0.25), seeded_calib(64, 5))
         by_ratio = {r.target_ratio: r.measured_degradation for r in recs}
         assert by_ratio[0.25] >= by_ratio[0.5] - 1e-9
 
@@ -161,7 +167,7 @@ class TestProbes:
         # 0.05 of a 16 x 16 patch is a budget of 12; on its (4, 4, 4, 4) modes
         # rank 1 stores 17 (tucker), 16 (tt) and 16 (tr) scalars
         w = rng.standard_normal((16, 16))
-        recs = probe_patch(w, ("tucker", "tt", "tr"), (0.5, 0.05), None, seed=3)
+        recs = probe_patch(w, ("tucker", "tt", "tr"), (0.5, 0.05), seeded_calib(16, 3))
         assert [(r.family, r.target_ratio) for r in recs] == [
             ("tucker", 0.5),
             ("tt", 0.5),
@@ -170,8 +176,8 @@ class TestProbes:
 
     def test_deterministic_given_seed(self, rng):
         w = rng.standard_normal((32, 32))
-        a = probe_patch(w, ("tt",), (0.5, 0.25), None, seed=9)
-        b = probe_patch(w.copy(), ("tt",), (0.5, 0.25), None, seed=9)
+        a = probe_patch(w, ("tt",), (0.5, 0.25), seeded_calib(32, 9))
+        b = probe_patch(w.copy(), ("tt",), (0.5, 0.25), seeded_calib(32, 9))
         assert [(r.family, r.target_ratio, r.measured_degradation) for r in a] == [
             (r.family, r.target_ratio, r.measured_degradation) for r in b
         ]
@@ -279,7 +285,7 @@ def skipped_probe_records():
         size = 16 if pid % 2 == 0 else 32
         w = decayed_matrix(rng, size, size, 0.1 + 0.05 * pid)
         feats = extract_features(w, Patch(pid, "w", pid, "ffn", (0, size), (0, size)), 8)
-        probes = probe_patch(w, ("tucker", "tt", "tr"), (0.5, 0.25, 0.05), None, seed=pid, patch_id=pid)
+        probes = probe_patch(w, ("tucker", "tt", "tr"), (0.5, 0.25, 0.05), seeded_calib(size, pid), patch_id=pid)
         records.extend((feats, r) for r in probes)
     return records
 
@@ -471,8 +477,21 @@ class TestAnalyzeEndToEnd:
         calib = {name: rng.standard_normal((64, 16)) for name in model.names()}
         result = analyze(model, calib, patch_size=(32, 32), families=("tt",), ratio_grid=grid, probe_stride=1)
         assert all(set(rec.predictions["tt"]) == set(grid) for rec in result.records)
-        options = build_options(result.records, result.patches, families=("tt",), ratio_grid=grid, degradation_cap=1.0)
+        options = build_options(result.records, result.patches, degradation_cap=1.0)
         assert all({c.ratio for c in opt.candidates} == set(grid) for opt in options)
+
+    def test_planner_candidates_are_the_records_grid(self, rng):
+        # build_options takes no grid: a grid unlike (0.5, 0.35, 0.25, 0.15)
+        # reaches the planner whole, for every family
+        grid = (0.5, 1 / 3, 0.2)
+        gammas = (0.05, 0.3, 0.1, 0.2)
+        model = make_model([(f"w{i}", decayed_matrix(rng, 64, 64, g), "ffn") for i, g in enumerate(gammas)])
+        calib = {name: rng.standard_normal((64, 16)) for name in model.names()}
+        result = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
+        options = build_options(result.records, result.patches, degradation_cap=1.0)
+        pairs = [(family, ratio) for family in FAMILIES for ratio in grid]
+        assert all([(c.family, c.ratio) for c in opt.candidates] == pairs for opt in options)
+        assert allocate(options, 0.3).achieved_ratio <= 0.3
 
 
 class TestPatchMatrix:

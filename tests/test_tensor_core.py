@@ -9,7 +9,6 @@ from minima.tensor_core import (
     full_svd,
     mode_dot,
     relative_error,
-    reshape_to_modes,
     truncated_svd,
     unfold,
 )
@@ -31,33 +30,6 @@ def unfold_oracle(t, mode):
             col = col * shape[i] + idx[i]
         out[idx[mode], col] = t[idx]
     return out
-
-
-class TestReshapeToModes:
-    def test_flat_data_preserved_4x4(self):
-        m = np.arange(16.0).reshape(4, 4)
-        t = reshape_to_modes(m, (2, 2, 2, 2))
-        assert t.shape == (2, 2, 2, 2)
-        assert np.array_equal(t.ravel(), m.ravel())
-
-    def test_flat_data_preserved_6x4(self):
-        m = np.arange(24.0).reshape(6, 4)
-        t = reshape_to_modes(m, (2, 3, 4))
-        assert t.shape == (2, 3, 4)
-        assert np.array_equal(t.ravel(), m.ravel())
-
-    def test_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            reshape_to_modes(np.ones((4, 4)), (3, 5))
-
-    def test_round_trip_identity(self):
-        m = np.arange(24.0).reshape(4, 6)
-        t = reshape_to_modes(m, (2, 2, 2, 3))
-        assert np.array_equal(t.reshape(4, 6), m)
-
-    def test_mode_count_limits(self):
-        with pytest.raises(ShapeError):
-            reshape_to_modes(np.ones((2, 64)), (2,) * 7)
 
 
 class TestUnfoldFold:
@@ -139,12 +111,12 @@ class TestTruncatedSvd:
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         res = truncated_svd(m, 1)
         assert res.values == pytest.approx([5.0])
-        assert np.allclose(res.reconstruct(), m, atol=1e-12)
+        assert np.allclose((res.left * res.values) @ res.right.T, m, atol=1e-12)
 
     def test_full_rank_reconstruction(self, rng):
         m = rng.standard_normal((8, 5))
         res = truncated_svd(m, 5)
-        assert relative_error(m, res.reconstruct()) <= 1e-10
+        assert relative_error(m, (res.left * res.values) @ res.right.T) <= 1e-10
 
     def test_orthonormal_blocks(self, rng):
         for shape in [(6, 6), (8, 3), (3, 8)]:
@@ -166,7 +138,7 @@ class TestTruncatedSvd:
             sigma = np.sqrt(np.clip(np.sort(np.linalg.eigvalsh(m.T @ m))[::-1], 0, None))
             for r in (1, 3, 5):
                 res = truncated_svd(m, r)
-                err = frobenius(m - res.reconstruct())
+                err = frobenius(m - (res.left * res.values) @ res.right.T)
                 expected = np.sqrt(np.sum(sigma[r:] ** 2))
                 assert err == pytest.approx(expected, abs=1e-9)
 

@@ -6,7 +6,7 @@ import pytest
 import minima.tensor_core as tc
 import minima.tn_decompositions as tn
 from minima.errors import InfeasibleBudgetError, NumericsError, RankError, ShapeError
-from minima.tensor_core import ParamBudget, full_svd, mode_dot, relative_error, reshape_to_modes, truncated_svd
+from minima.tensor_core import ParamBudget, as_tensor, full_svd, mode_dot, relative_error, truncated_svd
 from minima.tn_decompositions import (
     FAMILIES,
     CompressedLayer,
@@ -519,7 +519,6 @@ PUBLIC_ENTRIES = (
     ("tr_decompose", lambda a: tr_decompose(modes(a), (1, 2, 2, 2))),
     ("truncated_svd", lambda a: truncated_svd(a, 5)),
     ("full_svd", full_svd),
-    ("reshape_to_modes", lambda a: reshape_to_modes(a, MODES_16x32)),
 )
 
 
@@ -556,7 +555,6 @@ class TestInputChecks:
             lambda a: compress_matrix(a, "tt", ParamBudget(200)),
             lambda a: truncated_svd(a, 2),
             lambda a: full_svd(a),
-            lambda a: reshape_to_modes(a, (2, 2)),
             lambda a: tt_decompose(a[0, 0], ()),
             lambda a: tr_decompose(a[0, 0], (1,)),
         ):
@@ -589,7 +587,7 @@ class TestInputChecks:
         # once a singular value overflows into the next SVD's input; a lone SVD,
         # a reshape and dense storage return
         w = near_overflow(rng)
-        passes = name in ("truncated_svd", "full_svd", "reshape_to_modes", "decompose_dense")
+        passes = name in ("truncated_svd", "full_svd", "decompose_dense")
         with np.errstate(over="ignore", invalid="ignore"):
             if passes:
                 call(w)
@@ -637,6 +635,6 @@ class TestInputChecks:
             budget = ratio_budget(0.25, n * n)
             fast = compress_matrix(w, family, budget, hooi_iters=2)
             spec = select_ranks(mode_shape, family, budget)
-            chain = decompose(reshape_to_modes(w, mode_shape), spec, hooi_iters=2, row_mode_count=row_modes)
+            chain = decompose(as_tensor(w).reshape(mode_shape), spec, hooi_iters=2, row_mode_count=row_modes)
             assert fast.row_mode_count == chain.row_mode_count and fast.ranks == chain.ranks
             assert all(bitwise_equal(a, b) for a, b in zip(payload(fast), payload(chain), strict=True))
