@@ -163,6 +163,67 @@ def test_candidates_are_the_fitting_record_pairs_in_family_order():
     assert opt.candidates == want
 
 
+def one_patch(kind="ffn"):
+    model = ModelContainer()
+    model.add("w0", np.ones((64, 64)), layer_index=0, submodule_kind=kind)
+    return partition_patches(model, (64, 64))
+
+
+class TestBuildOptions:
+    PREDICTIONS = {"tt": {0.5: 1e-3, 0.25: 4e-3}}
+
+    @pytest.mark.parametrize(
+        "cap, pinned", [(4e-3, False), (1e-3, False), (math.nextafter(1e-3, 0.0), True)]
+    )
+    def test_pinned_only_when_every_prediction_exceeds_the_cap(self, cap, pinned):
+        record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})
+        (opt,) = build_options([record], one_patch(), degradation_cap=cap)
+        assert opt.pinned == pinned
+        assert [(c.family, c.ratio) for c in opt.candidates] == [("tt", 0.5), ("tt", 0.25)]
+
+    def test_patch_without_a_record_is_compressible_with_no_candidates(self):
+        (opt,) = build_options([SensitivityRecord(7, 0.5, self.PREDICTIONS, {})], one_patch())
+        assert (opt.compressible, opt.pinned, opt.candidates) == (True, False, [])
+        (entry,) = allocate([opt], 1.0, mode="sensitivity").entries
+        assert (entry.family, entry.params) == ("dense", 4096)
+        with pytest.raises(InfeasibleBudgetError, match="; 0 compressible patches pinned dense"):
+            allocate([opt], 0.5, mode="sensitivity")
+        # uniform compresses by geometry; with no curve the prediction is 0
+        (entry,) = allocate([opt], 0.5, mode="uniform").entries
+        assert entry.family == "tt" and entry.params <= 2048
+        assert entry.predicted_degradation == 0.0
+
+    @pytest.mark.parametrize("exclude, compressible", [((), True), (("ffn",), False)])
+    def test_exclude_kinds_decides_compressibility(self, exclude, compressible):
+        record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})
+        (opt,) = build_options([record], one_patch("ffn"), exclude_kinds=exclude)
+        assert opt.compressible == compressible
+        assert len(opt.candidates) == (2 if compressible else 0)
+
+
+def test_uniform_compresses_pinned_patches():
+    # pinning binds the sensitivity modes only; exclusion binds every mode
+    options = plan_options(**MIXED)
+    plan = allocate(options, 0.5, mode="uniform", single_family="tt")
+    assert [e.patch_id for e in plan.entries if e.family == "dense"] == [10, 11]
+    assert all(plan.entries[pid].family == "tt" for pid in (8, 9))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_uniform_degradation_interpolates_the_family_curve(family):
+    # plan_options predicts 0.001 / ratio on RATIO_GRID; the curve ends at (1, 0)
+    options = plan_options([(128, 128), (128, 128)])
+    for target, (r0, d0), (r1, d1) in [
+        (0.6, (0.5, 0.002), (1.0, 0.0)),
+        (0.3, (0.25, 0.001 / 0.25), (0.35, 0.001 / 0.35)),
+    ]:
+        plan = allocate(options, target, mode="uniform", single_family=family)
+        ratio = plan.entries[0].target_ratio
+        assert r0 < ratio < r1
+        expected = d0 + (ratio - r0) / (r1 - r0) * (d1 - d0)
+        assert all(e.predicted_degradation == pytest.approx(expected, rel=1e-12) for e in plan.entries)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_entries_carry_the_options_patches(mode):
     options = plan_options(**MIXED)
