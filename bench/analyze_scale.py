@@ -1,0 +1,200 @@
+"""End-to-end wall times of analyze and planning on two synthetic models.
+
+Usage, from the root of the repository:
+
+    python3 bench/analyze_scale.py [--models small large] [--out BENCH_analyze.json]
+
+Two fixed models of 64x64 patches: ``small`` is 8 layers of 256x256 (128
+patches, 32 of them probed at ``analyze``'s default stride 4) and ``large``
+is 8 layers of 512x512 (512 patches, 128 probed). Layers alternate
+attention projection and FFN; each has random orthonormal singular vectors
+and singular values exp(-decay k), with the decay fixed per layer, and 64
+calibration samples. For each model it times ``analyze`` with its defaults,
+then ``build_options`` and ``allocate`` in ``sensitivity_mixed`` mode and in
+``uniform`` mode with TT, both at target ratio 0.6. Each time is the median
+of three runs; every run's time is kept.
+
+One more run, untimed, counts LAPACK SVD calls (``np.linalg.svd``): all of
+them, the values-only ones, and those whose input (shape and bytes) an
+earlier call of the run already had. The same run is traced with
+``perfbench/spans.py``, and its per-layer metrics give the split of
+``analyze``'s time. Each row also records the plans' achieved ratios and a
+digest of the probe records, so two checkouts can be compared for equal
+outputs. The JSON written to ``--out`` records the numpy version, the BLAS
+build and the BLAS thread count, read as ``perfbench/run.py`` reads them;
+the BLAS is pinned to one thread as in ``perfbench/``.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from minima import planner, sensitivity  # noqa: E402
+from minima.model import ModelContainer  # noqa: E402
+from run import MODULES, environment  # noqa: E402  (perfbench/run.py)
+from spans import Tracer, installed, layer_metrics  # noqa: E402  (perfbench/spans.py)
+
+MODELS = {"small": 256, "large": 512}  # layer size; 8 layers each
+LAYERS = 8
+DECAYS = (0.05, 0.3, 0.5, 0.8, 0.1, 0.4, 0.6, 1.0)
+SAMPLES = 64
+PATCH = (64, 64)
+TARGET = 0.6
+REPEATS = 3
+# per-layer metrics of the traced run, as perfbench names them
+TRACED = (
+    "sensitivity.features.self_s",
+    "sensitivity.probe.self_s",
+    "tn_decompositions.tucker.self_s",
+    "tn_decompositions.tt.self_s",
+    "tn_decompositions.tr.self_s",
+    "tn_decompositions.reconstruct.self_s",
+    "tn_decompositions.select_ranks.calls",
+    "tn_decompositions.select_ranks.self_s",
+    "tensor_core.svd.calls",
+    "tensor_core.svd.self_s",
+    "tensor_core.svd.repeat_share",
+    "sensitivity.train.self_s",
+    "sensitivity.predict.self_s",
+)
+
+
+def orthonormal(rng, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def synthetic(size: int):
+    rng = np.random.default_rng(size)
+    model = ModelContainer()
+    calib = {}
+    for i, decay in enumerate(DECAYS[:LAYERS]):
+        kind = ("attention_proj", "ffn")[i % 2]
+        s = np.exp(-decay * np.arange(size))
+        w = (orthonormal(rng, size) * s) @ orthonormal(rng, size).T
+        name = f"layer{i}.{kind}"
+        model.add(name, w, layer_index=i, submodule_kind=kind)
+        calib[name] = rng.standard_normal((size, SAMPLES))
+    return model, calib
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def run_once(model, calib):
+    """One pass of the pipeline, with each stage's wall time."""
+    result, analyze_s = timed(lambda: sensitivity.analyze(model, calib, patch_size=PATCH))
+    options, options_s = timed(lambda: planner.build_options(result.records, result.patches))
+    mixed, mixed_s = timed(lambda: planner.allocate(options, TARGET, mode="sensitivity_mixed"))
+    uniform, uniform_s = timed(lambda: planner.allocate(options, TARGET, mode="uniform", single_family="tt"))
+    times = {
+        "analyze_s": analyze_s,
+        "build_options_s": options_s,
+        "allocate_mixed_s": mixed_s,
+        "allocate_uniform_tt_s": uniform_s,
+    }
+    return (result, options, mixed, uniform), times
+
+
+def counted_run(model, calib) -> tuple[dict, dict]:
+    """LAPACK SVD counts and traced per-layer metrics of one run."""
+    svd = np.linalg.svd
+    counts = {"calls": 0, "values_only": 0, "repeated_inputs": 0}
+    seen = set()
+
+    def counting(a, *args, **kwargs):
+        a = np.ascontiguousarray(a)
+        key = (a.shape, a.tobytes())
+        counts["calls"] += 1
+        counts["values_only"] += kwargs.get("compute_uv") is False
+        counts["repeated_inputs"] += key in seen
+        seen.add(key)
+        return svd(a, *args, **kwargs)
+
+    tracer = Tracer()
+    mods = {name: importlib.import_module(f"minima.{name}") for name in MODULES}
+    np.linalg.svd = counting
+    try:
+        with installed(tracer, mods):
+            run_once(model, calib)
+    finally:
+        np.linalg.svd = svd
+    metrics = layer_metrics(tracer.take())
+    return counts, {name: metrics[name] for name in TRACED}
+
+
+def probe_digest(probes) -> str:
+    h = hashlib.sha256()
+    for q in probes:
+        h.update(repr((q.patch_id, q.family, q.target_ratio)).encode())
+        h.update(np.float64(q.measured_degradation).tobytes())
+    return h.hexdigest()[:16]
+
+
+def measure(name: str) -> dict:
+    size = MODELS[name]
+    model, calib = synthetic(size)
+    run_once(model, calib)  # warm-up
+    runs = {}
+    for _ in range(REPEATS):
+        (result, options, mixed, uniform), times = run_once(model, calib)
+        for stage, t in times.items():
+            runs.setdefault(stage, []).append(t)
+    svd_counts, traced = counted_run(model, calib)
+    row = {"model": name, "layers": LAYERS, "layer": [size, size], "patches": len(result.patches)}
+    row["probed_patches"] = len(result.probed_ids)
+    row.update({stage: statistics.median(ts) for stage, ts in runs.items()})
+    row["total_s"] = sum(row[stage] for stage in runs)
+    row["lapack_svd"] = svd_counts
+    row["traced"] = traced
+    row["probes"] = len(result.probes)
+    row["probe_digest"] = probe_digest(result.probes)
+    row["candidates"] = sum(len(o.candidates) for o in options)
+    row["pinned"] = sum(o.pinned for o in options)
+    row["mixed_achieved_ratio"] = mixed.achieved_ratio
+    row["uniform_achieved_ratio"] = uniform.achieved_ratio
+    row["runs"] = runs
+    return row
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--models", nargs="+", choices=sorted(MODELS), default=list(MODELS))
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_analyze.json")
+    args = parser.parse_args()
+    rows = []
+    for name in args.models:
+        rows.append(measure(name))
+        print(json.dumps({k: v for k, v in rows[-1].items() if k != "runs"}), flush=True)
+    report = {
+        "command": " ".join(["python3 bench/analyze_scale.py", *sys.argv[1:]]),
+        "environment": environment(),
+        "patch": list(PATCH),
+        "target_ratio": TARGET,
+        "repeats": REPEATS,
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,16 +3,24 @@ degradation predictor that scores how safely each patch compresses."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError
+from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
-from minima.tensor_core import full_svd
-from minima.tn_decompositions import FAMILIES, compress_matrix, layer_to_matrix, ratio_budget
+from minima.tensor_core import SvdStore, as_tensor
+from minima.tn_decompositions import (
+    FAMILIES,
+    _decompose,
+    default_mode_shape,
+    layer_to_matrix,
+    ratio_budget,
+    select_ranks,
+)
 
 log = logging.getLogger(__name__)
 
@@ -92,9 +100,15 @@ def patch_matrix(model: ModelContainer, patch: Patch) -> np.ndarray:
 
 
 def extract_features(w: np.ndarray, patch: Patch, total_layers: int) -> np.ndarray:
-    """12 cheap statistics: spectrum shape, magnitudes, sparsity, position."""
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    s = full_svd(w).values
+    """12 cheap statistics: spectrum shape, magnitudes, sparsity, position.
+
+    The spectrum is LAPACK's values-only SVD of the scanned patch: no
+    singular vectors are formed.
+    """
+    w = as_tensor(w)
+    if w.ndim != 2:
+        raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
+    s = np.linalg.svd(w, compute_uv=False)
     energies = s**2
     total = float(energies.sum())
 
@@ -159,6 +173,24 @@ def output_deviation(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm((w - w_hat) @ x)) / base
 
 
+def _probe_families(families) -> list[str]:
+    """``families`` in ``FAMILIES`` order; an unknown name raises ``ValueError``."""
+    chosen = set(families)
+    unknown = sorted(chosen.difference(FAMILIES), key=repr)
+    if unknown:
+        raise ValueError("unknown family " + ", ".join(map(repr, unknown)))
+    return [f for f in FAMILIES if f in chosen]
+
+
+def _rank_search(mode_shape, family: str, budget):
+    """``select_ranks``, with an infeasible budget's error returned, not
+    raised, so that a memo keeps the skips too."""
+    try:
+        return select_ranks(mode_shape, family, budget)
+    except InfeasibleBudgetError as exc:
+        return exc
+
+
 def probe_patch(
     w: np.ndarray,
     families,
@@ -166,14 +198,25 @@ def probe_patch(
     calib: np.ndarray,
     patch_id: int = 0,
     hooi_iters: int = 1,
+    *,
+    rank_search=_rank_search,
 ) -> list[ProbeRecord]:
     """Measure the output deviation of each candidate (family, ratio).
 
     ``calib`` holds input samples, one row per column of ``w`` and at least
     8 sample columns. Infeasible ratios are skipped with a logged reason
-    rather than raised.
+    rather than raised; a family not in ``FAMILIES`` raises ``ValueError``.
+
+    Each probe equals ``compress_matrix(w, family, ratio_budget(ratio, m *
+    n), hooi_iters)`` bit for bit, from less work: ``w`` is scanned and
+    reshaped once, and one ``SvdStore`` made for this patch computes
+    Tucker's HOSVD start and every TT/TR split, so an input that repeats
+    across families and ratios costs one LAPACK SVD. The HOOI sweep SVDs
+    bypass the store: they depend on the other factors and never repeat.
+    ``rank_search`` is ``_rank_search`` or a memo of it, which ``analyze``
+    shares across its patches.
     """
-    w = np.ascontiguousarray(w, dtype=np.float64)
+    w = as_tensor(w)
     m, n = w.shape
     calib = np.ascontiguousarray(calib, dtype=np.float64)
     if calib.shape[0] != n:
@@ -181,15 +224,17 @@ def probe_patch(
     if calib.shape[1] < 8:
         raise ValueError("calibration needs at least 8 sample columns")
 
+    mode_shape, row_mode_count = default_mode_shape(m, n)
+    t = w.reshape(mode_shape)
+    svd = SvdStore()
     records = []
-    ordered = [f for f in FAMILIES if f in set(families)]
-    for family in ordered:
+    for family in _probe_families(families):
         for ratio in ratio_grid:
-            try:
-                layer = compress_matrix(w, family, ratio_budget(ratio, m * n), hooi_iters=hooi_iters)
-            except InfeasibleBudgetError as exc:
-                log.info("probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, exc)
+            spec = rank_search(mode_shape, family, ratio_budget(ratio, m * n))
+            if isinstance(spec, InfeasibleBudgetError):
+                log.info("probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, spec)
                 continue
+            layer = _decompose(t, spec, hooi_iters, row_mode_count, svd)
             deg = output_deviation(w, layer_to_matrix(layer), calib)
             records.append(
                 ProbeRecord(
@@ -426,11 +471,15 @@ def analyze(
     """Run the full analysis stage: features, strided probes, training, scoring.
 
     ``calib`` maps layer names to per-layer input samples with one row per
-    matrix column; each patch sees the row slice matching its columns.
-    ``seed`` is unused: ``calib`` is given and the fit is closed-form, so
-    nothing is drawn at random. It stays because the benchmark workloads in
-    ``perfbench/workloads.py`` pass it.
+    matrix column; each patch sees the row slice matching its columns. A
+    family not in ``FAMILIES`` raises ``ValueError`` before any work. Rank
+    selection runs once per distinct (mode shape, family, budget): a memo
+    of ``_rank_search`` made for this call, shared by its probes and
+    dropped when it returns. ``seed`` is unused: ``calib`` is given and the
+    fit is closed-form, so nothing is drawn at random. It stays because the
+    benchmark workloads in ``perfbench/workloads.py`` pass it.
     """
+    _probe_families(families)
     patches = partition_patches(model, patch_size)
     features = {
         p.patch_id: extract_features(patch_matrix(model, p), p, model.total_layers)
@@ -438,10 +487,11 @@ def analyze(
     }
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
     probes: list[ProbeRecord] = []
+    rank_search = functools.cache(_rank_search)  # for this call: patches share geometries
     for p in probe_targets:
         w = patch_matrix(model, p)
         x = calib[p.layer_name][p.col_range[0] : p.col_range[1], :]
-        probes.extend(probe_patch(w, families, ratio_grid, x, patch_id=p.patch_id))
+        probes.extend(probe_patch(w, families, ratio_grid, x, patch_id=p.patch_id, rank_search=rank_search))
     pairs = [(features[r.patch_id], r) for r in probes]
     predictor = train_predictor(pairs)
     records = [

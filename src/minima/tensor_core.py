@@ -11,7 +11,13 @@ Conventions used everywhere in this package:
   given numpy/LAPACK build and BLAS thread count;
 * the only truncation is an integer rank: keep the leading ``r`` triplets.
   Ranks come from a :class:`ParamBudget` through
-  ``tn_decompositions.select_ranks``.
+  ``tn_decompositions.select_ranks``;
+* an :class:`SvdStore` answers ``truncated_svd`` requests from the full SVD
+  of each distinct input it has seen. A hit returns the bits
+  ``truncated_svd`` would return, since a truncation is a prefix of the full
+  SVD bit for bit. A hit skips the finiteness scan only for bits that were
+  already scanned: the store is keyed by the exact shape and bytes of its
+  input, and a non-finite input raises on its miss and is never stored.
 """
 
 from __future__ import annotations
@@ -192,3 +198,37 @@ def full_svd(matrix: np.ndarray) -> SvdResult:
     """All ``min(m, n)`` singular triplets."""
     m = as_tensor(matrix)
     return truncated_svd(m, min(m.shape))
+
+
+class SvdStore:
+    """``truncated_svd`` with a memory: one LAPACK SVD per distinct input.
+
+    Calls take ``truncated_svd``'s arguments and raise its errors. The key
+    is the input's exact shape and bytes (no digest, so a hit is bit-exact
+    by construction); the value is its full thin SVD, taken by ``full_svd``
+    on a miss, so every LAPACK call still goes through the module's SVD
+    entries and their scan. Each call returns contiguous copies of the
+    leading ``rank`` triplets. A store lives as long as its owner holds
+    it: made for one patch, it holds that patch's unfoldings and splits.
+    """
+
+    def __init__(self):
+        self._full: dict[tuple, SvdResult] = {}
+
+    def __len__(self) -> int:
+        return len(self._full)
+
+    def __call__(self, matrix: np.ndarray, rank: int) -> SvdResult:
+        m = np.ascontiguousarray(matrix, dtype=np.float64)
+        key = (m.shape, m.tobytes())
+        full = self._full.get(key)
+        if full is None:
+            full = full_svd(m)
+            self._full[key] = full
+        if not 1 <= rank <= full.rank:
+            raise RankError(f"rank {rank} out of range [1, {full.rank}] for a {m.shape} matrix")
+        return SvdResult(
+            left=full.left[:, :rank].copy(),
+            values=full.values[:rank].copy(),
+            right=full.right[:, :rank].copy(),
+        )

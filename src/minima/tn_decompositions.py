@@ -13,10 +13,21 @@ Rank conventions:
 
 Input checks: ``compress_matrix`` and ``decompose`` validate their input
 with ``as_tensor`` once and hand it on without another scan. The Tucker,
-TT and TR routines do not scan theirs: their first ``truncated_svd`` call
-reads every entry and raises ``NumericsError`` on a NaN or inf, and a
+TT and TR routines do not scan theirs: their first SVD call reads every
+entry and raises ``NumericsError`` on a NaN or inf (a store's hit skips
+the scan, but only for bits it scanned on their miss), and a
 failed rank or shape check scans first, so the error types stay those of
 a scan up front.
+
+SVD source: ``tucker_decompose``, ``tt_decompose`` and ``tr_decompose``
+take a keyword-only ``svd`` with ``truncated_svd``'s contract, which
+computes Tucker's HOSVD start and every TT/TR split. A caller that
+decomposes one tensor several times passes a ``tensor_core.SvdStore`` so
+that repeated inputs (the HOSVD unfoldings at every ratio, the first TT/TR
+split, which is Tucker's mode-0 unfolding, and later splits under equal
+leading bonds) cost one LAPACK call. HOOI sweeps always call
+``truncated_svd``: their inputs depend on the other factors and do not
+repeat.
 """
 
 from __future__ import annotations
@@ -152,11 +163,11 @@ class RankSpec:
 # --- decomposition routines -------------------------------------------------
 
 
-def _orthonormal_factor(unfolding: np.ndarray, rank: int) -> np.ndarray:
-    """Leading left singular vectors, padded to ``rank`` orthonormal columns."""
+def _orthonormal_factor(unfolding: np.ndarray, rank: int, svd) -> np.ndarray:
+    """Leading left singular vectors from ``svd``, padded to ``rank`` orthonormal columns."""
     reachable = min(unfolding.shape)
     keep = min(rank, reachable)
-    u = truncated_svd(unfolding, keep).left
+    u = svd(unfolding, keep).left
     if keep < rank:
         padded = np.zeros((unfolding.shape[0], rank))
         padded[:, :keep] = u
@@ -172,8 +183,9 @@ def _tucker_core(t: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return core
 
 
-def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLayer:
-    """HOSVD initialization plus ``hooi_iters`` alternating refinement sweeps.
+def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, svd=truncated_svd) -> CompressedLayer:
+    """HOSVD initialization (its SVDs from ``svd``) plus ``hooi_iters``
+    alternating refinement sweeps (their SVDs from ``truncated_svd``).
 
     Each sweep recomputes every factor from the unfolding of the tensor
     projected onto the other factors; the reconstruction error is checked
@@ -199,7 +211,7 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
         if not 1 <= r <= t.shape[k]:
             raise _rejected(t, RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}"))
 
-    factors = [_orthonormal_factor(unfold(t, k), ranks[k]) for k in range(d)]
+    factors = [_orthonormal_factor(unfold(t, k), ranks[k], svd) for k in range(d)]
     norm = frobenius(t)
     slack = 64 * d * np.finfo(np.float64).eps
 
@@ -217,7 +229,7 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
             for j in range(d):
                 if j != k:
                     proj = mode_dot(proj, factors[j], j)
-            factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k])
+            factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k], truncated_svd)
         core = mode_dot(proj, factors[d - 1], d - 1)
         new_energy = residual_energy(core)
         if new_energy > energy + slack:
@@ -232,8 +244,9 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLay
     )
 
 
-def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
-    """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``.
+def tt_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
+    """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``,
+    each split truncated by ``svd``.
 
     Each bond is capped at its split's feasible maximum, the min dimension
     of the unfolding it truncates, so ``layer.ranks`` may be below
@@ -253,7 +266,7 @@ def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     c = t.reshape(shape[0], -1)
     for k in range(d - 1):
         c = c.reshape(r_prev * shape[k], -1)
-        res = truncated_svd(c, min(ranks[k], min(c.shape)))
+        res = svd(c, min(ranks[k], min(c.shape)))
         cores.append(res.left.reshape(r_prev, shape[k], res.rank))
         c = res.values[:, None] * res.right.T
         r_prev = res.rank
@@ -301,14 +314,14 @@ def _tr_reach(shape: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...]
     return tuple(achieved[:d])
 
 
-def _padded_split(c: np.ndarray, rank: int):
-    """Truncated SVD split ``c ~ u @ rest`` with ``u`` zero-padded to ``rank`` columns.
+def _padded_split(c: np.ndarray, rank: int, svd):
+    """Split ``c ~ u @ rest`` by ``svd``, with ``u`` zero-padded to ``rank`` columns.
 
     Padding past the unfolding's min dimension stores dead zeros but keeps the
     requested core shapes, so parameter accounting stays closed-form.
     """
     keep = min(rank, min(c.shape))
-    res = truncated_svd(c, keep)
+    res = svd(c, keep)
     u = np.zeros((c.shape[0], rank))
     u[:, :keep] = res.left
     rest = np.zeros((rank, c.shape[1]))
@@ -316,8 +329,9 @@ def _padded_split(c: np.ndarray, rank: int):
     return u, rest
 
 
-def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
-    """Sequential-SVD ring factorization (approximate; not ALS-optimal).
+def tr_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
+    """Sequential-SVD ring factorization (approximate; not ALS-optimal), each
+    split truncated by ``svd``.
 
     The first unfolding is truncated at rank ``ranks[0] * ranks[1]`` and
     that bond is split in two; remaining cores come from a TT-style sweep
@@ -343,7 +357,7 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
         )
 
     c = t.reshape(shape[0], -1)
-    u, m = _padded_split(c, r0 * r1)
+    u, m = _padded_split(c, r0 * r1, svd)
     core0 = u.reshape(shape[0], r0, r1).transpose(1, 0, 2)
     c = np.ascontiguousarray(np.moveaxis(m.reshape(r0, r1, -1), 0, -1))  # (r1, rest..., r0)
 
@@ -351,7 +365,7 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     r_prev = r1
     for k in range(1, d - 1):
         c = c.reshape(r_prev * shape[k], -1)
-        u, c = _padded_split(c, ranks[k + 1])
+        u, c = _padded_split(c, ranks[k + 1], svd)
         cores.append(u.reshape(r_prev, shape[k], ranks[k + 1]))
         r_prev = ranks[k + 1]
     cores.append(c.reshape(r_prev, shape[d - 1], r0))
@@ -519,11 +533,17 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
 
 def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
     """Dispatch a tensor to the decomposition named by ``spec``."""
-    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count)
+    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count, truncated_svd)
 
 
-def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int) -> CompressedLayer:
-    """``decompose`` of a tensor that ``as_tensor`` has already validated."""
+def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int, svd) -> CompressedLayer:
+    """``decompose`` of a tensor that ``as_tensor`` has already validated,
+    its HOSVD start or splits computed by ``svd``.
+
+    Callers pass ``truncated_svd`` as looked up at their call, not the
+    routines' default bound at import, so a replaced module binding (a
+    tracer, a counting test) sees every SVD.
+    """
     if spec.family == DENSE:
         rows = math.prod(t.shape[:row_mode_count])
         return CompressedLayer(
@@ -533,11 +553,11 @@ def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: i
             matrix=t.reshape(rows, -1),
         )
     if spec.family == "tucker":
-        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
+        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters, svd=svd)
     elif spec.family == "tt":
-        layer = tt_decompose(t, spec.ranks)
+        layer = tt_decompose(t, spec.ranks, svd=svd)
     else:
-        layer = tr_decompose(t, spec.ranks)
+        layer = tr_decompose(t, spec.ranks, svd=svd)
     layer.row_mode_count = row_mode_count
     layer.validate()
     return layer
@@ -559,4 +579,4 @@ def compress_matrix(
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
     spec = select_ranks(mode_shape, family, target)
-    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count)
+    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, truncated_svd)

@@ -9,3 +9,17 @@ def rng():
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The shape of every ``np.linalg.svd`` call the test makes, in call order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

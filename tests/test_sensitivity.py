@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minima import sensitivity
-from minima.errors import EmptyModelError, NumericsError
+from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError
 from minima.model import LayerEntry, ModelContainer
 from minima.planner import allocate, build_options
 from minima.sensitivity import (
@@ -17,13 +17,14 @@ from minima.sensitivity import (
     _score_targets,
     analyze,
     extract_features,
+    output_deviation,
     partition_patches,
     patch_matrix,
     predict,
     probe_patch,
     train_predictor,
 )
-from minima.tn_decompositions import FAMILIES
+from minima.tn_decompositions import FAMILIES, compress_matrix, layer_to_matrix, ratio_budget
 
 
 def make_model(matrices):
@@ -141,6 +142,22 @@ class TestFeatures:
         b = extract_features(w.copy(), meta_patch(), 1)
         assert a.tobytes() == b.tobytes()
 
+    def test_spectrum_is_one_values_only_svd(self, rng, lapack_calls):
+        w = rng.standard_normal((24, 16))
+        f = extract_features(w, meta_patch(), 1)
+        assert lapack_calls == [(24, 16)]
+        energies = np.linalg.svd(w, compute_uv=False) ** 2
+        assert f[0] == float(energies.sum()) / float(energies[0])  # stable rank
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_patch_raises_before_lapack(self, rng, lapack_calls, bad):
+        # LAPACK must not see an inf: an SVD of one can fail to return
+        w = rng.standard_normal((4, 128))
+        w[1, 77] = bad
+        with pytest.raises(NumericsError):
+            extract_features(w, meta_patch(), 1)
+        assert lapack_calls == []
+
 
 class TestProbes:
     def test_full_ratio_is_lossless(self, rng):
@@ -181,6 +198,103 @@ class TestProbes:
         assert [(r.family, r.target_ratio, r.measured_degradation) for r in a] == [
             (r.family, r.target_ratio, r.measured_degradation) for r in b
         ]
+
+
+def compress_matrix_probes(w, families, ratio_grid, calib, patch_id=0, hooi_iters=1):
+    """``probe_patch`` as one ``compress_matrix`` per (family, ratio), with no
+    shared SVDs or rank searches."""
+    m, n = w.shape
+    records = []
+    for family in [f for f in FAMILIES if f in families]:
+        for ratio in ratio_grid:
+            try:
+                layer = compress_matrix(w, family, ratio_budget(ratio, m * n), hooi_iters=hooi_iters)
+            except InfeasibleBudgetError:
+                continue
+            deg = output_deviation(w, layer_to_matrix(layer), calib)
+            records.append(ProbeRecord(patch_id, family, float(ratio), deg))
+    return records
+
+
+def record_bits(records) -> list:
+    return [(r.patch_id, r.family, r.target_ratio, np.float64(r.measured_degradation).tobytes()) for r in records]
+
+
+class TestProbeSvdStore:
+    # 0.01 of a patch is below every rank-1 count at these sizes, so it is skipped
+    GRID = (0.5, 0.35, 0.25, 0.15, 0.01)
+
+    @pytest.mark.parametrize(
+        "shape, rank", [((16, 16), None), ((32, 32), None), ((36, 64), None), ((32, 32), 3)],
+        ids=["16x16", "32x32", "36x64", "32x32-rank3"],
+    )
+    @pytest.mark.parametrize("hooi_iters", [1, 2])
+    def test_records_equal_the_compress_matrix_loop_bitwise(self, rng, shape, rank, hooi_iters):
+        if rank is None:
+            w = decayed_matrix(rng, *shape, 0.1)
+        else:
+            w = decayed_matrix(rng, shape[0], rank, 0.1) @ rng.standard_normal((rank, shape[1]))
+        calib = seeded_calib(shape[1], 4)
+        fast = probe_patch(w, FAMILIES, self.GRID, calib, patch_id=7, hooi_iters=hooi_iters)
+        slow = compress_matrix_probes(w, FAMILIES, self.GRID, calib, patch_id=7, hooi_iters=hooi_iters)
+        assert len(fast) == 3 * (len(self.GRID) - 1)
+        assert record_bits(fast) == record_bits(slow)
+
+    def test_a_16x16_probe_makes_27_lapack_svds(self, rng, lapack_calls):
+        # (4, 4, 4, 4) modes: 4 HOSVD unfoldings, then 16 HOOI sweep SVDs (one
+        # sweep, 4 modes, 4 ratios) and 7 TT splits the store has not seen; the
+        # first TT split is Tucker's mode-0 unfolding and TR's splits are TT's
+        w = decayed_matrix(rng, 16, 16, 0.1)
+        probe_patch(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
+        assert len(lapack_calls) == 27
+        lapack_calls.clear()
+        compress_matrix_probes(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
+        assert len(lapack_calls) == 56
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("hooi_iters", [1, 2])
+    def test_compress_matrix_keeps_one_svd_per_split(self, rng, lapack_calls, family, hooi_iters):
+        # compress_matrix decomposes once, so it takes no store: Tucker makes d
+        # HOSVD SVDs plus d per sweep, TT and TR one per split
+        w = decayed_matrix(rng, 32, 32, 0.1)  # (4, 8, 4, 8) modes
+        for ratio in (0.5, 0.25):
+            lapack_calls.clear()
+            compress_matrix(w, family, ratio_budget(ratio, w.size), hooi_iters=hooi_iters)
+            assert len(lapack_calls) == (4 * (1 + hooi_iters) if family == "tucker" else 3)
+
+    def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng, monkeypatch):
+        # 32 x 32 and 32 x 16 patches, probed in both layers
+        model = make_model([(f"w{i}", decayed_matrix(rng, 64, 48, 0.1 + 0.1 * i), "ffn") for i in range(2)])
+        calib = {name: rng.standard_normal((48, 16)) for name in model.names()}
+        calls = []
+        search = sensitivity.select_ranks
+
+        def counting(mode_shape, family, target):
+            calls.append((tuple(mode_shape), family, target))
+            return search(mode_shape, family, target)
+
+        monkeypatch.setattr(sensitivity, "select_ranks", counting)
+        grid = (0.5, 0.25, 0.02)  # 0.02 is infeasible everywhere: a memoized skip
+        first = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
+        assert {(p.rows, p.cols) for p in first.patches} == {(32, 32), (32, 16)}
+        assert len(calls) == len(set(calls)) == 2 * len(FAMILIES) * len(grid)
+        calls.clear()
+        again = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
+        assert len(calls) == 2 * len(FAMILIES) * len(grid)  # no memo outlives a call
+        assert record_bits(again.probes) == record_bits(first.probes)
+
+    @pytest.mark.parametrize("families, unknown", [(("TT",), "'TT'"), (("tt", "cp"), "'cp'"), ("tt", "'t'")])
+    def test_probe_patch_rejects_an_unknown_family(self, rng, families, unknown):
+        with pytest.raises(ValueError, match=f"unknown family {unknown}"):
+            probe_patch(rng.standard_normal((16, 16)), families, (0.5,), seeded_calib(16, 3))
+
+    @pytest.mark.parametrize("families, unknown", [(("TT",), "'TT'"), (("tt", "cp"), "'cp'")])
+    def test_analyze_rejects_an_unknown_family(self, rng, lapack_calls, families, unknown):
+        model = make_model([("w", rng.standard_normal((64, 64)), "ffn")])
+        calib = {"w": rng.standard_normal((64, 16))}
+        with pytest.raises(ValueError, match=f"unknown family {unknown}"):
+            analyze(model, calib, patch_size=(32, 32), families=families, probe_stride=1)
+        assert lapack_calls == []  # before any feature or probe
 
 
 def linear_records(rng, n_patches, coeffs, intercept=0.2, shuffle=False):

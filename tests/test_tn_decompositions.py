@@ -176,10 +176,10 @@ class TestTucker:
         leading = tn._orthonormal_factor
         calls = []
 
-        def trailing_in_sweeps(unfolding, rank):
+        def trailing_in_sweeps(unfolding, rank, svd):
             calls.append(rank)
             if len(calls) <= t.ndim:  # HOSVD initialization
-                return leading(unfolding, rank)
+                return leading(unfolding, rank, svd)
             return np.linalg.svd(unfolding)[0][:, -rank:]
 
         monkeypatch.setattr(tn, "_orthonormal_factor", trailing_in_sweeps)
@@ -638,3 +638,30 @@ class TestInputChecks:
             chain = decompose(as_tensor(w).reshape(mode_shape), spec, hooi_iters=2, row_mode_count=row_modes)
             assert fast.row_mode_count == chain.row_mode_count and fast.ranks == chain.ranks
             assert all(bitwise_equal(a, b) for a, b in zip(payload(fast), payload(chain), strict=True))
+
+
+class TestSvdSource:
+    """The routines' ``svd`` keyword: a ``tc.SvdStore`` changes no bit of a
+    layer and holds only the inputs that can repeat."""
+
+    def test_tucker_stores_only_its_hosvd_unfoldings(self, rng):
+        t = rng.standard_normal((4, 3, 5, 2))
+        for iters in range(3):
+            store = tc.SvdStore()
+            for ranks in [(2, 2, 2, 1), (3, 2, 4, 2), (2, 2, 2, 1)]:
+                layer = tucker_decompose(t, ranks, hooi_iters=iters, svd=store)
+                plain = tucker_decompose(t, ranks, hooi_iters=iters)
+                assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True))
+            assert len(store) == t.ndim  # HOOI sweep inputs bypass the store
+
+    def test_tr_with_a_unit_closing_bond_repeats_the_tt_splits(self, rng):
+        t = rng.standard_normal((4, 4, 4, 4))
+        store = tc.SvdStore()
+        for bonds in [(3, 5, 2), (4, 8, 4), (3, 5, 2)]:
+            tt = tt_decompose(t, bonds, svd=store)
+            assert all(bitwise_equal(a, b) for a, b in zip(tt.cores, tt_decompose(t, bonds).cores, strict=True))
+            stored = len(store)
+            tr = tr_decompose(t, (1, *bonds), svd=store)
+            assert len(store) == stored
+            assert all(bitwise_equal(a, b) for a, b in zip(tr.cores, tr_decompose(t, (1, *bonds)).cores, strict=True))
+        assert len(store) == 1 + 2 * 2  # the first split once, two more per distinct bond vector
