@@ -16,11 +16,12 @@ of three runs; every run's time is kept.
 
 One more run, untimed, counts LAPACK SVD calls (``np.linalg.svd``): all of
 them, the values-only ones, and those whose input (shape and bytes) an
-earlier call of the run already had. The same run is traced with
-``perfbench/spans.py``, and its per-layer metrics give the split of
-``analyze``'s time. Each row also records the plans' achieved ratios and a
-digest of the probe records, so two checkouts can be compared for equal
-outputs. The JSON written to ``--out`` records the numpy version, the BLAS
+earlier call of the run already had. It counts the eigendecompositions
+(``np.linalg.eigh``) that give Tucker's factors the same way. The same run
+is traced with ``perfbench/spans.py``, and its per-layer metrics give the
+split of ``analyze``'s time. Each row also records the plans' achieved
+ratios and a digest of the probe records, so two checkouts can be compared
+for equal outputs. The JSON written to ``--out`` records the numpy version, the BLAS
 build and the BLAS thread count, read as ``perfbench/run.py`` reads them;
 the BLAS is pinned to one thread as in ``perfbench/``.
 """
@@ -115,31 +116,39 @@ def run_once(model, calib):
     return (result, options, mixed, uniform), times
 
 
-def counted_run(model, calib) -> tuple[dict, dict]:
-    """LAPACK SVD counts and traced per-layer metrics of one run."""
-    svd = np.linalg.svd
-    counts = {"calls": 0, "values_only": 0, "repeated_inputs": 0}
-    seen = set()
+def counting(fn, counts: dict, seen: set):
+    """``fn`` counting its calls, values-only ones and repeated inputs into ``counts``."""
 
-    def counting(a, *args, **kwargs):
+    def call(a, *args, **kwargs):
         a = np.ascontiguousarray(a)
         key = (a.shape, a.tobytes())
         counts["calls"] += 1
-        counts["values_only"] += kwargs.get("compute_uv") is False
+        if "values_only" in counts:
+            counts["values_only"] += kwargs.get("compute_uv") is False
         counts["repeated_inputs"] += key in seen
         seen.add(key)
-        return svd(a, *args, **kwargs)
+        return fn(a, *args, **kwargs)
 
+    return call
+
+
+def counted_run(model, calib) -> tuple[dict, dict, dict]:
+    """LAPACK SVD and eigendecomposition counts and traced per-layer metrics
+    of one run."""
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+    svd_counts = {"calls": 0, "values_only": 0, "repeated_inputs": 0}
+    eigh_counts = {"calls": 0, "repeated_inputs": 0}
     tracer = Tracer()
     mods = {name: importlib.import_module(f"minima.{name}") for name in MODULES}
-    np.linalg.svd = counting
+    np.linalg.svd = counting(svd, svd_counts, set())
+    np.linalg.eigh = counting(eigh, eigh_counts, set())
     try:
         with installed(tracer, mods):
             run_once(model, calib)
     finally:
-        np.linalg.svd = svd
+        np.linalg.svd, np.linalg.eigh = svd, eigh
     metrics = layer_metrics(tracer.take())
-    return counts, {name: metrics[name] for name in TRACED}
+    return svd_counts, eigh_counts, {name: metrics[name] for name in TRACED}
 
 
 def probe_digest(probes) -> str:
@@ -159,12 +168,13 @@ def measure(name: str) -> dict:
         (result, options, mixed, uniform), times = run_once(model, calib)
         for stage, t in times.items():
             runs.setdefault(stage, []).append(t)
-    svd_counts, traced = counted_run(model, calib)
+    svd_counts, eigh_counts, traced = counted_run(model, calib)
     row = {"model": name, "layers": LAYERS, "layer": [size, size], "patches": len(result.patches)}
     row["probed_patches"] = len(result.probed_ids)
     row.update({stage: statistics.median(ts) for stage, ts in runs.items()})
     row["total_s"] = sum(row[stage] for stage in runs)
     row["lapack_svd"] = svd_counts
+    row["lapack_eigh"] = eigh_counts
     row["traced"] = traced
     row["probes"] = len(result.probes)
     row["probe_digest"] = probe_digest(result.probes)

@@ -3,6 +3,7 @@ model-wide compression plan that satisfies a parameter budget."""
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -210,15 +211,39 @@ def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
     )
 
 
-def _interp_degradation(opt: PatchOptions, family: str, ratio: float) -> float:
-    curve = sorted(
-        [(c.ratio, c.predicted_degradation) for c in opt.candidates if c.family == family]
-    )
-    if not curve:
-        return 0.0
-    xs = [r for r, _ in curve] + [1.0]
-    ys = [d for _, d in curve] + [0.0]
-    return float(np.interp(ratio, xs, ys))
+def _interp_degradations(options, family: str, ratio: float) -> list[float]:
+    """Each option's predicted degradation at ``ratio``: its ``family``
+    candidates sorted by ratio and anchored at (1, 0), interpolated
+    linearly; 0.0 for an option with no such candidate.
+
+    Options whose curves share their ratios are interpolated together, one
+    vectorized step per distinct ratio set, with ``np.interp``'s interval
+    rule and its ``slope * (x - x_j) + y_j``, so each value is the bits
+    ``np.interp`` gives for that option alone (its NaN fallback never runs:
+    degradations are finite and ratios distinct).
+    """
+    out = [0.0] * len(options)
+    curves = {}  # ratios, anchor included -> (option indices, degradation rows)
+    for i, opt in enumerate(options):
+        curve = sorted((c.ratio, c.predicted_degradation) for c in opt.candidates if c.family == family)
+        if curve:
+            xs, ys = zip(*curve)
+            rows, degs = curves.setdefault(xs + (1.0,), ([], []))
+            rows.append(i)
+            degs.append(ys + (0.0,))
+    for xs, (rows, degs) in curves.items():
+        ys = np.array(degs)
+        j = bisect.bisect_right(xs, ratio) - 1  # xs[j] <= ratio < xs[j + 1]
+        if j < 0:
+            values = ys[:, 0]
+        elif j == len(xs) - 1 or xs[j] == ratio:
+            values = ys[:, j]
+        else:
+            slope = (ys[:, j + 1] - ys[:, j]) / (xs[j + 1] - xs[j])
+            values = slope * (ratio - xs[j]) + ys[:, j]
+        for i, value in zip(rows, values.tolist()):
+            out[i] = value
+    return out
 
 
 def _uniform_selection(shapes, family: str, ratio: float, fit):
@@ -288,14 +313,15 @@ def _uniform(options, target_ratio, family) -> CompressionPlan:
     ratio = lo
     total, chosen = _uniform_selection(shapes, family, ratio, fit)
 
+    ordered = sorted(options, key=lambda o: o.patch_id)
     entries = []
-    for opt in sorted(options, key=lambda o: o.patch_id):
+    for opt, degradation in zip(ordered, _interp_degradations(ordered, family, ratio)):
         ranks_params = chosen.get(((opt.patch.rows, opt.patch.cols), opt.compressible))
         if ranks_params is None:
             entries.append(_dense_entry(opt.patch))
         else:
             ranks, params = ranks_params
-            entries.append(PlanEntry(opt.patch, family, ratio, ranks, params, _interp_degradation(opt, family, ratio)))
+            entries.append(PlanEntry(opt.patch, family, ratio, ranks, params, degradation))
     return CompressionPlan(
         mode="uniform",
         target_ratio=target_ratio,

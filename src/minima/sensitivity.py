@@ -12,7 +12,7 @@ import numpy as np
 
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
-from minima.tensor_core import SvdStore, as_tensor
+from minima.tensor_core import BasisStore, SvdStore, as_tensor
 from minima.tn_decompositions import (
     FAMILIES,
     _decompose,
@@ -209,12 +209,15 @@ def probe_patch(
 
     Each probe equals ``compress_matrix(w, family, ratio_budget(ratio, m *
     n), hooi_iters)`` bit for bit, from less work: ``w`` is scanned and
-    reshaped once, and one ``SvdStore`` made for this patch computes
-    Tucker's HOSVD start and every TT/TR split, so an input that repeats
-    across families and ratios costs one LAPACK SVD. The HOOI sweep SVDs
-    bypass the store: they depend on the other factors and never repeat.
-    ``rank_search`` is ``_rank_search`` or a memo of it, which ``analyze``
-    shares across its patches.
+    reshaped once, and two stores made for this patch remember what
+    repeats across ratios. A ``BasisStore`` computes Tucker's HOSVD start,
+    so each mode unfolding costs one Gram eigendecomposition, and it keeps
+    the unfolding's eigenvalues (squared singular values, scaled by a power
+    of two). An ``SvdStore`` computes every TT/TR split, so a split that
+    repeats across ratios and families costs one LAPACK SVD. The HOOI sweep
+    bases bypass the stores: they depend on the other factors and never
+    repeat. ``rank_search`` is ``_rank_search`` or a memo of it, which
+    ``analyze`` shares across its patches.
     """
     w = as_tensor(w)
     m, n = w.shape
@@ -226,7 +229,7 @@ def probe_patch(
 
     mode_shape, row_mode_count = default_mode_shape(m, n)
     t = w.reshape(mode_shape)
-    svd = SvdStore()
+    svd, basis = SvdStore(), BasisStore()
     records = []
     for family in _probe_families(families):
         for ratio in ratio_grid:
@@ -234,7 +237,7 @@ def probe_patch(
             if isinstance(spec, InfeasibleBudgetError):
                 log.info("probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, spec)
                 continue
-            layer = _decompose(t, spec, hooi_iters, row_mode_count, svd)
+            layer = _decompose(t, spec, hooi_iters, row_mode_count, svd, basis)
             deg = output_deviation(w, layer_to_matrix(layer), calib)
             records.append(
                 ProbeRecord(

@@ -1,4 +1,5 @@
-"""Dense tensor substrate: reshaping, unfolding, mode products, truncated SVD.
+"""Dense tensor substrate: reshaping, unfolding, mode products, truncated SVD
+and leading bases.
 
 Conventions used everywhere in this package:
 
@@ -9,19 +10,33 @@ Conventions used everywhere in this package:
 * every SVD is LAPACK's (``numpy.linalg.svd``) under a fixed sign
   convention, so identical input bits give identical output bits on a
   given numpy/LAPACK build and BLAS thread count;
-* the only truncation is an integer rank: keep the leading ``r`` triplets.
-  Ranks come from a :class:`ParamBudget` through
+* a factor that needs only the left singular subspace (a Tucker factor)
+  comes from :func:`leading_basis`: the eigenvectors of the Gram matrix
+  ``s @ s.T`` by LAPACK's ``numpy.linalg.eigh``, largest eigenvalue first,
+  under ``truncated_svd``'s sign rule. ``s`` is the input scaled by the
+  exact power of two that puts its largest magnitude in [0.5, 1), so the
+  Gram cannot overflow and its largest entry cannot underflow, and scaling
+  the input by any power of two (short of the subnormal range) changes no
+  output bit. An
+  ``m x n`` input costs an ``m x m`` eigendecomposition and no right
+  vectors, and identical input bits give identical output bits on a
+  given build, as for the SVD;
+* the only truncation is an integer rank: keep the leading ``r`` triplets
+  or vectors. Ranks come from a :class:`ParamBudget` through
   ``tn_decompositions.select_ranks``;
 * an :class:`SvdStore` answers ``truncated_svd`` requests from the full SVD
-  of each distinct input it has seen. A hit returns the bits
-  ``truncated_svd`` would return, since a truncation is a prefix of the full
-  SVD bit for bit. A hit skips the finiteness scan only for bits that were
-  already scanned: the store is keyed by the exact shape and bytes of its
-  input, and a non-finite input raises on its miss and is never stored.
+  of each distinct input it has seen, and a :class:`BasisStore` answers
+  ``leading_basis`` requests from the full Gram eigenbasis. A hit returns
+  the bits the plain call would return, since a truncation is a prefix of
+  the full result bit for bit. A hit skips the finiteness scan only for
+  bits that were already scanned: a store is keyed by the exact shape and
+  bytes of its input, and a non-finite input raises on its miss and is
+  never stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +57,8 @@ def as_tensor(data, shape=None) -> np.ndarray:
 def _as_array(data, shape=None) -> np.ndarray:
     """``as_tensor`` without the scan for non-finite entries.
 
-    For the decompositions, whose first ``truncated_svd`` call scans every
-    entry of their input.
+    For the decompositions, whose first ``truncated_svd`` or
+    ``leading_basis`` call scans every entry of their input.
     """
     t = np.ascontiguousarray(data, dtype=np.float64)
     if shape is not None:
@@ -141,22 +156,19 @@ class SvdResult:
         return int(self.values.shape[0])
 
 
-def _complete_basis(u: np.ndarray, fixed: int) -> None:
-    """Deterministically fill columns ``fixed:`` of ``u`` with orthonormal vectors.
+def _matrix(data) -> np.ndarray:
+    """``as_tensor`` of a rank-2 tensor; other ranks raise ``ShapeError``."""
+    m = as_tensor(data)
+    if m.ndim != 2:
+        raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
+    return m
 
-    Greedy pick: at each step take the canonical basis vector with the
-    largest residual against the columns accepted so far (lowest index on
-    ties), orthogonalize twice, normalize.
-    """
-    m, k = u.shape
-    for j in range(fixed, k):
-        basis = u[:, :j]
-        resid = np.eye(m) - basis @ basis.T
-        norms = np.linalg.norm(resid, axis=0)
-        pick = int(np.argmax(norms))
-        v = resid[:, pick]
-        v = v - basis @ (basis.T @ v)
-        u[:, j] = v / np.linalg.norm(v)
+
+def _column_signs(u: np.ndarray) -> np.ndarray:
+    """``-1.0`` or ``1.0`` per column of ``u``: the sign that makes the
+    column's largest-magnitude entry positive (lowest row index on ties)."""
+    pivots = np.argmax(np.abs(u), axis=0)
+    return np.where(u[pivots, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
@@ -178,15 +190,12 @@ def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
     with one inf entry does not return under OpenBLAS 0.3.31), and a
     product of finite entries can overflow.
     """
-    m = as_tensor(matrix)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
+    m = _matrix(matrix)
     if not 1 <= rank <= min(m.shape):
         raise RankError(f"rank {rank} out of range [1, {min(m.shape)}] for a {m.shape} matrix")
     left, values, right_t = np.linalg.svd(m, full_matrices=False)
     left, right = left[:, :rank], right_t[:rank].T
-    pivots = np.argmax(np.abs(left), axis=0)
-    signs = np.where(left[pivots, np.arange(rank)] < 0.0, -1.0, 1.0)
+    signs = _column_signs(left)
     return SvdResult(
         left=np.ascontiguousarray(left * signs),
         values=values[:rank].copy(),
@@ -200,31 +209,81 @@ def full_svd(matrix: np.ndarray) -> SvdResult:
     return truncated_svd(m, min(m.shape))
 
 
-class SvdStore:
-    """``truncated_svd`` with a memory: one LAPACK SVD per distinct input.
+def _gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Gram of a scanned matrix, largest
+    eigenvalue first, the vectors not yet signed.
 
-    Calls take ``truncated_svd``'s arguments and raise its errors. The key
-    is the input's exact shape and bytes (no digest, so a hit is bit-exact
-    by construction); the value is its full thin SVD, taken by ``full_svd``
-    on a miss, so every LAPACK call still goes through the module's SVD
-    entries and their scan. Each call returns contiguous copies of the
-    leading ``rank`` triplets. A store lives as long as its owner holds
-    it: made for one patch, it holds that patch's unfoldings and splits.
+    ``m`` is scaled by ``2**-e``, where ``2**e`` is the least power of two
+    above its largest magnitude (``frexp``), so the scaled entries lie in
+    (-1, 1) and the Gram's are at most the column count in magnitude. The
+    eigenvalues are the squared singular values of that scaled matrix.
     """
+    _, exponent = math.frexp(float(np.abs(m).max()))
+    s = np.ldexp(m, -exponent)
+    values, vectors = np.linalg.eigh(s @ s.T)
+    return values[::-1], vectors[:, ::-1]
+
+
+def _signed(u: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``u`` under the sign rule of ``_column_signs``."""
+    return u * _column_signs(u)
+
+
+def leading_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
+    """``rank`` orthonormal columns spanning the leading left singular
+    subspace of a rank-2 tensor, bitwise reproducible per build.
+
+    The columns are the eigenvectors of the Gram of the input scaled by a
+    power of two (see the module conventions), largest eigenvalue first,
+    each flipped so that its largest-magnitude entry is positive (lowest
+    row index on ties). Up to sign they are ``truncated_svd``'s left
+    vectors wherever the spectrum separates them. The Gram of an ``m x n``
+    input has ``m`` eigenvectors, so ``rank`` may exceed ``n``: the columns
+    past the numerical rank are still orthonormal. ``rank`` outside
+    ``[1, m]`` raises ``RankError``. The input is scanned like
+    ``truncated_svd``'s, so LAPACK never sees an inf or NaN.
+    """
+    m = _matrix(matrix)
+    if not 1 <= rank <= m.shape[0]:
+        raise RankError(f"rank {rank} out of range [1, {m.shape[0]}] for a {m.shape} matrix")
+    _, vectors = _gram_eigh(m)
+    return _signed(vectors[:, :rank])
+
+
+class _InputMemo:
+    """One computation per distinct input, keyed by the input's exact shape
+    and bytes (no digest, so a hit is bit-exact by construction). A store
+    lives as long as its owner holds it: made for one patch, it holds that
+    patch's unfoldings and splits."""
 
     def __init__(self):
-        self._full: dict[tuple, SvdResult] = {}
+        self._full: dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self._full)
 
-    def __call__(self, matrix: np.ndarray, rank: int) -> SvdResult:
+    def _lookup(self, matrix: np.ndarray, compute):
         m = np.ascontiguousarray(matrix, dtype=np.float64)
         key = (m.shape, m.tobytes())
         full = self._full.get(key)
         if full is None:
-            full = full_svd(m)
+            full = compute(m)
             self._full[key] = full
+        return m, full
+
+
+class SvdStore(_InputMemo):
+    """``truncated_svd`` with a memory: one LAPACK SVD per distinct input.
+
+    Calls take ``truncated_svd``'s arguments and raise its errors. The value
+    kept is the input's full thin SVD, taken by ``full_svd`` on a miss, so
+    every LAPACK call still goes through the module's SVD entries and their
+    scan. Each call returns contiguous copies of the leading ``rank``
+    triplets.
+    """
+
+    def __call__(self, matrix: np.ndarray, rank: int) -> SvdResult:
+        m, full = self._lookup(matrix, full_svd)
         if not 1 <= rank <= full.rank:
             raise RankError(f"rank {rank} out of range [1, {full.rank}] for a {m.shape} matrix")
         return SvdResult(
@@ -232,3 +291,26 @@ class SvdStore:
             values=full.values[:rank].copy(),
             right=full.right[:, :rank].copy(),
         )
+
+
+class BasisStore(_InputMemo):
+    """``leading_basis`` with a memory: one LAPACK eigendecomposition per
+    distinct input.
+
+    Calls take ``leading_basis``'s arguments and raise its errors. The value
+    kept is the input's full Gram eigendecomposition: every eigenvector and
+    the eigenvalues, the squared singular values of the input scaled by a
+    power of two, largest first. Each call returns a contiguous copy of the
+    leading ``rank`` vectors.
+    """
+
+    @staticmethod
+    def _eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, vectors = _gram_eigh(_matrix(m))
+        return values, _signed(vectors)
+
+    def __call__(self, matrix: np.ndarray, rank: int) -> np.ndarray:
+        m, (_, vectors) = self._lookup(matrix, self._eigenpairs)
+        if not 1 <= rank <= m.shape[0]:
+            raise RankError(f"rank {rank} out of range [1, {m.shape[0]}] for a {m.shape} matrix")
+        return vectors[:, :rank].copy()

@@ -13,20 +13,25 @@ Rank conventions:
 
 Input checks: ``compress_matrix`` and ``decompose`` validate their input
 with ``as_tensor`` once and hand it on without another scan. The Tucker,
-TT and TR routines do not scan theirs: their first SVD call reads every
-entry and raises ``NumericsError`` on a NaN or inf (a store's hit skips
-the scan, but only for bits it scanned on their miss), and a
+TT and TR routines do not scan theirs: their first SVD or basis call reads
+every entry and raises ``NumericsError`` on a NaN or inf (a store's hit
+skips the scan, but only for bits it scanned on their miss), and a
 failed rank or shape check scans first, so the error types stay those of
 a scan up front.
 
-SVD source: ``tucker_decompose``, ``tt_decompose`` and ``tr_decompose``
-take a keyword-only ``svd`` with ``truncated_svd``'s contract, which
-computes Tucker's HOSVD start and every TT/TR split. A caller that
-decomposes one tensor several times passes a ``tensor_core.SvdStore`` so
-that repeated inputs (the HOSVD unfoldings at every ratio, the first TT/TR
-split, which is Tucker's mode-0 unfolding, and later splits under equal
-leading bonds) cost one LAPACK call. HOOI sweeps always call
-``truncated_svd``: their inputs depend on the other factors and do not
+Factor sources: a Tucker factor needs only the leading left singular
+subspace of a mode unfolding, so ``tucker_decompose`` takes every factor,
+the HOSVD start and each HOOI sweep's, from ``tensor_core.leading_basis``
+(the unfolding's Gram eigenvectors): an ``n_k x rest`` unfolding costs an
+``n_k x n_k`` eigendecomposition. TT and TR splits need the singular
+values and right vectors too, so they take ``truncated_svd``. Keyword-only
+sources let a caller that decomposes one tensor several times memoize the
+inputs that repeat: ``tucker_decompose(..., basis=...)`` computes the HOSVD
+start, and ``tt_decompose`` / ``tr_decompose(..., svd=...)`` every split.
+With a ``tensor_core.BasisStore`` and an ``SvdStore``, the HOSVD
+unfoldings at every ratio, the first TT/TR split and later splits under
+equal leading bonds cost one LAPACK call each. HOOI sweeps always call
+``leading_basis``: their inputs depend on the other factors and do not
 repeat.
 """
 
@@ -41,10 +46,10 @@ from minima.errors import InfeasibleBudgetError, NumericsError, RankError, Shape
 from minima.tensor_core import (
     ParamBudget,
     _as_array,
-    _complete_basis,
     _rejected,
     as_tensor,
     frobenius,
+    leading_basis,
     mode_dot,
     truncated_svd,
     unfold,
@@ -163,17 +168,11 @@ class RankSpec:
 # --- decomposition routines -------------------------------------------------
 
 
-def _orthonormal_factor(unfolding: np.ndarray, rank: int, svd) -> np.ndarray:
-    """Leading left singular vectors from ``svd``, padded to ``rank`` orthonormal columns."""
-    reachable = min(unfolding.shape)
-    keep = min(rank, reachable)
-    u = svd(unfolding, keep).left
-    if keep < rank:
-        padded = np.zeros((unfolding.shape[0], rank))
-        padded[:, :keep] = u
-        _complete_basis(padded, keep)
-        return padded
-    return u
+def _orthonormal_factor(unfolding: np.ndarray, rank: int, basis) -> np.ndarray:
+    """The ``rank`` leading orthonormal columns of ``unfolding`` from
+    ``basis``: the one call through which Tucker takes each factor, so a
+    test can substitute it."""
+    return basis(unfolding, rank)
 
 
 def _tucker_core(t: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
@@ -183,9 +182,9 @@ def _tucker_core(t: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return core
 
 
-def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, svd=truncated_svd) -> CompressedLayer:
-    """HOSVD initialization (its SVDs from ``svd``) plus ``hooi_iters``
-    alternating refinement sweeps (their SVDs from ``truncated_svd``).
+def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, basis=leading_basis) -> CompressedLayer:
+    """HOSVD initialization (its factors from ``basis``) plus ``hooi_iters``
+    alternating refinement sweeps (their factors from ``leading_basis``).
 
     Each sweep recomputes every factor from the unfolding of the tensor
     projected onto the other factors; the reconstruction error is checked
@@ -196,11 +195,17 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, svd=truncated
     mode product, and taking its square root would lift that noise to
     ~sqrt(eps) near an exact fit.
 
-    A sweep's core is its last projection times its last factor: the
-    projection for mode d-1 has already applied the sweep's factors
-    0..d-2 in mode order, so one more ``mode_dot`` is ``_tucker_core(t,
-    factors)`` operation for operation. That core gives the sweep's
-    residual energy, and the last one computed is the one returned.
+    A sweep projects mode k's input in mode order: the tensor times the
+    factors 0..k-1 the sweep has already updated, then times the factors
+    k+1..d-1 of the previous sweep. The first part is shared: the sweep
+    keeps ``t`` times its updated factors and extends it by one
+    ``mode_dot`` after each update, so mode k applies only its d-1-k
+    suffix factors. A sweep costs d(d+1)/2 mode products, not the d(d-1)+1
+    of projecting each mode's input afresh, and the products and their
+    order are the same. After the last update that prefix is
+    ``_tucker_core(t, factors)`` operation for operation. It gives the
+    sweep's residual energy, and the last one computed is the core
+    returned.
     """
     t = _as_array(t)
     d = t.ndim
@@ -211,7 +216,7 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, svd=truncated
         if not 1 <= r <= t.shape[k]:
             raise _rejected(t, RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}"))
 
-    factors = [_orthonormal_factor(unfold(t, k), ranks[k], svd) for k in range(d)]
+    factors = [_orthonormal_factor(unfold(t, k), ranks[k], basis) for k in range(d)]
     norm = frobenius(t)
     slack = 64 * d * np.finfo(np.float64).eps
 
@@ -224,13 +229,14 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, svd=truncated
     core = _tucker_core(t, factors)
     energy = residual_energy(core)
     for sweep in range(hooi_iters):
+        prefix = t  # t times this sweep's factors 0..k-1
         for k in range(d):
-            proj = t
-            for j in range(d):
-                if j != k:
-                    proj = mode_dot(proj, factors[j], j)
-            factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k], truncated_svd)
-        core = mode_dot(proj, factors[d - 1], d - 1)
+            proj = prefix
+            for j in range(k + 1, d):
+                proj = mode_dot(proj, factors[j], j)
+            factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k], leading_basis)
+            prefix = mode_dot(prefix, factors[k], k)
+        core = prefix
         new_energy = residual_energy(core)
         if new_energy > energy + slack:
             raise NumericsError(
@@ -533,16 +539,18 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
 
 def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
     """Dispatch a tensor to the decomposition named by ``spec``."""
-    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count, truncated_svd)
+    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count, truncated_svd, leading_basis)
 
 
-def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int, svd) -> CompressedLayer:
+def _decompose(
+    t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int, svd, basis
+) -> CompressedLayer:
     """``decompose`` of a tensor that ``as_tensor`` has already validated,
-    its HOSVD start or splits computed by ``svd``.
+    its HOSVD start computed by ``basis`` and its TT/TR splits by ``svd``.
 
-    Callers pass ``truncated_svd`` as looked up at their call, not the
-    routines' default bound at import, so a replaced module binding (a
-    tracer, a counting test) sees every SVD.
+    Callers pass ``truncated_svd`` and ``leading_basis`` as looked up at
+    their call, not the routines' defaults bound at import, so a replaced
+    module binding (a tracer, a counting test) sees every call.
     """
     if spec.family == DENSE:
         rows = math.prod(t.shape[:row_mode_count])
@@ -553,7 +561,7 @@ def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: i
             matrix=t.reshape(rows, -1),
         )
     if spec.family == "tucker":
-        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters, svd=svd)
+        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters, basis=basis)
     elif spec.family == "tt":
         layer = tt_decompose(t, spec.ranks, svd=svd)
     else:
@@ -579,4 +587,4 @@ def compress_matrix(
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
     spec = select_ranks(mode_shape, family, target)
-    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, truncated_svd)
+    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, truncated_svd, leading_basis)

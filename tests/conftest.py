@@ -23,3 +23,17 @@ def lapack_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shape of every ``np.linalg.eigh`` call the test makes, in call order."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls

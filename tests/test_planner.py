@@ -224,6 +224,26 @@ def test_uniform_degradation_interpolates_the_family_curve(family):
         assert all(e.predicted_degradation == pytest.approx(expected, rel=1e-12) for e in plan.entries)
 
 
+def test_uniform_degradations_equal_np_interp_per_patch_bitwise():
+    # patches on two shared grids, one on its own grid, one with only another
+    # family, and one with no candidates: each value is np.interp of its own
+    # curve, at ratios left of every curve, on a point, between points and at 1
+    rng = np.random.default_rng(5)
+    grids = [RATIO_GRID, RATIO_GRID, (0.6, 0.3, 0.2), (0.6, 0.3, 0.2), (0.45, 0.05), RATIO_GRID, ()]
+    options = []
+    for pid, grid in enumerate(grids):
+        family = "tr" if pid == 5 else "tt"
+        candidates = [Candidate(family, r, 1, float(rng.uniform(0.0, 0.1))) for r in rng.permutation(grid).tolist()]
+        options.append(PatchOptions(flat_patch(pid, 64), candidates))
+    for ratio in (0.01, 0.05, 0.15, 0.2, 0.27, 0.3, 0.5, 0.55, 0.6, 0.99, 1.0):
+        got = planner._interp_degradations(options, "tt", ratio)
+        for opt, value in zip(options, got, strict=True):
+            curve = sorted((c.ratio, c.predicted_degradation) for c in opt.candidates if c.family == "tt")
+            xs, ys = [r for r, _ in curve] + [1.0], [d for _, d in curve] + [0.0]
+            want = float(np.interp(ratio, xs, ys)) if curve else 0.0
+            assert np.float64(value).tobytes() == np.float64(want).tobytes(), (opt.patch_id, ratio)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_entries_carry_the_options_patches(mode):
     options = plan_options(**MIXED)

@@ -240,27 +240,31 @@ class TestProbeSvdStore:
         assert len(fast) == 3 * (len(self.GRID) - 1)
         assert record_bits(fast) == record_bits(slow)
 
-    def test_a_16x16_probe_makes_27_lapack_svds(self, rng, lapack_calls):
-        # (4, 4, 4, 4) modes: 4 HOSVD unfoldings, then 16 HOOI sweep SVDs (one
-        # sweep, 4 modes, 4 ratios) and 7 TT splits the store has not seen; the
-        # first TT split is Tucker's mode-0 unfolding and TR's splits are TT's
+    def test_a_16x16_probe_makes_8_svds_and_20_eigendecompositions(self, rng, lapack_calls, eigh_calls):
+        # (4, 4, 4, 4) modes: Tucker takes 4 HOSVD unfolding bases, then 16 HOOI
+        # sweep bases (one sweep, 4 modes, 4 ratios); TT takes its first split,
+        # which is the same at every ratio, and 7 later splits; TR's splits are TT's
         w = decayed_matrix(rng, 16, 16, 0.1)
         probe_patch(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
-        assert len(lapack_calls) == 27
+        assert (len(lapack_calls), len(eigh_calls)) == (8, 20)
         lapack_calls.clear()
+        eigh_calls.clear()
         compress_matrix_probes(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
-        assert len(lapack_calls) == 56
+        assert (len(lapack_calls), len(eigh_calls)) == (24, 32)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("hooi_iters", [1, 2])
-    def test_compress_matrix_keeps_one_svd_per_split(self, rng, lapack_calls, family, hooi_iters):
+    def test_compress_matrix_keeps_one_svd_per_split(self, rng, lapack_calls, eigh_calls, family, hooi_iters):
         # compress_matrix decomposes once, so it takes no store: Tucker makes d
-        # HOSVD SVDs plus d per sweep, TT and TR one per split
+        # HOSVD eigendecompositions plus d per sweep and no SVD, TT and TR one
+        # SVD per split
         w = decayed_matrix(rng, 32, 32, 0.1)  # (4, 8, 4, 8) modes
         for ratio in (0.5, 0.25):
             lapack_calls.clear()
+            eigh_calls.clear()
             compress_matrix(w, family, ratio_budget(ratio, w.size), hooi_iters=hooi_iters)
-            assert len(lapack_calls) == (4 * (1 + hooi_iters) if family == "tucker" else 3)
+            expected = (0, 4 * (1 + hooi_iters)) if family == "tucker" else (3, 0)
+            assert (len(lapack_calls), len(eigh_calls)) == expected
 
     def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng, monkeypatch):
         # 32 x 32 and 32 x 16 patches, probed in both layers

@@ -3,11 +3,13 @@ import pytest
 
 from minima.errors import DegenerateReferenceError, NumericsError, RankError, ShapeError
 from minima.tensor_core import (
+    BasisStore,
     ParamBudget,
     SvdStore,
     as_tensor,
     frobenius,
     full_svd,
+    leading_basis,
     mode_dot,
     relative_error,
     truncated_svd,
@@ -261,3 +263,141 @@ class TestSvdStore:
             with pytest.raises(RankError):
                 store(m, rank)
         assert same_svd(store(m, min(shape)), full_svd(m))
+
+
+def separated(rng, m, n):
+    """An m x n matrix with random singular vectors and singular values
+    evenly spaced from 1 down to 0.2: every gap is at least 0.8 / min(m, n)."""
+    k = min(m, n)
+    u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return (u * np.linspace(1.0, 0.2, k)) @ v.T
+
+
+class TestLeadingBasis:
+    @pytest.mark.parametrize("shape", [(4, 64), (8, 512), (9, 6), (6, 9), (16, 16)])
+    def test_spans_the_leading_left_singular_subspace(self, rng, shape):
+        m = separated(rng, *shape)
+        for rank in range(1, min(shape) + 1):
+            u = leading_basis(m, rank)
+            ref = truncated_svd(m, rank).left
+            assert np.linalg.norm(u @ u.T - ref @ ref.T, 2) <= 1e-12, (shape, rank)
+
+    def test_columns_are_orthonormal_and_signed(self, rng):
+        u = leading_basis(rng.standard_normal((7, 40)), 7)
+        assert np.max(np.abs(u.T @ u - np.eye(7))) <= 1e-12
+        for j in range(7):
+            assert u[int(np.argmax(np.abs(u[:, j]))), j] > 0
+
+    @pytest.mark.parametrize("shape", [(8, 3), (5, 1), (6, 6)])
+    def test_a_rank_above_the_column_count_gives_a_full_orthonormal_basis(self, rng, shape):
+        m = rng.standard_normal(shape)
+        u = leading_basis(m, shape[0])
+        assert u.shape == (shape[0], shape[0]) and u.flags.c_contiguous
+        assert np.max(np.abs(u.T @ u - np.eye(shape[0]))) <= 1e-12
+        # the leading columns span the column space of m
+        lead = u[:, : shape[1]]
+        assert np.max(np.abs(m - lead @ (lead.T @ m))) <= 1e-12 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("exponent", [-600, -1, 1, 500])
+    def test_a_power_of_two_scale_changes_no_bit(self, rng, exponent):
+        for shape in [(4, 64), (8, 512), (9, 6)]:
+            m = rng.standard_normal(shape)
+            scaled = np.ldexp(m, exponent)
+            for rank in (1, shape[0]):
+                assert bitwise_equal(leading_basis(scaled, rank), leading_basis(m, rank)), (shape, rank)
+
+    def test_near_overflow_entries_give_finite_orthonormal_columns(self, rng):
+        m = rng.uniform(-1.0, 1.0, (8, 512)) * 1e308
+        u = leading_basis(m, 8)
+        assert np.all(np.isfinite(u)) and np.max(np.abs(u.T @ u - np.eye(8))) <= 1e-12
+        assert bitwise_equal(u, leading_basis(np.ldexp(m, -1000), 8))
+
+    def test_truncation_is_a_prefix_of_the_full_basis_bitwise(self, rng):
+        for shape in [(9, 6), (4, 64), (8, 512), (16, 16)]:
+            m = rng.standard_normal(shape)
+            full = leading_basis(m, shape[0])
+            for rank in range(1, shape[0] + 1):
+                assert bitwise_equal(leading_basis(m, rank), np.ascontiguousarray(full[:, :rank])), (shape, rank)
+
+    def test_determinism_bitwise(self, rng):
+        cases = [rng.standard_normal(shape) for shape in [(4, 64), (8, 512), (9, 6)]]
+        first = [leading_basis(m.copy(), 3) for m in cases]
+        for _ in range(3):
+            for m, a in zip(cases, first):
+                leading_basis(rng.standard_normal(m.shape[::-1]), 2)
+                assert bitwise_equal(leading_basis(m.copy(), 3), a)
+
+    def test_zero_matrix(self):
+        u = leading_basis(np.zeros((4, 6)), 4)
+        assert np.max(np.abs(u.T @ u - np.eye(4))) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
+        m = rng.standard_normal((4, 64))
+        m[3, 17] = bad
+        with pytest.raises(NumericsError):
+            leading_basis(m, 2)
+        assert eigh_calls == [] and lapack_calls == []
+
+    def test_rank_outside_one_to_row_count(self, rng):
+        for shape in [(5, 3), (3, 5), (4, 4)]:
+            m = rng.standard_normal(shape)
+            for rank in (0, shape[0] + 1, -1):
+                with pytest.raises(RankError):
+                    leading_basis(m, rank)
+
+    def test_wrong_rank_of_tensor(self, rng):
+        with pytest.raises(ShapeError):
+            leading_basis(rng.standard_normal((4, 4, 4)), 2)
+
+
+class TestBasisStore:
+    @pytest.mark.parametrize("shape", [(9, 6), (4, 64), (16, 16), (8, 3)])
+    def test_every_rank_in_mixed_order_equals_leading_basis_bitwise(self, rng, shape):
+        m = rng.standard_normal(shape)
+        store = BasisStore()
+        ranks = rng.permutation(np.arange(1, shape[0] + 1)).tolist()
+        for r in ranks + ranks[::-1]:
+            u = store(m, r)
+            assert bitwise_equal(u, leading_basis(m, r)), (shape, r)
+            assert u.flags.c_contiguous
+        assert len(store) == 1
+
+    def test_one_eigendecomposition_per_distinct_input(self, rng, eigh_calls):
+        inputs = [rng.standard_normal(shape) for shape in [(9, 6), (4, 64), (16, 16), (8, 3)]]
+        store = BasisStore()
+        for m in inputs + inputs[::-1]:
+            store(m, 1)
+            store(m.copy(), m.shape[0])  # same bits in a new array is a hit
+        assert eigh_calls == [(m.shape[0], m.shape[0]) for m in inputs]
+        # same bytes in another shape, and one flipped bit, are new inputs
+        store(inputs[2].reshape(4, 64), 2)
+        flipped = inputs[2].copy()
+        flipped[3, 3] = np.nextafter(flipped[3, 3], np.inf)
+        store(flipped, 2)
+        assert len(eigh_calls) == len(store) == len(inputs) + 2
+
+    def test_results_are_copies(self, rng):
+        m = rng.standard_normal((8, 8))
+        store = BasisStore()
+        store(m, 8)[:] = 0.0
+        assert bitwise_equal(store(m, 8), leading_basis(m, 8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_and_is_not_stored(self, rng, eigh_calls, bad):
+        m = rng.standard_normal((6, 5))
+        m[2, 3] = bad
+        store = BasisStore()
+        for _ in range(2):
+            with pytest.raises(NumericsError):
+                store(m, 2)
+        assert len(store) == 0 and eigh_calls == []
+
+    def test_rank_outside_one_to_row_count(self, rng):
+        m = rng.standard_normal((5, 3))
+        store = BasisStore()
+        for rank in (0, 6, -1):  # the first is a miss, the others hits
+            with pytest.raises(RankError):
+                store(m, rank)
+        assert bitwise_equal(store(m, 5), leading_basis(m, 5))

@@ -197,6 +197,35 @@ class TestTucker:
                     np.ascontiguousarray(layer.core), np.ascontiguousarray(tn._tucker_core(t, layer.factors))
                 ), (d, iters)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("decay", [0.02, 0.1, 0.3])
+    def test_error_lies_between_the_eckart_young_tail_and_the_hosvd_bound(self, n, decay):
+        """De Lathauwer et al. 2000: no rank-(r_0, ..., r_d-1) fit beats the
+        largest mode-k tail, and the HOSVD error is at most the root of the sum of
+        the squared tails; HOOI sweeps only lower it."""
+        rng = np.random.default_rng(n + int(100 * decay))
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        t = ((u * np.exp(-decay * np.arange(n))) @ v.T).reshape(default_mode_shape(n, n)[0])
+        scale = float(np.linalg.norm(t))
+        for ratio in (0.5, 0.35, 0.25, 0.15):
+            ranks = select_ranks(t.shape, "tucker", ratio_budget(ratio, n * n)).ranks
+            tails = [
+                float(np.linalg.norm(np.linalg.svd(tc.unfold(t, k), compute_uv=False)[r:]))
+                for k, r in enumerate(ranks)
+            ]
+            for iters in (0, 1, 2):
+                err = float(np.linalg.norm(t - reconstruct(tucker_decompose(t, ranks, hooi_iters=iters))))
+                assert max(tails) - 1e-12 * scale <= err <= math.sqrt(sum(x * x for x in tails)) + 1e-12 * scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
+        t = rng.standard_normal(MODES_16x32)
+        t[1, 2, 3, 4] = bad
+        with pytest.raises(NumericsError):
+            tucker_decompose(t, (2, 2, 2, 2))
+        assert eigh_calls == [] and lapack_calls == []
+
     def test_mode_products_per_call(self, rng, monkeypatch):
         calls = []
         mode_dot_ = tn.mode_dot
@@ -212,7 +241,9 @@ class TestTucker:
             for iters in (0, 1, 2):
                 calls.clear()
                 tucker_decompose(t, (2, 3, 2, 3), hooi_iters=iters)
-                assert len(calls) == d + iters * (d * (d - 1) + 1), (shape, iters)
+                # HOSVD core d; per sweep mode k applies d-1-k suffix factors, then
+                # extends the shared prefix once: d(d+1)/2
+                assert len(calls) == d + iters * d * (d + 1) // 2, (shape, iters)
 
 
 class TestTensorTrain:
@@ -595,32 +626,35 @@ class TestInputChecks:
                 with pytest.raises(NumericsError):
                     call(w)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_compress_matrix_scans_its_input_once_plus_each_svd_input(self, rng, monkeypatch, family):
+    @pytest.mark.parametrize(
+        "family, svds, bases", [("tucker", 0, 12), ("tt", 3, 0), ("tr", 3, 0)], ids=["tucker", "tt", "tr"]
+    )
+    def test_compress_matrix_scans_its_input_once_plus_each_svd_input(self, rng, monkeypatch, family, svds, bases):
         """compress_matrix scans its input once (four times before: compress_matrix,
-        reshape_to_modes, decompose and the family's routine). Each SVD still
-        scans its own input: an unfolding or projection can overflow, and
-        LAPACK must not see an inf."""
-        calls = {"as_tensor": 0, "svd": 0}
-        as_tensor, svd = tc.as_tensor, tn.truncated_svd
+        reshape_to_modes, decompose and the family's routine). Each SVD and each
+        Tucker factor still scans its own input: an unfolding or projection can
+        overflow, and LAPACK must not see an inf. Tucker takes 4 HOSVD factors
+        and 4 per sweep (2 sweeps), TT and TR one SVD per split."""
+        calls = {"as_tensor": 0, "svd": 0, "basis": 0}
+        as_tensor, svd, basis = tc.as_tensor, tn.truncated_svd, tn.leading_basis
 
-        def counted_as_tensor(*args, **kwargs):
-            calls["as_tensor"] += 1
-            return as_tensor(*args, **kwargs)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        def counted_svd(*args, **kwargs):
-            calls["svd"] += 1
-            return svd(*args, **kwargs)
+            return call
 
         for module in (tc, tn):
-            monkeypatch.setattr(module, "as_tensor", counted_as_tensor)
-        monkeypatch.setattr(tn, "truncated_svd", counted_svd)
+            monkeypatch.setattr(module, "as_tensor", counted("as_tensor", as_tensor))
+        monkeypatch.setattr(tn, "truncated_svd", counted("svd", svd))
+        monkeypatch.setattr(tn, "leading_basis", counted("basis", basis))
         w = rng.standard_normal((32, 32))
         for ratio in (0.5, 0.25):
-            calls.update(as_tensor=0, svd=0)
+            calls.update(as_tensor=0, svd=0, basis=0)
             compress_matrix(w, family, ratio_budget(ratio, w.size))
-            assert calls["svd"] > 0
-            assert calls["as_tensor"] == 1 + calls["svd"]
+            assert (calls["svd"], calls["basis"]) == (svds, bases)
+            assert calls["as_tensor"] == 1 + svds + bases
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_compress_matrix_equals_the_validated_chain_bitwise(self, n):
@@ -644,15 +678,20 @@ class TestSvdSource:
     """The routines' ``svd`` keyword: a ``tc.SvdStore`` changes no bit of a
     layer and holds only the inputs that can repeat."""
 
-    def test_tucker_stores_only_its_hosvd_unfoldings(self, rng):
+    def test_tucker_stores_only_its_hosvd_unfoldings(self, rng, eigh_calls, lapack_calls):
         t = rng.standard_normal((4, 3, 5, 2))
+        d = t.ndim
         for iters in range(3):
-            store = tc.SvdStore()
-            for ranks in [(2, 2, 2, 1), (3, 2, 4, 2), (2, 2, 2, 1)]:
-                layer = tucker_decompose(t, ranks, hooi_iters=iters, svd=store)
+            store = tc.BasisStore()
+            for call, ranks in enumerate([(2, 2, 2, 1), (3, 2, 4, 2), (2, 2, 2, 1)]):
+                eigh_calls.clear()
+                layer = tucker_decompose(t, ranks, hooi_iters=iters, basis=store)
+                # the d HOSVD unfoldings on the first call only, d more per sweep
+                assert len(eigh_calls) == (d if call == 0 else 0) + d * iters
                 plain = tucker_decompose(t, ranks, hooi_iters=iters)
                 assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True))
-            assert len(store) == t.ndim  # HOOI sweep inputs bypass the store
+            assert len(store) == d  # HOOI sweep inputs bypass the store
+        assert lapack_calls == []  # Tucker takes no SVD
 
     def test_tr_with_a_unit_closing_bond_repeats_the_tt_splits(self, rng):
         t = rng.standard_normal((4, 4, 4, 4))
