@@ -3,6 +3,7 @@
 Usage, from the root of the repository:
 
     python3 bench/analyze_scale.py [--models small large] [--out BENCH_analyze.json]
+                                   [--against CHECKOUT]
 
 Two fixed models of 64x64 patches: ``small`` is 8 layers of 256x256 (128
 patches, 32 of them probed at ``analyze``'s default stride 4) and ``large``
@@ -12,18 +13,33 @@ and singular values exp(-decay k), with the decay fixed per layer, and 64
 calibration samples. For each model it times ``analyze`` with its defaults,
 then ``build_options`` and ``allocate`` in ``sensitivity_mixed`` mode and in
 ``uniform`` mode with TT, both at target ratio 0.6. Each time is the median
-of three runs; every run's time is kept.
+of three runs; every run's time is kept. ``peak_mb`` is the ``tracemalloc``
+peak of one more ``analyze`` call.
 
 One more run, untimed, counts LAPACK SVD calls (``np.linalg.svd``): all of
 them, the values-only ones, and those whose input (shape and bytes) an
 earlier call of the run already had. It counts the eigendecompositions
-(``np.linalg.eigh``) that give Tucker's factors the same way. The same run
-is traced with ``perfbench/spans.py``, and its per-layer metrics give the
-split of ``analyze``'s time. Each row also records the plans' achieved
-ratios and a digest of the probe records, so two checkouts can be compared
-for equal outputs. The JSON written to ``--out`` records the numpy version, the BLAS
-build and the BLAS thread count, read as ``perfbench/run.py`` reads them;
-the BLAS is pinned to one thread as in ``perfbench/``.
+(``np.linalg.eigh``) that give Tucker's factors the same way; a stacked call
+counts once. The same run is traced with ``perfbench/spans.py``, and its
+per-layer metrics give the split of ``analyze``'s time. Each row also
+records the plans' achieved ratios and a digest of the probe records, so
+two checkouts can be compared for equal outputs.
+
+``--against CHECKOUT`` loads the ``minima`` package of a second checkout
+(the root of another working tree of this repository) into the same process
+and, per model, times that checkout's ``analyze`` and this one's
+alternately, ten times (``PAIRS``) on the same inputs; the side that runs first
+alternates from pair to pair. The machine's speed drifts by up to 1.5x
+between runs minutes apart, so a before/after claim compares the two sides
+within these pairs, not across processes. The row's ``against`` entry keeps
+every pair, each side's median, the number of pairs this checkout won, each
+side's probe digest and the other checkout's ``tracemalloc`` peak (this
+checkout's is the row's ``peak_mb``); the file records the other
+checkout's git commit if it has one.
+
+The JSON written to ``--out`` records the numpy version, the BLAS build and
+the BLAS thread count, read as ``perfbench/run.py`` reads them; the BLAS is
+pinned to one thread as in ``perfbench/``.
 """
 
 import os
@@ -36,8 +52,10 @@ import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -58,6 +76,7 @@ SAMPLES = 64
 PATCH = (64, 64)
 TARGET = 0.6
 REPEATS = 3
+PAIRS = 10
 # per-layer metrics of the traced run, as perfbench names them
 TRACED = (
     "sensitivity.features.self_s",
@@ -151,6 +170,69 @@ def counted_run(model, calib) -> tuple[dict, dict, dict]:
     return svd_counts, eigh_counts, {name: metrics[name] for name in TRACED}
 
 
+def load_checkout(root: Path) -> dict:
+    """The ``minima`` modules of the checkout at ``root``, imported beside
+    this checkout's: its modules are taken out of ``sys.modules`` for the
+    import and put back after, so each package keeps its own modules."""
+    src = root / "src"
+    if not (src / "minima" / "__init__.py").is_file():
+        sys.exit(f"analyze_scale: no minima package under {src}")
+    ours = {k: v for k, v in sys.modules.items() if k == "minima" or k.startswith("minima.")}
+    for k in ours:
+        del sys.modules[k]
+    sys.path.insert(0, str(src))
+    try:
+        mods = {name: importlib.import_module(f"minima.{name}") for name in MODULES}
+    finally:
+        sys.path.remove(str(src))
+        for k in [k for k in sys.modules if k == "minima" or k.startswith("minima.")]:
+            del sys.modules[k]
+        sys.modules.update(ours)
+    if not Path(mods["sensitivity"].__file__).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"analyze_scale: minima imported from {mods['sensitivity'].__file__}, not {src}")
+    return mods
+
+
+def git_commit(root: Path) -> str | None:
+    try:
+        out = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True, text=True)
+    except OSError:
+        return None
+    return out.stdout.strip() or None
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def alternate(model, calib, against: dict) -> dict:
+    """This checkout's ``analyze`` against another's, alternating in one process."""
+    calls = {
+        "this": lambda: sensitivity.analyze(model, calib, patch_size=PATCH),
+        "against": lambda: against["sensitivity"].analyze(model, calib, patch_size=PATCH),
+    }
+    digests = {side: probe_digest(call().probes) for side, call in calls.items()}  # also a warm-up
+    runs = []
+    for i in range(PAIRS):
+        order = ("against", "this") if i % 2 == 0 else ("this", "against")
+        times = {side: timed(calls[side])[1] for side in order}
+        runs.append({"first": order[0], "against_s": times["against"], "this_s": times["this"]})
+    return {
+        "pairs": runs,
+        "against_analyze_s": statistics.median(r["against_s"] for r in runs),
+        "this_analyze_s": statistics.median(r["this_s"] for r in runs),
+        "this_faster": sum(r["this_s"] < r["against_s"] for r in runs),
+        "against_peak_mb": traced_peak_mb(calls["against"]),  # this checkout's is the row's peak_mb
+        "against_probe_digest": digests["against"],
+        "this_probe_digest": digests["this"],
+    }
+
+
 def probe_digest(probes) -> str:
     h = hashlib.sha256()
     for q in probes:
@@ -159,7 +241,7 @@ def probe_digest(probes) -> str:
     return h.hexdigest()[:16]
 
 
-def measure(name: str) -> dict:
+def measure(name: str, against: dict | None = None) -> dict:
     size = MODELS[name]
     model, calib = synthetic(size)
     run_once(model, calib)  # warm-up
@@ -182,7 +264,10 @@ def measure(name: str) -> dict:
     row["pinned"] = sum(o.pinned for o in options)
     row["mixed_achieved_ratio"] = mixed.achieved_ratio
     row["uniform_achieved_ratio"] = uniform.achieved_ratio
+    row["peak_mb"] = traced_peak_mb(lambda: sensitivity.analyze(model, calib, patch_size=PATCH))
     row["runs"] = runs
+    if against is not None:
+        row["against"] = alternate(model, calib, against)
     return row
 
 
@@ -190,17 +275,24 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--models", nargs="+", choices=sorted(MODELS), default=list(MODELS))
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_analyze.json")
+    parser.add_argument("--against", type=Path, help="root of a second checkout to time alternately")
     args = parser.parse_args()
+    against = load_checkout(args.against) if args.against else None
     rows = []
     for name in args.models:
-        rows.append(measure(name))
+        rows.append(measure(name, against))
         print(json.dumps({k: v for k, v in rows[-1].items() if k != "runs"}), flush=True)
+    commit = git_commit(args.against) if args.against else None
+    # the other checkout's path is local to the machine; its commit is not
+    command = [f"<checkout of {commit}>" if a == str(args.against) else a for a in sys.argv[1:]]
     report = {
-        "command": " ".join(["python3 bench/analyze_scale.py", *sys.argv[1:]]),
+        "command": " ".join(["python3 bench/analyze_scale.py", *command]),
+        "against_commit": commit,
         "environment": environment(),
         "patch": list(PATCH),
         "target_ratio": TARGET,
         "repeats": REPEATS,
+        "pairs": PAIRS if args.against else 0,
         "rows": rows,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -12,14 +12,16 @@ import numpy as np
 
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
-from minima.tensor_core import BasisStore, SvdStore, as_tensor
+from minima.tensor_core import SvdStore, as_tensor, leading_basis, unfold
 from minima.tn_decompositions import (
     FAMILIES,
     _decompose,
+    _tr_reach,
     default_mode_shape,
     layer_to_matrix,
     ratio_budget,
     select_ranks,
+    tucker_decompose,
 )
 
 log = logging.getLogger(__name__)
@@ -166,7 +168,11 @@ class ProbeRecord:
 
 def output_deviation(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
     """Relative deviation of the layer output, ||(W - What) X|| / ||W X||."""
-    base = float(np.linalg.norm(w @ x))
+    return _deviation(w, w_hat, x, float(np.linalg.norm(w @ x)))
+
+
+def _deviation(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray, base: float) -> float:
+    """``output_deviation`` with ``base`` = ||W X|| computed by the caller."""
     if base == 0.0:
         log.debug("degenerate reference output; reporting zero deviation")
         return 0.0
@@ -191,6 +197,16 @@ def _rank_search(mode_shape, family: str, budget):
         return exc
 
 
+def _probe_key(mode_shape: tuple[int, ...], spec) -> tuple:
+    """The structure a probe decomposes. A ring whose closing bond is 1 and
+    whose ranks the sequential factorization reaches unpadded is the train
+    with bonds ``ranks[1:]``: its splits, cores and reconstruction are the
+    train's bit for bit, so it shares the train's key."""
+    if spec.family == "tr" and spec.ranks[0] == 1 and _tr_reach(mode_shape, spec.ranks) == spec.ranks:
+        return ("tt", spec.ranks[1:])
+    return (spec.family, spec.ranks)
+
+
 def probe_patch(
     w: np.ndarray,
     families,
@@ -208,46 +224,101 @@ def probe_patch(
     rather than raised; a family not in ``FAMILIES`` raises ``ValueError``.
 
     Each probe equals ``compress_matrix(w, family, ratio_budget(ratio, m *
-    n), hooi_iters)`` bit for bit, from less work: ``w`` is scanned and
-    reshaped once, and two stores made for this patch remember what
-    repeats across ratios. A ``BasisStore`` computes Tucker's HOSVD start,
-    so each mode unfolding costs one Gram eigendecomposition, and it keeps
-    the unfolding's eigenvalues (squared singular values, scaled by a power
-    of two). An ``SvdStore`` computes every TT/TR split, so a split that
-    repeats across ratios and families costs one LAPACK SVD. The HOOI sweep
-    bases bypass the stores: they depend on the other factors and never
-    repeat. ``rank_search`` is ``_rank_search`` or a memo of it, which
-    ``analyze`` shares across its patches.
+    n), hooi_iters)`` bit for bit, from less work: this is the one-patch
+    case of ``analyze``'s stack probe (``_probe_stack``). ``rank_search`` is
+    ``_rank_search`` or a memo of it, which ``analyze`` shares across its
+    patches.
     """
     w = as_tensor(w)
-    m, n = w.shape
-    calib = np.ascontiguousarray(calib, dtype=np.float64)
-    if calib.shape[0] != n:
-        raise ValueError(f"calibration rows {calib.shape[0]} do not match patch columns {n}")
-    if calib.shape[1] < 8:
-        raise ValueError("calibration needs at least 8 sample columns")
+    if w.ndim != 2:
+        raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
+    return _probe_stack([patch_id], lambda _: w, [calib], families, ratio_grid, hooi_iters, rank_search)[0]
+
+
+def _probe_stack(
+    patch_ids, matrix_of, calibs, families, ratio_grid, hooi_iters=1, rank_search=_rank_search
+) -> list[list[ProbeRecord]]:
+    """``probe_patch`` of same-shape patches: one list of records per patch,
+    in ``FAMILIES`` order, then ratio order.
+
+    ``matrix_of(i)`` returns the matrix of patch i, a 2-D float64 array; it
+    is called twice per patch, so a caller can hand out copies that are
+    dropped after use. Tucker is probed on the stack of all the patches at
+    once (``_tucker_probes``), and the stack is freed before TT and TR are
+    probed patch by patch. Each patch gets an ``SvdStore``, so a split that
+    repeats across ratios and families costs one LAPACK SVD, and its probes
+    are keyed by structure (``_probe_key``), so a ring that is a train takes
+    the train's deviation without a decomposition. ||W X|| is computed once
+    per patch.
+    """
+    families = _probe_families(families)
+    calibs = [np.ascontiguousarray(x, dtype=np.float64) for x in calibs]
+    stack = as_tensor(np.stack([matrix_of(i) for i in range(len(patch_ids))]))
+    m, n = stack.shape[1:]
+    for x in calibs:
+        if x.shape[0] != n:
+            raise ValueError(f"calibration rows {x.shape[0]} do not match patch columns {n}")
+        if x.shape[1] < 8:
+            raise ValueError("calibration needs at least 8 sample columns")
 
     mode_shape, row_mode_count = default_mode_shape(m, n)
-    t = w.reshape(mode_shape)
-    svd, basis = SvdStore(), BasisStore()
-    records = []
-    for family in _probe_families(families):
-        for ratio in ratio_grid:
-            spec = rank_search(mode_shape, family, ratio_budget(ratio, m * n))
-            if isinstance(spec, InfeasibleBudgetError):
-                log.info("probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, spec)
-                continue
-            layer = _decompose(t, spec, hooi_iters, row_mode_count, svd, basis)
-            deg = output_deviation(w, layer_to_matrix(layer), calib)
-            records.append(
-                ProbeRecord(
-                    patch_id=patch_id,
-                    family=family,
-                    target_ratio=float(ratio),
-                    measured_degradation=deg,
-                )
-            )
-    return records
+    specs = {
+        (family, ratio): rank_search(mode_shape, family, ratio_budget(ratio, m * n))
+        for family in families
+        for ratio in ratio_grid
+    }
+    refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
+    tucker = _tucker_probes(stack, mode_shape, row_mode_count, specs, calibs, refs, hooi_iters)
+    del stack
+
+    out = []
+    for i, patch_id in enumerate(patch_ids):
+        w, svd, measured, records = None, SvdStore(), {}, []
+        for family in families:
+            for ratio in ratio_grid:
+                spec = specs[family, ratio]
+                if isinstance(spec, InfeasibleBudgetError):
+                    log.info("probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, spec)
+                    continue
+                if family == "tucker":
+                    deg = tucker[i][ratio]
+                else:
+                    key = _probe_key(mode_shape, spec)
+                    deg = measured.get(key)
+                    if deg is None:
+                        w = matrix_of(i) if w is None else w
+                        layer = _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, svd)
+                        deg = measured[key] = _deviation(w, layer_to_matrix(layer), calibs[i], refs[i])
+                records.append(ProbeRecord(patch_id, family, float(ratio), deg))
+        out.append(records)
+    return out
+
+
+def _tucker_probes(stack, mode_shape, row_mode_count, specs, calibs, refs, hooi_iters) -> list[dict[float, float]]:
+    """The Tucker deviation of each patch of ``stack`` at each feasible
+    ratio of ``specs``, one dict (ratio -> deviation) per patch; ``refs``
+    holds each patch's ||W X||.
+
+    Each mode's full HOSVD eigenbasis is computed once for the stack, and
+    every ratio's decomposition starts from its leading columns; each
+    ratio is one stacked ``tucker_decompose``.
+    """
+    ratios = [
+        ratio
+        for (family, ratio), spec in specs.items()
+        if family == "tucker" and not isinstance(spec, InfeasibleBudgetError)
+    ]
+    deviations = [{} for _ in stack]
+    if not ratios:
+        return deviations
+    t = stack.reshape(len(stack), *mode_shape)
+    hosvd = [leading_basis(unfold(t, k, stacked=True), size, stacked=True) for k, size in enumerate(mode_shape)]
+    for ratio in ratios:
+        layers = tucker_decompose(t, specs["tucker", ratio].ranks, hooi_iters, stacked=True, hosvd=hosvd)
+        for i, layer in enumerate(layers):
+            layer.row_mode_count = row_mode_count
+            deviations[i][ratio] = _deviation(stack[i], layer_to_matrix(layer), calibs[i], refs[i])
+    return deviations
 
 
 # --- predictor ---------------------------------------------------------------
@@ -460,6 +531,22 @@ def _probe_subset(patches: list[Patch], stride: int) -> list[Patch]:
     return sorted(chosen, key=lambda p: p.patch_id)
 
 
+STACK_ENTRIES = 1 << 15  # most float64 entries in one stack of probed patches: 256 KiB
+
+
+def _probe_stacks(targets: list[Patch]) -> list[list[Patch]]:
+    """``targets`` grouped by shape, in order of first appearance, and cut
+    into stacks of at most ``STACK_ENTRIES`` entries (one patch at least)."""
+    groups: dict[tuple[int, int], list[Patch]] = {}
+    for p in targets:
+        groups.setdefault((p.rows, p.cols), []).append(p)
+    stacks = []
+    for (rows, cols), group in groups.items():
+        size = max(STACK_ENTRIES // (rows * cols), 1)
+        stacks.extend(group[i : i + size] for i in range(0, len(group), size))
+    return stacks
+
+
 def analyze(
     model: ModelContainer,
     calib: dict[str, np.ndarray],
@@ -475,9 +562,12 @@ def analyze(
 
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns. A
-    family not in ``FAMILIES`` raises ``ValueError`` before any work. Rank
-    selection runs once per distinct (mode shape, family, budget): a memo
-    of ``_rank_search`` made for this call, shared by its probes and
+    family not in ``FAMILIES`` raises ``ValueError`` before any work. The
+    probed patches are grouped by shape into stacks (``_probe_stacks``),
+    and each stack is probed at once (``_probe_stack``); the records equal
+    a ``probe_patch`` loop over the patches bit for bit and keep its order.
+    Rank selection runs once per distinct (mode shape, family, budget): a
+    memo of ``_rank_search`` made for this call, shared by its probes and
     dropped when it returns. ``seed`` is unused: ``calib`` is given and the
     fit is closed-form, so nothing is drawn at random. It stays because the
     benchmark workloads in ``perfbench/workloads.py`` pass it.
@@ -489,12 +579,19 @@ def analyze(
         for p in patches
     }
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
-    probes: list[ProbeRecord] = []
     rank_search = functools.cache(_rank_search)  # for this call: patches share geometries
-    for p in probe_targets:
-        w = patch_matrix(model, p)
-        x = calib[p.layer_name][p.col_range[0] : p.col_range[1], :]
-        probes.extend(probe_patch(w, families, ratio_grid, x, patch_id=p.patch_id, rank_search=rank_search))
+    by_patch: dict[int, list[ProbeRecord]] = {}
+    for stack in _probe_stacks(probe_targets):
+        records = _probe_stack(
+            [p.patch_id for p in stack],
+            lambda i, stack=stack: patch_matrix(model, stack[i]),
+            [calib[p.layer_name][p.col_range[0] : p.col_range[1], :] for p in stack],
+            families,
+            ratio_grid,
+            rank_search=rank_search,
+        )
+        by_patch.update(zip((p.patch_id for p in stack), records))
+    probes = [r for p in probe_targets for r in by_patch[p.patch_id]]
     pairs = [(features[r.patch_id], r) for r in probes]
     predictor = train_predictor(pairs)
     records = [

@@ -24,19 +24,25 @@ Conventions used everywhere in this package:
 * the only truncation is an integer rank: keep the leading ``r`` triplets
   or vectors. Ranks come from a :class:`ParamBudget` through
   ``tn_decompositions.select_ranks``;
+* :func:`unfold`, :func:`mode_dot` and :func:`leading_basis` also take a
+  stack of same-shape operands (``stacked=True``): axis 0 indexes the
+  slices, as the leading axes of ``numpy.linalg`` do, and every slice is
+  treated as the plain call would treat it alone, with its own power-of-two
+  scale and its own sign rule. Each slice's output bits equal the plain
+  call's on a given build: the stacked ``np.matmul`` and ``np.linalg.eigh``
+  run the same BLAS / LAPACK call per slice (``tests/test_tensor_core.py``
+  checks this on the installed build);
 * an :class:`SvdStore` answers ``truncated_svd`` requests from the full SVD
-  of each distinct input it has seen, and a :class:`BasisStore` answers
-  ``leading_basis`` requests from the full Gram eigenbasis. A hit returns
-  the bits the plain call would return, since a truncation is a prefix of
-  the full result bit for bit. A hit skips the finiteness scan only for
-  bits that were already scanned: a store is keyed by the exact shape and
-  bytes of its input, and a non-finite input raises on its miss and is
-  never stored.
+  of each distinct input it has seen. A hit returns the bits the plain call
+  would return, since a truncation is a prefix of the full result bit for
+  bit. A hit skips the finiteness scan only for bits that were already
+  scanned: the store is keyed by the exact shape and bytes of its input,
+  and a non-finite input raises on its miss and is never stored.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +71,7 @@ def _as_array(data, shape=None) -> np.ndarray:
         t = t.reshape(shape)
     if t.ndim == 0:
         t = t.reshape(1)
-    if any(s < 1 for s in t.shape):
+    if 0 in t.shape:
         raise ShapeError(f"all mode sizes must be >= 1, got {t.shape}")
     return t
 
@@ -96,39 +102,63 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius(a - b) / ref
 
 
-def unfold(t: np.ndarray, mode: int) -> np.ndarray:
+@functools.cache
+def _mode_axes(lead: int, d: int, mode: int) -> tuple[tuple[int, ...], ...]:
+    """Axis orders for mode ``mode`` of a rank-``d`` tensor behind ``lead``
+    stack axes: the transpose that puts the mode first (``unfold``), the
+    one that puts it last, and the one that moves a last axis back to the
+    mode (``mode_dot``). Cached: three small tuples per (stacked, rank,
+    mode) seen, in place of rebuilding them on every call."""
+    stack = tuple(range(lead))
+    others = (*range(mode), *range(mode + 1, d))
+    first = (*stack, lead + mode, *(lead + k for k in others))
+    last = (*stack, *(lead + k for k in others), lead + mode)
+    back = (*stack, *(lead + k for k in (*range(mode), d - 1, *range(mode, d - 1))))
+    return first, last, back
+
+
+def unfold(t: np.ndarray, mode: int, *, stacked: bool = False) -> np.ndarray:
     """Mode-k matricization: mode k on rows, remaining modes on columns.
 
     One transpose and one copy: the same array ``np.moveaxis`` would give,
-    without its axis bookkeeping.
+    without its axis bookkeeping. With ``stacked``, axis 0 of ``t`` is a
+    stack of tensors and the result is the stack of their unfoldings,
+    ``(P, n_mode, rest)``.
     """
     t = np.asarray(t)
-    d = t.ndim
+    lead = int(stacked)
+    d = t.ndim - lead
     if not 0 <= mode < d:
         raise IndexError(f"mode {mode} out of range for rank-{d} tensor")
-    order = (mode, *range(mode), *range(mode + 1, d))
-    return np.ascontiguousarray(t.transpose(order).reshape(t.shape[mode], -1))
+    shape = t.shape
+    first = _mode_axes(lead, d, mode)[0]
+    return np.ascontiguousarray(t.transpose(first).reshape(shape[:lead] + (shape[lead + mode], -1)))
 
 
-def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
+def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int, *, stacked: bool = False) -> np.ndarray:
     """Contract mode ``mode`` of ``t`` with the first axis of ``mat``.
 
     The second axis of ``mat`` replaces the contracted mode in place, so a
-    factor of shape (n, r) maps an n-sized mode to an r-sized one.
+    factor of shape (n, r) maps an n-sized mode to an r-sized one. With
+    ``stacked``, axis 0 of ``t`` and of ``mat`` index a stack, ``mat`` is
+    ``(P, n, r)`` and slice p of ``t`` meets slice p of ``mat``; ``mode``
+    counts the modes of a slice.
 
     ``t`` is transposed to (other modes..., mode) and reshaped to (-1, n)
     for one ``np.dot`` with ``mat``: the same ``np.dot``, on the same
     operands, that ``np.tensordot(t, mat, axes=(mode, 0))`` makes, so the
-    bits equal it on any build. The result is a transposed view.
+    bits equal it on any build. A stack takes one ``np.matmul`` (by the
+    ``@`` operator, which dispatches faster than the function), making
+    that product per slice. The result is a transposed view.
     """
-    if mat.ndim != 2:
-        raise ShapeError("mode_dot expects a matrix")
-    d = t.ndim
-    shape = t.shape
-    others = (*range(mode), *range(mode + 1, d))
-    flat = t.transpose((*others, mode)).reshape(-1, shape[mode])
-    out = np.dot(flat, mat).reshape(*(shape[k] for k in others), mat.shape[1])
-    return out.transpose((*range(mode), d - 1, *range(mode, d - 1)))
+    lead = int(stacked)
+    if mat.ndim != 2 + lead:
+        raise ShapeError("mode_dot expects a matrix" + (" per slice" if stacked else ""))
+    _, last, back = _mode_axes(lead, t.ndim - lead, mode)
+    moved = t.transpose(last)
+    flat = moved.reshape(t.shape[:lead] + (-1, t.shape[lead + mode]))
+    out = flat @ mat if stacked else np.dot(flat, mat)
+    return out.reshape(moved.shape[:-1] + mat.shape[-1:]).transpose(back)
 
 
 @dataclass(frozen=True)
@@ -165,10 +195,13 @@ def _matrix(data) -> np.ndarray:
 
 
 def _column_signs(u: np.ndarray) -> np.ndarray:
-    """``-1.0`` or ``1.0`` per column of ``u``: the sign that makes the
-    column's largest-magnitude entry positive (lowest row index on ties)."""
-    pivots = np.argmax(np.abs(u), axis=0)
-    return np.where(u[pivots, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    """``-1.0`` or ``1.0`` per column of ``u`` (of each matrix of a stack),
+    shaped to broadcast over it: the sign that makes the column's
+    largest-magnitude entry positive (lowest row index on ties)."""
+    pivots = np.argmax(np.abs(u), axis=-2)
+    cols = np.arange(u.shape[-1])
+    peaks = u[pivots, cols] if u.ndim == 2 else u[np.arange(len(u))[:, None], pivots, cols]
+    return np.copysign(1.0, peaks)[..., None, :]
 
 
 def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
@@ -209,81 +242,70 @@ def full_svd(matrix: np.ndarray) -> SvdResult:
     return truncated_svd(m, min(m.shape))
 
 
-def _gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the Gram of a scanned matrix, largest
-    eigenvalue first, the vectors not yet signed.
-
-    ``m`` is scaled by ``2**-e``, where ``2**e`` is the least power of two
-    above its largest magnitude (``frexp``), so the scaled entries lie in
-    (-1, 1) and the Gram's are at most the column count in magnitude. The
-    eigenvalues are the squared singular values of that scaled matrix.
-    """
-    _, exponent = math.frexp(float(np.abs(m).max()))
-    s = np.ldexp(m, -exponent)
-    values, vectors = np.linalg.eigh(s @ s.T)
-    return values[::-1], vectors[:, ::-1]
-
-
-def _signed(u: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of ``u`` under the sign rule of ``_column_signs``."""
-    return u * _column_signs(u)
-
-
-def leading_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
+def leading_basis(matrix: np.ndarray, rank: int, *, stacked: bool = False) -> np.ndarray:
     """``rank`` orthonormal columns spanning the leading left singular
     subspace of a rank-2 tensor, bitwise reproducible per build.
 
     The columns are the eigenvectors of the Gram of the input scaled by a
-    power of two (see the module conventions), largest eigenvalue first,
-    each flipped so that its largest-magnitude entry is positive (lowest
-    row index on ties). Up to sign they are ``truncated_svd``'s left
-    vectors wherever the spectrum separates them. The Gram of an ``m x n``
-    input has ``m`` eigenvectors, so ``rank`` may exceed ``n``: the columns
-    past the numerical rank are still orthonormal. ``rank`` outside
-    ``[1, m]`` raises ``RankError``. The input is scanned like
-    ``truncated_svd``'s, so LAPACK never sees an inf or NaN.
+    power of two, largest eigenvalue first, each flipped so that its
+    largest-magnitude entry is positive (lowest row index on ties). The
+    input is scaled by ``2**-e``, where ``2**e`` is the least power of two
+    above its largest magnitude (``frexp``), so the scaled entries lie in
+    (-1, 1) and the Gram's are at most the column count in magnitude. Up to
+    sign the columns are ``truncated_svd``'s left vectors wherever the
+    spectrum separates them. The Gram of an ``m x n`` input has ``m``
+    eigenvectors, so ``rank`` may exceed ``n``: the columns past the
+    numerical rank are still orthonormal. ``rank`` outside ``[1, m]``
+    raises ``RankError``. The largest magnitude that sets the scale is also
+    the scan for non-finite entries: it is NaN or inf if any entry is, and
+    then ``NumericsError`` is raised, so LAPACK never sees an inf or NaN and
+    the input is read once. With ``stacked``, the input is a stack
+    ``(P, m, n)`` and the result the stack ``(P, m, rank)`` of each slice's
+    basis, each slice scaled by its own power of two.
     """
-    m = _matrix(matrix)
-    if not 1 <= rank <= m.shape[0]:
-        raise RankError(f"rank {rank} out of range [1, {m.shape[0]}] for a {m.shape} matrix")
-    _, vectors = _gram_eigh(m)
-    return _signed(vectors[:, :rank])
+    m = _as_array(matrix)
+    if m.ndim != 2 + stacked:
+        kind = "a stack of rank-2 tensors" if stacked else "a rank-2 tensor"
+        raise _rejected(m, ShapeError(f"expected {kind}, got rank {m.ndim}"))
+    rows = m.shape[-2]
+    if not 1 <= rank <= rows:
+        raise _rejected(m, RankError(f"rank {rank} out of range [1, {rows}] for a {m.shape[-2:]} matrix"))
+    peak = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    if not np.isfinite(peak).all():
+        raise NumericsError("tensor entries must be finite")
+    _, exponent = np.frexp(peak)
+    s = np.ldexp(m, -exponent)
+    _, vectors = np.linalg.eigh(s @ s.swapaxes(-1, -2))
+    u = vectors[..., : -rank - 1 : -1]  # the last rank columns, largest eigenvalue first
+    return u * _column_signs(u)
 
 
-class _InputMemo:
-    """One computation per distinct input, keyed by the input's exact shape
-    and bytes (no digest, so a hit is bit-exact by construction). A store
-    lives as long as its owner holds it: made for one patch, it holds that
-    patch's unfoldings and splits."""
+class SvdStore:
+    """``truncated_svd`` with a memory: one LAPACK SVD per distinct input.
+
+    Calls take ``truncated_svd``'s arguments and raise its errors. Inputs
+    are keyed by their exact shape and bytes (no digest, so a hit is
+    bit-exact by construction). The value kept is the input's full thin
+    SVD, taken by ``full_svd`` on a miss, so every LAPACK call still goes
+    through the module's SVD entries and their scan. Each call returns
+    contiguous copies of the leading ``rank`` triplets. A store lives as
+    long as its owner holds it: made for one patch, it holds that patch's
+    splits.
+    """
 
     def __init__(self):
-        self._full: dict[tuple, object] = {}
+        self._full: dict[tuple, SvdResult] = {}
 
     def __len__(self) -> int:
         return len(self._full)
 
-    def _lookup(self, matrix: np.ndarray, compute):
+    def __call__(self, matrix: np.ndarray, rank: int) -> SvdResult:
         m = np.ascontiguousarray(matrix, dtype=np.float64)
         key = (m.shape, m.tobytes())
         full = self._full.get(key)
         if full is None:
-            full = compute(m)
+            full = full_svd(m)
             self._full[key] = full
-        return m, full
-
-
-class SvdStore(_InputMemo):
-    """``truncated_svd`` with a memory: one LAPACK SVD per distinct input.
-
-    Calls take ``truncated_svd``'s arguments and raise its errors. The value
-    kept is the input's full thin SVD, taken by ``full_svd`` on a miss, so
-    every LAPACK call still goes through the module's SVD entries and their
-    scan. Each call returns contiguous copies of the leading ``rank``
-    triplets.
-    """
-
-    def __call__(self, matrix: np.ndarray, rank: int) -> SvdResult:
-        m, full = self._lookup(matrix, full_svd)
         if not 1 <= rank <= full.rank:
             raise RankError(f"rank {rank} out of range [1, {full.rank}] for a {m.shape} matrix")
         return SvdResult(
@@ -291,26 +313,3 @@ class SvdStore(_InputMemo):
             values=full.values[:rank].copy(),
             right=full.right[:, :rank].copy(),
         )
-
-
-class BasisStore(_InputMemo):
-    """``leading_basis`` with a memory: one LAPACK eigendecomposition per
-    distinct input.
-
-    Calls take ``leading_basis``'s arguments and raise its errors. The value
-    kept is the input's full Gram eigendecomposition: every eigenvector and
-    the eigenvalues, the squared singular values of the input scaled by a
-    power of two, largest first. Each call returns a contiguous copy of the
-    leading ``rank`` vectors.
-    """
-
-    @staticmethod
-    def _eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, vectors = _gram_eigh(_matrix(m))
-        return values, _signed(vectors)
-
-    def __call__(self, matrix: np.ndarray, rank: int) -> np.ndarray:
-        m, (_, vectors) = self._lookup(matrix, self._eigenpairs)
-        if not 1 <= rank <= m.shape[0]:
-            raise RankError(f"rank {rank} out of range [1, {m.shape[0]}] for a {m.shape} matrix")
-        return vectors[:, :rank].copy()

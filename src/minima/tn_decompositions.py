@@ -23,16 +23,19 @@ Factor sources: a Tucker factor needs only the leading left singular
 subspace of a mode unfolding, so ``tucker_decompose`` takes every factor,
 the HOSVD start and each HOOI sweep's, from ``tensor_core.leading_basis``
 (the unfolding's Gram eigenvectors): an ``n_k x rest`` unfolding costs an
-``n_k x n_k`` eigendecomposition. TT and TR splits need the singular
-values and right vectors too, so they take ``truncated_svd``. Keyword-only
-sources let a caller that decomposes one tensor several times memoize the
-inputs that repeat: ``tucker_decompose(..., basis=...)`` computes the HOSVD
-start, and ``tt_decompose`` / ``tr_decompose(..., svd=...)`` every split.
-With a ``tensor_core.BasisStore`` and an ``SvdStore``, the HOSVD
-unfoldings at every ratio, the first TT/TR split and later splits under
-equal leading bonds cost one LAPACK call each. HOOI sweeps always call
-``leading_basis``: their inputs depend on the other factors and do not
-repeat.
+``n_k x n_k`` eigendecomposition. ``tucker_decompose`` is stack-native: it
+decomposes a stack of same-shape tensors with the same ranks in one pass,
+one stacked ``eigh`` per factor and one stacked product per mode product,
+and each slice's layer equals the layer of the slice alone bit for bit. A
+single tensor is a stack of one. A caller that decomposes one stack at
+several ranks passes each mode's full HOSVD eigenbasis once
+(``hosvd=``), and each call starts from its leading columns. HOOI sweeps
+always compute their bases: their inputs depend on the other factors and
+do not repeat. TT and TR splits need the singular values and right
+vectors too, so they take ``truncated_svd``; ``tt_decompose`` /
+``tr_decompose(..., svd=...)`` take a memo such as an ``SvdStore``, with
+which the first TT/TR split and later splits under equal leading bonds
+cost one LAPACK call each.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from minima.tensor_core import (
     _as_array,
     _rejected,
     as_tensor,
-    frobenius,
     leading_basis,
     mode_dot,
     truncated_svd,
@@ -168,32 +170,54 @@ class RankSpec:
 # --- decomposition routines -------------------------------------------------
 
 
-def _orthonormal_factor(unfolding: np.ndarray, rank: int, basis) -> np.ndarray:
-    """The ``rank`` leading orthonormal columns of ``unfolding`` from
-    ``basis``: the one call through which Tucker takes each factor, so a
-    test can substitute it."""
-    return basis(unfolding, rank)
+def _orthonormal_factor(unfoldings: np.ndarray, rank: int) -> np.ndarray:
+    """The ``rank`` leading orthonormal columns of each unfolding of a stack
+    ``(P, n, rest)``: the one call through which Tucker takes each factor,
+    so a test can substitute it."""
+    return leading_basis(unfoldings, rank, stacked=True)
 
 
-def _tucker_core(t: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+def _tucker_core(t: np.ndarray, factors: list[np.ndarray], *, stacked: bool = False) -> np.ndarray:
     core = t
     for k, f in enumerate(factors):
-        core = mode_dot(core, f, k)
+        core = mode_dot(core, f, k, stacked=stacked)
     return core
 
 
-def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, basis=leading_basis) -> CompressedLayer:
-    """HOSVD initialization (its factors from ``basis``) plus ``hooi_iters``
-    alternating refinement sweeps (their factors from ``leading_basis``).
+def _slice_energies(t: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each slice of a stack."""
+    flat = t.reshape(len(t), -1)
+    return (flat * flat).sum(axis=1)
+
+
+def tucker_decompose(
+    t: np.ndarray, ranks, hooi_iters: int = 2, *, stacked: bool = False, hosvd=None
+) -> CompressedLayer | list[CompressedLayer]:
+    """HOSVD initialization plus ``hooi_iters`` alternating refinement
+    sweeps, every factor from ``leading_basis``.
+
+    With ``stacked``, axis 0 of ``t`` is a stack of same-shape tensors,
+    all decomposed at ``ranks``, and the result is a list of one layer per
+    slice; each equals the layer of its slice alone bit for bit and owns
+    its arrays (copies, not views that would keep the stack's arrays
+    alive). A single tensor is decomposed as a
+    stack of one. ``hosvd``, if given, holds per mode the full HOSVD
+    eigenbasis of the stack, ``leading_basis(unfold(t, k, stacked=True),
+    n_k, stacked=True)``, and the start takes its leading ``ranks[k]``
+    columns, the same bits as computing them.
 
     Each sweep recomputes every factor from the unfolding of the tensor
     projected onto the other factors; the reconstruction error is checked
-    to be non-increasing across sweeps. The check compares the relative
-    residual energy ``1 - (||G|| / ||T||)**2`` (the squared relative error,
-    since the factors are orthonormal) of consecutive sweeps, with a slack
-    of ``64 * d * eps``: that estimate carries a few ulps of rounding per
-    mode product, and taking its square root would lift that noise to
-    ~sqrt(eps) near an exact fit.
+    to be non-increasing across sweeps in every slice. The check compares
+    the relative residual energy ``1 - ||G||**2 / ||T||**2`` (the squared
+    relative error, since the factors are orthonormal) of consecutive
+    sweeps, with a slack of ``64 * d * eps``: that estimate carries a few
+    ulps of rounding per mode product, and taking its square root would
+    lift that noise to ~sqrt(eps) near an exact fit. The check is
+    multiplied through by ``||T||**2``: a slice fails when ``||G||**2``
+    drops by more than ``slack * ||T||**2``, so a zero slice, whose
+    energies are all 0, passes. A failure in any slice raises
+    ``NumericsError`` naming the first slice that failed.
 
     A sweep projects mode k's input in mode order: the tensor times the
     factors 0..k-1 the sweep has already updated, then times the factors
@@ -208,46 +232,58 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2, *, basis=leading
     returned.
     """
     t = _as_array(t)
-    d = t.ndim
+    if not stacked:
+        t = t[None]
+    shape = t.shape[1:]
+    d = len(shape)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d:
         raise _rejected(t, RankError(f"need {d} ranks, got {len(ranks)}"))
     for k, r in enumerate(ranks):
-        if not 1 <= r <= t.shape[k]:
-            raise _rejected(t, RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}"))
+        if not 1 <= r <= shape[k]:
+            raise _rejected(t, RankError(f"rank {r} out of range [1, {shape[k]}] for mode {k}"))
 
-    factors = [_orthonormal_factor(unfold(t, k), ranks[k], basis) for k in range(d)]
-    norm = frobenius(t)
+    if hosvd is None:
+        factors = [_orthonormal_factor(unfold(t, k, stacked=True), r) for k, r in enumerate(ranks)]
+    else:
+        factors = [b[..., :r].copy() for b, r in zip(hosvd, ranks, strict=True)]
+    total = _slice_energies(t)
     slack = 64 * d * np.finfo(np.float64).eps
+    floor = slack * total
 
-    def residual_energy(core) -> float:
-        # unclamped: rounding may leave it a few ulps below zero
-        if norm == 0.0:
-            return 0.0
-        return 1.0 - (frobenius(core) / norm) ** 2
-
-    core = _tucker_core(t, factors)
-    energy = residual_energy(core)
+    core = _tucker_core(t, factors, stacked=True)
+    kept = _slice_energies(core)
     for sweep in range(hooi_iters):
         prefix = t  # t times this sweep's factors 0..k-1
         for k in range(d):
             proj = prefix
             for j in range(k + 1, d):
-                proj = mode_dot(proj, factors[j], j)
-            factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k], leading_basis)
-            prefix = mode_dot(prefix, factors[k], k)
+                proj = mode_dot(proj, factors[j], j, stacked=True)
+            factors[k] = _orthonormal_factor(unfold(proj, k, stacked=True), ranks[k])
+            prefix = mode_dot(prefix, factors[k], k, stacked=True)
         core = prefix
-        new_energy = residual_energy(core)
-        if new_energy > energy + slack:
+        new_kept = _slice_energies(core)
+        rose = kept - new_kept > floor
+        if rose.any():
+            p = int(rose.argmax())
+            before, after = (1.0 - e[p] / total[p] for e in (kept, new_kept))
             raise NumericsError(
-                f"refinement sweep {sweep} increased the relative residual energy "
-                f"{energy:.3e} -> {new_energy:.3e} (slack {slack:.1e})"
+                f"refinement sweep {sweep} increased the relative residual energy of slice {p} "
+                f"{before:.3e} -> {after:.3e} (slack {slack:.1e})"
             )
-        energy = new_energy
+        kept = new_kept
 
-    return CompressedLayer(
-        family="tucker", mode_shape=t.shape, row_mode_count=1, core=core, factors=factors
-    )
+    layers = [
+        CompressedLayer(
+            family="tucker",
+            mode_shape=shape,
+            row_mode_count=1,
+            core=core[p].copy(),
+            factors=[f[p].copy() for f in factors],
+        )
+        for p in range(len(t))
+    ]
+    return layers if stacked else layers[0]
 
 
 def tt_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
@@ -539,18 +575,16 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
 
 def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
     """Dispatch a tensor to the decomposition named by ``spec``."""
-    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count, truncated_svd, leading_basis)
+    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count, truncated_svd)
 
 
-def _decompose(
-    t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int, svd, basis
-) -> CompressedLayer:
+def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int, svd) -> CompressedLayer:
     """``decompose`` of a tensor that ``as_tensor`` has already validated,
-    its HOSVD start computed by ``basis`` and its TT/TR splits by ``svd``.
+    its TT/TR splits computed by ``svd``.
 
-    Callers pass ``truncated_svd`` and ``leading_basis`` as looked up at
-    their call, not the routines' defaults bound at import, so a replaced
-    module binding (a tracer, a counting test) sees every call.
+    Callers pass ``truncated_svd`` as looked up at their call, not the
+    routines' default bound at import, so a replaced module binding (a
+    tracer, a counting test) sees every call.
     """
     if spec.family == DENSE:
         rows = math.prod(t.shape[:row_mode_count])
@@ -561,7 +595,7 @@ def _decompose(
             matrix=t.reshape(rows, -1),
         )
     if spec.family == "tucker":
-        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters, basis=basis)
+        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
     elif spec.family == "tt":
         layer = tt_decompose(t, spec.ranks, svd=svd)
     else:
@@ -587,4 +621,4 @@ def compress_matrix(
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
     spec = select_ranks(mode_shape, family, target)
-    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, truncated_svd, leading_basis)
+    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, truncated_svd)

@@ -24,7 +24,8 @@ from minima.sensitivity import (
     probe_patch,
     train_predictor,
 )
-from minima.tn_decompositions import FAMILIES, compress_matrix, layer_to_matrix, ratio_budget
+import minima.tn_decompositions as tn
+from minima.tn_decompositions import FAMILIES, compress_matrix, default_mode_shape, layer_to_matrix, ratio_budget, select_ranks
 
 
 def make_model(matrices):
@@ -266,6 +267,17 @@ class TestProbeSvdStore:
             expected = (0, 4 * (1 + hooi_iters)) if family == "tucker" else (3, 0)
             assert (len(lapack_calls), len(eigh_calls)) == expected
 
+    def test_a_stack_of_16x16_patches_shares_its_20_eigendecompositions(self, rng, lapack_calls, eigh_calls):
+        # three 16 x 16 patches probed as one stack: the 20 eigendecompositions
+        # of one patch, each over the stack of three; 8 SVDs per patch and one
+        # values-only SVD per patch for its features
+        model = make_model([("w", decayed_matrix(rng, 16, 48, 0.1), "ffn")])
+        calib = {"w": rng.standard_normal((48, 16))}
+        result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
+        assert len(result.probed_ids) == 3
+        assert len(eigh_calls) == 20 and all(shape == (3, 4, 4) for shape in eigh_calls)
+        assert len(lapack_calls) == 3 * 8 + 3
+
     def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng, monkeypatch):
         # 32 x 32 and 32 x 16 patches, probed in both layers
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 48, 0.1 + 0.1 * i), "ffn") for i in range(2)])
@@ -299,6 +311,125 @@ class TestProbeSvdStore:
         with pytest.raises(ValueError, match=f"unknown family {unknown}"):
             analyze(model, calib, patch_size=(32, 32), families=families, probe_stride=1)
         assert lapack_calls == []  # before any feature or probe
+
+
+def mixed_model(rng):
+    """Three layers whose 16 x 16 tiles include ragged 16 x 8, 8 x 16 and 8 x 8
+    edges, and an embedding that analyze does not probe."""
+    model = make_model(
+        [
+            ("a", decayed_matrix(rng, 40, 40, 0.1), "ffn"),
+            ("b", decayed_matrix(rng, 32, 48, 0.3), "attention_proj"),
+            ("c", decayed_matrix(rng, 16, 24, 0.05), "embedding"),
+        ]
+    )
+    calib = {name: rng.standard_normal((entry.matrix.shape[1], 16)) for name, entry in model.entries.items()}
+    return model, calib
+
+
+class TestStackedProbes:
+    GRID = (0.5, 0.35, 0.25, 0.15, 0.01)
+
+    def test_analyze_records_equal_a_probe_patch_loop_bitwise(self, rng):
+        model, calib = mixed_model(rng)
+        result = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
+        by_id = {p.patch_id: p for p in result.patches}
+        probed = [by_id[pid] for pid in result.probed_ids]
+        assert max(len(stack) for stack in sensitivity._probe_stacks(probed)) > 1
+        loop = []
+        for p in probed:
+            x = calib[p.layer_name][p.col_range[0] : p.col_range[1], :]
+            loop += probe_patch(patch_matrix(model, p), FAMILIES, self.GRID, x, patch_id=p.patch_id)
+        assert record_bits(result.probes) == record_bits(loop)
+
+    @pytest.mark.parametrize("bound", [1, 2 * 256])
+    def test_records_do_not_depend_on_the_stack_bound(self, rng, monkeypatch, bound):
+        model, calib = mixed_model(rng)
+        whole = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
+        monkeypatch.setattr(sensitivity, "STACK_ENTRIES", bound)
+        by_id = {p.patch_id: p for p in whole.patches}
+        stacks = sensitivity._probe_stacks([by_id[pid] for pid in whole.probed_ids])
+        assert max(len(stack) for stack in stacks) == max(bound // 256, 1)
+        cut = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
+        assert record_bits(cut.probes) == record_bits(whole.probes)
+
+    def test_stacks_group_by_shape_within_the_bound(self, rng):
+        model, _ = mixed_model(rng)
+        patches = partition_patches(model, (16, 16))
+        stacks = sensitivity._probe_stacks(patches)
+        assert sorted(p.patch_id for stack in stacks for p in stack) == [p.patch_id for p in patches]
+        for stack in stacks:
+            assert len({(p.rows, p.cols) for p in stack}) == 1
+            assert [p.patch_id for p in stack] == sorted(p.patch_id for p in stack)
+            assert len(stack) * stack[0].rows * stack[0].cols <= max(sensitivity.STACK_ENTRIES, stack[0].rows * stack[0].cols)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (36, 64)])
+    def test_a_reused_tr_record_equals_a_tr_decompose_probe_bitwise(self, rng, monkeypatch, shape):
+        w = decayed_matrix(rng, *shape, 0.1)
+        calib = seeded_calib(shape[1], 4)
+        mode_shape, row_modes = default_mode_shape(*shape)
+        expected = []
+        for ratio in self.GRID[:-1]:
+            spec = select_ranks(mode_shape, "tr", ratio_budget(ratio, w.size))
+            assert spec.ranks[0] == 1  # the budget selects a ring that is a train
+            layer = tn.tr_decompose(w.reshape(mode_shape), spec.ranks)
+            layer.row_mode_count = row_modes
+            expected.append(output_deviation(w, layer_to_matrix(layer), calib))
+        rings = []
+        tr_decompose = tn.tr_decompose
+
+        def counting(*args, **kwargs):
+            rings.append(args[1])
+            return tr_decompose(*args, **kwargs)
+
+        monkeypatch.setattr(tn, "tr_decompose", counting)
+        reused = [r for r in probe_patch(w, ("tt", "tr"), self.GRID, calib) if r.family == "tr"]
+        assert rings == []  # every ring took its train's deviation
+        alone = probe_patch(w, ("tr",), self.GRID, calib)
+        assert len(rings) == len(self.GRID) - 1
+        for records in (reused, alone):
+            assert [np.float64(r.measured_degradation).tobytes() for r in records] == [
+                np.float64(d).tobytes() for d in expected
+            ]
+
+    def test_a_ring_that_is_not_an_unpadded_train_is_decomposed(self, rng, monkeypatch):
+        # rank searches that select rings the budget search never does: a
+        # closing bond of 2, and a unit closing bond with a padded last bond,
+        # each beside a train with bonds ranks[1:]
+        w = decayed_matrix(rng, 16, 16, 0.1)
+        calib = seeded_calib(16, 4)
+        mode_shape, row_modes = default_mode_shape(16, 16)
+        chosen = {
+            128: {"tt": (2, 4, 2), "tr": (2, 2, 4, 2)},
+            64: {"tt": (4, 16, 5), "tr": (1, 4, 16, 5)},
+        }
+
+        def rank_search(shape, family, budget):
+            return tn.RankSpec(family, chosen[budget.budget][family])
+
+        rings = []
+        tr_decompose = tn.tr_decompose
+
+        def counting(*args, **kwargs):
+            rings.append(args[1])
+            return tr_decompose(*args, **kwargs)
+
+        monkeypatch.setattr(tn, "tr_decompose", counting)
+        records = probe_patch(w, ("tt", "tr"), (0.5, 0.25), calib, rank_search=rank_search)
+        assert rings == [(2, 2, 4, 2), (1, 4, 16, 5)]
+        for record, ranks in zip([r for r in records if r.family == "tr"], rings):
+            layer = tr_decompose(w.reshape(mode_shape), ranks)
+            layer.row_mode_count = row_modes
+            expected = output_deviation(w, layer_to_matrix(layer), calib)
+            assert np.float64(record.measured_degradation).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_patch_in_a_stack_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):
+        stack = rng.standard_normal((3, 16, 16))
+        stack[1, 4, 5] = bad
+        with pytest.raises(NumericsError):
+            sensitivity._probe_stack([0, 1, 2], lambda i: stack[i], [seeded_calib(16, 3)] * 3, FAMILIES, (0.5,))
+        assert lapack_calls == [] and eigh_calls == []
 
 
 def linear_records(rng, n_patches, coeffs, intercept=0.2, shuffle=False):

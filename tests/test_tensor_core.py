@@ -3,7 +3,6 @@ import pytest
 
 from minima.errors import DegenerateReferenceError, NumericsError, RankError, ShapeError
 from minima.tensor_core import (
-    BasisStore,
     ParamBudget,
     SvdStore,
     as_tensor,
@@ -352,52 +351,80 @@ class TestLeadingBasis:
             leading_basis(rng.standard_normal((4, 4, 4)), 2)
 
 
-class TestBasisStore:
-    @pytest.mark.parametrize("shape", [(9, 6), (4, 64), (16, 16), (8, 3)])
-    def test_every_rank_in_mixed_order_equals_leading_basis_bitwise(self, rng, shape):
-        m = rng.standard_normal(shape)
-        store = BasisStore()
-        ranks = rng.permutation(np.arange(1, shape[0] + 1)).tolist()
-        for r in ranks + ranks[::-1]:
-            u = store(m, r)
-            assert bitwise_equal(u, leading_basis(m, r)), (shape, r)
-            assert u.flags.c_contiguous
-        assert len(store) == 1
+def stack_of(rng, count, shape, rank=None):
+    """``count`` random slices of ``shape``; with ``rank``, each of that matrix rank."""
+    if rank is None:
+        return rng.standard_normal((count, *shape))
+    return rng.standard_normal((count, shape[0], rank)) @ rng.standard_normal((count, rank, shape[1]))
 
-    def test_one_eigendecomposition_per_distinct_input(self, rng, eigh_calls):
-        inputs = [rng.standard_normal(shape) for shape in [(9, 6), (4, 64), (16, 16), (8, 3)]]
-        store = BasisStore()
-        for m in inputs + inputs[::-1]:
-            store(m, 1)
-            store(m.copy(), m.shape[0])  # same bits in a new array is a hit
-        assert eigh_calls == [(m.shape[0], m.shape[0]) for m in inputs]
-        # same bytes in another shape, and one flipped bit, are new inputs
-        store(inputs[2].reshape(4, 64), 2)
-        flipped = inputs[2].copy()
-        flipped[3, 3] = np.nextafter(flipped[3, 3], np.inf)
-        store(flipped, 2)
-        assert len(eigh_calls) == len(store) == len(inputs) + 2
 
-    def test_results_are_copies(self, rng):
-        m = rng.standard_normal((8, 8))
-        store = BasisStore()
-        store(m, 8)[:] = 0.0
-        assert bitwise_equal(store(m, 8), leading_basis(m, 8))
+class TestStacks:
+    """A stacked call equals the plain call on each slice, bit for bit."""
+
+    MATRICES = [(4, 64), (16, 16), (64, 8)]
+
+    @pytest.mark.parametrize("shape", [(4, 64), (16, 16), (64, 8), (4, 4, 4, 4), (3, 5, 2)])
+    def test_unfold(self, rng, shape):
+        ts = rng.standard_normal((3, *shape))
+        for source in (ts, mode_dot(ts, rng.standard_normal((3, shape[0], shape[0])), 0, stacked=True)):
+            for mode in range(len(shape)):
+                got = unfold(source, mode, stacked=True)
+                assert got.flags.c_contiguous
+                for p in range(3):
+                    assert bitwise_equal(got[p], unfold(source[p], mode)), (shape, mode, p)
+
+    @pytest.mark.parametrize("shape", [(4, 64), (16, 16), (64, 8), (4, 4, 4, 4), (4, 8, 4, 8)])
+    def test_mode_dot(self, rng, shape):
+        d = len(shape)
+        base = rng.standard_normal((5, *shape))
+        for mode in range(d):
+            n = shape[mode]
+            prev = (mode + 1) % d
+            view = mode_dot(base, rng.standard_normal((5, shape[prev], shape[prev])), prev, stacked=True)
+            # a rank-1 factor, a thin one, a square one and a transposed (F-ordered) one
+            mats = [rng.standard_normal((5, n, r)) for r in (1, 2, n)]
+            mats.append(rng.standard_normal((5, 3, n)).swapaxes(1, 2))
+            for t in (base, view):
+                for mat in mats:
+                    got = mode_dot(t, mat, mode, stacked=True)
+                    for p in range(5):
+                        want = mode_dot(t[p], mat[p], mode)
+                        assert got[p].shape == want.shape
+                        assert bitwise_equal(np.ascontiguousarray(got[p]), np.ascontiguousarray(want)), (shape, mode, p)
+
+    @pytest.mark.parametrize("shape", MATRICES)
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_leading_basis(self, rng, shape, rank):
+        # each slice scaled by its own power of two, so the scales differ
+        ms = stack_of(rng, 4, shape, rank) * np.ldexp(1.0, np.array([-40, 0, 3, 700]))[:, None, None]
+        for r in (1, 2, shape[0]):
+            got = leading_basis(ms, r, stacked=True)
+            assert got.shape == (4, shape[0], r) and got.flags.c_contiguous
+            for p in range(4):
+                assert bitwise_equal(got[p], leading_basis(ms[p], r)), (shape, r, p)
+
+    def test_a_stack_of_one_equals_the_plain_call(self, rng):
+        for shape in self.MATRICES:
+            m = rng.standard_normal(shape)
+            assert bitwise_equal(leading_basis(m[None], 3, stacked=True)[0], leading_basis(m, 3))
+            assert bitwise_equal(unfold(m[None], 1, stacked=True)[0], unfold(m, 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_raises_and_is_not_stored(self, rng, eigh_calls, bad):
-        m = rng.standard_normal((6, 5))
-        m[2, 3] = bad
-        store = BasisStore()
-        for _ in range(2):
-            with pytest.raises(NumericsError):
-                store(m, 2)
-        assert len(store) == 0 and eigh_calls == []
+    def test_a_non_finite_slice_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
+        ms = rng.standard_normal((3, 4, 64))
+        ms[2, 1, 40] = bad
+        with pytest.raises(NumericsError):
+            leading_basis(ms, 2, stacked=True)
+        assert eigh_calls == [] and lapack_calls == []
 
-    def test_rank_outside_one_to_row_count(self, rng):
-        m = rng.standard_normal((5, 3))
-        store = BasisStore()
-        for rank in (0, 6, -1):  # the first is a miss, the others hits
+    def test_stacked_ranks_and_shapes_are_checked(self, rng):
+        ms = rng.standard_normal((3, 4, 6))
+        for rank in (0, 5):
             with pytest.raises(RankError):
-                store(m, rank)
-        assert bitwise_equal(store(m, 5), leading_basis(m, 5))
+                leading_basis(ms, rank, stacked=True)
+        with pytest.raises(ShapeError):
+            leading_basis(ms[0], 2, stacked=True)
+        with pytest.raises(ShapeError):
+            mode_dot(ms, ms[0], 0, stacked=True)
+        with pytest.raises(IndexError):
+            unfold(ms, 2, stacked=True)

@@ -176,11 +176,11 @@ class TestTucker:
         leading = tn._orthonormal_factor
         calls = []
 
-        def trailing_in_sweeps(unfolding, rank, svd):
+        def trailing_in_sweeps(unfolding, rank):
             calls.append(rank)
             if len(calls) <= t.ndim:  # HOSVD initialization
-                return leading(unfolding, rank, svd)
-            return np.linalg.svd(unfolding)[0][:, -rank:]
+                return leading(unfolding, rank)
+            return np.linalg.svd(unfolding)[0][..., -rank:]
 
         monkeypatch.setattr(tn, "_orthonormal_factor", trailing_in_sweeps)
         with pytest.raises(NumericsError, match="relative residual energy"):
@@ -226,24 +226,66 @@ class TestTucker:
             tucker_decompose(t, (2, 2, 2, 2))
         assert eigh_calls == [] and lapack_calls == []
 
+    @pytest.mark.parametrize(
+        "shape, ranks", [((4, 4, 4, 4), (2, 3, 2, 1)), ((4, 8, 4, 8), (3, 5, 2, 4)), ((4, 64), (1, 3)), ((6, 1, 5), (2, 1, 5))]
+    )
+    def test_a_stack_equals_its_slices_bitwise(self, rng, shape, ranks):
+        t = rng.standard_normal((4, *shape)) * np.ldexp(1.0, np.array([0, -30, 12, 0]))[(...,) + (None,) * len(shape)]
+        t[3] = 0.0  # a zero slice: its guard must not divide by its zero norm
+        for iters in (0, 1, 2):
+            layers = tucker_decompose(t, ranks, hooi_iters=iters, stacked=True)
+            assert len(layers) == 4
+            for p, layer in enumerate(layers):
+                plain = tucker_decompose(t[p], ranks, hooi_iters=iters)
+                assert layer.mode_shape == plain.mode_shape and layer.ranks == plain.ranks
+                assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True)), (p, iters)
+
+    def test_guard_raises_when_one_slice_of_a_stack_rises(self, rng, monkeypatch):
+        t = rng.standard_normal((3, 4, 4, 4))
+        leading = tn._orthonormal_factor
+        calls = []
+
+        def trailing_for_slice_1_in_sweeps(unfoldings, rank):
+            calls.append(rank)
+            factors = leading(unfoldings, rank)
+            if len(calls) > 3:  # after the HOSVD start: slice 1 takes its trailing vectors
+                factors[1] = np.linalg.svd(unfoldings[1])[0][:, -rank:]
+            return factors
+
+        monkeypatch.setattr(tn, "_orthonormal_factor", trailing_for_slice_1_in_sweeps)
+        with pytest.raises(NumericsError, match="relative residual energy of slice 1 "):
+            tucker_decompose(t, (2, 2, 2), hooi_iters=1, stacked=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_slice_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
+        t = rng.standard_normal((3, *MODES_16x32))
+        t[2, 1, 2, 3, 4] = bad
+        with pytest.raises(NumericsError):
+            tucker_decompose(t, (2, 2, 2, 2), stacked=True)
+        with pytest.raises(NumericsError):  # a rank error reports the NaN first
+            tucker_decompose(t, (9, 2, 2, 2), stacked=True)
+        assert eigh_calls == [] and lapack_calls == []
+
     def test_mode_products_per_call(self, rng, monkeypatch):
         calls = []
         mode_dot_ = tn.mode_dot
 
-        def counting(t, mat, mode):
+        def counting(t, mat, mode, *, stacked=False):
             calls.append(mode)
-            return mode_dot_(t, mat, mode)
+            return mode_dot_(t, mat, mode, stacked=stacked)
 
         monkeypatch.setattr(tn, "mode_dot", counting)
         for shape in ((4, 8, 4, 8), (4, 4, 4, 4)):
             d = len(shape)
-            t = rng.standard_normal(shape)
+            t = rng.standard_normal((5, *shape))
             for iters in (0, 1, 2):
-                calls.clear()
-                tucker_decompose(t, (2, 3, 2, 3), hooi_iters=iters)
                 # HOSVD core d; per sweep mode k applies d-1-k suffix factors, then
-                # extends the shared prefix once: d(d+1)/2
-                assert len(calls) == d + iters * d * (d + 1) // 2, (shape, iters)
+                # extends the shared prefix once: d(d+1)/2. A stack of 5 takes as
+                # many stacked products as one tensor.
+                for tensor, stacked in ((t[0], False), (t, True)):
+                    calls.clear()
+                    tucker_decompose(tensor, (2, 3, 2, 3), hooi_iters=iters, stacked=stacked)
+                    assert len(calls) == d + iters * d * (d + 1) // 2, (shape, iters, stacked)
 
 
 class TestTensorTrain:
@@ -633,8 +675,10 @@ class TestInputChecks:
         """compress_matrix scans its input once (four times before: compress_matrix,
         reshape_to_modes, decompose and the family's routine). Each SVD and each
         Tucker factor still scans its own input: an unfolding or projection can
-        overflow, and LAPACK must not see an inf. Tucker takes 4 HOSVD factors
-        and 4 per sweep (2 sweeps), TT and TR one SVD per split."""
+        overflow, and LAPACK must not see an inf. An SVD scans by ``as_tensor``,
+        a Tucker factor by the largest magnitude that sets its scale, with no
+        ``as_tensor``. Tucker takes 4 HOSVD factors and 4 per sweep (2 sweeps),
+        TT and TR one SVD per split."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
         as_tensor, svd, basis = tc.as_tensor, tn.truncated_svd, tn.leading_basis
 
@@ -654,7 +698,7 @@ class TestInputChecks:
             calls.update(as_tensor=0, svd=0, basis=0)
             compress_matrix(w, family, ratio_budget(ratio, w.size))
             assert (calls["svd"], calls["basis"]) == (svds, bases)
-            assert calls["as_tensor"] == 1 + svds + bases
+            assert calls["as_tensor"] == 1 + svds
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_compress_matrix_equals_the_validated_chain_bitwise(self, n):
@@ -675,22 +719,24 @@ class TestInputChecks:
 
 
 class TestSvdSource:
-    """The routines' ``svd`` keyword: a ``tc.SvdStore`` changes no bit of a
-    layer and holds only the inputs that can repeat."""
+    """The routines' factor sources: given HOSVD bases and a ``tc.SvdStore``
+    change no bit of a layer, and a store holds only the inputs that can
+    repeat."""
 
-    def test_tucker_stores_only_its_hosvd_unfoldings(self, rng, eigh_calls, lapack_calls):
-        t = rng.standard_normal((4, 3, 5, 2))
-        d = t.ndim
+    def test_tucker_from_given_hosvd_bases_makes_only_its_sweep_eigendecompositions(self, rng, eigh_calls, lapack_calls):
+        t = rng.standard_normal((3, 4, 3, 5, 2))
+        hosvd = [tc.leading_basis(tc.unfold(t, k, stacked=True), n, stacked=True) for k, n in enumerate(t.shape[1:])]
         for iters in range(3):
-            store = tc.BasisStore()
-            for call, ranks in enumerate([(2, 2, 2, 1), (3, 2, 4, 2), (2, 2, 2, 1)]):
+            for ranks in [(2, 2, 2, 1), (3, 2, 4, 2), (2, 2, 2, 1)]:
                 eigh_calls.clear()
-                layer = tucker_decompose(t, ranks, hooi_iters=iters, basis=store)
-                # the d HOSVD unfoldings on the first call only, d more per sweep
-                assert len(eigh_calls) == (d if call == 0 else 0) + d * iters
-                plain = tucker_decompose(t, ranks, hooi_iters=iters)
-                assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True))
-            assert len(store) == d  # HOOI sweep inputs bypass the store
+                layers = tucker_decompose(t, ranks, hooi_iters=iters, stacked=True, hosvd=hosvd)
+                # d stacked eigendecompositions per sweep, none for the start
+                assert eigh_calls == [(3, n, n) for _ in range(iters) for n in t.shape[1:]]
+                for p, layer in enumerate(layers):
+                    plain = tucker_decompose(t[p], ranks, hooi_iters=iters)
+                    assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True))
+                    # the start copies its columns: no layer shares memory with the bases
+                    assert not any(np.shares_memory(f, b) for f, b in zip(layer.factors, hosvd))
         assert lapack_calls == []  # Tucker takes no SVD
 
     def test_tr_with_a_unit_closing_bond_repeats_the_tt_splits(self, rng):
