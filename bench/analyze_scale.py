@@ -18,10 +18,15 @@ peak of one more ``analyze`` call.
 
 One more run, untimed, counts LAPACK SVD calls (``np.linalg.svd``): all of
 them, the values-only ones, and those whose input (shape and bytes) an
-earlier call of the run already had. It counts the eigendecompositions
-(``np.linalg.eigh``) that give Tucker's factors the same way; a stacked call
-counts once. The same run is traced with ``perfbench/spans.py``, and its
-per-layer metrics give the split of ``analyze``'s time. Each row also
+earlier call of the run already had. A call on a stack of matrices counts
+once in ``calls``; ``stacked_calls`` counts the calls that took a stack and
+``slices`` the matrices that all calls took, so a plain call adds one to
+each of ``calls`` and ``slices``. It counts the eigendecompositions
+(``np.linalg.eigh``) that give Tucker's factors the same way. The same run
+is traced with ``perfbench/spans.py``, and its per-layer metrics give the
+split of ``analyze``'s time; the trace wraps ``extract_features`` and
+``truncated_svd``, which ``analyze``'s stacked features and TT splits do
+not call, so their time falls into the spans around them. Each row also
 records the plans' achieved ratios and a digest of the probe records, so
 two checkouts can be compared for equal outputs.
 
@@ -51,6 +56,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -136,12 +142,15 @@ def run_once(model, calib):
 
 
 def counting(fn, counts: dict, seen: set):
-    """``fn`` counting its calls, values-only ones and repeated inputs into ``counts``."""
+    """``fn`` counting into ``counts`` its calls, the stacked ones, the
+    matrices they took, values-only calls and repeated inputs."""
 
     def call(a, *args, **kwargs):
         a = np.ascontiguousarray(a)
         key = (a.shape, a.tobytes())
         counts["calls"] += 1
+        counts["stacked_calls"] += a.ndim > 2
+        counts["slices"] += math.prod(a.shape[:-2])
         if "values_only" in counts:
             counts["values_only"] += kwargs.get("compute_uv") is False
         counts["repeated_inputs"] += key in seen
@@ -155,8 +164,8 @@ def counted_run(model, calib) -> tuple[dict, dict, dict]:
     """LAPACK SVD and eigendecomposition counts and traced per-layer metrics
     of one run."""
     svd, eigh = np.linalg.svd, np.linalg.eigh
-    svd_counts = {"calls": 0, "values_only": 0, "repeated_inputs": 0}
-    eigh_counts = {"calls": 0, "repeated_inputs": 0}
+    svd_counts = {"calls": 0, "stacked_calls": 0, "slices": 0, "values_only": 0, "repeated_inputs": 0}
+    eigh_counts = {"calls": 0, "stacked_calls": 0, "slices": 0, "repeated_inputs": 0}
     tracer = Tracer()
     mods = {name: importlib.import_module(f"minima.{name}") for name in MODULES}
     np.linalg.svd = counting(svd, svd_counts, set())

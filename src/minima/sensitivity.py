@@ -12,11 +12,13 @@ import numpy as np
 
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
-from minima.tensor_core import SvdStore, as_tensor, leading_basis, unfold
+from minima.tensor_core import as_tensor, leading_basis, unfold
 from minima.tn_decompositions import (
     FAMILIES,
     _decompose,
     _tr_reach,
+    _train_chain,
+    _train_stack,
     default_mode_shape,
     layer_to_matrix,
     ratio_budget,
@@ -96,66 +98,105 @@ def partition_patches(model: ModelContainer, patch_size=(64, 64)) -> list[Patch]
 
 
 def patch_matrix(model: ModelContainer, patch: Patch) -> np.ndarray:
-    matrix = model.entries[patch.layer_name].matrix
-    block = matrix[patch.row_range[0] : patch.row_range[1], patch.col_range[0] : patch.col_range[1]]
-    return np.ascontiguousarray(block, dtype=np.float64)
+    """The patch's block of its layer's matrix, a float64 copy."""
+    return _patch_stack(model, [patch])[0]
+
+
+def _patch_stack(model: ModelContainer, patches: list[Patch]) -> np.ndarray:
+    """The float64 blocks of same-shape ``patches``, stacked ``(P, rows,
+    cols)`` and filled in place."""
+    stack = np.empty((len(patches), patches[0].rows, patches[0].cols))
+    for out, p in zip(stack, patches):
+        out[...] = model.entries[p.layer_name].matrix[p.row_range[0] : p.row_range[1], p.col_range[0] : p.col_range[1]]
+    return stack
 
 
 def extract_features(w: np.ndarray, patch: Patch, total_layers: int) -> np.ndarray:
     """12 cheap statistics: spectrum shape, magnitudes, sparsity, position.
 
     The spectrum is LAPACK's values-only SVD of the scanned patch: no
-    singular vectors are formed.
+    singular vectors are formed. This is the one-patch case of
+    ``analyze``'s stacked features (``_stack_features``).
     """
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
-    s = np.linalg.svd(w, compute_uv=False)
-    energies = s**2
-    total = float(energies.sum())
+    return _stack_features(w[None].copy(), [patch], total_layers)[0]
 
-    if total == 0.0:
-        stable_rank = 0.0
-        top_energy = 0.0
-        log_cond = 0.0
-        entropy = 0.0
-    else:
-        stable_rank = total / float(energies[0])
-        k = math.ceil(0.1 * min(w.shape))
-        top_energy = float(energies[:k].sum()) / total
-        # values at or below the numerical-rank cutoff are rounding noise
-        kept = s[s > max(w.shape) * np.finfo(np.float64).eps * s[0]]
-        log_cond = float(np.log10(kept[0] / kept[-1]))
-        p = energies[energies > 0] / total
-        entropy = float(-(p * np.log(p)).sum())
 
-    abs_w = np.abs(w)
-    max_abs = float(abs_w.max())
-    mean_abs = float(abs_w.mean())
-    frac_small = float(np.mean(abs_w < 1e-3 * max_abs)) if max_abs > 0 else 0.0
-    row_norms = np.linalg.norm(w, axis=1)
-    mean_norm = float(row_norms.mean())
-    row_cv = float(row_norms.std() / mean_norm) if mean_norm > 0 else 0.0
+def _stack_features(stack: np.ndarray, patches: list[Patch], total_layers: int) -> np.ndarray:
+    """``extract_features`` of each matrix of a finite float64 stack ``(P,
+    m, n)``, one row per patch, each row its patch's bits. The stack is
+    overwritten.
 
-    feats = np.array(
-        [
-            stable_rank,
-            top_energy,
-            log_cond,
-            entropy,
-            mean_abs,
-            max_abs,
-            frac_small,
-            row_cv,
-            patch.layer_index / max(total_layers, 1),
-            1.0 if patch.submodule_kind == "attention_proj" else 0.0,
-            1.0 if patch.submodule_kind == "ffn" else 0.0,
-            1.0 if patch.submodule_kind == "embedding" else 0.0,
-        ]
-    )
-    if not np.all(np.isfinite(feats)):
-        raise NumericsError(f"non-finite feature vector for patch {patch.patch_id}")
+    One values-only LAPACK SVD for the stack. Every reduction runs along a
+    slice's own contiguous entries, as the one-patch call's does, so each
+    slice sums in the same order. The magnitudes are taken in place
+    (``abs``, then squares for the row norms), and the small-entry fraction
+    is counted per slice, so no stack-size temporary or cast buffer is
+    made; the spectra's temporaries are freed before the magnitudes'.
+    """
+    count, m, n = stack.shape
+    spectral = _spectral_features(np.linalg.svd(stack, compute_uv=False), max(m, n))
+
+    flat = stack.reshape(count, -1)
+    np.abs(flat, out=flat)
+    max_abs = flat.max(axis=1)
+    mean_abs = flat.mean(axis=1)
+    frac_small = [
+        np.count_nonzero(row < 1e-3 * peak) / row.size if peak > 0 else 0.0 for row, peak in zip(flat, max_abs)
+    ]
+    np.square(stack, out=stack)
+    row_norms = np.sqrt(stack.sum(axis=2))
+    mean_norm = row_norms.mean(axis=1)
+    row_cv = np.zeros(count)
+    moving = mean_norm > 0
+    row_cv[moving] = row_norms[moving].std(axis=1) / mean_norm[moving]
+
+    position = [
+        (
+            p.layer_index / max(total_layers, 1),
+            1.0 if p.submodule_kind == "attention_proj" else 0.0,
+            1.0 if p.submodule_kind == "ffn" else 0.0,
+            1.0 if p.submodule_kind == "embedding" else 0.0,
+        )
+        for p in patches
+    ]
+    feats = np.column_stack([*spectral, mean_abs, max_abs, frac_small, row_cv, np.array(position)])
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise NumericsError(f"non-finite feature vector for patch {patches[int(finite.argmin())].patch_id}")
     return feats
+
+
+def _spectral_features(s: np.ndarray, long_side: int) -> np.ndarray:
+    """Stable rank, top-10% energy, log condition and entropy ``(4, P)`` of
+    the spectra ``s`` ``(P, k)`` of P matrices whose longer side is
+    ``long_side``; a zero spectrum keeps 0 for each. The entropy sums only a
+    spectrum's positive energies, a prefix of it, so spectra are grouped
+    by that prefix's length."""
+    energies = s**2
+    total = energies.sum(axis=1)
+    live = total != 0.0
+    spectral = np.zeros((4, len(s)))
+    if live.any():
+        s, energies, total = s[live], energies[live], total[live]
+        k = math.ceil(0.1 * s.shape[1])
+        # values at or below the numerical-rank cutoff are rounding noise
+        kept = (s > (long_side * np.finfo(np.float64).eps) * s[:, :1]).sum(axis=1)
+        positive = (energies > 0).sum(axis=1)
+        entropy = np.empty(len(s))
+        for length in set(positive.tolist()):  # not np.unique, whose first call imports numpy.ma
+            chosen = positive == length
+            p = energies[chosen, :length] / total[chosen, None]
+            entropy[chosen] = -(p * np.log(p)).sum(axis=1)
+        spectral[:, live] = (
+            total / energies[:, 0],
+            energies[:, :k].sum(axis=1) / total,
+            np.log10(s[:, 0] / s[np.arange(len(s)), kept - 1]),
+            entropy,
+        )
+    return spectral
 
 
 @dataclass(frozen=True)
@@ -232,28 +273,25 @@ def probe_patch(
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
-    return _probe_stack([patch_id], lambda _: w, [calib], families, ratio_grid, hooi_iters, rank_search)[0]
+    return _probe_stack([patch_id], w[None], [calib], families, ratio_grid, hooi_iters, rank_search)[0]
 
 
 def _probe_stack(
-    patch_ids, matrix_of, calibs, families, ratio_grid, hooi_iters=1, rank_search=_rank_search
+    patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1, rank_search=_rank_search
 ) -> list[list[ProbeRecord]]:
-    """``probe_patch`` of same-shape patches: one list of records per patch,
-    in ``FAMILIES`` order, then ratio order.
+    """``probe_patch`` of the same-shape patches of ``stack`` ``(P, m, n)``:
+    one list of records per patch, in ``FAMILIES`` order, then ratio order.
 
-    ``matrix_of(i)`` returns the matrix of patch i, a 2-D float64 array; it
-    is called twice per patch, so a caller can hand out copies that are
-    dropped after use. Tucker is probed on the stack of all the patches at
-    once (``_tucker_probes``), and the stack is freed before TT and TR are
-    probed patch by patch. Each patch gets an ``SvdStore``, so a split that
-    repeats across ratios and families costs one LAPACK SVD, and its probes
-    are keyed by structure (``_probe_key``), so a ring that is a train takes
-    the train's deviation without a decomposition. ||W X|| is computed once
-    per patch.
+    Probes are keyed by the structure they decompose (``_probe_key``), so a
+    ring that is a train takes the train's deviations and ratios that select
+    the same ranks share them. Tucker is probed on the whole stack
+    (``_tucker_probes``), then trains (``_train_probes``); a ring that is
+    not a train, which no budget selects, is decomposed patch by patch.
+    ||W X|| is computed once per patch.
     """
     families = _probe_families(families)
+    stack = as_tensor(stack)
     calibs = [np.ascontiguousarray(x, dtype=np.float64) for x in calibs]
-    stack = as_tensor(np.stack([matrix_of(i) for i in range(len(patch_ids))]))
     m, n = stack.shape[1:]
     for x in calibs:
         if x.shape[0] != n:
@@ -267,58 +305,87 @@ def _probe_stack(
         for family in families
         for ratio in ratio_grid
     }
+    keys = {  # (family, ratio) -> probe key, for the feasible cells
+        cell: _probe_key(mode_shape, spec)
+        for cell, spec in specs.items()
+        if not isinstance(spec, InfeasibleBudgetError)
+    }
+    by_key = {key: specs[cell] for cell, key in keys.items()}
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
-    tucker = _tucker_probes(stack, mode_shape, row_mode_count, specs, calibs, refs, hooi_iters)
-    del stack
+    tucker, trains = ([key[1] for key in by_key if key[0] == family] for family in ("tucker", "tt"))
+    measured = _tucker_probes(stack, mode_shape, row_mode_count, tucker, calibs, refs, hooi_iters)
+    measured.update(_train_probes(stack, mode_shape, trains, calibs, refs))
+    for key, spec in by_key.items():
+        if key[0] == "tr":
+            layers = (_decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count) for w in stack)
+            measured[key] = [_deviation(*args) for args in zip(stack, map(layer_to_matrix, layers), calibs, refs)]
 
     out = []
     for i, patch_id in enumerate(patch_ids):
-        w, svd, measured, records = None, SvdStore(), {}, []
+        records = []
         for family in families:
             for ratio in ratio_grid:
-                spec = specs[family, ratio]
-                if isinstance(spec, InfeasibleBudgetError):
-                    log.info("probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, spec)
+                if (family, ratio) not in keys:
+                    log.info(
+                        "probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, specs[family, ratio]
+                    )
                     continue
-                if family == "tucker":
-                    deg = tucker[i][ratio]
-                else:
-                    key = _probe_key(mode_shape, spec)
-                    deg = measured.get(key)
-                    if deg is None:
-                        w = matrix_of(i) if w is None else w
-                        layer = _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, svd)
-                        deg = measured[key] = _deviation(w, layer_to_matrix(layer), calibs[i], refs[i])
-                records.append(ProbeRecord(patch_id, family, float(ratio), deg))
+                records.append(ProbeRecord(patch_id, family, float(ratio), measured[keys[family, ratio]][i]))
         out.append(records)
     return out
 
 
-def _tucker_probes(stack, mode_shape, row_mode_count, specs, calibs, refs, hooi_iters) -> list[dict[float, float]]:
-    """The Tucker deviation of each patch of ``stack`` at each feasible
-    ratio of ``specs``, one dict (ratio -> deviation) per patch; ``refs``
-    holds each patch's ||W X||.
+def _tucker_probes(stack, mode_shape, row_mode_count, ranks, calibs, refs, hooi_iters) -> dict[tuple, list[float]]:
+    """The Tucker deviation of each patch of ``stack`` at each rank tuple of
+    ``ranks``, keyed ``("tucker", ranks)``; ``refs`` holds each patch's
+    ||W X||.
 
     Each mode's full HOSVD eigenbasis is computed once for the stack, and
-    every ratio's decomposition starts from its leading columns; each
-    ratio is one stacked ``tucker_decompose``.
+    every decomposition starts from its leading columns; each rank tuple is
+    one stacked ``tucker_decompose``.
     """
-    ratios = [
-        ratio
-        for (family, ratio), spec in specs.items()
-        if family == "tucker" and not isinstance(spec, InfeasibleBudgetError)
-    ]
-    deviations = [{} for _ in stack]
-    if not ratios:
-        return deviations
+    if not ranks:
+        return {}
     t = stack.reshape(len(stack), *mode_shape)
     hosvd = [leading_basis(unfold(t, k, stacked=True), size, stacked=True) for k, size in enumerate(mode_shape)]
-    for ratio in ratios:
-        layers = tucker_decompose(t, specs["tucker", ratio].ranks, hooi_iters, stacked=True, hosvd=hosvd)
-        for i, layer in enumerate(layers):
+    measured = {}
+    for r in ranks:
+        layers = tucker_decompose(t, r, hooi_iters, stacked=True, hosvd=hosvd)
+        deviations = measured["tucker", r] = []
+        for w, layer, x, ref in zip(stack, layers, calibs, refs):
             layer.row_mode_count = row_mode_count
-            deviations[i][ratio] = _deviation(stack[i], layer_to_matrix(layer), calibs[i], refs[i])
-    return deviations
+            deviations.append(_deviation(w, layer_to_matrix(layer), x, ref))
+    return measured
+
+
+def _train_probes(stack, mode_shape, bonds, calibs, refs) -> dict[tuple, list[float]]:
+    """The TT deviation of each patch of ``stack`` at each bond vector of
+    ``bonds``, keyed ``("tt", bonds)``; ``refs`` holds each patch's ||W X||.
+
+    The trains come from ``_train_stack``, which shares a split among the
+    bond vectors that keep the same bonds before it; each bond vector's
+    cores are dropped before the next one's splits are made.
+    """
+    measured = {}
+    for b, cores in _train_stack(stack.reshape(len(stack), *mode_shape), bonds):
+        measured["tt", b] = _train_deviations(stack, cores, calibs, refs)
+        del cores
+    return measured
+
+
+def _train_deviations(stack, cores, calibs, refs) -> list[float]:
+    """The deviation of each patch of ``stack`` under its train of the
+    stacked TT ``cores``. The reconstruction chain runs over the stack
+    (``_train_chain``) up to its last core, whose product is taken patch by
+    patch, by ``reconstruct``'s ``np.dot``, as each deviation is measured,
+    so no stack of reconstructions is held."""
+    heads = _train_chain(cores[:-1])
+    tails = cores[-1].reshape(len(stack), cores[-1].shape[1], -1)
+    shape = stack.shape[1:]
+    return [
+        _deviation(w, np.dot(head, tail).reshape(shape), x, ref)
+        for w, head, tail, x, ref in zip(stack, heads, tails, calibs, refs)
+    ]
 
 
 # --- predictor ---------------------------------------------------------------
@@ -536,7 +603,8 @@ STACK_ENTRIES = 1 << 15  # most float64 entries in one stack of probed patches: 
 
 def _probe_stacks(targets: list[Patch]) -> list[list[Patch]]:
     """``targets`` grouped by shape, in order of first appearance, and cut
-    into stacks of at most ``STACK_ENTRIES`` entries (one patch at least)."""
+    into stacks of at most ``STACK_ENTRIES`` entries (one patch at least):
+    the stacks ``analyze`` takes features and probes over."""
     groups: dict[tuple[int, int], list[Patch]] = {}
     for p in targets:
         groups.setdefault((p.rows, p.cols), []).append(p)
@@ -563,9 +631,11 @@ def analyze(
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns. A
     family not in ``FAMILIES`` raises ``ValueError`` before any work. The
-    probed patches are grouped by shape into stacks (``_probe_stacks``),
-    and each stack is probed at once (``_probe_stack``); the records equal
-    a ``probe_patch`` loop over the patches bit for bit and keep its order.
+    patches are grouped by shape into stacks (``_probe_stacks``), and each
+    stack's features are taken at once (``_stack_features``); so are the
+    probed patches', each stack probed at once (``_probe_stack``). Features
+    and records equal an ``extract_features`` and a ``probe_patch`` loop
+    over the patches bit for bit and keep their order.
     Rank selection runs once per distinct (mode shape, family, budget): a
     memo of ``_rank_search`` made for this call, shared by its probes and
     dropped when it returns. ``seed`` is unused: ``calib`` is given and the
@@ -574,17 +644,18 @@ def analyze(
     """
     _probe_families(families)
     patches = partition_patches(model, patch_size)
-    features = {
-        p.patch_id: extract_features(patch_matrix(model, p), p, model.total_layers)
-        for p in patches
-    }
+    features = {}
+    for stack in _probe_stacks(patches):
+        feats = _stack_features(as_tensor(_patch_stack(model, stack)), stack, model.total_layers)
+        features.update(zip((p.patch_id for p in stack), feats))
+    features = {p.patch_id: features[p.patch_id] for p in patches}
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
     rank_search = functools.cache(_rank_search)  # for this call: patches share geometries
     by_patch: dict[int, list[ProbeRecord]] = {}
     for stack in _probe_stacks(probe_targets):
         records = _probe_stack(
             [p.patch_id for p in stack],
-            lambda i, stack=stack: patch_matrix(model, stack[i]),
+            _patch_stack(model, stack),
             [calib[p.layer_name][p.col_range[0] : p.col_range[1], :] for p in stack],
             families,
             ratio_grid,

@@ -31,13 +31,11 @@ Conventions used everywhere in this package:
   scale and its own sign rule. Each slice's output bits equal the plain
   call's on a given build: the stacked ``np.matmul`` and ``np.linalg.eigh``
   run the same BLAS / LAPACK call per slice (``tests/test_tensor_core.py``
-  checks this on the installed build);
-* an :class:`SvdStore` answers ``truncated_svd`` requests from the full SVD
-  of each distinct input it has seen. A hit returns the bits the plain call
-  would return, since a truncation is a prefix of the full result bit for
-  bit. A hit skips the finiteness scan only for bits that were already
-  scanned: the store is keyed by the exact shape and bytes of its input,
-  and a non-finite input raises on its miss and is never stored.
+  checks this on the installed build). ``np.linalg.svd`` of a stack is
+  likewise one LAPACK call per slice, each slice's bits those of the plain
+  call: ``sensitivity`` takes feature spectra over stacks, and
+  ``tn_decompositions`` TT splits, under ``truncated_svd``'s sign rule
+  (:func:`_column_signs` takes a stack).
 """
 
 from __future__ import annotations
@@ -279,37 +277,3 @@ def leading_basis(matrix: np.ndarray, rank: int, *, stacked: bool = False) -> np
     u = vectors[..., : -rank - 1 : -1]  # the last rank columns, largest eigenvalue first
     return u * _column_signs(u)
 
-
-class SvdStore:
-    """``truncated_svd`` with a memory: one LAPACK SVD per distinct input.
-
-    Calls take ``truncated_svd``'s arguments and raise its errors. Inputs
-    are keyed by their exact shape and bytes (no digest, so a hit is
-    bit-exact by construction). The value kept is the input's full thin
-    SVD, taken by ``full_svd`` on a miss, so every LAPACK call still goes
-    through the module's SVD entries and their scan. Each call returns
-    contiguous copies of the leading ``rank`` triplets. A store lives as
-    long as its owner holds it: made for one patch, it holds that patch's
-    splits.
-    """
-
-    def __init__(self):
-        self._full: dict[tuple, SvdResult] = {}
-
-    def __len__(self) -> int:
-        return len(self._full)
-
-    def __call__(self, matrix: np.ndarray, rank: int) -> SvdResult:
-        m = np.ascontiguousarray(matrix, dtype=np.float64)
-        key = (m.shape, m.tobytes())
-        full = self._full.get(key)
-        if full is None:
-            full = full_svd(m)
-            self._full[key] = full
-        if not 1 <= rank <= full.rank:
-            raise RankError(f"rank {rank} out of range [1, {full.rank}] for a {m.shape} matrix")
-        return SvdResult(
-            left=full.left[:, :rank].copy(),
-            values=full.values[:rank].copy(),
-            right=full.right[:, :rank].copy(),
-        )

@@ -14,10 +14,9 @@ Rank conventions:
 Input checks: ``compress_matrix`` and ``decompose`` validate their input
 with ``as_tensor`` once and hand it on without another scan. The Tucker,
 TT and TR routines do not scan theirs: their first SVD or basis call reads
-every entry and raises ``NumericsError`` on a NaN or inf (a store's hit
-skips the scan, but only for bits it scanned on their miss), and a
-failed rank or shape check scans first, so the error types stay those of
-a scan up front.
+every entry and raises ``NumericsError`` on a NaN or inf, and a failed
+rank or shape check scans first, so the error types stay those of a scan
+up front.
 
 Factor sources: a Tucker factor needs only the leading left singular
 subspace of a mode unfolding, so ``tucker_decompose`` takes every factor,
@@ -32,15 +31,20 @@ several ranks passes each mode's full HOSVD eigenbasis once
 (``hosvd=``), and each call starts from its leading columns. HOOI sweeps
 always compute their bases: their inputs depend on the other factors and
 do not repeat. TT and TR splits need the singular values and right
-vectors too, so they take ``truncated_svd``; ``tt_decompose`` /
-``tr_decompose(..., svd=...)`` take a memo such as an ``SvdStore``, with
-which the first TT/TR split and later splits under equal leading bonds
-cost one LAPACK call each.
+vectors too. TT-SVD is stack-native in ``_train_stack``: it decomposes a
+stack of same-shape tensors at several bond vectors at once, one stacked
+``np.linalg.svd`` per split signed per slice by ``truncated_svd``'s rule,
+each split shared by the bond vectors that keep the same bonds before it,
+and each slice's cores equal those of the slice alone bit for bit.
+``tt_decompose`` is its stack of one. ``_train_chain`` contracts a stack
+of TT or TR cores by stacked products; ``reconstruct`` chains a stack of
+one. TR splits, which pad their cores, take ``truncated_svd``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +53,7 @@ from minima.errors import InfeasibleBudgetError, NumericsError, RankError, Shape
 from minima.tensor_core import (
     ParamBudget,
     _as_array,
+    _column_signs,
     _rejected,
     as_tensor,
     leading_basis,
@@ -286,13 +291,14 @@ def tucker_decompose(
     return layers if stacked else layers[0]
 
 
-def tt_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
-    """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``,
-    each split truncated by ``svd``.
+def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
+    """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``:
+    ``_train_stack`` of a stack of one.
 
     Each bond is capped at its split's feasible maximum, the min dimension
     of the unfolding it truncates, so ``layer.ranks`` may be below
-    ``ranks``. A count other than d-1 raises ``RankError``.
+    ``ranks``. A count other than d-1, or a bond below 1, raises
+    ``RankError``.
     """
     t = _as_array(t)
     d = t.ndim
@@ -301,19 +307,95 @@ def tt_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d - 1:
         raise _rejected(t, RankError(f"need {d - 1} bond ranks, got {len(ranks)}"))
-    shape = t.shape
+    if min(ranks) < 1:
+        raise _rejected(t, RankError(f"bond ranks must be >= 1, got {ranks}"))
+    ((_, cores),) = _train_stack(t[None], [ranks])
+    return CompressedLayer(family="tt", mode_shape=t.shape, row_mode_count=1, cores=[core[0] for core in cores])
 
-    cores = []
-    r_prev = 1
-    c = t.reshape(shape[0], -1)
-    for k in range(d - 1):
-        c = c.reshape(r_prev * shape[k], -1)
-        res = svd(c, min(ranks[k], min(c.shape)))
-        cores.append(res.left.reshape(r_prev, shape[k], res.rank))
-        c = res.values[:, None] * res.right.T
-        r_prev = res.rank
-    cores.append(c.reshape(r_prev, shape[d - 1], 1))
-    return CompressedLayer(family="tt", mode_shape=shape, row_mode_count=1, cores=cores)
+
+def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...], list[np.ndarray]]]:
+    """TT-SVD of each tensor of a stack ``t`` ``(P, n_0, ..., n_{d-1})`` at
+    each of ``bond_vectors`` (int tuples of d-1 bonds): yields ``(bonds,
+    cores)``, every core stacked ``(P, r_{k-1}, n_k, r_k)``. Each bond is
+    capped at its split's min dimension, and each slice's cores equal those
+    of the slice alone, a stack of one, bit for bit.
+
+    Split k's input depends only on the bonds kept before it, so the bond
+    vectors that keep the same bonds there share the split: one stacked
+    ``_train_split``, kept at the widest bond any of them keeps, of which
+    each takes its leading columns, the same bits. Bond vectors are taken in
+    order of their kept bonds, so those that share splits come together,
+    and a split is dropped when the next bond vector no longer shares it.
+    Cores may be views of the shared splits; a caller that drops each
+    bond vector's cores before asking for the next holds no more than one
+    bond vector's splits and cores.
+    """
+    count, shape = len(t), t.shape[1:]
+    kept = {}  # bonds -> the bonds each split keeps, capped by its unfolding
+    for bonds in bond_vectors:
+        r_prev, keeps = 1, []
+        for k, r in enumerate(bonds):
+            r_prev = min(r, r_prev * shape[k], math.prod(shape[k + 1 :]))
+            keeps.append(r_prev)
+        kept[bonds] = tuple(keeps)
+    widest = {}  # the bonds kept before a split -> the widest bond kept there
+    for keeps in kept.values():
+        for k, r in enumerate(keeps):
+            widest[keeps[:k]] = max(widest.get(keeps[:k], 0), r)
+
+    path, last = [], ()  # path[k]: split k of the previous bond vector, `last` its kept bonds
+    for bonds, keeps in sorted(kept.items(), key=lambda item: item[1]):
+        shared = next((k for k, (a, b) in enumerate(zip(last, keeps)) if a != b), len(keeps))
+        del path[shared + 1 :]  # split k is shared while the bonds kept before it agree
+        cores, r_prev = [], 1
+        for k, keep in enumerate(keeps):
+            if k == len(path):
+                c = t if k == 0 else path[k - 1][1][..., :r_prev, :]
+                path.append(_train_split(c.reshape(count, r_prev * shape[k], -1), widest[keeps[:k]]))
+            cores.append(path[k][0][..., :keep].reshape(count, r_prev, shape[k], keep))
+            r_prev = keep
+        cores.append(path[-1][1][..., :r_prev, :].reshape(count, r_prev, shape[-1], 1))
+        last = keeps
+        yield bonds, cores
+
+
+def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """One TT split of each matrix of a stack ``(P, rows, cols)``: the
+    leading ``keep`` left singular vectors ``(P, rows, keep)``, and what the
+    train carries to its next split, those triplets' values times their
+    right vectors, ``(P, keep, cols)``.
+
+    One stacked LAPACK SVD; each slice's bits equal ``truncated_svd``'s
+    ``left`` and ``values[:, None] * right.T`` of the slice alone. Each is
+    LAPACK's output, or a copy of its kept part that replaces it at once
+    (never a view, which would keep all of LAPACK's output alive), signed
+    and scaled in place, so the split holds nothing it does not keep. The
+    input is scanned first: a NaN or inf raises ``NumericsError`` and
+    LAPACK never sees it.
+    """
+    if not np.isfinite(c).all():
+        raise NumericsError("tensor entries must be finite")
+    u, values, vt = np.linalg.svd(c, full_matrices=False)
+    left = u if keep == u.shape[-1] else u[..., :keep].copy()
+    del u
+    signs = _column_signs(left)
+    left *= signs
+    carry = vt if keep == vt.shape[-2] else vt[..., :keep, :].copy()
+    del vt
+    carry *= (values[..., :keep] * signs[..., 0, :])[..., None]
+    return left, carry
+
+
+def _train_chain(cores: list[np.ndarray]) -> np.ndarray:
+    """The chain of stacked TT or TR cores 0..k, ``(P, r_0 * n_0 * ... *
+    n_k, r_{k+1})``: of all d TT cores, each train's dense tensor, flattened.
+    One stacked ``(-1, r) @ (r, -1)`` product per core, each slice's bits
+    those of the plain ``np.dot`` (``reconstruct`` chains a stack of one)."""
+    stack = len(cores[0])
+    chain = cores[0].reshape(stack, -1, cores[0].shape[-1])
+    for core in cores[1:]:
+        chain = (chain @ core.reshape(stack, core.shape[1], -1)).reshape(stack, -1, core.shape[-1])
+    return chain
 
 
 def tr_feasible(mode_shape, ranks) -> tuple[int, ...]:
@@ -356,14 +438,14 @@ def _tr_reach(shape: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...]
     return tuple(achieved[:d])
 
 
-def _padded_split(c: np.ndarray, rank: int, svd):
-    """Split ``c ~ u @ rest`` by ``svd``, with ``u`` zero-padded to ``rank`` columns.
+def _padded_split(c: np.ndarray, rank: int):
+    """Split ``c ~ u @ rest`` by ``truncated_svd``, with ``u`` zero-padded to ``rank`` columns.
 
     Padding past the unfolding's min dimension stores dead zeros but keeps the
     requested core shapes, so parameter accounting stays closed-form.
     """
     keep = min(rank, min(c.shape))
-    res = svd(c, keep)
+    res = truncated_svd(c, keep)
     u = np.zeros((c.shape[0], rank))
     u[:, :keep] = res.left
     rest = np.zeros((rank, c.shape[1]))
@@ -371,9 +453,9 @@ def _padded_split(c: np.ndarray, rank: int, svd):
     return u, rest
 
 
-def tr_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
+def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     """Sequential-SVD ring factorization (approximate; not ALS-optimal), each
-    split truncated by ``svd``.
+    split truncated by ``truncated_svd``.
 
     The first unfolding is truncated at rank ``ranks[0] * ranks[1]`` and
     that bond is split in two; remaining cores come from a TT-style sweep
@@ -399,7 +481,7 @@ def tr_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
         )
 
     c = t.reshape(shape[0], -1)
-    u, m = _padded_split(c, r0 * r1, svd)
+    u, m = _padded_split(c, r0 * r1)
     core0 = u.reshape(shape[0], r0, r1).transpose(1, 0, 2)
     c = np.ascontiguousarray(np.moveaxis(m.reshape(r0, r1, -1), 0, -1))  # (r1, rest..., r0)
 
@@ -407,7 +489,7 @@ def tr_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
     r_prev = r1
     for k in range(1, d - 1):
         c = c.reshape(r_prev * shape[k], -1)
-        u, c = _padded_split(c, ranks[k + 1], svd)
+        u, c = _padded_split(c, ranks[k + 1])
         cores.append(u.reshape(r_prev, shape[k], ranks[k + 1]))
         r_prev = ranks[k + 1]
     cores.append(c.reshape(r_prev, shape[d - 1], r0))
@@ -417,8 +499,9 @@ def tr_decompose(t: np.ndarray, ranks, *, svd=truncated_svd) -> CompressedLayer:
 def reconstruct(layer: CompressedLayer) -> np.ndarray:
     """Dense tensor of the layer's mode shape.
 
-    TT and TR cores are chained as (-1, r) @ (r, -1) products: the same
-    ``np.dot`` operands that ``np.tensordot`` over the shared bond makes.
+    TT and TR cores are chained as (-1, r) @ (r, -1) products
+    (``_train_chain`` of a stack of one): the same operands that
+    ``np.tensordot`` over the shared bond hands to ``np.dot``.
     """
     layer.validate()
     if layer.family == DENSE:
@@ -428,13 +511,10 @@ def reconstruct(layer: CompressedLayer) -> np.ndarray:
         for k, f in enumerate(layer.factors):
             out = mode_dot(out, f.T, k)
         return out
-    first = layer.cores[0]
-    chain = first.reshape(-1, first.shape[2])
-    for core in layer.cores[1:]:
-        chain = np.dot(chain, core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+    chain = _train_chain([core[None] for core in layer.cores])[0]
     if layer.family == "tt":
         return chain.reshape(layer.mode_shape)
-    chain = chain.reshape(first.shape[0], *layer.mode_shape, chain.shape[1])
+    chain = chain.reshape(layer.cores[0].shape[0], *layer.mode_shape, chain.shape[1])
     return np.trace(chain, axis1=0, axis2=chain.ndim - 1)
 
 
@@ -575,17 +655,11 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
 
 def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
     """Dispatch a tensor to the decomposition named by ``spec``."""
-    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count, truncated_svd)
+    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count)
 
 
-def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int, svd) -> CompressedLayer:
-    """``decompose`` of a tensor that ``as_tensor`` has already validated,
-    its TT/TR splits computed by ``svd``.
-
-    Callers pass ``truncated_svd`` as looked up at their call, not the
-    routines' default bound at import, so a replaced module binding (a
-    tracer, a counting test) sees every call.
-    """
+def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int) -> CompressedLayer:
+    """``decompose`` of a tensor that ``as_tensor`` has already validated."""
     if spec.family == DENSE:
         rows = math.prod(t.shape[:row_mode_count])
         return CompressedLayer(
@@ -597,9 +671,9 @@ def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: i
     if spec.family == "tucker":
         layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
     elif spec.family == "tt":
-        layer = tt_decompose(t, spec.ranks, svd=svd)
+        layer = tt_decompose(t, spec.ranks)
     else:
-        layer = tr_decompose(t, spec.ranks, svd=svd)
+        layer = tr_decompose(t, spec.ranks)
     layer.row_mode_count = row_mode_count
     layer.validate()
     return layer
@@ -621,4 +695,4 @@ def compress_matrix(
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
     spec = select_ranks(mode_shape, family, target)
-    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count, truncated_svd)
+    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count)

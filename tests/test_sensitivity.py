@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestFeatures:
     def test_spectrum_is_one_values_only_svd(self, rng, lapack_calls):
         w = rng.standard_normal((24, 16))
         f = extract_features(w, meta_patch(), 1)
-        assert lapack_calls == [(24, 16)]
+        assert lapack_calls == [(1, 24, 16)]  # a stack of one
         energies = np.linalg.svd(w, compute_uv=False) ** 2
         assert f[0] == float(energies.sum()) / float(energies[0])  # stable rank
 
@@ -217,11 +218,17 @@ def compress_matrix_probes(w, families, ratio_grid, calib, patch_id=0, hooi_iter
     return records
 
 
+# the TT splits of a 16 x 16 patch probed at ratios 0.5, 0.35, 0.25 and 0.15,
+# in the order of the kept bonds: the first split, then for the bond vectors
+# (2, 2, 1), (3, 2, 2), (3, 3, 2) and (4, 3, 4) the splits they do not share
+TT_SPLITS_16x16 = [(4, 64), (8, 16), (8, 4), (12, 16), (8, 4), (12, 4), (16, 16), (12, 4)]
+
+
 def record_bits(records) -> list:
     return [(r.patch_id, r.family, r.target_ratio, np.float64(r.measured_degradation).tobytes()) for r in records]
 
 
-class TestProbeSvdStore:
+class TestProbeWork:
     # 0.01 of a patch is below every rank-1 count at these sizes, so it is skipped
     GRID = (0.5, 0.35, 0.25, 0.15, 0.01)
 
@@ -244,10 +251,14 @@ class TestProbeSvdStore:
     def test_a_16x16_probe_makes_8_svds_and_20_eigendecompositions(self, rng, lapack_calls, eigh_calls):
         # (4, 4, 4, 4) modes: Tucker takes 4 HOSVD unfolding bases, then 16 HOOI
         # sweep bases (one sweep, 4 modes, 4 ratios); TT takes its first split,
-        # which is the same at every ratio, and 7 later splits; TR's splits are TT's
+        # which is the same at every ratio, and the later splits of its bond
+        # vectors (2, 2, 1), (3, 2, 2), (3, 3, 2) and (4, 3, 4), the second
+        # split shared by the two that keep 3 before it; TR's splits are TT's.
+        # A patch alone is a stack of one.
         w = decayed_matrix(rng, 16, 16, 0.1)
         probe_patch(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
-        assert (len(lapack_calls), len(eigh_calls)) == (8, 20)
+        assert lapack_calls == [(1, *shape) for shape in TT_SPLITS_16x16]
+        assert len(eigh_calls) == 20
         lapack_calls.clear()
         eigh_calls.clear()
         compress_matrix_probes(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
@@ -256,9 +267,9 @@ class TestProbeSvdStore:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("hooi_iters", [1, 2])
     def test_compress_matrix_keeps_one_svd_per_split(self, rng, lapack_calls, eigh_calls, family, hooi_iters):
-        # compress_matrix decomposes once, so it takes no store: Tucker makes d
-        # HOSVD eigendecompositions plus d per sweep and no SVD, TT and TR one
-        # SVD per split
+        # compress_matrix decomposes once: Tucker makes d HOSVD
+        # eigendecompositions plus d per sweep and no SVD, TT and TR one SVD
+        # per split, TT's a stack of one
         w = decayed_matrix(rng, 32, 32, 0.1)  # (4, 8, 4, 8) modes
         for ratio in (0.5, 0.25):
             lapack_calls.clear()
@@ -269,14 +280,14 @@ class TestProbeSvdStore:
 
     def test_a_stack_of_16x16_patches_shares_its_20_eigendecompositions(self, rng, lapack_calls, eigh_calls):
         # three 16 x 16 patches probed as one stack: the 20 eigendecompositions
-        # of one patch, each over the stack of three; 8 SVDs per patch and one
-        # values-only SVD per patch for its features
+        # and the 8 TT splits of one patch, each over the stack of three, after
+        # one values-only SVD of the stack for its features
         model = make_model([("w", decayed_matrix(rng, 16, 48, 0.1), "ffn")])
         calib = {"w": rng.standard_normal((48, 16))}
         result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         assert len(result.probed_ids) == 3
         assert len(eigh_calls) == 20 and all(shape == (3, 4, 4) for shape in eigh_calls)
-        assert len(lapack_calls) == 3 * 8 + 3
+        assert lapack_calls == [(3, 16, 16)] + [(3, *shape) for shape in TT_SPLITS_16x16]
 
     def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng, monkeypatch):
         # 32 x 32 and 32 x 16 patches, probed in both layers
@@ -384,9 +395,8 @@ class TestStackedProbes:
 
         monkeypatch.setattr(tn, "tr_decompose", counting)
         reused = [r for r in probe_patch(w, ("tt", "tr"), self.GRID, calib) if r.family == "tr"]
-        assert rings == []  # every ring took its train's deviation
         alone = probe_patch(w, ("tr",), self.GRID, calib)
-        assert len(rings) == len(self.GRID) - 1
+        assert rings == []  # every ring took its train's deviation, beside a TT probe or alone
         for records in (reused, alone):
             assert [np.float64(r.measured_degradation).tobytes() for r in records] == [
                 np.float64(d).tobytes() for d in expected
@@ -428,8 +438,118 @@ class TestStackedProbes:
         stack = rng.standard_normal((3, 16, 16))
         stack[1, 4, 5] = bad
         with pytest.raises(NumericsError):
-            sensitivity._probe_stack([0, 1, 2], lambda i: stack[i], [seeded_calib(16, 3)] * 3, FAMILIES, (0.5,))
+            sensitivity._probe_stack([0, 1, 2], stack, [seeded_calib(16, 3)] * 3, FAMILIES, (0.5,))
         assert lapack_calls == [] and eigh_calls == []
+
+
+def edge_case_model(rng):
+    """``mixed_model`` plus a layer of 16 x 16 patches that are zero, exactly
+    rank one, exactly rank two with zero rows, and of a scale whose squared
+    singular values underflow, beside ordinary ones."""
+    model, calib = mixed_model(rng)
+    u, v = rng.standard_normal(16), rng.standard_normal(16)
+    sparse = np.zeros((16, 16))
+    sparse[:2] = rng.standard_normal((2, 16))
+    tiny = rng.standard_normal((16, 16)) * 1e-160
+    blocks = [np.zeros((16, 16)), np.outer(u, v), sparse, tiny, decayed_matrix(rng, 16, 16, 0.2)]
+    model.add("edges", np.hstack(blocks), layer_index=3, submodule_kind="other")
+    calib["edges"] = rng.standard_normal((16 * len(blocks), 16))
+    return model, calib
+
+
+def plain_features(w, patch, total_layers):
+    """``extract_features`` as one patch's own reductions, scalar by scalar:
+    the oracle that stacked features must equal bit for bit."""
+    s = np.linalg.svd(w, compute_uv=False)
+    energies = s**2
+    total = float(energies.sum())
+    stable_rank = top_energy = log_cond = entropy = 0.0
+    if total != 0.0:
+        stable_rank = total / float(energies[0])
+        top_energy = float(energies[: math.ceil(0.1 * min(w.shape))].sum()) / total
+        kept = s[s > max(w.shape) * np.finfo(np.float64).eps * s[0]]
+        log_cond = float(np.log10(kept[0] / kept[-1]))
+        p = energies[energies > 0] / total
+        entropy = float(-(p * np.log(p)).sum())
+    abs_w = np.abs(w)
+    max_abs = float(abs_w.max())
+    frac_small = float(np.mean(abs_w < 1e-3 * max_abs)) if max_abs > 0 else 0.0
+    row_norms = np.linalg.norm(w, axis=1)
+    mean_norm = float(row_norms.mean())
+    row_cv = float(row_norms.std() / mean_norm) if mean_norm > 0 else 0.0
+    kinds = [1.0 if patch.submodule_kind == kind else 0.0 for kind in ("attention_proj", "ffn", "embedding")]
+    position = patch.layer_index / max(total_layers, 1)
+    return np.array([stable_rank, top_energy, log_cond, entropy, float(abs_w.mean()), max_abs, frac_small, row_cv, position, *kinds])
+
+
+class TestStackedFeatures:
+    def test_analyze_features_equal_extract_features_bitwise(self, rng):
+        model, calib = edge_case_model(rng)
+        patches = partition_patches(model, (16, 16))
+        assert {(p.rows, p.cols) for p in patches} == {(16, 16), (16, 8), (8, 16), (8, 8)}
+        assert max(len(stack) for stack in sensitivity._probe_stacks(patches)) > 1
+        result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
+        plain = {p.patch_id: plain_features(patch_matrix(model, p), p, model.total_layers) for p in patches}
+        assert list(result.features) == list(plain)
+        for p in patches:
+            alone = extract_features(patch_matrix(model, p), p, model.total_layers)
+            assert result.features[p.patch_id].tobytes() == alone.tobytes() == plain[p.patch_id].tobytes(), p
+        # the edge cases took their branches: a zero patch, log_condition's
+        # cutoff, and spectra with fewer positive energies than values
+        spectra = {p.patch_id: np.linalg.svd(patch_matrix(model, p), compute_uv=False) for p in patches}
+        assert any(not s.any() for s in spectra.values())
+        assert any(plain[pid][2] == 0.0 and s[0] > 0 for pid, s in spectra.items())
+        assert any(0 < np.count_nonzero(s**2) < len(s) for s in spectra.values())
+
+    def test_a_stack_of_patches_equals_their_extract_features_bitwise(self, rng):
+        model, _ = edge_case_model(rng)
+        patches = [p for p in partition_patches(model, (16, 16)) if (p.rows, p.cols) == (16, 16)]
+        stack = np.stack([patch_matrix(model, p) for p in patches])
+        feats = sensitivity._stack_features(stack, patches, model.total_layers)
+        for p, row in zip(patches, feats):
+            assert row.tobytes() == plain_features(patch_matrix(model, p), p, model.total_layers).tobytes()
+
+    def test_extract_features_leaves_its_input_alone(self, rng):
+        w = rng.standard_normal((16, 16))
+        before = w.copy()
+        extract_features(w, meta_patch(), 1)
+        assert w.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_patch_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):
+        model, calib = mixed_model(rng)
+        model.entries["a"].matrix[3, 5] = bad  # in the first stack that analyze takes features over
+        with pytest.raises(NumericsError):
+            analyze(model, calib, patch_size=(16, 16), probe_stride=1)
+        assert lapack_calls == [] and eigh_calls == []
+
+
+@pytest.mark.parametrize("count, size", [(5, 16), (8, 64)])
+def test_the_train_phase_of_a_stack_probe_peaks_no_higher_than_its_tucker_phase(rng, count, size):
+    """``_train_probes`` holds its splits' arrays only while it uses them,
+    so at the default ratios its traced peak stays within the Tucker
+    phase's; the analyze benchmark's ``peak_alloc_mb`` reads the larger."""
+    stack = np.stack([decayed_matrix(rng, size, size, 0.02 * (p + 1)) for p in range(count)])
+    calibs = [seeded_calib(size, p) for p in range(count)]
+    refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]
+    mode_shape, row_modes = default_mode_shape(size, size)
+    grid = (0.5, 0.35, 0.25, 0.15)
+
+    def ranks(family):
+        return [select_ranks(mode_shape, family, ratio_budget(r, size * size)).ranks for r in grid]
+
+    def peak(call) -> int:
+        call()  # the traced call finds every first-call cache filled
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tucker = peak(lambda: sensitivity._tucker_probes(stack, mode_shape, row_modes, ranks("tucker"), calibs, refs, 1))
+    train = peak(lambda: sensitivity._train_probes(stack, mode_shape, ranks("tt"), calibs, refs))
+    assert train <= tucker, (train, tucker)
 
 
 def linear_records(rng, n_patches, coeffs, intercept=0.2, shuffle=False):

@@ -4,7 +4,6 @@ import pytest
 from minima.errors import DegenerateReferenceError, NumericsError, RankError, ShapeError
 from minima.tensor_core import (
     ParamBudget,
-    SvdStore,
     as_tensor,
     frobenius,
     full_svd,
@@ -203,65 +202,6 @@ class TestTruncatedSvd:
                 assert res.left.tobytes() == full.left[:, :r].tobytes(), (shape, r)
                 assert res.values.tobytes() == full.values[:r].tobytes(), (shape, r)
                 assert res.right.tobytes() == full.right[:, :r].tobytes(), (shape, r)
-
-
-def same_svd(a, b) -> bool:
-    return all(bitwise_equal(x, y) for x, y in ((a.left, b.left), (a.values, b.values), (a.right, b.right)))
-
-
-class TestSvdStore:
-    @pytest.mark.parametrize("shape", [(9, 6), (4, 64), (16, 16), (64, 4)])
-    def test_every_rank_in_mixed_order_equals_truncated_svd_bitwise(self, rng, shape):
-        m = rng.standard_normal(shape)
-        store = SvdStore()
-        ranks = rng.permutation(np.arange(1, min(shape) + 1)).tolist()
-        for r in ranks + ranks[::-1]:
-            res = store(m, r)
-            assert same_svd(res, truncated_svd(m, r)), (shape, r)
-            assert res.left.flags.c_contiguous and res.right.flags.c_contiguous
-        assert len(store) == 1
-
-    def test_one_lapack_call_per_distinct_input(self, rng, lapack_calls):
-        inputs = [rng.standard_normal(shape) for shape in [(9, 6), (4, 64), (16, 16), (64, 4)]]
-        store = SvdStore()
-        for m in inputs + inputs[::-1]:
-            store(m, 1)
-            store(m.copy(), min(m.shape))  # same bits in a new array is a hit
-        assert lapack_calls == [m.shape for m in inputs]
-        # same bytes in another shape, and one flipped bit, are new inputs
-        store(inputs[2].reshape(4, 64), 2)
-        flipped = inputs[2].copy()
-        flipped[3, 3] = np.nextafter(flipped[3, 3], np.inf)
-        store(flipped, 2)
-        assert len(lapack_calls) == len(store) == len(inputs) + 2
-
-    def test_results_are_copies(self, rng):
-        m = rng.standard_normal((8, 8))
-        store = SvdStore()
-        first = store(m, 8)
-        first.left[:] = 0.0
-        first.values[:] = 0.0
-        first.right[:] = 0.0
-        assert same_svd(store(m, 8), truncated_svd(m, 8))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_raises_and_is_not_stored(self, rng, lapack_calls, bad):
-        m = rng.standard_normal((6, 5))
-        m[2, 3] = bad
-        store = SvdStore()
-        for _ in range(2):
-            with pytest.raises(NumericsError):
-                store(m, 2)
-        assert len(store) == 0 and lapack_calls == []
-
-    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
-    def test_rank_outside_one_to_min_dim(self, rng, shape):
-        m = rng.standard_normal(shape)
-        store = SvdStore()
-        for rank in (0, min(shape) + 1, -1):  # the first is a miss, the others hits
-            with pytest.raises(RankError):
-                store(m, rank)
-        assert same_svd(store(m, min(shape)), full_svd(m))
 
 
 def separated(rng, m, n):

@@ -636,7 +636,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "decomp, bad_ranks",
-        [(tucker_decompose, (9, 2, 2, 2)), (tt_decompose, (2, 2)), (tr_decompose, (12, 12, 2, 2)), (tr_decompose, (0, 1, 1, 1))],
+        [(tucker_decompose, (9, 2, 2, 2)), (tt_decompose, (2, 2)), (tt_decompose, (2, 0, 2)), (tr_decompose, (12, 12, 2, 2)), (tr_decompose, (0, 1, 1, 1))],
     )
     def test_non_finite_entry_outranks_a_rank_error(self, rng, decomp, bad_ranks):
         t = rng.standard_normal(MODES_16x32)
@@ -669,16 +669,20 @@ class TestInputChecks:
                     call(w)
 
     @pytest.mark.parametrize(
-        "family, svds, bases", [("tucker", 0, 12), ("tt", 3, 0), ("tr", 3, 0)], ids=["tucker", "tt", "tr"]
+        "family, svds, splits, bases", [("tucker", 0, 0, 12), ("tt", 0, 3, 0), ("tr", 3, 3, 0)], ids=["tucker", "tt", "tr"]
     )
-    def test_compress_matrix_scans_its_input_once_plus_each_svd_input(self, rng, monkeypatch, family, svds, bases):
+    def test_compress_matrix_scans_its_input_once_plus_each_svd_input(
+        self, rng, monkeypatch, lapack_calls, family, svds, splits, bases
+    ):
         """compress_matrix scans its input once (four times before: compress_matrix,
         reshape_to_modes, decompose and the family's routine). Each SVD and each
         Tucker factor still scans its own input: an unfolding or projection can
-        overflow, and LAPACK must not see an inf. An SVD scans by ``as_tensor``,
-        a Tucker factor by the largest magnitude that sets its scale, with no
-        ``as_tensor``. Tucker takes 4 HOSVD factors and 4 per sweep (2 sweeps),
-        TT and TR one SVD per split."""
+        overflow, and LAPACK must not see an inf. A TR split scans by
+        ``truncated_svd``'s ``as_tensor``, a TT split by ``_train_split``'s scan
+        (the near-overflow test sees it raise on a later split), a Tucker factor
+        by the largest magnitude that sets its scale, with no ``as_tensor``.
+        Tucker takes 4 HOSVD factors and 4 per sweep (2 sweeps), TT and TR one
+        LAPACK SVD per split, TT's a stack of one."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
         as_tensor, svd, basis = tc.as_tensor, tn.truncated_svd, tn.leading_basis
 
@@ -696,9 +700,12 @@ class TestInputChecks:
         w = rng.standard_normal((32, 32))
         for ratio in (0.5, 0.25):
             calls.update(as_tensor=0, svd=0, basis=0)
+            lapack_calls.clear()
             compress_matrix(w, family, ratio_budget(ratio, w.size))
-            assert (calls["svd"], calls["basis"]) == (svds, bases)
+            assert (calls["svd"], len(lapack_calls), calls["basis"]) == (svds, splits, bases)
             assert calls["as_tensor"] == 1 + svds
+            if family == "tt":
+                assert all(len(shape) == 3 and shape[0] == 1 for shape in lapack_calls)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_compress_matrix_equals_the_validated_chain_bitwise(self, n):
@@ -719,9 +726,8 @@ class TestInputChecks:
 
 
 class TestSvdSource:
-    """The routines' factor sources: given HOSVD bases and a ``tc.SvdStore``
-    change no bit of a layer, and a store holds only the inputs that can
-    repeat."""
+    """The routines' factor sources: given HOSVD bases change no bit of a
+    layer, and a ring that is a train is the train."""
 
     def test_tucker_from_given_hosvd_bases_makes_only_its_sweep_eigendecompositions(self, rng, eigh_calls, lapack_calls):
         t = rng.standard_normal((3, 4, 3, 5, 2))
@@ -739,14 +745,110 @@ class TestSvdSource:
                     assert not any(np.shares_memory(f, b) for f, b in zip(layer.factors, hosvd))
         assert lapack_calls == []  # Tucker takes no SVD
 
-    def test_tr_with_a_unit_closing_bond_repeats_the_tt_splits(self, rng):
+    def test_a_ring_with_a_unit_closing_bond_has_the_train_cores_bitwise(self, rng):
+        # what lets a probe of such a ring take the train's deviation
+        # (sensitivity._probe_key)
         t = rng.standard_normal((4, 4, 4, 4))
-        store = tc.SvdStore()
-        for bonds in [(3, 5, 2), (4, 8, 4), (3, 5, 2)]:
-            tt = tt_decompose(t, bonds, svd=store)
-            assert all(bitwise_equal(a, b) for a, b in zip(tt.cores, tt_decompose(t, bonds).cores, strict=True))
-            stored = len(store)
-            tr = tr_decompose(t, (1, *bonds), svd=store)
-            assert len(store) == stored
-            assert all(bitwise_equal(a, b) for a, b in zip(tr.cores, tr_decompose(t, (1, *bonds)).cores, strict=True))
-        assert len(store) == 1 + 2 * 2  # the first split once, two more per distinct bond vector
+        for bonds in [(3, 5, 2), (4, 8, 4), (2, 2, 1)]:
+            tt, tr = tt_decompose(t, bonds), tr_decompose(t, (1, *bonds))
+            assert all(bitwise_equal(a, b) for a, b in zip(tr.cores, tt.cores, strict=True)), bonds
+
+
+def plain_train(t, bonds):
+    """Oracle: the cores of a sequential TT-SVD of one tensor, each split a
+    ``truncated_svd`` capped at the unfolding's min dimension."""
+    cores, r_prev, c = [], 1, t
+    for k, r in enumerate(bonds):
+        c = c.reshape(r_prev * t.shape[k], -1)
+        res = truncated_svd(c, min(r, min(c.shape)))
+        cores.append(res.left.reshape(r_prev, t.shape[k], res.rank))
+        c = res.values[:, None] * res.right.T
+        r_prev = res.rank
+    cores.append(c.reshape(r_prev, t.shape[-1], 1))
+    return cores
+
+
+def dot_chain(cores):
+    """Oracle: a chain of TT cores as ``np.dot`` of (-1, r) by (r, -1)."""
+    chain = cores[0].reshape(-1, cores[0].shape[2])
+    for core in cores[1:]:
+        chain = np.dot(chain, core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+    return chain
+
+
+def train_stack(rng, mode_shape):
+    """A stack of four tensors of ``mode_shape``: full rank, rank 2 as a
+    matrix of its first mode against the rest, zero, and full rank scaled
+    by 2**-30."""
+    n0, rest = mode_shape[0], math.prod(mode_shape[1:])
+    low = rng.standard_normal((n0, 2)) @ rng.standard_normal((2, rest))
+    slices = [rng.standard_normal(mode_shape), low, np.zeros(mode_shape), rng.standard_normal(mode_shape) * 2.0**-30]
+    return np.stack([np.reshape(x, mode_shape) for x in slices])
+
+
+# (mode shape, bond vectors): capped bonds (16 > every split's min dimension),
+# unit bonds, bond vectors that share their first one or two splits, one that
+# keeps the bonds another keeps, two, three and four modes
+TRAIN_CASES = [
+    ((4, 4, 4, 4), [(4, 3, 4), (4, 3, 2), (3, 2, 2), (2, 2, 1), (16, 16, 16), (4, 16, 4), (1, 1, 1)]),
+    ((4, 8, 4, 8), [(4, 12, 3), (2, 16, 5), (9, 40, 9), (4, 12, 8)]),
+    ((7, 8, 8), [(5, 6), (7, 8)]),
+    ((6, 9), [(3,), (20,)]),
+]
+
+
+class TestTrainStack:
+    """TT-SVD of a stack at several bond vectors, ``_train_stack``, and the
+    reconstruction of its trains, ``_train_chain``."""
+
+    @pytest.mark.parametrize("mode_shape, bond_vectors", TRAIN_CASES, ids=["4x4x4x4", "4x8x4x8", "7x8x8", "6x9"])
+    def test_each_slice_equals_a_truncated_svd_train_of_the_slice_bitwise(self, rng, mode_shape, bond_vectors):
+        t = train_stack(rng, mode_shape)
+        done = []
+        for bonds, cores in tn._train_stack(t, bond_vectors):
+            done.append(bonds)
+            chain = tn._train_chain(cores)
+            for p in range(len(t)):
+                plain = plain_train(t[p], bonds)
+                assert all(bitwise_equal(a[p], b) for a, b in zip(cores, plain, strict=True)), (bonds, p)
+                assert bitwise_equal(chain[p], dot_chain(plain)), (bonds, p)
+                # tt_decompose and reconstruct are the stack of one
+                alone = tt_decompose(t[p], bonds)
+                assert all(bitwise_equal(a, b) for a, b in zip(alone.cores, plain, strict=True)), (bonds, p)
+                assert bitwise_equal(reconstruct(alone), dot_chain(plain).reshape(mode_shape)), (bonds, p)
+        assert sorted(done) == sorted(bond_vectors)
+
+    def test_a_train_holds_only_its_own_entries(self, rng):
+        # a core viewing a prefix of LAPACK's right vectors would keep all of
+        # them alive in every layer compress_matrix returns
+        t = rng.standard_normal((4, 8, 4, 8))
+        for bonds in [(2, 3, 4), (4, 12, 4), (4, 32, 8)]:
+            for core in tt_decompose(t, bonds).cores:
+                owner = core
+                while owner.base is not None:
+                    owner = owner.base
+                assert owner.nbytes == core.nbytes, (bonds, core.shape)
+
+    def test_bond_vectors_that_keep_the_same_bonds_share_their_splits(self, rng, lapack_calls):
+        # kept bonds (1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 4) and
+        # (4, 16, 4) twice: one first split, the second split once per first
+        # bond, the third once per distinct pair of bonds before it
+        t = train_stack(rng, (4, 4, 4, 4))
+        list(tn._train_stack(t, TRAIN_CASES[0][1]))
+        shapes = [(4, 64), (4, 16), (8, 16), (12, 16), (16, 16), (4, 4), (8, 4), (8, 4), (12, 4), (64, 4)]
+        assert sorted(lapack_calls) == sorted((len(t), *shape) for shape in shapes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_slice_raises_before_lapack(self, rng, lapack_calls, bad):
+        t = rng.standard_normal((3, *MODES_16x32))
+        t[1, 2, 3, 0, 5] = bad
+        with pytest.raises(NumericsError):
+            list(tn._train_stack(t, [(2, 2, 2)]))
+        assert lapack_calls == []
+
+    def test_an_overflowing_split_raises(self, rng):
+        # every singular value of the first split exceeds the largest double,
+        # so the second split's input holds an inf: its scan raises
+        t = np.stack([modes(near_overflow(rng)), rng.standard_normal(MODES_16x32)])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            list(tn._train_stack(t, [(2, 2, 2)]))
