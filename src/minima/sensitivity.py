@@ -3,7 +3,6 @@ degradation predictor that scores how safely each patch compresses."""
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -15,7 +14,6 @@ from minima.model import ModelContainer
 from minima.tensor_core import as_tensor, leading_basis, unfold
 from minima.tn_decompositions import (
     FAMILIES,
-    _decompose,
     _tr_reach,
     _train_chain,
     _train_stack,
@@ -229,15 +227,6 @@ def _probe_families(families) -> list[str]:
     return [f for f in FAMILIES if f in chosen]
 
 
-def _rank_search(mode_shape, family: str, budget):
-    """``select_ranks``, with an infeasible budget's error returned, not
-    raised, so that a memo keeps the skips too."""
-    try:
-        return select_ranks(mode_shape, family, budget)
-    except InfeasibleBudgetError as exc:
-        return exc
-
-
 def _probe_key(mode_shape: tuple[int, ...], spec) -> tuple:
     """The structure a probe decomposes. A ring whose closing bond is 1 and
     whose ranks the sequential factorization reaches unpadded is the train
@@ -255,8 +244,6 @@ def probe_patch(
     calib: np.ndarray,
     patch_id: int = 0,
     hooi_iters: int = 1,
-    *,
-    rank_search=_rank_search,
 ) -> list[ProbeRecord]:
     """Measure the output deviation of each candidate (family, ratio).
 
@@ -266,28 +253,23 @@ def probe_patch(
 
     Each probe equals ``compress_matrix(w, family, ratio_budget(ratio, m *
     n), hooi_iters)`` bit for bit, from less work: this is the one-patch
-    case of ``analyze``'s stack probe (``_probe_stack``). ``rank_search`` is
-    ``_rank_search`` or a memo of it, which ``analyze`` shares across its
-    patches.
+    case of ``analyze``'s stack probe (``_probe_stack``).
     """
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
-    return _probe_stack([patch_id], w[None], [calib], families, ratio_grid, hooi_iters, rank_search)[0]
+    return _probe_stack([patch_id], w[None], [calib], families, ratio_grid, hooi_iters)[0]
 
 
-def _probe_stack(
-    patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1, rank_search=_rank_search
-) -> list[list[ProbeRecord]]:
+def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -> list[list[ProbeRecord]]:
     """``probe_patch`` of the same-shape patches of ``stack`` ``(P, m, n)``:
     one list of records per patch, in ``FAMILIES`` order, then ratio order.
 
     Probes are keyed by the structure they decompose (``_probe_key``), so a
     ring that is a train takes the train's deviations and ratios that select
     the same ranks share them. Tucker is probed on the whole stack
-    (``_tucker_probes``), then trains (``_train_probes``); a ring that is
-    not a train, which no budget selects, is decomposed patch by patch.
-    ||W X|| is computed once per patch.
+    (``_tucker_probes``), then trains (``_train_probes``); every ring that
+    ``select_ranks`` returns is a train. ||W X|| is computed once per patch.
     """
     families = _probe_families(families)
     stack = as_tensor(stack)
@@ -300,34 +282,28 @@ def _probe_stack(
             raise ValueError("calibration needs at least 8 sample columns")
 
     mode_shape, row_mode_count = default_mode_shape(m, n)
-    specs = {
-        (family, ratio): rank_search(mode_shape, family, ratio_budget(ratio, m * n))
-        for family in families
-        for ratio in ratio_grid
-    }
-    keys = {  # (family, ratio) -> probe key, for the feasible cells
-        cell: _probe_key(mode_shape, spec)
-        for cell, spec in specs.items()
-        if not isinstance(spec, InfeasibleBudgetError)
-    }
-    by_key = {key: specs[cell] for cell, key in keys.items()}
+    keys, skips = {}, {}  # (family, ratio) -> probe key, or the reason it is infeasible
+    for family in families:
+        for ratio in ratio_grid:
+            try:
+                spec = select_ranks(mode_shape, family, ratio_budget(ratio, m * n))
+            except InfeasibleBudgetError as exc:
+                skips[family, ratio] = exc
+            else:
+                keys[family, ratio] = _probe_key(mode_shape, spec)
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
-    tucker, trains = ([key[1] for key in by_key if key[0] == family] for family in ("tucker", "tt"))
+    tucker, trains = ([k[1] for k in dict.fromkeys(keys.values()) if k[0] == family] for family in ("tucker", "tt"))
     measured = _tucker_probes(stack, mode_shape, row_mode_count, tucker, calibs, refs, hooi_iters)
     measured.update(_train_probes(stack, mode_shape, trains, calibs, refs))
-    for key, spec in by_key.items():
-        if key[0] == "tr":
-            layers = (_decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count) for w in stack)
-            measured[key] = [_deviation(*args) for args in zip(stack, map(layer_to_matrix, layers), calibs, refs)]
 
     out = []
     for i, patch_id in enumerate(patch_ids):
         records = []
         for family in families:
             for ratio in ratio_grid:
-                if (family, ratio) not in keys:
+                if (family, ratio) in skips:
                     log.info(
-                        "probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, specs[family, ratio]
+                        "probe skipped: patch %d %s@%.3g infeasible (%s)", patch_id, family, ratio, skips[family, ratio]
                     )
                     continue
                 records.append(ProbeRecord(patch_id, family, float(ratio), measured[keys[family, ratio]][i]))
@@ -340,14 +316,15 @@ def _tucker_probes(stack, mode_shape, row_mode_count, ranks, calibs, refs, hooi_
     ``ranks``, keyed ``("tucker", ranks)``; ``refs`` holds each patch's
     ||W X||.
 
-    Each mode's full HOSVD eigenbasis is computed once for the stack, and
-    every decomposition starts from its leading columns; each rank tuple is
-    one stacked ``tucker_decompose``.
+    The full HOSVD eigenbasis of each mode that some rank tuple truncates
+    is computed once for the stack, and every decomposition starts from its
+    leading columns; each rank tuple is one stacked ``tucker_decompose``.
     """
     if not ranks:
         return {}
     t = stack.reshape(len(stack), *mode_shape)
-    hosvd = [leading_basis(unfold(t, k, stacked=True), size, stacked=True) for k, size in enumerate(mode_shape)]
+    cut = {k for r in ranks for k, size in enumerate(mode_shape) if r[k] < size}
+    hosvd = {k: leading_basis(unfold(t, k, stacked=True), mode_shape[k], stacked=True) for k in cut}
     measured = {}
     for r in ranks:
         layers = tucker_decompose(t, r, hooi_iters, stacked=True, hosvd=hosvd)
@@ -636,9 +613,8 @@ def analyze(
     probed patches', each stack probed at once (``_probe_stack``). Features
     and records equal an ``extract_features`` and a ``probe_patch`` loop
     over the patches bit for bit and keep their order.
-    Rank selection runs once per distinct (mode shape, family, budget): a
-    memo of ``_rank_search`` made for this call, shared by its probes and
-    dropped when it returns. ``seed`` is unused: ``calib`` is given and the
+    Rank selection runs once per distinct (mode shape, family, budget) in
+    the process (``select_ranks``' memo). ``seed`` is unused: ``calib`` is given and the
     fit is closed-form, so nothing is drawn at random. It stays because the
     benchmark workloads in ``perfbench/workloads.py`` pass it.
     """
@@ -650,7 +626,6 @@ def analyze(
         features.update(zip((p.patch_id for p in stack), feats))
     features = {p.patch_id: features[p.patch_id] for p in patches}
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
-    rank_search = functools.cache(_rank_search)  # for this call: patches share geometries
     by_patch: dict[int, list[ProbeRecord]] = {}
     for stack in _probe_stacks(probe_targets):
         records = _probe_stack(
@@ -659,7 +634,6 @@ def analyze(
             [calib[p.layer_name][p.col_range[0] : p.col_range[1], :] for p in stack],
             families,
             ratio_grid,
-            rank_search=rank_search,
         )
         by_patch.update(zip((p.patch_id for p in stack), records))
     probes = [r for p in probe_targets for r in by_patch[p.patch_id]]

@@ -23,7 +23,9 @@ Conventions used everywhere in this package:
   given build, as for the SVD;
 * the only truncation is an integer rank: keep the leading ``r`` triplets
   or vectors. Ranks come from a :class:`ParamBudget` through
-  ``tn_decompositions.select_ranks``;
+  ``tn_decompositions.select_ranks``. A rank that keeps all ``m`` rows of
+  an ``m x n`` input truncates nothing: the decompositions take the
+  identity as its left factor and make no SVD, basis or product for it;
 * :func:`unfold`, :func:`mode_dot` and :func:`leading_basis` also take a
   stack of same-shape operands (``stacked=True``): axis 0 indexes the
   slices, as the leading axes of ``numpy.linalg`` do, and every slice is
@@ -61,8 +63,8 @@ def as_tensor(data, shape=None) -> np.ndarray:
 def _as_array(data, shape=None) -> np.ndarray:
     """``as_tensor`` without the scan for non-finite entries.
 
-    For the decompositions, whose first ``truncated_svd`` or
-    ``leading_basis`` call scans every entry of their input.
+    For the decompositions, which scan their input where they first read
+    it (``tn_decompositions``' input checks).
     """
     t = np.ascontiguousarray(data, dtype=np.float64)
     if shape is not None:

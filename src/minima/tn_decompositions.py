@@ -13,36 +13,36 @@ Rank conventions:
 
 Input checks: ``compress_matrix`` and ``decompose`` validate their input
 with ``as_tensor`` once and hand it on without another scan. The Tucker,
-TT and TR routines do not scan theirs: their first SVD or basis call reads
-every entry and raises ``NumericsError`` on a NaN or inf, and a failed
-rank or shape check scans first, so the error types stay those of a scan
-up front.
+TT and TR routines do not scan theirs: their first SVD or basis call, or
+the scan that takes its place where the identity rule leaves none, reads
+every entry and raises ``NumericsError`` on a NaN or inf; a failed rank or
+shape check scans first, so the error types stay those of a scan up front.
 
-Factor sources: a Tucker factor needs only the leading left singular
-subspace of a mode unfolding, so ``tucker_decompose`` takes every factor,
-the HOSVD start and each HOOI sweep's, from ``tensor_core.leading_basis``
-(the unfolding's Gram eigenvectors): an ``n_k x rest`` unfolding costs an
-``n_k x n_k`` eigendecomposition. ``tucker_decompose`` is stack-native: it
-decomposes a stack of same-shape tensors with the same ranks in one pass,
-one stacked ``eigh`` per factor and one stacked product per mode product,
-and each slice's layer equals the layer of the slice alone bit for bit. A
-single tensor is a stack of one. A caller that decomposes one stack at
-several ranks passes each mode's full HOSVD eigenbasis once
-(``hosvd=``), and each call starts from its leading columns. HOOI sweeps
-always compute their bases: their inputs depend on the other factors and
-do not repeat. TT and TR splits need the singular values and right
-vectors too. TT-SVD is stack-native in ``_train_stack``: it decomposes a
-stack of same-shape tensors at several bond vectors at once, one stacked
-``np.linalg.svd`` per split signed per slice by ``truncated_svd``'s rule,
-each split shared by the bond vectors that keep the same bonds before it,
-and each slice's cores equal those of the slice alone bit for bit.
-``tt_decompose`` is its stack of one. ``_train_chain`` contracts a stack
-of TT or TR cores by stacked products; ``reconstruct`` chains a stack of
-one. TR splits, which pad their cores, take ``truncated_svd``.
+Factor sources: a Tucker mode with ``r_k = n_k``, or a TT or TR split
+that keeps all of its rows, keeps the whole space: its factor is the
+identity, made by no ``eigh``, SVD or mode product, and the split carries
+its input on unchanged. An orthogonal factor on such a mode leaves every
+other mode's Gram and every later split's spectrum unchanged (De Lathauwer
+et al. 2000; Oseledets 2011), so only the truncated modes and splits are
+computed. A truncated Tucker factor, the HOSVD start's and each HOOI
+sweep's, is ``tensor_core.leading_basis`` of its unfolding: an ``n_k x
+rest`` unfolding costs an ``n_k x n_k`` ``eigh``. TT and TR splits need
+the singular values and right vectors too. ``tucker_decompose`` and TT-SVD
+(``_train_stack``, which also takes several bond vectors at once) are
+stack-native: a stack of same-shape tensors takes one stacked ``eigh`` or
+``np.linalg.svd`` per factor or split, signed per slice by
+``truncated_svd``'s rule, and each slice's layer equals that of the slice
+alone bit for bit; a single tensor is a stack of one. A caller that
+decomposes one stack at several Tucker ranks passes each truncated mode's
+full HOSVD eigenbasis once (``hosvd=``); HOOI sweeps always compute their
+bases, whose inputs do not repeat. ``_train_chain`` contracts a stack of
+TT or TR cores by stacked products; ``reconstruct`` chains a stack of one.
+TR splits, which pad their cores, take ``truncated_svd``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -182,13 +182,6 @@ def _orthonormal_factor(unfoldings: np.ndarray, rank: int) -> np.ndarray:
     return leading_basis(unfoldings, rank, stacked=True)
 
 
-def _tucker_core(t: np.ndarray, factors: list[np.ndarray], *, stacked: bool = False) -> np.ndarray:
-    core = t
-    for k, f in enumerate(factors):
-        core = mode_dot(core, f, k, stacked=stacked)
-    return core
-
-
 def _slice_energies(t: np.ndarray) -> np.ndarray:
     """The squared Frobenius norm of each slice of a stack."""
     flat = t.reshape(len(t), -1)
@@ -199,42 +192,37 @@ def tucker_decompose(
     t: np.ndarray, ranks, hooi_iters: int = 2, *, stacked: bool = False, hosvd=None
 ) -> CompressedLayer | list[CompressedLayer]:
     """HOSVD initialization plus ``hooi_iters`` alternating refinement
-    sweeps, every factor from ``leading_basis``.
+    sweeps of the truncated modes' factors.
 
     With ``stacked``, axis 0 of ``t`` is a stack of same-shape tensors,
     all decomposed at ``ranks``, and the result is a list of one layer per
-    slice; each equals the layer of its slice alone bit for bit and owns
-    its arrays (copies, not views that would keep the stack's arrays
-    alive). A single tensor is decomposed as a
-    stack of one. ``hosvd``, if given, holds per mode the full HOSVD
-    eigenbasis of the stack, ``leading_basis(unfold(t, k, stacked=True),
-    n_k, stacked=True)``, and the start takes its leading ``ranks[k]``
-    columns, the same bits as computing them.
+    slice, each owning its arrays (copies, not views that would keep the
+    stack's arrays alive). ``hosvd``, if given, holds per truncated mode
+    the stack's ``leading_basis(unfold(t, k, stacked=True), n_k,
+    stacked=True)``, and the start takes its leading ``ranks[k]`` columns,
+    the same bits as computing them.
 
-    Each sweep recomputes every factor from the unfolding of the tensor
-    projected onto the other factors; the reconstruction error is checked
-    to be non-increasing across sweeps in every slice. The check compares
-    the relative residual energy ``1 - ||G||**2 / ||T||**2`` (the squared
-    relative error, since the factors are orthonormal) of consecutive
-    sweeps, with a slack of ``64 * d * eps``: that estimate carries a few
-    ulps of rounding per mode product, and taking its square root would
-    lift that noise to ~sqrt(eps) near an exact fit. The check is
-    multiplied through by ``||T||**2``: a slice fails when ``||G||**2``
+    Each sweep recomputes every truncated factor from the unfolding of the
+    tensor projected onto the other factors; the reconstruction error is
+    checked to be non-increasing across sweeps in every slice. The check
+    compares the relative residual energy ``1 - ||G||**2 / ||T||**2`` (the
+    squared relative error, since the factors are orthonormal) of
+    consecutive sweeps, with a slack of ``64 * d * eps``: that estimate
+    carries a few ulps of rounding per mode product, and taking its square
+    root would lift that noise to ~sqrt(eps) near an exact fit. The check
+    is multiplied through by ``||T||**2``: a slice fails when ``||G||**2``
     drops by more than ``slack * ||T||**2``, so a zero slice, whose
     energies are all 0, passes. A failure in any slice raises
     ``NumericsError`` naming the first slice that failed.
 
-    A sweep projects mode k's input in mode order: the tensor times the
-    factors 0..k-1 the sweep has already updated, then times the factors
-    k+1..d-1 of the previous sweep. The first part is shared: the sweep
-    keeps ``t`` times its updated factors and extends it by one
-    ``mode_dot`` after each update, so mode k applies only its d-1-k
-    suffix factors. A sweep costs d(d+1)/2 mode products, not the d(d-1)+1
-    of projecting each mode's input afresh, and the products and their
-    order are the same. After the last update that prefix is
-    ``_tucker_core(t, factors)`` operation for operation. It gives the
-    sweep's residual energy, and the last one computed is the core
-    returned.
+    A sweep projects truncated mode k's input in mode order: ``t`` times
+    the factors the sweep has already updated, which it keeps and extends
+    by one ``mode_dot`` after each update, then times the later factors of
+    the previous sweep. With c truncated modes the start costs c mode
+    products and a sweep c(c+1)/2, not the c(c-1)+1 of projecting each
+    input afresh. After the last update that prefix is the start's product
+    of ``t`` and the truncated factors, operation for operation: the
+    sweep's core.
     """
     t = _as_array(t)
     if not stacked:
@@ -248,21 +236,28 @@ def tucker_decompose(
         if not 1 <= r <= shape[k]:
             raise _rejected(t, RankError(f"rank {r} out of range [1, {shape[k]}] for mode {k}"))
 
-    if hosvd is None:
-        factors = [_orthonormal_factor(unfold(t, k, stacked=True), r) for k, r in enumerate(ranks)]
-    else:
-        factors = [b[..., :r].copy() for b, r in zip(hosvd, ranks, strict=True)]
+    cut = [k for k in range(d) if ranks[k] < shape[k]]  # the truncated modes
+    if not cut:
+        as_tensor(t)  # no basis call scans the input
+    factors = [np.eye(n)[None].repeat(len(t), axis=0) if r == n else None for n, r in zip(shape, ranks)]
+    for k in cut:
+        if hosvd is None:
+            factors[k] = _orthonormal_factor(unfold(t, k, stacked=True), ranks[k])
+        else:
+            factors[k] = hosvd[k][..., : ranks[k]].copy()
     total = _slice_energies(t)
     slack = 64 * d * np.finfo(np.float64).eps
     floor = slack * total
 
-    core = _tucker_core(t, factors, stacked=True)
+    core = t
+    for k in cut:
+        core = mode_dot(core, factors[k], k, stacked=True)
     kept = _slice_energies(core)
     for sweep in range(hooi_iters):
-        prefix = t  # t times this sweep's factors 0..k-1
-        for k in range(d):
+        prefix = t  # t times this sweep's factors before k
+        for i, k in enumerate(cut):
             proj = prefix
-            for j in range(k + 1, d):
+            for j in cut[i + 1 :]:
                 proj = mode_dot(proj, factors[j], j, stacked=True)
             factors[k] = _orthonormal_factor(unfold(proj, k, stacked=True), ranks[k])
             prefix = mode_dot(prefix, factors[k], k, stacked=True)
@@ -323,7 +318,9 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
     Split k's input depends only on the bonds kept before it, so the bond
     vectors that keep the same bonds there share the split: one stacked
     ``_train_split``, kept at the widest bond any of them keeps, of which
-    each takes its leading columns, the same bits. Bond vectors are taken in
+    each takes its leading columns, the same bits. A bond vector that keeps
+    the split whole takes the identity instead, so it shares the split
+    only with those that keep it whole too. Bond vectors are taken in
     order of their kept bonds, so those that share splits come together,
     and a split is dropped when the next bond vector no longer shares it.
     Cores may be views of the shared splits; a caller that drops each
@@ -338,10 +335,11 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
             r_prev = min(r, r_prev * shape[k], math.prod(shape[k + 1 :]))
             keeps.append(r_prev)
         kept[bonds] = tuple(keeps)
-    widest = {}  # the bonds kept before a split -> the widest bond kept there
+    widest = {}  # the bonds kept before a split -> the widest bond kept there short of its rows
     for keeps in kept.values():
         for k, r in enumerate(keeps):
-            widest[keeps[:k]] = max(widest.get(keeps[:k], 0), r)
+            if r < (keeps[k - 1] if k else 1) * shape[k]:
+                widest[keeps[:k]] = max(widest.get(keeps[:k], 0), r)
 
     path, last = [], ()  # path[k]: split k of the previous bond vector, `last` its kept bonds
     for bonds, keeps in sorted(kept.items(), key=lambda item: item[1]):
@@ -349,9 +347,13 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
         del path[shared + 1 :]  # split k is shared while the bonds kept before it agree
         cores, r_prev = [], 1
         for k, keep in enumerate(keeps):
+            rows = r_prev * shape[k]
+            width = rows if keep == rows else widest[keeps[:k]]
+            if k < len(path) and path[k][0].shape[-1] != width:  # a whole split beside truncated ones
+                del path[k:]
             if k == len(path):
                 c = t if k == 0 else path[k - 1][1][..., :r_prev, :]
-                path.append(_train_split(c.reshape(count, r_prev * shape[k], -1), widest[keeps[:k]]))
+                path.append(_train_split(c.reshape(count, rows, -1), width))
             cores.append(path[k][0][..., :keep].reshape(count, r_prev, shape[k], keep))
             r_prev = keep
         cores.append(path[-1][1][..., :r_prev, :].reshape(count, r_prev, shape[-1], 1))
@@ -363,7 +365,8 @@ def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """One TT split of each matrix of a stack ``(P, rows, cols)``: the
     leading ``keep`` left singular vectors ``(P, rows, keep)``, and what the
     train carries to its next split, those triplets' values times their
-    right vectors, ``(P, keep, cols)``.
+    right vectors, ``(P, keep, cols)``; at ``keep == rows``, the identity
+    and a copy of ``c``.
 
     One stacked LAPACK SVD; each slice's bits equal ``truncated_svd``'s
     ``left`` and ``values[:, None] * right.T`` of the slice alone. Each is
@@ -375,6 +378,8 @@ def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.isfinite(c).all():
         raise NumericsError("tensor entries must be finite")
+    if keep == c.shape[-2]:
+        return np.eye(keep)[None].repeat(len(c), axis=0), c.copy()
     u, values, vt = np.linalg.svd(c, full_matrices=False)
     left = u if keep == u.shape[-1] else u[..., :keep].copy()
     del u
@@ -439,23 +444,27 @@ def _tr_reach(shape: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...]
 
 
 def _padded_split(c: np.ndarray, rank: int):
-    """Split ``c ~ u @ rest`` by ``truncated_svd``, with ``u`` zero-padded to ``rank`` columns.
+    """Split ``c ~ u @ rest``, with ``u`` zero-padded to ``rank`` columns.
 
     Padding past the unfolding's min dimension stores dead zeros but keeps the
     requested core shapes, so parameter accounting stays closed-form.
     """
     keep = min(rank, min(c.shape))
-    res = truncated_svd(c, keep)
     u = np.zeros((c.shape[0], rank))
-    u[:, :keep] = res.left
     rest = np.zeros((rank, c.shape[1]))
-    rest[:keep] = res.values[:, None] * res.right.T
+    if keep == c.shape[0]:
+        np.fill_diagonal(u, 1.0)
+        rest[:keep] = as_tensor(c)
+    else:
+        res = truncated_svd(c, keep)
+        u[:, :keep] = res.left
+        rest[:keep] = res.values[:, None] * res.right.T
     return u, rest
 
 
 def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     """Sequential-SVD ring factorization (approximate; not ALS-optimal), each
-    split truncated by ``truncated_svd``.
+    split by ``_padded_split``.
 
     The first unfolding is truncated at rank ``ranks[0] * ranks[1]`` and
     that bond is split in two; remaining cores come from a TT-style sweep
@@ -610,17 +619,29 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
     targets raise ``TypeError``) and only for Tucker, TT or TR (others raise
     ``RankError``); dense layers come from ``decompose(t, RankSpec("dense"))``.
 
-    Arguments are validated here, once: each trial of the search goes to
-    the unvalidated cores of ``tr_feasible`` and ``param_count_formula``
-    on int tuples.
+    Arguments are validated here, once; the search runs behind a
+    process-wide memo of 4,096 (shape, family, budget) keys, least recently
+    used dropped first (``_rank_search``, emptied by its ``cache_clear``). A
+    key seen before runs no search: the memo holds the immutable
+    ``RankSpec``, or an infeasible budget's rank-1 cost, from which every
+    call raises a fresh ``InfeasibleBudgetError``.
     """
     shape = tuple(int(s) for s in mode_shape)
     if family not in FAMILIES:
         raise RankError(f"no ranks to select for family {family!r}")
     if not isinstance(target, ParamBudget):
         raise TypeError(f"ranks are selected by a ParamBudget, got {target!r}")
-
     budget = target.budget
+    found = _rank_search(shape, family, budget)
+    if isinstance(found, RankSpec):
+        return found
+    raise InfeasibleBudgetError(f"budget {budget} below rank-1 configuration of {found} params", best_achievable=found)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec | int:
+    """``select_ranks`` on validated arguments, each trial through the unvalidated
+    ``_ranks_feasible`` and ``_param_count``: the ranks, or an infeasible budget's rank-1 cost."""
     caps = maximal_ranks(family, shape)
     npos = len(caps)
     if budget >= math.prod(shape):
@@ -628,10 +649,7 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
 
     floor_cost = _param_count(family, shape, (1,) * npos)
     if floor_cost > budget:
-        raise InfeasibleBudgetError(
-            f"budget {budget} below rank-1 configuration of {floor_cost} params",
-            best_achievable=floor_cost,
-        )
+        return floor_cost
 
     def fits(ranks) -> bool:
         return _ranks_feasible(family, shape, ranks, caps) and _param_count(family, shape, ranks) <= budget

@@ -248,66 +248,65 @@ class TestProbeWork:
         assert len(fast) == 3 * (len(self.GRID) - 1)
         assert record_bits(fast) == record_bits(slow)
 
-    def test_a_16x16_probe_makes_8_svds_and_20_eigendecompositions(self, rng, lapack_calls, eigh_calls):
-        # (4, 4, 4, 4) modes: Tucker takes 4 HOSVD unfolding bases, then 16 HOOI
-        # sweep bases (one sweep, 4 modes, 4 ratios); TT takes its first split,
-        # which is the same at every ratio, and the later splits of its bond
-        # vectors (2, 2, 1), (3, 2, 2), (3, 3, 2) and (4, 3, 4), the second
-        # split shared by the two that keep 3 before it; TR's splits are TT's.
-        # A patch alone is a stack of one.
+    def test_a_16x16_probe_makes_8_svds_and_19_eigendecompositions(self, rng, lapack_calls, eigh_calls):
+        # (4, 4, 4, 4) modes: Tucker takes 4 HOSVD unfolding bases, then 15 HOOI
+        # sweep bases (one sweep, 4 ratios, 4 truncated modes but 3 at ranks
+        # (4, 3, 3, 2), whose mode 0 is whole); TT takes its first split once
+        # for the three bond vectors that truncate it, (2, 2, 1), (3, 2, 2) and
+        # (3, 3, 2), and keeps it whole for (4, 3, 4), then the later splits,
+        # the second shared by the two that keep 3 before it; TR's splits are
+        # TT's. A patch alone is a stack of one. The compress_matrix loop makes
+        # 11 TT and 11 TR SVDs (the first split of (4, 3, 4) is whole) and 30
+        # eigendecompositions (6 at ranks (4, 3, 3, 2), 8 at each other ratio).
         w = decayed_matrix(rng, 16, 16, 0.1)
         probe_patch(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
         assert lapack_calls == [(1, *shape) for shape in TT_SPLITS_16x16]
-        assert len(eigh_calls) == 20
+        assert len(eigh_calls) == 19
         lapack_calls.clear()
         eigh_calls.clear()
         compress_matrix_probes(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
-        assert (len(lapack_calls), len(eigh_calls)) == (24, 32)
+        assert (len(lapack_calls), len(eigh_calls)) == (22, 30)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("hooi_iters", [1, 2])
     def test_compress_matrix_keeps_one_svd_per_split(self, rng, lapack_calls, eigh_calls, family, hooi_iters):
-        # compress_matrix decomposes once: Tucker makes d HOSVD
-        # eigendecompositions plus d per sweep and no SVD, TT and TR one SVD
-        # per split, TT's a stack of one
+        # compress_matrix decomposes once: Tucker makes one HOSVD
+        # eigendecomposition per truncated mode plus as many per sweep and no
+        # SVD, TT and TR one SVD per truncated split, TT's a stack of one. At
+        # ratio 0.5 Tucker's ranks (4, 5, 4, 5) truncate 2 modes, at 0.25
+        # (4, 4, 3, 3) truncate 3; TT's (4, 7, 7) and (4, 4, 4), and TR's
+        # rings (1, ...) of them, keep their first split whole.
         w = decayed_matrix(rng, 32, 32, 0.1)  # (4, 8, 4, 8) modes
-        for ratio in (0.5, 0.25):
+        for ratio, truncated in ((0.5, 2), (0.25, 3)):
             lapack_calls.clear()
             eigh_calls.clear()
             compress_matrix(w, family, ratio_budget(ratio, w.size), hooi_iters=hooi_iters)
-            expected = (0, 4 * (1 + hooi_iters)) if family == "tucker" else (3, 0)
+            expected = (0, truncated * (1 + hooi_iters)) if family == "tucker" else (2, 0)
             assert (len(lapack_calls), len(eigh_calls)) == expected
 
-    def test_a_stack_of_16x16_patches_shares_its_20_eigendecompositions(self, rng, lapack_calls, eigh_calls):
-        # three 16 x 16 patches probed as one stack: the 20 eigendecompositions
+    def test_a_stack_of_16x16_patches_shares_its_19_eigendecompositions(self, rng, lapack_calls, eigh_calls):
+        # three 16 x 16 patches probed as one stack: the 19 eigendecompositions
         # and the 8 TT splits of one patch, each over the stack of three, after
         # one values-only SVD of the stack for its features
         model = make_model([("w", decayed_matrix(rng, 16, 48, 0.1), "ffn")])
         calib = {"w": rng.standard_normal((48, 16))}
         result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         assert len(result.probed_ids) == 3
-        assert len(eigh_calls) == 20 and all(shape == (3, 4, 4) for shape in eigh_calls)
+        assert len(eigh_calls) == 19 and all(shape == (3, 4, 4) for shape in eigh_calls)
         assert lapack_calls == [(3, 16, 16)] + [(3, *shape) for shape in TT_SPLITS_16x16]
 
-    def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng, monkeypatch):
+    def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng):
         # 32 x 32 and 32 x 16 patches, probed in both layers
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 48, 0.1 + 0.1 * i), "ffn") for i in range(2)])
         calib = {name: rng.standard_normal((48, 16)) for name in model.names()}
-        calls = []
-        search = sensitivity.select_ranks
-
-        def counting(mode_shape, family, target):
-            calls.append((tuple(mode_shape), family, target))
-            return search(mode_shape, family, target)
-
-        monkeypatch.setattr(sensitivity, "select_ranks", counting)
+        tn._rank_search.cache_clear()
         grid = (0.5, 0.25, 0.02)  # 0.02 is infeasible everywhere: a memoized skip
         first = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
         assert {(p.rows, p.cols) for p in first.patches} == {(32, 32), (32, 16)}
-        assert len(calls) == len(set(calls)) == 2 * len(FAMILIES) * len(grid)
-        calls.clear()
+        searches = tn._rank_search.cache_info().misses
+        assert searches == 2 * len(FAMILIES) * len(grid)
         again = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
-        assert len(calls) == 2 * len(FAMILIES) * len(grid)  # no memo outlives a call
+        assert tn._rank_search.cache_info().misses == searches  # the memo outlives a call
         assert record_bits(again.probes) == record_bits(first.probes)
 
     @pytest.mark.parametrize("families, unknown", [(("TT",), "'TT'"), (("tt", "cp"), "'cp'"), ("tt", "'t'")])
@@ -402,36 +401,18 @@ class TestStackedProbes:
                 np.float64(d).tobytes() for d in expected
             ]
 
-    def test_a_ring_that_is_not_an_unpadded_train_is_decomposed(self, rng, monkeypatch):
-        # rank searches that select rings the budget search never does: a
-        # closing bond of 2, and a unit closing bond with a padded last bond,
-        # each beside a train with bonds ranks[1:]
-        w = decayed_matrix(rng, 16, 16, 0.1)
-        calib = seeded_calib(16, 4)
-        mode_shape, row_modes = default_mode_shape(16, 16)
-        chosen = {
-            128: {"tt": (2, 4, 2), "tr": (2, 2, 4, 2)},
-            64: {"tt": (4, 16, 5), "tr": (1, 4, 16, 5)},
-        }
-
-        def rank_search(shape, family, budget):
-            return tn.RankSpec(family, chosen[budget.budget][family])
-
-        rings = []
-        tr_decompose = tn.tr_decompose
-
-        def counting(*args, **kwargs):
-            rings.append(args[1])
-            return tr_decompose(*args, **kwargs)
-
-        monkeypatch.setattr(tn, "tr_decompose", counting)
-        records = probe_patch(w, ("tt", "tr"), (0.5, 0.25), calib, rank_search=rank_search)
-        assert rings == [(2, 2, 4, 2), (1, 4, 16, 5)]
-        for record, ranks in zip([r for r in records if r.family == "tr"], rings):
-            layer = tr_decompose(w.reshape(mode_shape), ranks)
-            layer.row_mode_count = row_modes
-            expected = output_deviation(w, layer_to_matrix(layer), calib)
-            assert np.float64(record.measured_degradation).tobytes() == np.float64(expected).tobytes()
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (36, 64), (32, 16), (64, 64), (16, 48), (17, 40), (1, 64)])
+    def test_every_selected_ring_is_probed_as_a_train(self, shape):
+        # why _probe_stack probes no ring on its own: maximal_ranks("tr") caps
+        # the closing bond at 1 and the search returns only reachable ranks
+        mode_shape, _ = default_mode_shape(*shape)
+        dense = shape[0] * shape[1]
+        for ratio in (*self.GRID, 0.05, 0.75, 1.0, 2.0):
+            try:
+                spec = select_ranks(mode_shape, "tr", ratio_budget(ratio, dense))
+            except InfeasibleBudgetError:
+                continue
+            assert sensitivity._probe_key(mode_shape, spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_patch_in_a_stack_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):

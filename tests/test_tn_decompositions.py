@@ -193,9 +193,10 @@ class TestTucker:
             ranks = tuple(max(1, n - 1) for n in shape[:d])
             for iters in range(4):
                 layer = tucker_decompose(t, ranks, hooi_iters=iters)
-                assert bitwise_equal(
-                    np.ascontiguousarray(layer.core), np.ascontiguousarray(tn._tucker_core(t, layer.factors))
-                ), (d, iters)
+                projection = t
+                for k, f in enumerate(layer.factors):
+                    projection = mode_dot(projection, f, k)
+                assert bitwise_equal(np.ascontiguousarray(layer.core), np.ascontiguousarray(projection)), (d, iters)
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("decay", [0.02, 0.1, 0.3])
@@ -275,17 +276,38 @@ class TestTucker:
             return mode_dot_(t, mat, mode, stacked=stacked)
 
         monkeypatch.setattr(tn, "mode_dot", counting)
-        for shape in ((4, 8, 4, 8), (4, 4, 4, 4)):
-            d = len(shape)
+        # (shape, ranks, truncated modes c): a whole mode takes no product
+        cases = [
+            ((4, 8, 4, 8), (2, 3, 2, 3), 4),
+            ((4, 4, 4, 4), (2, 3, 2, 3), 4),
+            ((4, 8, 4, 8), (4, 5, 4, 5), 2),
+            ((4, 8, 4, 8), (4, 4, 3, 3), 3),
+            ((4, 8, 4, 8), (4, 8, 4, 8), 0),
+        ]
+        for shape, ranks, c in cases:
             t = rng.standard_normal((5, *shape))
             for iters in (0, 1, 2):
-                # HOSVD core d; per sweep mode k applies d-1-k suffix factors, then
-                # extends the shared prefix once: d(d+1)/2. A stack of 5 takes as
-                # many stacked products as one tensor.
+                # HOSVD core c; per sweep truncated mode k applies its truncated
+                # suffix factors, then extends the shared prefix once: c(c+1)/2.
+                # A stack of 5 takes as many stacked products as one tensor.
                 for tensor, stacked in ((t[0], False), (t, True)):
                     calls.clear()
-                    tucker_decompose(tensor, (2, 3, 2, 3), hooi_iters=iters, stacked=stacked)
-                    assert len(calls) == d + iters * d * (d + 1) // 2, (shape, iters, stacked)
+                    tucker_decompose(tensor, ranks, hooi_iters=iters, stacked=stacked)
+                    assert len(calls) == c + iters * c * (c + 1) // 2, (shape, ranks, iters, stacked)
+                    assert set(calls) == {k for k, (r, n) in enumerate(zip(ranks, shape)) if r < n}
+
+    @pytest.mark.parametrize("shape", [(4, 8, 4, 8), (3, 5, 2), (6, 1, 5)])
+    def test_maximal_ranks_keep_identity_factors_and_the_tensor_as_core(self, rng, eigh_calls, lapack_calls, shape):
+        t = rng.standard_normal((3, *shape))
+        t[1] = 0.0
+        t[2].flat[0] = -0.0
+        for iters in (0, 2):
+            stacked = tucker_decompose(t, shape, hooi_iters=iters, stacked=True)
+            for p in range(len(t)):
+                for layer in (stacked[p], tucker_decompose(t[p], shape, hooi_iters=iters)):
+                    assert bitwise_equal(layer.core, t[p]) and not np.shares_memory(layer.core, t)
+                    assert all(bitwise_equal(f, np.eye(n)) for f, n in zip(layer.factors, shape, strict=True))
+        assert eigh_calls == [] and lapack_calls == []
 
 
 class TestTensorTrain:
@@ -481,11 +503,29 @@ class TestSelectRanks:
                 dense = int(np.prod(shape))
                 for budget in (dense // 8, dense // 3, dense // 2, dense):
                     calls.clear()
+                    tn._rank_search.cache_clear()  # a search, not a memo hit
                     try:
                         select_ranks(shape, family, ParamBudget(budget))
                     except InfeasibleBudgetError:
                         pass
                     assert calls == [(family, shape)]
+
+    def test_a_repeated_key_runs_no_search(self):
+        search = tn._rank_search
+        search.cache_clear()
+        first = select_ranks((4, 8, 4, 8), "tt", ParamBudget(300))
+        again = select_ranks([np.int64(4), 8, 4, 8], "tt", ParamBudget(300))
+        assert again == first == RankSpec("tt", reference_select_ranks((4, 8, 4, 8), "tt", 300))
+        assert (search.cache_info().misses, search.cache_info().hits) == (1, 1)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(InfeasibleBudgetError) as err:
+                select_ranks((4, 8, 4, 8), "tt", ParamBudget(3))
+            errors.append(err.value)
+        assert (search.cache_info().misses, search.cache_info().hits) == (2, 2)
+        assert errors[0] is not errors[1]
+        assert errors[0].best_achievable == errors[1].best_achievable == param_count_formula("tt", (4, 8, 4, 8), (1, 1, 1))
+        assert search.cache_info().maxsize == 4096
 
     def test_equals_the_validated_rank_search(self):
         shapes = ((4, 4, 4, 4), (4, 8, 4, 8), (4, 3, 2, 5), (16, 16), (6, 6, 6), (2, 2, 2, 2, 2, 2), (1, 4, 4), (8, 8, 6, 6))
@@ -669,20 +709,24 @@ class TestInputChecks:
                     call(w)
 
     @pytest.mark.parametrize(
-        "family, svds, splits, bases", [("tucker", 0, 0, 12), ("tt", 0, 3, 0), ("tr", 3, 3, 0)], ids=["tucker", "tt", "tr"]
+        "family, svds, splits, bases, scans",
+        [("tucker", 0, 0, (6, 9), 1), ("tt", 0, 2, (0, 0), 1), ("tr", 2, 2, (0, 0), 4)],
+        ids=["tucker", "tt", "tr"],
     )
     def test_compress_matrix_scans_its_input_once_plus_each_svd_input(
-        self, rng, monkeypatch, lapack_calls, family, svds, splits, bases
+        self, rng, monkeypatch, lapack_calls, family, svds, splits, bases, scans
     ):
         """compress_matrix scans its input once (four times before: compress_matrix,
         reshape_to_modes, decompose and the family's routine). Each SVD and each
         Tucker factor still scans its own input: an unfolding or projection can
         overflow, and LAPACK must not see an inf. A TR split scans by
-        ``truncated_svd``'s ``as_tensor``, a TT split by ``_train_split``'s scan
-        (the near-overflow test sees it raise on a later split), a Tucker factor
-        by the largest magnitude that sets its scale, with no ``as_tensor``.
-        Tucker takes 4 HOSVD factors and 4 per sweep (2 sweeps), TT and TR one
-        LAPACK SVD per split, TT's a stack of one."""
+        ``as_tensor``, ``truncated_svd``'s or, kept whole, its own; a TT split by
+        ``_train_split``'s scan (the near-overflow test sees it raise on a later
+        split), a Tucker factor by the largest magnitude that sets its scale,
+        with no ``as_tensor``. On these (4, 8, 4, 8) modes Tucker takes a factor
+        per truncated mode at the start and per sweep (2 sweeps), 2 modes at
+        ratio 0.5 and 3 at 0.25; TT and TR take one LAPACK SVD per truncated
+        split, TT's a stack of one, and keep their first split whole."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
         as_tensor, svd, basis = tc.as_tensor, tn.truncated_svd, tn.leading_basis
 
@@ -698,12 +742,12 @@ class TestInputChecks:
         monkeypatch.setattr(tn, "truncated_svd", counted("svd", svd))
         monkeypatch.setattr(tn, "leading_basis", counted("basis", basis))
         w = rng.standard_normal((32, 32))
-        for ratio in (0.5, 0.25):
+        for ratio, ratio_bases in zip((0.5, 0.25), bases):
             calls.update(as_tensor=0, svd=0, basis=0)
             lapack_calls.clear()
             compress_matrix(w, family, ratio_budget(ratio, w.size))
-            assert (calls["svd"], len(lapack_calls), calls["basis"]) == (svds, splits, bases)
-            assert calls["as_tensor"] == 1 + svds
+            assert (calls["svd"], len(lapack_calls), calls["basis"]) == (svds, splits, ratio_bases)
+            assert calls["as_tensor"] == scans
             if family == "tt":
                 assert all(len(shape) == 3 and shape[0] == 1 for shape in lapack_calls)
 
@@ -736,8 +780,9 @@ class TestSvdSource:
             for ranks in [(2, 2, 2, 1), (3, 2, 4, 2), (2, 2, 2, 1)]:
                 eigh_calls.clear()
                 layers = tucker_decompose(t, ranks, hooi_iters=iters, stacked=True, hosvd=hosvd)
-                # d stacked eigendecompositions per sweep, none for the start
-                assert eigh_calls == [(3, n, n) for _ in range(iters) for n in t.shape[1:]]
+                # a stacked eigendecomposition per truncated mode per sweep (4, then
+                # 3 at (3, 2, 4, 2), whose mode 3 is whole), none for the start
+                assert eigh_calls == [(3, n, n) for _ in range(iters) for n, r in zip(t.shape[1:], ranks) if r < n]
                 for p, layer in enumerate(layers):
                     plain = tucker_decompose(t[p], ranks, hooi_iters=iters)
                     assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True))
@@ -756,14 +801,20 @@ class TestSvdSource:
 
 def plain_train(t, bonds):
     """Oracle: the cores of a sequential TT-SVD of one tensor, each split a
-    ``truncated_svd`` capped at the unfolding's min dimension."""
+    ``truncated_svd`` capped at the unfolding's min dimension, or, where
+    that keeps all of the unfolding's rows, the identity carrying the
+    unfolding on."""
     cores, r_prev, c = [], 1, t
     for k, r in enumerate(bonds):
         c = c.reshape(r_prev * t.shape[k], -1)
-        res = truncated_svd(c, min(r, min(c.shape)))
-        cores.append(res.left.reshape(r_prev, t.shape[k], res.rank))
-        c = res.values[:, None] * res.right.T
-        r_prev = res.rank
+        keep = min(r, min(c.shape))
+        if keep == len(c):
+            cores.append(np.eye(keep).reshape(r_prev, t.shape[k], keep))
+        else:
+            res = truncated_svd(c, keep)
+            cores.append(res.left.reshape(r_prev, t.shape[k], keep))
+            c = res.values[:, None] * res.right.T
+        r_prev = keep
     cores.append(c.reshape(r_prev, t.shape[-1], 1))
     return cores
 
@@ -821,13 +872,17 @@ class TestTrainStack:
     def test_a_train_holds_only_its_own_entries(self, rng):
         # a core viewing a prefix of LAPACK's right vectors would keep all of
         # them alive in every layer compress_matrix returns
-        t = rng.standard_normal((4, 8, 4, 8))
-        for bonds in [(2, 3, 4), (4, 12, 4), (4, 32, 8)]:
-            for core in tt_decompose(t, bonds).cores:
-                owner = core
-                while owner.base is not None:
-                    owner = owner.base
-                assert owner.nbytes == core.nbytes, (bonds, core.shape)
+        # nor one viewing the input, where every split is whole, as at (2, 4)
+        # on (2, 2, 8)
+        cases = [((4, 8, 4, 8), [(2, 3, 4), (4, 12, 4), (4, 32, 8)]), ((2, 2, 8), [(2, 4)])]
+        for shape, bond_vectors in cases:
+            t = rng.standard_normal(shape)
+            for bonds in bond_vectors:
+                for core in tt_decompose(t, bonds).cores:
+                    owner = core
+                    while owner.base is not None:
+                        owner = owner.base
+                    assert owner.nbytes == core.nbytes and not np.shares_memory(core, t), (bonds, core.shape)
 
     def test_bond_vectors_that_keep_the_same_bonds_share_their_splits(self, rng, lapack_calls):
         # kept bonds (1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 4) and
@@ -838,6 +893,22 @@ class TestTrainStack:
         shapes = [(4, 64), (4, 16), (8, 16), (12, 16), (16, 16), (4, 4), (8, 4), (8, 4), (12, 4), (64, 4)]
         assert sorted(lapack_calls) == sorted((len(t), *shape) for shape in shapes)
 
+    def test_a_whole_split_is_shared_only_with_bond_vectors_that_keep_it_whole(self, rng, lapack_calls):
+        # the default ratio grid's TT bonds on (4, 8, 4, 8): (4, 7, 7), (4, 5, 6)
+        # and (4, 4, 4) keep the first split whole, (3, 3, 3) truncates it, so
+        # one stacked SVD makes that split for (3, 3, 3) alone
+        mode_shape = (4, 8, 4, 8)
+        bond_vectors = [select_ranks(mode_shape, "tt", ratio_budget(r, 1024)).ranks for r in (0.5, 0.35, 0.25, 0.15)]
+        assert bond_vectors == [(4, 7, 7), (4, 5, 6), (4, 4, 4), (3, 3, 3)]
+        t = train_stack(rng, mode_shape)
+        trains = list(tn._train_stack(t, bond_vectors))
+        shapes = [(4, 256), (24, 32), (32, 32), (12, 8), (16, 8), (20, 8), (28, 8)]
+        assert sorted(lapack_calls) == sorted((len(t), *shape) for shape in shapes)
+        for bonds, cores in trains:
+            for p in range(len(t)):
+                alone = tt_decompose(t[p], bonds)
+                assert all(bitwise_equal(a[p], b) for a, b in zip(cores, alone.cores, strict=True)), (bonds, p)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_slice_raises_before_lapack(self, rng, lapack_calls, bad):
         t = rng.standard_normal((3, *MODES_16x32))
@@ -845,6 +916,28 @@ class TestTrainStack:
         with pytest.raises(NumericsError):
             list(tn._train_stack(t, [(2, 2, 2)]))
         assert lapack_calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_raises_where_the_whole_space_skips_lapack(self, rng, eigh_calls, lapack_calls, bad):
+        # every Tucker mode whole; a first split whole, then every split whole
+        # on (2, 2, 8), where no SVD is left to scan the input
+        t = rng.standard_normal((4, 8, 4, 8))
+        t[3, 7, 3, 7] = bad
+        stack = np.stack([rng.standard_normal(t.shape), t])
+        small = rng.standard_normal((2, 2, 8))
+        small[1, 0, 5] = bad
+        calls = [
+            lambda: tucker_decompose(t, t.shape),
+            lambda: tucker_decompose(stack, t.shape, stacked=True),
+            lambda: tt_decompose(t, (4, 7, 7)),
+            lambda: tr_decompose(t, (1, 4, 7, 7)),
+            lambda: tt_decompose(small, (2, 4)),
+            lambda: tr_decompose(small, (1, 2, 4)),
+        ]
+        for call in calls:
+            with pytest.raises(NumericsError):
+                call()
+        assert eigh_calls == [] and lapack_calls == []
 
     def test_an_overflowing_split_raises(self, rng):
         # every singular value of the first split exceeds the largest double,
