@@ -54,6 +54,3 @@ class ModelContainer:
         if layer_index >= self.total_layers:
             self.total_layers = layer_index + 1
         self.entries[name] = entry
-
-    def names(self) -> list[str]:
-        return list(self.entries.keys())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,6 @@ from minima.model import ModelContainer
 from minima.tensor_core import as_tensor, leading_basis, unfold
 from minima.tn_decompositions import (
     FAMILIES,
-    _tr_reach,
     _train_chain,
     _train_stack,
     default_mode_shape,
@@ -97,16 +97,30 @@ def partition_patches(model: ModelContainer, patch_size=(64, 64)) -> list[Patch]
 
 def patch_matrix(model: ModelContainer, patch: Patch) -> np.ndarray:
     """The patch's block of its layer's matrix, a float64 copy."""
-    return _patch_stack(model, [patch])[0]
+    return next(_patch_stacks(model, [patch]))[1][0]
 
 
-def _patch_stack(model: ModelContainer, patches: list[Patch]) -> np.ndarray:
-    """The float64 blocks of same-shape ``patches``, stacked ``(P, rows,
-    cols)`` and filled in place."""
-    stack = np.empty((len(patches), patches[0].rows, patches[0].cols))
-    for out, p in zip(stack, patches):
-        out[...] = model.entries[p.layer_name].matrix[p.row_range[0] : p.row_range[1], p.col_range[0] : p.col_range[1]]
-    return stack
+STACK_ENTRIES = 1 << 15  # most float64 entries in one stack of patches: 256 KiB
+
+
+def _patch_stacks(model: ModelContainer, patches: list[Patch]) -> Iterator[tuple[list[Patch], np.ndarray]]:
+    """``patches`` grouped by shape, in order of first appearance, and cut
+    into stacks of at most ``STACK_ENTRIES`` entries (one patch at least):
+    yields each stack's patches and their float64 blocks, stacked ``(P,
+    rows, cols)`` and filled in place, the stacks ``analyze`` takes
+    features and probes over."""
+    groups: dict[tuple[int, int], list[Patch]] = {}
+    for p in patches:
+        groups.setdefault((p.rows, p.cols), []).append(p)
+    for (rows, cols), group in groups.items():
+        size = max(STACK_ENTRIES // (rows * cols), 1)
+        for i in range(0, len(group), size):
+            chunk = group[i : i + size]
+            stack = np.empty((len(chunk), rows, cols))
+            for out, p in zip(stack, chunk):
+                (r0, r1), (c0, c1) = p.row_range, p.col_range
+                out[...] = model.entries[p.layer_name].matrix[r0:r1, c0:c1]
+            yield chunk, stack
 
 
 def extract_features(w: np.ndarray, patch: Patch, total_layers: int) -> np.ndarray:
@@ -227,12 +241,10 @@ def _probe_families(families) -> list[str]:
     return [f for f in FAMILIES if f in chosen]
 
 
-def _probe_key(mode_shape: tuple[int, ...], spec) -> tuple:
-    """The structure a probe decomposes. A ring whose closing bond is 1 and
-    whose ranks the sequential factorization reaches unpadded is the train
-    with bonds ``ranks[1:]``: its splits, cores and reconstruction are the
-    train's bit for bit, so it shares the train's key."""
-    if spec.family == "tr" and spec.ranks[0] == 1 and _tr_reach(mode_shape, spec.ranks) == spec.ranks:
+def _probe_key(spec) -> tuple:
+    """The structure a probe decomposes. A ring is the train with bonds
+    ``ranks[1:]`` (``tr_decompose``), so it shares the train's key."""
+    if spec.family == "tr":
         return ("tt", spec.ranks[1:])
     return (spec.family, spec.ranks)
 
@@ -266,10 +278,10 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -
     one list of records per patch, in ``FAMILIES`` order, then ratio order.
 
     Probes are keyed by the structure they decompose (``_probe_key``), so a
-    ring that is a train takes the train's deviations and ratios that select
-    the same ranks share them. Tucker is probed on the whole stack
-    (``_tucker_probes``), then trains (``_train_probes``); every ring that
-    ``select_ranks`` returns is a train. ||W X|| is computed once per patch.
+    ring takes its train's deviations and ratios that select the same ranks
+    share them. Tucker is probed on the whole stack
+    (``_tucker_probes``), then trains (``_train_probes``). ||W X|| is
+    computed once per patch.
     """
     families = _probe_families(families)
     stack = as_tensor(stack)
@@ -290,7 +302,7 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -
             except InfeasibleBudgetError as exc:
                 skips[family, ratio] = exc
             else:
-                keys[family, ratio] = _probe_key(mode_shape, spec)
+                keys[family, ratio] = _probe_key(spec)
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
     tucker, trains = ([k[1] for k in dict.fromkeys(keys.values()) if k[0] == family] for family in ("tucker", "tt"))
     measured = _tucker_probes(stack, mode_shape, row_mode_count, tucker, calibs, refs, hooi_iters)
@@ -575,23 +587,6 @@ def _probe_subset(patches: list[Patch], stride: int) -> list[Patch]:
     return sorted(chosen, key=lambda p: p.patch_id)
 
 
-STACK_ENTRIES = 1 << 15  # most float64 entries in one stack of probed patches: 256 KiB
-
-
-def _probe_stacks(targets: list[Patch]) -> list[list[Patch]]:
-    """``targets`` grouped by shape, in order of first appearance, and cut
-    into stacks of at most ``STACK_ENTRIES`` entries (one patch at least):
-    the stacks ``analyze`` takes features and probes over."""
-    groups: dict[tuple[int, int], list[Patch]] = {}
-    for p in targets:
-        groups.setdefault((p.rows, p.cols), []).append(p)
-    stacks = []
-    for (rows, cols), group in groups.items():
-        size = max(STACK_ENTRIES // (rows * cols), 1)
-        stacks.extend(group[i : i + size] for i in range(0, len(group), size))
-    return stacks
-
-
 def analyze(
     model: ModelContainer,
     calib: dict[str, np.ndarray],
@@ -608,7 +603,7 @@ def analyze(
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns. A
     family not in ``FAMILIES`` raises ``ValueError`` before any work. The
-    patches are grouped by shape into stacks (``_probe_stacks``), and each
+    patches are grouped by shape into stacks (``_patch_stacks``), and each
     stack's features are taken at once (``_stack_features``); so are the
     probed patches', each stack probed at once (``_probe_stack``). Features
     and records equal an ``extract_features`` and a ``probe_patch`` loop
@@ -620,22 +615,28 @@ def analyze(
     """
     _probe_families(families)
     patches = partition_patches(model, patch_size)
-    features = {}
-    for stack in _probe_stacks(patches):
-        feats = _stack_features(as_tensor(_patch_stack(model, stack)), stack, model.total_layers)
-        features.update(zip((p.patch_id for p in stack), feats))
+    # each pass is a comprehension, so no stack outlives its pass
+    features = {
+        p.patch_id: row
+        for group, stack in _patch_stacks(model, patches)
+        for p, row in zip(group, _stack_features(as_tensor(stack), group, model.total_layers))
+    }
     features = {p.patch_id: features[p.patch_id] for p in patches}
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
-    by_patch: dict[int, list[ProbeRecord]] = {}
-    for stack in _probe_stacks(probe_targets):
-        records = _probe_stack(
-            [p.patch_id for p in stack],
-            _patch_stack(model, stack),
-            [calib[p.layer_name][p.col_range[0] : p.col_range[1], :] for p in stack],
-            families,
-            ratio_grid,
+    by_patch = {
+        p.patch_id: records
+        for group, stack in _patch_stacks(model, probe_targets)
+        for p, records in zip(
+            group,
+            _probe_stack(
+                [p.patch_id for p in group],
+                stack,
+                [calib[p.layer_name][p.col_range[0] : p.col_range[1], :] for p in group],
+                families,
+                ratio_grid,
+            ),
         )
-        by_patch.update(zip((p.patch_id for p in stack), records))
+    }
     probes = [r for p in probe_targets for r in by_patch[p.patch_id]]
     pairs = [(features[r.patch_id], r) for r in probes]
     predictor = train_predictor(pairs)

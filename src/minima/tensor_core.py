@@ -37,7 +37,12 @@ Conventions used everywhere in this package:
   likewise one LAPACK call per slice, each slice's bits those of the plain
   call: ``sensitivity`` takes feature spectra over stacks, and
   ``tn_decompositions`` TT splits, under ``truncated_svd``'s sign rule
-  (:func:`_column_signs` takes a stack).
+  (:func:`_column_signs` takes a stack);
+* :func:`truncated_svd`, :func:`full_svd` and :class:`SvdResult` have no
+  caller in the package: every SVD it takes with vectors is a stacked TT
+  split. They are the sign rule's plain reference: the tests compare the
+  stacked splits and bases against them, and ``perfbench/spans.py`` wraps
+  them by name.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from minima.errors import DegenerateReferenceError, NumericsError, RankError, ShapeError
-
-Tensor = np.ndarray
 
 
 def as_tensor(data, shape=None) -> np.ndarray:
@@ -217,11 +220,9 @@ def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
     their vectors stay orthonormal. ``rank`` outside ``[1, min(m, n)]``
     raises ``RankError``.
 
-    The input is scanned by ``as_tensor`` on every call, also when the
-    decompositions pass an unfolding or projection they derived: LAPACK
-    must never see an inf or NaN (``np.linalg.svd`` of a 4 x 128 matrix
-    with one inf entry does not return under OpenBLAS 0.3.31), and a
-    product of finite entries can overflow.
+    The input is scanned by ``as_tensor`` on every call: LAPACK must never
+    see an inf or NaN (``np.linalg.svd`` of a 4 x 128 matrix with one inf
+    entry does not return under OpenBLAS 0.3.31).
     """
     m = _matrix(matrix)
     if not 1 <= rank <= min(m.shape):

@@ -8,36 +8,39 @@ Rank conventions:
   ``(r_{k-1}, mode_shape[k], r_k)`` with boundary ranks 1;
 * TR ranks are a cyclic vector of d values where ``ranks[k]`` is the left
   bond of core k, so ``ranks[0]`` is the bond that closes the ring
-  (core d-1's right bond). A TR with ``ranks[0] == 1`` is structurally a
-  TT with bonds ``ranks[1:]``.
+  (core d-1's right bond). ``tr_decompose`` takes ``ranks[0] == 1``, and
+  its ring is the TT with bonds ``ranks[1:]``; ``maximal_ranks("tr")``
+  caps the closing bond at 1, so every ring ``select_ranks`` returns is
+  one. ``reconstruct`` also contracts a ring whose closing bond is above 1.
 
 Input checks: ``compress_matrix`` and ``decompose`` validate their input
-with ``as_tensor`` once and hand it on without another scan. The Tucker,
-TT and TR routines do not scan theirs: their first SVD or basis call, or
-the scan that takes its place where the identity rule leaves none, reads
-every entry and raises ``NumericsError`` on a NaN or inf; a failed rank or
-shape check scans first, so the error types stay those of a scan up front.
+with ``as_tensor`` once and hand it on without another scan. The Tucker
+and TT routines, and TR through TT, do not scan theirs: their first SVD or
+basis call, or the scan that takes its place where the identity rule
+leaves none, reads every entry and raises ``NumericsError`` on a NaN or
+inf; a failed rank or shape check scans first, so the error types stay
+those of a scan up front.
 
-Factor sources: a Tucker mode with ``r_k = n_k``, or a TT or TR split
-that keeps all of its rows, keeps the whole space: its factor is the
+Factor sources: a Tucker mode with ``r_k = n_k``, or a TT split that
+keeps all of its rows, keeps the whole space: its factor is the
 identity, made by no ``eigh``, SVD or mode product, and the split carries
 its input on unchanged. An orthogonal factor on such a mode leaves every
 other mode's Gram and every later split's spectrum unchanged (De Lathauwer
 et al. 2000; Oseledets 2011), so only the truncated modes and splits are
 computed. A truncated Tucker factor, the HOSVD start's and each HOOI
 sweep's, is ``tensor_core.leading_basis`` of its unfolding: an ``n_k x
-rest`` unfolding costs an ``n_k x n_k`` ``eigh``. TT and TR splits need
-the singular values and right vectors too. ``tucker_decompose`` and TT-SVD
+rest`` unfolding costs an ``n_k x n_k`` ``eigh``. TT splits need the
+singular values and right vectors too. ``tucker_decompose`` and TT-SVD
 (``_train_stack``, which also takes several bond vectors at once) are
 stack-native: a stack of same-shape tensors takes one stacked ``eigh`` or
 ``np.linalg.svd`` per factor or split, signed per slice by
-``truncated_svd``'s rule, and each slice's layer equals that of the slice
-alone bit for bit; a single tensor is a stack of one. A caller that
-decomposes one stack at several Tucker ranks passes each truncated mode's
-full HOSVD eigenbasis once (``hosvd=``); HOOI sweeps always compute their
-bases, whose inputs do not repeat. ``_train_chain`` contracts a stack of
-TT or TR cores by stacked products; ``reconstruct`` chains a stack of one.
-TR splits, which pad their cores, take ``truncated_svd``.
+``tensor_core.truncated_svd``'s rule, and each slice's layer equals that
+of the slice alone bit for bit; a single tensor is a stack of one. A
+caller that decomposes one stack at several Tucker ranks passes each
+truncated mode's full HOSVD eigenbasis once (``hosvd=``); HOOI sweeps
+always compute their bases, whose inputs do not repeat. ``_train_chain``
+contracts a stack of TT or TR cores by stacked products; ``reconstruct``
+chains a stack of one.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from minima.tensor_core import (
     as_tensor,
     leading_basis,
     mode_dot,
-    truncated_svd,
     unfold,
 )
 
@@ -403,106 +405,24 @@ def _train_chain(cores: list[np.ndarray]) -> np.ndarray:
     return chain
 
 
-def tr_feasible(mode_shape, ranks) -> tuple[int, ...]:
-    """Ranks actually reachable by the sequential ring factorization.
-
-    The first split must carry ranks[0]*ranks[1] exactly; later bonds are
-    capped by the running split dimensions.
-    """
-    shape = tuple(int(s) for s in mode_shape)
-    ranks = tuple(int(r) for r in ranks)
-    d = len(shape)
-    if len(ranks) != d:
-        raise RankError(f"need {d} cyclic ranks, got {len(ranks)}")
-    if any(r < 1 for r in ranks):
-        raise RankError(f"ranks must be >= 1, got {ranks}")
-    achieved = _tr_reach(shape, ranks)
-    if achieved is None:
-        raise RankError(
-            f"first split rank {ranks[0]}*{ranks[1 % d]} infeasible for "
-            f"{shape[0]}x{math.prod(shape[1:])} unfolding"
-        )
-    return achieved
-
-
-def _tr_reach(shape: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...] | None:
-    """``tr_feasible`` on validated int tuples, None where it raises."""
-    d = len(shape)
-    rest = math.prod(shape[1:])
-    if ranks[0] * ranks[1 % d] > min(shape[0], rest):
-        return None
-    achieved = [ranks[0], ranks[1 % d]]
-    r_prev = ranks[1 % d]
-    cols = rest * ranks[0]
-    for k in range(1, d - 1):
-        rows = r_prev * shape[k]
-        cols //= shape[k]
-        r_next = min(ranks[k + 1], rows, cols)
-        achieved.append(r_next)
-        r_prev = r_next
-    return tuple(achieved[:d])
-
-
-def _padded_split(c: np.ndarray, rank: int):
-    """Split ``c ~ u @ rest``, with ``u`` zero-padded to ``rank`` columns.
-
-    Padding past the unfolding's min dimension stores dead zeros but keeps the
-    requested core shapes, so parameter accounting stays closed-form.
-    """
-    keep = min(rank, min(c.shape))
-    u = np.zeros((c.shape[0], rank))
-    rest = np.zeros((rank, c.shape[1]))
-    if keep == c.shape[0]:
-        np.fill_diagonal(u, 1.0)
-        rest[:keep] = as_tensor(c)
-    else:
-        res = truncated_svd(c, keep)
-        u[:, :keep] = res.left
-        rest[:keep] = res.values[:, None] * res.right.T
-    return u, rest
-
-
 def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
-    """Sequential-SVD ring factorization (approximate; not ALS-optimal), each
-    split by ``_padded_split``.
-
-    The first unfolding is truncated at rank ``ranks[0] * ranks[1]`` and
-    that bond is split in two; remaining cores come from a TT-style sweep
-    with the closing bond carried along as a trailing mode. The first
-    split must fit the unfolding's column count; splits are zero-padded
-    up to the requested ranks otherwise.
+    """Tensor ring with the d cyclic ranks ``ranks``, whose closing bond
+    ``ranks[0]`` is 1: the train ``tt_decompose(t, ranks[1:])`` stored as
+    a ring, its cores the train's bit for bit and each bond capped as
+    ``tt_decompose`` caps it. A count other than d, a closing bond other
+    than 1, or a bond below 1 raises ``RankError``.
     """
     t = _as_array(t)
     d = t.ndim
     if d < 2:
         raise _rejected(t, ShapeError("tensor-ring needs at least 2 modes"))
-    shape = t.shape
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d:
         raise _rejected(t, RankError(f"need {d} cyclic ranks, got {len(ranks)}"))
-    if any(r < 1 for r in ranks):
-        raise _rejected(t, RankError(f"ranks must be >= 1, got {ranks}"))
-    rest_size = math.prod(shape[1:])
-    r0, r1 = ranks[0], ranks[1 % d]
-    if r0 * r1 > rest_size:
-        raise _rejected(
-            t, RankError(f"first split rank {r0}*{r1} infeasible for {shape[0]}x{rest_size} unfolding")
-        )
-
-    c = t.reshape(shape[0], -1)
-    u, m = _padded_split(c, r0 * r1)
-    core0 = u.reshape(shape[0], r0, r1).transpose(1, 0, 2)
-    c = np.ascontiguousarray(np.moveaxis(m.reshape(r0, r1, -1), 0, -1))  # (r1, rest..., r0)
-
-    cores = [np.ascontiguousarray(core0)]
-    r_prev = r1
-    for k in range(1, d - 1):
-        c = c.reshape(r_prev * shape[k], -1)
-        u, c = _padded_split(c, ranks[k + 1])
-        cores.append(u.reshape(r_prev, shape[k], ranks[k + 1]))
-        r_prev = ranks[k + 1]
-    cores.append(c.reshape(r_prev, shape[d - 1], r0))
-    return CompressedLayer(family="tr", mode_shape=shape, row_mode_count=1, cores=cores)
+    if ranks[0] != 1:
+        raise _rejected(t, RankError(f"the closing bond ranks[0] must be 1, got {ranks[0]}"))
+    train = tt_decompose(t, ranks[1:])
+    return CompressedLayer(family="tr", mode_shape=t.shape, row_mode_count=1, cores=train.cores)
 
 
 def reconstruct(layer: CompressedLayer) -> np.ndarray:
@@ -592,15 +512,15 @@ def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
         return False
     if family == "tucker":  # every Tucker cap is at most its mode size
         return True
-    if family == "tt":
-        # sequential achievability: each bond fits the running split rows
-        left = 1
-        for k, r in enumerate(ranks):
-            if r > left * shape[k]:
-                return False
-            left = r
-        return True
-    return _tr_reach(shape, ranks) == ranks
+    if family == "tr":  # caps[0] == 1: the ring is the train ranks[1:]
+        ranks = ranks[1:]
+    # sequential achievability: each bond fits the running split rows
+    left = 1
+    for k, r in enumerate(ranks):
+        if r > left * shape[k]:
+            return False
+        left = r
+    return True
 
 
 def ratio_budget(ratio: float, dense: int) -> ParamBudget:

@@ -298,7 +298,7 @@ class TestProbeWork:
     def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng):
         # 32 x 32 and 32 x 16 patches, probed in both layers
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 48, 0.1 + 0.1 * i), "ffn") for i in range(2)])
-        calib = {name: rng.standard_normal((48, 16)) for name in model.names()}
+        calib = {name: rng.standard_normal((48, 16)) for name in model.entries}
         tn._rank_search.cache_clear()
         grid = (0.5, 0.25, 0.02)  # 0.02 is infeasible everywhere: a memoized skip
         first = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
@@ -345,7 +345,7 @@ class TestStackedProbes:
         result = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
         by_id = {p.patch_id: p for p in result.patches}
         probed = [by_id[pid] for pid in result.probed_ids]
-        assert max(len(stack) for stack in sensitivity._probe_stacks(probed)) > 1
+        assert max(len(group) for group, _ in sensitivity._patch_stacks(model, probed)) > 1
         loop = []
         for p in probed:
             x = calib[p.layer_name][p.col_range[0] : p.col_range[1], :]
@@ -358,20 +358,23 @@ class TestStackedProbes:
         whole = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
         monkeypatch.setattr(sensitivity, "STACK_ENTRIES", bound)
         by_id = {p.patch_id: p for p in whole.patches}
-        stacks = sensitivity._probe_stacks([by_id[pid] for pid in whole.probed_ids])
-        assert max(len(stack) for stack in stacks) == max(bound // 256, 1)
+        stacks = sensitivity._patch_stacks(model, [by_id[pid] for pid in whole.probed_ids])
+        assert max(len(group) for group, _ in stacks) == max(bound // 256, 1)
         cut = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
         assert record_bits(cut.probes) == record_bits(whole.probes)
 
     def test_stacks_group_by_shape_within_the_bound(self, rng):
         model, _ = mixed_model(rng)
         patches = partition_patches(model, (16, 16))
-        stacks = sensitivity._probe_stacks(patches)
-        assert sorted(p.patch_id for stack in stacks for p in stack) == [p.patch_id for p in patches]
-        for stack in stacks:
-            assert len({(p.rows, p.cols) for p in stack}) == 1
-            assert [p.patch_id for p in stack] == sorted(p.patch_id for p in stack)
-            assert len(stack) * stack[0].rows * stack[0].cols <= max(sensitivity.STACK_ENTRIES, stack[0].rows * stack[0].cols)
+        stacks = list(sensitivity._patch_stacks(model, patches))
+        assert sorted(p.patch_id for group, _ in stacks for p in group) == [p.patch_id for p in patches]
+        for group, stack in stacks:
+            assert len({(p.rows, p.cols) for p in group}) == 1
+            assert [p.patch_id for p in group] == sorted(p.patch_id for p in group)
+            assert len(group) * group[0].rows * group[0].cols <= max(sensitivity.STACK_ENTRIES, group[0].rows * group[0].cols)
+            assert stack.dtype == np.float64 and stack.shape == (len(group), group[0].rows, group[0].cols)
+            for p, block in zip(group, stack):
+                assert block.tobytes() == patch_matrix(model, p).tobytes()
 
     @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (36, 64)])
     def test_a_reused_tr_record_equals_a_tr_decompose_probe_bitwise(self, rng, monkeypatch, shape):
@@ -403,8 +406,8 @@ class TestStackedProbes:
 
     @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (36, 64), (32, 16), (64, 64), (16, 48), (17, 40), (1, 64)])
     def test_every_selected_ring_is_probed_as_a_train(self, shape):
-        # why _probe_stack probes no ring on its own: maximal_ranks("tr") caps
-        # the closing bond at 1 and the search returns only reachable ranks
+        # maximal_ranks("tr") caps the closing bond at 1, so every ring the
+        # search returns is one tr_decompose makes, and it shares the train's key
         mode_shape, _ = default_mode_shape(*shape)
         dense = shape[0] * shape[1]
         for ratio in (*self.GRID, 0.05, 0.75, 1.0, 2.0):
@@ -412,7 +415,8 @@ class TestStackedProbes:
                 spec = select_ranks(mode_shape, "tr", ratio_budget(ratio, dense))
             except InfeasibleBudgetError:
                 continue
-            assert sensitivity._probe_key(mode_shape, spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
+            assert spec.ranks[0] == 1, (shape, ratio, spec)
+            assert sensitivity._probe_key(spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_patch_in_a_stack_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):
@@ -468,7 +472,7 @@ class TestStackedFeatures:
         model, calib = edge_case_model(rng)
         patches = partition_patches(model, (16, 16))
         assert {(p.rows, p.cols) for p in patches} == {(16, 16), (16, 8), (8, 16), (8, 8)}
-        assert max(len(stack) for stack in sensitivity._probe_stacks(patches)) > 1
+        assert max(len(group) for group, _ in sensitivity._patch_stacks(model, patches)) > 1
         result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         plain = {p.patch_id: plain_features(patch_matrix(model, p), p, model.total_layers) for p in patches}
         assert list(result.features) == list(plain)
@@ -765,7 +769,7 @@ def analysis():
         model.add(f"layer{i}", decayed_matrix(rng, 128, 128, gamma), i, "ffn")
     calib = {
         name: np.random.default_rng(100 + i).standard_normal((128, 64))
-        for i, name in enumerate(model.names())
+        for i, name in enumerate(model.entries)
     }
     return analyze(
         model,
@@ -824,7 +828,7 @@ class TestAnalyzeEndToEnd:
     def test_third_ratio_survives_into_planner_candidates(self, rng):
         grid = (0.5, 1 / 3, 0.2)
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 64, g), "ffn") for i, g in enumerate((0.05, 0.3, 0.1))])
-        calib = {name: rng.standard_normal((64, 16)) for name in model.names()}
+        calib = {name: rng.standard_normal((64, 16)) for name in model.entries}
         result = analyze(model, calib, patch_size=(32, 32), families=("tt",), ratio_grid=grid, probe_stride=1)
         assert all(set(rec.predictions["tt"]) == set(grid) for rec in result.records)
         options = build_options(result.records, result.patches, degradation_cap=1.0)
@@ -836,7 +840,7 @@ class TestAnalyzeEndToEnd:
         grid = (0.5, 1 / 3, 0.2)
         gammas = (0.05, 0.3, 0.1, 0.2)
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 64, g), "ffn") for i, g in enumerate(gammas)])
-        calib = {name: rng.standard_normal((64, 16)) for name in model.names()}
+        calib = {name: rng.standard_normal((64, 16)) for name in model.entries}
         result = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
         options = build_options(result.records, result.patches, degradation_cap=1.0)
         pairs = [(family, ratio) for family in FAMILIES for ratio in grid]

@@ -23,7 +23,6 @@ from minima.tn_decompositions import (
     reconstruct,
     select_ranks,
     tr_decompose,
-    tr_feasible,
     tt_decompose,
     tucker_decompose,
 )
@@ -56,8 +55,10 @@ def tensordot_chain(layer):
 
 
 def reference_ranks_feasible(family, shape, ranks, caps) -> bool:
-    """Rank feasibility as the search tested it when every trial went
-    through the validating ``tr_feasible``."""
+    """Rank feasibility as the search tested it when a ring's ranks had to
+    be those its sequential factorization reaches: the first split carries
+    ``ranks[0] * ranks[1]`` exactly, and each later bond is capped by the
+    running split's rows and columns."""
     if any(r > c for r, c in zip(ranks, caps)):
         return False
     if family == "tucker":
@@ -69,15 +70,19 @@ def reference_ranks_feasible(family, shape, ranks, caps) -> bool:
                 return False
             left = r
         return True
-    try:
-        return tuple(tr_feasible(shape, ranks)) == tuple(ranks)
-    except RankError:
+    d, rest = len(shape), math.prod(shape[1:])
+    if ranks[0] * ranks[1] > min(shape[0], rest):
         return False
+    reached, cols = [ranks[0], ranks[1]], rest * ranks[0]
+    for k in range(1, d - 1):
+        cols //= shape[k]
+        reached.append(min(ranks[k + 1], reached[-1] * shape[k], cols))
+    return tuple(reached) == tuple(ranks)
 
 
 def reference_select_ranks(shape, family, budget):
     """The rank search with each trial validated by the public
-    ``param_count_formula`` and ``tr_feasible``: the ranks, or the
+    ``param_count_formula`` and ``reference_ranks_feasible``: the ranks, or the
     ``best_achievable`` of an infeasible budget as ``("infeasible", n)``."""
     caps = maximal_ranks(family, shape)
     npos = len(caps)
@@ -345,29 +350,17 @@ class TestTensorRing:
         err_train = relative_error(t, reconstruct(train))
         assert abs(err_ring - err_train) <= 1e-9
 
-    def test_moderate_ranks_error_in_unit_range(self, rng):
-        t = rng.standard_normal((4, 4, 4))
-        layer = tr_decompose(t, (2, 2, 2))
-        err = relative_error(t, reconstruct(layer))
-        assert 0.0 <= err <= 1.0
-
-    def test_cyclic_shift_symmetry(self, rng):
-        base = rng.standard_normal((4, 4, 4))
-        sym = base + np.transpose(base, (1, 2, 0)) + np.transpose(base, (2, 0, 1))
-        shifted = np.ascontiguousarray(np.transpose(sym, (1, 2, 0)))
-        e1 = relative_error(sym, reconstruct(tr_decompose(sym, (2, 2, 2))))
-        e2 = relative_error(shifted, reconstruct(tr_decompose(shifted, (2, 2, 2))))
-        assert abs(e1 - e2) <= 1e-8
-
     def test_infeasible_first_split(self, rng):
         with pytest.raises(RankError):
             tr_decompose(rng.standard_normal((2, 2, 2)), (3, 3, 3))
 
-    def test_padded_ranks_keep_requested_shapes(self, rng):
-        t = rng.standard_normal((8, 8, 8, 8))
-        layer = tr_decompose(t, (3, 3, 3, 3))
-        assert [c.shape for c in layer.cores] == [(3, 8, 3)] * 4
-        assert relative_error(t, reconstruct(layer)) <= 1.0
+
+def random_ring(rng, shape, ranks):
+    """A ring layer of random cores, ``ranks[k]`` the left bond of core k:
+    with ``ranks[0] > 1``, one that no decomposition makes."""
+    d = len(shape)
+    cores = [rng.standard_normal((ranks[k], n, ranks[(k + 1) % d])) for k, n in enumerate(shape)]
+    return CompressedLayer(family="tr", mode_shape=shape, row_mode_count=1, cores=cores)
 
 
 class TestReconstructChain:
@@ -381,8 +374,11 @@ class TestReconstructChain:
         ]
         for shape, bonds, ring in cases:
             t = rng.standard_normal(shape)
-            for layer in (tt_decompose(t, bonds), tr_decompose(t, ring)):
-                assert bitwise_equal(reconstruct(layer), tensordot_chain(layer)), (layer.family, shape)
+            layers = [tt_decompose(t, bonds), random_ring(rng, shape, ring)]
+            if ring[0] == 1:
+                layers.append(tr_decompose(t, ring))
+            for layer in layers:
+                assert bitwise_equal(reconstruct(layer), tensordot_chain(layer)), (layer.family, shape, ring)
 
     def test_compressed_patches_equal_a_tensordot_chain_bitwise(self, rng):
         for shape in ((32, 32), (36, 64), (7, 64)):
@@ -416,10 +412,8 @@ class TestParamCounts:
         assert param_count_formula("tt", (8, 8, 8, 8), (4, 4, 4)) == 320
 
     def test_tr_example(self, rng):
-        t = rng.standard_normal((8, 8, 8, 8))
-        layer = tr_decompose(t, (3, 3, 3, 3))
-        assert param_count(layer) == 288
-        assert param_count(layer) == stored_entry_count(layer)
+        layer = random_ring(rng, (8, 8, 8, 8), (3, 3, 3, 3))
+        assert param_count(layer) == stored_entry_count(layer) == 288
         assert param_count_formula("tr", (8, 8, 8, 8), (3, 3, 3, 3)) == 288
 
     def test_formula_matches_stored_entries_random_configs(self, rng):
@@ -549,10 +543,6 @@ class TestSelectRanks:
             param_count_formula("tr", (4, 4, 4), (2, 2))
         with pytest.raises(RankError):
             param_count_formula("cp", (4, 4, 4), (2, 2, 2))
-        for ranks in ((2, 2), (0, 2, 2), (3, 3, 3)):
-            with pytest.raises(RankError):
-                tr_feasible((4, 4, 4), ranks)
-        assert tr_feasible((4, 4, 4), (1, 4, 8)) == (1, 4, 4)
 
     def test_tn_rank_spec_needs_ranks(self):
         for family in ("tucker", "tt", "tr"):
@@ -676,15 +666,24 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "decomp, bad_ranks",
-        [(tucker_decompose, (9, 2, 2, 2)), (tt_decompose, (2, 2)), (tt_decompose, (2, 0, 2)), (tr_decompose, (12, 12, 2, 2)), (tr_decompose, (0, 1, 1, 1))],
+        [
+            (tucker_decompose, (9, 2, 2, 2)),
+            (tt_decompose, (2, 2)),
+            (tt_decompose, (2, 0, 2)),
+            (tr_decompose, (12, 12, 2, 2)),
+            (tr_decompose, (0, 1, 1, 1)),
+            (tr_decompose, (2, 2, 2, 2)),  # a closing bond other than 1
+            (tr_decompose, (1, 2, 0, 2)),
+        ],
     )
-    def test_non_finite_entry_outranks_a_rank_error(self, rng, decomp, bad_ranks):
+    def test_non_finite_entry_outranks_a_rank_error(self, rng, lapack_calls, eigh_calls, decomp, bad_ranks):
         t = rng.standard_normal(MODES_16x32)
         with pytest.raises(RankError):
             decomp(t, bad_ranks)
         t[3, 2, 1, 0] = np.nan
         with pytest.raises(NumericsError):
             decomp(t, bad_ranks)
+        assert lapack_calls == [] and eigh_calls == []
 
     def test_non_finite_entry_outranks_an_infeasible_budget(self, rng):
         w = rng.standard_normal((16, 32))
@@ -710,7 +709,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "family, svds, splits, bases, scans",
-        [("tucker", 0, 0, (6, 9), 1), ("tt", 0, 2, (0, 0), 1), ("tr", 2, 2, (0, 0), 4)],
+        [("tucker", 0, 0, (6, 9), 1), ("tt", 0, 2, (0, 0), 1), ("tr", 0, 2, (0, 0), 1)],
         ids=["tucker", "tt", "tr"],
     )
     def test_compress_matrix_scans_its_input_once_plus_each_svd_input(
@@ -719,16 +718,16 @@ class TestInputChecks:
         """compress_matrix scans its input once (four times before: compress_matrix,
         reshape_to_modes, decompose and the family's routine). Each SVD and each
         Tucker factor still scans its own input: an unfolding or projection can
-        overflow, and LAPACK must not see an inf. A TR split scans by
-        ``as_tensor``, ``truncated_svd``'s or, kept whole, its own; a TT split by
+        overflow, and LAPACK must not see an inf. A TT split scans by
         ``_train_split``'s scan (the near-overflow test sees it raise on a later
         split), a Tucker factor by the largest magnitude that sets its scale,
-        with no ``as_tensor``. On these (4, 8, 4, 8) modes Tucker takes a factor
-        per truncated mode at the start and per sweep (2 sweeps), 2 modes at
-        ratio 0.5 and 3 at 0.25; TT and TR take one LAPACK SVD per truncated
-        split, TT's a stack of one, and keep their first split whole."""
+        with no ``as_tensor``; a TR is its train. On these (4, 8, 4, 8) modes
+        Tucker takes a factor per truncated mode at the start and per sweep
+        (2 sweeps), 2 modes at ratio 0.5 and 3 at 0.25; TT and TR take one
+        LAPACK SVD per truncated split, a stack of one, and keep their first
+        split whole. Nothing calls the plain ``truncated_svd``."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
-        as_tensor, svd, basis = tc.as_tensor, tn.truncated_svd, tn.leading_basis
+        as_tensor, svd, basis = tc.as_tensor, tc.truncated_svd, tn.leading_basis
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -739,7 +738,7 @@ class TestInputChecks:
 
         for module in (tc, tn):
             monkeypatch.setattr(module, "as_tensor", counted("as_tensor", as_tensor))
-        monkeypatch.setattr(tn, "truncated_svd", counted("svd", svd))
+        monkeypatch.setattr(tc, "truncated_svd", counted("svd", svd))
         monkeypatch.setattr(tn, "leading_basis", counted("basis", basis))
         w = rng.standard_normal((32, 32))
         for ratio, ratio_bases in zip((0.5, 0.25), bases):
@@ -748,8 +747,7 @@ class TestInputChecks:
             compress_matrix(w, family, ratio_budget(ratio, w.size))
             assert (calls["svd"], len(lapack_calls), calls["basis"]) == (svds, splits, ratio_bases)
             assert calls["as_tensor"] == scans
-            if family == "tt":
-                assert all(len(shape) == 3 and shape[0] == 1 for shape in lapack_calls)
+            assert all(len(shape) == 3 and shape[0] == 1 for shape in lapack_calls)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_compress_matrix_equals_the_validated_chain_bitwise(self, n):
@@ -771,7 +769,7 @@ class TestInputChecks:
 
 class TestSvdSource:
     """The routines' factor sources: given HOSVD bases change no bit of a
-    layer, and a ring that is a train is the train."""
+    layer, and a ring is its train."""
 
     def test_tucker_from_given_hosvd_bases_makes_only_its_sweep_eigendecompositions(self, rng, eigh_calls, lapack_calls):
         t = rng.standard_normal((3, 4, 3, 5, 2))
@@ -791,12 +789,31 @@ class TestSvdSource:
         assert lapack_calls == []  # Tucker takes no SVD
 
     def test_a_ring_with_a_unit_closing_bond_has_the_train_cores_bitwise(self, rng):
-        # what lets a probe of such a ring take the train's deviation
-        # (sensitivity._probe_key)
+        # what lets a probe of a ring take the train's deviation
+        # (sensitivity._probe_key); (4, 8, 4) is capped at (4, 4, 4)
         t = rng.standard_normal((4, 4, 4, 4))
         for bonds in [(3, 5, 2), (4, 8, 4), (2, 2, 1)]:
             tt, tr = tt_decompose(t, bonds), tr_decompose(t, (1, *bonds))
+            assert tr.ranks == (1, *tt.ranks), bonds
             assert all(bitwise_equal(a, b) for a, b in zip(tr.cores, tt.cores, strict=True)), bonds
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (36, 64), (17, 40), (1, 64), (24, 40)])
+    def test_every_selected_ring_is_the_selected_train_bitwise(self, rng, shape):
+        w = rng.standard_normal(shape)
+        mode_shape, _ = default_mode_shape(*shape)
+        rings = 0
+        for ratio in np.linspace(0.025, 1.0, 40):
+            budget = ratio_budget(ratio, w.size)
+            try:
+                spec = select_ranks(mode_shape, "tr", budget)
+            except InfeasibleBudgetError:
+                continue
+            assert spec.ranks[0] == 1 and spec.ranks[1:] == select_ranks(mode_shape, "tt", budget).ranks
+            tr, tt = compress_matrix(w, "tr", budget), compress_matrix(w, "tt", budget)
+            assert tr.family == "tr" and tr.ranks == spec.ranks, (ratio, spec)
+            assert all(bitwise_equal(a, b) for a, b in zip(tr.cores, tt.cores, strict=True)), (ratio, spec)
+            rings += 1
+        assert rings >= 20
 
 
 def plain_train(t, bonds):
