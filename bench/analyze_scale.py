@@ -24,11 +24,14 @@ once in ``calls``; ``stacked_calls`` counts the calls that took a stack and
 each of ``calls`` and ``slices``. It counts the eigendecompositions
 (``np.linalg.eigh``) that give Tucker's factors the same way. The same run
 is traced with ``perfbench/spans.py``, and its per-layer metrics give the
-split of ``analyze``'s time; the trace wraps ``extract_features`` and
-``truncated_svd``, which ``analyze``'s stacked features and TT splits do
-not call, so their time falls into the spans around them. Each row also
-records the plans' achieved ratios and a digest of the probe records, so
-two checkouts can be compared for equal outputs.
+split of ``analyze``'s time; the trace wraps ``extract_features``,
+``truncated_svd``, ``tucker_decompose``, ``reconstruct`` and ``predict``,
+which ``analyze``'s stacked features, probes and records do not call, so
+their metrics read 0 and their time falls into the spans around them. Each
+row also records the plans' achieved ratios, a digest of the probe records
+(``probe_digest``) and one of the sensitivity records' scores, predictions
+and recommendations (``record_digest``), so two checkouts can be compared
+for equal outputs.
 
 ``--against CHECKOUT`` loads the ``minima`` package of a second checkout
 (the root of another working tree of this repository) into the same process
@@ -38,8 +41,8 @@ alternates from pair to pair. The machine's speed drifts by up to 1.5x
 between runs minutes apart, so a before/after claim compares the two sides
 within these pairs, not across processes. The row's ``against`` entry keeps
 every pair, each side's median, the number of pairs this checkout won, each
-side's probe digest and the other checkout's ``tracemalloc`` peak (this
-checkout's is the row's ``peak_mb``); the file records the other
+side's probe and record digests and the other checkout's ``tracemalloc``
+peak (this checkout's is the row's ``peak_mb``); the file records the other
 checkout's git commit if it has one.
 
 The JSON written to ``--out`` records the numpy version, the BLAS build and
@@ -225,7 +228,7 @@ def alternate(model, calib, against: dict) -> dict:
         "this": lambda: sensitivity.analyze(model, calib, patch_size=PATCH),
         "against": lambda: against["sensitivity"].analyze(model, calib, patch_size=PATCH),
     }
-    digests = {side: probe_digest(call().probes) for side, call in calls.items()}  # also a warm-up
+    results = {side: call() for side, call in calls.items()}  # also a warm-up
     runs = []
     for i in range(PAIRS):
         order = ("against", "this") if i % 2 == 0 else ("this", "against")
@@ -237,8 +240,10 @@ def alternate(model, calib, against: dict) -> dict:
         "this_analyze_s": statistics.median(r["this_s"] for r in runs),
         "this_faster": sum(r["this_s"] < r["against_s"] for r in runs),
         "against_peak_mb": traced_peak_mb(calls["against"]),  # this checkout's is the row's peak_mb
-        "against_probe_digest": digests["against"],
-        "this_probe_digest": digests["this"],
+        "against_probe_digest": probe_digest(results["against"].probes),
+        "this_probe_digest": probe_digest(results["this"].probes),
+        "against_record_digest": record_digest(results["against"].records),
+        "this_record_digest": record_digest(results["this"].records),
     }
 
 
@@ -247,6 +252,23 @@ def probe_digest(probes) -> str:
     for q in probes:
         h.update(repr((q.patch_id, q.family, q.target_ratio)).encode())
         h.update(np.float64(q.measured_degradation).tobytes())
+    return h.hexdigest()[:16]
+
+
+def record_digest(records) -> str:
+    """Digest of each sensitivity record's patch id, score, predictions and
+    recommendations, every float by its bytes."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr(r.patch_id).encode())
+        h.update(np.float64(r.score).tobytes())
+        for family, curve in r.predictions.items():
+            for ratio, deg in curve.items():
+                h.update(repr((family, ratio)).encode())
+                h.update(np.float64(deg).tobytes())
+        for family, rec in r.recommendations.items():
+            h.update(repr((family, rec.target_ratio)).encode())
+            h.update(np.float64(rec.predicted_degradation).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -269,6 +291,7 @@ def measure(name: str, against: dict | None = None) -> dict:
     row["traced"] = traced
     row["probes"] = len(result.probes)
     row["probe_digest"] = probe_digest(result.probes)
+    row["record_digest"] = record_digest(result.records)
     row["candidates"] = sum(len(o.candidates) for o in options)
     row["pinned"] = sum(o.pinned for o in options)
     row["mixed_achieved_ratio"] = mixed.achieved_ratio

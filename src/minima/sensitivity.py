@@ -1,5 +1,13 @@
 """Patch partitioning, cheap spectral features, compression probes, and the
-degradation predictor that scores how safely each patch compresses."""
+degradation predictor that scores how safely each patch compresses.
+
+Determinism: the same input bits give the same output bits on a given
+numpy/BLAS build and thread count. No output depends on how many patches
+are taken together: a patch's features, probe records and sensitivity
+record are those it gets alone, bit for bit, whether ``analyze`` takes it
+in a stack of same-shape patches or ``extract_features``, ``probe_patch``
+and ``predict`` take it by itself.
+"""
 
 from __future__ import annotations
 
@@ -12,16 +20,16 @@ import numpy as np
 
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
-from minima.tensor_core import as_tensor, leading_basis, unfold
+from minima.tensor_core import as_tensor, leading_basis, mode_dot, unfold
 from minima.tn_decompositions import (
     FAMILIES,
     _train_chain,
     _train_stack,
+    _tucker_chain,
+    _tucker_stack,
     default_mode_shape,
-    layer_to_matrix,
     ratio_budget,
     select_ranks,
-    tucker_decompose,
 )
 
 log = logging.getLogger(__name__)
@@ -326,24 +334,37 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -
 def _tucker_probes(stack, mode_shape, row_mode_count, ranks, calibs, refs, hooi_iters) -> dict[tuple, list[float]]:
     """The Tucker deviation of each patch of ``stack`` at each rank tuple of
     ``ranks``, keyed ``("tucker", ranks)``; ``refs`` holds each patch's
-    ||W X||.
+    ||W X||, and ``row_mode_count`` splits ``mode_shape`` into its rows and
+    columns.
 
     The full HOSVD eigenbasis of each mode that some rank tuple truncates
     is computed once for the stack, and every decomposition starts from its
-    leading columns; each rank tuple is one stacked ``tucker_decompose``.
+    leading columns; each rank tuple is one ``_tucker_stack``. Unlike
+    ``compress_matrix``, no layer is built: the stacked core and truncated
+    factors are chained over the stack (``_tucker_chain``, skipping the
+    whole modes' identities as ``reconstruct`` does) up to the last
+    truncated mode, whose product is taken patch by patch as each
+    deviation is measured, as ``_train_deviations`` does, so no stack of
+    reconstructions is held.
     """
     if not ranks:
         return {}
     t = stack.reshape(len(stack), *mode_shape)
+    shape = (math.prod(mode_shape[:row_mode_count]), -1)
     cut = {k for r in ranks for k, size in enumerate(mode_shape) if r[k] < size}
     hosvd = {k: leading_basis(unfold(t, k, stacked=True), mode_shape[k], stacked=True) for k in cut}
     measured = {}
     for r in ranks:
-        layers = tucker_decompose(t, r, hooi_iters, stacked=True, hosvd=hosvd)
-        deviations = measured["tucker", r] = []
-        for w, layer, x, ref in zip(stack, layers, calibs, refs):
-            layer.row_mode_count = row_mode_count
-            deviations.append(_deviation(w, layer_to_matrix(layer), x, ref))
+        core, factors = _tucker_stack(t, r, hooi_iters, hosvd)
+        last = max((k for k, f in enumerate(factors) if f is not None), default=None)
+        heads = _tucker_chain(core, factors[:last])  # with every mode whole, the core: the stack itself
+        tails = [None] * len(stack) if last is None else factors[last].transpose(0, 2, 1)
+        del core, factors
+        measured["tucker", r] = [
+            _deviation(w, (head if tail is None else mode_dot(head, tail, last)).reshape(shape), x, ref)
+            for w, head, tail, x, ref in zip(stack, heads, tails, calibs, refs)
+        ]
+        del heads, tails
     return measured
 
 
@@ -400,8 +421,14 @@ class Predictor:
     training_log: dict = field(default_factory=dict)
 
     def forward(self, feats: np.ndarray) -> np.ndarray:
+        """The heads' outputs ``(N, 1 + len(heads))`` for feature rows ``(N,
+        12)``, or one row of 12. Each row is its own ``(1, 12) @ (12, H)``
+        product, a stacked ``(N, 1, 12) @ (12, H)``, so its bits are those
+        of the row alone; one ``(N, 12) @ (12, H)`` could sum in another
+        order and move the last bits."""
         x = (np.atleast_2d(feats) - self.feat_mean) / self.feat_std
-        out = x @ self.coef[1:] + self.coef[0]
+        out = (x[:, None, :] @ self.coef[1:])[:, 0]
+        out += self.coef[0]
         out[:, 0] = np.clip(out[:, 0], 0.0, 1.0)
         return out
 
@@ -543,25 +570,37 @@ def predict(
     patch_id: int = 0,
     cap: float = 0.02,
 ) -> SensitivityRecord:
-    """Score a patch and pick, per family, the deepest ratio within the cap."""
-    out = predictor.forward(feats)[0]
-    score = float(out[0])
-    predictions: dict[str, dict[float, float]] = {}
-    for (family, ratio), deg in zip(predictor.heads, out[1:]):
-        predictions.setdefault(family, {})[ratio] = max(float(deg), 0.0)
+    """Score a patch and pick, per family, the deepest ratio within the cap:
+    the one-row case of ``analyze``'s records (``_records``)."""
+    return _records(predictor, feats, [patch_id], cap)[0]
 
-    recommendations = {}
-    for family, curve in predictions.items():
-        admissible = [(r, d) for r, d in curve.items() if d <= cap]
-        if admissible:
-            ratio, deg = min(admissible)  # smallest ratio = deepest compression
-            recommendations[family] = Recommendation(target_ratio=ratio, predicted_degradation=deg)
-        else:
-            best = min(curve.values())
-            recommendations[family] = Recommendation(target_ratio=None, predicted_degradation=best)
-    return SensitivityRecord(
-        patch_id=patch_id, score=score, predictions=predictions, recommendations=recommendations
-    )
+
+def _records(predictor: Predictor, feats: np.ndarray, patch_ids, cap: float) -> list[SensitivityRecord]:
+    """``predict`` of each row of ``feats`` and its patch id, from one
+    ``forward`` over the rows, each row's bits its own. Rows become Python
+    floats one at a time, so no list of every row is held beside the
+    records."""
+    columns: dict[str, list[tuple[float, int]]] = {}  # family -> (ratio, column of forward's output)
+    for j, (family, ratio) in enumerate(predictor.heads, start=1):
+        columns.setdefault(family, []).append((ratio, j))
+    records = []
+    for patch_id, row in zip(patch_ids, predictor.forward(feats)):
+        row = row.tolist()
+        predictions = {family: {ratio: max(row[j], 0.0) for ratio, j in cols} for family, cols in columns.items()}
+
+        recommendations = {}
+        for family, curve in predictions.items():
+            admissible = [(r, d) for r, d in curve.items() if d <= cap]
+            if admissible:
+                ratio, deg = min(admissible)  # smallest ratio = deepest compression
+                recommendations[family] = Recommendation(target_ratio=ratio, predicted_degradation=deg)
+            else:
+                best = min(curve.values())
+                recommendations[family] = Recommendation(target_ratio=None, predicted_degradation=best)
+        records.append(
+            SensitivityRecord(patch_id=patch_id, score=row[0], predictions=predictions, recommendations=recommendations)
+        )
+    return records
 
 
 # --- analysis orchestration ---------------------------------------------------
@@ -607,7 +646,9 @@ def analyze(
     stack's features are taken at once (``_stack_features``); so are the
     probed patches', each stack probed at once (``_probe_stack``). Features
     and records equal an ``extract_features`` and a ``probe_patch`` loop
-    over the patches bit for bit and keep their order.
+    over the patches bit for bit and keep their order. Every patch's
+    sensitivity record comes from one ``forward`` over all the patches
+    (``_records``) and equals a ``predict`` loop's bit for bit.
     Rank selection runs once per distinct (mode shape, family, budget) in
     the process (``select_ranks``' memo). ``seed`` is unused: ``calib`` is given and the
     fit is closed-form, so nothing is drawn at random. It stays because the
@@ -640,10 +681,9 @@ def analyze(
     probes = [r for p in probe_targets for r in by_patch[p.patch_id]]
     pairs = [(features[r.patch_id], r) for r in probes]
     predictor = train_predictor(pairs)
-    records = [
-        predict(predictor, features[p.patch_id], patch_id=p.patch_id, cap=degradation_cap)
-        for p in patches
-    ]
+    records = _records(
+        predictor, np.stack([features[p.patch_id] for p in patches]), [p.patch_id for p in patches], degradation_cap
+    )
     return AnalysisResult(
         patches=patches,
         features=features,

@@ -40,7 +40,8 @@ caller that decomposes one stack at several Tucker ranks passes each
 truncated mode's full HOSVD eigenbasis once (``hosvd=``); HOOI sweeps
 always compute their bases, whose inputs do not repeat. ``_train_chain``
 contracts a stack of TT or TR cores by stacked products; ``reconstruct``
-chains a stack of one.
+chains a stack of one. ``_tucker_chain`` does the same for Tucker cores
+and factors, skipping the identities.
 """
 
 from __future__ import annotations
@@ -194,15 +195,52 @@ def tucker_decompose(
     t: np.ndarray, ranks, hooi_iters: int = 2, *, stacked: bool = False, hosvd=None
 ) -> CompressedLayer | list[CompressedLayer]:
     """HOSVD initialization plus ``hooi_iters`` alternating refinement
-    sweeps of the truncated modes' factors.
+    sweeps of the truncated modes' factors (``_tucker_stack``).
 
     With ``stacked``, axis 0 of ``t`` is a stack of same-shape tensors,
     all decomposed at ``ranks``, and the result is a list of one layer per
-    slice, each owning its arrays (copies, not views that would keep the
-    stack's arrays alive). ``hosvd``, if given, holds per truncated mode
-    the stack's ``leading_basis(unfold(t, k, stacked=True), n_k,
-    stacked=True)``, and the start takes its leading ``ranks[k]`` columns,
-    the same bits as computing them.
+    slice. This wrapper checks the ranks and builds the layers: each owns
+    copies of its slice of the stacked core and factors (not views that
+    would keep the stack's arrays alive), and a whole mode's factor is
+    ``np.eye(n_k)``. ``hosvd`` is ``_tucker_stack``'s.
+    """
+    t = _as_array(t)
+    if not stacked:
+        t = t[None]
+    shape = t.shape[1:]
+    d = len(shape)
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != d:
+        raise _rejected(t, RankError(f"need {d} ranks, got {len(ranks)}"))
+    for k, r in enumerate(ranks):
+        if not 1 <= r <= shape[k]:
+            raise _rejected(t, RankError(f"rank {r} out of range [1, {shape[k]}] for mode {k}"))
+    core, factors = _tucker_stack(t, ranks, hooi_iters, hosvd)
+    layers = [
+        CompressedLayer(
+            family="tucker",
+            mode_shape=shape,
+            row_mode_count=1,
+            core=core[p].copy(),
+            factors=[np.eye(n) if f is None else f[p].copy() for n, f in zip(shape, factors)],
+        )
+        for p in range(len(t))
+    ]
+    return layers if stacked else layers[0]
+
+
+def _tucker_stack(
+    t: np.ndarray, ranks: tuple[int, ...], hooi_iters: int, hosvd=None
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """Tucker decomposition of each tensor of a stack ``t`` ``(P, n_0, ...,
+    n_{d-1})`` at valid int ``ranks``: the stacked core ``(P, r_0, ...)``
+    and one stacked factor ``(P, n_k, r_k)`` per truncated mode, ``None``
+    for a whole mode (``r_k = n_k``), whose factor is the identity. Each
+    slice's arrays equal those of the slice alone, a stack of one, bit for
+    bit. ``hosvd``, if given, holds per truncated mode the stack's
+    ``leading_basis(unfold(t, k, stacked=True), n_k, stacked=True)``, and
+    the start takes its leading ``ranks[k]`` columns, the same bits as
+    computing them.
 
     Each sweep recomputes every truncated factor from the unfolding of the
     tensor projected onto the other factors; the reconstruction error is
@@ -224,24 +262,14 @@ def tucker_decompose(
     products and a sweep c(c+1)/2, not the c(c-1)+1 of projecting each
     input afresh. After the last update that prefix is the start's product
     of ``t`` and the truncated factors, operation for operation: the
-    sweep's core.
+    sweep's core. With no truncated mode the core is ``t`` itself.
     """
-    t = _as_array(t)
-    if not stacked:
-        t = t[None]
     shape = t.shape[1:]
     d = len(shape)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != d:
-        raise _rejected(t, RankError(f"need {d} ranks, got {len(ranks)}"))
-    for k, r in enumerate(ranks):
-        if not 1 <= r <= shape[k]:
-            raise _rejected(t, RankError(f"rank {r} out of range [1, {shape[k]}] for mode {k}"))
-
     cut = [k for k in range(d) if ranks[k] < shape[k]]  # the truncated modes
     if not cut:
         as_tensor(t)  # no basis call scans the input
-    factors = [np.eye(n)[None].repeat(len(t), axis=0) if r == n else None for n, r in zip(shape, ranks)]
+    factors = [None] * d
     for k in cut:
         if hosvd is None:
             factors[k] = _orthonormal_factor(unfold(t, k, stacked=True), ranks[k])
@@ -274,18 +302,23 @@ def tucker_decompose(
                 f"{before:.3e} -> {after:.3e} (slack {slack:.1e})"
             )
         kept = new_kept
+    return core, factors
 
-    layers = [
-        CompressedLayer(
-            family="tucker",
-            mode_shape=shape,
-            row_mode_count=1,
-            core=core[p].copy(),
-            factors=[f[p].copy() for f in factors],
-        )
-        for p in range(len(t))
-    ]
-    return layers if stacked else layers[0]
+
+def _tucker_chain(core: np.ndarray, factors) -> np.ndarray:
+    """A stack of Tucker cores ``(P, r_0, ...)`` times the transposes of
+    the stacked factors ``(P, n_k, r_k)`` of modes 0..len(factors)-1, in
+    mode order, one stacked ``mode_dot`` per factor, each slice's bits
+    those of the plain product. A factor given as ``None``, an identity,
+    is skipped: a product by the identity returns each entry unchanged
+    (short of turning a ``-0.0`` into ``0.0``), so the skip keeps every
+    value and each other product its operands. ``reconstruct`` chains a
+    stack of one."""
+    out = core
+    for k, f in enumerate(factors):
+        if f is not None:
+            out = mode_dot(out, f.transpose(0, 2, 1), k, stacked=True)
+    return out
 
 
 def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
@@ -297,17 +330,28 @@ def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     ``ranks``. A count other than d-1, or a bond below 1, raises
     ``RankError``.
     """
-    t = _as_array(t)
+    return _train_layer("tt", _as_array(t), ranks)
+
+
+def _train_layer(family: str, t: np.ndarray, ranks) -> CompressedLayer:
+    """``tt_decompose`` or ``tr_decompose`` (``family``) of ``t``: one
+    ``_train_stack`` of a stack of one, one layer built."""
     d = t.ndim
     if d < 2:
-        raise _rejected(t, ShapeError("tensor-train needs at least 2 modes"))
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != d - 1:
-        raise _rejected(t, RankError(f"need {d - 1} bond ranks, got {len(ranks)}"))
-    if min(ranks) < 1:
-        raise _rejected(t, RankError(f"bond ranks must be >= 1, got {ranks}"))
-    ((_, cores),) = _train_stack(t[None], [ranks])
-    return CompressedLayer(family="tt", mode_shape=t.shape, row_mode_count=1, cores=[core[0] for core in cores])
+        raise _rejected(t, ShapeError(f"tensor-{'train' if family == 'tt' else 'ring'} needs at least 2 modes"))
+    bonds = tuple(int(r) for r in ranks)
+    if family == "tr":
+        if len(bonds) != d:
+            raise _rejected(t, RankError(f"need {d} cyclic ranks, got {len(bonds)}"))
+        if bonds[0] != 1:
+            raise _rejected(t, RankError(f"the closing bond ranks[0] must be 1, got {bonds[0]}"))
+        bonds = bonds[1:]
+    if len(bonds) != d - 1:
+        raise _rejected(t, RankError(f"need {d - 1} bond ranks, got {len(bonds)}"))
+    if min(bonds) < 1:
+        raise _rejected(t, RankError(f"bond ranks must be >= 1, got {bonds}"))
+    ((_, cores),) = _train_stack(t[None], [bonds])
+    return CompressedLayer(family=family, mode_shape=t.shape, row_mode_count=1, cores=[core[0] for core in cores])
 
 
 def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...], list[np.ndarray]]]:
@@ -358,7 +402,10 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
                 path.append(_train_split(c.reshape(count, rows, -1), width))
             cores.append(path[k][0][..., :keep].reshape(count, r_prev, shape[k], keep))
             r_prev = keep
-        cores.append(path[-1][1][..., :r_prev, :].reshape(count, r_prev, shape[-1], 1))
+        tail = path[-1][1][..., :r_prev, :]
+        if np.may_share_memory(tail, t):  # every split whole: the last core copies the input
+            tail = tail.copy()
+        cores.append(tail.reshape(count, r_prev, shape[-1], 1))
         last = keeps
         yield bonds, cores
 
@@ -368,7 +415,8 @@ def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     leading ``keep`` left singular vectors ``(P, rows, keep)``, and what the
     train carries to its next split, those triplets' values times their
     right vectors, ``(P, keep, cols)``; at ``keep == rows``, the identity
-    and a copy of ``c``.
+    and ``c`` itself, uncopied (``_train_stack`` copies a last core that
+    would view its input).
 
     One stacked LAPACK SVD; each slice's bits equal ``truncated_svd``'s
     ``left`` and ``values[:, None] * right.T`` of the slice alone. Each is
@@ -381,7 +429,7 @@ def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(c).all():
         raise NumericsError("tensor entries must be finite")
     if keep == c.shape[-2]:
-        return np.eye(keep)[None].repeat(len(c), axis=0), c.copy()
+        return np.eye(keep)[None].repeat(len(c), axis=0), c
     u, values, vt = np.linalg.svd(c, full_matrices=False)
     left = u if keep == u.shape[-1] else u[..., :keep].copy()
     del u
@@ -412,17 +460,7 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     ``tt_decompose`` caps it. A count other than d, a closing bond other
     than 1, or a bond below 1 raises ``RankError``.
     """
-    t = _as_array(t)
-    d = t.ndim
-    if d < 2:
-        raise _rejected(t, ShapeError("tensor-ring needs at least 2 modes"))
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != d:
-        raise _rejected(t, RankError(f"need {d} cyclic ranks, got {len(ranks)}"))
-    if ranks[0] != 1:
-        raise _rejected(t, RankError(f"the closing bond ranks[0] must be 1, got {ranks[0]}"))
-    train = tt_decompose(t, ranks[1:])
-    return CompressedLayer(family="tr", mode_shape=t.shape, row_mode_count=1, cores=train.cores)
+    return _train_layer("tr", _as_array(t), ranks)
 
 
 def reconstruct(layer: CompressedLayer) -> np.ndarray:
@@ -430,21 +468,29 @@ def reconstruct(layer: CompressedLayer) -> np.ndarray:
 
     TT and TR cores are chained as (-1, r) @ (r, -1) products
     (``_train_chain`` of a stack of one): the same operands that
-    ``np.tensordot`` over the shared bond hands to ``np.dot``.
+    ``np.tensordot`` over the shared bond hands to ``np.dot``. A Tucker
+    core is chained by ``_tucker_chain`` (a stack of one), which skips
+    each factor that holds the bits of ``np.eye(n)``, checked by value
+    (``_is_identity``); any other factor, a square orthogonal one too, is
+    applied.
     """
     layer.validate()
     if layer.family == DENSE:
         return layer.matrix.reshape(layer.mode_shape)
     if layer.family == "tucker":
-        out = layer.core
-        for k, f in enumerate(layer.factors):
-            out = mode_dot(out, f.T, k)
-        return out
+        return _tucker_chain(layer.core[None], [None if _is_identity(f) else f[None] for f in layer.factors])[0]
     chain = _train_chain([core[None] for core in layer.cores])[0]
     if layer.family == "tt":
         return chain.reshape(layer.mode_shape)
     chain = chain.reshape(layer.cores[0].shape[0], *layer.mode_shape, chain.shape[1])
     return np.trace(chain, axis1=0, axis2=chain.ndim - 1)
+
+
+def _is_identity(f: np.ndarray) -> bool:
+    """Whether a matrix holds the bits of ``np.eye(n)``, a value check
+    cheaper than ``np.array_equal``; a ``-0.0`` entry fails it, so such a
+    factor is applied, as any other is."""
+    return f.shape[0] == f.shape[1] and f.tobytes() == np.eye(len(f)).tobytes()
 
 
 def layer_to_matrix(layer: CompressedLayer) -> np.ndarray:
@@ -592,12 +638,20 @@ def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec |
 
 
 def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
-    """Dispatch a tensor to the decomposition named by ``spec``."""
-    return _decompose(as_tensor(t), spec, hooi_iters, row_mode_count)
+    """Dispatch a tensor to the decomposition named by ``spec``. A
+    ``row_mode_count`` outside ``[1, t.ndim)`` raises ``ShapeError`` before
+    any decomposition."""
+    t = as_tensor(t)
+    if not 1 <= row_mode_count < t.ndim:
+        raise ShapeError(f"row_mode_count {row_mode_count} invalid for {t.ndim} modes")
+    return _decompose(t, spec, hooi_iters, row_mode_count)
 
 
 def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int) -> CompressedLayer:
-    """``decompose`` of a tensor that ``as_tensor`` has already validated."""
+    """``decompose`` of a tensor that ``as_tensor`` has already validated,
+    at a ``row_mode_count`` in range. The layer is validated once, when it
+    is built; setting its ``row_mode_count``, the one field ``validate``
+    would check differently, needs no second pass."""
     if spec.family == DENSE:
         rows = math.prod(t.shape[:row_mode_count])
         return CompressedLayer(
@@ -613,7 +667,6 @@ def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: i
     else:
         layer = tr_decompose(t, spec.ranks)
     layer.row_mode_count = row_mode_count
-    layer.validate()
     return layer
 
 

@@ -418,6 +418,24 @@ class TestStackedProbes:
             assert spec.ranks[0] == 1, (shape, ratio, spec)
             assert sensitivity._probe_key(spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
 
+    @pytest.mark.parametrize("hooi_iters", [1, 2])
+    def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng, hooi_iters):
+        # (4, 8, 4, 8) modes: Tucker keeps modes 0 and 2 whole at 0.5 and
+        # mode 0 at 0.25, and every mode at 1.0; 0.01 is skipped
+        grid = (1.0, 0.5, 0.35, 0.25, 0.15, 0.01)
+        mode_shape, _ = default_mode_shape(32, 32)
+        tucker = [select_ranks(mode_shape, "tucker", ratio_budget(r, 1024)).ranks for r in grid[:-1]]
+        assert tucker[0] == mode_shape and (4, 5, 4, 5) in tucker and (4, 4, 3, 3) in tucker
+        stack = np.stack([decayed_matrix(rng, 32, 32, 0.05 * (p + 1)) for p in range(3)])
+        calibs = [seeded_calib(32, p) for p in range(3)]
+        fast = sensitivity._probe_stack([3, 4, 5], stack, calibs, FAMILIES, grid, hooi_iters)
+        for pid, w, x, records in zip([3, 4, 5], stack, calibs, fast, strict=True):
+            slow = compress_matrix_probes(w, FAMILIES, grid, x, patch_id=pid, hooi_iters=hooi_iters)
+            assert len(records) == 3 * (len(grid) - 1)
+            assert record_bits(records) == record_bits(slow)
+            # every Tucker mode whole: the core is the patch, reconstructed by no product
+            assert [r.measured_degradation for r in records if (r.family, r.target_ratio) == ("tucker", 1.0)] == [0.0]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_patch_in_a_stack_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):
         stack = rng.standard_normal((3, 16, 16))
@@ -846,6 +864,49 @@ class TestAnalyzeEndToEnd:
         pairs = [(family, ratio) for family in FAMILIES for ratio in grid]
         assert all([(c.family, c.ratio) for c in opt.candidates] == pairs for opt in options)
         assert allocate(options, 0.3).achieved_ratio <= 0.3
+
+
+def sensitivity_record_bits(records) -> list:
+    """Every field of each ``SensitivityRecord``, floats as their bytes."""
+
+    def bits(x):
+        return None if x is None else np.float64(x).tobytes()
+
+    return [
+        (
+            r.patch_id,
+            bits(r.score),
+            {f: {ratio: bits(d) for ratio, d in curve.items()} for f, curve in r.predictions.items()},
+            {f: (bits(rc.target_ratio), bits(rc.predicted_degradation)) for f, rc in r.recommendations.items()},
+        )
+        for r in records
+    ]
+
+
+class TestDeterminism:
+    """A record does not depend on how many patches are predicted together."""
+
+    def test_forward_of_n_rows_equals_n_one_row_calls_bitwise(self):
+        rng = np.random.default_rng(15)
+        predictor = train_predictor(masked_records(15))
+        feats = rng.standard_normal((80, 12)) * rng.uniform(0.1, 10.0, 12)
+        rows = predictor.forward(feats)
+        assert rows.shape == (80, 1 + len(predictor.heads))
+        for f, row in zip(feats, rows):
+            assert predictor.forward(f).tobytes() == row.tobytes()
+
+    def test_analyze_records_equal_a_predict_loop_bitwise(self, analysis):
+        loop = [
+            predict(analysis.predictor, analysis.features[p.patch_id], patch_id=p.patch_id, cap=0.05)
+            for p in analysis.patches
+        ]
+        assert sensitivity_record_bits(analysis.records) == sensitivity_record_bits(loop)
+
+    def test_mixed_analyze_records_equal_a_predict_loop_bitwise(self, rng):
+        model, calib = mixed_model(rng)
+        result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
+        loop = [predict(result.predictor, result.features[p.patch_id], patch_id=p.patch_id) for p in result.patches]
+        assert sensitivity_record_bits(result.records) == sensitivity_record_bits(loop)
 
 
 class TestPatchMatrix:

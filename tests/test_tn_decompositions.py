@@ -389,6 +389,88 @@ class TestReconstructChain:
                     assert bitwise_equal(reconstruct(layer), tensordot_chain(layer)), (shape, family, ratio)
 
 
+def every_factor_chain(layer):
+    """A Tucker layer's dense tensor with every factor applied, identities
+    too: the oracle that skipping the identities must equal bitwise."""
+    out = layer.core
+    for k, f in enumerate(layer.factors):
+        out = mode_dot(out, f.T, k)
+    return out
+
+
+class TestReconstructTucker:
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (36, 64), (17, 40), (1, 64)])
+    def test_whole_modes_keep_the_bits_of_every_factor_applied(self, rng, shape):
+        w = rng.standard_normal(shape) * np.exp(-0.1 * np.arange(shape[1]))
+        whole = 0
+        for ratio in (1.0, 0.75, 0.5, 0.35, 0.25, 0.15):
+            try:
+                layer = compress_matrix(w, "tucker", ratio_budget(ratio, w.size))
+            except InfeasibleBudgetError:
+                continue
+            whole += sum(r == n for r, n in zip(layer.ranks, layer.mode_shape))
+            expected = every_factor_chain(layer).reshape(layer.matrix_shape)
+            assert bitwise_equal(layer_to_matrix(layer), expected), (shape, ratio)
+        assert whole > 0
+
+    def test_a_square_factor_other_than_the_identity_is_applied(self, rng):
+        core = rng.standard_normal((3, 4, 2))
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        swap = np.eye(4)[[1, 0, 2, 3]]  # orthogonal, square, not the identity
+        first, last = (np.linalg.qr(rng.standard_normal(shape))[0] for shape in ((5, 3), (6, 2)))
+        for middle in (q, swap, -np.eye(4)):
+            factors = [first, middle, last]
+            layer = CompressedLayer("tucker", (5, 4, 6), 1, core=core, factors=factors)
+            out = reconstruct(layer)
+            assert bitwise_equal(out, every_factor_chain(layer))
+            skipped = mode_dot(mode_dot(core, factors[0].T, 0), factors[2].T, 2)
+            assert not np.allclose(out, skipped)
+
+    def test_mode_products_per_reconstruction(self, rng, monkeypatch):
+        # one product per factor that is not the identity: a whole mode
+        # takes none, and a square factor that is not the identity takes one
+        calls = []
+        mode_dot_ = tn.mode_dot
+
+        def counting(t, mat, mode, *, stacked=False):
+            calls.append(mode)
+            return mode_dot_(t, mat, mode, stacked=stacked)
+
+        t = rng.standard_normal((4, 8, 4, 8))
+        layers = {
+            (2, 3, 2, 3): ((0, 1, 2, 3), tucker_decompose(t, (2, 3, 2, 3))),
+            (4, 5, 4, 5): ((1, 3), tucker_decompose(t, (4, 5, 4, 5))),
+            (4, 8, 4, 8): ((), tucker_decompose(t, (4, 8, 4, 8))),
+        }
+        swapped = tucker_decompose(t, (4, 5, 4, 5))
+        swapped.factors[0] = swapped.factors[0][:, [1, 0, 2, 3]]
+        layers["swapped"] = ((0, 1, 3), swapped)
+        monkeypatch.setattr(tn, "mode_dot", counting)
+        for key, (modes_applied, layer) in layers.items():
+            calls.clear()
+            reconstruct(layer)
+            assert tuple(calls) == modes_applied, key
+
+    @pytest.mark.parametrize("family", [*FAMILIES, "dense"])
+    def test_a_layer_is_validated_once_built_and_once_reconstructed(self, rng, monkeypatch, family):
+        calls = []
+        validate = CompressedLayer.validate
+
+        def counting(layer):
+            calls.append(layer.family)
+            return validate(layer)
+
+        monkeypatch.setattr(CompressedLayer, "validate", counting)
+        w = rng.standard_normal((32, 32))
+        if family == "dense":
+            layer = decompose(w.reshape(4, 8, 4, 8), RankSpec("dense"), row_mode_count=2)
+        else:
+            layer = compress_matrix(w, family, ratio_budget(0.25, w.size))
+        assert calls == [family]
+        layer_to_matrix(layer)
+        assert calls == [family, family]
+
+
 class TestReconstructDense:
     def test_dense_round_trip(self, rng):
         w = rng.standard_normal((6, 4))
@@ -683,6 +765,17 @@ class TestInputChecks:
         t[3, 2, 1, 0] = np.nan
         with pytest.raises(NumericsError):
             decomp(t, bad_ranks)
+        assert lapack_calls == [] and eigh_calls == []
+
+    @pytest.mark.parametrize("family", [*FAMILIES, "dense"])
+    @pytest.mark.parametrize("row_mode_count", [0, 4])
+    def test_a_row_mode_count_out_of_range_raises_before_any_decomposition(
+        self, rng, lapack_calls, eigh_calls, family, row_mode_count
+    ):
+        t = rng.standard_normal((4, 8, 4, 8))
+        spec = RankSpec("dense") if family == "dense" else select_ranks(t.shape, family, ratio_budget(0.25, t.size))
+        with pytest.raises(ShapeError, match="row_mode_count"):
+            decompose(t, spec, row_mode_count=row_mode_count)
         assert lapack_calls == [] and eigh_calls == []
 
     def test_non_finite_entry_outranks_an_infeasible_budget(self, rng):
