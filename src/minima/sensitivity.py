@@ -20,17 +20,8 @@ import numpy as np
 
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
-from minima.tensor_core import as_tensor, leading_basis, mode_dot, unfold
-from minima.tn_decompositions import (
-    FAMILIES,
-    _train_chain,
-    _train_stack,
-    _tucker_chain,
-    _tucker_stack,
-    default_mode_shape,
-    ratio_budget,
-    select_ranks,
-)
+from minima.tensor_core import as_tensor
+from minima.tn_decompositions import FAMILIES, _reconstructions, default_mode_shape, ratio_budget, select_ranks
 
 log = logging.getLogger(__name__)
 
@@ -284,16 +275,16 @@ def probe_patch(
 def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -> list[list[ProbeRecord]]:
     """``probe_patch`` of the same-shape patches of ``stack`` ``(P, m, n)``:
     one list of records per patch, in ``FAMILIES`` order, then ratio order.
+    The patches and their calibrations are scanned before any decomposition.
 
     Probes are keyed by the structure they decompose (``_probe_key``), so a
     ring takes its train's deviations and ratios that select the same ranks
-    share them. Tucker is probed on the whole stack
-    (``_tucker_probes``), then trains (``_train_probes``). ||W X|| is
-    computed once per patch.
+    share them. Each key's dense slices come from ``_reconstructions`` over
+    the whole stack, and ||W X|| is computed once per patch.
     """
     families = _probe_families(families)
     stack = as_tensor(stack)
-    calibs = [np.ascontiguousarray(x, dtype=np.float64) for x in calibs]
+    calibs = [as_tensor(x) for x in calibs]
     m, n = stack.shape[1:]
     for x in calibs:
         if x.shape[0] != n:
@@ -301,7 +292,7 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -
         if x.shape[1] < 8:
             raise ValueError("calibration needs at least 8 sample columns")
 
-    mode_shape, row_mode_count = default_mode_shape(m, n)
+    mode_shape = default_mode_shape(m, n)[0]
     keys, skips = {}, {}  # (family, ratio) -> probe key, or the reason it is infeasible
     for family in families:
         for ratio in ratio_grid:
@@ -313,8 +304,10 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -
                 keys[family, ratio] = _probe_key(spec)
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
     tucker, trains = ([k[1] for k in dict.fromkeys(keys.values()) if k[0] == family] for family in ("tucker", "tt"))
-    measured = _tucker_probes(stack, mode_shape, row_mode_count, tucker, calibs, refs, hooi_iters)
-    measured.update(_train_probes(stack, mode_shape, trains, calibs, refs))
+    measured = {
+        key: [_deviation(w, w_hat.reshape(m, n), x, ref) for w, w_hat, x, ref in zip(stack, slices, calibs, refs)]
+        for key, slices in _reconstructions(stack.reshape(len(stack), *mode_shape), tucker, trains, hooi_iters)
+    }
 
     out = []
     for i, patch_id in enumerate(patch_ids):
@@ -329,73 +322,6 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -
                 records.append(ProbeRecord(patch_id, family, float(ratio), measured[keys[family, ratio]][i]))
         out.append(records)
     return out
-
-
-def _tucker_probes(stack, mode_shape, row_mode_count, ranks, calibs, refs, hooi_iters) -> dict[tuple, list[float]]:
-    """The Tucker deviation of each patch of ``stack`` at each rank tuple of
-    ``ranks``, keyed ``("tucker", ranks)``; ``refs`` holds each patch's
-    ||W X||, and ``row_mode_count`` splits ``mode_shape`` into its rows and
-    columns.
-
-    The full HOSVD eigenbasis of each mode that some rank tuple truncates
-    is computed once for the stack, and every decomposition starts from its
-    leading columns; each rank tuple is one ``_tucker_stack``. Unlike
-    ``compress_matrix``, no layer is built: the stacked core and truncated
-    factors are chained over the stack (``_tucker_chain``, skipping the
-    whole modes' identities as ``reconstruct`` does) up to the last
-    truncated mode, whose product is taken patch by patch as each
-    deviation is measured, as ``_train_deviations`` does, so no stack of
-    reconstructions is held.
-    """
-    if not ranks:
-        return {}
-    t = stack.reshape(len(stack), *mode_shape)
-    shape = (math.prod(mode_shape[:row_mode_count]), -1)
-    cut = {k for r in ranks for k, size in enumerate(mode_shape) if r[k] < size}
-    hosvd = {k: leading_basis(unfold(t, k, stacked=True), mode_shape[k], stacked=True) for k in cut}
-    measured = {}
-    for r in ranks:
-        core, factors = _tucker_stack(t, r, hooi_iters, hosvd)
-        last = max((k for k, f in enumerate(factors) if f is not None), default=None)
-        heads = _tucker_chain(core, factors[:last])  # with every mode whole, the core: the stack itself
-        tails = [None] * len(stack) if last is None else factors[last].transpose(0, 2, 1)
-        del core, factors
-        measured["tucker", r] = [
-            _deviation(w, (head if tail is None else mode_dot(head, tail, last)).reshape(shape), x, ref)
-            for w, head, tail, x, ref in zip(stack, heads, tails, calibs, refs)
-        ]
-        del heads, tails
-    return measured
-
-
-def _train_probes(stack, mode_shape, bonds, calibs, refs) -> dict[tuple, list[float]]:
-    """The TT deviation of each patch of ``stack`` at each bond vector of
-    ``bonds``, keyed ``("tt", bonds)``; ``refs`` holds each patch's ||W X||.
-
-    The trains come from ``_train_stack``, which shares a split among the
-    bond vectors that keep the same bonds before it; each bond vector's
-    cores are dropped before the next one's splits are made.
-    """
-    measured = {}
-    for b, cores in _train_stack(stack.reshape(len(stack), *mode_shape), bonds):
-        measured["tt", b] = _train_deviations(stack, cores, calibs, refs)
-        del cores
-    return measured
-
-
-def _train_deviations(stack, cores, calibs, refs) -> list[float]:
-    """The deviation of each patch of ``stack`` under its train of the
-    stacked TT ``cores``. The reconstruction chain runs over the stack
-    (``_train_chain``) up to its last core, whose product is taken patch by
-    patch, by ``reconstruct``'s ``np.dot``, as each deviation is measured,
-    so no stack of reconstructions is held."""
-    heads = _train_chain(cores[:-1])
-    tails = cores[-1].reshape(len(stack), cores[-1].shape[1], -1)
-    shape = stack.shape[1:]
-    return [
-        _deviation(w, np.dot(head, tail).reshape(shape), x, ref)
-        for w, head, tail, x, ref in zip(stack, heads, tails, calibs, refs)
-    ]
 
 
 # --- predictor ---------------------------------------------------------------
@@ -641,7 +567,8 @@ def analyze(
 
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns. A
-    family not in ``FAMILIES`` raises ``ValueError`` before any work. The
+    family not in ``FAMILIES``, or a probed layer that ``calib`` lacks,
+    raises ``ValueError`` before any work. The
     patches are grouped by shape into stacks (``_patch_stacks``), and each
     stack's features are taken at once (``_stack_features``); so are the
     probed patches', each stack probed at once (``_probe_stack``). Features
@@ -656,6 +583,10 @@ def analyze(
     """
     _probe_families(families)
     patches = partition_patches(model, patch_size)
+    probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
+    missing = [name for name in dict.fromkeys(p.layer_name for p in probe_targets) if name not in calib]
+    if missing:
+        raise ValueError("no calibration samples for probed layer " + ", ".join(map(repr, missing)))
     # each pass is a comprehension, so no stack outlives its pass
     features = {
         p.patch_id: row
@@ -663,7 +594,6 @@ def analyze(
         for p, row in zip(group, _stack_features(as_tensor(stack), group, model.total_layers))
     }
     features = {p.patch_id: features[p.patch_id] for p in patches}
-    probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
     by_patch = {
         p.patch_id: records
         for group, stack in _patch_stacks(model, probe_targets)

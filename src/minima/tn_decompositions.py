@@ -30,18 +30,24 @@ et al. 2000; Oseledets 2011), so only the truncated modes and splits are
 computed. A truncated Tucker factor, the HOSVD start's and each HOOI
 sweep's, is ``tensor_core.leading_basis`` of its unfolding: an ``n_k x
 rest`` unfolding costs an ``n_k x n_k`` ``eigh``. TT splits need the
-singular values and right vectors too. ``tucker_decompose`` and TT-SVD
-(``_train_stack``, which also takes several bond vectors at once) are
-stack-native: a stack of same-shape tensors takes one stacked ``eigh`` or
-``np.linalg.svd`` per factor or split, signed per slice by
-``tensor_core.truncated_svd``'s rule, and each slice's layer equals that
-of the slice alone bit for bit; a single tensor is a stack of one. A
-caller that decomposes one stack at several Tucker ranks passes each
-truncated mode's full HOSVD eigenbasis once (``hosvd=``); HOOI sweeps
-always compute their bases, whose inputs do not repeat. ``_train_chain``
-contracts a stack of TT or TR cores by stacked products; ``reconstruct``
-chains a stack of one. ``_tucker_chain`` does the same for Tucker cores
-and factors, skipping the identities.
+singular values and right vectors too.
+
+Stacks: ``_tucker_stack`` and ``_train_stack`` decompose a stack of
+same-shape tensors ``(P, n_0, ..., n_{d-1})`` at each of a list of rank
+vectors (Tucker rank tuples, TT bond vectors) and yield one decomposition
+per vector, every array stacked over the slices; ``tucker_decompose`` and
+``tt_decompose`` are a stack of one. Each factor or split is one stacked
+``eigh`` or ``np.linalg.svd``, signed per slice by
+``tensor_core.truncated_svd``'s rule, so each slice's arrays equal those of
+the slice alone bit for bit. The rank vectors share what they can: Tucker
+computes each truncated mode's full HOSVD eigenbasis once and every tuple
+starts from its leading columns; TT shares a split among the bond vectors
+that keep the same bonds before it. HOOI sweeps always compute their bases,
+whose inputs do not repeat. Each generator drops a decomposition's arrays
+before it makes the next, so a caller that drops them too holds one at a
+time. ``_dense_slices`` is the one reconstruction: ``reconstruct`` rebuilds
+a stack of one, and ``_reconstructions``, the probes' generator, whole
+stacks.
 """
 
 from __future__ import annotations
@@ -129,8 +135,8 @@ class CompressedLayer:
             if self.matrix is None or self.matrix.shape != self.matrix_shape:
                 raise ShapeError("dense layer must hold its matricized payload")
         elif self.family == "tucker":
-            if self.core is None or len(self.factors) != d:
-                raise ShapeError("tucker layer needs a core and one factor per mode")
+            if self.core is None or self.core.ndim != d or len(self.factors) != d:
+                raise ShapeError("tucker layer needs a core of one mode per factor and one factor per mode")
             for k, f in enumerate(self.factors):
                 if f.shape != (self.mode_shape[k], self.core.shape[k]):
                     raise ShapeError(f"tucker factor {k} has shape {f.shape}")
@@ -191,56 +197,64 @@ def _slice_energies(t: np.ndarray) -> np.ndarray:
     return (flat * flat).sum(axis=1)
 
 
-def tucker_decompose(
-    t: np.ndarray, ranks, hooi_iters: int = 2, *, stacked: bool = False, hosvd=None
-) -> CompressedLayer | list[CompressedLayer]:
+def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLayer:
     """HOSVD initialization plus ``hooi_iters`` alternating refinement
-    sweeps of the truncated modes' factors (``_tucker_stack``).
-
-    With ``stacked``, axis 0 of ``t`` is a stack of same-shape tensors,
-    all decomposed at ``ranks``, and the result is a list of one layer per
-    slice. This wrapper checks the ranks and builds the layers: each owns
-    copies of its slice of the stacked core and factors (not views that
-    would keep the stack's arrays alive), and a whole mode's factor is
-    ``np.eye(n_k)``. ``hosvd`` is ``_tucker_stack``'s.
+    sweeps of the truncated modes' factors: ``_tucker_stack`` of a stack of
+    one. The layer owns a copy of the core, and a whole mode's factor is
+    ``np.eye(n_k)``. A count other than d, or a rank outside ``[1, n_k]``,
+    raises ``RankError``.
     """
     t = _as_array(t)
-    if not stacked:
-        t = t[None]
-    shape = t.shape[1:]
-    d = len(shape)
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != d:
-        raise _rejected(t, RankError(f"need {d} ranks, got {len(ranks)}"))
+    if len(ranks) != t.ndim:
+        raise _rejected(t, RankError(f"need {t.ndim} ranks, got {len(ranks)}"))
     for k, r in enumerate(ranks):
-        if not 1 <= r <= shape[k]:
-            raise _rejected(t, RankError(f"rank {r} out of range [1, {shape[k]}] for mode {k}"))
-    core, factors = _tucker_stack(t, ranks, hooi_iters, hosvd)
-    layers = [
-        CompressedLayer(
-            family="tucker",
-            mode_shape=shape,
-            row_mode_count=1,
-            core=core[p].copy(),
-            factors=[np.eye(n) if f is None else f[p].copy() for n, f in zip(shape, factors)],
-        )
-        for p in range(len(t))
-    ]
-    return layers if stacked else layers[0]
+        if not 1 <= r <= t.shape[k]:
+            raise _rejected(t, RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}"))
+    ((_, core, factors),) = _tucker_stack(t[None], [ranks], hooi_iters)
+    return CompressedLayer(
+        family="tucker",
+        mode_shape=t.shape,
+        row_mode_count=1,
+        core=core[0].copy(),
+        factors=[np.eye(n) if f is None else f[0] for n, f in zip(t.shape, factors)],
+    )
 
 
 def _tucker_stack(
-    t: np.ndarray, ranks: tuple[int, ...], hooi_iters: int, hosvd=None
-) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Tucker decomposition of each tensor of a stack ``t`` ``(P, n_0, ...,
-    n_{d-1})`` at valid int ``ranks``: the stacked core ``(P, r_0, ...)``
-    and one stacked factor ``(P, n_k, r_k)`` per truncated mode, ``None``
-    for a whole mode (``r_k = n_k``), whose factor is the identity. Each
-    slice's arrays equal those of the slice alone, a stack of one, bit for
-    bit. ``hosvd``, if given, holds per truncated mode the stack's
-    ``leading_basis(unfold(t, k, stacked=True), n_k, stacked=True)``, and
-    the start takes its leading ``ranks[k]`` columns, the same bits as
-    computing them.
+    t: np.ndarray, rank_tuples, hooi_iters: int
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, list[np.ndarray | None]]]:
+    """Tucker decomposition of each tensor of a stack ``t`` at each of
+    ``rank_tuples`` (valid int tuples): yields ``(ranks, core, factors)``,
+    the core stacked ``(P, r_0, ...)`` and one stacked factor ``(P, n_k,
+    r_k)`` per truncated mode, ``None`` for a whole mode (``r_k = n_k``),
+    whose factor is the identity. With no truncated mode the core is ``t``
+    itself. A mode's start basis is its full HOSVD eigenbasis
+    (``_orthonormal_factor`` at rank ``n_k``), whose leading columns carry
+    the bits of a basis computed at their rank; ``_hooi`` refines it.
+    """
+    if not rank_tuples:
+        return
+    shape = t.shape[1:]
+    modes = sorted({k for ranks in rank_tuples for k, n in enumerate(shape) if ranks[k] < n})
+    hosvd = {k: _orthonormal_factor(unfold(t, k, stacked=True), shape[k]) for k in modes}
+    total = _slice_energies(t)
+    for ranks in rank_tuples:
+        cut = [k for k in modes if ranks[k] < shape[k]]  # the truncated modes
+        if not cut:
+            as_tensor(t)  # no basis call scans the input
+        factors = [None] * len(shape)
+        for k in cut:
+            factors[k] = hosvd[k][..., : ranks[k]].copy()
+        core = _hooi(t, ranks, cut, factors, hooi_iters, total)
+        yield ranks, core, factors
+        del core, factors
+
+
+def _hooi(t: np.ndarray, ranks, cut: list[int], factors: list, hooi_iters: int, total: np.ndarray) -> np.ndarray:
+    """``hooi_iters`` sweeps over the truncated modes ``cut`` of a stack
+    ``t`` from the start ``factors``, which are updated in place; returns
+    the core. ``total`` holds each slice's squared norm.
 
     Each sweep recomputes every truncated factor from the unfolding of the
     tensor projected onto the other factors; the reconstruction error is
@@ -262,23 +276,9 @@ def _tucker_stack(
     products and a sweep c(c+1)/2, not the c(c-1)+1 of projecting each
     input afresh. After the last update that prefix is the start's product
     of ``t`` and the truncated factors, operation for operation: the
-    sweep's core. With no truncated mode the core is ``t`` itself.
+    sweep's core.
     """
-    shape = t.shape[1:]
-    d = len(shape)
-    cut = [k for k in range(d) if ranks[k] < shape[k]]  # the truncated modes
-    if not cut:
-        as_tensor(t)  # no basis call scans the input
-    factors = [None] * d
-    for k in cut:
-        if hosvd is None:
-            factors[k] = _orthonormal_factor(unfold(t, k, stacked=True), ranks[k])
-        else:
-            factors[k] = hosvd[k][..., : ranks[k]].copy()
-    total = _slice_energies(t)
-    slack = 64 * d * np.finfo(np.float64).eps
-    floor = slack * total
-
+    slack = 64 * len(ranks) * np.finfo(np.float64).eps
     core = t
     for k in cut:
         core = mode_dot(core, factors[k], k, stacked=True)
@@ -293,7 +293,7 @@ def _tucker_stack(
             prefix = mode_dot(prefix, factors[k], k, stacked=True)
         core = prefix
         new_kept = _slice_energies(core)
-        rose = kept - new_kept > floor
+        rose = kept - new_kept > slack * total
         if rose.any():
             p = int(rose.argmax())
             before, after = (1.0 - e[p] / total[p] for e in (kept, new_kept))
@@ -302,23 +302,7 @@ def _tucker_stack(
                 f"{before:.3e} -> {after:.3e} (slack {slack:.1e})"
             )
         kept = new_kept
-    return core, factors
-
-
-def _tucker_chain(core: np.ndarray, factors) -> np.ndarray:
-    """A stack of Tucker cores ``(P, r_0, ...)`` times the transposes of
-    the stacked factors ``(P, n_k, r_k)`` of modes 0..len(factors)-1, in
-    mode order, one stacked ``mode_dot`` per factor, each slice's bits
-    those of the plain product. A factor given as ``None``, an identity,
-    is skipped: a product by the identity returns each entry unchanged
-    (short of turning a ``-0.0`` into ``0.0``), so the skip keeps every
-    value and each other product its operands. ``reconstruct`` chains a
-    stack of one."""
-    out = core
-    for k, f in enumerate(factors):
-        if f is not None:
-            out = mode_dot(out, f.transpose(0, 2, 1), k, stacked=True)
-    return out
+    return core
 
 
 def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
@@ -355,11 +339,10 @@ def _train_layer(family: str, t: np.ndarray, ranks) -> CompressedLayer:
 
 
 def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...], list[np.ndarray]]]:
-    """TT-SVD of each tensor of a stack ``t`` ``(P, n_0, ..., n_{d-1})`` at
-    each of ``bond_vectors`` (int tuples of d-1 bonds): yields ``(bonds,
-    cores)``, every core stacked ``(P, r_{k-1}, n_k, r_k)``. Each bond is
-    capped at its split's min dimension, and each slice's cores equal those
-    of the slice alone, a stack of one, bit for bit.
+    """TT-SVD of each tensor of a stack ``t`` at each of ``bond_vectors``
+    (int tuples of d-1 bonds): yields ``(bonds, cores)``, every core
+    stacked ``(P, r_{k-1}, n_k, r_k)`` and each bond capped at its split's
+    min dimension.
 
     Split k's input depends only on the bonds kept before it, so the bond
     vectors that keep the same bonds there share the split: one stacked
@@ -369,9 +352,7 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
     only with those that keep it whole too. Bond vectors are taken in
     order of their kept bonds, so those that share splits come together,
     and a split is dropped when the next bond vector no longer shares it.
-    Cores may be views of the shared splits; a caller that drops each
-    bond vector's cores before asking for the next holds no more than one
-    bond vector's splits and cores.
+    Cores may be views of the shared splits.
     """
     count, shape = len(t), t.shape[1:]
     kept = {}  # bonds -> the bonds each split keeps, capped by its unfolding
@@ -408,6 +389,7 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
         cores.append(tail.reshape(count, r_prev, shape[-1], 1))
         last = keeps
         yield bonds, cores
+        del cores, tail
 
 
 def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,18 +423,6 @@ def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     return left, carry
 
 
-def _train_chain(cores: list[np.ndarray]) -> np.ndarray:
-    """The chain of stacked TT or TR cores 0..k, ``(P, r_0 * n_0 * ... *
-    n_k, r_{k+1})``: of all d TT cores, each train's dense tensor, flattened.
-    One stacked ``(-1, r) @ (r, -1)`` product per core, each slice's bits
-    those of the plain ``np.dot`` (``reconstruct`` chains a stack of one)."""
-    stack = len(cores[0])
-    chain = cores[0].reshape(stack, -1, cores[0].shape[-1])
-    for core in cores[1:]:
-        chain = (chain @ core.reshape(stack, core.shape[1], -1)).reshape(stack, -1, core.shape[-1])
-    return chain
-
-
 def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     """Tensor ring with the d cyclic ranks ``ranks``, whose closing bond
     ``ranks[0]`` is 1: the train ``tt_decompose(t, ranks[1:])`` stored as
@@ -464,26 +434,72 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
 
 
 def reconstruct(layer: CompressedLayer) -> np.ndarray:
-    """Dense tensor of the layer's mode shape.
-
-    TT and TR cores are chained as (-1, r) @ (r, -1) products
-    (``_train_chain`` of a stack of one): the same operands that
-    ``np.tensordot`` over the shared bond hands to ``np.dot``. A Tucker
-    core is chained by ``_tucker_chain`` (a stack of one), which skips
-    each factor that holds the bits of ``np.eye(n)``, checked by value
-    (``_is_identity``); any other factor, a square orthogonal one too, is
-    applied.
+    """Dense tensor of the layer's mode shape: ``_dense_slices`` of a
+    stack of one. A Tucker factor that holds the bits of ``np.eye(n)``,
+    checked by value (``_is_identity``), is skipped; any other, a square
+    orthogonal one too, is applied.
     """
     layer.validate()
     if layer.family == DENSE:
         return layer.matrix.reshape(layer.mode_shape)
     if layer.family == "tucker":
-        return _tucker_chain(layer.core[None], [None if _is_identity(f) else f[None] for f in layer.factors])[0]
-    chain = _train_chain([core[None] for core in layer.cores])[0]
-    if layer.family == "tt":
-        return chain.reshape(layer.mode_shape)
-    chain = chain.reshape(layer.cores[0].shape[0], *layer.mode_shape, chain.shape[1])
-    return np.trace(chain, axis1=0, axis2=chain.ndim - 1)
+        (dense,) = _dense_slices(layer.core[None], [None if _is_identity(f) else f[None] for f in layer.factors])
+    else:
+        (dense,) = _dense_slices(cores=[core[None] for core in layer.cores])
+    return dense
+
+
+def _dense_slices(core=None, factors=(), cores=()) -> Iterator[np.ndarray]:
+    """Each slice's dense tensor, in its mode shape, of a stack of Tucker
+    decompositions (``core`` ``(P, r_0, ...)`` and ``factors``, each ``(P,
+    n_k, r_k)`` or ``None`` for the identity) or of trains or rings
+    (``cores``, each ``(P, r_{k-1}, n_k, r_k)``).
+
+    The products are chained over the stack up to the last, which is taken
+    slice by slice as each is yielded, so no stack of dense tensors is
+    held. A Tucker core takes one ``mode_dot`` by the transpose of each
+    factor, in mode order, and none for an identity: that product would
+    return each entry unchanged (short of turning a ``-0.0`` into ``0.0``).
+    TT and TR cores are chained as ``(-1, r) @ (r, -1)`` products, the
+    operands that ``np.tensordot`` over the shared bond hands to
+    ``np.dot``; a ring whose closing bond is above 1 is then traced over it.
+    """
+    if core is not None:
+        modes = [k for k, f in enumerate(factors) if f is not None]
+        if not modes:
+            yield from core
+            return
+        for k in modes[:-1]:
+            core = mode_dot(core, factors[k].transpose(0, 2, 1), k, stacked=True)
+        for head, f in zip(core, factors[modes[-1]]):
+            yield mode_dot(head, f.T, modes[-1])
+        return
+    count, shape, ring = len(cores[0]), tuple(c.shape[2] for c in cores), cores[0].shape[1]
+    chain = cores[0].reshape(count, -1, cores[0].shape[-1])
+    for c in cores[1:-1]:
+        chain = (chain @ c.reshape(count, c.shape[1], -1)).reshape(count, -1, c.shape[-1])
+    for head, tail in zip(chain, cores[-1]):
+        dense = np.dot(head, tail.reshape(len(tail), -1))
+        yield dense.reshape(shape) if ring == 1 else np.trace(dense.reshape(ring, *shape, ring), axis1=0, axis2=-1)
+
+
+def _reconstructions(t: np.ndarray, rank_tuples, bond_vectors, hooi_iters: int) -> Iterator[tuple[tuple, Iterator]]:
+    """The dense slices of a stack ``t`` decomposed at each Tucker rank
+    tuple, then at each TT bond vector: yields ``(("tucker", ranks) or
+    ("tt", bonds), _dense_slices(...))``. Each ``_dense_slices`` is closed
+    before the next decomposition is made, which drops its arrays even where
+    the caller stops short of its end, as ``zip`` does when a shorter
+    iterable ends first."""
+    for ranks, core, factors in _tucker_stack(t, rank_tuples, hooi_iters):
+        slices = _dense_slices(core, factors)
+        del core, factors
+        yield ("tucker", ranks), slices
+        slices.close()
+    for bonds, cores in _train_stack(t, bond_vectors):
+        slices = _dense_slices(cores=cores)
+        del cores
+        yield ("tt", bonds), slices
+        slices.close()
 
 
 def _is_identity(f: np.ndarray) -> bool:

@@ -309,6 +309,30 @@ class TestProbeWork:
         assert tn._rank_search.cache_info().misses == searches  # the memo outlives a call
         assert record_bits(again.probes) == record_bits(first.probes)
 
+    def test_probes_and_reconstruct_share_one_reconstruction(self, rng, monkeypatch):
+        # each probe key's slices, over the whole stack, and each reconstruct,
+        # over a stack of one, come from _dense_slices
+        stacks = []
+        dense_slices = tn._dense_slices
+
+        def counting(core=None, factors=(), cores=()):
+            stacks.append(len(core if core is not None else cores[0]))
+            return dense_slices(core, factors, cores)
+
+        monkeypatch.setattr(tn, "_dense_slices", counting)
+        w = decayed_matrix(rng, 32, 32, 0.1)
+        grid = (0.5, 0.35, 0.25, 0.15)
+        # (4, 8, 4, 8) modes: four Tucker rank tuples and four TT bond vectors; TR's are TT's
+        sensitivity._probe_stack([0, 1, 2], np.stack([w, w.T, -w]), [seeded_calib(32, p) for p in range(3)], FAMILIES, grid)
+        assert stacks == [3] * 8
+        stacks.clear()
+        probe_patch(w, FAMILIES, grid, seeded_calib(32, 3))
+        assert stacks == [1] * 8
+        stacks.clear()
+        for family in FAMILIES:
+            layer_to_matrix(compress_matrix(w, family, ratio_budget(0.25, w.size)))
+        assert stacks == [1] * 3
+
     @pytest.mark.parametrize("families, unknown", [(("TT",), "'TT'"), (("tt", "cp"), "'cp'"), ("tt", "'t'")])
     def test_probe_patch_rejects_an_unknown_family(self, rng, families, unknown):
         with pytest.raises(ValueError, match=f"unknown family {unknown}"):
@@ -321,6 +345,42 @@ class TestProbeWork:
         with pytest.raises(ValueError, match=f"unknown family {unknown}"):
             analyze(model, calib, patch_size=(32, 32), families=families, probe_stride=1)
         assert lapack_calls == []  # before any feature or probe
+
+
+class TestCalibrationChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_calibration_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):
+        # an inf calibration once gave measured_degradation nan
+        w = rng.standard_normal((16, 16))
+        with pytest.raises(NumericsError):
+            probe_patch(w, ["tt"], [0.5], np.full((16, 8), bad))
+        calib = seeded_calib(16, 3)
+        calib[5, 2] = bad
+        with pytest.raises(NumericsError):
+            sensitivity._probe_stack([0, 1], np.stack([w, w]), [seeded_calib(16, 4), calib], FAMILIES, (0.5,))
+        assert lapack_calls == [] and eigh_calls == []
+
+    def test_analyze_raises_on_a_non_finite_calibration_before_any_decomposition(self, rng, lapack_calls, eigh_calls):
+        # one NaN once surfaced in train_predictor, after every decomposition
+        model = make_model([("w", rng.standard_normal((16, 48)), "ffn")])
+        calib = {"w": rng.standard_normal((48, 16))}
+        calib["w"][40, 3] = np.nan  # in the rows of the third patch
+        with pytest.raises(NumericsError):
+            analyze(model, calib, patch_size=(16, 16), probe_stride=1)
+        assert eigh_calls == [] and lapack_calls == [(3, 16, 16)]  # the features' values-only SVD alone
+
+    def test_analyze_names_every_probed_layer_without_calibration(self, rng, lapack_calls):
+        # an embedding is not probed, so it needs no calibration
+        model = make_model(
+            [(f"l{i}", rng.standard_normal((16, 16)), "ffn") for i in range(4)]
+            + [("emb", rng.standard_normal((16, 16)), "embedding")]
+        )
+        calib = {name: rng.standard_normal((16, 16)) for name in ("l0", "l2")}
+        with pytest.raises(ValueError, match="probed layer 'l1', 'l3'$"):
+            analyze(model, calib, patch_size=(16, 16), probe_stride=1)
+        assert lapack_calls == []
+        calib.update(l1=calib["l0"], l3=calib["l2"])
+        assert analyze(model, calib, patch_size=(16, 16), probe_stride=1).probed_ids == [0, 1, 2, 3]
 
 
 def mixed_model(rng):
@@ -529,17 +589,26 @@ class TestStackedFeatures:
 
 @pytest.mark.parametrize("count, size", [(5, 16), (8, 64)])
 def test_the_train_phase_of_a_stack_probe_peaks_no_higher_than_its_tucker_phase(rng, count, size):
-    """``_train_probes`` holds its splits' arrays only while it uses them,
-    so at the default ratios its traced peak stays within the Tucker
-    phase's; the analyze benchmark's ``peak_alloc_mb`` reads the larger."""
+    """``_reconstructions`` holds each decomposition's arrays only while its
+    slices are used, so at the default ratios the traced peak of the trains'
+    deviations stays within the Tucker phase's; the analyze benchmark's
+    ``peak_alloc_mb`` reads the larger."""
     stack = np.stack([decayed_matrix(rng, size, size, 0.02 * (p + 1)) for p in range(count)])
     calibs = [seeded_calib(size, p) for p in range(count)]
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]
-    mode_shape, row_modes = default_mode_shape(size, size)
+    mode_shape, _ = default_mode_shape(size, size)
+    t = stack.reshape(count, *mode_shape)
     grid = (0.5, 0.35, 0.25, 0.15)
 
     def ranks(family):
         return [select_ranks(mode_shape, family, ratio_budget(r, size * size)).ranks for r in grid]
+
+    def deviations(rank_tuples, bond_vectors):
+        # _probe_stack's loop over the generator
+        return {
+            key: [sensitivity._deviation(w, w_hat.reshape(size, size), x, ref) for w, w_hat, x, ref in zip(stack, slices, calibs, refs)]
+            for key, slices in tn._reconstructions(t, rank_tuples, bond_vectors, 1)
+        }
 
     def peak(call) -> int:
         call()  # the traced call finds every first-call cache filled
@@ -550,8 +619,8 @@ def test_the_train_phase_of_a_stack_probe_peaks_no_higher_than_its_tucker_phase(
         finally:
             tracemalloc.stop()
 
-    tucker = peak(lambda: sensitivity._tucker_probes(stack, mode_shape, row_modes, ranks("tucker"), calibs, refs, 1))
-    train = peak(lambda: sensitivity._train_probes(stack, mode_shape, ranks("tt"), calibs, refs))
+    tucker = peak(lambda: deviations(ranks("tucker"), []))
+    train = peak(lambda: deviations([], ranks("tt")))
     assert train <= tucker, (train, tucker)
 
 

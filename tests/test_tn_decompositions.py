@@ -44,6 +44,24 @@ def bitwise_equal(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def stacked_tucker(t, ranks, hooi_iters):
+    """``_tucker_stack`` of a stack at one rank tuple: its core and factors."""
+    ((_, core, factors),) = tn._tucker_stack(t, [tuple(ranks)], hooi_iters)
+    return core, factors
+
+
+def equals_its_slices(core, factors, t, ranks, hooi_iters) -> bool:
+    """Whether each slice of a stacked Tucker decomposition of ``t`` equals
+    ``tucker_decompose`` of that slice alone bit for bit; a ``None`` factor
+    is the slice's ``np.eye``."""
+    for p in range(len(t)):
+        plain = tucker_decompose(t[p], ranks, hooi_iters=hooi_iters)
+        stacked = [core[p]] + [np.eye(n) if f is None else f[p] for n, f in zip(t.shape[1:], factors, strict=True)]
+        if not all(bitwise_equal(a, b) for a, b in zip(stacked, payload(plain), strict=True)):
+            return False
+    return True
+
+
 def tensordot_chain(layer):
     """TT / TR reconstruction as a chain of ``np.tensordot`` over each bond."""
     chain = layer.cores[0]
@@ -239,12 +257,9 @@ class TestTucker:
         t = rng.standard_normal((4, *shape)) * np.ldexp(1.0, np.array([0, -30, 12, 0]))[(...,) + (None,) * len(shape)]
         t[3] = 0.0  # a zero slice: its guard must not divide by its zero norm
         for iters in (0, 1, 2):
-            layers = tucker_decompose(t, ranks, hooi_iters=iters, stacked=True)
-            assert len(layers) == 4
-            for p, layer in enumerate(layers):
-                plain = tucker_decompose(t[p], ranks, hooi_iters=iters)
-                assert layer.mode_shape == plain.mode_shape and layer.ranks == plain.ranks
-                assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True)), (p, iters)
+            core, factors = stacked_tucker(t, ranks, iters)
+            assert core.shape == (4, *ranks)
+            assert equals_its_slices(core, factors, t, ranks, iters), iters
 
     def test_guard_raises_when_one_slice_of_a_stack_rises(self, rng, monkeypatch):
         t = rng.standard_normal((3, 4, 4, 4))
@@ -260,16 +275,16 @@ class TestTucker:
 
         monkeypatch.setattr(tn, "_orthonormal_factor", trailing_for_slice_1_in_sweeps)
         with pytest.raises(NumericsError, match="relative residual energy of slice 1 "):
-            tucker_decompose(t, (2, 2, 2), hooi_iters=1, stacked=True)
+            stacked_tucker(t, (2, 2, 2), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_slice_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
         t = rng.standard_normal((3, *MODES_16x32))
         t[2, 1, 2, 3, 4] = bad
         with pytest.raises(NumericsError):
-            tucker_decompose(t, (2, 2, 2, 2), stacked=True)
-        with pytest.raises(NumericsError):  # a rank error reports the NaN first
-            tucker_decompose(t, (9, 2, 2, 2), stacked=True)
+            stacked_tucker(t, (2, 2, 2, 2), 2)
+        with pytest.raises(NumericsError):  # the start's bases scan before any tuple is fitted
+            list(tn._tucker_stack(t, [MODES_16x32, (2, 2, 2, 2)], 2))
         assert eigh_calls == [] and lapack_calls == []
 
     def test_mode_products_per_call(self, rng, monkeypatch):
@@ -295,9 +310,12 @@ class TestTucker:
                 # HOSVD core c; per sweep truncated mode k applies its truncated
                 # suffix factors, then extends the shared prefix once: c(c+1)/2.
                 # A stack of 5 takes as many stacked products as one tensor.
-                for tensor, stacked in ((t[0], False), (t, True)):
+                for stacked in (False, True):
                     calls.clear()
-                    tucker_decompose(tensor, ranks, hooi_iters=iters, stacked=stacked)
+                    if stacked:
+                        stacked_tucker(t, ranks, iters)
+                    else:
+                        tucker_decompose(t[0], ranks, hooi_iters=iters)
                     assert len(calls) == c + iters * c * (c + 1) // 2, (shape, ranks, iters, stacked)
                     assert set(calls) == {k for k, (r, n) in enumerate(zip(ranks, shape)) if r < n}
 
@@ -307,11 +325,12 @@ class TestTucker:
         t[1] = 0.0
         t[2].flat[0] = -0.0
         for iters in (0, 2):
-            stacked = tucker_decompose(t, shape, hooi_iters=iters, stacked=True)
+            core, factors = stacked_tucker(t, shape, iters)
+            assert core is t and factors == [None] * len(shape)  # the stack is its own core
             for p in range(len(t)):
-                for layer in (stacked[p], tucker_decompose(t[p], shape, hooi_iters=iters)):
-                    assert bitwise_equal(layer.core, t[p]) and not np.shares_memory(layer.core, t)
-                    assert all(bitwise_equal(f, np.eye(n)) for f, n in zip(layer.factors, shape, strict=True))
+                layer = tucker_decompose(t[p], shape, hooi_iters=iters)
+                assert bitwise_equal(layer.core, t[p]) and not np.shares_memory(layer.core, t)
+                assert all(bitwise_equal(f, np.eye(n)) for f, n in zip(layer.factors, shape, strict=True))
         assert eigh_calls == [] and lapack_calls == []
 
 
@@ -450,6 +469,14 @@ class TestReconstructTucker:
             calls.clear()
             reconstruct(layer)
             assert tuple(calls) == modes_applied, key
+
+    @pytest.mark.parametrize("core_shape", [(2, 2), (2, 2, 2, 3)])
+    def test_a_core_needs_one_mode_per_factor(self, rng, core_shape):
+        # a core of too few modes once raised IndexError; one of too many
+        # passed, and reconstruct returned a (4, 4, 4, 3) tensor
+        factors = [np.linalg.qr(rng.standard_normal((4, 2)))[0] for _ in range(3)]
+        with pytest.raises(ShapeError, match="one mode per factor"):
+            CompressedLayer("tucker", (4, 4, 4), 1, core=rng.standard_normal(core_shape), factors=factors)
 
     @pytest.mark.parametrize("family", [*FAMILIES, "dense"])
     def test_a_layer_is_validated_once_built_and_once_reconstructed(self, rng, monkeypatch, family):
@@ -864,22 +891,41 @@ class TestSvdSource:
     """The routines' factor sources: given HOSVD bases change no bit of a
     layer, and a ring is its train."""
 
-    def test_tucker_from_given_hosvd_bases_makes_only_its_sweep_eigendecompositions(self, rng, eigh_calls, lapack_calls):
-        t = rng.standard_normal((3, 4, 3, 5, 2))
-        hosvd = [tc.leading_basis(tc.unfold(t, k, stacked=True), n, stacked=True) for k, n in enumerate(t.shape[1:])]
+    def test_a_tucker_stack_at_several_rank_tuples_equals_each_alone_bitwise(self, rng, eigh_calls, lapack_calls):
+        # the default grid's rank tuples on (4, 8, 4, 8): modes 0 and 2 stay
+        # whole at 0.5 and 0.35, mode 0 at 0.25, and 0.15 truncates all four
+        shape = (4, 8, 4, 8)
+        tuples = [select_ranks(shape, "tucker", ratio_budget(r, 1024)).ranks for r in (0.5, 0.35, 0.25, 0.15)]
+        assert tuples == [(4, 5, 4, 5), (4, 4, 4, 4), (4, 4, 3, 3), (3, 3, 3, 3)]
+        t = rng.standard_normal((3, *shape))
         for iters in range(3):
-            for ranks in [(2, 2, 2, 1), (3, 2, 4, 2), (2, 2, 2, 1)]:
-                eigh_calls.clear()
-                layers = tucker_decompose(t, ranks, hooi_iters=iters, stacked=True, hosvd=hosvd)
-                # a stacked eigendecomposition per truncated mode per sweep (4, then
-                # 3 at (3, 2, 4, 2), whose mode 3 is whole), none for the start
-                assert eigh_calls == [(3, n, n) for _ in range(iters) for n, r in zip(t.shape[1:], ranks) if r < n]
-                for p, layer in enumerate(layers):
-                    plain = tucker_decompose(t[p], ranks, hooi_iters=iters)
-                    assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(plain), strict=True))
-                    # the start copies its columns: no layer shares memory with the bases
-                    assert not any(np.shares_memory(f, b) for f, b in zip(layer.factors, hosvd))
+            eigh_calls.clear()
+            fits = list(tn._tucker_stack(t, tuples, iters))
+            # one start eigendecomposition per mode any tuple truncates, then
+            # one per truncated mode per sweep (2 + 2 + 3 + 4 per sweep)
+            start = sorted((3, n, n) for n in shape)
+            assert sorted(eigh_calls[:4]) == start and len(eigh_calls) == 4 + 11 * iters
+            assert [ranks for ranks, _, _ in fits] == tuples
+            for ranks, core, factors in fits:
+                assert equals_its_slices(core, factors, t, ranks, iters), (ranks, iters)
+                # the start copies its columns of the shared bases
+                assert not any(f is not None and f.base is not None for f in factors)
         assert lapack_calls == []  # Tucker takes no SVD
+
+    def test_each_decomposition_is_dropped_before_the_next_is_made(self, rng):
+        # a caller that stops short of a decomposition's last slice, as zip
+        # does when a shorter iterable ends first, still frees its arrays:
+        # its slices are closed before the next decomposition
+        shape = (4, 8, 4, 8)
+        t = rng.standard_normal((3, *shape))
+        tucker, trains = ([select_ranks(shape, f, ratio_budget(r, 1024)).ranks for r in (0.5, 0.15)] for f in ("tucker", "tt"))
+        read, last = [], None
+        for key, slices in tn._reconstructions(t, tucker, trains, 1):
+            assert last is None or last.gi_frame is None, key
+            read.append((key, next(slices).shape))
+            last = slices
+        assert last.gi_frame is None
+        assert read == [(("tucker", r), shape) for r in tucker] + [(("tt", b), shape) for b in sorted(trains)]
 
     def test_a_ring_with_a_unit_closing_bond_has_the_train_cores_bitwise(self, rng):
         # what lets a probe of a ring take the train's deviation
@@ -960,7 +1006,7 @@ TRAIN_CASES = [
 
 class TestTrainStack:
     """TT-SVD of a stack at several bond vectors, ``_train_stack``, and the
-    reconstruction of its trains, ``_train_chain``."""
+    reconstruction of its trains, ``_dense_slices``."""
 
     @pytest.mark.parametrize("mode_shape, bond_vectors", TRAIN_CASES, ids=["4x4x4x4", "4x8x4x8", "7x8x8", "6x9"])
     def test_each_slice_equals_a_truncated_svd_train_of_the_slice_bitwise(self, rng, mode_shape, bond_vectors):
@@ -968,11 +1014,11 @@ class TestTrainStack:
         done = []
         for bonds, cores in tn._train_stack(t, bond_vectors):
             done.append(bonds)
-            chain = tn._train_chain(cores)
+            dense = list(tn._dense_slices(cores=cores))
             for p in range(len(t)):
                 plain = plain_train(t[p], bonds)
                 assert all(bitwise_equal(a[p], b) for a, b in zip(cores, plain, strict=True)), (bonds, p)
-                assert bitwise_equal(chain[p], dot_chain(plain)), (bonds, p)
+                assert bitwise_equal(dense[p], dot_chain(plain).reshape(mode_shape)), (bonds, p)
                 # tt_decompose and reconstruct are the stack of one
                 alone = tt_decompose(t[p], bonds)
                 assert all(bitwise_equal(a, b) for a, b in zip(alone.cores, plain, strict=True)), (bonds, p)
@@ -1038,7 +1084,7 @@ class TestTrainStack:
         small[1, 0, 5] = bad
         calls = [
             lambda: tucker_decompose(t, t.shape),
-            lambda: tucker_decompose(stack, t.shape, stacked=True),
+            lambda: stacked_tucker(stack, t.shape, 2),
             lambda: tt_decompose(t, (4, 7, 7)),
             lambda: tr_decompose(t, (1, 4, 7, 7)),
             lambda: tt_decompose(small, (2, 4)),
