@@ -6,11 +6,11 @@ Usage, from the root of the repository:
 
 For each square patch size it builds one synthetic weight matrix (random
 orthonormal singular vectors, singular values decaying as exp(-0.1 k)) and,
-for each of Tucker, TT and TR at ratio 0.25, times ``compress_matrix``
-(2 HOOI sweeps for Tucker, the default) and ``select_ranks`` on the patch's mode
-shape. ``select_ranks`` is timed cold, its process-wide memo cleared before
-each call so that every call runs the search, and warm, every call a memo
-hit. ``compress_matrix`` is timed as a caller meets it: its first call of a
+for each of Tucker, TT and TR at ratio 0.25, times ``compress_matrix`` at
+its defaults (``HOOI_SWEEPS`` HOOI sweeps for Tucker) and ``select_ranks``
+on the patch's mode shape. ``select_ranks`` is timed cold, its process-wide
+memo cleared before each call so that every call runs the search, and warm,
+every call a memo hit. ``compress_matrix`` is timed as a caller meets it: its first call of a
 (shape, family, budget) runs the search, later ones hit the memo. Each time
 is the median of five calls; every call's time is kept.
 Each row also records the selected ranks and the relative reconstruction
@@ -41,6 +41,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from minima.tensor_core import relative_error  # noqa: E402
 from minima.tn_decompositions import (  # noqa: E402
     FAMILIES,
+    HOOI_SWEEPS,
     _rank_search,
     compress_matrix,
     default_mode_shape,
@@ -51,7 +52,6 @@ from minima.tn_decompositions import (  # noqa: E402
 from run import environment  # noqa: E402  (perfbench/run.py)
 
 RATIO = 0.25
-HOOI_ITERS = 2  # compress_matrix's default
 DECAY = 0.1
 REPEATS = 5
 
@@ -81,7 +81,7 @@ def measure(n: int) -> list[dict]:
     budget = ratio_budget(RATIO, n * n)
     rows = []
     for family in FAMILIES:
-        layer, compress_s = timed_runs(lambda: compress_matrix(w, family, budget, hooi_iters=HOOI_ITERS))
+        layer, compress_s = timed_runs(lambda: compress_matrix(w, family, budget))
         spec, cold_s = timed_runs(lambda: select_ranks(mode_shape, family, budget), before=_rank_search.cache_clear)
         _, warm_s = timed_runs(lambda: select_ranks(mode_shape, family, budget))
         rows.append(
@@ -115,7 +115,7 @@ def main():
         "command": " ".join(["python3 bench/decompose_scale.py", *sys.argv[1:]]),
         "environment": environment(),
         "ratio": RATIO,
-        "hooi_iters": HOOI_ITERS,
+        "hooi_iters": HOOI_SWEEPS,
         "repeats": REPEATS,
         "rows": rows,
     }

@@ -21,7 +21,15 @@ import numpy as np
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
 from minima.tensor_core import as_tensor
-from minima.tn_decompositions import FAMILIES, _reconstructions, default_mode_shape, ratio_budget, select_ranks
+from minima.tn_decompositions import (
+    FAMILIES,
+    HOOI_SWEEPS,
+    _reconstructions,
+    _check_sweeps,
+    default_mode_shape,
+    ratio_budget,
+    select_ranks,
+)
 
 log = logging.getLogger(__name__)
 
@@ -254,7 +262,7 @@ def probe_patch(
     ratio_grid,
     calib: np.ndarray,
     patch_id: int = 0,
-    hooi_iters: int = 1,
+    hooi_iters: int = HOOI_SWEEPS,
 ) -> list[ProbeRecord]:
     """Measure the output deviation of each candidate (family, ratio).
 
@@ -262,9 +270,10 @@ def probe_patch(
     8 sample columns. Infeasible ratios are skipped with a logged reason
     rather than raised; a family not in ``FAMILIES`` raises ``ValueError``.
 
-    Each probe equals ``compress_matrix(w, family, ratio_budget(ratio, m *
-    n), hooi_iters)`` bit for bit, from less work: this is the one-patch
-    case of ``analyze``'s stack probe (``_probe_stack``).
+    Each probe equals the deviation of ``compress_matrix(w, family,
+    ratio_budget(ratio, m * n))`` at the same ``hooi_iters`` bit for bit,
+    from less work: this is the one-patch case of ``analyze``'s stack probe
+    (``_probe_stack``).
     """
     w = as_tensor(w)
     if w.ndim != 2:
@@ -272,7 +281,7 @@ def probe_patch(
     return _probe_stack([patch_id], w[None], [calib], families, ratio_grid, hooi_iters)[0]
 
 
-def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -> list[list[ProbeRecord]]:
+def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=HOOI_SWEEPS) -> list[list[ProbeRecord]]:
     """``probe_patch`` of the same-shape patches of ``stack`` ``(P, m, n)``:
     one list of records per patch, in ``FAMILIES`` order, then ratio order.
     The patches and their calibrations are scanned before any decomposition.
@@ -283,6 +292,7 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=1) -
     the whole stack, and ||W X|| is computed once per patch.
     """
     families = _probe_families(families)
+    _check_sweeps(hooi_iters)
     stack = as_tensor(stack)
     calibs = [as_tensor(x) for x in calibs]
     m, n = stack.shape[1:]

@@ -32,6 +32,14 @@ sweep's, is ``tensor_core.leading_basis`` of its unfolding: an ``n_k x
 rest`` unfolding costs an ``n_k x n_k`` ``eigh``. TT splits need the
 singular values and right vectors too.
 
+Sweeps: a Tucker decomposition is the truncated HOSVD refined by
+``hooi_iters`` HOOI sweeps (De Lathauwer, De Moor & Vandewalle 2000). Every
+routine that takes the count, the probes of ``sensitivity`` included,
+defaults to ``HOOI_SWEEPS``, so at default arguments the layer that
+``compress_matrix`` builds for a probed (patch, ratio) is the probe's
+decomposition bit for bit. A count that is not a non-negative ``int`` (a
+``bool`` is not one) raises ``ValueError`` before any LAPACK call.
+
 Stacks: ``_tucker_stack`` and ``_train_stack`` decompose a stack of
 same-shape tensors ``(P, n_0, ..., n_{d-1})`` at each of a list of rank
 vectors (Tucker rank tuples, TT bond vectors) and yield one decomposition
@@ -73,6 +81,13 @@ from minima.tensor_core import (
 
 FAMILIES = ("tucker", "tt", "tr")
 DENSE = "dense"
+HOOI_SWEEPS = 1  # the default HOOI sweep count of every Tucker decomposition
+
+
+def _check_sweeps(hooi_iters) -> None:
+    """Raise ``ValueError`` unless ``hooi_iters`` is a non-negative ``int``."""
+    if isinstance(hooi_iters, bool) or not isinstance(hooi_iters, int) or hooi_iters < 0:
+        raise ValueError(f"hooi_iters must be a non-negative int, got {hooi_iters!r}")
 
 
 def balanced_split(n: int) -> tuple[int, ...]:
@@ -197,13 +212,13 @@ def _slice_energies(t: np.ndarray) -> np.ndarray:
     return (flat * flat).sum(axis=1)
 
 
-def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = 2) -> CompressedLayer:
-    """HOSVD initialization plus ``hooi_iters`` alternating refinement
-    sweeps of the truncated modes' factors: ``_tucker_stack`` of a stack of
+def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = HOOI_SWEEPS) -> CompressedLayer:
+    """Tucker decomposition at ``ranks``: ``_tucker_stack`` of a stack of
     one. The layer owns a copy of the core, and a whole mode's factor is
     ``np.eye(n_k)``. A count other than d, or a rank outside ``[1, n_k]``,
     raises ``RankError``.
     """
+    _check_sweeps(hooi_iters)
     t = _as_array(t)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != t.ndim:
@@ -231,30 +246,42 @@ def _tucker_stack(
     whose factor is the identity. With no truncated mode the core is ``t``
     itself. A mode's start basis is its full HOSVD eigenbasis
     (``_orthonormal_factor`` at rank ``n_k``), whose leading columns carry
-    the bits of a basis computed at their rank; ``_hooi`` refines it.
+    the bits of a basis computed at their rank; ``_hooi`` refines it. Each
+    basis is dropped once the last tuple that truncates its mode has copied
+    its columns, before that tuple's sweeps, and the generator keeps no
+    reference to what it yields.
     """
     if not rank_tuples:
         return
     shape = t.shape[1:]
-    modes = sorted({k for ranks in rank_tuples for k, n in enumerate(shape) if ranks[k] < n})
-    hosvd = {k: _orthonormal_factor(unfold(t, k, stacked=True), shape[k]) for k in modes}
+    last = {}  # truncated mode -> the index of the last tuple that truncates it
+    for i, ranks in enumerate(rank_tuples):
+        last.update((k, i) for k, n in enumerate(shape) if ranks[k] < n)
+    hosvd = {k: _orthonormal_factor(unfold(t, k, stacked=True), shape[k]) for k in sorted(last)}
     total = _slice_energies(t)
-    for ranks in rank_tuples:
-        cut = [k for k in modes if ranks[k] < shape[k]]  # the truncated modes
-        if not cut:
-            as_tensor(t)  # no basis call scans the input
-        factors = [None] * len(shape)
-        for k in cut:
-            factors[k] = hosvd[k][..., : ranks[k]].copy()
-        core = _hooi(t, ranks, cut, factors, hooi_iters, total)
-        yield ranks, core, factors
-        del core, factors
+    for i, ranks in enumerate(rank_tuples):  # no local holds what is yielded, so the caller can free it
+        done = [k for k, j in last.items() if j == i]
+        yield ranks, *_hooi(t, ranks, _start_factors(hosvd, ranks, done), hooi_iters, total)
 
 
-def _hooi(t: np.ndarray, ranks, cut: list[int], factors: list, hooi_iters: int, total: np.ndarray) -> np.ndarray:
-    """``hooi_iters`` sweeps over the truncated modes ``cut`` of a stack
-    ``t`` from the start ``factors``, which are updated in place; returns
-    the core. ``total`` holds each slice's squared norm.
+def _start_factors(hosvd: dict, ranks, done: list[int]) -> list[np.ndarray | None]:
+    """The HOSVD start at ``ranks``: a copy of the leading columns of each
+    truncated mode's basis in ``hosvd``, ``None`` for a whole mode. The
+    bases of the modes ``done`` are then dropped from ``hosvd``."""
+    factors = [None] * len(ranks)
+    for k, basis in hosvd.items():
+        if ranks[k] < basis.shape[-1]:
+            factors[k] = basis[..., : ranks[k]].copy()
+    for k in done:
+        del hosvd[k]
+    return factors
+
+
+def _hooi(t: np.ndarray, ranks, factors: list, hooi_iters: int, total: np.ndarray) -> tuple[np.ndarray, list]:
+    """``hooi_iters`` sweeps over the truncated modes of a stack ``t`` (those
+    whose start factor in ``factors`` is not ``None``), which are updated in
+    place; returns the core and ``factors``. ``total`` holds each slice's
+    squared norm.
 
     Each sweep recomputes every truncated factor from the unfolding of the
     tensor projected onto the other factors; the reconstruction error is
@@ -279,6 +306,9 @@ def _hooi(t: np.ndarray, ranks, cut: list[int], factors: list, hooi_iters: int, 
     sweep's core.
     """
     slack = 64 * len(ranks) * np.finfo(np.float64).eps
+    cut = [k for k, f in enumerate(factors) if f is not None]
+    if not cut:
+        as_tensor(t)  # no basis call scans the input
     core = t
     for k in cut:
         core = mode_dot(core, factors[k], k, stacked=True)
@@ -302,7 +332,7 @@ def _hooi(t: np.ndarray, ranks, cut: list[int], factors: list, hooi_iters: int, 
                 f"{before:.3e} -> {after:.3e} (slack {slack:.1e})"
             )
         kept = new_kept
-    return core
+    return core, factors
 
 
 def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
@@ -653,10 +683,11 @@ def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec |
     return RankSpec(family=family, ranks=tuple(ranks))
 
 
-def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = 2, row_mode_count: int = 1) -> CompressedLayer:
+def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = HOOI_SWEEPS, row_mode_count: int = 1) -> CompressedLayer:
     """Dispatch a tensor to the decomposition named by ``spec``. A
     ``row_mode_count`` outside ``[1, t.ndim)`` raises ``ShapeError`` before
     any decomposition."""
+    _check_sweeps(hooi_iters)
     t = as_tensor(t)
     if not 1 <= row_mode_count < t.ndim:
         raise ShapeError(f"row_mode_count {row_mode_count} invalid for {t.ndim} modes")
@@ -690,13 +721,14 @@ def compress_matrix(
     w: np.ndarray,
     family: str,
     target: ParamBudget,
-    hooi_iters: int = 2,
+    hooi_iters: int = HOOI_SWEEPS,
 ) -> CompressedLayer:
     """Reshape a weight matrix into balanced modes and decompose it with
     Tucker, TT or TR ranks that fit the parameter budget ``target``.
 
     Dense storage takes no budget: use ``decompose(t, RankSpec("dense"))``.
     """
+    _check_sweeps(hooi_iters)
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError("compress_matrix expects a matrix")

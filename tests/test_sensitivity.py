@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -26,7 +27,15 @@ from minima.sensitivity import (
     train_predictor,
 )
 import minima.tn_decompositions as tn
-from minima.tn_decompositions import FAMILIES, compress_matrix, default_mode_shape, layer_to_matrix, ratio_budget, select_ranks
+from minima.tn_decompositions import (
+    FAMILIES,
+    compress_matrix,
+    decompose,
+    default_mode_shape,
+    layer_to_matrix,
+    ratio_budget,
+    select_ranks,
+)
 
 
 def make_model(matrices):
@@ -226,6 +235,46 @@ TT_SPLITS_16x16 = [(4, 64), (8, 16), (8, 4), (12, 16), (8, 4), (12, 4), (16, 16)
 
 def record_bits(records) -> list:
     return [(r.patch_id, r.family, r.target_ratio, np.float64(r.measured_degradation).tobytes()) for r in records]
+
+
+class TestDefaultSweeps:
+    """With no ``hooi_iters`` passed anywhere, a Tucker probe record is the
+    output deviation of the layer that ``compress_matrix``, or ``decompose``
+    at the selected ranks, builds for its (patch, ratio), bit for bit: the
+    probes and the decompositions share ``HOOI_SWEEPS``."""
+
+    GRID = (0.5, 0.35, 0.25, 0.15)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (36, 64)])
+    def test_a_tucker_probe_is_the_deviation_of_the_realized_layer_bitwise(self, rng, shape):
+        m, n = shape
+        w, x = decayed_matrix(rng, m, n, 0.1), seeded_calib(n, 7)
+        mode_shape, row_modes = default_mode_shape(m, n)
+        records = probe_patch(w, ("tucker",), self.GRID, x)
+        assert [(r.family, r.target_ratio) for r in records] == [("tucker", r) for r in self.GRID]
+        for record in records:
+            budget = ratio_budget(record.target_ratio, m * n)
+            spec = select_ranks(mode_shape, "tucker", budget)
+            assert spec.ranks != mode_shape  # some mode is truncated, so the sweeps count
+            layers = [
+                compress_matrix(w, "tucker", budget),
+                decompose(w.reshape(mode_shape), spec, row_mode_count=row_modes),
+            ]
+            for layer in layers:
+                realized = output_deviation(w, layer_to_matrix(layer), x)
+                assert np.float64(realized).tobytes() == np.float64(record.measured_degradation).tobytes(), record
+
+    def test_the_probes_default_reads_the_constant(self):
+        for fn in (probe_patch, sensitivity._probe_stack):
+            assert inspect.signature(fn).parameters["hooi_iters"].default == tn.HOOI_SWEEPS, fn.__name__
+
+    @pytest.mark.parametrize("bad", [-1, True, 1.0, None], ids=repr)
+    def test_a_bad_count_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):
+        w = rng.standard_normal((16, 16))
+        for families in (("tucker",), ("tt",)):
+            with pytest.raises(ValueError, match="hooi_iters"):
+                probe_patch(w, families, self.GRID, seeded_calib(16, 3), hooi_iters=bad)
+        assert lapack_calls == [] and eigh_calls == []
 
 
 class TestProbeWork:

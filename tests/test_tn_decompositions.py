@@ -1,4 +1,6 @@
+import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -829,7 +831,12 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "family, svds, splits, bases, scans",
-        [("tucker", 0, 0, (6, 9), 1), ("tt", 0, 2, (0, 0), 1), ("tr", 0, 2, (0, 0), 1)],
+        [
+            # a factor per truncated mode at the start and per sweep: 2 modes at ratio 0.5, 3 at 0.25
+            ("tucker", 0, 0, tuple(c * (1 + tn.HOOI_SWEEPS) for c in (2, 3)), 1),
+            ("tt", 0, 2, (0, 0), 1),
+            ("tr", 0, 2, (0, 0), 1),
+        ],
         ids=["tucker", "tt", "tr"],
     )
     def test_compress_matrix_scans_its_input_once_plus_each_svd_input(
@@ -843,9 +850,9 @@ class TestInputChecks:
         split), a Tucker factor by the largest magnitude that sets its scale,
         with no ``as_tensor``; a TR is its train. On these (4, 8, 4, 8) modes
         Tucker takes a factor per truncated mode at the start and per sweep
-        (2 sweeps), 2 modes at ratio 0.5 and 3 at 0.25; TT and TR take one
-        LAPACK SVD per truncated split, a stack of one, and keep their first
-        split whole. Nothing calls the plain ``truncated_svd``."""
+        (``HOOI_SWEEPS`` sweeps), 2 modes at ratio 0.5 and 3 at 0.25; TT and
+        TR take one LAPACK SVD per truncated split, a stack of one, and keep
+        their first split whole. Nothing calls the plain ``truncated_svd``."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
         as_tensor, svd, basis = tc.as_tensor, tc.truncated_svd, tn.leading_basis
 
@@ -887,6 +894,41 @@ class TestInputChecks:
             assert all(bitwise_equal(a, b) for a, b in zip(payload(fast), payload(chain), strict=True))
 
 
+# every entry point that takes a HOOI sweep count, at a Tucker spec that
+# truncates modes 0 and 2 of a 32 x 32 matrix's (4, 8, 4, 8) modes
+SWEEP_ENTRIES = [
+    ("tucker_decompose", lambda w, n: tucker_decompose(w.reshape(4, 8, 4, 8), (2, 8, 3, 8), hooi_iters=n)),
+    ("decompose", lambda w, n: decompose(w.reshape(4, 8, 4, 8), RankSpec("tucker", (2, 8, 3, 8)), hooi_iters=n)),
+    ("compress_matrix", lambda w, n: compress_matrix(w, "tucker", ratio_budget(0.25, w.size), hooi_iters=n)),
+    ("compress_matrix_tt", lambda w, n: compress_matrix(w, "tt", ratio_budget(0.25, w.size), hooi_iters=n)),
+    ("decompose_dense", lambda w, n: decompose(w.reshape(4, 8, 4, 8), RankSpec("dense"), hooi_iters=n)),
+]
+
+
+class TestSweepCount:
+    """The HOOI sweep count: every default reads ``HOOI_SWEEPS``, and a
+    count that is not a non-negative ``int`` raises before any LAPACK call,
+    whatever the family: ``range`` of a negative count is empty, and a
+    ``bool`` is an ``int``, so neither would fail by itself."""
+
+    @pytest.mark.parametrize("bad", [-1, -3, True, False, 1.0, np.int64(1), None, "1"], ids=repr)
+    @pytest.mark.parametrize("name, call", SWEEP_ENTRIES, ids=[e[0] for e in SWEEP_ENTRIES])
+    def test_a_bad_count_raises_before_lapack(self, rng, lapack_calls, eigh_calls, name, call, bad):
+        with pytest.raises(ValueError, match="hooi_iters"):
+            call(rng.standard_normal((32, 32)), bad)
+        assert lapack_calls == [] and eigh_calls == []
+
+    @pytest.mark.parametrize("name, call", SWEEP_ENTRIES, ids=[e[0] for e in SWEEP_ENTRIES])
+    def test_every_valid_count_is_taken(self, rng, name, call):
+        w = rng.standard_normal((32, 32))
+        for n in range(4):
+            call(w, n)
+
+    def test_every_default_reads_the_constant(self):
+        for fn in (tucker_decompose, decompose, compress_matrix):
+            assert inspect.signature(fn).parameters["hooi_iters"].default == tn.HOOI_SWEEPS, fn.__name__
+
+
 class TestSvdSource:
     """The routines' factor sources: given HOSVD bases change no bit of a
     layer, and a ring is its train."""
@@ -926,6 +968,42 @@ class TestSvdSource:
             last = slices
         assert last.gi_frame is None
         assert read == [(("tucker", r), shape) for r in tucker] + [(("tt", b), shape) for b in sorted(trains)]
+
+    def test_a_yielded_decomposition_is_freed_when_the_caller_drops_it(self, rng):
+        # the generator's suspended frame holds no reference to what it yielded
+        t = rng.standard_normal((3, 4, 8, 4, 8))
+        stack = tn._tucker_stack(t, [(4, 5, 4, 5), (3, 3, 3, 3)], 1)
+        ranks, core, factors = next(stack)
+        refs = [weakref.ref(a) for a in (core, *[f for f in factors if f is not None])]
+        del core, factors
+        assert all(ref() is None for ref in refs)
+        assert next(stack)[0] == (3, 3, 3, 3)
+
+    @pytest.mark.parametrize("iters", [1, 2])
+    def test_each_hosvd_basis_is_dropped_before_the_sweeps_that_no_longer_need_it(self, rng, monkeypatch, iters):
+        # mode sizes name the bases: the first tuple truncates modes 0 (n = 3)
+        # and 2 (n = 5), the second mode 2 only, so mode 0's basis goes before
+        # the first tuple's sweeps and mode 2's before the second's
+        t = rng.standard_normal((2, 3, 4, 5, 6))
+        bases, alive = {}, []
+        factor = tn._orthonormal_factor
+
+        def recording(unfoldings, rank):
+            out = factor(unfoldings, rank)
+            if rank == unfoldings.shape[1]:  # a start basis
+                bases[rank] = weakref.ref(out)
+            else:  # a sweep's factor
+                alive.append(sorted(n for n, ref in bases.items() if ref() is not None))
+            return out
+
+        monkeypatch.setattr(tn, "_orthonormal_factor", recording)
+        for _ in tn._tucker_stack(t, [(2, 4, 3, 6), (3, 4, 2, 6)], iters):
+            pass
+        assert alive == ([[5], [5]] * iters) + [[]] * iters
+        bases.clear()
+        alive.clear()
+        tucker_decompose(t[0], (2, 4, 3, 6), hooi_iters=iters)
+        assert sorted(bases) == [3, 5] and alive == [[], []] * iters
 
     def test_a_ring_with_a_unit_closing_bond_has_the_train_cores_bitwise(self, rng):
         # what lets a probe of a ring take the train's deviation
