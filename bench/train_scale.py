@@ -7,12 +7,15 @@ Usage, from the root of the repository:
 For each size it builds synthetic probe records: every patch has 12 normal
 features and one probe per (family, ratio) of Tucker, TT and TR at ratios
 0.5 / 0.35 / 0.25 / 0.15, about 10% of which are missing, as skipped
-probes leave them. It times ``train_predictor``, the closed-form per-head
-ridge fit; each time is the median of five calls and every call's time is
-kept. Each row also records the fit's training errors and the per-head
-means'. The JSON written to ``--out`` records the numpy version, the BLAS
-build and the BLAS thread count, read as ``perfbench/run.py`` reads them;
-the BLAS is pinned to one thread as in ``perfbench/``.
+probes leave them. It times ``train_predictor``, the closed-form ridge
+fit with one solve per set of patches that its heads share: 5, 12 and 13
+solves for the 13 heads at the default sizes, since the missing probes
+give most heads a set of their own. Each time is the median of five calls
+and every call's time is kept. Each row also records the fit's
+training errors and the per-head means'. The JSON written to ``--out``
+records the numpy version, the BLAS build and the BLAS thread count, read
+as ``perfbench/run.py`` reads them; the BLAS is pinned to one thread as in
+``perfbench/``.
 """
 
 import os

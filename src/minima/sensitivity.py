@@ -404,24 +404,37 @@ def _score_targets(patch_ids, mean_deg) -> np.ndarray:
     return ranks / max(n - 1, 1)
 
 
-def _ridge_head(xs: np.ndarray, y: np.ndarray, clip: bool) -> tuple[float, np.ndarray, float, float]:
-    """Ridge fit of one head in centered form (Hoerl & Kennard 1970).
+def _ridge_fit(xs: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge fit of every head in centered form (Hoerl & Kennard 1970).
 
-    Returns the intercept ȳ − x̄·w, the weights w, and the summed squared
-    training errors of the fit and of the mean ȳ. Where the fit's error is
-    not at or below the mean's, w falls back to 0.
+    Head j is fitted on the rows ``mask[:, j]``. The heads that share their
+    rows share one centering, one Gram ``xcᵀxc + RIDGE·I`` and one
+    ``solve`` with a column per head. Returns ``coef``, the intercepts
+    ȳ − x̄·w over the weights w, and ``sse``, the summed squared training
+    errors of the fit over those of the mean ȳ. Head 0's fit is clipped to
+    [0, 1]. Where a head's fit error is not at or below its mean's, its w
+    falls back to 0.
     """
-    x_bar, y_bar = xs.mean(axis=0), float(y.mean())
-    xc, yc = xs - x_bar, y - y_bar
-    w = np.linalg.solve(xc.T @ xc + RIDGE * np.eye(xs.shape[1]), xc.T @ yc)
-    fit = xc @ w + y_bar
-    if clip:
-        fit = np.clip(fit, 0.0, 1.0)
-    mean_sse = float(yc @ yc)
-    fit_sse = float(np.sum((fit - y) ** 2))
-    if not fit_sse <= mean_sse:
-        w, fit_sse = np.zeros_like(w), mean_sse
-    return y_bar - float(x_bar @ w), w, fit_sse, mean_sse
+    shared: dict[bytes, list[int]] = {}  # a row set -> the heads fitted on it
+    for j in range(mask.shape[1]):
+        shared.setdefault(mask[:, j].tobytes(), []).append(j)
+    coef = np.zeros((1 + xs.shape[1], mask.shape[1]))
+    sse = np.zeros((2, mask.shape[1]))
+    for heads in shared.values():
+        rows = mask[:, heads[0]]
+        x, y = xs[rows], target[rows][:, heads]
+        x_bar, y_bar = x.mean(axis=0), y.mean(axis=0)
+        xc, yc = x - x_bar, y - y_bar
+        w = np.linalg.solve(xc.T @ xc + RIDGE * np.eye(xs.shape[1]), xc.T @ yc)
+        fit = xc @ w + y_bar
+        if heads[0] == 0:
+            fit[:, 0] = np.clip(fit[:, 0], 0.0, 1.0)
+        fit_sse, mean_sse = ((fit - y) ** 2).sum(axis=0), (yc**2).sum(axis=0)
+        worse = ~(fit_sse <= mean_sse)
+        w[:, worse], fit_sse[worse] = 0.0, mean_sse[worse]
+        coef[0, heads], coef[1:, heads] = y_bar - x_bar @ w, w
+        sse[:, heads] = fit_sse, mean_sse
+    return coef, sse
 
 
 def train_predictor(records) -> Predictor:
@@ -430,12 +443,16 @@ def train_predictor(records) -> Predictor:
     Each deviation head is fitted only on the patches that measured its
     (family, ratio); the score head, on every patch's ``_score_targets``
     rank. Features are standardized over all patches first. ``RIDGE`` is
-    the penalty on the weights. ``training_log`` holds the mean squared
-    training error over all measured cells, of the per-head means
-    (``initial_mse``) and of the fit (``final_mse``); a head whose fit is
-    worse than its mean keeps the mean, so ``final_mse`` never exceeds
-    ``initial_mse``. A non-finite feature or degradation raises
-    ``NumericsError`` before anything is fitted.
+    the penalty on the weights. Heads measured on the same patches share
+    one solve (``_ridge_fit``); each head's coefficients equal its own fit
+    up to rounding. ``training_log`` holds the mean squared training error
+    over all measured cells, of the per-head means (``initial_mse``) and
+    of the fit (``final_mse``); a head whose fit is worse than its mean
+    keeps the mean, so ``final_mse`` never exceeds ``initial_mse``. Before
+    anything is fitted, a non-finite feature or degradation raises
+    ``NumericsError``, and two records that disagree raise ``ValueError``:
+    two degradations for one (patch, family, ratio), or two feature vectors
+    for one patch. Identical repeats are taken once.
     """
     records = list(records)
     if len(records) < 32:
@@ -446,11 +463,13 @@ def train_predictor(records) -> Predictor:
     for feats, probe in records:
         if not math.isfinite(probe.measured_degradation):
             raise NumericsError(f"non-finite measured degradation in {probe}")
-        slot = by_patch.setdefault(
-            probe.patch_id, {"feats": np.asarray(feats, dtype=np.float64), "targets": {}}
-        )
+        feats = np.asarray(feats, dtype=np.float64)
+        slot = by_patch.setdefault(probe.patch_id, {"feats": feats, "targets": {}})
+        if feats is not slot["feats"] and not np.array_equal(feats, slot["feats"], equal_nan=True):
+            raise ValueError(f"patch {probe.patch_id} has two different feature vectors")
         key = (probe.family, probe.target_ratio)
-        slot["targets"][key] = probe.measured_degradation
+        if slot["targets"].setdefault(key, probe.measured_degradation) != probe.measured_degradation:
+            raise ValueError(f"two different degradations for patch {probe.patch_id} at {key}")
         column.setdefault(key, len(column) + 1)
 
     patch_ids = sorted(by_patch)
@@ -478,11 +497,7 @@ def train_predictor(records) -> Predictor:
     feat_std[feat_std < 1e-12] = 1.0
     xs = (x - feat_mean) / feat_std
 
-    coef = np.zeros((1 + N_FEATURES, nh))
-    sse = np.zeros((2, nh))  # per head: the fit's, then the mean's
-    for j in range(nh):
-        rows = mask[:, j]
-        coef[0, j], coef[1:, j], sse[0, j], sse[1, j] = _ridge_head(xs[rows], target[rows, j], clip=j == 0)
+    coef, sse = _ridge_fit(xs, target, mask)
     final_mse, initial_mse = (float(s) for s in sse.sum(axis=1) / mask.sum())
     if not final_mse <= initial_mse:
         raise NumericsError(f"fit error {final_mse} is not at or below the per-head means' {initial_mse}")

@@ -37,3 +37,18 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The right-hand side shape of every ``np.linalg.solve`` call the test
+    makes, in call order."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b, *args, **kwargs):
+        calls.append(np.shape(b))
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls

@@ -801,22 +801,74 @@ class TestRidgeFit:
             want = np.linalg.lstsq(a, np.concatenate([y, np.zeros(N_FEATURES)]), rcond=None)[0]
             np.testing.assert_allclose(predictor.coef[:, j], want, rtol=1e-9, atol=1e-12)
 
-    def test_a_fit_worse_than_the_mean_falls_back_to_it(self, monkeypatch):
-        # one informative feature: its standardized, centered column has a
-        # squared norm of n, so a ridge strength of -3n/4 makes the deviation
-        # head's w four times the exact weight and its error nine times the
-        # mean's (the score head's clipping can hide the overshoot)
+    def test_a_fit_worse_than_the_mean_falls_back_to_it(self, monkeypatch, solve_calls):
+        # two standardized features correlated at about 0.94: their Gram has
+        # eigenvalues of about 1.94n along z0 + z1 and 0.06n across it, so a
+        # ridge strength of -3n/4 scales a fit along by about 1.6 (still
+        # better than the mean) and one across by about -0.06 (worse). The
+        # score head, the head along and the head across share one solve.
         n = 64
-        t = np.random.default_rng(14).standard_normal(n)
+        z = np.random.default_rng(14).standard_normal((n, 2))
+        z[:, 1] = z[:, 0] + 0.3 * z[:, 1]
+        z = (z - z.mean(axis=0)) / z.std(axis=0)
         feats = np.zeros((n, N_FEATURES))
-        feats[:, 0] = t
-        records = [(feats[i], ProbeRecord(i, "tt", 0.5, 0.2 + 0.01 * t[i])) for i in range(n)]
-        assert train_predictor(records).coef[1].all()  # each head uses the feature
+        feats[:, :2] = z
+        heads = {0.5: z[:, 0] + z[:, 1], 0.25: z[:, 0] - z[:, 1]}  # along, across
+        records = [
+            (feats[i], ProbeRecord(i, "tt", ratio, 0.2 + 0.01 * d[i])) for ratio, d in heads.items() for i in range(n)
+        ]
+        assert train_predictor(records).coef[1:3].all()  # each head uses both features
         monkeypatch.setattr(sensitivity, "RIDGE", -0.75 * n)
+        solve_calls.clear()
         predictor = train_predictor(records)
-        assert not predictor.coef[1:, 1].any()
-        assert predictor.coef[0, 1] == pytest.approx(np.mean(0.2 + 0.01 * t), rel=1e-12)
+        assert solve_calls == [(N_FEATURES, 3)]
+        assert predictor.heads == [("tt", 0.5), ("tt", 0.25)]
+
+        xs = (feats - predictor.feat_mean) / predictor.feat_std
+        a = np.hstack([np.ones((n, 1)), xs])
+        penalty = sensitivity.RIDGE * np.diag([0.0] + [1.0] * N_FEATURES)  # the intercept is not penalized
+        mean_deg = [np.mean([0.2 + 0.01 * d[i] for d in heads.values()]) for i in range(n)]
+        targets = [_score_targets(list(range(n)), mean_deg)] + [0.2 + 0.01 * d for d in heads.values()]
+        fell_back = []
+        for j, y in enumerate(targets):
+            # the stationary point of ||b + X w - y||² + RIDGE ||w||²
+            want = np.linalg.lstsq(a.T @ a + penalty, a.T @ y, rcond=None)[0]
+            fit = a @ want
+            if j == 0:
+                fit = np.clip(fit, 0.0, 1.0)
+            if np.sum((fit - y) ** 2) > np.sum((y - y.mean()) ** 2):
+                fell_back.append(j)
+                assert not predictor.coef[1:, j].any()
+                assert predictor.coef[0, j] == pytest.approx(np.mean(y), rel=1e-12)
+            else:
+                np.testing.assert_allclose(predictor.coef[:, j], want, rtol=1e-9, atol=1e-12)
+        assert fell_back == [2]  # only the head across the features
         assert predictor.training_log["final_mse"] <= predictor.training_log["initial_mse"]
+
+    def test_only_the_score_head_is_clipped(self):
+        # about half the degradations are 0, so the deviation head's fit
+        # goes below 0 there; its training error counts that fit unclipped
+        n = 64
+        coeffs = np.zeros(N_FEATURES)
+        coeffs[0] = 0.05
+        records = linear_records(np.random.default_rng(25), n, coeffs, intercept=0.0)
+        predictor = train_predictor(records)
+        xs = (np.stack([f for f, _ in records]) - predictor.feat_mean) / predictor.feat_std
+        fit = predictor.coef[0] + xs @ predictor.coef[1:]
+        assert fit[:, 1].min() < 0
+        y = np.array([r.measured_degradation for _, r in records])
+        score = _score_targets(list(range(n)), y)
+        sse = np.sum((np.clip(fit[:, 0], 0.0, 1.0) - score) ** 2) + np.sum((fit[:, 1] - y) ** 2)
+        assert predictor.training_log["final_mse"] == pytest.approx(sse / (2 * n), rel=1e-9)
+
+    def test_heads_that_share_their_patches_share_one_solve(self, skipped_probe_records, solve_calls):
+        predictor = train_predictor(masked_records(22, drop=0.0))
+        assert solve_calls == [(N_FEATURES, 1 + len(predictor.heads))]
+        solve_calls.clear()
+        predictor = train_predictor(skipped_probe_records)
+        # the 16 x 16 patches skip every probe at 0.05, which leaves those
+        # three heads on the 32 x 32 patches alone
+        assert sorted(solve_calls) == [(N_FEATURES, 3), (N_FEATURES, 1 + len(predictor.heads) - 3)]
 
     def test_intercept_is_not_penalized(self):
         # shifting every degradation by c shifts each deviation head's
@@ -876,6 +928,46 @@ class TestRidgeFit:
         records = [(bad if r.patch_id == 2 else f, r) for f, r in records]
         with pytest.raises(NumericsError):
             train_predictor(records)
+
+
+class TestRecordConflicts:
+    def test_two_degradations_for_one_probe_raise_before_any_fit(self, solve_calls):
+        records = masked_records(23)
+        feats, probe = records[9]
+        moved = ProbeRecord(probe.patch_id, probe.family, probe.target_ratio, probe.measured_degradation + 0.01)
+        records.append((feats, moved))
+        with pytest.raises(ValueError, match="two different degradations"):
+            train_predictor(records)
+        assert solve_calls == []
+
+    def test_two_feature_vectors_for_one_patch_raise_before_any_fit(self, solve_calls):
+        records = masked_records(24)
+        patch = records[9][1].patch_id
+        last = max(i for i, (_, r) in enumerate(records) if r.patch_id == patch)
+        feats, probe = records[last]
+        moved = feats.copy()
+        moved[3] += 1e-12
+        records[last] = (moved, probe)
+        with pytest.raises(ValueError, match="two different feature vectors"):
+            train_predictor(records)
+        assert solve_calls == []
+
+    def test_a_repeated_ratio_trains_the_predictor_of_the_grid_without_it(self):
+        # probes at a ratio the grid repeats are identical records, each
+        # with its own copy of the patch's features
+        rng = np.random.default_rng(78)
+        once, twice = [], []
+        for pid in range(8):
+            w = decayed_matrix(rng, 16, 16, 0.1 + 0.05 * pid)
+            feats = extract_features(w, Patch(pid, "w", pid, "ffn", (0, 16), (0, 16)), 8)
+            for grid, out in (((0.5, 0.25), once), ((0.5, 0.25, 0.25), twice)):
+                probes = probe_patch(w, ("tucker", "tt", "tr"), grid, seeded_calib(16, pid), patch_id=pid)
+                out.extend((feats.copy(), r) for r in probes)
+        assert len(twice) == 3 * len(once) // 2
+        a, b = train_predictor(once), train_predictor(twice)
+        assert a.heads == b.heads
+        assert a.coef.tobytes() == b.coef.tobytes()
+        assert a.training_log == b.training_log
 
 
 def leave_one_layer_out_rmse(result) -> tuple[float, float]:
