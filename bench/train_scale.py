@@ -10,8 +10,10 @@ features and one probe per (family, ratio) of Tucker, TT and TR at ratios
 probes leave them. It times ``train_predictor``, the closed-form ridge
 fit with one solve per set of patches that its heads share: 5, 12 and 13
 solves for the 13 heads at the default sizes, since the missing probes
-give most heads a set of their own. Each time is the median of five calls
-and every call's time is kept. Each row also records the fit's
+give most heads a set of their own. Calls repeat until there are at
+least ``REPEATS`` of them and they have taken ``MIN_SECONDS``; each row
+records the number of calls and the median time with its quartiles.
+Each row also records the fit's
 training errors and the per-head means'. The JSON written to ``--out``
 records the numpy version, the BLAS build and the BLAS thread count, read
 as ``perfbench/run.py`` reads them; the BLAS is pinned to one thread as in
@@ -39,12 +41,13 @@ from minima.sensitivity import train_predictor  # noqa: E402
 from run import environment  # noqa: E402  (perfbench/run.py)
 from test_sensitivity import masked_records  # noqa: E402
 
-REPEATS = 5
+REPEATS = 40  # calls at least
+MIN_SECONDS = 1.0  # so the small sizes, each under 2 ms, take hundreds of calls
 
 
 def timed_runs(fn):
     times = []
-    for _ in range(REPEATS):
+    while len(times) < REPEATS or sum(times) < MIN_SECONDS:
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
@@ -57,10 +60,10 @@ def measure(n_patches: int) -> dict:
     return {
         "patches": n_patches,
         "records": len(records),
-        "train_predictor_s": statistics.median(runs),
+        "train_predictor_s": dict(zip(("q1", "median", "q3"), statistics.quantiles(runs, n=4))),
+        "calls": len(runs),
         "initial_mse": predictor.training_log["initial_mse"],
         "final_mse": predictor.training_log["final_mse"],
-        "runs": {"train_predictor_s": runs},
     }
 
 
@@ -73,11 +76,12 @@ def main():
     rows = []
     for n in args.patches:
         rows.append(measure(n))
-        print(json.dumps({k: v for k, v in rows[-1].items() if k != "runs"}), flush=True)
+        print(json.dumps(rows[-1]), flush=True)
     report = {
         "command": " ".join(["python3 bench/train_scale.py", *sys.argv[1:]]),
         "environment": environment(),
         "repeats": REPEATS,
+        "min_seconds": MIN_SECONDS,
         "rows": rows,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -24,10 +24,14 @@ from minima.tn_decompositions import (
 )
 
 MODES = ("uniform", "sensitivity", "sensitivity_mixed")
+_FAMILY_ORDER = {family: i for i, family in enumerate(FAMILIES)}  # greedy tie-break
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Candidate:
+    """One way to store a patch: ``family`` at ``ratio``, with its ranks,
+    stored scalars and predicted degradation."""
+
     family: str
     ratio: float
     params: int
@@ -35,7 +39,7 @@ class Candidate:
     ranks: tuple[int, ...] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PatchOptions:
     """Planner view of one patch: where it sits, and how it may be compressed.
 
@@ -53,7 +57,7 @@ class PatchOptions:
         return self.patch.patch_id
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanEntry:
     """How the plan stores one patch: dense, or one family at one ratio."""
 
@@ -118,26 +122,37 @@ def build_options(
     call and dropped when it returns. Patches whose every prediction
     exceeds the cap are pinned dense; excluded kinds never receive
     candidates.
+
+    Each candidate is one slotted ``Candidate``, built once per (patch,
+    family, ratio) and shared with every plan ``allocate`` makes from these
+    options. ``Candidate`` is not frozen, so it is not hashable.
+
+    Two records for one patch, or a cap that is NaN or negative, raise
+    ``ValueError`` before any work.
     """
+    if not degradation_cap >= 0:
+        raise ValueError(f"degradation cap must be >= 0, got {degradation_cap}")
+    by_id = {}
+    for r in records:
+        if r.patch_id in by_id:
+            raise ValueError(f"two sensitivity records for patch {r.patch_id}")
+        by_id[r.patch_id] = r
     fit = functools.cache(_fit)
-    by_id = {r.patch_id: r for r in records}
     options = []
     for patch in patches:
         record = by_id.get(patch.patch_id)
-        opt = PatchOptions(patch, compressible=patch.submodule_kind not in exclude_kinds)
-        if record is not None and opt.compressible:
+        compressible = patch.submodule_kind not in exclude_kinds
+        candidates = []
+        if record is not None and compressible:
             geometry = (patch.rows, patch.cols)
             for family in FAMILIES:
                 for ratio, deg in record.predictions.get(family, {}).items():
                     ranks_params = fit(geometry, family, ratio)
                     if ranks_params is not None:
                         ranks, params = ranks_params
-                        opt.candidates.append(Candidate(family, float(ratio), params, deg, ranks))
-            if opt.candidates and all(
-                c.predicted_degradation > degradation_cap for c in opt.candidates
-            ):
-                opt.pinned = True
-        options.append(opt)
+                        candidates.append(Candidate(family, float(ratio), params, deg, ranks))
+        pinned = bool(candidates) and all(c.predicted_degradation > degradation_cap for c in candidates)
+        options.append(PatchOptions(patch, candidates, compressible, pinned))
     return options
 
 
@@ -151,22 +166,39 @@ def _entry(patch: Patch, cand: Candidate) -> PlanEntry:
 
 def _best_step(pid: int, cands, params: int, deg: float):
     """``(key, candidate)`` of the patch's best next step, or None if no
-    candidate stores fewer params; the smallest key is the best step."""
+    candidate stores fewer params; the smallest key is the best step.
+
+    The key is ``(-score, pid, family order, -ratio)``. Scores are compared
+    first; only an exact tie (``inf == inf`` included) compares family order
+    and ratio, and only strictly, so of equal keys the candidate listed
+    first wins. The key is built once, for the winner.
+    """
     best = None
+    top = 0.0
     for cand in cands:
         if cand.params >= params:
             continue
         added = cand.predicted_degradation - deg
         score = math.inf if added <= 0 else (params - cand.params) / added
-        key = (-score, pid, FAMILIES.index(cand.family), -cand.ratio)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best
+        if (
+            best is None
+            or score > top
+            or (
+                score == top
+                and (_FAMILY_ORDER[cand.family], -cand.ratio) < (_FAMILY_ORDER[best.family], -best.ratio)
+            )
+        ):
+            best, top = cand, score
+    if best is None:
+        return None
+    return (-top, pid, _FAMILY_ORDER[best.family], -best.ratio), best
 
 
 def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
     usable = {
-        o.patch_id: [c for c in o.candidates if mode == "sensitivity_mixed" or c.family == single_family]
+        o.patch_id: o.candidates
+        if mode == "sensitivity_mixed"
+        else [c for c in o.candidates if c.family == single_family]
         for o in options
         if o.compressible and not o.pinned
     }
@@ -351,10 +383,14 @@ def allocate(
     added predicted degradation. Steps that add none come first. A heap
     holds each patch's best next step, keyed ``(-score, patch id, family
     order (tucker, tt, tr), -ratio)``. So ties break on lower patch id,
-    then family order, then larger ratio. After a step, only the stepped
-    patch's entry is recomputed. If the steps run out above the budget,
-    ``InfeasibleBudgetError`` says how many compressible patches are
-    pinned dense.
+    then family order, then larger ratio, then listing order. After a step,
+    only the stepped patch's entry is recomputed, by a scan of its
+    candidates that compares scores first (``_best_step``). Options hold
+    one slotted ``Candidate`` per (patch, family, ratio), not frozen and so
+    not hashable; ``sensitivity_mixed`` scans each option's list as it is,
+    ``sensitivity`` a copy filtered to ``single_family``. If the steps run
+    out above the budget, ``InfeasibleBudgetError`` says how many
+    compressible patches are pinned dense.
 
     A non-finite ``predicted_degradation`` on any candidate raises
     ``ValueError``.

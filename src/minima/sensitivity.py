@@ -592,8 +592,9 @@ def analyze(
 
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns. A
-    family not in ``FAMILIES``, or a probed layer that ``calib`` lacks,
-    raises ``ValueError`` before any work. The
+    family not in ``FAMILIES``, a probed layer that ``calib`` lacks, or a
+    ``degradation_cap`` that is NaN or negative raises ``ValueError`` before
+    any work. The
     patches are grouped by shape into stacks (``_patch_stacks``), and each
     stack's features are taken at once (``_stack_features``); so are the
     probed patches', each stack probed at once (``_probe_stack``). Features
@@ -607,6 +608,8 @@ def analyze(
     benchmark workloads in ``perfbench/workloads.py`` pass it.
     """
     _probe_families(families)
+    if not degradation_cap >= 0:
+        raise ValueError(f"degradation cap must be >= 0, got {degradation_cap}")
     patches = partition_patches(model, patch_size)
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
     missing = [name for name in dict.fromkeys(p.layer_name for p in probe_targets) if name not in calib]

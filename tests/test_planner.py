@@ -193,12 +193,39 @@ class TestBuildOptions:
         assert entry.family == "tt" and entry.params <= 2048
         assert entry.predicted_degradation == 0.0
 
+    @pytest.mark.parametrize("cap", [math.nan, -1e-3, -math.inf])
+    def test_a_nan_or_negative_cap_raises(self, cap):
+        # every deg > nan is False, so a NaN cap pinned nothing; a negative one pinned every patch
+        record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})
+        with pytest.raises(ValueError, match=f"degradation cap must be >= 0, got {cap}"):
+            build_options([record], one_patch(), degradation_cap=cap)
+        (opt,) = build_options([record], one_patch(), degradation_cap=0.0)
+        assert opt.pinned
+
+    def test_two_records_for_one_patch_raise_naming_it(self):
+        # the last record once won, so a fragile duplicate pinned a robust patch
+        robust = SensitivityRecord(3, 0.5, self.PREDICTIONS, {})
+        fragile = SensitivityRecord(3, 0.9, {"tt": {0.5: 0.5, 0.25: 0.9}}, {})
+        patches = [flat_patch(pid, 4096) for pid in range(4)]
+        with pytest.raises(ValueError, match="two sensitivity records for patch 3$"):
+            build_options([robust, fragile], patches)
+
     @pytest.mark.parametrize("exclude, compressible", [((), True), (("ffn",), False)])
     def test_exclude_kinds_decides_compressibility(self, exclude, compressible):
         record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})
         (opt,) = build_options([record], one_patch("ffn"), exclude_kinds=exclude)
         assert opt.compressible == compressible
         assert len(opt.candidates) == (2 if compressible else 0)
+
+
+def test_planner_values_are_slotted():
+    # one Candidate per (patch, family, ratio): no per-instance dict
+    options = plan_options([(64, 128)])
+    plan = allocate(options, 0.5)
+    for value in (options[0], options[0].candidates[0], plan.entries[0]):
+        assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(options[0].candidates[0])
 
 
 def test_uniform_compresses_pinned_patches():
@@ -413,6 +440,25 @@ class TestHeapGreedy:
             expected = plan_or_error(reference_greedy, twins, target, mode, "tt")
             assert plan_or_error(allocate, twins, target, mode, "tt") == expected
         assert allocate(twins, 0.8, mode=mode, single_family="tt").achieved_params == 32
+
+    @pytest.mark.parametrize(
+        "cands, chosen",
+        [
+            # family order first, whatever either saves
+            ([Candidate("tt", 0.5, 16, 0.0), Candidate("tucker", 0.25, 48, 0.0)], ("tucker", 0.25, 48)),
+            # then the larger ratio
+            ([Candidate("tt", 0.25, 16, 0.0), Candidate("tt", 0.5, 48, -1e-3)], ("tt", 0.5, 48)),
+            # then the candidate listed first
+            ([Candidate("tt", 0.5, 40, 0.0), Candidate("tt", 0.5, 24, 0.0)], ("tt", 0.5, 40)),
+        ],
+    )
+    def test_infinite_scores_tie_on_family_then_ratio_then_listing(self, cands, chosen):
+        # a step that adds no degradation scores inf, and inf == inf is a tie
+        options = [PatchOptions(flat_patch(0, 64), cands)]
+        plan = allocate(options, 0.9, mode="sensitivity_mixed")
+        assert plan == reference_greedy(options, 0.9, "sensitivity_mixed", "tt")
+        (entry,) = plan.entries
+        assert (entry.family, entry.target_ratio, entry.params) == chosen
 
     def test_each_step_rescores_only_its_patch(self, monkeypatch):
         options = plan_options([(256, 256)] * 4)

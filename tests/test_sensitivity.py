@@ -395,6 +395,15 @@ class TestProbeWork:
             analyze(model, calib, patch_size=(32, 32), families=families, probe_stride=1)
         assert lapack_calls == []  # before any feature or probe
 
+    @pytest.mark.parametrize("cap", [math.nan, -1e-3, -math.inf])
+    def test_analyze_rejects_a_nan_or_negative_cap(self, rng, lapack_calls, cap):
+        # a NaN cap admits no prediction, so every record recommended nothing
+        model = make_model([("w", rng.standard_normal((64, 64)), "ffn")])
+        calib = {"w": rng.standard_normal((64, 16))}
+        with pytest.raises(ValueError, match=f"degradation cap must be >= 0, got {cap}"):
+            analyze(model, calib, patch_size=(32, 32), probe_stride=1, degradation_cap=cap)
+        assert lapack_calls == []  # before any feature or probe
+
 
 class TestCalibrationChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
