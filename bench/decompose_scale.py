@@ -9,12 +9,15 @@ orthonormal singular vectors, singular values decaying as exp(-0.1 k)) and,
 for each of Tucker, TT and TR at ratio 0.25, times ``compress_matrix`` at
 its defaults (``HOOI_SWEEPS`` HOOI sweeps for Tucker) and ``select_ranks``
 on the patch's mode shape. ``select_ranks`` is timed cold, its process-wide
-memo cleared before each call so that every call runs the search, and warm,
-every call a memo hit. ``compress_matrix`` is timed as a caller meets it: its first call of a
-(shape, family, budget) runs the search, later ones hit the memo. Each time
-is the median of five calls; every call's time is kept.
-Each row also records the selected ranks and the relative reconstruction
-error, so two checkouts can be compared for equal outputs. The JSON written
+memo cleared before each call so that every call runs the search (a TR
+search runs the TT search it takes its ranks from), and warm, every call a
+memo hit. ``compress_matrix`` is timed as a caller meets it: its first call
+of a (shape, family, budget) runs the search, later ones hit the memo.
+Calls repeat until there are at least ``REPEATS`` of them and they have
+taken ``MIN_SECONDS``; each time is recorded as the median with its
+quartiles, beside the number of calls. Each row also records the selected
+ranks and the relative reconstruction error ||W - What|| / ||W||, so two
+checkouts can be compared for equal outputs. The JSON written
 to ``--out`` records the numpy version, the BLAS build and the BLAS thread
 count, read as ``perfbench/run.py`` reads them; the BLAS is pinned to one
 thread as in ``perfbench/``.
@@ -38,7 +41,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from minima.tensor_core import relative_error  # noqa: E402
 from minima.tn_decompositions import (  # noqa: E402
     FAMILIES,
     HOOI_SWEEPS,
@@ -53,7 +55,8 @@ from run import environment  # noqa: E402  (perfbench/run.py)
 
 RATIO = 0.25
 DECAY = 0.1
-REPEATS = 5
+REPEATS = 40  # calls at least
+MIN_SECONDS = 1.0  # per timing, so a fast call is taken thousands of times
 
 
 def synthetic(n: int) -> np.ndarray:
@@ -64,15 +67,17 @@ def synthetic(n: int) -> np.ndarray:
 
 
 def timed_runs(fn, before=None):
-    """``fn``'s last output and the time of each of REPEATS calls, each after an untimed ``before()``."""
-    times = []
-    for _ in range(REPEATS):
+    """``fn``'s last output and the quartiles and count of its call times,
+    each call after an untimed ``before()``."""
+    times, total = [], 0.0  # a running total: a warm search takes microseconds, so its calls run to the hundred thousands
+    while len(times) < REPEATS or total < MIN_SECONDS:
         if before is not None:
             before()
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
-    return out, times
+        total += times[-1]
+    return out, {**dict(zip(("q1", "median", "q3"), statistics.quantiles(times, n=4))), "calls": len(times)}
 
 
 def measure(n: int) -> list[dict]:
@@ -90,11 +95,10 @@ def measure(n: int) -> list[dict]:
                 "mode_shape": list(mode_shape),
                 "family": family,
                 "ranks": list(spec.ranks),
-                "relative_error": relative_error(w, layer_to_matrix(layer)),
-                "compress_matrix_s": statistics.median(compress_s),
-                "select_ranks_cold_s": statistics.median(cold_s),
-                "select_ranks_warm_s": statistics.median(warm_s),
-                "runs": {"compress_matrix_s": compress_s, "select_ranks_cold_s": cold_s, "select_ranks_warm_s": warm_s},
+                "relative_error": float(np.linalg.norm(w - layer_to_matrix(layer)) / np.linalg.norm(w)),
+                "compress_matrix_s": compress_s,
+                "select_ranks_cold_s": cold_s,
+                "select_ranks_warm_s": warm_s,
             }
         )
     return rows
@@ -110,13 +114,14 @@ def main():
     for n in args.sizes:
         for row in measure(n):
             rows.append(row)
-            print(json.dumps({k: v for k, v in row.items() if k != "runs"}), flush=True)
+            print(json.dumps(row), flush=True)
     report = {
         "command": " ".join(["python3 bench/decompose_scale.py", *sys.argv[1:]]),
         "environment": environment(),
         "ratio": RATIO,
         "hooi_iters": HOOI_SWEEPS,
         "repeats": REPEATS,
+        "min_seconds": MIN_SECONDS,
         "rows": rows,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

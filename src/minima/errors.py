@@ -17,10 +17,6 @@ class RankError(MinimaError):
     """Requested decomposition ranks are out of the feasible range."""
 
 
-class DegenerateReferenceError(MinimaError):
-    """Relative error against a zero-norm reference is undefined."""
-
-
 class InfeasibleBudgetError(MinimaError):
     """A parameter budget below the smallest admissible configuration.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from minima.errors import InfeasibleBudgetError
-from minima.sensitivity import Patch
+from minima.sensitivity import Patch, _check_cap
 from minima.tn_decompositions import (
     FAMILIES,
     default_mode_shape,
@@ -130,8 +130,7 @@ def build_options(
     Two records for one patch, or a cap that is NaN or negative, raise
     ``ValueError`` before any work.
     """
-    if not degradation_cap >= 0:
-        raise ValueError(f"degradation cap must be >= 0, got {degradation_cap}")
+    _check_cap(degradation_cap)
     by_id = {}
     for r in records:
         if r.patch_id in by_id:

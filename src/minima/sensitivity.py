@@ -24,8 +24,9 @@ from minima.tensor_core import as_tensor
 from minima.tn_decompositions import (
     FAMILIES,
     HOOI_SWEEPS,
-    _reconstructions,
     _check_sweeps,
+    _probe_key,
+    _reconstructions,
     default_mode_shape,
     ratio_budget,
     select_ranks,
@@ -226,13 +227,9 @@ class ProbeRecord:
     measured_degradation: float
 
 
-def output_deviation(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray) -> float:
-    """Relative deviation of the layer output, ||(W - What) X|| / ||W X||."""
-    return _deviation(w, w_hat, x, float(np.linalg.norm(w @ x)))
-
-
 def _deviation(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray, base: float) -> float:
-    """``output_deviation`` with ``base`` = ||W X|| computed by the caller."""
+    """Relative deviation of the layer output, ||(W - What) X|| / ``base``,
+    where the caller passes ``base`` = ||W X||; 0.0 where that is 0."""
     if base == 0.0:
         log.debug("degenerate reference output; reporting zero deviation")
         return 0.0
@@ -246,14 +243,6 @@ def _probe_families(families) -> list[str]:
     if unknown:
         raise ValueError("unknown family " + ", ".join(map(repr, unknown)))
     return [f for f in FAMILIES if f in chosen]
-
-
-def _probe_key(spec) -> tuple:
-    """The structure a probe decomposes. A ring is the train with bonds
-    ``ranks[1:]`` (``tr_decompose``), so it shares the train's key."""
-    if spec.family == "tr":
-        return ("tt", spec.ranks[1:])
-    return (spec.family, spec.ranks)
 
 
 def probe_patch(
@@ -522,8 +511,18 @@ def predict(
     cap: float = 0.02,
 ) -> SensitivityRecord:
     """Score a patch and pick, per family, the deepest ratio within the cap:
-    the one-row case of ``analyze``'s records (``_records``)."""
+    the one-row case of ``analyze``'s records (``_records``). A ``cap``
+    that is NaN or negative raises ``ValueError`` before any work."""
+    _check_cap(cap)
     return _records(predictor, feats, [patch_id], cap)[0]
+
+
+def _check_cap(cap) -> None:
+    """Raise ``ValueError`` unless the degradation cap is ``>= 0``: a NaN
+    cap admits no prediction, and a negative one none either, since every
+    prediction is clipped at 0."""
+    if not cap >= 0:
+        raise ValueError(f"degradation cap must be >= 0, got {cap}")
 
 
 def _records(predictor: Predictor, feats: np.ndarray, patch_ids, cap: float) -> list[SensitivityRecord]:
@@ -608,8 +607,7 @@ def analyze(
     benchmark workloads in ``perfbench/workloads.py`` pass it.
     """
     _probe_families(families)
-    if not degradation_cap >= 0:
-        raise ValueError(f"degradation cap must be >= 0, got {degradation_cap}")
+    _check_cap(degradation_cap)
     patches = partition_patches(model, patch_size)
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
     missing = [name for name in dict.fromkeys(p.layer_name for p in probe_targets) if name not in calib]

@@ -1,47 +1,37 @@
-"""Dense tensor substrate: reshaping, unfolding, mode products, truncated SVD
-and leading bases.
+"""Dense tensor substrate: unfolding, mode products, SVD and leading bases.
 
-Conventions used everywhere in this package:
+Conventions of the whole package, stated here once:
 
-* tensors are ``float64`` C-ordered numpy arrays (row-major, last index
-  varies fastest);
-* mode-k unfolding puts mode k on the rows and enumerates the remaining
-  modes on the columns in increasing mode order, last varying fastest;
-* every SVD is LAPACK's (``numpy.linalg.svd``) under a fixed sign
-  convention, so identical input bits give identical output bits on a
-  given numpy/LAPACK build and BLAS thread count;
-* a factor that needs only the left singular subspace (a Tucker factor)
-  comes from :func:`leading_basis`: the eigenvectors of the Gram matrix
-  ``s @ s.T`` by LAPACK's ``numpy.linalg.eigh``, largest eigenvalue first,
-  under ``truncated_svd``'s sign rule. ``s`` is the input scaled by the
-  exact power of two that puts its largest magnitude in [0.5, 1), so the
-  Gram cannot overflow and its largest entry cannot underflow, and scaling
-  the input by any power of two (short of the subnormal range) changes no
-  output bit. An
-  ``m x n`` input costs an ``m x m`` eigendecomposition and no right
-  vectors, and identical input bits give identical output bits on a
-  given build, as for the SVD;
-* the only truncation is an integer rank: keep the leading ``r`` triplets
-  or vectors. Ranks come from a :class:`ParamBudget` through
+* Tensors are ``float64`` C-ordered numpy arrays. A mode-k unfolding puts
+  mode k on the rows and the other modes on the columns in increasing
+  mode order, the last varying fastest.
+* Determinism: the same input bits give the same output bits on a given
+  numpy/LAPACK build and BLAS thread count. Every SVD is LAPACK's
+  ``numpy.linalg.svd`` and every eigendecomposition its ``eigh``.
+* Sign rule: each kept singular vector pair, or eigenvector, is flipped so
+  that the left vector's largest-magnitude entry is positive, the lowest
+  row index winning ties (``_column_signs``). A column's sign depends only
+  on that column, so a truncation is a prefix of the full result bit for
+  bit.
+* Stacks: ``unfold``, ``mode_dot`` and ``leading_basis`` take a stack of
+  same-shape operands with ``stacked=True``. Axis 0 indexes the slices, as
+  the leading axes of ``numpy.linalg`` do, and each slice is treated as the
+  plain call treats it alone, with its own scale and sign rule. The stacked
+  ``np.matmul``, ``eigh`` and ``svd`` make the plain call's BLAS / LAPACK
+  call per slice, so each slice's bits equal the plain call's
+  (``tests/test_tensor_core.py`` checks this on the installed build).
+* Finiteness: LAPACK never sees a NaN or inf (``np.linalg.svd`` of a 4 x
+  128 matrix with one inf entry does not return under OpenBLAS 0.3.31).
+  Each entry point scans its input with ``as_tensor``, or reads every
+  entry in work it does anyway and raises ``NumericsError`` there.
+* Truncation is an integer rank: keep the leading ``r`` triplets or
+  vectors. Ranks come from a ``ParamBudget`` through
   ``tn_decompositions.select_ranks``. A rank that keeps all ``m`` rows of
-  an ``m x n`` input truncates nothing: the decompositions take the
-  identity as its left factor and make no SVD, basis or product for it;
-* :func:`unfold`, :func:`mode_dot` and :func:`leading_basis` also take a
-  stack of same-shape operands (``stacked=True``): axis 0 indexes the
-  slices, as the leading axes of ``numpy.linalg`` do, and every slice is
-  treated as the plain call would treat it alone, with its own power-of-two
-  scale and its own sign rule. Each slice's output bits equal the plain
-  call's on a given build: the stacked ``np.matmul`` and ``np.linalg.eigh``
-  run the same BLAS / LAPACK call per slice (``tests/test_tensor_core.py``
-  checks this on the installed build). ``np.linalg.svd`` of a stack is
-  likewise one LAPACK call per slice, each slice's bits those of the plain
-  call: ``sensitivity`` takes feature spectra over stacks, and
-  ``tn_decompositions`` TT splits, under ``truncated_svd``'s sign rule
-  (:func:`_column_signs` takes a stack);
-* :func:`truncated_svd`, :func:`full_svd` and :class:`SvdResult` have no
-  caller in the package: every SVD it takes with vectors is a stacked TT
-  split. They are the sign rule's plain reference: the tests compare the
-  stacked splits and bases against them, and ``perfbench/spans.py`` wraps
+  an ``m x n`` input truncates nothing, and the decompositions take the
+  identity for it.
+* ``truncated_svd``, ``full_svd`` and ``SvdResult`` have no caller in the
+  package, whose SVDs with vectors are stacked TT splits. They are the sign
+  rule's plain reference for the tests, and ``perfbench/spans.py`` wraps
   them by name.
 """
 
@@ -52,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from minima.errors import DegenerateReferenceError, NumericsError, RankError, ShapeError
+from minima.errors import NumericsError, RankError, ShapeError
 
 
 def as_tensor(data, shape=None) -> np.ndarray:
@@ -87,22 +77,6 @@ def _rejected(t: np.ndarray, exc: Exception) -> Exception:
     """
     as_tensor(t)
     return exc
-
-
-def frobenius(t: np.ndarray) -> float:
-    return float(np.linalg.norm(np.ravel(t)))
-
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius-relative deviation ||a - b|| / ||a||."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ref = frobenius(a)
-    if ref == 0.0:
-        raise DegenerateReferenceError("relative error against a zero tensor")
-    return frobenius(a - b) / ref
 
 
 @functools.cache
@@ -189,14 +163,6 @@ class SvdResult:
         return int(self.values.shape[0])
 
 
-def _matrix(data) -> np.ndarray:
-    """``as_tensor`` of a rank-2 tensor; other ranks raise ``ShapeError``."""
-    m = as_tensor(data)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
-    return m
-
-
 def _column_signs(u: np.ndarray) -> np.ndarray:
     """``-1.0`` or ``1.0`` per column of ``u`` (of each matrix of a stack),
     shaped to broadcast over it: the sign that makes the column's
@@ -208,23 +174,16 @@ def _column_signs(u: np.ndarray) -> np.ndarray:
 
 
 def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
-    """The leading ``rank`` singular triplets of a rank-2 tensor, bitwise
-    reproducible per build.
-
-    The thin LAPACK SVD yields all ``min(m, n)`` triplets with values in
-    non-increasing order; each kept pair of singular vectors is flipped
-    together so that the largest-magnitude entry of the left vector is
-    positive (lowest row index on ties). The sign of a pair depends only on
-    its own column, so the result is a prefix of ``full_svd`` bit for bit.
-    Past the numerical rank the kept values are zero up to rounding and
-    their vectors stay orthonormal. ``rank`` outside ``[1, min(m, n)]``
-    raises ``RankError``.
-
-    The input is scanned by ``as_tensor`` on every call: LAPACK must never
-    see an inf or NaN (``np.linalg.svd`` of a 4 x 128 matrix with one inf
-    entry does not return under OpenBLAS 0.3.31).
+    """The leading ``rank`` singular triplets of a rank-2 tensor from the
+    thin LAPACK SVD, values non-increasing, under the sign rule: a prefix
+    of ``full_svd`` bit for bit. Past the numerical rank the kept values
+    are zero up to rounding and their vectors stay orthonormal. Another
+    rank of tensor raises ``ShapeError``, and ``rank`` outside ``[1, min(m,
+    n)]`` raises ``RankError``.
     """
-    m = _matrix(matrix)
+    m = as_tensor(matrix)
+    if m.ndim != 2:
+        raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
     if not 1 <= rank <= min(m.shape):
         raise RankError(f"rank {rank} out of range [1, {min(m.shape)}] for a {m.shape} matrix")
     left, values, right_t = np.linalg.svd(m, full_matrices=False)
@@ -245,24 +204,20 @@ def full_svd(matrix: np.ndarray) -> SvdResult:
 
 def leading_basis(matrix: np.ndarray, rank: int, *, stacked: bool = False) -> np.ndarray:
     """``rank`` orthonormal columns spanning the leading left singular
-    subspace of a rank-2 tensor, bitwise reproducible per build.
+    subspace of a rank-2 tensor (of each slice of a stack ``(P, m, n)``).
 
-    The columns are the eigenvectors of the Gram of the input scaled by a
-    power of two, largest eigenvalue first, each flipped so that its
-    largest-magnitude entry is positive (lowest row index on ties). The
-    input is scaled by ``2**-e``, where ``2**e`` is the least power of two
-    above its largest magnitude (``frexp``), so the scaled entries lie in
-    (-1, 1) and the Gram's are at most the column count in magnitude. Up to
-    sign the columns are ``truncated_svd``'s left vectors wherever the
-    spectrum separates them. The Gram of an ``m x n`` input has ``m``
-    eigenvectors, so ``rank`` may exceed ``n``: the columns past the
-    numerical rank are still orthonormal. ``rank`` outside ``[1, m]``
-    raises ``RankError``. The largest magnitude that sets the scale is also
-    the scan for non-finite entries: it is NaN or inf if any entry is, and
-    then ``NumericsError`` is raised, so LAPACK never sees an inf or NaN and
-    the input is read once. With ``stacked``, the input is a stack
-    ``(P, m, n)`` and the result the stack ``(P, m, rank)`` of each slice's
-    basis, each slice scaled by its own power of two.
+    The columns are the eigenvectors of the Gram ``s @ s.T``, largest
+    eigenvalue first, under the sign rule: an ``m x n`` input costs an ``m
+    x m`` ``eigh`` and no right vectors. ``s`` is the input scaled by
+    ``2**-e``, ``2**e`` the least power of two above its largest magnitude
+    (``frexp``), so the Gram cannot overflow and its largest entry cannot
+    underflow, and a power-of-two scale of the input (short of the
+    subnormal range) changes no output bit. Up to sign the columns are
+    ``truncated_svd``'s left vectors wherever the spectrum separates them.
+    ``rank`` may exceed ``n``: the columns past the numerical rank are
+    still orthonormal. ``rank`` outside ``[1, m]`` raises ``RankError``.
+    The largest magnitude is also the finiteness scan: it is NaN or inf if
+    any entry is, and then ``NumericsError`` is raised.
     """
     m = _as_array(matrix)
     if m.ndim != 2 + stacked:

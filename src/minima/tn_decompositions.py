@@ -1,36 +1,41 @@
-"""Tucker, tensor-train, and tensor-ring decompositions of weight tensors.
+"""Tucker, tensor-train and tensor-ring decompositions of weight tensors.
 
-Rank conventions:
+Ranks: Tucker ranks are per mode, ``core.shape == ranks`` and factor k is
+``(mode_shape[k], ranks[k])``. TT ranks are the d-1 interior bonds, and
+core k is ``(r_{k-1}, mode_shape[k], r_k)`` with boundary bonds of 1. A
+ring is its train with a closing bond of 1, and this module alone decides
+so: its d ranks are ``(1, *bonds)``, ``ranks[k]`` the left bond of core k,
+and its cores are the train's. ``select_ranks``, ``param_count_formula``,
+``CompressedLayer`` and ``tr_decompose`` take no other ring, and a probe
+of a ring decomposes its train (``_probe_key``).
 
-* Tucker ranks are per-mode, ``core.shape == ranks`` and factor k is
-  ``(mode_shape[k], ranks[k])``;
-* TT bond ranks are the d-1 interior bonds, core k is
-  ``(r_{k-1}, mode_shape[k], r_k)`` with boundary ranks 1;
-* TR ranks are a cyclic vector of d values where ``ranks[k]`` is the left
-  bond of core k, so ``ranks[0]`` is the bond that closes the ring
-  (core d-1's right bond). ``tr_decompose`` takes ``ranks[0] == 1``, and
-  its ring is the TT with bonds ``ranks[1:]``; ``maximal_ranks("tr")``
-  caps the closing bond at 1, so every ring ``select_ranks`` returns is
-  one. ``reconstruct`` also contracts a ring whose closing bond is above 1.
+Determinism, signs and stacks follow ``tensor_core``. ``_tucker_stack`` and
+``_train_stack`` decompose a stack ``(P, n_0, ..., n_{d-1})`` at each of a
+list of rank vectors (Tucker rank tuples, TT bond vectors) and yield one
+decomposition per vector, every array stacked over the slices and each
+slice's bits those of the slice alone; ``tucker_decompose`` and
+``tt_decompose`` are a stack of one. The vectors share what they can:
+Tucker takes each truncated mode's full HOSVD eigenbasis once, and every
+tuple starts from its leading columns; TT shares a split among the bond
+vectors that keep the same bonds before it. Each generator drops a
+decomposition's arrays before it makes the next. ``_dense_slices`` is the
+one reconstruction, of ``reconstruct`` and of the probes
+(``_reconstructions``).
 
-Input checks: ``compress_matrix`` and ``decompose`` validate their input
-with ``as_tensor`` once and hand it on without another scan. The Tucker
-and TT routines, and TR through TT, do not scan theirs: their first SVD or
-basis call, or the scan that takes its place where the identity rule
-leaves none, reads every entry and raises ``NumericsError`` on a NaN or
-inf; a failed rank or shape check scans first, so the error types stay
-those of a scan up front.
+Finiteness: ``compress_matrix`` scans its input once. The Tucker and TT
+routines do not scan theirs: their first SVD or basis call, or the scan
+that takes its place where a whole mode leaves none, reads every entry
+and raises ``NumericsError`` on a NaN or inf. A failed rank or shape check
+scans first (``_rejected``), so the error types stay those of a scan up
+front.
 
-Factor sources: a Tucker mode with ``r_k = n_k``, or a TT split that
-keeps all of its rows, keeps the whole space: its factor is the
-identity, made by no ``eigh``, SVD or mode product, and the split carries
-its input on unchanged. An orthogonal factor on such a mode leaves every
-other mode's Gram and every later split's spectrum unchanged (De Lathauwer
-et al. 2000; Oseledets 2011), so only the truncated modes and splits are
-computed. A truncated Tucker factor, the HOSVD start's and each HOOI
-sweep's, is ``tensor_core.leading_basis`` of its unfolding: an ``n_k x
-rest`` unfolding costs an ``n_k x n_k`` ``eigh``. TT splits need the
-singular values and right vectors too.
+Whole modes: a Tucker mode with ``r_k = n_k``, or a TT split that keeps all
+of its rows, takes the identity as its factor, made by no ``eigh``, SVD or
+mode product, and the split carries its input on unchanged. An orthogonal
+factor on such a mode changes no other mode's Gram and no later split's
+spectrum (De Lathauwer et al. 2000; Oseledets 2011). A truncated Tucker
+factor is ``leading_basis`` of its unfolding, an ``n_k x n_k`` ``eigh``;
+a truncated TT split is one LAPACK SVD.
 
 Sweeps: a Tucker decomposition is the truncated HOSVD refined by
 ``hooi_iters`` HOOI sweeps (De Lathauwer, De Moor & Vandewalle 2000). Every
@@ -39,23 +44,6 @@ defaults to ``HOOI_SWEEPS``, so at default arguments the layer that
 ``compress_matrix`` builds for a probed (patch, ratio) is the probe's
 decomposition bit for bit. A count that is not a non-negative ``int`` (a
 ``bool`` is not one) raises ``ValueError`` before any LAPACK call.
-
-Stacks: ``_tucker_stack`` and ``_train_stack`` decompose a stack of
-same-shape tensors ``(P, n_0, ..., n_{d-1})`` at each of a list of rank
-vectors (Tucker rank tuples, TT bond vectors) and yield one decomposition
-per vector, every array stacked over the slices; ``tucker_decompose`` and
-``tt_decompose`` are a stack of one. Each factor or split is one stacked
-``eigh`` or ``np.linalg.svd``, signed per slice by
-``tensor_core.truncated_svd``'s rule, so each slice's arrays equal those of
-the slice alone bit for bit. The rank vectors share what they can: Tucker
-computes each truncated mode's full HOSVD eigenbasis once and every tuple
-starts from its leading columns; TT shares a split among the bond vectors
-that keep the same bonds before it. HOOI sweeps always compute their bases,
-whose inputs do not repeat. Each generator drops a decomposition's arrays
-before it makes the next, so a caller that drops them too holds one at a
-time. ``_dense_slices`` is the one reconstruction: ``reconstruct`` rebuilds
-a stack of one, and ``_reconstructions``, the probes' generator, whole
-stacks.
 """
 
 from __future__ import annotations
@@ -80,7 +68,6 @@ from minima.tensor_core import (
 )
 
 FAMILIES = ("tucker", "tt", "tr")
-DENSE = "dense"
 HOOI_SWEEPS = 1  # the default HOOI sweep count of every Tucker decomposition
 
 
@@ -113,12 +100,12 @@ def default_mode_shape(rows: int, cols: int) -> tuple[tuple[int, ...], int]:
 
 @dataclass
 class CompressedLayer:
-    """Tagged union over the supported layer storage formats."""
+    """A Tucker layer (``core`` and ``factors``) or a TT or TR layer
+    (``cores``), validated when built."""
 
     family: str
     mode_shape: tuple[int, ...]
     row_mode_count: int
-    matrix: np.ndarray | None = None  # dense
     core: np.ndarray | None = None  # tucker
     factors: list[np.ndarray] = field(default_factory=list)  # tucker
     cores: list[np.ndarray] = field(default_factory=list)  # tt / tr
@@ -133,23 +120,19 @@ class CompressedLayer:
         return rows, math.prod(self.mode_shape) // rows
 
     @property
-    def ranks(self) -> tuple[int, ...] | None:
+    def ranks(self) -> tuple[int, ...]:
         if self.family == "tucker":
             return tuple(self.core.shape)
-        if self.family == "tt":
-            return tuple(c.shape[2] for c in self.cores[:-1])
-        if self.family == "tr":
-            return tuple(c.shape[0] for c in self.cores)
-        return None
+        bonds = tuple(c.shape[2] for c in self.cores[:-1])
+        return bonds if self.family == "tt" else (1, *bonds)
 
     def validate(self) -> None:
+        """Raise ``ShapeError`` unless the arrays fit the family and mode
+        shape; a ring is held to its train's chain, boundary bonds of 1."""
         d = len(self.mode_shape)
         if not 1 <= self.row_mode_count < d:
             raise ShapeError(f"row_mode_count {self.row_mode_count} invalid for {d} modes")
-        if self.family == DENSE:
-            if self.matrix is None or self.matrix.shape != self.matrix_shape:
-                raise ShapeError("dense layer must hold its matricized payload")
-        elif self.family == "tucker":
+        if self.family == "tucker":
             if self.core is None or self.core.ndim != d or len(self.factors) != d:
                 raise ShapeError("tucker layer needs a core of one mode per factor and one factor per mode")
             for k, f in enumerate(self.factors):
@@ -158,39 +141,30 @@ class CompressedLayer:
         elif self.family in ("tt", "tr"):
             if len(self.cores) != d:
                 raise ShapeError(f"{self.family} layer needs {d} cores")
+            left = 1
             for k, c in enumerate(self.cores):
-                if c.ndim != 3 or c.shape[1] != self.mode_shape[k]:
-                    raise ShapeError(f"core {k} has shape {c.shape}")
-                nxt = self.cores[(k + 1) % d]
-                if k + 1 < d and c.shape[2] != nxt.shape[0]:
-                    raise ShapeError("chain bond mismatch")
-            if self.family == "tt":
-                if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
-                    raise ShapeError("tt boundary ranks must be 1")
-            else:
-                if self.cores[-1].shape[2] != self.cores[0].shape[0]:
-                    raise ShapeError("tr closing bond mismatch")
+                if c.ndim != 3 or c.shape[:2] != (left, self.mode_shape[k]):
+                    raise ShapeError(f"core {k} has shape {c.shape}, not ({left}, {self.mode_shape[k]}, r)")
+                left = c.shape[2]
+            if left != 1:
+                raise ShapeError(f"{self.family} boundary bonds must be 1, got {left}")
         else:
             raise ShapeError(f"unknown family {self.family!r}")
 
 
 @dataclass(frozen=True)
 class RankSpec:
-    """Concrete ranks for a TN family; ``RankSpec("dense")`` needs none.
-
-    ``select_ranks`` resolves a parameter budget into one.
-    """
+    """Concrete ranks for a TN family; ``select_ranks`` resolves a parameter
+    budget into one."""
 
     family: str
     ranks: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES and self.family != DENSE:
+        if self.family not in FAMILIES:
             raise RankError(f"unknown family {self.family!r}")
         if self.ranks is None:
-            if self.family != DENSE:
-                raise RankError(f"{self.family} needs ranks")
-            return
+            raise RankError(f"{self.family} needs ranks")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if any(r < 1 for r in self.ranks):
             raise RankError(f"ranks must be >= 1, got {self.ranks}")
@@ -241,15 +215,12 @@ def _tucker_stack(
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray, list[np.ndarray | None]]]:
     """Tucker decomposition of each tensor of a stack ``t`` at each of
     ``rank_tuples`` (valid int tuples): yields ``(ranks, core, factors)``,
-    the core stacked ``(P, r_0, ...)`` and one stacked factor ``(P, n_k,
-    r_k)`` per truncated mode, ``None`` for a whole mode (``r_k = n_k``),
-    whose factor is the identity. With no truncated mode the core is ``t``
-    itself. A mode's start basis is its full HOSVD eigenbasis
-    (``_orthonormal_factor`` at rank ``n_k``), whose leading columns carry
-    the bits of a basis computed at their rank; ``_hooi`` refines it. Each
-    basis is dropped once the last tuple that truncates its mode has copied
-    its columns, before that tuple's sweeps, and the generator keeps no
-    reference to what it yields.
+    the core ``(P, r_0, ...)`` and a factor ``(P, n_k, r_k)`` per truncated
+    mode, ``None`` for a whole mode; with no truncated mode the core is
+    ``t`` itself. A mode's start basis is its full HOSVD eigenbasis, whose
+    leading columns carry the bits of a basis computed at their rank;
+    ``_hooi`` refines it. Each basis is dropped once the last tuple that
+    truncates its mode has copied its columns, before that tuple's sweeps.
     """
     if not rank_tuples:
         return
@@ -279,31 +250,23 @@ def _start_factors(hosvd: dict, ranks, done: list[int]) -> list[np.ndarray | Non
 
 def _hooi(t: np.ndarray, ranks, factors: list, hooi_iters: int, total: np.ndarray) -> tuple[np.ndarray, list]:
     """``hooi_iters`` sweeps over the truncated modes of a stack ``t`` (those
-    whose start factor in ``factors`` is not ``None``), which are updated in
-    place; returns the core and ``factors``. ``total`` holds each slice's
-    squared norm.
+    whose start factor in ``factors`` is not ``None``), updated in place;
+    returns the core and ``factors``. ``total`` holds each slice's squared
+    norm.
 
     Each sweep recomputes every truncated factor from the unfolding of the
-    tensor projected onto the other factors; the reconstruction error is
-    checked to be non-increasing across sweeps in every slice. The check
-    compares the relative residual energy ``1 - ||G||**2 / ||T||**2`` (the
-    squared relative error, since the factors are orthonormal) of
-    consecutive sweeps, with a slack of ``64 * d * eps``: that estimate
-    carries a few ulps of rounding per mode product, and taking its square
-    root would lift that noise to ~sqrt(eps) near an exact fit. The check
-    is multiplied through by ``||T||**2``: a slice fails when ``||G||**2``
-    drops by more than ``slack * ||T||**2``, so a zero slice, whose
-    energies are all 0, passes. A failure in any slice raises
-    ``NumericsError`` naming the first slice that failed.
+    tensor projected onto the other factors. The relative residual energy
+    ``1 - ||G||**2 / ||T||**2`` (the squared relative error, the factors
+    being orthonormal) must not rise from sweep to sweep by more than a
+    slack of ``64 * d * eps``, the estimate's rounding; the check is
+    multiplied through by ``||T||**2``, so a zero slice passes. A rise in
+    any slice raises ``NumericsError`` naming the first such slice.
 
-    A sweep projects truncated mode k's input in mode order: ``t`` times
-    the factors the sweep has already updated, which it keeps and extends
-    by one ``mode_dot`` after each update, then times the later factors of
-    the previous sweep. With c truncated modes the start costs c mode
-    products and a sweep c(c+1)/2, not the c(c-1)+1 of projecting each
-    input afresh. After the last update that prefix is the start's product
-    of ``t`` and the truncated factors, operation for operation: the
-    sweep's core.
+    A sweep projects truncated mode k's input as ``t`` times the factors
+    the sweep has already updated, a prefix it extends by one ``mode_dot``
+    after each update, then times the later factors of the previous sweep:
+    c(c+1)/2 products for c truncated modes, not c(c-1)+1. After the last
+    update the prefix is the sweep's core.
     """
     slack = 64 * len(ranks) * np.finfo(np.float64).eps
     cut = [k for k, f in enumerate(factors) if f is not None]
@@ -336,14 +299,11 @@ def _hooi(t: np.ndarray, ranks, factors: list, hooi_iters: int, total: np.ndarra
 
 
 def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
-    """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``:
-    ``_train_stack`` of a stack of one.
-
-    Each bond is capped at its split's feasible maximum, the min dimension
-    of the unfolding it truncates, so ``layer.ranks`` may be below
-    ``ranks``. A count other than d-1, or a bond below 1, raises
-    ``RankError``.
-    """
+    """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``,
+    ``_train_stack`` of a stack of one. Each bond is capped at the min
+    dimension of the unfolding it truncates, so ``layer.ranks`` may be
+    below ``ranks``. A count other than d-1, or a bond below 1, raises
+    ``RankError``."""
     return _train_layer("tt", _as_array(t), ranks)
 
 
@@ -375,14 +335,12 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
     min dimension.
 
     Split k's input depends only on the bonds kept before it, so the bond
-    vectors that keep the same bonds there share the split: one stacked
-    ``_train_split``, kept at the widest bond any of them keeps, of which
-    each takes its leading columns, the same bits. A bond vector that keeps
-    the split whole takes the identity instead, so it shares the split
-    only with those that keep it whole too. Bond vectors are taken in
-    order of their kept bonds, so those that share splits come together,
-    and a split is dropped when the next bond vector no longer shares it.
-    Cores may be views of the shared splits.
+    vectors that keep the same bonds there share one ``_train_split``, kept
+    at the widest bond any of them keeps, and each takes its leading
+    columns, the same bits; one that keeps the split whole shares only the
+    identity. Bond vectors are taken in order of their kept bonds, and a
+    split is dropped when the next one no longer shares it. Cores may be
+    views of the shared splits.
     """
     count, shape = len(t), t.shape[1:]
     kept = {}  # bonds -> the bonds each split keeps, capped by its unfolding
@@ -423,20 +381,14 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
 
 
 def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
-    """One TT split of each matrix of a stack ``(P, rows, cols)``: the
-    leading ``keep`` left singular vectors ``(P, rows, keep)``, and what the
-    train carries to its next split, those triplets' values times their
-    right vectors, ``(P, keep, cols)``; at ``keep == rows``, the identity
-    and ``c`` itself, uncopied (``_train_stack`` copies a last core that
-    would view its input).
-
-    One stacked LAPACK SVD; each slice's bits equal ``truncated_svd``'s
-    ``left`` and ``values[:, None] * right.T`` of the slice alone. Each is
-    LAPACK's output, or a copy of its kept part that replaces it at once
-    (never a view, which would keep all of LAPACK's output alive), signed
-    and scaled in place, so the split holds nothing it does not keep. The
-    input is scanned first: a NaN or inf raises ``NumericsError`` and
-    LAPACK never sees it.
+    """One TT split of each matrix of a stack ``(P, rows, cols)``, after a
+    finiteness scan: the leading ``keep`` left singular vectors ``(P, rows,
+    keep)`` and the carry to the next split, their values times their right
+    vectors ``(P, keep, cols)``, the bits of ``truncated_svd``'s ``left``
+    and ``values[:, None] * right.T``. At ``keep == rows``, the identity and
+    ``c`` itself, uncopied. Each is LAPACK's output, or a copy of its kept
+    part that replaces it at once (a view would keep all of it alive),
+    signed and scaled in place.
     """
     if not np.isfinite(c).all():
         raise NumericsError("tensor entries must be finite")
@@ -470,8 +422,6 @@ def reconstruct(layer: CompressedLayer) -> np.ndarray:
     orthogonal one too, is applied.
     """
     layer.validate()
-    if layer.family == DENSE:
-        return layer.matrix.reshape(layer.mode_shape)
     if layer.family == "tucker":
         (dense,) = _dense_slices(layer.core[None], [None if _is_identity(f) else f[None] for f in layer.factors])
     else:
@@ -482,17 +432,16 @@ def reconstruct(layer: CompressedLayer) -> np.ndarray:
 def _dense_slices(core=None, factors=(), cores=()) -> Iterator[np.ndarray]:
     """Each slice's dense tensor, in its mode shape, of a stack of Tucker
     decompositions (``core`` ``(P, r_0, ...)`` and ``factors``, each ``(P,
-    n_k, r_k)`` or ``None`` for the identity) or of trains or rings
-    (``cores``, each ``(P, r_{k-1}, n_k, r_k)``).
+    n_k, r_k)`` or ``None`` for the identity) or of trains (``cores``, each
+    ``(P, r_{k-1}, n_k, r_k)``).
 
     The products are chained over the stack up to the last, which is taken
     slice by slice as each is yielded, so no stack of dense tensors is
     held. A Tucker core takes one ``mode_dot`` by the transpose of each
     factor, in mode order, and none for an identity: that product would
     return each entry unchanged (short of turning a ``-0.0`` into ``0.0``).
-    TT and TR cores are chained as ``(-1, r) @ (r, -1)`` products, the
-    operands that ``np.tensordot`` over the shared bond hands to
-    ``np.dot``; a ring whose closing bond is above 1 is then traced over it.
+    Train cores are chained as ``(-1, r) @ (r, -1)`` products, the operands
+    that ``np.tensordot`` over the shared bond hands to ``np.dot``.
     """
     if core is not None:
         modes = [k for k, f in enumerate(factors) if f is not None]
@@ -504,13 +453,20 @@ def _dense_slices(core=None, factors=(), cores=()) -> Iterator[np.ndarray]:
         for head, f in zip(core, factors[modes[-1]]):
             yield mode_dot(head, f.T, modes[-1])
         return
-    count, shape, ring = len(cores[0]), tuple(c.shape[2] for c in cores), cores[0].shape[1]
+    count, shape = len(cores[0]), tuple(c.shape[2] for c in cores)
     chain = cores[0].reshape(count, -1, cores[0].shape[-1])
     for c in cores[1:-1]:
         chain = (chain @ c.reshape(count, c.shape[1], -1)).reshape(count, -1, c.shape[-1])
     for head, tail in zip(chain, cores[-1]):
-        dense = np.dot(head, tail.reshape(len(tail), -1))
-        yield dense.reshape(shape) if ring == 1 else np.trace(dense.reshape(ring, *shape, ring), axis1=0, axis2=-1)
+        yield np.dot(head, tail.reshape(len(tail), -1)).reshape(shape)
+
+
+def _probe_key(spec: RankSpec) -> tuple:
+    """The structure a probe decomposes: ``(family, ranks)``, and for a
+    ring its train's, ``("tt", ranks[1:])``."""
+    if spec.family == "tr":
+        return ("tt", spec.ranks[1:])
+    return (spec.family, spec.ranks)
 
 
 def _reconstructions(t: np.ndarray, rank_tuples, bond_vectors, hooi_iters: int) -> Iterator[tuple[tuple, Iterator]]:
@@ -545,38 +501,36 @@ def layer_to_matrix(layer: CompressedLayer) -> np.ndarray:
 
 def param_count(layer: CompressedLayer) -> int:
     """Stored scalars in the layer payload."""
-    if layer.family == DENSE:
-        return int(layer.matrix.size)
     if layer.family == "tucker":
         return int(layer.core.size + sum(f.size for f in layer.factors))
     return int(sum(c.size for c in layer.cores))
 
 
 def param_count_formula(family: str, mode_shape, ranks) -> int:
-    """Closed-form stored-scalar count for a (family, ranks) configuration."""
+    """Closed-form stored-scalar count for a (family, ranks) configuration.
+    A wrong rank count, an unknown family, or a ring whose closing bond
+    ``ranks[0]`` is not 1 raises ``RankError``."""
     shape = tuple(int(s) for s in mode_shape)
-    if family == DENSE:
-        return math.prod(shape)
     ranks = tuple(int(r) for r in ranks)
     d = len(shape)
     if family not in FAMILIES:
         raise RankError(f"unknown family {family!r}")
-    if family == "tt" and len(ranks) != d - 1:
-        raise RankError(f"need {d - 1} tt bond ranks")
-    if family != "tt" and len(ranks) != d:
-        raise RankError(f"need {d} {family} ranks")
+    count = d - 1 if family == "tt" else d
+    if len(ranks) != count:
+        raise RankError(f"need {count} {family} ranks")
+    if family == "tr":
+        if ranks[0] != 1:
+            raise RankError(f"the closing bond ranks[0] must be 1, got {ranks[0]}")
+        family, ranks = "tt", ranks[1:]
     return _param_count(family, shape, ranks)
 
 
 def _param_count(family: str, shape: tuple[int, ...], ranks: tuple[int, ...]) -> int:
-    """``param_count_formula`` of a TN family on validated int tuples."""
-    d = len(shape)
+    """``param_count_formula`` of Tucker ranks or TT bonds on validated int tuples."""
     if family == "tucker":
         return math.prod(ranks) + sum(n * r for n, r in zip(shape, ranks))
-    if family == "tt":
-        bonds = (1,) + ranks + (1,)
-        return sum(bonds[k] * shape[k] * bonds[k + 1] for k in range(d))
-    return sum(ranks[k] * shape[k] * ranks[(k + 1) % d] for k in range(d))
+    bonds = (1,) + ranks + (1,)
+    return sum(bonds[k] * n * bonds[k + 1] for k, n in enumerate(shape))
 
 
 def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
@@ -597,15 +551,13 @@ def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
 
 
 def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
-    """Whether the decomposition reaches ``ranks``; ``caps`` is
+    """Whether Tucker ranks or TT bonds are reached; ``caps`` is
     ``maximal_ranks(family, shape)``, which the caller already holds.
     ``shape`` and ``ranks`` are int tuples of matching lengths."""
     if any(r > c for r, c in zip(ranks, caps)):
         return False
     if family == "tucker":  # every Tucker cap is at most its mode size
         return True
-    if family == "tr":  # caps[0] == 1: the ring is the train ranks[1:]
-        ranks = ranks[1:]
     # sequential achievability: each bond fits the running split rows
     left = 1
     for k, r in enumerate(ranks):
@@ -626,10 +578,11 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
     Budgets at or above the dense size return the maximal (exact) ranks;
     otherwise the largest feasible uniform rank is found and individual
     positions are then greedily incremented in ascending order while the
-    budget allows. Budgets below the rank-1 count raise
-    ``InfeasibleBudgetError``. Only a ``ParamBudget`` selects ranks (other
-    targets raise ``TypeError``) and only for Tucker, TT or TR (others raise
-    ``RankError``); dense layers come from ``decompose(t, RankSpec("dense"))``.
+    budget allows. A ring's ranks are ``(1, *bonds)`` of the train's
+    search. Budgets below the rank-1 count raise ``InfeasibleBudgetError``.
+    Only a ``ParamBudget`` selects ranks (other targets raise
+    ``TypeError``) and only for Tucker, TT or TR (others raise
+    ``RankError``).
 
     Arguments are validated here, once; the search runs behind a
     process-wide memo of 4,096 (shape, family, budget) keys, least recently
@@ -653,7 +606,11 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
 @functools.lru_cache(maxsize=4096)
 def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec | int:
     """``select_ranks`` on validated arguments, each trial through the unvalidated
-    ``_ranks_feasible`` and ``_param_count``: the ranks, or an infeasible budget's rank-1 cost."""
+    ``_ranks_feasible`` and ``_param_count``: the ranks, or an infeasible budget's rank-1 cost.
+    A ring takes the memoized train search's result."""
+    if family == "tr":
+        found = _rank_search(shape, "tt", budget)
+        return RankSpec("tr", (1, *found.ranks)) if isinstance(found, RankSpec) else found
     caps = maximal_ranks(family, shape)
     npos = len(caps)
     if budget >= math.prod(shape):
@@ -683,40 +640,6 @@ def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec |
     return RankSpec(family=family, ranks=tuple(ranks))
 
 
-def decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int = HOOI_SWEEPS, row_mode_count: int = 1) -> CompressedLayer:
-    """Dispatch a tensor to the decomposition named by ``spec``. A
-    ``row_mode_count`` outside ``[1, t.ndim)`` raises ``ShapeError`` before
-    any decomposition."""
-    _check_sweeps(hooi_iters)
-    t = as_tensor(t)
-    if not 1 <= row_mode_count < t.ndim:
-        raise ShapeError(f"row_mode_count {row_mode_count} invalid for {t.ndim} modes")
-    return _decompose(t, spec, hooi_iters, row_mode_count)
-
-
-def _decompose(t: np.ndarray, spec: RankSpec, hooi_iters: int, row_mode_count: int) -> CompressedLayer:
-    """``decompose`` of a tensor that ``as_tensor`` has already validated,
-    at a ``row_mode_count`` in range. The layer is validated once, when it
-    is built; setting its ``row_mode_count``, the one field ``validate``
-    would check differently, needs no second pass."""
-    if spec.family == DENSE:
-        rows = math.prod(t.shape[:row_mode_count])
-        return CompressedLayer(
-            family=DENSE,
-            mode_shape=t.shape,
-            row_mode_count=row_mode_count,
-            matrix=t.reshape(rows, -1),
-        )
-    if spec.family == "tucker":
-        layer = tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
-    elif spec.family == "tt":
-        layer = tt_decompose(t, spec.ranks)
-    else:
-        layer = tr_decompose(t, spec.ranks)
-    layer.row_mode_count = row_mode_count
-    return layer
-
-
 def compress_matrix(
     w: np.ndarray,
     family: str,
@@ -724,14 +647,19 @@ def compress_matrix(
     hooi_iters: int = HOOI_SWEEPS,
 ) -> CompressedLayer:
     """Reshape a weight matrix into balanced modes and decompose it with
-    Tucker, TT or TR ranks that fit the parameter budget ``target``.
-
-    Dense storage takes no budget: use ``decompose(t, RankSpec("dense"))``.
-    """
+    Tucker, TT or TR ranks that fit the parameter budget ``target``."""
     _check_sweeps(hooi_iters)
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
-    spec = select_ranks(mode_shape, family, target)
-    return _decompose(w.reshape(mode_shape), spec, hooi_iters, row_mode_count)
+    ranks = select_ranks(mode_shape, family, target).ranks
+    t = w.reshape(mode_shape)
+    if family == "tucker":
+        layer = tucker_decompose(t, ranks, hooi_iters)
+    elif family == "tt":
+        layer = tt_decompose(t, ranks)
+    else:
+        layer = tr_decompose(t, ranks)
+    layer.row_mode_count = row_mode_count  # in range for any matrix; validate would pass it
+    return layer

@@ -1,0 +1,27 @@
+"""Every script under ``bench/`` imports and parses its options on this tree.
+
+Each script runs with ``--help`` in a fresh interpreter under ``python -B``,
+so no bytecode lands in ``bench/``, ``src/`` or ``tests/``. A deletion or a
+rename of a name a script imports fails here, not in a benchmark run.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in BENCH.glob("*.py")))
+def test_help_exits_cleanly(script):
+    done = subprocess.run(
+        [sys.executable, "-B", str(BENCH / script), "--help"],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:"), done.stdout

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import output_error
 from minima import sensitivity
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError
 from minima.model import LayerEntry, ModelContainer
@@ -19,7 +20,6 @@ from minima.sensitivity import (
     _score_targets,
     analyze,
     extract_features,
-    output_deviation,
     partition_patches,
     patch_matrix,
     predict,
@@ -30,7 +30,6 @@ import minima.tn_decompositions as tn
 from minima.tn_decompositions import (
     FAMILIES,
     compress_matrix,
-    decompose,
     default_mode_shape,
     layer_to_matrix,
     ratio_budget,
@@ -222,7 +221,7 @@ def compress_matrix_probes(w, families, ratio_grid, calib, patch_id=0, hooi_iter
                 layer = compress_matrix(w, family, ratio_budget(ratio, m * n), hooi_iters=hooi_iters)
             except InfeasibleBudgetError:
                 continue
-            deg = output_deviation(w, layer_to_matrix(layer), calib)
+            deg = output_error(w, layer_to_matrix(layer), calib)
             records.append(ProbeRecord(patch_id, family, float(ratio), deg))
     return records
 
@@ -239,9 +238,10 @@ def record_bits(records) -> list:
 
 class TestDefaultSweeps:
     """With no ``hooi_iters`` passed anywhere, a Tucker probe record is the
-    output deviation of the layer that ``compress_matrix``, or ``decompose``
-    at the selected ranks, builds for its (patch, ratio), bit for bit: the
-    probes and the decompositions share ``HOOI_SWEEPS``."""
+    output deviation of the layer that ``compress_matrix``, or
+    ``tucker_decompose`` at the selected ranks, builds for its (patch,
+    ratio), bit for bit: the probes and the decompositions share
+    ``HOOI_SWEEPS``."""
 
     GRID = (0.5, 0.35, 0.25, 0.15)
 
@@ -249,7 +249,7 @@ class TestDefaultSweeps:
     def test_a_tucker_probe_is_the_deviation_of_the_realized_layer_bitwise(self, rng, shape):
         m, n = shape
         w, x = decayed_matrix(rng, m, n, 0.1), seeded_calib(n, 7)
-        mode_shape, row_modes = default_mode_shape(m, n)
+        mode_shape, _ = default_mode_shape(m, n)
         records = probe_patch(w, ("tucker",), self.GRID, x)
         assert [(r.family, r.target_ratio) for r in records] == [("tucker", r) for r in self.GRID]
         for record in records:
@@ -258,10 +258,10 @@ class TestDefaultSweeps:
             assert spec.ranks != mode_shape  # some mode is truncated, so the sweeps count
             layers = [
                 compress_matrix(w, "tucker", budget),
-                decompose(w.reshape(mode_shape), spec, row_mode_count=row_modes),
+                tn.tucker_decompose(w.reshape(mode_shape), spec.ranks),
             ]
             for layer in layers:
-                realized = output_deviation(w, layer_to_matrix(layer), x)
+                realized = output_error(w, tn.reconstruct(layer).reshape(m, n), x)
                 assert np.float64(realized).tobytes() == np.float64(record.measured_degradation).tobytes(), record
 
     def test_the_probes_default_reads_the_constant(self):
@@ -404,6 +404,19 @@ class TestProbeWork:
             analyze(model, calib, patch_size=(32, 32), probe_stride=1, degradation_cap=cap)
         assert lapack_calls == []  # before any feature or probe
 
+    @pytest.mark.parametrize("cap", [math.nan, -1e-3, -math.inf])
+    def test_predict_rejects_a_nan_or_negative_cap(self, monkeypatch, cap):
+        # a patch that cap 1.0 recommends at a ratio for every family once
+        # got no recommendation at a NaN or negative cap
+        predictor = train_predictor(masked_records(0, n_patches=40))
+        feats = np.zeros(N_FEATURES)
+        assert all(r.target_ratio is not None for r in predict(predictor, feats, cap=1.0).recommendations.values())
+        forwards = []
+        monkeypatch.setattr(sensitivity.Predictor, "forward", lambda *args: forwards.append(args))
+        with pytest.raises(ValueError, match=f"degradation cap must be >= 0, got {cap}"):
+            predict(predictor, feats, cap=cap)
+        assert forwards == []  # before any work
+
 
 class TestCalibrationChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -505,7 +518,7 @@ class TestStackedProbes:
             assert spec.ranks[0] == 1  # the budget selects a ring that is a train
             layer = tn.tr_decompose(w.reshape(mode_shape), spec.ranks)
             layer.row_mode_count = row_modes
-            expected.append(output_deviation(w, layer_to_matrix(layer), calib))
+            expected.append(output_error(w, layer_to_matrix(layer), calib))
         rings = []
         tr_decompose = tn.tr_decompose
 
@@ -534,7 +547,7 @@ class TestStackedProbes:
             except InfeasibleBudgetError:
                 continue
             assert spec.ranks[0] == 1, (shape, ratio, spec)
-            assert sensitivity._probe_key(spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
+            assert tn._probe_key(spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
 
     @pytest.mark.parametrize("hooi_iters", [1, 2])
     def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng, hooi_iters):

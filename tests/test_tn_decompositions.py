@@ -7,15 +7,15 @@ import pytest
 
 import minima.tensor_core as tc
 import minima.tn_decompositions as tn
+from helpers import reconstruction_error as relerr
 from minima.errors import InfeasibleBudgetError, NumericsError, RankError, ShapeError
-from minima.tensor_core import ParamBudget, as_tensor, full_svd, mode_dot, relative_error, truncated_svd
+from minima.tensor_core import ParamBudget, as_tensor, full_svd, mode_dot, truncated_svd
 from minima.tn_decompositions import (
     FAMILIES,
     CompressedLayer,
     RankSpec,
     balanced_split,
     compress_matrix,
-    decompose,
     default_mode_shape,
     layer_to_matrix,
     maximal_ranks,
@@ -33,8 +33,6 @@ from minima.tn_decompositions import (
 def stored_entry_count(layer):
     """Oracle: literally count scalars in every payload array."""
     arrays = []
-    if layer.matrix is not None:
-        arrays.append(layer.matrix)
     if layer.core is not None:
         arrays.append(layer.core)
     arrays.extend(layer.factors)
@@ -69,9 +67,14 @@ def tensordot_chain(layer):
     chain = layer.cores[0]
     for core in layer.cores[1:]:
         chain = np.tensordot(chain, core, axes=(chain.ndim - 1, 0))
-    if layer.family == "tt":
-        return chain.reshape(layer.mode_shape)
-    return np.trace(chain, axis1=0, axis2=chain.ndim - 1)
+    return chain.reshape(layer.mode_shape)
+
+
+def layer_at(t, spec, hooi_iters=tn.HOOI_SWEEPS):
+    """The layer of ``t`` that ``spec``'s family routine makes at its ranks."""
+    if spec.family == "tucker":
+        return tucker_decompose(t, spec.ranks, hooi_iters=hooi_iters)
+    return (tt_decompose if spec.family == "tt" else tr_decompose)(t, spec.ranks)
 
 
 def reference_ranks_feasible(family, shape, ranks, caps) -> bool:
@@ -150,25 +153,25 @@ class TestTucker:
     def test_full_ranks_exact(self, rng):
         t = rng.standard_normal((4, 3, 5))
         layer = tucker_decompose(t, (4, 3, 5), hooi_iters=2)
-        assert relative_error(t, reconstruct(layer)) <= 1e-10
+        assert relerr(t, reconstruct(layer)) <= 1e-10
 
     def test_rank_one_tensor(self):
         t = np.ones((2, 2, 2))
         layer = tucker_decompose(t, (1, 1, 1))
-        assert relative_error(t, reconstruct(layer)) <= 1e-12
+        assert relerr(t, reconstruct(layer)) <= 1e-12
 
     def test_hooi_improves_on_hosvd(self, rng):
         t = rng.standard_normal((4, 4, 4))
         hosvd_only = tucker_decompose(t, (2, 2, 2), hooi_iters=0)
         refined = tucker_decompose(t, (2, 2, 2), hooi_iters=5)
-        err0 = relative_error(t, reconstruct(hosvd_only))
-        err5 = relative_error(t, reconstruct(refined))
+        err0 = relerr(t, reconstruct(hosvd_only))
+        err5 = relerr(t, reconstruct(refined))
         assert err5 <= err0 + 1e-12
 
     def test_sweep_monotonicity(self, rng):
         t = rng.standard_normal((4, 4, 4))
         errs = [
-            relative_error(t, reconstruct(tucker_decompose(t, (2, 3, 2), hooi_iters=i)))
+            relerr(t, reconstruct(tucker_decompose(t, (2, 3, 2), hooi_iters=i)))
             for i in range(5)
         ]
         for a, b in zip(errs, errs[1:]):
@@ -194,7 +197,7 @@ class TestTucker:
                     t = mode_dot(t, rng.standard_normal((mlrank[k], n)), k)
                 for iters in (1, 3):
                     layer = tucker_decompose(t, ranks, hooi_iters=iters)
-                    assert relative_error(t, reconstruct(layer)) <= 1e-10, (shape, ranks, iters)
+                    assert relerr(t, reconstruct(layer)) <= 1e-10, (shape, ranks, iters)
 
     def test_guard_raises_when_a_sweep_increases_error(self, rng, monkeypatch):
         t = rng.standard_normal((4, 4, 4))
@@ -341,12 +344,12 @@ class TestTensorTrain:
         t = np.ones((2, 2, 2, 2))
         layer = tt_decompose(t, (1, 1, 1))
         assert layer.ranks == (1, 1, 1)
-        assert relative_error(t, reconstruct(layer)) <= 1e-12
+        assert relerr(t, reconstruct(layer)) <= 1e-12
 
     def test_maximal_fixed_rank_exact(self, rng):
         t = rng.standard_normal((4, 4, 4))
         layer = tt_decompose(t, (16, 16))
-        assert relative_error(t, reconstruct(layer)) <= 1e-10
+        assert relerr(t, reconstruct(layer)) <= 1e-10
         assert layer.ranks == (4, 4)  # capped at the feasible split ranks
 
     def test_wrong_bond_count(self, rng):
@@ -361,14 +364,14 @@ class TestTensorRing:
         u, v, w = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(5)
         t = np.einsum("i,j,k->ijk", u, v, w)
         layer = tr_decompose(t, (1, 1, 1))
-        assert relative_error(t, reconstruct(layer)) <= 1e-10
+        assert relerr(t, reconstruct(layer)) <= 1e-10
 
     def test_reduces_to_tt_when_closing_bond_is_one(self, rng):
         t = rng.standard_normal((4, 4, 4))
         ring = tr_decompose(t, (1, 3, 3))
         train = tt_decompose(t, [3, 3])
-        err_ring = relative_error(t, reconstruct(ring))
-        err_train = relative_error(t, reconstruct(train))
+        err_ring = relerr(t, reconstruct(ring))
+        err_train = relerr(t, reconstruct(train))
         assert abs(err_ring - err_train) <= 1e-9
 
     def test_infeasible_first_split(self, rng):
@@ -376,30 +379,44 @@ class TestTensorRing:
             tr_decompose(rng.standard_normal((2, 2, 2)), (3, 3, 3))
 
 
-def random_ring(rng, shape, ranks):
-    """A ring layer of random cores, ``ranks[k]`` the left bond of core k:
-    with ``ranks[0] > 1``, one that no decomposition makes."""
-    d = len(shape)
-    cores = [rng.standard_normal((ranks[k], n, ranks[(k + 1) % d])) for k, n in enumerate(shape)]
+def random_ring(rng, shape, ranks, closing=1):
+    """A ring layer of random cores, ``ranks[k]`` the left bond of core k
+    and ``ranks[0]`` the closing bond, replaced by ``closing``."""
+    bonds = (closing, *ranks[1:], closing)
+    cores = [rng.standard_normal((bonds[k], n, bonds[k + 1])) for k, n in enumerate(shape)]
     return CompressedLayer(family="tr", mode_shape=shape, row_mode_count=1, cores=cores)
 
 
 class TestReconstructChain:
     def test_tt_and_tr_equal_a_tensordot_chain_bitwise(self, rng):
         cases = [
-            ((4, 4, 4), (2, 3), (2, 2, 2)),
-            ((8, 8, 8, 8), (4, 5, 3), (1, 4, 5, 3)),
-            ((4, 3, 2, 5), (3, 4, 5), (2, 2, 3, 2)),
-            ((2, 3), (2,), (1, 2)),
-            ((3, 2, 4, 2, 3), (2, 3, 3, 2), (2, 1, 3, 3, 2)),
+            ((4, 4, 4), (2, 3)),
+            ((8, 8, 8, 8), (4, 5, 3)),
+            ((4, 3, 2, 5), (3, 4, 5)),
+            ((2, 3), (2,)),
+            ((3, 2, 4, 2, 3), (2, 3, 3, 2)),
         ]
-        for shape, bonds, ring in cases:
+        for shape, bonds in cases:
             t = rng.standard_normal(shape)
-            layers = [tt_decompose(t, bonds), random_ring(rng, shape, ring)]
-            if ring[0] == 1:
-                layers.append(tr_decompose(t, ring))
-            for layer in layers:
+            ring = (1, *bonds)
+            for layer in (tt_decompose(t, bonds), tr_decompose(t, ring), random_ring(rng, shape, ring)):
                 assert bitwise_equal(reconstruct(layer), tensordot_chain(layer)), (layer.family, shape, ring)
+
+    @pytest.mark.parametrize("ranks", [(2, 2, 2), (2, 1, 3, 3, 2), (3, 4, 5, 3)], ids=str)
+    def test_a_ring_whose_closing_bond_is_not_1_is_rejected(self, rng, ranks):
+        # a ring is its train: no layer, count or decomposition takes another
+        shape = (3, 2, 4, 2, 3)[: len(ranks)]
+        with pytest.raises(ShapeError):
+            random_ring(rng, shape, ranks, closing=ranks[0])
+        cores = random_ring(rng, shape, ranks).cores
+        cores[-1] = np.concatenate([cores[-1]] * 2, axis=2)  # a closing bond of 2 on the last core alone
+        with pytest.raises(ShapeError, match="boundary bonds must be 1"):
+            CompressedLayer("tr", shape, 1, cores=cores)
+        with pytest.raises(RankError, match="closing bond"):
+            param_count_formula("tr", shape, ranks)
+        with pytest.raises(RankError, match="closing bond"):
+            tr_decompose(rng.standard_normal(shape), ranks)
+        assert param_count(random_ring(rng, shape, ranks)) == param_count_formula("tr", shape, (1, *ranks[1:]))
 
     def test_compressed_patches_equal_a_tensordot_chain_bitwise(self, rng):
         for shape in ((32, 32), (36, 64), (7, 64)):
@@ -480,7 +497,7 @@ class TestReconstructTucker:
         with pytest.raises(ShapeError, match="one mode per factor"):
             CompressedLayer("tucker", (4, 4, 4), 1, core=rng.standard_normal(core_shape), factors=factors)
 
-    @pytest.mark.parametrize("family", [*FAMILIES, "dense"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_a_layer_is_validated_once_built_and_once_reconstructed(self, rng, monkeypatch, family):
         calls = []
         validate = CompressedLayer.validate
@@ -491,20 +508,10 @@ class TestReconstructTucker:
 
         monkeypatch.setattr(CompressedLayer, "validate", counting)
         w = rng.standard_normal((32, 32))
-        if family == "dense":
-            layer = decompose(w.reshape(4, 8, 4, 8), RankSpec("dense"), row_mode_count=2)
-        else:
-            layer = compress_matrix(w, family, ratio_budget(0.25, w.size))
+        layer = compress_matrix(w, family, ratio_budget(0.25, w.size))
         assert calls == [family]
         layer_to_matrix(layer)
         assert calls == [family, family]
-
-
-class TestReconstructDense:
-    def test_dense_round_trip(self, rng):
-        w = rng.standard_normal((6, 4))
-        layer = decompose(w.reshape(2, 3, 2, 2), __import__("minima.tn_decompositions", fromlist=["RankSpec"]).RankSpec("dense"), row_mode_count=2)
-        assert np.array_equal(layer_to_matrix(layer), w)
 
 
 class TestParamCounts:
@@ -523,9 +530,9 @@ class TestParamCounts:
         assert param_count_formula("tt", (8, 8, 8, 8), (4, 4, 4)) == 320
 
     def test_tr_example(self, rng):
-        layer = random_ring(rng, (8, 8, 8, 8), (3, 3, 3, 3))
-        assert param_count(layer) == stored_entry_count(layer) == 288
-        assert param_count_formula("tr", (8, 8, 8, 8), (3, 3, 3, 3)) == 288
+        layer = random_ring(rng, (8, 8, 8, 8), (1, 3, 3, 3))
+        assert param_count(layer) == stored_entry_count(layer) == 192
+        assert param_count_formula("tr", (8, 8, 8, 8), (1, 3, 3, 3)) == 192 == param_count_formula("tt", (8, 8, 8, 8), (3, 3, 3))
 
     def test_formula_matches_stored_entries_random_configs(self, rng):
         shapes = [(4, 4, 4), (2, 3, 4), (6, 6, 6), (2, 2, 2, 2), (4, 3, 2, 5)]
@@ -565,8 +572,8 @@ class TestSelectRanks:
             spec = select_ranks(shape, family, ParamBudget(64))
             assert spec.ranks == maximal_ranks(family, shape)
             t = rng.standard_normal(shape)
-            layer = decompose(t, spec)
-            assert relative_error(t, reconstruct(layer)) <= 1e-9
+            layer = layer_at(t, spec)
+            assert relerr(t, reconstruct(layer)) <= 1e-9
 
     def test_tucker_budget_locally_maximal(self):
         shape = (8, 8, 8, 8)
@@ -596,6 +603,7 @@ class TestSelectRanks:
             select_ranks((8, 8, 8, 8), "cp", ParamBudget(4096))
 
     def test_caps_computed_once_per_call(self, monkeypatch):
+        # a cold ring search is the train's: it asks for the train's caps alone
         calls = []
 
         def counting(family, mode_shape):
@@ -613,7 +621,7 @@ class TestSelectRanks:
                         select_ranks(shape, family, ParamBudget(budget))
                     except InfeasibleBudgetError:
                         pass
-                    assert calls == [(family, shape)]
+                    assert calls == [("tt" if family == "tr" else family, shape)]
 
     def test_a_repeated_key_runs_no_search(self):
         search = tn._rank_search
@@ -631,6 +639,26 @@ class TestSelectRanks:
         assert errors[0] is not errors[1]
         assert errors[0].best_achievable == errors[1].best_achievable == param_count_formula("tt", (4, 8, 4, 8), (1, 1, 1))
         assert search.cache_info().maxsize == 4096
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 4), (4, 8, 4, 8), (4, 3, 2, 5), (16, 16), (7, 8, 8), (1, 64), (8, 8, 6, 6)], ids=str)
+    def test_a_ring_search_is_the_train_search(self, shape):
+        # each search cold, so the ring's runs the train's search itself
+        def cold(family, budget):
+            tn._rank_search.cache_clear()
+            try:
+                return select_ranks(shape, family, ParamBudget(budget)).ranks
+            except InfeasibleBudgetError as err:
+                return ("infeasible", err.best_achievable)
+
+        dense, rings = math.prod(shape), 0
+        for budget in sorted({*range(1, 80), *range(1, dense + 3, max(dense // 200, 1))}):
+            train, ring = cold("tt", budget), cold("tr", budget)
+            if train[0] == "infeasible":
+                assert ring == train, (shape, budget)  # an equal best_achievable
+            else:
+                assert ring == (1, *train), (shape, budget)
+                rings += 1
+        assert rings >= 10
 
     def test_equals_the_validated_rank_search(self):
         shapes = ((4, 4, 4, 4), (4, 8, 4, 8), (4, 3, 2, 5), (16, 16), (6, 6, 6), (2, 2, 2, 2, 2, 2), (1, 4, 4), (8, 8, 6, 6))
@@ -659,14 +687,16 @@ class TestSelectRanks:
         for family in ("tucker", "tt", "tr"):
             with pytest.raises(RankError):
                 tn.RankSpec(family)
-        assert tn.RankSpec("dense").ranks is None
+        for family in ("dense", "cp"):  # the planner's dense label is no family
+            with pytest.raises(RankError, match="unknown family"):
+                tn.RankSpec(family, (2, 2))
 
     def test_selected_tt_ranks_always_achieved(self, rng):
         shape = (8, 8, 8, 8)
         t = rng.standard_normal(shape)
         for budget in (100, 320, 700, 1500, 3000):
             spec = select_ranks(shape, "tt", ParamBudget(budget))
-            layer = decompose(t, spec)
+            layer = layer_at(t, spec)
             assert layer.ranks == spec.ranks
             assert param_count(layer) == param_count_formula("tt", shape, spec.ranks) <= budget
 
@@ -675,7 +705,7 @@ class TestSelectRanks:
         t = rng.standard_normal(shape)
         for budget in (150, 400, 900, 2000):
             spec = select_ranks(shape, "tr", ParamBudget(budget))
-            layer = decompose(t, spec)
+            layer = layer_at(t, spec)
             assert layer.ranks == spec.ranks
             assert param_count(layer) <= budget
 
@@ -687,8 +717,8 @@ class TestInvariants:
             t = rng.standard_normal(shape)
             for family in ("tucker", "tt", "tr"):
                 spec = select_ranks(shape, family, ParamBudget(10**9))
-                layer = decompose(t, spec, hooi_iters=1)
-                assert relative_error(t, reconstruct(layer)) <= 1e-9, (family, shape)
+                layer = layer_at(t, spec, hooi_iters=1)
+                assert relerr(t, reconstruct(layer)) <= 1e-9, (family, shape)
 
     def test_monotone_budget_tt_and_tucker(self, rng):
         t = rng.standard_normal((6, 6, 6))
@@ -699,8 +729,8 @@ class TestInvariants:
                     spec = select_ranks((6, 6, 6), family, ParamBudget(budget))
                 except InfeasibleBudgetError:
                     continue
-                layer = decompose(t, spec, hooi_iters=2)
-                err = relative_error(t, reconstruct(layer))
+                layer = layer_at(t, spec, hooi_iters=2)
+                err = relerr(t, reconstruct(layer))
                 assert err <= prev_err + 1e-9
                 prev_err = err
 
@@ -708,7 +738,7 @@ class TestInvariants:
         w = rng.standard_normal((12, 10))
         layer = compress_matrix(w, "tt", ParamBudget(10**9))
         assert layer.matrix_shape == (12, 10)
-        assert relative_error(w, layer_to_matrix(layer)) <= 1e-9
+        assert relerr(w, layer_to_matrix(layer)) <= 1e-9
 
 
 MODES_16x32 = (4, 4, 4, 8)
@@ -724,15 +754,14 @@ PUBLIC_ENTRIES = (
     ("compress_matrix_tucker", lambda a: compress_matrix(a, "tucker", ParamBudget(200))),
     ("compress_matrix_tt", lambda a: compress_matrix(a, "tt", ParamBudget(200))),
     ("compress_matrix_tr", lambda a: compress_matrix(a, "tr", ParamBudget(200))),
-    ("decompose_tucker", lambda a: decompose(modes(a), RankSpec("tucker", (2, 2, 2, 2)))),
-    ("decompose_tt", lambda a: decompose(modes(a), RankSpec("tt", (2, 2, 2)))),
-    ("decompose_tr", lambda a: decompose(modes(a), RankSpec("tr", (1, 2, 2, 2)))),
-    ("decompose_dense", lambda a: decompose(modes(a), RankSpec("dense"))),
     ("tucker_decompose", lambda a: tucker_decompose(modes(a), (2, 2, 2, 2))),
     ("tt_decompose", lambda a: tt_decompose(modes(a), (2, 2, 2))),
     ("tr_decompose", lambda a: tr_decompose(modes(a), (1, 2, 2, 2))),
     ("truncated_svd", lambda a: truncated_svd(a, 5)),
     ("full_svd", full_svd),
+    ("leading_basis", lambda a: tc.leading_basis(a, 5)),
+    ("leading_basis_stacked", lambda a: tc.leading_basis(a[None], 5, stacked=True)),
+    ("as_tensor", as_tensor),
 )
 
 
@@ -796,16 +825,12 @@ class TestInputChecks:
             decomp(t, bad_ranks)
         assert lapack_calls == [] and eigh_calls == []
 
-    @pytest.mark.parametrize("family", [*FAMILIES, "dense"])
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("row_mode_count", [0, 4])
-    def test_a_row_mode_count_out_of_range_raises_before_any_decomposition(
-        self, rng, lapack_calls, eigh_calls, family, row_mode_count
-    ):
-        t = rng.standard_normal((4, 8, 4, 8))
-        spec = RankSpec("dense") if family == "dense" else select_ranks(t.shape, family, ratio_budget(0.25, t.size))
+    def test_a_layer_with_a_row_mode_count_out_of_range_raises(self, rng, family, row_mode_count):
+        layer = compress_matrix(rng.standard_normal((32, 32)), family, ratio_budget(0.25, 1024))
         with pytest.raises(ShapeError, match="row_mode_count"):
-            decompose(t, spec, row_mode_count=row_mode_count)
-        assert lapack_calls == [] and eigh_calls == []
+            CompressedLayer(family, layer.mode_shape, row_mode_count, layer.core, layer.factors, layer.cores)
 
     def test_non_finite_entry_outranks_an_infeasible_budget(self, rng):
         w = rng.standard_normal((16, 32))
@@ -819,9 +844,9 @@ class TestInputChecks:
     def test_near_overflow_input_keeps_its_error_type(self, rng, name, call):
         # as before input checks were cut: the decompositions raise NumericsError
         # once a singular value overflows into the next SVD's input; a lone SVD,
-        # a reshape and dense storage return
+        # a basis of the input scaled by a power of two and a scan return
         w = near_overflow(rng)
-        passes = name in ("truncated_svd", "full_svd", "decompose_dense")
+        passes = name in ("truncated_svd", "full_svd", "leading_basis", "leading_basis_stacked", "as_tensor")
         with np.errstate(over="ignore", invalid="ignore"):
             if passes:
                 call(w)
@@ -842,8 +867,8 @@ class TestInputChecks:
     def test_compress_matrix_scans_its_input_once_plus_each_svd_input(
         self, rng, monkeypatch, lapack_calls, family, svds, splits, bases, scans
     ):
-        """compress_matrix scans its input once (four times before: compress_matrix,
-        reshape_to_modes, decompose and the family's routine). Each SVD and each
+        """compress_matrix scans its input once, and the family's routine does
+        not scan it again. Each SVD and each
         Tucker factor still scans its own input: an unfolding or projection can
         overflow, and LAPACK must not see an inf. A TT split scans by
         ``_train_split``'s scan (the near-overflow test sees it raise on a later
@@ -889,8 +914,8 @@ class TestInputChecks:
             budget = ratio_budget(0.25, n * n)
             fast = compress_matrix(w, family, budget, hooi_iters=2)
             spec = select_ranks(mode_shape, family, budget)
-            chain = decompose(as_tensor(w).reshape(mode_shape), spec, hooi_iters=2, row_mode_count=row_modes)
-            assert fast.row_mode_count == chain.row_mode_count and fast.ranks == chain.ranks
+            chain = layer_at(as_tensor(w).reshape(mode_shape), spec, hooi_iters=2)
+            assert fast.row_mode_count == row_modes and fast.ranks == chain.ranks == spec.ranks
             assert all(bitwise_equal(a, b) for a, b in zip(payload(fast), payload(chain), strict=True))
 
 
@@ -898,10 +923,8 @@ class TestInputChecks:
 # truncates modes 0 and 2 of a 32 x 32 matrix's (4, 8, 4, 8) modes
 SWEEP_ENTRIES = [
     ("tucker_decompose", lambda w, n: tucker_decompose(w.reshape(4, 8, 4, 8), (2, 8, 3, 8), hooi_iters=n)),
-    ("decompose", lambda w, n: decompose(w.reshape(4, 8, 4, 8), RankSpec("tucker", (2, 8, 3, 8)), hooi_iters=n)),
     ("compress_matrix", lambda w, n: compress_matrix(w, "tucker", ratio_budget(0.25, w.size), hooi_iters=n)),
     ("compress_matrix_tt", lambda w, n: compress_matrix(w, "tt", ratio_budget(0.25, w.size), hooi_iters=n)),
-    ("decompose_dense", lambda w, n: decompose(w.reshape(4, 8, 4, 8), RankSpec("dense"), hooi_iters=n)),
 ]
 
 
@@ -925,7 +948,7 @@ class TestSweepCount:
             call(w, n)
 
     def test_every_default_reads_the_constant(self):
-        for fn in (tucker_decompose, decompose, compress_matrix):
+        for fn in (tucker_decompose, compress_matrix):
             assert inspect.signature(fn).parameters["hooi_iters"].default == tn.HOOI_SWEEPS, fn.__name__
 
 
@@ -1007,7 +1030,7 @@ class TestSvdSource:
 
     def test_a_ring_with_a_unit_closing_bond_has_the_train_cores_bitwise(self, rng):
         # what lets a probe of a ring take the train's deviation
-        # (sensitivity._probe_key); (4, 8, 4) is capped at (4, 4, 4)
+        # (tn._probe_key); (4, 8, 4) is capped at (4, 4, 4)
         t = rng.standard_normal((4, 4, 4, 4))
         for bonds in [(3, 5, 2), (4, 8, 4), (2, 2, 1)]:
             tt, tr = tt_decompose(t, bonds), tr_decompose(t, (1, *bonds))
