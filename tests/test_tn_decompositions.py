@@ -9,6 +9,7 @@ import minima.tensor_core as tc
 import minima.tn_decompositions as tn
 from helpers import reconstruction_error as relerr
 from minima.errors import InfeasibleBudgetError, NumericsError, RankError, ShapeError
+from minima.sensitivity import probe_patch
 from minima.tensor_core import ParamBudget, as_tensor, full_svd, mode_dot, truncated_svd
 from minima.tn_decompositions import (
     FAMILIES,
@@ -762,6 +763,7 @@ PUBLIC_ENTRIES = (
     ("leading_basis", lambda a: tc.leading_basis(a, 5)),
     ("leading_basis_stacked", lambda a: tc.leading_basis(a[None], 5, stacked=True)),
     ("as_tensor", as_tensor),
+    ("probe_patch", lambda a: probe_patch(a, FAMILIES, (0.25,), np.ones((32, 8)))),
 )
 
 
@@ -925,6 +927,7 @@ SWEEP_ENTRIES = [
     ("tucker_decompose", lambda w, n: tucker_decompose(w.reshape(4, 8, 4, 8), (2, 8, 3, 8), hooi_iters=n)),
     ("compress_matrix", lambda w, n: compress_matrix(w, "tucker", ratio_budget(0.25, w.size), hooi_iters=n)),
     ("compress_matrix_tt", lambda w, n: compress_matrix(w, "tt", ratio_budget(0.25, w.size), hooi_iters=n)),
+    ("compress_matrix_tr", lambda w, n: compress_matrix(w, "tr", ratio_budget(0.25, w.size), hooi_iters=n)),
 ]
 
 
