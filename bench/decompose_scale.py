@@ -12,10 +12,11 @@ machine's drift falls on all three alike. A family's pass times
 ``select_ranks`` on the patch's mode shape cold, its process-wide memo
 cleared first so that the call runs the search (a TR search runs the TT
 search it takes its ranks from), then warm, a memo hit, then
-``compress_matrix`` at its defaults (``HOOI_SWEEPS`` HOOI sweeps for
-Tucker), whose search is then a memo hit too. Each row also records the
-selected ranks and the relative reconstruction error ||W - What|| / ||W||,
-so two checkouts can be compared for equal outputs.
+``compress_matrix`` (``HOOI_SWEEPS`` HOOI sweeps for Tucker), whose search
+is then a memo hit too. Each row also records the selected ranks, the
+relative reconstruction error ||W - What|| / ||W|| and ``layer_digest``, a
+``harness.digest`` of the layer's arrays and its reconstruction, so two
+checkouts can be compared for equal outputs.
 """
 
 import argparse
@@ -32,6 +33,7 @@ from minima.tn_decompositions import (
     default_mode_shape,
     layer_to_matrix,
     ratio_budget,
+    reconstruct,
     select_ranks,
 )
 
@@ -45,6 +47,12 @@ def synthetic(n: int) -> np.ndarray:
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (u * np.exp(-DECAY * np.arange(n))) @ v.T
+
+
+def layer_digest(layer) -> str:
+    arrays = [layer.core, *layer.factors] if layer.family == "tucker" else list(layer.cores)
+    arrays.append(reconstruct(layer))
+    return harness.digest(v for a in arrays for v in (a.shape, *a.ravel().tolist()))
 
 
 def run_pass(family, w, mode_shape, budget):
@@ -64,6 +72,7 @@ def measure(n: int) -> list[dict]:
     for family, (spec, layer) in outs.items():
         row = {"patch": [n, n], "mode_shape": list(mode_shape), "family": family, "ranks": list(spec.ranks)}
         row["relative_error"] = float(np.linalg.norm(w - layer_to_matrix(layer)) / np.linalg.norm(w))
+        row["layer_digest"] = layer_digest(layer)
         row.update({stage: harness.quartiles(r[family][stage] for r in runs) for stage in STAGES})
         rows.append(row)
     return rows
@@ -79,7 +88,7 @@ def main():
         for row in measure(n):
             rows.append(row)
             harness.show(row)
-    harness.report(args.out, rows, ratio=RATIO, hooi_iters=HOOI_SWEEPS)
+    harness.report(args.out, rows, ratio=RATIO, hooi_sweeps=HOOI_SWEEPS)
 
 
 if __name__ == "__main__":

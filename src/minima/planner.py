@@ -113,22 +113,13 @@ def build_options(
     """Translate sensitivity records into planner inputs.
 
     A patch's candidates are the (family, ratio) pairs of its record's
-    ``predictions`` that fit the patch, with families in ``FAMILIES``
-    order; a pair fits when ``select_ranks`` finds ranks within the ratio's
-    budget that store fewer scalars than the dense patch. So the plan's
-    accounting matches what compression will store, and the candidate grid
-    is the one the records were predicted on. Rank selection runs once per
-    distinct (geometry, family, ratio): a memo of ``_fit`` made for this
-    call and dropped when it returns. Patches whose every prediction
-    exceeds the cap are pinned dense; excluded kinds never receive
-    candidates.
-
-    Each candidate is one slotted ``Candidate``, built once per (patch,
-    family, ratio) and shared with every plan ``allocate`` makes from these
-    options. ``Candidate`` is not frozen, so it is not hashable.
-
-    Two records for one patch, or a cap that is NaN or negative, raise
-    ``ValueError`` before any work.
+    ``predictions`` whose ranks (``select_ranks`` at the ratio's budget)
+    store fewer scalars than the dense patch, families in ``FAMILIES``
+    order, one ``Candidate`` each, shared by every plan made from these
+    options. ``_fit`` is memoized for this call only. Patches whose every
+    prediction exceeds the cap are pinned dense; excluded kinds get no
+    candidates. Two records for one patch, or a cap that is NaN or
+    negative, raise ``ValueError`` before any work.
     """
     _check_cap(degradation_cap)
     by_id = {}
@@ -164,13 +155,13 @@ def _entry(patch: Patch, cand: Candidate) -> PlanEntry:
 
 
 def _best_step(pid: int, cands, params: int, deg: float):
-    """``(key, candidate)`` of the patch's best next step, or None if no
-    candidate stores fewer params; the smallest key is the best step.
+    """``((-score, pid), candidate)`` of the patch's best next step, or
+    None if no candidate stores fewer params; the smallest key is the best
+    step over all patches.
 
-    The key is ``(-score, pid, family order, -ratio)``. Scores are compared
-    first; only an exact tie (``inf == inf`` included) compares family order
-    and ratio, and only strictly, so of equal keys the candidate listed
-    first wins. The key is built once, for the winner.
+    Scores are compared first; only an exact tie (``inf == inf`` included)
+    compares family order, then the larger ratio, and only strictly, so of
+    equal scores, families and ratios the candidate listed first wins.
     """
     best = None
     top = 0.0
@@ -190,7 +181,7 @@ def _best_step(pid: int, cands, params: int, deg: float):
             best, top = cand, score
     if best is None:
         return None
-    return (-top, pid, _FAMILY_ORDER[best.family], -best.ratio), best
+    return (-top, pid), best
 
 
 def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
@@ -221,7 +212,7 @@ def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
                 f"(target ratio {target_ratio}; {pinned} compressible patches pinned dense)",
                 best_achievable=total / dense_total if dense_total else 1.0,
             )
-        (_, pid, *_), cand = heapq.heappop(heap)
+        (_, pid), cand = heapq.heappop(heap)
         prev = current[pid]
         total -= (dense[pid] if prev is None else prev.params) - cand.params
         current[pid] = cand
@@ -371,28 +362,18 @@ def allocate(
     """Produce a plan meeting ``achieved <= target_ratio * dense_params``.
 
     ``uniform`` compresses every eligible patch with one family at one
-    shared ratio, found by bisection. Patches are grouped by geometry once,
-    so a bisection pass costs one lookup per geometry. Rank selection runs
-    once per distinct (geometry, ratio) over all passes, from a memo that
-    lives only for this call.
+    shared ratio, found by bisection over the patches grouped by geometry,
+    with a memo of ``_fit`` for this call only.
 
-    ``sensitivity`` runs the greedy marginal-cost loop restricted to
-    ``single_family``; ``sensitivity_mixed`` searches all families. Each
-    greedy step takes the candidate with the most params saved per unit of
-    added predicted degradation. Steps that add none come first. A heap
-    holds each patch's best next step, keyed ``(-score, patch id, family
-    order (tucker, tt, tr), -ratio)``. So ties break on lower patch id,
-    then family order, then larger ratio, then listing order. After a step,
-    only the stepped patch's entry is recomputed, by a scan of its
-    candidates that compares scores first (``_best_step``). Options hold
-    one slotted ``Candidate`` per (patch, family, ratio), not frozen and so
-    not hashable; ``sensitivity_mixed`` scans each option's list as it is,
-    ``sensitivity`` a copy filtered to ``single_family``. If the steps run
-    out above the budget, ``InfeasibleBudgetError`` says how many
-    compressible patches are pinned dense.
-
-    A non-finite ``predicted_degradation`` on any candidate raises
-    ``ValueError``.
+    ``sensitivity`` (``single_family`` only) and ``sensitivity_mixed`` (all
+    families) step greedily: each step takes the candidate with the most
+    params saved per unit of added predicted degradation, steps that add
+    none first. A heap holds each patch's best next step, keyed ``(-score,
+    patch id)``, so ties between patches break on the lower id; within a
+    patch ``_best_step`` breaks them. Only the stepped patch's entry is
+    recomputed. If the steps run out above the budget,
+    ``InfeasibleBudgetError`` says how many compressible patches are pinned
+    dense. A non-finite ``predicted_degradation`` raises ``ValueError``.
     """
     if not 0.0 < target_ratio <= 1.0:
         raise ValueError(f"target ratio must be in (0, 1], got {target_ratio}")

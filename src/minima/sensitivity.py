@@ -23,8 +23,6 @@ from minima.model import ModelContainer
 from minima.tensor_core import as_tensor
 from minima.tn_decompositions import (
     FAMILIES,
-    HOOI_SWEEPS,
-    _check_sweeps,
     _probe_key,
     _reconstructions,
     default_mode_shape,
@@ -251,7 +249,6 @@ def probe_patch(
     ratio_grid,
     calib: np.ndarray,
     patch_id: int = 0,
-    hooi_iters: int = HOOI_SWEEPS,
 ) -> list[ProbeRecord]:
     """Measure the output deviation of each candidate (family, ratio).
 
@@ -260,17 +257,16 @@ def probe_patch(
     rather than raised; a family not in ``FAMILIES`` raises ``ValueError``.
 
     Each probe equals the deviation of ``compress_matrix(w, family,
-    ratio_budget(ratio, m * n))`` at the same ``hooi_iters`` bit for bit,
-    from less work: this is the one-patch case of ``analyze``'s stack probe
-    (``_probe_stack``).
+    ratio_budget(ratio, m * n))`` bit for bit, from less work: this is the
+    one-patch case of ``analyze``'s stack probe (``_probe_stack``).
     """
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
-    return _probe_stack([patch_id], w[None], [calib], families, ratio_grid, hooi_iters)[0]
+    return _probe_stack([patch_id], w[None], [calib], families, ratio_grid)[0]
 
 
-def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=HOOI_SWEEPS) -> list[list[ProbeRecord]]:
+def _probe_stack(patch_ids, stack, calibs, families, ratio_grid) -> list[list[ProbeRecord]]:
     """``probe_patch`` of the same-shape patches of ``stack`` ``(P, m, n)``:
     one list of records per patch, in ``FAMILIES`` order, then ratio order.
     The patches and their calibrations are scanned before any decomposition.
@@ -281,7 +277,6 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=HOOI
     the whole stack, and ||W X|| is computed once per patch.
     """
     families = _probe_families(families)
-    _check_sweeps(hooi_iters)
     stack = as_tensor(stack)
     calibs = [as_tensor(x) for x in calibs]
     m, n = stack.shape[1:]
@@ -305,7 +300,7 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid, hooi_iters=HOOI
     tucker, trains = ([k[1] for k in dict.fromkeys(keys.values()) if k[0] == family] for family in ("tucker", "tt"))
     measured = {
         key: [_deviation(w, w_hat.reshape(m, n), x, ref) for w, w_hat, x, ref in zip(stack, slices, calibs, refs)]
-        for key, slices in _reconstructions(stack.reshape(len(stack), *mode_shape), tucker, trains, hooi_iters)
+        for key, slices in _reconstructions(stack.reshape(len(stack), *mode_shape), tucker, trains)
     }
 
     out = []
@@ -593,18 +588,18 @@ def analyze(
     matrix column; each patch sees the row slice matching its columns. A
     family not in ``FAMILIES``, a probed layer that ``calib`` lacks, or a
     ``degradation_cap`` that is NaN or negative raises ``ValueError`` before
-    any work. The
-    patches are grouped by shape into stacks (``_patch_stacks``), and each
-    stack's features are taken at once (``_stack_features``); so are the
-    probed patches', each stack probed at once (``_probe_stack``). Features
-    and records equal an ``extract_features`` and a ``probe_patch`` loop
-    over the patches bit for bit and keep their order. Every patch's
-    sensitivity record comes from one ``forward`` over all the patches
-    (``_records``) and equals a ``predict`` loop's bit for bit.
-    Rank selection runs once per distinct (mode shape, family, budget) in
-    the process (``select_ranks``' memo). ``seed`` is unused: ``calib`` is given and the
-    fit is closed-form, so nothing is drawn at random. It stays because the
-    benchmark workloads in ``perfbench/workloads.py`` pass it.
+    any work. The patches are grouped by shape into stacks
+    (``_patch_stacks``), and each stack's features are taken at once
+    (``_stack_features``); so are the probed patches', each stack probed at
+    once (``_probe_stack``). Features and records equal an
+    ``extract_features`` and a ``probe_patch`` loop over the patches bit for
+    bit and keep their order. Every patch's sensitivity record comes from
+    one ``forward`` over all the patches (``_records``) and equals a
+    ``predict`` loop's bit for bit. Rank selection runs once per distinct
+    (mode shape, family, budget) in the process (``select_ranks``' memo).
+    ``seed`` is unused: ``calib`` is given and the fit is closed-form, so
+    nothing is drawn at random. It stays because the benchmark workloads in
+    ``perfbench/workloads.py`` pass it.
     """
     _probe_families(families)
     _check_cap(degradation_cap)

@@ -13,12 +13,12 @@ Conventions of the whole package, stated here once:
   row index winning ties (``_column_signs``). A column's sign depends only
   on that column, so a truncation is a prefix of the full result bit for
   bit.
-* Stacks: ``unfold``, ``mode_dot`` and ``leading_basis`` take a stack of
-  same-shape operands with ``stacked=True``. Axis 0 indexes the slices, as
-  the leading axes of ``numpy.linalg`` do, and each slice is treated as the
-  plain call treats it alone, with its own scale and sign rule. The stacked
-  ``np.matmul``, ``eigh`` and ``svd`` make the plain call's BLAS / LAPACK
-  call per slice, so each slice's bits equal the plain call's
+* Stacks: ``unfold``, ``mode_dot`` and ``leading_basis`` take only a
+  stack of same-shape operands, and one tensor is a stack of one. Axis 0
+  indexes the slices, as the leading axes of ``numpy.linalg`` do, and each
+  slice is treated alone, with its own scale and sign rule. The stacked
+  ``np.matmul``, ``eigh`` and ``svd`` make one BLAS / LAPACK call per
+  slice, so each slice's bits are those of the slice as a stack of one
   (``tests/test_tensor_core.py`` checks this on the installed build).
 * Finiteness: LAPACK never sees a NaN or inf (``np.linalg.svd`` of a 4 x
   128 matrix with one inf entry does not return under OpenBLAS 0.3.31).
@@ -45,23 +45,21 @@ import numpy as np
 from minima.errors import NumericsError, RankError, ShapeError
 
 
-def as_tensor(data, shape=None) -> np.ndarray:
+def as_tensor(data) -> np.ndarray:
     """Validate and normalize input to a finite float64 C-ordered array."""
-    t = _as_array(data, shape)
+    t = _as_array(data)
     if not np.isfinite(t).all():
         raise NumericsError("tensor entries must be finite")
     return t
 
 
-def _as_array(data, shape=None) -> np.ndarray:
+def _as_array(data) -> np.ndarray:
     """``as_tensor`` without the scan for non-finite entries.
 
     For the decompositions, which scan their input where they first read
     it (``tn_decompositions``' input checks).
     """
     t = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        t = t.reshape(shape)
     if t.ndim == 0:
         t = t.reshape(1)
     if 0 in t.shape:
@@ -80,61 +78,52 @@ def _rejected(t: np.ndarray, exc: Exception) -> Exception:
 
 
 @functools.cache
-def _mode_axes(lead: int, d: int, mode: int) -> tuple[tuple[int, ...], ...]:
-    """Axis orders for mode ``mode`` of a rank-``d`` tensor behind ``lead``
-    stack axes: the transpose that puts the mode first (``unfold``), the
-    one that puts it last, and the one that moves a last axis back to the
-    mode (``mode_dot``). Cached: three small tuples per (stacked, rank,
-    mode) seen, in place of rebuilding them on every call."""
-    stack = tuple(range(lead))
+def _mode_axes(d: int, mode: int) -> tuple[tuple[int, ...], ...]:
+    """Axis orders for mode ``mode`` of a stack of rank-``d`` tensors: the
+    transpose that puts the mode first after the stack axis (``unfold``),
+    the one that puts it last, and the one that moves a last axis back to
+    the mode (``mode_dot``). Cached: three small tuples per (rank, mode)
+    seen, in place of rebuilding them on every call."""
     others = (*range(mode), *range(mode + 1, d))
-    first = (*stack, lead + mode, *(lead + k for k in others))
-    last = (*stack, *(lead + k for k in others), lead + mode)
-    back = (*stack, *(lead + k for k in (*range(mode), d - 1, *range(mode, d - 1))))
+    first = (0, 1 + mode, *(1 + k for k in others))
+    last = (0, *(1 + k for k in others), 1 + mode)
+    back = (0, *(1 + k for k in (*range(mode), d - 1, *range(mode, d - 1))))
     return first, last, back
 
 
-def unfold(t: np.ndarray, mode: int, *, stacked: bool = False) -> np.ndarray:
-    """Mode-k matricization: mode k on rows, remaining modes on columns.
+def unfold(t: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-k matricization of each tensor of a stack ``t``: the stack of
+    their unfoldings, ``(P, n_mode, rest)``.
 
     One transpose and one copy: the same array ``np.moveaxis`` would give,
-    without its axis bookkeeping. With ``stacked``, axis 0 of ``t`` is a
-    stack of tensors and the result is the stack of their unfoldings,
-    ``(P, n_mode, rest)``.
+    without its axis bookkeeping.
     """
     t = np.asarray(t)
-    lead = int(stacked)
-    d = t.ndim - lead
+    d = t.ndim - 1
     if not 0 <= mode < d:
         raise IndexError(f"mode {mode} out of range for rank-{d} tensor")
-    shape = t.shape
-    first = _mode_axes(lead, d, mode)[0]
-    return np.ascontiguousarray(t.transpose(first).reshape(shape[:lead] + (shape[lead + mode], -1)))
+    first = _mode_axes(d, mode)[0]
+    return np.ascontiguousarray(t.transpose(first).reshape(len(t), t.shape[1 + mode], -1))
 
 
-def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int, *, stacked: bool = False) -> np.ndarray:
-    """Contract mode ``mode`` of ``t`` with the first axis of ``mat``.
-
-    The second axis of ``mat`` replaces the contracted mode in place, so a
-    factor of shape (n, r) maps an n-sized mode to an r-sized one. With
-    ``stacked``, axis 0 of ``t`` and of ``mat`` index a stack, ``mat`` is
-    ``(P, n, r)`` and slice p of ``t`` meets slice p of ``mat``; ``mode``
+def mode_dot(t: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
+    """Contract mode ``mode`` of each tensor of a stack ``t`` with the first
+    axis of the matching matrix of a stack ``mat`` ``(P, n, r)``; ``mode``
     counts the modes of a slice.
 
-    ``t`` is transposed to (other modes..., mode) and reshaped to (-1, n)
-    for one ``np.dot`` with ``mat``: the same ``np.dot``, on the same
-    operands, that ``np.tensordot(t, mat, axes=(mode, 0))`` makes, so the
-    bits equal it on any build. A stack takes one ``np.matmul`` (by the
-    ``@`` operator, which dispatches faster than the function), making
-    that product per slice. The result is a transposed view.
+    The second axis of the matrix replaces the contracted mode in place, so
+    a factor of shape (n, r) maps an n-sized mode to an r-sized one. ``t``
+    is transposed to (stack, other modes..., mode) and reshaped to (P, -1,
+    n) for one ``np.matmul`` (by the ``@`` operator, which dispatches faster
+    than the function): per slice, the operands that ``np.tensordot(t[p],
+    mat[p], axes=(mode, 0))`` hands to ``np.dot``. The result is a
+    transposed view.
     """
-    lead = int(stacked)
-    if mat.ndim != 2 + lead:
-        raise ShapeError("mode_dot expects a matrix" + (" per slice" if stacked else ""))
-    _, last, back = _mode_axes(lead, t.ndim - lead, mode)
+    if mat.ndim != 3:
+        raise ShapeError("mode_dot expects a matrix per slice")
+    _, last, back = _mode_axes(t.ndim - 1, mode)
     moved = t.transpose(last)
-    flat = moved.reshape(t.shape[:lead] + (-1, t.shape[lead + mode]))
-    out = flat @ mat if stacked else np.dot(flat, mat)
+    out = moved.reshape(len(t), -1, t.shape[1 + mode]) @ mat
     return out.reshape(moved.shape[:-1] + mat.shape[-1:]).transpose(back)
 
 
@@ -164,13 +153,12 @@ class SvdResult:
 
 
 def _column_signs(u: np.ndarray) -> np.ndarray:
-    """``-1.0`` or ``1.0`` per column of ``u`` (of each matrix of a stack),
-    shaped to broadcast over it: the sign that makes the column's
-    largest-magnitude entry positive (lowest row index on ties)."""
+    """``-1.0`` or ``1.0`` per column of each matrix of a stack ``u``,
+    shaped ``(P, 1, r)`` to broadcast over it: the sign that makes the
+    column's largest-magnitude entry positive (lowest row index on ties)."""
     pivots = np.argmax(np.abs(u), axis=-2)
-    cols = np.arange(u.shape[-1])
-    peaks = u[pivots, cols] if u.ndim == 2 else u[np.arange(len(u))[:, None], pivots, cols]
-    return np.copysign(1.0, peaks)[..., None, :]
+    peaks = u[np.arange(len(u))[:, None], pivots, np.arange(u.shape[-1])]
+    return np.copysign(1.0, peaks)[:, None, :]
 
 
 def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
@@ -188,7 +176,7 @@ def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
         raise RankError(f"rank {rank} out of range [1, {min(m.shape)}] for a {m.shape} matrix")
     left, values, right_t = np.linalg.svd(m, full_matrices=False)
     left, right = left[:, :rank], right_t[:rank].T
-    signs = _column_signs(left)
+    signs = _column_signs(left[None])[0]
     return SvdResult(
         left=np.ascontiguousarray(left * signs),
         values=values[:rank].copy(),
@@ -202,9 +190,9 @@ def full_svd(matrix: np.ndarray) -> SvdResult:
     return truncated_svd(m, min(m.shape))
 
 
-def leading_basis(matrix: np.ndarray, rank: int, *, stacked: bool = False) -> np.ndarray:
+def leading_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     """``rank`` orthonormal columns spanning the leading left singular
-    subspace of a rank-2 tensor (of each slice of a stack ``(P, m, n)``).
+    subspace of each matrix of a stack ``(P, m, n)``.
 
     The columns are the eigenvectors of the Gram ``s @ s.T``, largest
     eigenvalue first, under the sign rule: an ``m x n`` input costs an ``m
@@ -220,9 +208,8 @@ def leading_basis(matrix: np.ndarray, rank: int, *, stacked: bool = False) -> np
     any entry is, and then ``NumericsError`` is raised.
     """
     m = _as_array(matrix)
-    if m.ndim != 2 + stacked:
-        kind = "a stack of rank-2 tensors" if stacked else "a rank-2 tensor"
-        raise _rejected(m, ShapeError(f"expected {kind}, got rank {m.ndim}"))
+    if m.ndim != 3:
+        raise _rejected(m, ShapeError(f"expected a stack of rank-2 tensors, got rank {m.ndim}"))
     rows = m.shape[-2]
     if not 1 <= rank <= rows:
         raise _rejected(m, RankError(f"rank {rank} out of range [1, {rows}] for a {m.shape[-2:]} matrix"))

@@ -38,12 +38,11 @@ factor is ``leading_basis`` of its unfolding, an ``n_k x n_k`` ``eigh``;
 a truncated TT split is one LAPACK SVD.
 
 Sweeps: a Tucker decomposition is the truncated HOSVD refined by
-``hooi_iters`` HOOI sweeps (De Lathauwer, De Moor & Vandewalle 2000). Every
-routine that takes the count, the probes of ``sensitivity`` included,
-defaults to ``HOOI_SWEEPS``, so at default arguments the layer that
-``compress_matrix`` builds for a probed (patch, ratio) is the probe's
-decomposition bit for bit. A count that is not a non-negative ``int`` (a
-``bool`` is not one) raises ``ValueError`` before any LAPACK call.
+``HOOI_SWEEPS`` HOOI sweeps (De Lathauwer, De Moor & Vandewalle 2000). The
+count is this one constant, which ``_hooi`` reads when it runs, so every
+Tucker routine and the probes of ``sensitivity`` take the same count, and
+the layer that ``compress_matrix`` builds for a probed (patch, ratio) is
+the probe's decomposition bit for bit.
 """
 
 from __future__ import annotations
@@ -68,13 +67,7 @@ from minima.tensor_core import (
 )
 
 FAMILIES = ("tucker", "tt", "tr")
-HOOI_SWEEPS = 1  # the default HOOI sweep count of every Tucker decomposition
-
-
-def _check_sweeps(hooi_iters) -> None:
-    """Raise ``ValueError`` unless ``hooi_iters`` is a non-negative ``int``."""
-    if isinstance(hooi_iters, bool) or not isinstance(hooi_iters, int) or hooi_iters < 0:
-        raise ValueError(f"hooi_iters must be a non-negative int, got {hooi_iters!r}")
+HOOI_SWEEPS = 1  # the HOOI sweep count of every Tucker decomposition
 
 
 def balanced_split(n: int) -> tuple[int, ...]:
@@ -158,13 +151,11 @@ class RankSpec:
     budget into one."""
 
     family: str
-    ranks: tuple[int, ...] | None = None
+    ranks: tuple[int, ...]
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RankError(f"unknown family {self.family!r}")
-        if self.ranks is None:
-            raise RankError(f"{self.family} needs ranks")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if any(r < 1 for r in self.ranks):
             raise RankError(f"ranks must be >= 1, got {self.ranks}")
@@ -177,7 +168,7 @@ def _orthonormal_factor(unfoldings: np.ndarray, rank: int) -> np.ndarray:
     """The ``rank`` leading orthonormal columns of each unfolding of a stack
     ``(P, n, rest)``: the one call through which Tucker takes each factor,
     so a test can substitute it."""
-    return leading_basis(unfoldings, rank, stacked=True)
+    return leading_basis(unfoldings, rank)
 
 
 def _slice_energies(t: np.ndarray) -> np.ndarray:
@@ -186,13 +177,12 @@ def _slice_energies(t: np.ndarray) -> np.ndarray:
     return (flat * flat).sum(axis=1)
 
 
-def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = HOOI_SWEEPS) -> CompressedLayer:
+def tucker_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     """Tucker decomposition at ``ranks``: ``_tucker_stack`` of a stack of
     one. The layer owns a copy of the core, and a whole mode's factor is
     ``np.eye(n_k)``. A count other than d, or a rank outside ``[1, n_k]``,
     raises ``RankError``.
     """
-    _check_sweeps(hooi_iters)
     t = _as_array(t)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != t.ndim:
@@ -200,7 +190,7 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = HOOI_SWEEPS) -> Com
     for k, r in enumerate(ranks):
         if not 1 <= r <= t.shape[k]:
             raise _rejected(t, RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}"))
-    ((_, core, factors),) = _tucker_stack(t[None], [ranks], hooi_iters)
+    ((_, core, factors),) = _tucker_stack(t[None], [ranks])
     return CompressedLayer(
         family="tucker",
         mode_shape=t.shape,
@@ -210,9 +200,7 @@ def tucker_decompose(t: np.ndarray, ranks, hooi_iters: int = HOOI_SWEEPS) -> Com
     )
 
 
-def _tucker_stack(
-    t: np.ndarray, rank_tuples, hooi_iters: int
-) -> Iterator[tuple[tuple[int, ...], np.ndarray, list[np.ndarray | None]]]:
+def _tucker_stack(t: np.ndarray, rank_tuples) -> Iterator[tuple[tuple[int, ...], np.ndarray, list[np.ndarray | None]]]:
     """Tucker decomposition of each tensor of a stack ``t`` at each of
     ``rank_tuples`` (valid int tuples): yields ``(ranks, core, factors)``,
     the core ``(P, r_0, ...)`` and a factor ``(P, n_k, r_k)`` per truncated
@@ -228,11 +216,11 @@ def _tucker_stack(
     last = {}  # truncated mode -> the index of the last tuple that truncates it
     for i, ranks in enumerate(rank_tuples):
         last.update((k, i) for k, n in enumerate(shape) if ranks[k] < n)
-    hosvd = {k: _orthonormal_factor(unfold(t, k, stacked=True), shape[k]) for k in sorted(last)}
+    hosvd = {k: _orthonormal_factor(unfold(t, k), shape[k]) for k in sorted(last)}
     total = _slice_energies(t)
     for i, ranks in enumerate(rank_tuples):  # no local holds what is yielded, so the caller can free it
         done = [k for k, j in last.items() if j == i]
-        yield ranks, *_hooi(t, ranks, _start_factors(hosvd, ranks, done), hooi_iters, total)
+        yield ranks, *_hooi(t, ranks, _start_factors(hosvd, ranks, done), total)
 
 
 def _start_factors(hosvd: dict, ranks, done: list[int]) -> list[np.ndarray | None]:
@@ -248,8 +236,8 @@ def _start_factors(hosvd: dict, ranks, done: list[int]) -> list[np.ndarray | Non
     return factors
 
 
-def _hooi(t: np.ndarray, ranks, factors: list, hooi_iters: int, total: np.ndarray) -> tuple[np.ndarray, list]:
-    """``hooi_iters`` sweeps over the truncated modes of a stack ``t`` (those
+def _hooi(t: np.ndarray, ranks, factors: list, total: np.ndarray) -> tuple[np.ndarray, list]:
+    """``HOOI_SWEEPS`` sweeps over the truncated modes of a stack ``t`` (those
     whose start factor in ``factors`` is not ``None``), updated in place;
     returns the core and ``factors``. ``total`` holds each slice's squared
     norm.
@@ -274,16 +262,16 @@ def _hooi(t: np.ndarray, ranks, factors: list, hooi_iters: int, total: np.ndarra
         as_tensor(t)  # no basis call scans the input
     core = t
     for k in cut:
-        core = mode_dot(core, factors[k], k, stacked=True)
+        core = mode_dot(core, factors[k], k)
     kept = _slice_energies(core)
-    for sweep in range(hooi_iters):
+    for sweep in range(HOOI_SWEEPS):
         prefix = t  # t times this sweep's factors before k
         for i, k in enumerate(cut):
             proj = prefix
             for j in cut[i + 1 :]:
-                proj = mode_dot(proj, factors[j], j, stacked=True)
-            factors[k] = _orthonormal_factor(unfold(proj, k, stacked=True), ranks[k])
-            prefix = mode_dot(prefix, factors[k], k, stacked=True)
+                proj = mode_dot(proj, factors[j], j)
+            factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k])
+            prefix = mode_dot(prefix, factors[k], k)
         core = prefix
         new_kept = _slice_energies(core)
         rose = kept - new_kept > slack * total
@@ -449,9 +437,9 @@ def _dense_slices(core=None, factors=(), cores=()) -> Iterator[np.ndarray]:
             yield from core
             return
         for k in modes[:-1]:
-            core = mode_dot(core, factors[k].transpose(0, 2, 1), k, stacked=True)
+            core = mode_dot(core, factors[k].transpose(0, 2, 1), k)
         for head, f in zip(core, factors[modes[-1]]):
-            yield mode_dot(head, f.T, modes[-1])
+            yield mode_dot(head[None], f.T[None], modes[-1])[0]
         return
     count, shape = len(cores[0]), tuple(c.shape[2] for c in cores)
     chain = cores[0].reshape(count, -1, cores[0].shape[-1])
@@ -469,14 +457,14 @@ def _probe_key(spec: RankSpec) -> tuple:
     return (spec.family, spec.ranks)
 
 
-def _reconstructions(t: np.ndarray, rank_tuples, bond_vectors, hooi_iters: int) -> Iterator[tuple[tuple, Iterator]]:
+def _reconstructions(t: np.ndarray, rank_tuples, bond_vectors) -> Iterator[tuple[tuple, Iterator]]:
     """The dense slices of a stack ``t`` decomposed at each Tucker rank
     tuple, then at each TT bond vector: yields ``(("tucker", ranks) or
     ("tt", bonds), _dense_slices(...))``. Each ``_dense_slices`` is closed
     before the next decomposition is made, which drops its arrays even where
     the caller stops short of its end, as ``zip`` does when a shorter
     iterable ends first."""
-    for ranks, core, factors in _tucker_stack(t, rank_tuples, hooi_iters):
+    for ranks, core, factors in _tucker_stack(t, rank_tuples):
         slices = _dense_slices(core, factors)
         del core, factors
         yield ("tucker", ranks), slices
@@ -640,15 +628,9 @@ def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec |
     return RankSpec(family=family, ranks=tuple(ranks))
 
 
-def compress_matrix(
-    w: np.ndarray,
-    family: str,
-    target: ParamBudget,
-    hooi_iters: int = HOOI_SWEEPS,
-) -> CompressedLayer:
+def compress_matrix(w: np.ndarray, family: str, target: ParamBudget) -> CompressedLayer:
     """Reshape a weight matrix into balanced modes and decompose it with
     Tucker, TT or TR ranks that fit the parameter budget ``target``."""
-    _check_sweeps(hooi_iters)
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError("compress_matrix expects a matrix")
@@ -656,7 +638,7 @@ def compress_matrix(
     ranks = select_ranks(mode_shape, family, target).ranks
     t = w.reshape(mode_shape)
     if family == "tucker":
-        layer = tucker_decompose(t, ranks, hooi_iters)
+        layer = tucker_decompose(t, ranks)
     elif family == "tt":
         layer = tt_decompose(t, ranks)
     else:

@@ -52,3 +52,14 @@ def solve_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     return calls
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """``sweeps(n)`` sets ``HOOI_SWEEPS``, the HOOI sweep count of every
+    Tucker decomposition, to ``n`` for the rest of the test."""
+
+    def set_count(n: int) -> None:
+        monkeypatch.setattr("minima.tn_decompositions.HOOI_SWEEPS", n)
+
+    return set_count

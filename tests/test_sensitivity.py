@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 
@@ -210,7 +209,7 @@ class TestProbes:
         ]
 
 
-def compress_matrix_probes(w, families, ratio_grid, calib, patch_id=0, hooi_iters=1):
+def compress_matrix_probes(w, families, ratio_grid, calib, patch_id=0):
     """``probe_patch`` as one ``compress_matrix`` per (family, ratio), with no
     shared SVDs or rank searches."""
     m, n = w.shape
@@ -218,7 +217,7 @@ def compress_matrix_probes(w, families, ratio_grid, calib, patch_id=0, hooi_iter
     for family in [f for f in FAMILIES if f in families]:
         for ratio in ratio_grid:
             try:
-                layer = compress_matrix(w, family, ratio_budget(ratio, m * n), hooi_iters=hooi_iters)
+                layer = compress_matrix(w, family, ratio_budget(ratio, m * n))
             except InfeasibleBudgetError:
                 continue
             deg = output_error(w, layer_to_matrix(layer), calib)
@@ -237,11 +236,10 @@ def record_bits(records) -> list:
 
 
 class TestDefaultSweeps:
-    """With no ``hooi_iters`` passed anywhere, a Tucker probe record is the
-    output deviation of the layer that ``compress_matrix``, or
-    ``tucker_decompose`` at the selected ranks, builds for its (patch,
-    ratio), bit for bit: the probes and the decompositions share
-    ``HOOI_SWEEPS``."""
+    """A Tucker probe record is the output deviation of the layer that
+    ``compress_matrix``, or ``tucker_decompose`` at the selected ranks,
+    builds for its (patch, ratio), bit for bit: the probes and the
+    decompositions read the one ``HOOI_SWEEPS`` when they run."""
 
     GRID = (0.5, 0.35, 0.25, 0.15)
 
@@ -264,17 +262,39 @@ class TestDefaultSweeps:
                 realized = output_error(w, tn.reconstruct(layer).reshape(m, n), x)
                 assert np.float64(realized).tobytes() == np.float64(record.measured_degradation).tobytes(), record
 
-    def test_the_probes_default_reads_the_constant(self):
-        for fn in (probe_patch, sensitivity._probe_stack):
-            assert inspect.signature(fn).parameters["hooi_iters"].default == tn.HOOI_SWEEPS, fn.__name__
-
-    @pytest.mark.parametrize("bad", [-1, True, 1.0, None], ids=repr)
-    def test_a_bad_count_raises_before_lapack(self, rng, lapack_calls, eigh_calls, bad):
-        w = rng.standard_normal((16, 16))
-        for families in (("tucker",), ("tt",)):
-            with pytest.raises(ValueError, match="hooi_iters"):
-                probe_patch(w, families, self.GRID, seeded_calib(16, 3), hooi_iters=bad)
-        assert lapack_calls == [] and eigh_calls == []
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_every_tucker_routine_follows_the_constant(self, rng, sweeps, eigh_calls, count):
+        # a Tucker factor is one eigendecomposition per truncated mode at the
+        # start and one per sweep: at ratio 0.25 a 32 x 32 patch's (4, 8, 4, 8)
+        # modes are cut at (4, 4, 3, 3), 3 truncated; a 16 x 16 patch probed
+        # over the grid takes 4 start bases and 15 per sweep, alone or in a
+        # stack (TestProbeWork)
+        sweeps(count)
+        w = decayed_matrix(rng, 32, 32, 0.1)
+        budget = ratio_budget(0.25, w.size)
+        assert select_ranks((4, 8, 4, 8), "tucker", budget).ranks == (4, 4, 3, 3)
+        for decompose in (
+            lambda: compress_matrix(w, "tucker", budget),
+            lambda: tn.tucker_decompose(w.reshape(4, 8, 4, 8), (4, 4, 3, 3)),
+        ):
+            eigh_calls.clear()
+            decompose()
+            assert len(eigh_calls) == 3 * (1 + count)
+        weights = decayed_matrix(rng, 16, 48, 0.1)
+        calib = rng.standard_normal((48, 16))
+        eigh_calls.clear()
+        result = analyze(make_model([("w", weights, "ffn")]), {"w": calib}, patch_size=(16, 16), probe_stride=1)
+        assert len(eigh_calls) == 4 + 15 * count
+        assert len(result.probed_ids) == 3
+        for patch in result.patches:
+            cols = slice(*patch.col_range)
+            block, x = weights[:, cols], calib[cols]
+            eigh_calls.clear()
+            alone = probe_patch(block, FAMILIES, self.GRID, x, patch_id=patch.patch_id)
+            assert len(eigh_calls) == 4 + 15 * count
+            looped = compress_matrix_probes(block, FAMILIES, self.GRID, x, patch_id=patch.patch_id)
+            in_stack = [r for r in result.probes if r.patch_id == patch.patch_id]
+            assert record_bits(in_stack) == record_bits(alone) == record_bits(looped)
 
 
 class TestProbeWork:
@@ -285,15 +305,16 @@ class TestProbeWork:
         "shape, rank", [((16, 16), None), ((32, 32), None), ((36, 64), None), ((32, 32), 3)],
         ids=["16x16", "32x32", "36x64", "32x32-rank3"],
     )
-    @pytest.mark.parametrize("hooi_iters", [1, 2])
-    def test_records_equal_the_compress_matrix_loop_bitwise(self, rng, shape, rank, hooi_iters):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_records_equal_the_compress_matrix_loop_bitwise(self, rng, sweeps, shape, rank, count):
+        sweeps(count)
         if rank is None:
             w = decayed_matrix(rng, *shape, 0.1)
         else:
             w = decayed_matrix(rng, shape[0], rank, 0.1) @ rng.standard_normal((rank, shape[1]))
         calib = seeded_calib(shape[1], 4)
-        fast = probe_patch(w, FAMILIES, self.GRID, calib, patch_id=7, hooi_iters=hooi_iters)
-        slow = compress_matrix_probes(w, FAMILIES, self.GRID, calib, patch_id=7, hooi_iters=hooi_iters)
+        fast = probe_patch(w, FAMILIES, self.GRID, calib, patch_id=7)
+        slow = compress_matrix_probes(w, FAMILIES, self.GRID, calib, patch_id=7)
         assert len(fast) == 3 * (len(self.GRID) - 1)
         assert record_bits(fast) == record_bits(slow)
 
@@ -317,8 +338,8 @@ class TestProbeWork:
         assert (len(lapack_calls), len(eigh_calls)) == (22, 30)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("hooi_iters", [1, 2])
-    def test_compress_matrix_keeps_one_svd_per_split(self, rng, lapack_calls, eigh_calls, family, hooi_iters):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_compress_matrix_keeps_one_svd_per_split(self, rng, sweeps, lapack_calls, eigh_calls, family, count):
         # compress_matrix decomposes once: Tucker makes one HOSVD
         # eigendecomposition per truncated mode plus as many per sweep and no
         # SVD, TT and TR one SVD per truncated split, TT's a stack of one. At
@@ -326,11 +347,12 @@ class TestProbeWork:
         # (4, 4, 3, 3) truncate 3; TT's (4, 7, 7) and (4, 4, 4), and TR's
         # rings (1, ...) of them, keep their first split whole.
         w = decayed_matrix(rng, 32, 32, 0.1)  # (4, 8, 4, 8) modes
+        sweeps(count)
         for ratio, truncated in ((0.5, 2), (0.25, 3)):
             lapack_calls.clear()
             eigh_calls.clear()
-            compress_matrix(w, family, ratio_budget(ratio, w.size), hooi_iters=hooi_iters)
-            expected = (0, truncated * (1 + hooi_iters)) if family == "tucker" else (2, 0)
+            compress_matrix(w, family, ratio_budget(ratio, w.size))
+            expected = (0, truncated * (1 + count)) if family == "tucker" else (2, 0)
             assert (len(lapack_calls), len(eigh_calls)) == expected
 
     def test_a_stack_of_16x16_patches_shares_its_19_eigendecompositions(self, rng, lapack_calls, eigh_calls):
@@ -549,8 +571,9 @@ class TestStackedProbes:
             assert spec.ranks[0] == 1, (shape, ratio, spec)
             assert tn._probe_key(spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
 
-    @pytest.mark.parametrize("hooi_iters", [1, 2])
-    def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng, hooi_iters):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng, sweeps, count):
+        sweeps(count)
         # (4, 8, 4, 8) modes: Tucker keeps modes 0 and 2 whole at 0.5 and
         # mode 0 at 0.25, and every mode at 1.0; 0.01 is skipped
         grid = (1.0, 0.5, 0.35, 0.25, 0.15, 0.01)
@@ -559,9 +582,9 @@ class TestStackedProbes:
         assert tucker[0] == mode_shape and (4, 5, 4, 5) in tucker and (4, 4, 3, 3) in tucker
         stack = np.stack([decayed_matrix(rng, 32, 32, 0.05 * (p + 1)) for p in range(3)])
         calibs = [seeded_calib(32, p) for p in range(3)]
-        fast = sensitivity._probe_stack([3, 4, 5], stack, calibs, FAMILIES, grid, hooi_iters)
+        fast = sensitivity._probe_stack([3, 4, 5], stack, calibs, FAMILIES, grid)
         for pid, w, x, records in zip([3, 4, 5], stack, calibs, fast, strict=True):
-            slow = compress_matrix_probes(w, FAMILIES, grid, x, patch_id=pid, hooi_iters=hooi_iters)
+            slow = compress_matrix_probes(w, FAMILIES, grid, x, patch_id=pid)
             assert len(records) == 3 * (len(grid) - 1)
             assert record_bits(records) == record_bits(slow)
             # every Tucker mode whole: the core is the patch, reconstructed by no product
@@ -678,7 +701,7 @@ def test_the_train_phase_of_a_stack_probe_peaks_no_higher_than_its_tucker_phase(
         # _probe_stack's loop over the generator
         return {
             key: [sensitivity._deviation(w, w_hat.reshape(size, size), x, ref) for w, w_hat, x, ref in zip(stack, slices, calibs, refs)]
-            for key, slices in tn._reconstructions(t, rank_tuples, bond_vectors, 1)
+            for key, slices in tn._reconstructions(t, rank_tuples, bond_vectors)
         }
 
     def peak(call) -> int:

@@ -35,22 +35,22 @@ def unfold_oracle(t, mode):
 class TestUnfoldFold:
     def test_mode0_example(self):
         t = np.arange(8.0).reshape(2, 2, 2)
-        assert np.array_equal(unfold(t, 0), [[0, 1, 2, 3], [4, 5, 6, 7]])
+        assert np.array_equal(unfold(t[None], 0)[0], [[0, 1, 2, 3], [4, 5, 6, 7]])
 
     def test_mode2_example(self):
         t = np.arange(8.0).reshape(2, 2, 2)
         expected = unfold_oracle(t, 2)
         assert np.array_equal(expected, [[0, 2, 4, 6], [1, 3, 5, 7]])
-        assert np.array_equal(unfold(t, 2), expected)
+        assert np.array_equal(unfold(t[None], 2)[0], expected)
 
     def test_matches_oracle_all_modes(self, rng):
         t = rng.standard_normal((3, 4, 2, 5))
         for mode in range(t.ndim):
-            assert np.array_equal(unfold(t, mode), unfold_oracle(t, mode))
+            assert np.array_equal(unfold(t[None], mode)[0], unfold_oracle(t, mode))
 
     def test_mode_out_of_range(self):
         with pytest.raises(IndexError):
-            unfold(np.ones((2, 2)), 2)
+            unfold(np.ones((1, 2, 2)), 2)
 
     def test_equals_the_moveaxis_form_bitwise(self, rng):
         for d in range(1, 6):
@@ -58,7 +58,7 @@ class TestUnfoldFold:
             for source in (t, t.transpose(tuple(reversed(range(d))))):
                 for mode in range(d):
                     expected = np.ascontiguousarray(np.moveaxis(source, mode, 0).reshape(source.shape[mode], -1))
-                    assert bitwise_equal(unfold(source, mode), expected), (d, mode)
+                    assert bitwise_equal(unfold(source[None], mode)[0], expected), (d, mode)
 
 
 def tensordot_mode_dot(t, mat, mode):
@@ -75,17 +75,20 @@ class TestModeDot:
                 n = shape[mode]
                 # a non-contiguous t: the view a previous mode product returns
                 prev = (mode + 1) % d
-                view = mode_dot(base, rng.standard_normal((shape[prev], shape[prev])), prev)
+                view = mode_dot(base[None], rng.standard_normal((1, shape[prev], shape[prev])), prev)[0]
                 mats = (rng.standard_normal((n, 3)), rng.standard_normal((2, n)).T)
                 for t in (base, view):
                     for mat in mats:
-                        got, expected = mode_dot(t, mat, mode), tensordot_mode_dot(t, mat, mode)
+                        got, expected = mode_dot(t[None], mat[None], mode)[0], tensordot_mode_dot(t, mat, mode)
                         assert bitwise_equal(np.ascontiguousarray(got), np.ascontiguousarray(expected)), (d, mode)
                         assert got.shape == expected.shape
 
     def test_rejects_a_non_matrix(self, rng):
-        with pytest.raises(ShapeError):
-            mode_dot(rng.standard_normal((2, 3)), rng.standard_normal(2), 0)
+        # a factor per slice: a vector, a plain matrix or a stack of stacks is rejected
+        t = rng.standard_normal((1, 2, 3))
+        for mat in (rng.standard_normal(2), rng.standard_normal((2, 3)), rng.standard_normal((1, 1, 2, 3))):
+            with pytest.raises(ShapeError):
+                mode_dot(t, mat, 0)
 
 
 class TestAsTensor:
@@ -200,17 +203,22 @@ def separated(rng, m, n):
     return (u * np.linspace(1.0, 0.2, k)) @ v.T
 
 
+def basis(m, rank):
+    """``leading_basis`` of one matrix, as a stack of one."""
+    return leading_basis(m[None], rank)[0]
+
+
 class TestLeadingBasis:
     @pytest.mark.parametrize("shape", [(4, 64), (8, 512), (9, 6), (6, 9), (16, 16)])
     def test_spans_the_leading_left_singular_subspace(self, rng, shape):
         m = separated(rng, *shape)
         for rank in range(1, min(shape) + 1):
-            u = leading_basis(m, rank)
+            u = basis(m, rank)
             ref = truncated_svd(m, rank).left
             assert np.linalg.norm(u @ u.T - ref @ ref.T, 2) <= 1e-12, (shape, rank)
 
     def test_columns_are_orthonormal_and_signed(self, rng):
-        u = leading_basis(rng.standard_normal((7, 40)), 7)
+        u = basis(rng.standard_normal((7, 40)), 7)
         assert np.max(np.abs(u.T @ u - np.eye(7))) <= 1e-12
         for j in range(7):
             assert u[int(np.argmax(np.abs(u[:, j]))), j] > 0
@@ -218,7 +226,7 @@ class TestLeadingBasis:
     @pytest.mark.parametrize("shape", [(8, 3), (5, 1), (6, 6)])
     def test_a_rank_above_the_column_count_gives_a_full_orthonormal_basis(self, rng, shape):
         m = rng.standard_normal(shape)
-        u = leading_basis(m, shape[0])
+        u = basis(m, shape[0])
         assert u.shape == (shape[0], shape[0]) and u.flags.c_contiguous
         assert np.max(np.abs(u.T @ u - np.eye(shape[0]))) <= 1e-12
         # the leading columns span the column space of m
@@ -231,31 +239,31 @@ class TestLeadingBasis:
             m = rng.standard_normal(shape)
             scaled = np.ldexp(m, exponent)
             for rank in (1, shape[0]):
-                assert bitwise_equal(leading_basis(scaled, rank), leading_basis(m, rank)), (shape, rank)
+                assert bitwise_equal(basis(scaled, rank), basis(m, rank)), (shape, rank)
 
     def test_near_overflow_entries_give_finite_orthonormal_columns(self, rng):
         m = rng.uniform(-1.0, 1.0, (8, 512)) * 1e308
-        u = leading_basis(m, 8)
+        u = basis(m, 8)
         assert np.all(np.isfinite(u)) and np.max(np.abs(u.T @ u - np.eye(8))) <= 1e-12
-        assert bitwise_equal(u, leading_basis(np.ldexp(m, -1000), 8))
+        assert bitwise_equal(u, basis(np.ldexp(m, -1000), 8))
 
     def test_truncation_is_a_prefix_of_the_full_basis_bitwise(self, rng):
         for shape in [(9, 6), (4, 64), (8, 512), (16, 16)]:
             m = rng.standard_normal(shape)
-            full = leading_basis(m, shape[0])
+            full = basis(m, shape[0])
             for rank in range(1, shape[0] + 1):
-                assert bitwise_equal(leading_basis(m, rank), np.ascontiguousarray(full[:, :rank])), (shape, rank)
+                assert bitwise_equal(basis(m, rank), np.ascontiguousarray(full[:, :rank])), (shape, rank)
 
     def test_determinism_bitwise(self, rng):
         cases = [rng.standard_normal(shape) for shape in [(4, 64), (8, 512), (9, 6)]]
-        first = [leading_basis(m.copy(), 3) for m in cases]
+        first = [basis(m.copy(), 3) for m in cases]
         for _ in range(3):
             for m, a in zip(cases, first):
-                leading_basis(rng.standard_normal(m.shape[::-1]), 2)
-                assert bitwise_equal(leading_basis(m.copy(), 3), a)
+                basis(rng.standard_normal(m.shape[::-1]), 2)
+                assert bitwise_equal(basis(m.copy(), 3), a)
 
     def test_zero_matrix(self):
-        u = leading_basis(np.zeros((4, 6)), 4)
+        u = basis(np.zeros((4, 6)), 4)
         assert np.max(np.abs(u.T @ u - np.eye(4))) <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -263,7 +271,7 @@ class TestLeadingBasis:
         m = rng.standard_normal((4, 64))
         m[3, 17] = bad
         with pytest.raises(NumericsError):
-            leading_basis(m, 2)
+            basis(m, 2)
         assert eigh_calls == [] and lapack_calls == []
 
     def test_rank_outside_one_to_row_count(self, rng):
@@ -271,11 +279,14 @@ class TestLeadingBasis:
             m = rng.standard_normal(shape)
             for rank in (0, shape[0] + 1, -1):
                 with pytest.raises(RankError):
-                    leading_basis(m, rank)
+                    basis(m, rank)
 
-    def test_wrong_rank_of_tensor(self, rng):
-        with pytest.raises(ShapeError):
-            leading_basis(rng.standard_normal((4, 4, 4)), 2)
+    def test_wrong_rank_of_tensor(self, rng, eigh_calls):
+        # only a stack of matrices: one matrix, or a stack of rank-3 tensors, raises
+        for shape in [(4, 4), (2, 4, 4, 4)]:
+            with pytest.raises(ShapeError):
+                leading_basis(rng.standard_normal(shape), 2)
+        assert eigh_calls == []
 
 
 def stack_of(rng, count, shape, rank=None):
@@ -286,19 +297,20 @@ def stack_of(rng, count, shape, rank=None):
 
 
 class TestStacks:
-    """A stacked call equals the plain call on each slice, bit for bit."""
+    """Each slice of a stacked call equals the slice alone, as a stack of
+    one or by the plain numpy oracle, bit for bit."""
 
     MATRICES = [(4, 64), (16, 16), (64, 8)]
 
     @pytest.mark.parametrize("shape", [(4, 64), (16, 16), (64, 8), (4, 4, 4, 4), (3, 5, 2)])
     def test_unfold(self, rng, shape):
         ts = rng.standard_normal((3, *shape))
-        for source in (ts, mode_dot(ts, rng.standard_normal((3, shape[0], shape[0])), 0, stacked=True)):
+        for source in (ts, mode_dot(ts, rng.standard_normal((3, shape[0], shape[0])), 0)):
             for mode in range(len(shape)):
-                got = unfold(source, mode, stacked=True)
+                got = unfold(source, mode)
                 assert got.flags.c_contiguous
                 for p in range(3):
-                    assert bitwise_equal(got[p], unfold(source[p], mode)), (shape, mode, p)
+                    assert bitwise_equal(got[p], unfold_oracle(source[p], mode)), (shape, mode, p)
 
     @pytest.mark.parametrize("shape", [(4, 64), (16, 16), (64, 8), (4, 4, 4, 4), (4, 8, 4, 8)])
     def test_mode_dot(self, rng, shape):
@@ -307,15 +319,15 @@ class TestStacks:
         for mode in range(d):
             n = shape[mode]
             prev = (mode + 1) % d
-            view = mode_dot(base, rng.standard_normal((5, shape[prev], shape[prev])), prev, stacked=True)
+            view = mode_dot(base, rng.standard_normal((5, shape[prev], shape[prev])), prev)
             # a rank-1 factor, a thin one, a square one and a transposed (F-ordered) one
             mats = [rng.standard_normal((5, n, r)) for r in (1, 2, n)]
             mats.append(rng.standard_normal((5, 3, n)).swapaxes(1, 2))
             for t in (base, view):
                 for mat in mats:
-                    got = mode_dot(t, mat, mode, stacked=True)
+                    got = mode_dot(t, mat, mode)
                     for p in range(5):
-                        want = mode_dot(t[p], mat[p], mode)
+                        want = tensordot_mode_dot(t[p], mat[p], mode)
                         assert got[p].shape == want.shape
                         assert bitwise_equal(np.ascontiguousarray(got[p]), np.ascontiguousarray(want)), (shape, mode, p)
 
@@ -325,33 +337,39 @@ class TestStacks:
         # each slice scaled by its own power of two, so the scales differ
         ms = stack_of(rng, 4, shape, rank) * np.ldexp(1.0, np.array([-40, 0, 3, 700]))[:, None, None]
         for r in (1, 2, shape[0]):
-            got = leading_basis(ms, r, stacked=True)
+            got = leading_basis(ms, r)
             assert got.shape == (4, shape[0], r) and got.flags.c_contiguous
             for p in range(4):
-                assert bitwise_equal(got[p], leading_basis(ms[p], r)), (shape, r, p)
+                assert bitwise_equal(got[p], basis(ms[p], r)), (shape, r, p)
 
     def test_a_stack_of_one_equals_the_plain_call(self, rng):
+        # the plain numpy calls on one matrix: the moveaxis unfolding, and the
+        # eigenvectors of the scaled Gram under the sign rule
         for shape in self.MATRICES:
             m = rng.standard_normal(shape)
-            assert bitwise_equal(leading_basis(m[None], 3, stacked=True)[0], leading_basis(m, 3))
-            assert bitwise_equal(unfold(m[None], 1, stacked=True)[0], unfold(m, 1))
+            s = np.ldexp(m, -np.frexp(np.abs(m).max())[1])
+            u = np.linalg.eigh(s @ s.T)[1][:, :-4:-1]
+            u = u * np.copysign(1.0, u[np.argmax(np.abs(u), axis=0), np.arange(3)])
+            assert bitwise_equal(basis(m, 3), u)
+            assert bitwise_equal(unfold(m[None], 1)[0], np.ascontiguousarray(np.moveaxis(m, 1, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_slice_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
         ms = rng.standard_normal((3, 4, 64))
         ms[2, 1, 40] = bad
         with pytest.raises(NumericsError):
-            leading_basis(ms, 2, stacked=True)
+            leading_basis(ms, 2)
         assert eigh_calls == [] and lapack_calls == []
 
-    def test_stacked_ranks_and_shapes_are_checked(self, rng):
+    def test_stacked_ranks_and_shapes_are_checked(self, rng, eigh_calls):
         ms = rng.standard_normal((3, 4, 6))
         for rank in (0, 5):
             with pytest.raises(RankError):
-                leading_basis(ms, rank, stacked=True)
-        with pytest.raises(ShapeError):
-            leading_basis(ms[0], 2, stacked=True)
-        with pytest.raises(ShapeError):
-            mode_dot(ms, ms[0], 0, stacked=True)
+                leading_basis(ms, rank)
+        with pytest.raises(ShapeError):  # one matrix is not a stack
+            leading_basis(ms[0], 2)
+        with pytest.raises(ShapeError):  # nor is one factor
+            mode_dot(ms, ms[0], 0)
         with pytest.raises(IndexError):
-            unfold(ms, 2, stacked=True)
+            unfold(ms, 2)
+        assert eigh_calls == []
