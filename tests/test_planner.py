@@ -460,6 +460,22 @@ class TestHeapGreedy:
         (entry,) = plan.entries
         assert (entry.family, entry.target_ratio, entry.params) == chosen
 
+    @pytest.mark.parametrize("degradation", [2e-3, 0.0], ids=["finite", "inf"])
+    @pytest.mark.parametrize(
+        "mode, low, high",
+        [("sensitivity_mixed", a, b) for a in FAMILIES for b in FAMILIES] + [("sensitivity", f, f) for f in FAMILIES],
+    )
+    def test_a_tie_between_patches_steps_the_lower_id_first(self, mode, low, high, degradation):
+        # patch 8, listed first, ties patch 3 on score at a larger ratio and,
+        # in some cases, an earlier family: across patches only the id counts
+        options = [
+            PatchOptions(flat_patch(8, 64), [Candidate(high, 0.5, 32, degradation)]),
+            PatchOptions(flat_patch(3, 64), [Candidate(low, 0.25, 32, degradation)]),
+        ]
+        plan = allocate(options, 0.75, mode=mode, single_family=low)  # one step: 128 -> 96 params
+        assert plan == reference_greedy(options, 0.75, mode, low)
+        assert [(e.patch_id, e.family) for e in plan.entries] == [(3, low), (8, "dense")]
+
     def test_each_step_rescores_only_its_patch(self, monkeypatch):
         options = plan_options([(256, 256)] * 4)
         scored = []

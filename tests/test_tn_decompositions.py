@@ -934,6 +934,46 @@ class TestInputChecks:
             assert all(bitwise_equal(a, b) for a, b in zip(payload(fast), payload(chain), strict=True))
 
 
+# every entry point that decomposes, as (name, call on a 32 x 32 matrix, the
+# modes a Tucker call truncates or None for a train): on the (4, 8, 4, 8)
+# modes, compress_matrix's Tucker ranks at ratio 0.25 are (4, 4, 3, 3)
+SWEEP_ENTRIES = [
+    ("tucker_decompose", lambda w: tucker_decompose(w.reshape(4, 8, 4, 8), (2, 8, 3, 8)), 2),
+    ("compress_matrix", lambda w: compress_matrix(w, "tucker", ratio_budget(0.25, w.size)), 3),
+    ("compress_matrix_tt", lambda w: compress_matrix(w, "tt", ratio_budget(0.25, w.size)), None),
+    ("compress_matrix_tr", lambda w: compress_matrix(w, "tr", ratio_budget(0.25, w.size)), None),
+    ("tt_decompose", lambda w: tt_decompose(w.reshape(4, 8, 4, 8), (3, 5, 3)), None),
+    ("tr_decompose", lambda w: tr_decompose(w.reshape(4, 8, 4, 8), (1, 3, 5, 3)), None),
+]
+
+
+class TestSweepCount:
+    """The HOOI sweep count is ``HOOI_SWEEPS`` as it stands when a routine
+    runs: a Tucker entry takes one eigendecomposition per truncated mode at
+    the start and per sweep, and no sweep raises its error above the HOSVD's;
+    a train or ring takes no sweep, so its layer is the same at any count."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name, call, cut", SWEEP_ENTRIES, ids=[e[0] for e in SWEEP_ENTRIES])
+    def test_every_entry_takes_the_count_the_constant_holds(self, rng, sweeps, lapack_calls, eigh_calls, name, call, cut, count):
+        w = rng.standard_normal((32, 32))
+        sweeps(0)
+        hosvd = call(w)
+        start_svds = len(lapack_calls)
+        lapack_calls.clear()
+        eigh_calls.clear()
+        sweeps(count)
+        layer = call(w)
+        assert layer.ranks == hosvd.ranks
+        if cut is None:
+            assert eigh_calls == [] and len(lapack_calls) == start_svds
+            assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(hosvd), strict=True))
+        else:
+            assert lapack_calls == [] and len(eigh_calls) == cut * (1 + count)
+            dense = w.reshape(layer.mode_shape)
+            assert relerr(dense, reconstruct(layer)) <= relerr(dense, reconstruct(hosvd)) + 1e-12
+
+
 class TestSvdSource:
     """The routines' factor sources: given HOSVD bases change no bit of a
     layer, and a ring is its train."""
