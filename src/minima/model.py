@@ -50,6 +50,8 @@ class ModelContainer:
     def add(self, name: str, matrix, layer_index: int, submodule_kind: str = "other") -> None:
         if name in self.entries:
             raise ShapeError(f"duplicate entry name {name!r}")
+        if layer_index < 0:
+            raise ShapeError(f"entry {name!r} layer index {layer_index} is negative")
         entry = LayerEntry(name, matrix, layer_index, submodule_kind)
         if layer_index >= self.total_layers:
             self.total_layers = layer_index + 1

@@ -367,25 +367,16 @@ class SensitivityRecord:
     recommendations: dict[str, Recommendation]
 
 
-def _score_targets(patch_ids, mean_deg) -> np.ndarray:
+def _score_targets(mean_deg) -> np.ndarray:
     """Normalized degradation rank per patch: 0 = most robust, 1 = most fragile.
 
     Ties share the average of their rank positions, so all-equal targets
     collapse to 0.5.
     """
-    n = len(patch_ids)
-    order = sorted(range(n), key=lambda i: (mean_deg[i], patch_ids[i]))
-    ranks = np.zeros(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and mean_deg[order[j]] == mean_deg[order[i]]:
-            j += 1
-        avg = (i + j - 1) / 2.0
-        for k in range(i, j):
-            ranks[order[k]] = avg
-        i = j
-    return ranks / max(n - 1, 1)
+    x = np.asarray(mean_deg, dtype=np.float64)
+    s = np.sort(x)
+    ranks = (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right") - 1) / 2
+    return ranks / max(len(x) - 1, 1)
 
 
 def _ridge_fit(xs: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +459,7 @@ def train_predictor(records) -> Predictor:
             target[i, column[key]] = deg
             mask[i, column[key]] = True
     mean_deg = [float(np.mean(list(by_patch[pid]["targets"].values()))) for pid in patch_ids]
-    target[:, 0] = _score_targets(patch_ids, mean_deg)
+    target[:, 0] = _score_targets(mean_deg)
     mask[:, 0] = True
 
     measured = target[:, 1:][mask[:, 1:]]
@@ -567,7 +558,7 @@ def _probe_subset(patches: list[Patch], stride: int) -> list[Patch]:
         groups.setdefault((p.layer_index, p.submodule_kind), []).append(p)
     chosen = []
     for key in sorted(groups):
-        chosen.extend(groups[key][:: max(stride, 1)])
+        chosen.extend(groups[key][::stride])
     return sorted(chosen, key=lambda p: p.patch_id)
 
 
@@ -586,12 +577,12 @@ def analyze(
 
     ``calib`` maps layer names to per-layer input samples with one row per
     matrix column; each patch sees the row slice matching its columns. A
-    family not in ``FAMILIES``, a probed layer that ``calib`` lacks, or a
-    ``degradation_cap`` that is NaN or negative raises ``ValueError`` before
-    any work. The patches are grouped by shape into stacks
-    (``_patch_stacks``), and each stack's features are taken at once
-    (``_stack_features``); so are the probed patches', each stack probed at
-    once (``_probe_stack``). Features and records equal an
+    family not in ``FAMILIES``, a probed layer that ``calib`` lacks, a
+    ``degradation_cap`` that is NaN or negative, or a ``probe_stride`` below
+    1 raises ``ValueError`` before any work. The patches are grouped by
+    shape into stacks (``_patch_stacks``), and each stack's features are
+    taken at once (``_stack_features``); so are the probed patches', each
+    stack probed at once (``_probe_stack``). Features and records equal an
     ``extract_features`` and a ``probe_patch`` loop over the patches bit for
     bit and keep their order. Every patch's sensitivity record comes from
     one ``forward`` over all the patches (``_records``) and equals a
@@ -603,6 +594,8 @@ def analyze(
     """
     _probe_families(families)
     _check_cap(degradation_cap)
+    if probe_stride < 1:
+        raise ValueError(f"probe_stride must be >= 1, got {probe_stride}")
     patches = partition_patches(model, patch_size)
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
     missing = [name for name in dict.fromkeys(p.layer_name for p in probe_targets) if name not in calib]

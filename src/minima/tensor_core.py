@@ -22,8 +22,10 @@ Conventions of the whole package, stated here once:
   (``tests/test_tensor_core.py`` checks this on the installed build).
 * Finiteness: LAPACK never sees a NaN or inf (``np.linalg.svd`` of a 4 x
   128 matrix with one inf entry does not return under OpenBLAS 0.3.31).
-  Each entry point scans its input with ``as_tensor``, or reads every
-  entry in work it does anyway and raises ``NumericsError`` there.
+  Every entry that leads to LAPACK scans its input with ``as_tensor``
+  before any other check, so a NaN or inf raises ``NumericsError`` ahead
+  of a shape or rank error. Each LAPACK input derived from it, which may
+  overflow (a TT split, a basis's unfolding), is scanned where it is made.
 * Truncation is an integer rank: keep the leading ``r`` triplets or
   vectors. Ranks come from a ``ParamBudget`` through
   ``tn_decompositions.select_ranks``. A rank that keeps all ``m`` rows of
@@ -47,34 +49,14 @@ from minima.errors import NumericsError, RankError, ShapeError
 
 def as_tensor(data) -> np.ndarray:
     """Validate and normalize input to a finite float64 C-ordered array."""
-    t = _as_array(data)
-    if not np.isfinite(t).all():
-        raise NumericsError("tensor entries must be finite")
-    return t
-
-
-def _as_array(data) -> np.ndarray:
-    """``as_tensor`` without the scan for non-finite entries.
-
-    For the decompositions, which scan their input where they first read
-    it (``tn_decompositions``' input checks).
-    """
     t = np.ascontiguousarray(data, dtype=np.float64)
     if t.ndim == 0:
         t = t.reshape(1)
     if 0 in t.shape:
         raise ShapeError(f"all mode sizes must be >= 1, got {t.shape}")
+    if not np.isfinite(t).all():
+        raise NumericsError("tensor entries must be finite")
     return t
-
-
-def _rejected(t: np.ndarray, exc: Exception) -> Exception:
-    """``exc``, once ``t`` has passed the finiteness scan of ``as_tensor``.
-
-    Entries that skip the scan call this before a shape or rank error, so a
-    NaN or inf input still reports ``NumericsError`` first.
-    """
-    as_tensor(t)
-    return exc
 
 
 @functools.cache
@@ -204,18 +186,14 @@ def leading_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     ``truncated_svd``'s left vectors wherever the spectrum separates them.
     ``rank`` may exceed ``n``: the columns past the numerical rank are
     still orthonormal. ``rank`` outside ``[1, m]`` raises ``RankError``.
-    The largest magnitude is also the finiteness scan: it is NaN or inf if
-    any entry is, and then ``NumericsError`` is raised.
     """
-    m = _as_array(matrix)
+    m = as_tensor(matrix)
     if m.ndim != 3:
-        raise _rejected(m, ShapeError(f"expected a stack of rank-2 tensors, got rank {m.ndim}"))
+        raise ShapeError(f"expected a stack of rank-2 tensors, got rank {m.ndim}")
     rows = m.shape[-2]
     if not 1 <= rank <= rows:
-        raise _rejected(m, RankError(f"rank {rank} out of range [1, {rows}] for a {m.shape[-2:]} matrix"))
+        raise RankError(f"rank {rank} out of range [1, {rows}] for a {m.shape[-2:]} matrix")
     peak = np.abs(m).max(axis=(-2, -1), keepdims=True)
-    if not np.isfinite(peak).all():
-        raise NumericsError("tensor entries must be finite")
     _, exponent = np.frexp(peak)
     s = np.ldexp(m, -exponent)
     _, vectors = np.linalg.eigh(s @ s.swapaxes(-1, -2))

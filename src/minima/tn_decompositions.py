@@ -22,12 +22,12 @@ decomposition's arrays before it makes the next. ``_dense_slices`` is the
 one reconstruction, of ``reconstruct`` and of the probes
 (``_reconstructions``).
 
-Finiteness: ``compress_matrix`` scans its input once. The Tucker and TT
-routines do not scan theirs: their first SVD or basis call, or the scan
-that takes its place where a whole mode leaves none, reads every entry
-and raises ``NumericsError`` on a NaN or inf. A failed rank or shape check
-scans first (``_rejected``), so the error types stay those of a scan up
-front.
+Finiteness follows ``tensor_core``: ``compress_matrix`` and the three
+decompositions scan their input with ``as_tensor`` before any other check.
+Each Tucker basis scans its unfolding (``leading_basis`` is an entry), and
+``_train_split`` scans each split, which may be a strided view that
+``as_tensor`` would copy. The stack routines leave the scan of their
+input to their callers.
 
 Whole modes: a Tucker mode with ``r_k = n_k``, or a TT split that keeps all
 of its rows, takes the identity as its factor, made by no ``eigh``, SVD or
@@ -57,9 +57,7 @@ import numpy as np
 from minima.errors import InfeasibleBudgetError, NumericsError, RankError, ShapeError
 from minima.tensor_core import (
     ParamBudget,
-    _as_array,
     _column_signs,
-    _rejected,
     as_tensor,
     leading_basis,
     mode_dot,
@@ -164,13 +162,6 @@ class RankSpec:
 # --- decomposition routines -------------------------------------------------
 
 
-def _orthonormal_factor(unfoldings: np.ndarray, rank: int) -> np.ndarray:
-    """The ``rank`` leading orthonormal columns of each unfolding of a stack
-    ``(P, n, rest)``: the one call through which Tucker takes each factor,
-    so a test can substitute it."""
-    return leading_basis(unfoldings, rank)
-
-
 def _slice_energies(t: np.ndarray) -> np.ndarray:
     """The squared Frobenius norm of each slice of a stack."""
     flat = t.reshape(len(t), -1)
@@ -183,13 +174,13 @@ def tucker_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     ``np.eye(n_k)``. A count other than d, or a rank outside ``[1, n_k]``,
     raises ``RankError``.
     """
-    t = _as_array(t)
+    t = as_tensor(t)
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != t.ndim:
-        raise _rejected(t, RankError(f"need {t.ndim} ranks, got {len(ranks)}"))
+        raise RankError(f"need {t.ndim} ranks, got {len(ranks)}")
     for k, r in enumerate(ranks):
         if not 1 <= r <= t.shape[k]:
-            raise _rejected(t, RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}"))
+            raise RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}")
     ((_, core, factors),) = _tucker_stack(t[None], [ranks])
     return CompressedLayer(
         family="tucker",
@@ -216,7 +207,7 @@ def _tucker_stack(t: np.ndarray, rank_tuples) -> Iterator[tuple[tuple[int, ...],
     last = {}  # truncated mode -> the index of the last tuple that truncates it
     for i, ranks in enumerate(rank_tuples):
         last.update((k, i) for k, n in enumerate(shape) if ranks[k] < n)
-    hosvd = {k: _orthonormal_factor(unfold(t, k), shape[k]) for k in sorted(last)}
+    hosvd = {k: leading_basis(unfold(t, k), shape[k]) for k in sorted(last)}
     total = _slice_energies(t)
     for i, ranks in enumerate(rank_tuples):  # no local holds what is yielded, so the caller can free it
         done = [k for k, j in last.items() if j == i]
@@ -258,8 +249,6 @@ def _hooi(t: np.ndarray, ranks, factors: list, total: np.ndarray) -> tuple[np.nd
     """
     slack = 64 * len(ranks) * np.finfo(np.float64).eps
     cut = [k for k, f in enumerate(factors) if f is not None]
-    if not cut:
-        as_tensor(t)  # no basis call scans the input
     core = t
     for k in cut:
         core = mode_dot(core, factors[k], k)
@@ -270,7 +259,7 @@ def _hooi(t: np.ndarray, ranks, factors: list, total: np.ndarray) -> tuple[np.nd
             proj = prefix
             for j in cut[i + 1 :]:
                 proj = mode_dot(proj, factors[j], j)
-            factors[k] = _orthonormal_factor(unfold(proj, k), ranks[k])
+            factors[k] = leading_basis(unfold(proj, k), ranks[k])
             prefix = mode_dot(prefix, factors[k], k)
         core = prefix
         new_kept = _slice_energies(core)
@@ -292,7 +281,7 @@ def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     dimension of the unfolding it truncates, so ``layer.ranks`` may be
     below ``ranks``. A count other than d-1, or a bond below 1, raises
     ``RankError``."""
-    return _train_layer("tt", _as_array(t), ranks)
+    return _train_layer("tt", as_tensor(t), ranks)
 
 
 def _train_layer(family: str, t: np.ndarray, ranks) -> CompressedLayer:
@@ -300,18 +289,18 @@ def _train_layer(family: str, t: np.ndarray, ranks) -> CompressedLayer:
     ``_train_stack`` of a stack of one, one layer built."""
     d = t.ndim
     if d < 2:
-        raise _rejected(t, ShapeError(f"tensor-{'train' if family == 'tt' else 'ring'} needs at least 2 modes"))
+        raise ShapeError(f"tensor-{'train' if family == 'tt' else 'ring'} needs at least 2 modes")
     bonds = tuple(int(r) for r in ranks)
     if family == "tr":
         if len(bonds) != d:
-            raise _rejected(t, RankError(f"need {d} cyclic ranks, got {len(bonds)}"))
+            raise RankError(f"need {d} cyclic ranks, got {len(bonds)}")
         if bonds[0] != 1:
-            raise _rejected(t, RankError(f"the closing bond ranks[0] must be 1, got {bonds[0]}"))
+            raise RankError(f"the closing bond ranks[0] must be 1, got {bonds[0]}")
         bonds = bonds[1:]
     if len(bonds) != d - 1:
-        raise _rejected(t, RankError(f"need {d - 1} bond ranks, got {len(bonds)}"))
+        raise RankError(f"need {d - 1} bond ranks, got {len(bonds)}")
     if min(bonds) < 1:
-        raise _rejected(t, RankError(f"bond ranks must be >= 1, got {bonds}"))
+        raise RankError(f"bond ranks must be >= 1, got {bonds}")
     ((_, cores),) = _train_stack(t[None], [bonds])
     return CompressedLayer(family=family, mode_shape=t.shape, row_mode_count=1, cores=[core[0] for core in cores])
 
@@ -400,7 +389,7 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     ``tt_decompose`` caps it. A count other than d, a closing bond other
     than 1, or a bond below 1 raises ``RankError``.
     """
-    return _train_layer("tr", _as_array(t), ranks)
+    return _train_layer("tr", as_tensor(t), ranks)
 
 
 def reconstruct(layer: CompressedLayer) -> np.ndarray:

@@ -5,13 +5,14 @@ name, and the workloads build budgets with ``tensor_core.ParamBudget``. A
 deletion or a signature change that breaks either fails here, not in a
 benchmark run. Each workload of ``perfbench/workloads.py`` also runs one
 operation here, and its checks must pass, so a renamed field that
-``perfbench/checks.py`` reads fails here too. The test only reads
-``perfbench/``.
+``perfbench/checks.py`` reads fails here too, and ``perfbench/selftest.py``
+must pass. The tests only read ``perfbench/``.
 """
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +83,16 @@ def test_workload_operation_passes_its_checks(name):
     model, patches = work.setup()
     work.prepare(model, patches)
     assert work.check(work.run()) == []
+
+
+def test_selftest_passes():
+    # each check accepts a real output and rejects every corrupted copy of it;
+    # -B leaves perfbench/ without bytecode
+    done = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

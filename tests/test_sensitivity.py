@@ -426,6 +426,15 @@ class TestProbeWork:
             analyze(model, calib, patch_size=(32, 32), probe_stride=1, degradation_cap=cap)
         assert lapack_calls == []  # before any feature or probe
 
+    @pytest.mark.parametrize("stride", [0, -1, -4])
+    def test_analyze_rejects_a_probe_stride_below_1(self, rng, lapack_calls, stride):
+        # such a stride once probed every patch, as a stride of 1 does
+        model = make_model([("w", rng.standard_normal((64, 64)), "ffn")])
+        calib = {"w": rng.standard_normal((64, 16))}
+        with pytest.raises(ValueError, match=f"probe_stride must be >= 1, got {stride}"):
+            analyze(model, calib, patch_size=(32, 32), probe_stride=stride)
+        assert lapack_calls == []  # before any feature or probe
+
     @pytest.mark.parametrize("cap", [math.nan, -1e-3, -math.inf])
     def test_predict_rejects_a_nan_or_negative_cap(self, monkeypatch, cap):
         # a patch that cap 1.0 recommends at a ratio for every family once
@@ -825,6 +834,37 @@ def skipped_probe_records():
     return records
 
 
+def score_targets_by_loop(mean_deg) -> np.ndarray:
+    """``_score_targets`` as a loop over the runs of equal means."""
+    n = len(mean_deg)
+    order = sorted(range(n), key=lambda i: mean_deg[i])
+    ranks = np.zeros(n)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and mean_deg[order[j]] == mean_deg[order[i]]:
+            j += 1
+        ranks[[order[k] for k in range(i, j)]] = (i + j - 1) / 2.0
+        i = j
+    return ranks / max(n - 1, 1)
+
+
+class TestScoreTargets:
+    def test_ties_share_their_average_rank_as_the_loop_gives_it(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            mean_deg = rng.choice(rng.standard_normal(int(rng.integers(1, 6))) * 1e-3, n)
+            mean_deg[rng.random(n) < 0.2] = -0.0  # equal to 0.0
+            mean_deg[rng.random(n) < 0.2] = 0.0
+            want = score_targets_by_loop(list(mean_deg))
+            assert _score_targets(list(mean_deg)).tobytes() == want.tobytes(), mean_deg
+
+    def test_all_equal_targets_collapse_to_one_half(self):
+        assert _score_targets([0.3] * 5).tolist() == [0.5] * 5
+        assert _score_targets([0.3]).tolist() == [0.0]
+
+
 class TestRidgeFit:
     def test_heads_equal_an_augmented_least_squares_fit(self, skipped_probe_records):
         """Each head solves min ||b + X w - y||² + RIDGE ||w||² over the patches
@@ -839,7 +879,7 @@ class TestRidgeFit:
             rows_of[(r.family, r.target_ratio)].append((patch_ids.index(r.patch_id), r.measured_degradation))
         assert len(rows_of[("tt", 0.05)]) == 4  # the 16 x 16 patches skip it
         mean_deg = [np.mean([r.measured_degradation for _, r in records if r.patch_id == pid]) for pid in patch_ids]
-        heads = [list(enumerate(_score_targets(patch_ids, mean_deg)))] + [rows_of[key] for key in predictor.heads]
+        heads = [list(enumerate(_score_targets(mean_deg)))] + [rows_of[key] for key in predictor.heads]
         for j, rows in enumerate(heads):
             idx, y = np.array([i for i, _ in rows]), np.array([d for _, d in rows])
             a = np.block([[np.ones((len(idx), 1)), xs[idx]], [np.zeros((N_FEATURES, 1)), np.sqrt(RIDGE) * np.eye(N_FEATURES)]])
@@ -873,7 +913,7 @@ class TestRidgeFit:
         a = np.hstack([np.ones((n, 1)), xs])
         penalty = sensitivity.RIDGE * np.diag([0.0] + [1.0] * N_FEATURES)  # the intercept is not penalized
         mean_deg = [np.mean([0.2 + 0.01 * d[i] for d in heads.values()]) for i in range(n)]
-        targets = [_score_targets(list(range(n)), mean_deg)] + [0.2 + 0.01 * d for d in heads.values()]
+        targets = [_score_targets(mean_deg)] + [0.2 + 0.01 * d for d in heads.values()]
         fell_back = []
         for j, y in enumerate(targets):
             # the stationary point of ||b + X w - y||² + RIDGE ||w||²
@@ -902,7 +942,7 @@ class TestRidgeFit:
         fit = predictor.coef[0] + xs @ predictor.coef[1:]
         assert fit[:, 1].min() < 0
         y = np.array([r.measured_degradation for _, r in records])
-        score = _score_targets(list(range(n)), y)
+        score = _score_targets(y)
         sse = np.sum((np.clip(fit[:, 0], 0.0, 1.0) - score) ** 2) + np.sum((fit[:, 1] - y) ** 2)
         assert predictor.training_log["final_mse"] == pytest.approx(sse / (2 * n), rel=1e-9)
 

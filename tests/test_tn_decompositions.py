@@ -205,7 +205,7 @@ class TestTucker:
 
     def test_guard_raises_when_a_sweep_increases_error(self, rng, monkeypatch):
         t = rng.standard_normal((4, 4, 4))
-        leading = tn._orthonormal_factor
+        leading = tn.leading_basis
         calls = []
 
         def trailing_in_sweeps(unfolding, rank):
@@ -214,7 +214,7 @@ class TestTucker:
                 return leading(unfolding, rank)
             return np.linalg.svd(unfolding)[0][..., -rank:]
 
-        monkeypatch.setattr(tn, "_orthonormal_factor", trailing_in_sweeps)
+        monkeypatch.setattr(tn, "leading_basis", trailing_in_sweeps)
         with pytest.raises(NumericsError, match="relative residual energy"):
             tucker_decompose(t, (2, 2, 2))
 
@@ -276,7 +276,7 @@ class TestTucker:
 
     def test_guard_raises_when_one_slice_of_a_stack_rises(self, rng, monkeypatch):
         t = rng.standard_normal((3, 4, 4, 4))
-        leading = tn._orthonormal_factor
+        leading = tn.leading_basis
         calls = []
 
         def trailing_for_slice_1_in_sweeps(unfoldings, rank):
@@ -286,7 +286,7 @@ class TestTucker:
                 factors[1] = np.linalg.svd(unfoldings[1])[0][:, -rank:]
             return factors
 
-        monkeypatch.setattr(tn, "_orthonormal_factor", trailing_for_slice_1_in_sweeps)
+        monkeypatch.setattr(tn, "leading_basis", trailing_for_slice_1_in_sweeps)
         with pytest.raises(NumericsError, match="relative residual energy of slice 1 "):
             stacked_tucker(t, (2, 2, 2))
 
@@ -796,11 +796,12 @@ class TestInputChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("pos", [(0, 0), (7, 13), (15, 31)])
     @pytest.mark.parametrize("name, call", PUBLIC_ENTRIES, ids=[e[0] for e in PUBLIC_ENTRIES])
-    def test_non_finite_entry_raises_numerics_error(self, rng, name, call, bad, pos):
+    def test_non_finite_entry_raises_numerics_error(self, rng, lapack_calls, eigh_calls, name, call, bad, pos):
         w = rng.standard_normal((16, 32))
         w[pos] = bad
         with pytest.raises(NumericsError):
             call(w)
+        assert lapack_calls == [] and eigh_calls == []  # LAPACK never sees a NaN or inf
 
     @pytest.mark.parametrize("name, call", PUBLIC_ENTRIES, ids=[e[0] for e in PUBLIC_ENTRIES])
     def test_empty_input_raises_shape_error(self, name, call):
@@ -869,29 +870,29 @@ class TestInputChecks:
                     call(w)
 
     @pytest.mark.parametrize(
-        "family, svds, splits, bases, scans",
+        "family, svds, splits, bases",
         [
             # a factor per truncated mode at the start and per sweep: 2 modes at ratio 0.5, 3 at 0.25
-            ("tucker", 0, 0, tuple(c * (1 + tn.HOOI_SWEEPS) for c in (2, 3)), 1),
-            ("tt", 0, 2, (0, 0), 1),
-            ("tr", 0, 2, (0, 0), 1),
+            ("tucker", 0, 0, tuple(c * (1 + tn.HOOI_SWEEPS) for c in (2, 3))),
+            ("tt", 0, 2, (0, 0)),
+            ("tr", 0, 2, (0, 0)),
         ],
         ids=["tucker", "tt", "tr"],
     )
-    def test_compress_matrix_scans_its_input_once_plus_each_svd_input(
-        self, rng, monkeypatch, lapack_calls, family, svds, splits, bases, scans
+    def test_compress_matrix_scans_at_each_entry_plus_each_svd_input(
+        self, rng, monkeypatch, lapack_calls, family, svds, splits, bases
     ):
-        """compress_matrix scans its input once, and the family's routine does
-        not scan it again. Each SVD and each
-        Tucker factor still scans its own input: an unfolding or projection can
-        overflow, and LAPACK must not see an inf. A TT split scans by
-        ``_train_split``'s scan (the near-overflow test sees it raise on a later
-        split), a Tucker factor by the largest magnitude that sets its scale,
-        with no ``as_tensor``; a TR is its train. On these (4, 8, 4, 8) modes
-        Tucker takes a factor per truncated mode at the start and per sweep
-        (``HOOI_SWEEPS`` sweeps), 2 modes at ratio 0.5 and 3 at 0.25; TT and
-        TR take one LAPACK SVD per truncated split, a stack of one, and keep
-        their first split whole. Nothing calls the plain ``truncated_svd``."""
+        """Two scans of the input: compress_matrix's, and the family's
+        decomposition's, each an entry. Each SVD and each Tucker factor also
+        scans its own input: an unfolding or projection can overflow, and
+        LAPACK must not see an inf. A TT split scans by ``_train_split``'s
+        scan (the near-overflow test sees it raise on a later split), a
+        Tucker factor by ``leading_basis``'s ``as_tensor``; a TR is its
+        train. On these (4, 8, 4, 8) modes Tucker takes a factor per
+        truncated mode at the start and per sweep (``HOOI_SWEEPS`` sweeps), 2
+        modes at ratio 0.5 and 3 at 0.25; TT and TR take one LAPACK SVD per
+        truncated split, a stack of one, and keep their first split whole.
+        Nothing calls the plain ``truncated_svd``."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
         as_tensor, svd, basis = tc.as_tensor, tc.truncated_svd, tn.leading_basis
 
@@ -912,7 +913,7 @@ class TestInputChecks:
             lapack_calls.clear()
             compress_matrix(w, family, ratio_budget(ratio, w.size))
             assert (calls["svd"], len(lapack_calls), calls["basis"]) == (svds, splits, ratio_bases)
-            assert calls["as_tensor"] == scans
+            assert calls["as_tensor"] == 2 + ratio_bases
             assert all(len(shape) == 3 and shape[0] == 1 for shape in lapack_calls)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -1032,7 +1033,7 @@ class TestSvdSource:
         # the first tuple's sweeps and mode 2's before the second's
         t = rng.standard_normal((2, 3, 4, 5, 6))
         bases, alive = {}, []
-        factor = tn._orthonormal_factor
+        factor = tn.leading_basis
 
         def recording(unfoldings, rank):
             out = factor(unfoldings, rank)
@@ -1042,7 +1043,7 @@ class TestSvdSource:
                 alive.append(sorted(n for n, ref in bases.items() if ref() is not None))
             return out
 
-        monkeypatch.setattr(tn, "_orthonormal_factor", recording)
+        monkeypatch.setattr(tn, "leading_basis", recording)
         sweeps(iters)
         for _ in tn._tucker_stack(t, [(2, 4, 3, 6), (3, 4, 2, 6)]):
             pass
@@ -1204,12 +1205,10 @@ class TestTrainStack:
         # on (2, 2, 8), where no SVD is left to scan the input
         t = rng.standard_normal((4, 8, 4, 8))
         t[3, 7, 3, 7] = bad
-        stack = np.stack([rng.standard_normal(t.shape), t])
         small = rng.standard_normal((2, 2, 8))
         small[1, 0, 5] = bad
         calls = [
             lambda: tucker_decompose(t, t.shape),
-            lambda: stacked_tucker(stack, t.shape),
             lambda: tt_decompose(t, (4, 7, 7)),
             lambda: tr_decompose(t, (1, 4, 7, 7)),
             lambda: tt_decompose(small, (2, 4)),
