@@ -15,6 +15,9 @@ calibration samples. A pass times ``analyze`` with its defaults, then
 ``uniform`` mode with TT, both at target ratio 0.6; the timing rule and
 ``--against`` are ``bench/harness.py``'s, and ``runs`` keeps every pass.
 ``peak_mb`` is the ``tracemalloc`` peak of ``analyze`` in one more pass.
+``first_call_peak_mb`` is that peak on the first ``analyze`` call of a
+fresh process, which ``perfbench/run.py`` measures as ``peak_alloc_mb``:
+the warm ``peak_mb`` finds the rank memo filled and can miss a change there.
 
 One more run, untimed, counts LAPACK SVD calls (``np.linalg.svd``): all of
 them, the values-only ones, and those whose input (shape and bytes) an
@@ -29,11 +32,13 @@ functions that ``analyze`` calls. Each row also records the plans' achieved
 ratios, a digest of the probe records (``probe_digest``) and one of the
 sensitivity records' scores, predictions and recommendations
 (``record_digest``). Under ``--against``, the row's ``against`` entry also
-holds both sides' digests and the other side's ``analyze`` peak.
+holds both sides' digests and the other side's ``analyze`` peaks.
 """
 
 import argparse
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import harness  # first: pins the BLAS and sets the import path
@@ -150,7 +155,21 @@ def peak_mb(mods, model, calib) -> float:
     return harness.traced(run_pass, mods, model, calib)[1]["analyze_s"][0] / 1e6
 
 
-def measure(name: str, sides: dict) -> dict:
+def first_call_peak_mb(name: str, against: Path | None = None) -> float:
+    """``peak_mb`` of model ``name`` in a new interpreter, on this checkout
+    or the one at ``against``: its ``analyze`` call is the process's first."""
+    code = "import sys, analyze_scale as a; print(a.fresh_peak_mb(*sys.argv[1:]))"
+    args = [sys.executable, "-B", "-c", code, name, *([str(against.resolve())] if against else [])]
+    done = subprocess.run(args, cwd=Path(__file__).parent, capture_output=True, text=True, check=True)
+    return float(done.stdout.split()[-1])
+
+
+def fresh_peak_mb(name: str, against: str | None = None) -> float:
+    mods = harness.load_checkout(Path(against)) if against else harness.sides(None)["this"]
+    return peak_mb(mods, *synthetic(MODELS[name]))
+
+
+def measure(name: str, sides: dict, against: Path | None) -> dict:
     size = MODELS[name]
     model, calib = synthetic(size)
     outs, runs = harness.passes(sides, run_pass, model, calib)
@@ -170,11 +189,14 @@ def measure(name: str, sides: dict) -> dict:
     row["mixed_achieved_ratio"] = mixed.achieved_ratio
     row["uniform_achieved_ratio"] = uniform.achieved_ratio
     row["peak_mb"] = peak_mb(sides["this"], model, calib)
-    if "against" in sides:
+    row["first_call_peak_mb"] = first_call_peak_mb(name)
+    if against:
         other = outs["against"][0]
         row["against"] = {
             **harness.against_entry(runs),
-            "against_peak_mb": peak_mb(sides["against"], model, calib),  # this checkout's is the row's peak_mb
+            # this checkout's are the row's peak_mb and first_call_peak_mb
+            "against_peak_mb": peak_mb(sides["against"], model, calib),
+            "against_first_call_peak_mb": first_call_peak_mb(name, against),
             "against_probe_digest": probe_digest(other.probes),
             "this_probe_digest": row["probe_digest"],
             "against_record_digest": record_digest(other.records),
@@ -193,7 +215,7 @@ def main():
     sides = harness.sides(args.against)
     rows = []
     for name in args.models:
-        rows.append(measure(name, sides))
+        rows.append(measure(name, sides, args.against))
         harness.show(rows[-1])
     harness.report(args.out, rows, args.against, patch=list(PATCH), target_ratio=TARGET)
 

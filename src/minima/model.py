@@ -15,10 +15,13 @@ SUBMODULE_KINDS = ("attention_proj", "ffn", "embedding", "other")
 class LayerEntry:
     name: str
     matrix: np.ndarray  # 2-D, float32 storage allowed; compute paths upcast
-    layer_index: int
+    layer_index: int  # a Python or numpy integer, stored as int
     submodule_kind: str = "other"
 
     def __post_init__(self):
+        if not isinstance(self.layer_index, (int, np.integer)):
+            raise ShapeError(f"entry {self.name!r} layer index {self.layer_index!r} is not an integer")
+        self.layer_index = int(self.layer_index)
         self.matrix = np.ascontiguousarray(self.matrix)
         if self.matrix.ndim != 2:
             raise ShapeError(f"entry {self.name!r} must be a matrix, got rank {self.matrix.ndim}")
@@ -39,6 +42,9 @@ class ModelContainer:
         self.validate()
 
     def validate(self) -> None:
+        """Raise unless every entry is finite, keyed by its name and in
+        ``[0, total_layers)``: a write into an entry's matrix after it was
+        added is seen here, so ``analyze`` calls this before any work."""
         for name, entry in self.entries.items():
             if name != entry.name:
                 raise ShapeError(f"entry key {name!r} does not match entry name {entry.name!r}")
@@ -46,13 +52,14 @@ class ModelContainer:
                 raise ShapeError(
                     f"entry {name!r} layer index {entry.layer_index} outside [0, {self.total_layers})"
                 )
+            if not np.isfinite(entry.matrix).all():
+                raise NumericsError(f"entry {name!r} has non-finite values")
 
     def add(self, name: str, matrix, layer_index: int, submodule_kind: str = "other") -> None:
         if name in self.entries:
             raise ShapeError(f"duplicate entry name {name!r}")
-        if layer_index < 0:
-            raise ShapeError(f"entry {name!r} layer index {layer_index} is negative")
         entry = LayerEntry(name, matrix, layer_index, submodule_kind)
-        if layer_index >= self.total_layers:
-            self.total_layers = layer_index + 1
+        if entry.layer_index < 0:
+            raise ShapeError(f"entry {name!r} layer index {entry.layer_index} is negative")
+        self.total_layers = max(self.total_layers, entry.layer_index + 1)
         self.entries[name] = entry

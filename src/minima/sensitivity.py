@@ -7,14 +7,22 @@ are taken together: a patch's features, probe records and sensitivity
 record are those it gets alone, bit for bit, whether ``analyze`` takes it
 in a stack of same-shape patches or ``extract_features``, ``probe_patch``
 and ``predict`` take it by itself.
+
+Checks: the public entries check their inputs before any LAPACK call, and
+the stack kernels (``_stack_features``, ``_probe_stack``) take checked
+stacks and calibrations. ``analyze`` checks the model's weights once
+(``ModelContainer.validate``) and each probed layer's calibration once
+(``_checked_calib``); ``extract_features`` and ``probe_patch`` scan their
+patch with ``as_tensor``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 import numpy as np
 
@@ -109,12 +117,13 @@ def patch_matrix(model: ModelContainer, patch: Patch) -> np.ndarray:
 STACK_ENTRIES = 1 << 15  # most float64 entries in one stack of patches: 256 KiB
 
 
-def _patch_stacks(model: ModelContainer, patches: list[Patch]) -> Iterator[tuple[list[Patch], np.ndarray]]:
+def _patch_stacks(model: ModelContainer, patches: Iterable[Patch]) -> Iterator[tuple[list[Patch], np.ndarray]]:
     """``patches`` grouped by shape, in order of first appearance, and cut
     into stacks of at most ``STACK_ENTRIES`` entries (one patch at least):
     yields each stack's patches and their float64 blocks, stacked ``(P,
-    rows, cols)`` and filled in place, the stacks ``analyze`` takes
-    features and probes over."""
+    rows, cols)`` and filled in place. A block is the one copy of its patch
+    that ``analyze`` makes; it is as finite as the model's checked
+    weights."""
     groups: dict[tuple[int, int], list[Patch]] = {}
     for p in patches:
         groups.setdefault((p.rows, p.cols), []).append(p)
@@ -134,12 +143,13 @@ def extract_features(w: np.ndarray, patch: Patch, total_layers: int) -> np.ndarr
 
     The spectrum is LAPACK's values-only SVD of the scanned patch: no
     singular vectors are formed. This is the one-patch case of
-    ``analyze``'s stacked features (``_stack_features``).
+    ``analyze``'s stacked features (``_stack_features``), on one float64
+    copy of ``w``, which the stack kernel overwrites.
     """
-    w = as_tensor(w)
+    w = as_tensor(np.array(w, dtype=np.float64, order="C"))
     if w.ndim != 2:
         raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
-    return _stack_features(w[None].copy(), [patch], total_layers)[0]
+    return _stack_features(w[None], [patch], total_layers)[0]
 
 
 def _stack_features(stack: np.ndarray, patches: list[Patch], total_layers: int) -> np.ndarray:
@@ -234,6 +244,15 @@ def _deviation(w: np.ndarray, w_hat: np.ndarray, x: np.ndarray, base: float) -> 
     return float(np.linalg.norm((w - w_hat) @ x)) / base
 
 
+def _checked_calib(x, cols: int, owner: str) -> np.ndarray:
+    """``x`` scanned by ``as_tensor``; ``ValueError`` unless it holds
+    ``cols`` rows, one per column of ``owner``, and at least 8 samples."""
+    x = as_tensor(x)
+    if x.ndim != 2 or x.shape[0] != cols or x.shape[1] < 8:
+        raise ValueError(f"calibration of {owner} must be {cols} rows by at least 8 samples, got shape {x.shape}")
+    return x
+
+
 def _probe_families(families) -> list[str]:
     """``families`` in ``FAMILIES`` order; an unknown name raises ``ValueError``."""
     chosen = set(families)
@@ -263,29 +282,22 @@ def probe_patch(
     w = as_tensor(w)
     if w.ndim != 2:
         raise ShapeError(f"expected a patch matrix, got rank {w.ndim}")
-    return _probe_stack([patch_id], w[None], [calib], families, ratio_grid)[0]
+    calib = _checked_calib(calib, w.shape[1], "the patch")
+    return _probe_stack([patch_id], w[None], [calib], _probe_families(families), ratio_grid)[0]
 
 
 def _probe_stack(patch_ids, stack, calibs, families, ratio_grid) -> list[list[ProbeRecord]]:
-    """``probe_patch`` of the same-shape patches of ``stack`` ``(P, m, n)``:
-    one list of records per patch, in ``FAMILIES`` order, then ratio order.
-    The patches and their calibrations are scanned before any decomposition.
+    """``probe_patch`` of the same-shape patches of a finite float64
+    ``stack`` ``(P, m, n)``, each with its checked calibration (``calibs``),
+    over ``families`` in ``FAMILIES`` order: one list of records per patch,
+    in family order, then ratio order. The stack is read, not written.
 
     Probes are keyed by the structure they decompose (``_probe_key``), so a
     ring takes its train's deviations and ratios that select the same ranks
     share them. Each key's dense slices come from ``_reconstructions`` over
     the whole stack, and ||W X|| is computed once per patch.
     """
-    families = _probe_families(families)
-    stack = as_tensor(stack)
-    calibs = [as_tensor(x) for x in calibs]
     m, n = stack.shape[1:]
-    for x in calibs:
-        if x.shape[0] != n:
-            raise ValueError(f"calibration rows {x.shape[0]} do not match patch columns {n}")
-        if x.shape[1] < 8:
-            raise ValueError("calibration needs at least 8 sample columns")
-
     mode_shape = default_mode_shape(m, n)[0]
     keys, skips = {}, {}  # (family, ratio) -> probe key, or the reason it is infeasible
     for family in families:
@@ -562,6 +574,28 @@ def _probe_subset(patches: list[Patch], stride: int) -> list[Patch]:
     return sorted(chosen, key=lambda p: p.patch_id)
 
 
+def _stack_pass(model, patches, probe_targets, calibs, families, ratio_grid) -> tuple[dict, dict]:
+    """``analyze``'s one pass over ``_patch_stacks``, which copies each patch
+    once: the features of every patch and the probe records of each probed
+    one, by patch id. The unprobed patches' stacks come first, for their
+    features alone; then each stack of probed patches is probed
+    (``_probe_stack``) and its features are taken in place on the same
+    stack (``_stack_features``). Probing first raised the traced peak of a
+    process's first call. The set of probed patches lives only while the
+    unprobed ones are grouped, and the pass is a function of its own, so
+    neither it nor the last stack is held through the probes or training."""
+    features = {}
+    for group, stack in _patch_stacks(model, filterfalse(set(probe_targets).__contains__, patches)):
+        features.update(zip([p.patch_id for p in group], _stack_features(stack, group, model.total_layers)))
+    by_patch = {}
+    for group, stack in _patch_stacks(model, probe_targets):
+        ids = [p.patch_id for p in group]
+        x = [calibs[p.layer_name][p.col_range[0] : p.col_range[1]] for p in group]
+        by_patch.update(zip(ids, _probe_stack(ids, stack, x, families, ratio_grid)))
+        features.update(zip(ids, _stack_features(stack, group, model.total_layers)))
+    return features, by_patch
+
+
 def analyze(
     model: ModelContainer,
     calib: dict[str, np.ndarray],
@@ -576,55 +610,41 @@ def analyze(
     """Run the full analysis stage: features, strided probes, training, scoring.
 
     ``calib`` maps layer names to per-layer input samples with one row per
-    matrix column; each patch sees the row slice matching its columns. A
-    family not in ``FAMILIES``, a probed layer that ``calib`` lacks, a
-    ``degradation_cap`` that is NaN or negative, or a ``probe_stride`` below
-    1 raises ``ValueError`` before any work. The patches are grouped by
-    shape into stacks (``_patch_stacks``), and each stack's features are
-    taken at once (``_stack_features``); so are the probed patches', each
-    stack probed at once (``_probe_stack``). Features and records equal an
-    ``extract_features`` and a ``probe_patch`` loop over the patches bit for
-    bit and keep their order. Every patch's sensitivity record comes from
-    one ``forward`` over all the patches (``_records``) and equals a
+    matrix column and at least 8 samples; each patch sees the row slice
+    matching its columns. Before any decomposition, the model's weights
+    (``ModelContainer.validate``) and each probed layer's calibration are
+    scanned once, and a family not in ``FAMILIES``, a probed layer that
+    ``calib`` lacks or gives another shape, a ``degradation_cap`` that is
+    NaN or negative, or a ``probe_stride`` below 1 raises ``ValueError``.
+    Then each patch is copied out of the model once, into a stack of
+    same-shape patches (``_stack_pass``). Features and records equal an
+    ``extract_features`` and a ``probe_patch`` loop over the patches bit
+    for bit and keep their order. Every patch's sensitivity record comes
+    from one ``forward`` over all the patches (``_records``) and equals a
     ``predict`` loop's bit for bit. Rank selection runs once per distinct
     (mode shape, family, budget) in the process (``select_ranks``' memo).
     ``seed`` is unused: ``calib`` is given and the fit is closed-form, so
     nothing is drawn at random. It stays because the benchmark workloads in
     ``perfbench/workloads.py`` pass it.
     """
-    _probe_families(families)
+    families = _probe_families(families)
     _check_cap(degradation_cap)
     if probe_stride < 1:
         raise ValueError(f"probe_stride must be >= 1, got {probe_stride}")
+    model.validate()
     patches = partition_patches(model, patch_size)
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
-    missing = [name for name in dict.fromkeys(p.layer_name for p in probe_targets) if name not in calib]
+    layers = dict.fromkeys(p.layer_name for p in probe_targets)
+    missing = [name for name in layers if name not in calib]
     if missing:
         raise ValueError("no calibration samples for probed layer " + ", ".join(map(repr, missing)))
-    # each pass is a comprehension, so no stack outlives its pass
-    features = {
-        p.patch_id: row
-        for group, stack in _patch_stacks(model, patches)
-        for p, row in zip(group, _stack_features(as_tensor(stack), group, model.total_layers))
+    calibs = {
+        name: _checked_calib(calib[name], model.entries[name].matrix.shape[1], f"layer {name!r}") for name in layers
     }
+    features, by_patch = _stack_pass(model, patches, probe_targets, calibs, families, ratio_grid)
     features = {p.patch_id: features[p.patch_id] for p in patches}
-    by_patch = {
-        p.patch_id: records
-        for group, stack in _patch_stacks(model, probe_targets)
-        for p, records in zip(
-            group,
-            _probe_stack(
-                [p.patch_id for p in group],
-                stack,
-                [calib[p.layer_name][p.col_range[0] : p.col_range[1], :] for p in group],
-                families,
-                ratio_grid,
-            ),
-        )
-    }
     probes = [r for p in probe_targets for r in by_patch[p.patch_id]]
-    pairs = [(features[r.patch_id], r) for r in probes]
-    predictor = train_predictor(pairs)
+    predictor = train_predictor((features[r.patch_id], r) for r in probes)
     records = _records(
         predictor, np.stack([features[p.patch_id] for p in patches]), [p.patch_id for p in patches], degradation_cap
     )

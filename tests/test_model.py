@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minima.errors import ShapeError
+from minima.errors import NumericsError, ShapeError
 from minima.model import ModelContainer
 
 
@@ -16,3 +16,30 @@ class TestAdd:
             model.add("b", np.ones((4, 4)), layer_index=layer_index)
         assert list(model.entries) == ["a"] and model.total_layers == 1
         model.validate()
+
+    @pytest.mark.parametrize("layer_index", [1.5, 2.0, np.float64(1.0), "1", None])
+    def test_a_non_integer_layer_index_raises_and_adds_nothing(self, layer_index):
+        # 1.5 once went in and left total_layers at 2.5
+        model = ModelContainer()
+        model.add("a", np.ones((4, 4)), layer_index=0)
+        with pytest.raises(ShapeError, match="is not an integer"):
+            model.add("b", np.ones((4, 4)), layer_index=layer_index)
+        assert list(model.entries) == ["a"] and model.total_layers == 1
+
+    @pytest.mark.parametrize("layer_index", [np.int64(2), np.uint8(2), np.int32(2)])
+    def test_a_numpy_integer_layer_index_is_stored_as_int(self, layer_index):
+        model = ModelContainer()
+        model.add("a", np.ones((4, 4)), layer_index=layer_index)
+        assert type(model.entries["a"].layer_index) is int and model.entries["a"].layer_index == 2
+        assert type(model.total_layers) is int and model.total_layers == 3
+        model.validate()
+
+
+class TestValidate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_value_written_after_add_is_seen(self, bad):
+        model = ModelContainer()
+        model.add("a", np.ones((4, 4)), layer_index=0)
+        model.entries["a"].matrix[1, 2] = bad
+        with pytest.raises(NumericsError, match="entry 'a' has non-finite values"):
+            model.validate()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -357,14 +358,14 @@ class TestProbeWork:
 
     def test_a_stack_of_16x16_patches_shares_its_19_eigendecompositions(self, rng, lapack_calls, eigh_calls):
         # three 16 x 16 patches probed as one stack: the 19 eigendecompositions
-        # and the 8 TT splits of one patch, each over the stack of three, after
-        # one values-only SVD of the stack for its features
+        # and the 8 TT splits of one patch, each over the stack of three, then
+        # one values-only SVD of the same stack for its features
         model = make_model([("w", decayed_matrix(rng, 16, 48, 0.1), "ffn")])
         calib = {"w": rng.standard_normal((48, 16))}
         result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         assert len(result.probed_ids) == 3
         assert len(eigh_calls) == 19 and all(shape == (3, 4, 4) for shape in eigh_calls)
-        assert lapack_calls == [(3, 16, 16)] + [(3, *shape) for shape in TT_SPLITS_16x16]
+        assert lapack_calls == [(3, *shape) for shape in TT_SPLITS_16x16] + [(3, 16, 16)]
 
     def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng):
         # 32 x 32 and 32 x 16 patches, probed in both layers
@@ -456,10 +457,11 @@ class TestCalibrationChecks:
         w = rng.standard_normal((16, 16))
         with pytest.raises(NumericsError):
             probe_patch(w, ["tt"], [0.5], np.full((16, 8), bad))
-        calib = seeded_calib(16, 3)
-        calib[5, 2] = bad
+        model = make_model([("a", w, "ffn"), ("b", w, "ffn")])
+        calib = {"a": seeded_calib(16, 4), "b": seeded_calib(16, 3)}
+        calib["b"][5, 2] = bad  # the second layer's, which analyze probes in the same stack
         with pytest.raises(NumericsError):
-            sensitivity._probe_stack([0, 1], np.stack([w, w]), [seeded_calib(16, 4), calib], FAMILIES, (0.5,))
+            analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         assert lapack_calls == [] and eigh_calls == []
 
     def test_analyze_raises_on_a_non_finite_calibration_before_any_decomposition(self, rng, lapack_calls, eigh_calls):
@@ -469,7 +471,50 @@ class TestCalibrationChecks:
         calib["w"][40, 3] = np.nan  # in the rows of the third patch
         with pytest.raises(NumericsError):
             analyze(model, calib, patch_size=(16, 16), probe_stride=1)
-        assert eigh_calls == [] and lapack_calls == [(3, 16, 16)]  # the features' values-only SVD alone
+        assert eigh_calls == [] and lapack_calls == []  # every calibration is scanned at the entry
+
+    # a 1-D calibration once raised IndexError, a 3-D one numpy's matmul error
+    # after the features' SVD, a 24-row one named a patch slice, and a 40-row
+    # one was taken
+    @pytest.mark.parametrize("shape", [(32,), (32, 16, 2), (24, 16), (40, 16)], ids=["1d", "3d", "24rows", "40rows"])
+    def test_a_calibration_of_another_shape_raises_before_lapack(self, rng, lapack_calls, eigh_calls, shape):
+        model = make_model([("w", rng.standard_normal((16, 32)), "ffn")])
+        message = f"calibration of layer 'w' must be 32 rows by at least 8 samples, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analyze(model, {"w": rng.standard_normal(shape)}, patch_size=(16, 16), probe_stride=1)
+        assert lapack_calls == [] and eigh_calls == []
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 8, 2), (12, 8), (20, 8), (16, 7)])
+    def test_probe_patch_rejects_a_calibration_of_another_shape(self, rng, lapack_calls, eigh_calls, shape):
+        message = f"calibration of the patch must be 16 rows by at least 8 samples, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            probe_patch(rng.standard_normal((16, 16)), FAMILIES, (0.5,), rng.standard_normal(shape))
+        assert lapack_calls == [] and eigh_calls == []
+
+    def test_analyze_copies_and_scans_each_patch_once(self, rng, monkeypatch):
+        # two 64 x 64 layers, both probed: 8,192 weights and 8,192 calibration
+        # entries. analyze once copied each patch into a feature stack and a
+        # probe stack (16,384 entries) and sent both stacks and every
+        # calibration slice through as_tensor (24,576 entries)
+        model = make_model([(f"w{i}", decayed_matrix(rng, 64, 64, 0.1), "ffn") for i in range(2)])
+        calib = {name: rng.standard_normal((64, 64)) for name in model.entries}
+        scanned, copied, validated = [], [], []
+        as_tensor, patch_stacks, validate = sensitivity.as_tensor, sensitivity._patch_stacks, ModelContainer.validate
+
+        def stacks(model, patches):
+            for group, stack in patch_stacks(model, patches):
+                copied.append(stack.size)
+                yield group, stack
+
+        monkeypatch.setattr(sensitivity, "as_tensor", lambda x: scanned.append(np.size(x)) or as_tensor(x))
+        monkeypatch.setattr(sensitivity, "_patch_stacks", stacks)
+        monkeypatch.setattr(ModelContainer, "validate", lambda self: validated.append(self) or validate(self))
+        grid = (0.6, 0.5, 0.35, 0.25, 0.15, 0.1)  # 36 probes, enough to train on
+        result = analyze(model, calib, ratio_grid=grid, probe_stride=1)
+        assert result.probed_ids == [0, 1]
+        assert [v is model for v in validated] == [True]  # every weight, once: 8,192 entries
+        assert scanned == [64 * 64] * 2  # each layer's calibration, once
+        assert sum(copied) == 8192
 
     def test_analyze_names_every_probed_layer_without_calibration(self, rng, lapack_calls):
         # an embedding is not probed, so it needs no calibration
@@ -679,6 +724,16 @@ class TestStackedFeatures:
         w = rng.standard_normal((16, 16))
         before = w.copy()
         extract_features(w, meta_patch(), 1)
+        assert w.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("layout", ["float32", "strided", "transposed"])
+    def test_a_float32_or_strided_patch_gives_the_float64_features(self, rng, layout):
+        # such a patch was copied twice, by as_tensor and again for the stack
+        base = rng.standard_normal((32, 32))
+        w = {"float32": base[:16, :16].astype(np.float32), "strided": base[::2, ::2], "transposed": base[:16, :24].T}[layout]
+        before = w.copy()
+        plain = np.ascontiguousarray(w, dtype=np.float64)
+        assert extract_features(w, meta_patch(), 1).tobytes() == extract_features(plain, meta_patch(), 1).tobytes()
         assert w.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
