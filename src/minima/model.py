@@ -42,9 +42,13 @@ class ModelContainer:
         self.validate()
 
     def validate(self) -> None:
-        """Raise unless every entry is finite, keyed by its name and in
-        ``[0, total_layers)``: a write into an entry's matrix after it was
-        added is seen here, so ``analyze`` calls this before any work."""
+        """Raise unless ``total_layers`` is an integer, stored as ``int``,
+        and every entry is finite, keyed by its name and in ``[0,
+        total_layers)``: a write into an entry's matrix after it was added
+        is seen here, so ``analyze`` calls this before any work."""
+        if not isinstance(self.total_layers, (int, np.integer)):
+            raise ShapeError(f"total_layers {self.total_layers!r} is not an integer")
+        self.total_layers = int(self.total_layers)
         for name, entry in self.entries.items():
             if name != entry.name:
                 raise ShapeError(f"entry key {name!r} does not match entry name {entry.name!r}")

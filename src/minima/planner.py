@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from minima.errors import InfeasibleBudgetError
-from minima.sensitivity import Patch, _check_cap
+from minima import sensitivity
+from minima.sensitivity import Patch
 from minima.tn_decompositions import (
     FAMILIES,
     default_mode_shape,
@@ -104,12 +105,7 @@ def _fit(geometry: tuple[int, int], family: str, ratio: float):
     return spec.ranks, params
 
 
-def build_options(
-    records,
-    patches,
-    degradation_cap: float = 0.02,
-    exclude_kinds=("embedding",),
-) -> list[PatchOptions]:
+def build_options(records, patches) -> list[PatchOptions]:
     """Translate sensitivity records into planner inputs.
 
     A patch's candidates are the (family, ratio) pairs of its record's
@@ -117,11 +113,10 @@ def build_options(
     store fewer scalars than the dense patch, families in ``FAMILIES``
     order, one ``Candidate`` each, shared by every plan made from these
     options. ``_fit`` is memoized for this call only. Patches whose every
-    prediction exceeds the cap are pinned dense; excluded kinds get no
-    candidates. Two records for one patch, or a cap that is NaN or
-    negative, raise ``ValueError`` before any work.
+    prediction exceeds ``sensitivity.DEGRADATION_CAP`` are pinned dense;
+    ``sensitivity.EXCLUDED_KINDS`` get no candidates. Two records for one
+    patch raise ``ValueError`` before any work.
     """
-    _check_cap(degradation_cap)
     by_id = {}
     for r in records:
         if r.patch_id in by_id:
@@ -131,7 +126,7 @@ def build_options(
     options = []
     for patch in patches:
         record = by_id.get(patch.patch_id)
-        compressible = patch.submodule_kind not in exclude_kinds
+        compressible = patch.submodule_kind not in sensitivity.EXCLUDED_KINDS
         candidates = []
         if record is not None and compressible:
             geometry = (patch.rows, patch.cols)
@@ -141,7 +136,7 @@ def build_options(
                     if ranks_params is not None:
                         ranks, params = ranks_params
                         candidates.append(Candidate(family, float(ratio), params, deg, ranks))
-        pinned = bool(candidates) and all(c.predicted_degradation > degradation_cap for c in candidates)
+        pinned = bool(candidates) and all(c.predicted_degradation > sensitivity.DEGRADATION_CAP for c in candidates)
         options.append(PatchOptions(patch, candidates, compressible, pinned))
     return options
 

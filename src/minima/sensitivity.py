@@ -1,6 +1,15 @@
 """Patch partitioning, cheap spectral features, compression probes, and the
 degradation predictor that scores how safely each patch compresses.
 
+Policy: three constants decide which patches count as low-sensitivity, and
+analysis and planning both read them when they run. ``analyze`` probes
+``FAMILIES`` at ``RATIO_GRID``, so the predictor's heads and the planner's
+candidates take those ratios. ``DEGRADATION_CAP`` bounds a
+recommendation's predicted deviation, and ``build_options`` pins dense a
+patch whose every prediction exceeds it. ``EXCLUDED_KINDS`` are the
+submodule kinds that ``analyze`` does not probe by default and
+``build_options`` does not compress.
+
 Determinism: the same input bits give the same output bits on a given
 numpy/BLAS build and thread count. No output depends on how many patches
 are taken together: a patch's features, probe records and sensitivity
@@ -55,6 +64,10 @@ FEATURE_NAMES = (
     "is_embedding",
 )
 N_FEATURES = len(FEATURE_NAMES)
+
+RATIO_GRID = (0.5, 0.35, 0.25, 0.15)
+DEGRADATION_CAP = 0.02
+EXCLUDED_KINDS = ("embedding",)
 
 
 @dataclass(frozen=True)
@@ -502,35 +515,24 @@ def train_predictor(records) -> Predictor:
     )
 
 
-def predict(
-    predictor: Predictor,
-    feats: np.ndarray,
-    patch_id: int = 0,
-    cap: float = 0.02,
-) -> SensitivityRecord:
-    """Score a patch and pick, per family, the deepest ratio within the cap:
-    the one-row case of ``analyze``'s records (``_records``). A ``cap``
-    that is NaN or negative raises ``ValueError`` before any work."""
-    _check_cap(cap)
-    return _records(predictor, feats, [patch_id], cap)[0]
+def predict(predictor: Predictor, feats: np.ndarray, patch_id: int = 0) -> SensitivityRecord:
+    """Score a patch and pick, per family, the deepest ratio within
+    ``DEGRADATION_CAP``: the one-row case of ``analyze``'s records
+    (``_records``)."""
+    return _records(predictor, feats, [patch_id])[0]
 
 
-def _check_cap(cap) -> None:
-    """Raise ``ValueError`` unless the degradation cap is ``>= 0``: a NaN
-    cap admits no prediction, and a negative one none either, since every
-    prediction is clipped at 0."""
-    if not cap >= 0:
-        raise ValueError(f"degradation cap must be >= 0, got {cap}")
-
-
-def _records(predictor: Predictor, feats: np.ndarray, patch_ids, cap: float) -> list[SensitivityRecord]:
+def _records(predictor: Predictor, feats: np.ndarray, patch_ids) -> list[SensitivityRecord]:
     """``predict`` of each row of ``feats`` and its patch id, from one
-    ``forward`` over the rows, each row's bits its own. Rows become Python
-    floats one at a time, so no list of every row is held beside the
-    records."""
+    ``forward`` over the rows, each row's bits its own. A deviation head
+    whose ``coef`` column is bit-equal to an earlier one's (a ring's and
+    its train's) reads that head's output column, so twins predict the
+    same bits. Rows become Python floats one at a time, so no list of
+    every row is held beside the records."""
     columns: dict[str, list[tuple[float, int]]] = {}  # family -> (ratio, column of forward's output)
+    first: dict[bytes, int] = {}  # a deviation head's coef column -> the first head column with its bits
     for j, (family, ratio) in enumerate(predictor.heads, start=1):
-        columns.setdefault(family, []).append((ratio, j))
+        columns.setdefault(family, []).append((ratio, first.setdefault(predictor.coef[:, j].tobytes(), j)))
     records = []
     for patch_id, row in zip(patch_ids, predictor.forward(feats)):
         row = row.tolist()
@@ -538,7 +540,7 @@ def _records(predictor: Predictor, feats: np.ndarray, patch_ids, cap: float) -> 
 
         recommendations = {}
         for family, curve in predictions.items():
-            admissible = [(r, d) for r, d in curve.items() if d <= cap]
+            admissible = [(r, d) for r, d in curve.items() if d <= DEGRADATION_CAP]
             if admissible:
                 ratio, deg = min(admissible)  # smallest ratio = deepest compression
                 recommendations[family] = Recommendation(target_ratio=ratio, predicted_degradation=deg)
@@ -574,7 +576,7 @@ def _probe_subset(patches: list[Patch], stride: int) -> list[Patch]:
     return sorted(chosen, key=lambda p: p.patch_id)
 
 
-def _stack_pass(model, patches, probe_targets, calibs, families, ratio_grid) -> tuple[dict, dict]:
+def _stack_pass(model, patches, probe_targets, calibs) -> tuple[dict, dict]:
     """``analyze``'s one pass over ``_patch_stacks``, which copies each patch
     once: the features of every patch and the probe records of each probed
     one, by patch id. The unprobed patches' stacks come first, for their
@@ -591,7 +593,7 @@ def _stack_pass(model, patches, probe_targets, calibs, families, ratio_grid) -> 
     for group, stack in _patch_stacks(model, probe_targets):
         ids = [p.patch_id for p in group]
         x = [calibs[p.layer_name][p.col_range[0] : p.col_range[1]] for p in group]
-        by_patch.update(zip(ids, _probe_stack(ids, stack, x, families, ratio_grid)))
+        by_patch.update(zip(ids, _probe_stack(ids, stack, x, FAMILIES, RATIO_GRID)))
         features.update(zip(ids, _stack_features(stack, group, model.total_layers)))
     return features, by_patch
 
@@ -600,39 +602,34 @@ def analyze(
     model: ModelContainer,
     calib: dict[str, np.ndarray],
     patch_size=(64, 64),
-    families=FAMILIES,
-    ratio_grid=(0.5, 0.35, 0.25, 0.15),
-    degradation_cap: float = 0.02,
     probe_stride: int = 4,
-    exclude_kinds=("embedding",),
+    exclude_kinds=None,
     seed: int = 0,
 ) -> AnalysisResult:
     """Run the full analysis stage: features, strided probes, training, scoring.
 
-    ``calib`` maps layer names to per-layer input samples with one row per
-    matrix column and at least 8 samples; each patch sees the row slice
-    matching its columns. Before any decomposition, the model's weights
-    (``ModelContainer.validate``) and each probed layer's calibration are
-    scanned once, and a family not in ``FAMILIES``, a probed layer that
-    ``calib`` lacks or gives another shape, a ``degradation_cap`` that is
-    NaN or negative, or a ``probe_stride`` below 1 raises ``ValueError``.
-    Then each patch is copied out of the model once, into a stack of
-    same-shape patches (``_stack_pass``). Features and records equal an
-    ``extract_features`` and a ``probe_patch`` loop over the patches bit
-    for bit and keep their order. Every patch's sensitivity record comes
-    from one ``forward`` over all the patches (``_records``) and equals a
-    ``predict`` loop's bit for bit. Rank selection runs once per distinct
-    (mode shape, family, budget) in the process (``select_ranks``' memo).
-    ``seed`` is unused: ``calib`` is given and the fit is closed-form, so
-    nothing is drawn at random. It stays because the benchmark workloads in
-    ``perfbench/workloads.py`` pass it.
+    Every ``probe_stride``-th patch of each (layer index, kind) whose kind
+    is not in ``exclude_kinds`` (``EXCLUDED_KINDS`` if None) is probed at
+    ``FAMILIES`` and ``RATIO_GRID``. ``calib`` maps layer names to
+    per-layer input samples with one row per matrix column and at least 8
+    samples; each patch sees the row slice matching its columns. Before any
+    decomposition, the model's weights (``ModelContainer.validate``) and
+    each probed layer's calibration are scanned once, and a probed layer
+    that ``calib`` lacks or gives another shape, or a ``probe_stride``
+    below 1, raises ``ValueError``. Then each patch is copied out of the
+    model once, into a stack of same-shape patches (``_stack_pass``), and
+    the records come from one ``forward`` over all the patches
+    (``_records``); every output keeps patch order. Rank selection runs
+    once per distinct (mode shape, family, budget) in the process
+    (``select_ranks``' memo). ``seed`` is unused: ``calib`` is given and
+    the fit is closed-form. It stays because ``perfbench/workloads.py``
+    passes it.
     """
-    families = _probe_families(families)
-    _check_cap(degradation_cap)
     if probe_stride < 1:
         raise ValueError(f"probe_stride must be >= 1, got {probe_stride}")
     model.validate()
     patches = partition_patches(model, patch_size)
+    exclude_kinds = EXCLUDED_KINDS if exclude_kinds is None else exclude_kinds
     probe_targets = [p for p in _probe_subset(patches, probe_stride) if p.submodule_kind not in exclude_kinds]
     layers = dict.fromkeys(p.layer_name for p in probe_targets)
     missing = [name for name in layers if name not in calib]
@@ -641,13 +638,11 @@ def analyze(
     calibs = {
         name: _checked_calib(calib[name], model.entries[name].matrix.shape[1], f"layer {name!r}") for name in layers
     }
-    features, by_patch = _stack_pass(model, patches, probe_targets, calibs, families, ratio_grid)
+    features, by_patch = _stack_pass(model, patches, probe_targets, calibs)
     features = {p.patch_id: features[p.patch_id] for p in patches}
     probes = [r for p in probe_targets for r in by_patch[p.patch_id]]
     predictor = train_predictor((features[r.patch_id], r) for r in probes)
-    records = _records(
-        predictor, np.stack([features[p.patch_id] for p in patches]), [p.patch_id for p in patches], degradation_cap
-    )
+    records = _records(predictor, np.stack([features[p.patch_id] for p in patches]), [p.patch_id for p in patches])
     return AnalysisResult(
         patches=patches,
         features=features,

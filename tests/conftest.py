@@ -63,3 +63,19 @@ def sweeps(monkeypatch):
         monkeypatch.setattr("minima.tn_decompositions.HOOI_SWEEPS", n)
 
     return set_count
+
+
+@pytest.fixture
+def policy(monkeypatch):
+    """``policy(**values)`` sets any of sensitivity's ``FAMILIES``,
+    ``RATIO_GRID``, ``DEGRADATION_CAP`` and ``EXCLUDED_KINDS``, which
+    ``analyze``, ``predict`` and the planner read when they run, to the
+    given values for the rest of the test; ``FAMILIES`` takes a subset in
+    its own order."""
+
+    def set_values(**values) -> None:
+        for name, value in values.items():
+            assert name in ("FAMILIES", "RATIO_GRID", "DEGRADATION_CAP", "EXCLUDED_KINDS"), name
+            monkeypatch.setattr(f"minima.sensitivity.{name}", value)
+
+    return set_values

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minima.errors import NumericsError, ShapeError
-from minima.model import ModelContainer
+from minima.model import LayerEntry, ModelContainer
 
 
 class TestAdd:
@@ -43,3 +43,19 @@ class TestValidate:
         model.entries["a"].matrix[1, 2] = bad
         with pytest.raises(NumericsError, match="entry 'a' has non-finite values"):
             model.validate()
+
+    @pytest.mark.parametrize("total_layers", [2.5, 3.0, np.float64(3.0), "3", None])
+    def test_a_non_integer_total_layers_raises(self, total_layers):
+        # 2.5 and 3.0 once passed and reached the layer-position feature; "3"
+        # raised a bare TypeError
+        with pytest.raises(ShapeError, match="total_layers .* is not an integer"):
+            ModelContainer(entries={"a": LayerEntry("a", np.ones((4, 4)), 0)}, total_layers=total_layers)
+        model = ModelContainer()
+        model.total_layers = total_layers
+        with pytest.raises(ShapeError, match="total_layers .* is not an integer"):
+            model.validate()
+
+    @pytest.mark.parametrize("total_layers", [np.int64(3), np.uint8(3), np.int32(3)])
+    def test_a_numpy_integer_total_layers_is_stored_as_int(self, total_layers):
+        model = ModelContainer(entries={"a": LayerEntry("a", np.ones((4, 4)), 2)}, total_layers=total_layers)
+        assert type(model.total_layers) is int and model.total_layers == 3

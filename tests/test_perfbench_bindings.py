@@ -55,7 +55,8 @@ def leading_positionals(hook, skip: int = 0) -> int:
 
 
 TARGETS = load("spans").TARGETS
-WORKLOADS = load("workloads", checks=load("checks")).WORKLOADS
+WORKLOAD_MODULE = load("workloads", checks=load("checks"))
+WORKLOADS = WORKLOAD_MODULE.WORKLOADS
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: f"{t[0]}.{t[1]}")
@@ -83,6 +84,18 @@ def test_workload_operation_passes_its_checks(name):
     model, patches = work.setup()
     work.prepare(model, patches)
     assert work.check(work.run()) == []
+
+
+def test_workloads_use_the_programs_analysis_policy():
+    # workloads.py calls these "the program's default"; a change to the
+    # program's policy would otherwise leave the benchmark checking another one
+    sensitivity = importlib.import_module("minima.sensitivity")
+    assert WORKLOAD_MODULE.FAMILIES == sensitivity.FAMILIES
+    assert WORKLOAD_MODULE.RATIOS == sensitivity.RATIO_GRID
+    assert WORKLOAD_MODULE.CAP == sensitivity.DEGRADATION_CAP
+    analyze = WORKLOADS["analyze"]
+    assert analyze.exclude_kinds == sensitivity.EXCLUDED_KINDS
+    assert analyze.probe_stride == inspect.signature(sensitivity.analyze).parameters["probe_stride"].default
 
 
 def test_selftest_passes():

@@ -10,17 +10,15 @@ from minima import planner
 from minima.errors import InfeasibleBudgetError
 from minima.model import ModelContainer
 from minima.planner import MODES, Candidate, CompressionPlan, PatchOptions, PlanEntry, allocate, build_options
-from minima.sensitivity import Patch, SensitivityRecord, partition_patches
+from minima.sensitivity import RATIO_GRID, Patch, SensitivityRecord, partition_patches
 from minima.tn_decompositions import FAMILIES, default_mode_shape, maximal_ranks, param_count_formula
-
-RATIO_GRID = (0.5, 0.35, 0.25, 0.15)
 
 
 def plan_options(shapes, patch_size=(64, 64), kinds=None, fragile=()):
     """Planner options for layers of the given shapes, with synthetic predictions.
 
     Layers are ffn unless ``kinds`` names their kinds; the layers whose
-    indices are in ``fragile`` predict deviations above the default cap.
+    indices are in ``fragile`` predict deviations above ``DEGRADATION_CAP``.
     """
     model = ModelContainer()
     for i, (shape, kind) in enumerate(zip(shapes, kinds or ["ffn"] * len(shapes))):
@@ -175,9 +173,10 @@ class TestBuildOptions:
     @pytest.mark.parametrize(
         "cap, pinned", [(4e-3, False), (1e-3, False), (math.nextafter(1e-3, 0.0), True)]
     )
-    def test_pinned_only_when_every_prediction_exceeds_the_cap(self, cap, pinned):
+    def test_pinned_only_when_every_prediction_exceeds_the_cap(self, policy, cap, pinned):
         record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})
-        (opt,) = build_options([record], one_patch(), degradation_cap=cap)
+        policy(DEGRADATION_CAP=cap)
+        (opt,) = build_options([record], one_patch())
         assert opt.pinned == pinned
         assert [(c.family, c.ratio) for c in opt.candidates] == [("tt", 0.5), ("tt", 0.25)]
 
@@ -193,15 +192,6 @@ class TestBuildOptions:
         assert entry.family == "tt" and entry.params <= 2048
         assert entry.predicted_degradation == 0.0
 
-    @pytest.mark.parametrize("cap", [math.nan, -1e-3, -math.inf])
-    def test_a_nan_or_negative_cap_raises(self, cap):
-        # every deg > nan is False, so a NaN cap pinned nothing; a negative one pinned every patch
-        record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})
-        with pytest.raises(ValueError, match=f"degradation cap must be >= 0, got {cap}"):
-            build_options([record], one_patch(), degradation_cap=cap)
-        (opt,) = build_options([record], one_patch(), degradation_cap=0.0)
-        assert opt.pinned
-
     def test_two_records_for_one_patch_raise_naming_it(self):
         # the last record once won, so a fragile duplicate pinned a robust patch
         robust = SensitivityRecord(3, 0.5, self.PREDICTIONS, {})
@@ -211,9 +201,10 @@ class TestBuildOptions:
             build_options([robust, fragile], patches)
 
     @pytest.mark.parametrize("exclude, compressible", [((), True), (("ffn",), False)])
-    def test_exclude_kinds_decides_compressibility(self, exclude, compressible):
+    def test_excluded_kinds_decide_compressibility(self, policy, exclude, compressible):
         record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})
-        (opt,) = build_options([record], one_patch("ffn"), exclude_kinds=exclude)
+        policy(EXCLUDED_KINDS=exclude)
+        (opt,) = build_options([record], one_patch("ffn"))
         assert opt.compressible == compressible
         assert len(opt.candidates) == (2 if compressible else 0)
 

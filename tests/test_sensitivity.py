@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -367,17 +368,18 @@ class TestProbeWork:
         assert len(eigh_calls) == 19 and all(shape == (3, 4, 4) for shape in eigh_calls)
         assert lapack_calls == [(3, *shape) for shape in TT_SPLITS_16x16] + [(3, 16, 16)]
 
-    def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng):
+    def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng, policy):
         # 32 x 32 and 32 x 16 patches, probed in both layers
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 48, 0.1 + 0.1 * i), "ffn") for i in range(2)])
         calib = {name: rng.standard_normal((48, 16)) for name in model.entries}
         tn._rank_search.cache_clear()
         grid = (0.5, 0.25, 0.02)  # 0.02 is infeasible everywhere: a memoized skip
-        first = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
+        policy(RATIO_GRID=grid)
+        first = analyze(model, calib, patch_size=(32, 32), probe_stride=1)
         assert {(p.rows, p.cols) for p in first.patches} == {(32, 32), (32, 16)}
         searches = tn._rank_search.cache_info().misses
         assert searches == 2 * len(FAMILIES) * len(grid)
-        again = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
+        again = analyze(model, calib, patch_size=(32, 32), probe_stride=1)
         assert tn._rank_search.cache_info().misses == searches  # the memo outlives a call
         assert record_bits(again.probes) == record_bits(first.probes)
 
@@ -410,23 +412,6 @@ class TestProbeWork:
         with pytest.raises(ValueError, match=f"unknown family {unknown}"):
             probe_patch(rng.standard_normal((16, 16)), families, (0.5,), seeded_calib(16, 3))
 
-    @pytest.mark.parametrize("families, unknown", [(("TT",), "'TT'"), (("tt", "cp"), "'cp'")])
-    def test_analyze_rejects_an_unknown_family(self, rng, lapack_calls, families, unknown):
-        model = make_model([("w", rng.standard_normal((64, 64)), "ffn")])
-        calib = {"w": rng.standard_normal((64, 16))}
-        with pytest.raises(ValueError, match=f"unknown family {unknown}"):
-            analyze(model, calib, patch_size=(32, 32), families=families, probe_stride=1)
-        assert lapack_calls == []  # before any feature or probe
-
-    @pytest.mark.parametrize("cap", [math.nan, -1e-3, -math.inf])
-    def test_analyze_rejects_a_nan_or_negative_cap(self, rng, lapack_calls, cap):
-        # a NaN cap admits no prediction, so every record recommended nothing
-        model = make_model([("w", rng.standard_normal((64, 64)), "ffn")])
-        calib = {"w": rng.standard_normal((64, 16))}
-        with pytest.raises(ValueError, match=f"degradation cap must be >= 0, got {cap}"):
-            analyze(model, calib, patch_size=(32, 32), probe_stride=1, degradation_cap=cap)
-        assert lapack_calls == []  # before any feature or probe
-
     @pytest.mark.parametrize("stride", [0, -1, -4])
     def test_analyze_rejects_a_probe_stride_below_1(self, rng, lapack_calls, stride):
         # such a stride once probed every patch, as a stride of 1 does
@@ -435,19 +420,6 @@ class TestProbeWork:
         with pytest.raises(ValueError, match=f"probe_stride must be >= 1, got {stride}"):
             analyze(model, calib, patch_size=(32, 32), probe_stride=stride)
         assert lapack_calls == []  # before any feature or probe
-
-    @pytest.mark.parametrize("cap", [math.nan, -1e-3, -math.inf])
-    def test_predict_rejects_a_nan_or_negative_cap(self, monkeypatch, cap):
-        # a patch that cap 1.0 recommends at a ratio for every family once
-        # got no recommendation at a NaN or negative cap
-        predictor = train_predictor(masked_records(0, n_patches=40))
-        feats = np.zeros(N_FEATURES)
-        assert all(r.target_ratio is not None for r in predict(predictor, feats, cap=1.0).recommendations.values())
-        forwards = []
-        monkeypatch.setattr(sensitivity.Predictor, "forward", lambda *args: forwards.append(args))
-        with pytest.raises(ValueError, match=f"degradation cap must be >= 0, got {cap}"):
-            predict(predictor, feats, cap=cap)
-        assert forwards == []  # before any work
 
 
 class TestCalibrationChecks:
@@ -491,7 +463,7 @@ class TestCalibrationChecks:
             probe_patch(rng.standard_normal((16, 16)), FAMILIES, (0.5,), rng.standard_normal(shape))
         assert lapack_calls == [] and eigh_calls == []
 
-    def test_analyze_copies_and_scans_each_patch_once(self, rng, monkeypatch):
+    def test_analyze_copies_and_scans_each_patch_once(self, rng, monkeypatch, policy):
         # two 64 x 64 layers, both probed: 8,192 weights and 8,192 calibration
         # entries. analyze once copied each patch into a feature stack and a
         # probe stack (16,384 entries) and sent both stacks and every
@@ -509,14 +481,14 @@ class TestCalibrationChecks:
         monkeypatch.setattr(sensitivity, "as_tensor", lambda x: scanned.append(np.size(x)) or as_tensor(x))
         monkeypatch.setattr(sensitivity, "_patch_stacks", stacks)
         monkeypatch.setattr(ModelContainer, "validate", lambda self: validated.append(self) or validate(self))
-        grid = (0.6, 0.5, 0.35, 0.25, 0.15, 0.1)  # 36 probes, enough to train on
-        result = analyze(model, calib, ratio_grid=grid, probe_stride=1)
+        policy(RATIO_GRID=(0.6, 0.5, 0.35, 0.25, 0.15, 0.1))  # 36 probes, enough to train on
+        result = analyze(model, calib, probe_stride=1)
         assert result.probed_ids == [0, 1]
         assert [v is model for v in validated] == [True]  # every weight, once: 8,192 entries
         assert scanned == [64 * 64] * 2  # each layer's calibration, once
         assert sum(copied) == 8192
 
-    def test_analyze_names_every_probed_layer_without_calibration(self, rng, lapack_calls):
+    def test_analyze_names_every_probed_layer_without_calibration(self, rng, lapack_calls, policy):
         # an embedding is not probed, so it needs no calibration
         model = make_model(
             [(f"l{i}", rng.standard_normal((16, 16)), "ffn") for i in range(4)]
@@ -528,6 +500,9 @@ class TestCalibrationChecks:
         assert lapack_calls == []
         calib.update(l1=calib["l0"], l3=calib["l2"])
         assert analyze(model, calib, patch_size=(16, 16), probe_stride=1).probed_ids == [0, 1, 2, 3]
+        policy(EXCLUDED_KINDS=())  # read when analyze runs: now the embedding is probed too
+        with pytest.raises(ValueError, match="probed layer 'emb'$"):
+            analyze(model, calib, patch_size=(16, 16), probe_stride=1)
 
 
 def mixed_model(rng):
@@ -547,9 +522,10 @@ def mixed_model(rng):
 class TestStackedProbes:
     GRID = (0.5, 0.35, 0.25, 0.15, 0.01)
 
-    def test_analyze_records_equal_a_probe_patch_loop_bitwise(self, rng):
+    def test_analyze_records_equal_a_probe_patch_loop_bitwise(self, rng, policy):
         model, calib = mixed_model(rng)
-        result = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
+        policy(RATIO_GRID=self.GRID)
+        result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         by_id = {p.patch_id: p for p in result.patches}
         probed = [by_id[pid] for pid in result.probed_ids]
         assert max(len(group) for group, _ in sensitivity._patch_stacks(model, probed)) > 1
@@ -560,14 +536,15 @@ class TestStackedProbes:
         assert record_bits(result.probes) == record_bits(loop)
 
     @pytest.mark.parametrize("bound", [1, 2 * 256])
-    def test_records_do_not_depend_on_the_stack_bound(self, rng, monkeypatch, bound):
+    def test_records_do_not_depend_on_the_stack_bound(self, rng, monkeypatch, policy, bound):
         model, calib = mixed_model(rng)
-        whole = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
+        policy(RATIO_GRID=self.GRID)
+        whole = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         monkeypatch.setattr(sensitivity, "STACK_ENTRIES", bound)
         by_id = {p.patch_id: p for p in whole.patches}
         stacks = sensitivity._patch_stacks(model, [by_id[pid] for pid in whole.probed_ids])
         assert max(len(group) for group, _ in stacks) == max(bound // 256, 1)
-        cut = analyze(model, calib, patch_size=(16, 16), ratio_grid=self.GRID, probe_stride=1)
+        cut = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         assert record_bits(cut.probes) == record_bits(whole.probes)
 
     def test_stacks_group_by_shape_within_the_bound(self, rng):
@@ -1128,8 +1105,8 @@ def leave_one_layer_out_rmse(result) -> tuple[float, float]:
     return float(np.sqrt(np.mean(np.square(fit_err)))), float(np.sqrt(np.mean(np.square(mean_err))))
 
 
-@pytest.fixture(scope="module")
-def analysis():
+@pytest.fixture
+def analysis(policy):
     rng = np.random.default_rng(42)
     model = ModelContainer()
     for i in range(4):
@@ -1139,22 +1116,16 @@ def analysis():
         name: np.random.default_rng(100 + i).standard_normal((128, 64))
         for i, name in enumerate(model.entries)
     }
-    return analyze(
-        model,
-        calib,
-        patch_size=(64, 64),
-        families=("tt",),
-        ratio_grid=(0.5, 0.35, 0.25, 0.15),
-        degradation_cap=0.05,
-        probe_stride=1,
-        seed=0,
-    )
+    # TT alone at cap 0.05, for the rest of the test
+    policy(FAMILIES=("tt",), DEGRADATION_CAP=0.05)
+    return analyze(model, calib, patch_size=(64, 64), probe_stride=1, seed=0)
 
 
 class TestAnalyzeEndToEnd:
 
     def test_probe_coverage(self, analysis):
         assert len(analysis.probes) >= 32
+        assert {probe.family for probe in analysis.probes} == {"tt"}
         assert len(analysis.records) == len(analysis.patches) == 16
 
     def test_recommendations_agree_with_probes(self, analysis):
@@ -1193,24 +1164,26 @@ class TestAnalyzeEndToEnd:
         fit_rmse, mean_rmse = leave_one_layer_out_rmse(analysis)
         assert fit_rmse < mean_rmse
 
-    def test_third_ratio_survives_into_planner_candidates(self, rng):
+    def test_third_ratio_survives_into_planner_candidates(self, rng, policy):
         grid = (0.5, 1 / 3, 0.2)
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 64, g), "ffn") for i, g in enumerate((0.05, 0.3, 0.1))])
         calib = {name: rng.standard_normal((64, 16)) for name in model.entries}
-        result = analyze(model, calib, patch_size=(32, 32), families=("tt",), ratio_grid=grid, probe_stride=1)
+        policy(FAMILIES=("tt",), RATIO_GRID=grid, DEGRADATION_CAP=1.0)
+        result = analyze(model, calib, patch_size=(32, 32), probe_stride=1)
         assert all(set(rec.predictions["tt"]) == set(grid) for rec in result.records)
-        options = build_options(result.records, result.patches, degradation_cap=1.0)
+        options = build_options(result.records, result.patches)
         assert all({c.ratio for c in opt.candidates} == set(grid) for opt in options)
 
-    def test_planner_candidates_are_the_records_grid(self, rng):
+    def test_planner_candidates_are_the_records_grid(self, rng, policy):
         # build_options takes no grid: a grid unlike (0.5, 0.35, 0.25, 0.15)
         # reaches the planner whole, for every family
         grid = (0.5, 1 / 3, 0.2)
         gammas = (0.05, 0.3, 0.1, 0.2)
         model = make_model([(f"w{i}", decayed_matrix(rng, 64, 64, g), "ffn") for i, g in enumerate(gammas)])
         calib = {name: rng.standard_normal((64, 16)) for name in model.entries}
-        result = analyze(model, calib, patch_size=(32, 32), ratio_grid=grid, probe_stride=1)
-        options = build_options(result.records, result.patches, degradation_cap=1.0)
+        policy(RATIO_GRID=grid, DEGRADATION_CAP=1.0)
+        result = analyze(model, calib, patch_size=(32, 32), probe_stride=1)
+        options = build_options(result.records, result.patches)
         pairs = [(family, ratio) for family in FAMILIES for ratio in grid]
         assert all([(c.family, c.ratio) for c in opt.candidates] == pairs for opt in options)
         assert allocate(options, 0.3).achieved_ratio <= 0.3
@@ -1245,9 +1218,32 @@ class TestDeterminism:
         for f, row in zip(feats, rows):
             assert predictor.forward(f).tobytes() == row.tobytes()
 
+    def test_a_ring_predicts_its_trains_bits(self):
+        # a TR probe is its TT probe, so the two heads' coef columns are equal
+        # bit for bit; forward puts them in different matmul columns, where
+        # rows like these once gave the ring other bits than its train
+        records = [(f, r) for f, r in masked_records(16, drop=0.0) if r.family != "tr"]
+        records += [(f, dataclasses.replace(r, family="tr")) for f, r in records if r.family == "tt"]
+        predictor = train_predictor(records)
+        for ratio in (0.5, 0.35, 0.25, 0.15):
+            tt, tr = (1 + predictor.heads.index((family, ratio)) for family in ("tt", "tr"))
+            assert predictor.coef[:, tt].tobytes() == predictor.coef[:, tr].tobytes()
+        for feats in np.random.default_rng(16).standard_normal((2000, N_FEATURES)):
+            rec = predict(predictor, feats)
+            assert rec.predictions["tr"] == rec.predictions["tt"]
+            assert rec.recommendations["tr"] == rec.recommendations["tt"]
+
+    def test_no_deviation_head_reads_the_clipped_score_column(self):
+        # both columns predict 0.5 + x_0, and the score's is clipped to [0, 1]
+        coef = np.zeros((1 + N_FEATURES, 2))
+        coef[:2] = [[0.5, 0.5], [1.0, 1.0]]
+        predictor = sensitivity.Predictor(coef, np.zeros(N_FEATURES), np.ones(N_FEATURES), [("tt", 0.5)])
+        rec = predict(predictor, np.full(N_FEATURES, 2.0))
+        assert (rec.score, rec.predictions) == (1.0, {"tt": {0.5: 2.5}})
+
     def test_analyze_records_equal_a_predict_loop_bitwise(self, analysis):
         loop = [
-            predict(analysis.predictor, analysis.features[p.patch_id], patch_id=p.patch_id, cap=0.05)
+            predict(analysis.predictor, analysis.features[p.patch_id], patch_id=p.patch_id)
             for p in analysis.patches
         ]
         assert sensitivity_record_bits(analysis.records) == sensitivity_record_bits(loop)
