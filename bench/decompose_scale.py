@@ -57,10 +57,10 @@ def layer_digest(layer) -> str:
 
 def run_pass(family, w, mode_shape, budget):
     _rank_search.cache_clear()
-    spec, cold_s = harness.timed(lambda: select_ranks(mode_shape, family, budget))
+    ranks, cold_s = harness.timed(lambda: select_ranks(mode_shape, family, budget))
     _, warm_s = harness.timed(lambda: select_ranks(mode_shape, family, budget))
     layer, compress_s = harness.timed(lambda: compress_matrix(w, family, budget))
-    return (spec, layer), dict(zip(STAGES, (cold_s, warm_s, compress_s)))
+    return (ranks, layer), dict(zip(STAGES, (cold_s, warm_s, compress_s)))
 
 
 def measure(n: int) -> list[dict]:
@@ -69,8 +69,8 @@ def measure(n: int) -> list[dict]:
     budget = ratio_budget(RATIO, n * n)
     outs, runs = harness.passes({f: f for f in FAMILIES}, run_pass, w, mode_shape, budget)
     rows = []
-    for family, (spec, layer) in outs.items():
-        row = {"patch": [n, n], "mode_shape": list(mode_shape), "family": family, "ranks": list(spec.ranks)}
+    for family, (ranks, layer) in outs.items():
+        row = {"patch": [n, n], "mode_shape": list(mode_shape), "family": family, "ranks": list(ranks)}
         row["relative_error"] = float(np.linalg.norm(w - layer_to_matrix(layer)) / np.linalg.norm(w))
         row["layer_digest"] = layer_digest(layer)
         row.update({stage: harness.quartiles(r[family][stage] for r in runs) for stage in STAGES})

@@ -96,13 +96,13 @@ def _fit(geometry: tuple[int, int], family: str, ratio: float):
     mode_shape, _ = default_mode_shape(*geometry)
     dense = geometry[0] * geometry[1]
     try:
-        spec = select_ranks(mode_shape, family, ratio_budget(ratio, dense))
+        ranks = select_ranks(mode_shape, family, ratio_budget(ratio, dense))
     except InfeasibleBudgetError:
         return None
-    params = param_count_formula(family, mode_shape, spec.ranks)
+    params = param_count_formula(family, mode_shape, ranks)
     if params >= dense:
         return None
-    return spec.ranks, params
+    return ranks, params
 
 
 def build_options(records, patches) -> list[PatchOptions]:

@@ -96,7 +96,11 @@ def partition_patches(model: ModelContainer, patch_size=(64, 64)) -> list[Patch]
     """Tile every matrix exactly; ragged tiles stay at the right/bottom edges.
 
     Patch ids follow container order, then row-major tile order.
+    ``patch_size`` is two Python or numpy integers of at least 16, or
+    ``ValueError``.
     """
+    if len(patch_size) != 2 or not all(isinstance(d, (int, np.integer)) for d in patch_size):
+        raise ValueError(f"patch size must be two integers, got {patch_size!r}")
     pr, pc = int(patch_size[0]), int(patch_size[1])
     if pr < 16 or pc < 16:
         raise ValueError(f"patch dimensions must be >= 16, got {(pr, pc)}")
@@ -316,11 +320,11 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid) -> list[list[Pr
     for family in families:
         for ratio in ratio_grid:
             try:
-                spec = select_ranks(mode_shape, family, ratio_budget(ratio, m * n))
+                ranks = select_ranks(mode_shape, family, ratio_budget(ratio, m * n))
             except InfeasibleBudgetError as exc:
                 skips[family, ratio] = exc
             else:
-                keys[family, ratio] = _probe_key(spec)
+                keys[family, ratio] = _probe_key(family, ranks)
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
     tucker, trains = ([k[1] for k in dict.fromkeys(keys.values()) if k[0] == family] for family in ("tucker", "tt"))
     measured = {

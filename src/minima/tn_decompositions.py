@@ -143,22 +143,6 @@ class CompressedLayer:
             raise ShapeError(f"unknown family {self.family!r}")
 
 
-@dataclass(frozen=True)
-class RankSpec:
-    """Concrete ranks for a TN family; ``select_ranks`` resolves a parameter
-    budget into one."""
-
-    family: str
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise RankError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if any(r < 1 for r in self.ranks):
-            raise RankError(f"ranks must be >= 1, got {self.ranks}")
-
-
 # --- decomposition routines -------------------------------------------------
 
 
@@ -438,12 +422,12 @@ def _dense_slices(core=None, factors=(), cores=()) -> Iterator[np.ndarray]:
         yield np.dot(head, tail.reshape(len(tail), -1)).reshape(shape)
 
 
-def _probe_key(spec: RankSpec) -> tuple:
+def _probe_key(family: str, ranks: tuple[int, ...]) -> tuple:
     """The structure a probe decomposes: ``(family, ranks)``, and for a
     ring its train's, ``("tt", ranks[1:])``."""
-    if spec.family == "tr":
-        return ("tt", spec.ranks[1:])
-    return (spec.family, spec.ranks)
+    if family == "tr":
+        return ("tt", ranks[1:])
+    return (family, ranks)
 
 
 def _reconstructions(t: np.ndarray, rank_tuples, bond_vectors) -> Iterator[tuple[tuple, Iterator]]:
@@ -549,24 +533,25 @@ def ratio_budget(ratio: float, dense: int) -> ParamBudget:
     return ParamBudget(max(int(math.floor(ratio * dense)), 1))
 
 
-def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
+def select_ranks(mode_shape, family: str, target: ParamBudget) -> tuple[int, ...]:
     """Largest feasible ranks of a TN family within a parameter budget.
 
-    Budgets at or above the dense size return the maximal (exact) ranks;
-    otherwise the largest feasible uniform rank is found and individual
-    positions are then greedily incremented in ascending order while the
-    budget allows. A ring's ranks are ``(1, *bonds)`` of the train's
-    search. Budgets below the rank-1 count raise ``InfeasibleBudgetError``.
-    Only a ``ParamBudget`` selects ranks (other targets raise
-    ``TypeError``) and only for Tucker, TT or TR (others raise
-    ``RankError``).
+    Returns the rank tuple, Python ints in ``param_count_formula``'s
+    layout. Budgets at or above the dense size return the maximal (exact)
+    ranks; otherwise the largest feasible uniform rank is found and
+    individual positions are then greedily incremented in ascending order
+    while the budget allows. A ring's ranks are ``(1, *bonds)`` of the
+    train's search. Budgets below the rank-1 count raise
+    ``InfeasibleBudgetError``. Only a ``ParamBudget`` selects ranks (other
+    targets raise ``TypeError``) and only for Tucker, TT or TR (others
+    raise ``RankError``).
 
     Arguments are validated here, once; the search runs behind a
     process-wide memo of 4,096 (shape, family, budget) keys, least recently
     used dropped first (``_rank_search``, emptied by its ``cache_clear``). A
-    key seen before runs no search: the memo holds the immutable
-    ``RankSpec``, or an infeasible budget's rank-1 cost, from which every
-    call raises a fresh ``InfeasibleBudgetError``.
+    key seen before runs no search: the memo holds the rank tuple, or an
+    infeasible budget's rank-1 cost, from which every call raises a fresh
+    ``InfeasibleBudgetError``.
     """
     shape = tuple(int(s) for s in mode_shape)
     if family not in FAMILIES:
@@ -575,23 +560,23 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> RankSpec:
         raise TypeError(f"ranks are selected by a ParamBudget, got {target!r}")
     budget = target.budget
     found = _rank_search(shape, family, budget)
-    if isinstance(found, RankSpec):
+    if isinstance(found, tuple):
         return found
     raise InfeasibleBudgetError(f"budget {budget} below rank-1 configuration of {found} params", best_achievable=found)
 
 
 @functools.lru_cache(maxsize=4096)
-def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec | int:
+def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> tuple[int, ...] | int:
     """``select_ranks`` on validated arguments, each trial through the unvalidated
-    ``_ranks_feasible`` and ``_param_count``: the ranks, or an infeasible budget's rank-1 cost.
-    A ring takes the memoized train search's result."""
+    ``_ranks_feasible`` and ``_param_count``: the rank tuple, or an infeasible budget's
+    rank-1 cost. A ring is ``(1, *bonds)`` of the memoized train search's bonds."""
     if family == "tr":
         found = _rank_search(shape, "tt", budget)
-        return RankSpec("tr", (1, *found.ranks)) if isinstance(found, RankSpec) else found
+        return (1, *found) if isinstance(found, tuple) else found
     caps = maximal_ranks(family, shape)
     npos = len(caps)
     if budget >= math.prod(shape):
-        return RankSpec(family=family, ranks=caps)
+        return caps
 
     floor_cost = _param_count(family, shape, (1,) * npos)
     if floor_cost > budget:
@@ -614,7 +599,7 @@ def _rank_search(shape: tuple[int, ...], family: str, budget: int) -> RankSpec |
             if fits(tuple(trial)):
                 ranks = trial
                 changed = True
-    return RankSpec(family=family, ranks=tuple(ranks))
+    return tuple(ranks)
 
 
 def compress_matrix(w: np.ndarray, family: str, target: ParamBudget) -> CompressedLayer:
@@ -624,7 +609,7 @@ def compress_matrix(w: np.ndarray, family: str, target: ParamBudget) -> Compress
     if w.ndim != 2:
         raise ShapeError("compress_matrix expects a matrix")
     mode_shape, row_mode_count = default_mode_shape(*w.shape)
-    ranks = select_ranks(mode_shape, family, target).ranks
+    ranks = select_ranks(mode_shape, family, target)
     t = w.reshape(mode_shape)
     if family == "tucker":
         layer = tucker_decompose(t, ranks)

@@ -6,15 +6,23 @@ Each script runs with ``--help`` in a fresh interpreter under ``python -B``,
 so no bytecode lands in ``bench/``, ``src/`` or ``tests/``. A deletion or a
 rename of a name a script or the harness imports fails here, not in a
 benchmark run.
+
+Each script's ``measure`` also runs once on its smallest input, all four in
+one such interpreter, with ``harness.REPEATS`` / ``MIN_SECONDS`` at 2 / 0.
+Its rows must carry the fields of the committed ``BENCH_*.json`` rows (less
+``against``, which only ``--against`` writes), so a name that only a bench
+run reads fails here too; ``measure`` writes no file.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 SCRIPTS = sorted(p.name for p in BENCH.glob("*.py") if "\ndef main(" in p.read_text())
@@ -35,3 +43,52 @@ def test_help_exits_cleanly(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:"), done.stdout
+
+
+# each script's measure on its smallest input, its rows as sorted field lists
+MEASURE = """
+import json, harness
+harness.REPEATS, harness.MIN_SECONDS = 2, 0
+import analyze_scale, decompose_scale, plan_scale, train_scale
+rows = {
+    "analyze_scale.py": [analyze_scale.measure("small", harness.sides(None), None)],
+    "decompose_scale.py": decompose_scale.measure(32),
+    "plan_scale.py": [plan_scale.measure(192, harness.sides(None))],
+    "train_scale.py": [train_scale.measure(5)],
+}
+print(json.dumps({script: [sorted(row) for row in got] for script, got in rows.items()}))
+"""
+# script -> the report it writes, and the field and value of the smallest input's rows
+REPORTS = {
+    "analyze_scale.py": ("BENCH_analyze.json", "model", "small"),
+    "decompose_scale.py": ("BENCH_decompose.json", "patch", [32, 32]),
+    "plan_scale.py": ("BENCH_plan_scale.json", "patches", 192),
+    "train_scale.py": ("BENCH_train.json", "patches", 5),
+}
+
+
+def snapshot() -> dict:
+    """Every file under ``bench/`` and at the root, with its modification time."""
+    files = [*BENCH.rglob("*"), *ROOT.glob("*")]
+    return {p: p.stat().st_mtime_ns for p in files if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def measured_fields():
+    before = snapshot()
+    done = subprocess.run([sys.executable, "-B", "-c", MEASURE], cwd=BENCH, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert snapshot() == before
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_every_script_is_measured(measured_fields):
+    assert sorted(measured_fields) == sorted(REPORTS) == SCRIPTS
+
+
+@pytest.mark.parametrize("script", sorted(REPORTS))
+def test_measure_writes_the_reported_fields(measured_fields, script):
+    report, key, value = REPORTS[script]
+    committed = [r for r in json.loads((ROOT / report).read_text())["rows"] if r[key] == value]
+    assert committed, (report, key, value)
+    assert measured_fields[script] == [sorted(set(r) - {"against"}) for r in committed]

@@ -44,18 +44,32 @@ class TestValidate:
         with pytest.raises(NumericsError, match="entry 'a' has non-finite values"):
             model.validate()
 
-    @pytest.mark.parametrize("total_layers", [2.5, 3.0, np.float64(3.0), "3", None])
-    def test_a_non_integer_total_layers_raises(self, total_layers):
-        # 2.5 and 3.0 once passed and reached the layer-position feature; "3"
-        # raised a bare TypeError
-        with pytest.raises(ShapeError, match="total_layers .* is not an integer"):
-            ModelContainer(entries={"a": LayerEntry("a", np.ones((4, 4)), 0)}, total_layers=total_layers)
-        model = ModelContainer()
-        model.total_layers = total_layers
-        with pytest.raises(ShapeError, match="total_layers .* is not an integer"):
-            model.validate()
 
-    @pytest.mark.parametrize("total_layers", [np.int64(3), np.uint8(3), np.int32(3)])
-    def test_a_numpy_integer_total_layers_is_stored_as_int(self, total_layers):
-        model = ModelContainer(entries={"a": LayerEntry("a", np.ones((4, 4)), 2)}, total_layers=total_layers)
-        assert type(model.total_layers) is int and model.total_layers == 3
+class TestTotalLayers:
+    def test_one_entry_at_layer_zero_is_one_layer(self):
+        model = ModelContainer(entries={"a": LayerEntry("a", np.ones((4, 4)), 0)})
+        assert model.total_layers == 1
+
+    def test_the_largest_index_sets_the_count(self):
+        added = ModelContainer()
+        added.add("a", np.ones((4, 4)), layer_index=5)
+        added.add("b", np.ones((4, 4)), layer_index=0)
+        given = ModelContainer(entries={n: LayerEntry(n, np.ones((4, 4)), i) for n, i in (("a", 0), ("b", 5))})
+        assert added.total_layers == given.total_layers == 6
+        del added.entries["a"]  # derived from the entries, never stored
+        assert added.total_layers == 1
+
+    def test_an_empty_container_has_no_layers(self):
+        assert ModelContainer().total_layers == 0
+
+    def test_the_count_is_not_settable(self):
+        # a stored count once took -3 beside an entry at layer 0
+        with pytest.raises(TypeError):
+            ModelContainer(entries={"a": LayerEntry("a", np.ones((4, 4)), 0)}, total_layers=-3)
+        with pytest.raises(AttributeError):
+            ModelContainer().total_layers = 3
+
+    @pytest.mark.parametrize("layer_index", [-1, np.int64(-1)])
+    def test_an_entry_rejects_a_negative_index(self, layer_index):
+        with pytest.raises(ShapeError, match="layer index -1 is negative"):
+            LayerEntry("a", np.ones((4, 4)), layer_index)

@@ -93,6 +93,20 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_patches(model, (8, 64))
 
+    @pytest.mark.parametrize(
+        "size", [(16.9, 16.2), (16.0, 16), ("16", 16), (16, np.float64(16.0)), (16, 16, 99), (16,)], ids=str
+    )
+    def test_a_patch_size_of_other_than_two_integers_raises(self, rng, size):
+        # int() once cut a 32x32 layer into 16x16 tiles at (16.9, 16.2), and
+        # a third dimension was ignored
+        model = make_model([("w", rng.standard_normal((32, 32)), "ffn")])
+        with pytest.raises(ValueError, match="patch size must be two integers, got .*16"):
+            partition_patches(model, size)
+
+    def test_a_numpy_integer_patch_size_tiles(self, rng):
+        model = make_model([("w", rng.standard_normal((32, 32)), "ffn")])
+        assert partition_patches(model, (np.int64(16), np.int32(16))) == partition_patches(model, (16, 16))
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(min_value=17, max_value=150),
@@ -254,11 +268,11 @@ class TestDefaultSweeps:
         assert [(r.family, r.target_ratio) for r in records] == [("tucker", r) for r in self.GRID]
         for record in records:
             budget = ratio_budget(record.target_ratio, m * n)
-            spec = select_ranks(mode_shape, "tucker", budget)
-            assert spec.ranks != mode_shape  # some mode is truncated, so the sweeps count
+            ranks = select_ranks(mode_shape, "tucker", budget)
+            assert ranks != mode_shape  # some mode is truncated, so the sweeps count
             layers = [
                 compress_matrix(w, "tucker", budget),
-                tn.tucker_decompose(w.reshape(mode_shape), spec.ranks),
+                tn.tucker_decompose(w.reshape(mode_shape), ranks),
             ]
             for layer in layers:
                 realized = output_error(w, tn.reconstruct(layer).reshape(m, n), x)
@@ -274,7 +288,7 @@ class TestDefaultSweeps:
         sweeps(count)
         w = decayed_matrix(rng, 32, 32, 0.1)
         budget = ratio_budget(0.25, w.size)
-        assert select_ranks((4, 8, 4, 8), "tucker", budget).ranks == (4, 4, 3, 3)
+        assert select_ranks((4, 8, 4, 8), "tucker", budget) == (4, 4, 3, 3)
         for decompose in (
             lambda: compress_matrix(w, "tucker", budget),
             lambda: tn.tucker_decompose(w.reshape(4, 8, 4, 8), (4, 4, 3, 3)),
@@ -567,9 +581,9 @@ class TestStackedProbes:
         mode_shape, row_modes = default_mode_shape(*shape)
         expected = []
         for ratio in self.GRID[:-1]:
-            spec = select_ranks(mode_shape, "tr", ratio_budget(ratio, w.size))
-            assert spec.ranks[0] == 1  # the budget selects a ring that is a train
-            layer = tn.tr_decompose(w.reshape(mode_shape), spec.ranks)
+            ranks = select_ranks(mode_shape, "tr", ratio_budget(ratio, w.size))
+            assert ranks[0] == 1  # the budget selects a ring that is a train
+            layer = tn.tr_decompose(w.reshape(mode_shape), ranks)
             layer.row_mode_count = row_modes
             expected.append(output_error(w, layer_to_matrix(layer), calib))
         rings = []
@@ -596,11 +610,11 @@ class TestStackedProbes:
         dense = shape[0] * shape[1]
         for ratio in (*self.GRID, 0.05, 0.75, 1.0, 2.0):
             try:
-                spec = select_ranks(mode_shape, "tr", ratio_budget(ratio, dense))
+                ranks = select_ranks(mode_shape, "tr", ratio_budget(ratio, dense))
             except InfeasibleBudgetError:
                 continue
-            assert spec.ranks[0] == 1, (shape, ratio, spec)
-            assert tn._probe_key(spec) == ("tt", spec.ranks[1:]), (shape, ratio, spec)
+            assert ranks[0] == 1, (shape, ratio, ranks)
+            assert tn._probe_key("tr", ranks) == ("tt", ranks[1:]), (shape, ratio, ranks)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng, sweeps, count):
@@ -609,7 +623,7 @@ class TestStackedProbes:
         # mode 0 at 0.25, and every mode at 1.0; 0.01 is skipped
         grid = (1.0, 0.5, 0.35, 0.25, 0.15, 0.01)
         mode_shape, _ = default_mode_shape(32, 32)
-        tucker = [select_ranks(mode_shape, "tucker", ratio_budget(r, 1024)).ranks for r in grid[:-1]]
+        tucker = [select_ranks(mode_shape, "tucker", ratio_budget(r, 1024)) for r in grid[:-1]]
         assert tucker[0] == mode_shape and (4, 5, 4, 5) in tucker and (4, 4, 3, 3) in tucker
         stack = np.stack([decayed_matrix(rng, 32, 32, 0.05 * (p + 1)) for p in range(3)])
         calibs = [seeded_calib(32, p) for p in range(3)]
@@ -736,7 +750,7 @@ def test_the_train_phase_of_a_stack_probe_peaks_no_higher_than_its_tucker_phase(
     grid = (0.5, 0.35, 0.25, 0.15)
 
     def ranks(family):
-        return [select_ranks(mode_shape, family, ratio_budget(r, size * size)).ranks for r in grid]
+        return [select_ranks(mode_shape, family, ratio_budget(r, size * size)) for r in grid]
 
     def deviations(rank_tuples, bond_vectors):
         # _probe_stack's loop over the generator

@@ -13,7 +13,6 @@ from minima.tensor_core import ParamBudget, as_tensor, full_svd, mode_dot, trunc
 from minima.tn_decompositions import (
     FAMILIES,
     CompressedLayer,
-    RankSpec,
     balanced_split,
     compress_matrix,
     default_mode_shape,
@@ -70,11 +69,11 @@ def tensordot_chain(layer):
     return chain.reshape(layer.mode_shape)
 
 
-def layer_at(t, spec):
-    """The layer of ``t`` that ``spec``'s family routine makes at its ranks."""
-    if spec.family == "tucker":
-        return tucker_decompose(t, spec.ranks)
-    return (tt_decompose if spec.family == "tt" else tr_decompose)(t, spec.ranks)
+def layer_at(t, family, ranks):
+    """The layer of ``t`` that ``family``'s routine makes at ``ranks``."""
+    if family == "tucker":
+        return tucker_decompose(t, ranks)
+    return (tt_decompose if family == "tt" else tr_decompose)(t, ranks)
 
 
 def reference_ranks_feasible(family, shape, ranks, caps) -> bool:
@@ -244,7 +243,7 @@ class TestTucker:
         t = ((u * np.exp(-decay * np.arange(n))) @ v.T).reshape(default_mode_shape(n, n)[0])
         scale = float(np.linalg.norm(t))
         for ratio in (0.5, 0.35, 0.25, 0.15):
-            ranks = select_ranks(t.shape, "tucker", ratio_budget(ratio, n * n)).ranks
+            ranks = select_ranks(t.shape, "tucker", ratio_budget(ratio, n * n))
             tails = [
                 float(np.linalg.norm(np.linalg.svd(tc.unfold(t[None], k)[0], compute_uv=False)[r:]))
                 for k, r in enumerate(ranks)
@@ -574,28 +573,28 @@ class TestParamCounts:
 
 class TestSelectRanks:
     def test_tt_budget_inversion(self):
-        spec = select_ranks((8, 8, 8, 8), "tt", ParamBudget(320))
-        assert spec.ranks == (4, 4, 4)
-        assert param_count_formula("tt", (8, 8, 8, 8), spec.ranks) == 320
+        ranks = select_ranks((8, 8, 8, 8), "tt", ParamBudget(320))
+        assert ranks == (4, 4, 4)
+        assert param_count_formula("tt", (8, 8, 8, 8), ranks) == 320
 
     def test_full_budget_gives_maximal_ranks(self, rng):
         for family in ("tucker", "tt", "tr"):
             shape = (4, 4, 4)
-            spec = select_ranks(shape, family, ParamBudget(64))
-            assert spec.ranks == maximal_ranks(family, shape)
+            ranks = select_ranks(shape, family, ParamBudget(64))
+            assert ranks == maximal_ranks(family, shape)
             t = rng.standard_normal(shape)
-            layer = layer_at(t, spec)
+            layer = layer_at(t, family, ranks)
             assert relerr(t, reconstruct(layer)) <= 1e-9
 
     def test_tucker_budget_locally_maximal(self):
         shape = (8, 8, 8, 8)
-        spec = select_ranks(shape, "tucker", ParamBudget(383))
-        cost = param_count_formula("tucker", shape, spec.ranks)
+        ranks = select_ranks(shape, "tucker", ParamBudget(383))
+        cost = param_count_formula("tucker", shape, ranks)
         assert cost <= 383
-        assert max(spec.ranks) <= 4 or cost < param_count_formula("tucker", shape, (4, 4, 4, 4))
+        assert max(ranks) <= 4 or cost < param_count_formula("tucker", shape, (4, 4, 4, 4))
         # oracle: no single-coordinate +1 stays within budget
         for i in range(4):
-            trial = list(spec.ranks)
+            trial = list(ranks)
             trial[i] += 1
             if all(r <= c for r, c in zip(trial, shape)):
                 assert param_count_formula("tucker", shape, tuple(trial)) > 383
@@ -640,7 +639,7 @@ class TestSelectRanks:
         search.cache_clear()
         first = select_ranks((4, 8, 4, 8), "tt", ParamBudget(300))
         again = select_ranks([np.int64(4), 8, 4, 8], "tt", ParamBudget(300))
-        assert again == first == RankSpec("tt", reference_select_ranks((4, 8, 4, 8), "tt", 300))
+        assert again == first == reference_select_ranks((4, 8, 4, 8), "tt", 300)
         assert (search.cache_info().misses, search.cache_info().hits) == (1, 1)
         errors = []
         for _ in range(2):
@@ -658,7 +657,7 @@ class TestSelectRanks:
         def cold(family, budget):
             tn._rank_search.cache_clear()
             try:
-                return select_ranks(shape, family, ParamBudget(budget)).ranks
+                return select_ranks(shape, family, ParamBudget(budget))
             except InfeasibleBudgetError as err:
                 return ("infeasible", err.best_achievable)
 
@@ -680,7 +679,7 @@ class TestSelectRanks:
                 for budget in range(1, dense + 3):
                     expected = reference_select_ranks(shape, family, budget)
                     try:
-                        got = select_ranks(shape, family, ParamBudget(budget)).ranks
+                        got = select_ranks(shape, family, ParamBudget(budget))
                     except InfeasibleBudgetError as err:
                         got = ("infeasible", err.best_achievable)
                     assert got == expected, (shape, family, budget)
@@ -695,30 +694,35 @@ class TestSelectRanks:
         with pytest.raises(RankError):
             param_count_formula("cp", (4, 4, 4), (2, 2, 2))
 
-    def test_tn_rank_spec_needs_ranks(self):
-        for family in ("tucker", "tt", "tr"):
-            with pytest.raises(TypeError, match="ranks"):
-                tn.RankSpec(family)
-        for family in ("dense", "cp"):  # the planner's dense label is no family
-            with pytest.raises(RankError, match="unknown family"):
-                tn.RankSpec(family, (2, 2))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_returns_a_tuple_of_python_ints(self, family):
+        # cold with a numpy-int mode shape, then a memo hit; the maximal
+        # ranks, then two that the greedy pass raised
+        shape = (np.int64(4), np.int32(8), np.uint8(4), 8)
+        for budget in (4096, 300, 700):
+            tn._rank_search.cache_clear()
+            for _ in range(2):
+                ranks = select_ranks(shape, family, ParamBudget(budget))
+                assert type(ranks) is tuple and all(type(r) is int for r in ranks), (budget, ranks)
+                assert ranks == reference_select_ranks((4, 8, 4, 8), family, budget)
+            assert tn._rank_search.cache_info().hits >= 1
 
     def test_selected_tt_ranks_always_achieved(self, rng):
         shape = (8, 8, 8, 8)
         t = rng.standard_normal(shape)
         for budget in (100, 320, 700, 1500, 3000):
-            spec = select_ranks(shape, "tt", ParamBudget(budget))
-            layer = layer_at(t, spec)
-            assert layer.ranks == spec.ranks
-            assert param_count(layer) == param_count_formula("tt", shape, spec.ranks) <= budget
+            ranks = select_ranks(shape, "tt", ParamBudget(budget))
+            layer = layer_at(t, "tt", ranks)
+            assert layer.ranks == ranks
+            assert param_count(layer) == param_count_formula("tt", shape, ranks) <= budget
 
     def test_selected_tr_ranks_always_achieved(self, rng):
         shape = (8, 8, 8, 8)
         t = rng.standard_normal(shape)
         for budget in (150, 400, 900, 2000):
-            spec = select_ranks(shape, "tr", ParamBudget(budget))
-            layer = layer_at(t, spec)
-            assert layer.ranks == spec.ranks
+            ranks = select_ranks(shape, "tr", ParamBudget(budget))
+            layer = layer_at(t, "tr", ranks)
+            assert layer.ranks == ranks
             assert param_count(layer) <= budget
 
 
@@ -728,8 +732,8 @@ class TestInvariants:
         for shape in shapes:
             t = rng.standard_normal(shape)
             for family in ("tucker", "tt", "tr"):
-                spec = select_ranks(shape, family, ParamBudget(10**9))
-                layer = layer_at(t, spec)
+                ranks = select_ranks(shape, family, ParamBudget(10**9))
+                layer = layer_at(t, family, ranks)
                 assert relerr(t, reconstruct(layer)) <= 1e-9, (family, shape)
 
     def test_monotone_budget_tt_and_tucker(self, rng, sweeps):
@@ -739,10 +743,10 @@ class TestInvariants:
             prev_err = np.inf
             for budget in (30, 60, 120, 216, 400):
                 try:
-                    spec = select_ranks((6, 6, 6), family, ParamBudget(budget))
+                    ranks = select_ranks((6, 6, 6), family, ParamBudget(budget))
                 except InfeasibleBudgetError:
                     continue
-                layer = layer_at(t, spec)
+                layer = layer_at(t, family, ranks)
                 err = relerr(t, reconstruct(layer))
                 assert err <= prev_err + 1e-9
                 prev_err = err
@@ -929,9 +933,9 @@ class TestInputChecks:
         for family in FAMILIES:
             budget = ratio_budget(0.25, n * n)
             fast = compress_matrix(w, family, budget)
-            spec = select_ranks(mode_shape, family, budget)
-            chain = layer_at(as_tensor(w).reshape(mode_shape), spec)
-            assert fast.row_mode_count == row_modes and fast.ranks == chain.ranks == spec.ranks
+            ranks = select_ranks(mode_shape, family, budget)
+            chain = layer_at(as_tensor(w).reshape(mode_shape), family, ranks)
+            assert fast.row_mode_count == row_modes and fast.ranks == chain.ranks == ranks
             assert all(bitwise_equal(a, b) for a, b in zip(payload(fast), payload(chain), strict=True))
 
 
@@ -983,7 +987,7 @@ class TestSvdSource:
         # the default grid's rank tuples on (4, 8, 4, 8): modes 0 and 2 stay
         # whole at 0.5 and 0.35, mode 0 at 0.25, and 0.15 truncates all four
         shape = (4, 8, 4, 8)
-        tuples = [select_ranks(shape, "tucker", ratio_budget(r, 1024)).ranks for r in (0.5, 0.35, 0.25, 0.15)]
+        tuples = [select_ranks(shape, "tucker", ratio_budget(r, 1024)) for r in (0.5, 0.35, 0.25, 0.15)]
         assert tuples == [(4, 5, 4, 5), (4, 4, 4, 4), (4, 4, 3, 3), (3, 3, 3, 3)]
         t = rng.standard_normal((3, *shape))
         for iters in range(3):
@@ -1007,7 +1011,7 @@ class TestSvdSource:
         # its slices are closed before the next decomposition
         shape = (4, 8, 4, 8)
         t = rng.standard_normal((3, *shape))
-        tucker, trains = ([select_ranks(shape, f, ratio_budget(r, 1024)).ranks for r in (0.5, 0.15)] for f in ("tucker", "tt"))
+        tucker, trains = ([select_ranks(shape, f, ratio_budget(r, 1024)) for r in (0.5, 0.15)] for f in ("tucker", "tt"))
         read, last = [], None
         for key, slices in tn._reconstructions(t, tucker, trains):
             assert last is None or last.gi_frame is None, key
@@ -1070,13 +1074,13 @@ class TestSvdSource:
         for ratio in np.linspace(0.025, 1.0, 40):
             budget = ratio_budget(ratio, w.size)
             try:
-                spec = select_ranks(mode_shape, "tr", budget)
+                ranks = select_ranks(mode_shape, "tr", budget)
             except InfeasibleBudgetError:
                 continue
-            assert spec.ranks[0] == 1 and spec.ranks[1:] == select_ranks(mode_shape, "tt", budget).ranks
+            assert ranks[0] == 1 and ranks[1:] == select_ranks(mode_shape, "tt", budget)
             tr, tt = compress_matrix(w, "tr", budget), compress_matrix(w, "tt", budget)
-            assert tr.family == "tr" and tr.ranks == spec.ranks, (ratio, spec)
-            assert all(bitwise_equal(a, b) for a, b in zip(tr.cores, tt.cores, strict=True)), (ratio, spec)
+            assert tr.family == "tr" and tr.ranks == ranks, (ratio, ranks)
+            assert all(bitwise_equal(a, b) for a, b in zip(tr.cores, tt.cores, strict=True)), (ratio, ranks)
             rings += 1
         assert rings >= 20
 
@@ -1180,7 +1184,7 @@ class TestTrainStack:
         # and (4, 4, 4) keep the first split whole, (3, 3, 3) truncates it, so
         # one stacked SVD makes that split for (3, 3, 3) alone
         mode_shape = (4, 8, 4, 8)
-        bond_vectors = [select_ranks(mode_shape, "tt", ratio_budget(r, 1024)).ranks for r in (0.5, 0.35, 0.25, 0.15)]
+        bond_vectors = [select_ranks(mode_shape, "tt", ratio_budget(r, 1024)) for r in (0.5, 0.35, 0.25, 0.15)]
         assert bond_vectors == [(4, 7, 7), (4, 5, 6), (4, 4, 4), (3, 3, 3)]
         t = train_stack(rng, mode_shape)
         trains = list(tn._train_stack(t, bond_vectors))
