@@ -15,12 +15,13 @@ calls it) and ``allocate`` in ``uniform`` mode with TT, all at target ratio
 compared with the full-rescan greedy of ``tests/test_planner.py``, whose
 cost grows with the square of the patch count.
 
-One more pass runs under ``tracemalloc``. ``bytes_per_candidate`` is what
-the options ``build_options`` returns hold, over their candidates;
-``peak_mb`` is each stage's traced peak. ``plan_digest`` digests every
-candidate and every entry of the three greedy and uniform plans. Under
-``--against``, the row's ``against`` entry also holds the other side's
-memory and plan digest.
+One more pass runs under ``tracemalloc``. ``bytes_per_candidate`` and
+``bytes_per_patch`` are what the options ``build_options`` returns hold,
+over their candidates and over the patches; ``peak_mb`` is each stage's
+traced peak. ``plan_digest`` digests every candidate, read through the
+options' per-patch views, and every entry of the three greedy and uniform
+plans. Under ``--against``, the row's ``against`` entry also holds the
+other side's memory and plan digest.
 """
 
 import argparse
@@ -82,10 +83,12 @@ def run_pass(mods, patches, records, measure=harness.timed):
 
 
 def memory(mods, patches, records) -> dict:
-    """Bytes the options hold per candidate, and each stage's peak in MB."""
+    """Bytes the options hold per candidate and per patch, and each stage's peak in MB."""
     (options, *_), stages = harness.traced(run_pass, mods, patches, records)
+    held = stages["build_options_s"][1]
     return {
-        "bytes_per_candidate": stages["build_options_s"][1] / sum(len(o.candidates) for o in options),
+        "bytes_per_candidate": held / sum(len(o.candidates) for o in options),
+        "bytes_per_patch": held / len(patches),
         "peak_mb": {stage.removesuffix("_s"): peak / 1e6 for stage, (peak, _) in stages.items()},
     }
 

@@ -11,10 +11,12 @@ from minima.errors import NumericsError, ShapeError
 SUBMODULE_KINDS = ("attention_proj", "ffn", "embedding", "other")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerEntry:
     """A named matrix at a layer index: a Python or numpy integer, stored
-    as ``int``; a negative index raises ``ShapeError``."""
+    as ``int``; a negative index raises ``ShapeError``. Fields cannot be
+    reassigned once made; a write into the matrix is seen by
+    ``ModelContainer.validate``."""
 
     name: str
     matrix: np.ndarray  # 2-D, float32 storage allowed; compute paths upcast
@@ -24,10 +26,10 @@ class LayerEntry:
     def __post_init__(self):
         if not isinstance(self.layer_index, (int, np.integer)):
             raise ShapeError(f"entry {self.name!r} layer index {self.layer_index!r} is not an integer")
-        self.layer_index = int(self.layer_index)
+        object.__setattr__(self, "layer_index", int(self.layer_index))
         if self.layer_index < 0:
             raise ShapeError(f"entry {self.name!r} layer index {self.layer_index} is negative")
-        self.matrix = np.ascontiguousarray(self.matrix)
+        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix))
         if self.matrix.ndim != 2:
             raise ShapeError(f"entry {self.name!r} must be a matrix, got rank {self.matrix.ndim}")
         if not np.all(np.isfinite(self.matrix)):

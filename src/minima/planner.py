@@ -1,11 +1,20 @@
 """Global budget planner: turns per-patch degradation predictions into a
-model-wide compression plan that satisfies a parameter budget."""
+model-wide compression plan that satisfies a parameter budget.
+
+The planner's inputs are columnar. ``build_options`` gives one
+``PlanOptions``: a row per patch and a column per (family, ratio) pair,
+with each cell's stored scalars and predicted degradation. The greedy
+modes plan as the greedy of the multiple-choice knapsack (Sinha & Zoltners,
+Oper. Res. 1979). Every patch's chain of best next steps is walked for all
+patches at once. The steps of all chains are then sorted once, and a plan
+is the shortest prefix of that order that meets the budget.
+"""
 
 from __future__ import annotations
 
 import bisect
 import functools
-import heapq
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,6 +35,14 @@ from minima.tn_decompositions import (
 
 MODES = ("uniform", "sensitivity", "sensitivity_mixed")
 _FAMILY_ORDER = {family: i for i, family in enumerate(FAMILIES)}  # greedy tie-break
+NO_FIT = np.iinfo(np.int64).max  # ``PlanOptions.params`` of a cell that is no candidate
+
+
+def tie_order(key: tuple[str, float]) -> tuple[int, float]:
+    """Sort key of a (family, ratio) column: ``FAMILIES`` order, then the
+    larger ratio first. Of steps with equal scores, the earlier column wins."""
+    family, ratio = key
+    return _FAMILY_ORDER[family], -ratio
 
 
 @dataclass(slots=True)
@@ -40,22 +57,60 @@ class Candidate:
     ranks: tuple[int, ...] | None = None
 
 
+@dataclass(slots=True, eq=False)
+class PlanOptions:
+    """Planner inputs in columns: row ``i`` is ``patches[i]``, and column
+    ``j`` is the (family, ratio) pair ``keys[j]``.
+
+    ``patches`` are sorted by id, and ``keys`` run in ``tie_order``. Where
+    a patch has no candidate for a pair, ``params`` holds ``NO_FIT`` and
+    ``predicted`` holds 0.0. ``ranks`` maps ((rows, cols), key) to the
+    ranks of every candidate cell of that geometry. Iterating gives one
+    ``PatchOptions`` view per patch, in row order.
+    """
+
+    patches: list[Patch]
+    compressible: np.ndarray  # (P,) bool; False: excluded by submodule kind in every mode
+    pinned: np.ndarray  # (P,) bool; fragile: forced dense in sensitivity modes
+    keys: list[tuple[str, float]]
+    params: np.ndarray  # (P, H) int64
+    predicted: np.ndarray  # (P, H) float64
+    ranks: dict
+
+    def __iter__(self):
+        flags = zip(self.compressible.tolist(), self.pinned.tolist())
+        for row, (patch, (compressible, pinned)) in enumerate(zip(self.patches, flags)):
+            yield PatchOptions(patch, compressible, pinned, self, row)
+
+
 @dataclass(slots=True)
 class PatchOptions:
-    """Planner view of one patch: where it sits, and how it may be compressed.
+    """Planner view of one patch of a ``PlanOptions``: where it sits, and
+    how it may be compressed.
 
-    ``candidates`` are the (family, ratio) pairs of the patch's sensitivity
-    record that fit the patch, with their ranks and stored scalars.
+    ``candidates`` are the patch's candidate cells in column order, built
+    each time they are read.
     """
 
     patch: Patch
-    candidates: list[Candidate] = field(default_factory=list)
-    compressible: bool = True  # False: excluded by submodule kind in every mode
-    pinned: bool = False  # fragile: forced dense in sensitivity modes
+    compressible: bool
+    pinned: bool
+    _options: PlanOptions = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
 
     @property
     def patch_id(self) -> int:
         return self.patch.patch_id
+
+    @property
+    def candidates(self) -> list[Candidate]:
+        options, geometry = self._options, (self.patch.rows, self.patch.cols)
+        cells = zip(options.keys, options.params[self._row].tolist(), options.predicted[self._row].tolist())
+        return [
+            Candidate(*key, params, predicted, options.ranks[geometry, key])
+            for key, params, predicted in cells
+            if params != NO_FIT
+        ]
 
 
 @dataclass(slots=True)
@@ -105,151 +160,205 @@ def _fit(geometry: tuple[int, int], family: str, ratio: float):
     return ranks, params
 
 
-def build_options(records, patches) -> list[PatchOptions]:
+def build_options(records, patches) -> PlanOptions:
     """Translate sensitivity records into planner inputs.
 
-    A patch's candidates are the (family, ratio) pairs of its record's
-    ``predictions`` whose ranks (``select_ranks`` at the ratio's budget)
-    store fewer scalars than the dense patch, families in ``FAMILIES``
-    order, one ``Candidate`` each, shared by every plan made from these
-    options. ``_fit`` is memoized for this call only. Patches whose every
-    prediction exceeds ``sensitivity.DEGRADATION_CAP`` are pinned dense;
-    ``sensitivity.EXCLUDED_KINDS`` get no candidates. Two records for one
-    patch raise ``ValueError`` before any work.
+    The columns are the (family, ratio) pairs of the records'
+    ``predictions``, families outside ``FAMILIES`` ignored. A patch's
+    candidates are the pairs of its record whose ranks (``select_ranks`` at
+    the ratio's budget) store fewer scalars than the dense patch. ``_fit``
+    runs once per (geometry, family, ratio) of this call; per patch, only
+    the record's predictions are listed. Patches whose every prediction
+    exceeds ``sensitivity.DEGRADATION_CAP`` are pinned dense;
+    ``sensitivity.EXCLUDED_KINDS`` and patches without a record get no
+    candidates. Two records for one patch raise ``ValueError`` before any
+    work.
     """
     by_id = {}
     for r in records:
         if r.patch_id in by_id:
             raise ValueError(f"two sensitivity records for patch {r.patch_id}")
         by_id[r.patch_id] = r
-    fit = functools.cache(_fit)
-    options = []
-    for patch in patches:
-        record = by_id.get(patch.patch_id)
-        compressible = patch.submodule_kind not in sensitivity.EXCLUDED_KINDS
-        candidates = []
-        if record is not None and compressible:
-            geometry = (patch.rows, patch.cols)
-            for family in FAMILIES:
-                for ratio, deg in record.predictions.get(family, {}).items():
-                    ranks_params = fit(geometry, family, ratio)
-                    if ranks_params is not None:
-                        ranks, params = ranks_params
-                        candidates.append(Candidate(family, float(ratio), params, deg, ranks))
-        pinned = bool(candidates) and all(c.predicted_degradation > sensitivity.DEGRADATION_CAP for c in candidates)
-        options.append(PatchOptions(patch, candidates, compressible, pinned))
-    return options
+    patches = sorted(patches, key=lambda p: p.patch_id)
+    compressible = [p.submodule_kind not in sensitivity.EXCLUDED_KINDS for p in patches]
+    curves = [
+        [record.predictions.get(family, {}) for family in FAMILIES]
+        if ok and (record := by_id.get(p.patch_id)) is not None
+        else None
+        for p, ok in zip(patches, compressible)
+    ]
+    listed = [fc for fc in curves if fc is not None]
+    keys = sorted(
+        ((family, float(r)) for f, family in enumerate(FAMILIES) for r in set().union(*(fc[f] for fc in listed))),
+        key=tie_order,
+    )
+    cells = [(_FAMILY_ORDER[family], ratio) for family, ratio in keys]
 
-
-def _dense_entry(patch: Patch) -> PlanEntry:
-    return PlanEntry(patch, "dense", None, None, patch.dense_params, 0.0)
-
-
-def _entry(patch: Patch, cand: Candidate) -> PlanEntry:
-    return PlanEntry(patch, cand.family, cand.ratio, cand.ranks, cand.params, cand.predicted_degradation)
-
-
-def _best_step(pid: int, cands, params: int, deg: float):
-    """``((-score, pid), candidate)`` of the patch's best next step, or
-    None if no candidate stores fewer params; the smallest key is the best
-    step over all patches.
-
-    Scores are compared first; only an exact tie (``inf == inf`` included)
-    compares family order, then the larger ratio, and only strictly, so of
-    equal scores, families and ratios the candidate listed first wins.
-    """
-    best = None
-    top = 0.0
-    for cand in cands:
-        if cand.params >= params:
+    # a record that lists every column is one row of predictions; only a
+    # record without some pair needs a mask of the pairs it has
+    absent = [0.0] * len(keys)
+    rows, masks = [], {}
+    for i, fc in enumerate(curves):
+        if fc is None:
+            rows.append(absent)
+            masks[i] = False
             continue
-        added = cand.predicted_degradation - deg
-        score = math.inf if added <= 0 else (params - cand.params) / added
-        if (
-            best is None
-            or score > top
-            or (
-                score == top
-                and (_FAMILY_ORDER[cand.family], -cand.ratio) < (_FAMILY_ORDER[best.family], -best.ratio)
-            )
-        ):
-            best, top = cand, score
-    if best is None:
-        return None
-    return (-top, pid), best
+        rows.append([fc[f].get(r, 0.0) for f, r in cells])
+        if sum(map(len, fc)) != len(keys):
+            masks[i] = [r in fc[f] for f, r in cells]
+    predicted = np.array(rows, dtype=np.float64).reshape(len(patches), len(keys))
+    present = np.ones(predicted.shape, dtype=bool)
+    for i, mask in masks.items():
+        present[i] = mask
+
+    ranks, fits = {}, {}
+    for p, fc in zip(patches, curves):
+        geometry = (p.rows, p.cols)
+        if fc is None or geometry in fits:
+            continue
+        fits[geometry] = row = []
+        for key in keys:
+            ranks_params = _fit(geometry, *key)
+            if ranks_params is None:
+                row.append(NO_FIT)
+            else:
+                ranks[geometry, key], params = ranks_params
+                row.append(params)
+    no_fit = [NO_FIT] * len(keys)
+    params = np.array([fits.get((p.rows, p.cols), no_fit) for p in patches], dtype=np.int64)
+    params = np.where(present, params.reshape(predicted.shape), NO_FIT)
+    candidate = params != NO_FIT
+    predicted = np.where(candidate, predicted, 0.0)
+    over_cap = predicted > sensitivity.DEGRADATION_CAP
+    pinned = candidate.any(axis=1) & (over_cap | ~candidate).all(axis=1)
+    return PlanOptions(patches, np.array(compressible, dtype=bool), pinned, keys, params, predicted, ranks)
 
 
-def _greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
-    usable = {
-        o.patch_id: o.candidates
-        if mode == "sensitivity_mixed"
-        else [c for c in o.candidates if c.family == single_family]
-        for o in options
-        if o.compressible and not o.pinned
-    }
-    dense = {o.patch_id: o.patch.dense_params for o in options}
-    current: dict[int, Candidate | None] = {o.patch_id: None for o in options}
-    dense_total = sum(dense.values())
-    budget = target_ratio * dense_total
-    total = dense_total
+def _dense_entry(patch: Patch, params: int) -> PlanEntry:
+    return PlanEntry(patch, "dense", None, None, params, 0.0)
 
-    # one entry per patch that can still step: its best next step. Keys hold
-    # the patch id, so they never tie and the heap's minimum is the best step
-    # over all patches. A step changes only its own patch's best step, and
-    # that patch's entry is the one just popped, so no entry goes stale.
-    heap = [step for pid, cands in usable.items() if (step := _best_step(pid, cands, dense[pid], 0.0))]
-    heapq.heapify(heap)
-    while total > budget:
-        if not heap:
-            pinned = sum(o.compressible and o.pinned for o in options)
+
+def _walks(params, predicted, dense):
+    """Every row's chain of best next steps, from ``dense`` params and no
+    predicted degradation, walked for all rows at once.
+
+    A step's score is its params saved per unit of added degradation,
+    ``inf`` when it adds none. Only cells below the row's current params
+    count, and of equal scores the first column wins. Returns ``(cols,
+    saved, keys)``, each with step ``k`` of row ``i`` at ``[i, k]``: the
+    step's column (-1 past the chain's end), its params saved, and the
+    running max of ``-score`` along the chain up to it.
+    """
+    n, h = params.shape
+    cols = np.full((n, h), -1, dtype=np.intp)
+    saved = np.zeros((n, h), dtype=np.int64)
+    keys = np.zeros((n, h))
+    now_params, now_deg = dense.copy(), np.zeros(n)
+    top = np.full(n, -np.inf)
+    active = np.arange(n)
+    for step in range(h):  # a step lowers its row's params, so no chain is longer
+        p, current = params[active], now_params[active, None]
+        added = predicted[active]  # a copy, as fancy indexing makes
+        added -= now_deg[active, None]
+        score = np.subtract(current, p, dtype=np.float64)  # exact: params < 2**53
+        np.divide(score, added, out=score, where=added > 0)
+        score[added <= 0] = np.inf
+        score[p >= current] = -np.inf
+        best = score.argmax(axis=1)
+        moving = np.flatnonzero(score[np.arange(len(active)), best] > -np.inf)
+        if not moving.size:
+            break
+        rows, best = active[moving], best[moving]
+        stepped, top[rows] = params[rows, best], np.maximum(top[rows], -score[moving, best])
+        cols[rows, step], saved[rows, step], keys[rows, step] = best, now_params[rows] - stepped, top[rows]
+        now_params[rows], now_deg[rows] = stepped, predicted[rows, best]
+        active = rows
+    return cols, saved, keys
+
+
+def _greedy(options: PlanOptions, target_ratio, mode, single_family) -> CompressionPlan:
+    patches = options.patches
+    dense = np.array([p.dense_params for p in patches], dtype=np.int64)
+    dense_total = int(dense.sum())
+    limit = math.floor(target_ratio * dense_total)  # an int is <= the budget iff <= its floor
+    columns = np.array(
+        [j for j, (family, _) in enumerate(options.keys) if mode == "sensitivity_mixed" or family == single_family],
+        dtype=np.intp,
+    )
+    live = np.flatnonzero(options.compressible & ~options.pinned)
+    cells = np.ix_(live, columns)
+    cols, saved, keys = _walks(options.params[cells], options.predicted[cells], dense[live])
+
+    # steps listed by (patch id, step) and sorted stably by key: the order in
+    # which a heap of each patch's next step, keyed (-score, patch id), takes them
+    rows, steps = np.nonzero(cols >= 0)
+    order = np.argsort(keys[rows, steps], kind="stable")
+    achieved = dense_total - np.cumsum(saved[rows, steps][order])
+    taken = 0
+    if dense_total > limit:
+        meets = achieved <= limit
+        if not meets.any():
+            total = int(achieved[-1]) if achieved.size else dense_total
+            pinned = int(np.count_nonzero(options.compressible & options.pinned))
             raise InfeasibleBudgetError(
                 f"no candidate steps left at {total}/{dense_total} params "
                 f"(target ratio {target_ratio}; {pinned} compressible patches pinned dense)",
                 best_achievable=total / dense_total if dense_total else 1.0,
             )
-        (_, pid), cand = heapq.heappop(heap)
-        prev = current[pid]
-        total -= (dense[pid] if prev is None else prev.params) - cand.params
-        current[pid] = cand
-        step = _best_step(pid, usable[pid], cand.params, cand.predicted_degradation)
-        if step:
-            heapq.heappush(heap, step)
+        taken = int(meets.argmax()) + 1
 
-    entries = [
-        _dense_entry(o.patch) if (cand := current[o.patch_id]) is None else _entry(o.patch, cand)
-        for o in sorted(options, key=lambda o: o.patch_id)
-    ]
+    # a patch's steps in the prefix are the first of its chain
+    counts = np.bincount(rows[order[:taken]], minlength=len(live))
+    moved = np.flatnonzero(counts)
+    chosen = np.full(len(patches), -1, dtype=np.intp)
+    chosen[live[moved]] = columns[cols[moved, counts[moved] - 1]]
     return CompressionPlan(
         mode=mode,
         target_ratio=target_ratio,
         dense_params=dense_total,
-        achieved_params=total,
-        entries=entries,
+        achieved_params=int(achieved[taken - 1]) if taken else dense_total,
+        entries=_entries(options, chosen, dense.tolist()),
     )
 
 
-def _interp_degradations(options, family: str, ratio: float) -> list[float]:
-    """Each option's predicted degradation at ``ratio``: its ``family``
-    candidates sorted by ratio and anchored at (1, 0), interpolated
-    linearly; 0.0 for an option with no such candidate.
+def _entries(options: PlanOptions, chosen, dense) -> list[PlanEntry]:
+    """One entry per patch: dense (``dense[i]`` params) where ``chosen`` is
+    -1, else the candidate in column ``chosen[i]``."""
+    picked = np.flatnonzero(chosen >= 0)
+    cells = (picked, chosen[picked])
+    values = zip(options.params[cells].tolist(), options.predicted[cells].tolist())
+    entries = []
+    for patch, j, dense_params in zip(options.patches, chosen.tolist(), dense):
+        if j < 0:
+            entries.append(_dense_entry(patch, dense_params))
+        else:
+            params, predicted = next(values)
+            key = options.keys[j]
+            entries.append(PlanEntry(patch, *key, options.ranks[(patch.rows, patch.cols), key], params, predicted))
+    return entries
 
-    Options whose curves share their ratios are interpolated together, one
-    vectorized step per distinct ratio set, with ``np.interp``'s interval
-    rule and its ``slope * (x - x_j) + y_j``, so each value is the bits
-    ``np.interp`` gives for that option alone (its NaN fallback never runs:
-    degradations are finite and ratios distinct).
+
+def _interp_degradations(options: PlanOptions, family: str, ratio: float) -> list[float]:
+    """Each patch's predicted degradation at ``ratio``: its ``family``
+    candidates sorted by ratio and anchored at (1, 0), interpolated
+    linearly; 0.0 for a patch with no such candidate.
+
+    Rows with the same candidates among the family's columns are
+    interpolated together, one vectorized step per distinct mask, with
+    ``np.interp``'s interval rule and its ``slope * (x - x_j) + y_j``, so
+    each value is the bits ``np.interp`` gives for that patch alone (its
+    NaN fallback never runs: degradations are finite and ratios distinct).
     """
-    out = [0.0] * len(options)
-    curves = {}  # ratios, anchor included -> (option indices, degradation rows)
-    for i, opt in enumerate(options):
-        curve = sorted((c.ratio, c.predicted_degradation) for c in opt.candidates if c.family == family)
-        if curve:
-            xs, ys = zip(*curve)
-            rows, degs = curves.setdefault(xs + (1.0,), ([], []))
-            rows.append(i)
-            degs.append(ys + (0.0,))
-    for xs, (rows, degs) in curves.items():
-        ys = np.array(degs)
+    columns = np.array([j for j, (f, _) in enumerate(options.keys) if f == family][::-1], dtype=np.intp)
+    ratios = [options.keys[j][1] for j in columns]  # ascending
+    out = np.zeros(len(options.patches))
+    masks, group = np.unique(options.params[:, columns] != NO_FIT, axis=0, return_inverse=True)
+    for k, mask in enumerate(masks):
+        if not mask.any():
+            continue
+        rows = np.flatnonzero(group.reshape(-1) == k)
+        xs = tuple(itertools.compress(ratios, mask)) + (1.0,)
+        ys = np.column_stack([options.predicted[np.ix_(rows, columns[mask])], np.zeros(len(rows))])
         j = bisect.bisect_right(xs, ratio) - 1  # xs[j] <= ratio < xs[j + 1]
         if j < 0:
             values = ys[:, 0]
@@ -258,9 +367,8 @@ def _interp_degradations(options, family: str, ratio: float) -> list[float]:
         else:
             slope = (ys[:, j + 1] - ys[:, j]) / (xs[j + 1] - xs[j])
             values = slope * (ratio - xs[j]) + ys[:, j]
-        for i, value in zip(rows, values.tolist()):
-            out[i] = value
-    return out
+        out[rows] = values
+    return out.tolist()
 
 
 def _uniform_selection(shapes, family: str, ratio: float, fit):
@@ -305,10 +413,11 @@ def _rank_one_floor(shapes, family: str) -> float:
     return floor
 
 
-def _uniform(options, target_ratio, family) -> CompressionPlan:
-    dense_total = sum(o.patch.dense_params for o in options)
+def _uniform(options: PlanOptions, target_ratio, family) -> CompressionPlan:
+    patches, compressible = options.patches, options.compressible.tolist()
+    dense_total = sum(p.dense_params for p in patches)
     budget = target_ratio * dense_total
-    shapes = Counter(((o.patch.rows, o.patch.cols), o.compressible) for o in options)
+    shapes = Counter(((p.rows, p.cols), ok) for p, ok in zip(patches, compressible))
     fit = functools.cache(_fit)  # shared by every bisection pass of this call
 
     # total is not monotone in the ratio (below the rank-1 floor patches fall
@@ -330,15 +439,14 @@ def _uniform(options, target_ratio, family) -> CompressionPlan:
     ratio = lo
     total, chosen = _uniform_selection(shapes, family, ratio, fit)
 
-    ordered = sorted(options, key=lambda o: o.patch_id)
     entries = []
-    for opt, degradation in zip(ordered, _interp_degradations(ordered, family, ratio)):
-        ranks_params = chosen.get(((opt.patch.rows, opt.patch.cols), opt.compressible))
+    for patch, ok, degradation in zip(patches, compressible, _interp_degradations(options, family, ratio)):
+        ranks_params = chosen.get(((patch.rows, patch.cols), ok))
         if ranks_params is None:
-            entries.append(_dense_entry(opt.patch))
+            entries.append(_dense_entry(patch, patch.dense_params))
         else:
             ranks, params = ranks_params
-            entries.append(PlanEntry(opt.patch, family, ratio, ranks, params, degradation))
+            entries.append(PlanEntry(patch, family, ratio, ranks, params, degradation))
     return CompressionPlan(
         mode="uniform",
         target_ratio=target_ratio,
@@ -349,7 +457,7 @@ def _uniform(options, target_ratio, family) -> CompressionPlan:
 
 
 def allocate(
-    options: list[PatchOptions],
+    options: PlanOptions,
     target_ratio: float,
     mode: str = "sensitivity_mixed",
     single_family: str = "tt",
@@ -361,14 +469,17 @@ def allocate(
     with a memo of ``_fit`` for this call only.
 
     ``sensitivity`` (``single_family`` only) and ``sensitivity_mixed`` (all
-    families) step greedily: each step takes the candidate with the most
+    families) plan greedily: each step takes the candidate with the most
     params saved per unit of added predicted degradation, steps that add
-    none first. A heap holds each patch's best next step, keyed ``(-score,
-    patch id)``, so ties between patches break on the lower id; within a
-    patch ``_best_step`` breaks them. Only the stepped patch's entry is
-    recomputed. If the steps run out above the budget,
-    ``InfeasibleBudgetError`` says how many compressible patches are pinned
-    dense. A non-finite ``predicted_degradation`` raises ``ValueError``.
+    none first. Each patch's chain of best next steps is walked; within a
+    patch, equal scores break on ``tie_order``. The steps of all chains are
+    sorted by (running max of ``-score`` along the chain, patch id, step),
+    which is the order in which a heap of each patch's next step would take
+    them, so ties between patches break on the lower id. The plan is the
+    shortest prefix of that order that meets the budget. If the steps run
+    out above the budget, ``InfeasibleBudgetError`` says how many
+    compressible patches are pinned dense. A non-finite predicted
+    degradation raises ``ValueError``.
     """
     if not 0.0 < target_ratio <= 1.0:
         raise ValueError(f"target ratio must be in (0, 1], got {target_ratio}")
@@ -376,19 +487,20 @@ def allocate(
         raise ValueError(f"unknown planner mode {mode!r}")
     if single_family not in FAMILIES:
         raise ValueError(f"unknown family {single_family!r}")
-    if not options:
+    if not options.patches:
         raise ValueError("no patches to plan over")
-    seen = set()
-    for opt in options:
-        if opt.patch_id in seen:
-            raise ValueError(f"duplicate patch id {opt.patch_id}")
-        seen.add(opt.patch_id)
-        for cand in opt.candidates:
-            if not math.isfinite(cand.predicted_degradation):
-                raise ValueError(
-                    f"patch {opt.patch_id}: predicted degradation {cand.predicted_degradation} "
-                    f"of {cand.family} at ratio {cand.ratio} is not finite"
-                )
+    ids = np.array([p.patch_id for p in options.patches])
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate patch id {repeated[0]}")
+    bad = np.argwhere(~np.isfinite(options.predicted) & (options.params != NO_FIT))
+    if bad.size:
+        i, j = bad[0]
+        family, ratio = options.keys[j]
+        raise ValueError(
+            f"patch {ids[i]}: predicted degradation {float(options.predicted[i, j])} "
+            f"of {family} at ratio {ratio} is not finite"
+        )
     if mode == "uniform":
         return _uniform(options, target_ratio, single_family)
     return _greedy(options, target_ratio, mode, single_family)

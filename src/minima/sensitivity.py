@@ -99,7 +99,11 @@ def partition_patches(model: ModelContainer, patch_size=(64, 64)) -> list[Patch]
     ``patch_size`` is two Python or numpy integers of at least 16, or
     ``ValueError``.
     """
-    if len(patch_size) != 2 or not all(isinstance(d, (int, np.integer)) for d in patch_size):
+    try:
+        pair = len(patch_size) == 2 and all(isinstance(d, (int, np.integer)) for d in patch_size)
+    except TypeError:  # no length: a scalar
+        pair = False
+    if not pair:
         raise ValueError(f"patch size must be two integers, got {patch_size!r}")
     pr, pc = int(patch_size[0]), int(patch_size[1])
     if pr < 16 or pc < 16:

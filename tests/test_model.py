@@ -35,6 +35,17 @@ class TestAdd:
         model.validate()
 
 
+class TestFrozenEntry:
+    def test_a_field_cannot_be_reassigned(self):
+        # a layer index set to -4 after add once bypassed the check at make time
+        model = ModelContainer()
+        model.add("a", np.ones((4, 4)), layer_index=2)
+        with pytest.raises(AttributeError):
+            model.entries["a"].layer_index = -4
+        assert model.entries["a"].layer_index == 2 and model.total_layers == 3
+        model.validate()
+
+
 class TestValidate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_value_written_after_add_is_seen(self, bad):

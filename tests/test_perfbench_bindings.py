@@ -5,7 +5,8 @@ name, and the workloads build budgets with ``tensor_core.ParamBudget``. A
 deletion or a signature change that breaks either fails here, not in a
 benchmark run. Each workload of ``perfbench/workloads.py`` also runs one
 operation here, and its checks must pass, so a renamed field that
-``perfbench/checks.py`` reads fails here too, and ``perfbench/selftest.py``
+``perfbench/checks.py`` reads fails here too; it runs once more inside the
+span hooks, as a ``--trace 1`` run takes it. ``perfbench/selftest.py``
 must pass. The tests only read ``perfbench/``.
 """
 
@@ -54,7 +55,8 @@ def leading_positionals(hook, skip: int = 0) -> int:
     return len(params) - skip
 
 
-TARGETS = load("spans").TARGETS
+SPANS = load("spans")
+TARGETS = SPANS.TARGETS
 WORKLOAD_MODULE = load("workloads", checks=load("checks"))
 WORKLOADS = WORKLOAD_MODULE.WORKLOADS
 
@@ -84,6 +86,24 @@ def test_workload_operation_passes_its_checks(name):
     model, patches = work.setup()
     work.prepare(model, patches)
     assert work.check(work.run()) == []
+
+
+@pytest.mark.parametrize("name", ["analyze", "plan", "compress"])
+def test_traced_operation_gives_its_layer_metrics(name):
+    # as a --trace 1 run takes them: the operation inside the span hooks,
+    # then the metrics of its spans; a hook that raises fails here
+    mods = {module: importlib.import_module(f"minima.{module}") for module in MODULES}
+    work = WORKLOADS[name](mods, 1)
+    model, patches = work.setup()
+    work.prepare(model, patches)
+    tracer = SPANS.Tracer()
+    with SPANS.installed(tracer, mods):
+        out = work.run()
+    metrics = SPANS.layer_metrics(tracer.take())
+    assert work.check(out) == []
+    if name == "plan":
+        # 160 compressible patches, each with 3 families x 4 ratios that fit
+        assert metrics["planner.build_options.candidates"] == 1920
 
 
 def test_workloads_use_the_programs_analysis_policy():

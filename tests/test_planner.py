@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from minima.model import ModelContainer
 from minima.planner import MODES, Candidate, CompressionPlan, PatchOptions, PlanEntry, allocate, build_options
 from minima.sensitivity import RATIO_GRID, Patch, SensitivityRecord, partition_patches
 from minima.tn_decompositions import FAMILIES, default_mode_shape, maximal_ranks, param_count_formula
+
+from helpers import pack_options, unpack_options
+from test_perfbench_bindings import MODULES, WORKLOADS
 
 
 def plan_options(shapes, patch_size=(64, 64), kinds=None, fragile=()):
@@ -181,14 +185,15 @@ class TestBuildOptions:
         assert [(c.family, c.ratio) for c in opt.candidates] == [("tt", 0.5), ("tt", 0.25)]
 
     def test_patch_without_a_record_is_compressible_with_no_candidates(self):
-        (opt,) = build_options([SensitivityRecord(7, 0.5, self.PREDICTIONS, {})], one_patch())
+        options = build_options([SensitivityRecord(7, 0.5, self.PREDICTIONS, {})], one_patch())
+        (opt,) = options
         assert (opt.compressible, opt.pinned, opt.candidates) == (True, False, [])
-        (entry,) = allocate([opt], 1.0, mode="sensitivity").entries
+        (entry,) = allocate(options, 1.0, mode="sensitivity").entries
         assert (entry.family, entry.params) == ("dense", 4096)
         with pytest.raises(InfeasibleBudgetError, match="; 0 compressible patches pinned dense"):
-            allocate([opt], 0.5, mode="sensitivity")
+            allocate(options, 0.5, mode="sensitivity")
         # uniform compresses by geometry; with no curve the prediction is 0
-        (entry,) = allocate([opt], 0.5, mode="uniform").entries
+        (entry,) = allocate(options, 0.5, mode="uniform").entries
         assert entry.family == "tt" and entry.params <= 2048
         assert entry.predicted_degradation == 0.0
 
@@ -210,13 +215,14 @@ class TestBuildOptions:
 
 
 def test_planner_values_are_slotted():
-    # one Candidate per (patch, family, ratio): no per-instance dict
+    # no per-instance dict on the options, their views, candidates or entries
     options = plan_options([(64, 128)])
     plan = allocate(options, 0.5)
-    for value in (options[0], options[0].candidates[0], plan.entries[0]):
+    view = next(iter(options))
+    for value in (options, view, view.candidates[0], plan.entries[0]):
         assert not hasattr(value, "__dict__")
     with pytest.raises(TypeError, match="unhashable"):
-        hash(options[0].candidates[0])
+        hash(view.candidates[0])
 
 
 def test_uniform_compresses_pinned_patches():
@@ -248,11 +254,12 @@ def test_uniform_degradations_equal_np_interp_per_patch_bitwise():
     # curve, at ratios left of every curve, on a point, between points and at 1
     rng = np.random.default_rng(5)
     grids = [RATIO_GRID, RATIO_GRID, (0.6, 0.3, 0.2), (0.6, 0.3, 0.2), (0.45, 0.05), RATIO_GRID, ()]
-    options = []
+    rows = []
     for pid, grid in enumerate(grids):
         family = "tr" if pid == 5 else "tt"
         candidates = [Candidate(family, r, 1, float(rng.uniform(0.0, 0.1))) for r in rng.permutation(grid).tolist()]
-        options.append(PatchOptions(flat_patch(pid, 64), candidates))
+        rows.append((flat_patch(pid, 64), candidates))
+    options = pack_options(rows)
     for ratio in (0.01, 0.05, 0.15, 0.2, 0.27, 0.3, 0.5, 0.55, 0.6, 0.99, 1.0):
         got = planner._interp_degradations(options, "tt", ratio)
         for opt, value in zip(options, got, strict=True):
@@ -284,12 +291,12 @@ class TestAllocateArguments:
 
     def test_no_options(self):
         with pytest.raises(ValueError, match="no patches"):
-            allocate([], 0.5)
+            allocate(build_options([], []), 0.5)
 
     def test_duplicate_patch_ids(self):
-        options = plan_options([(64, 128)])
+        rows = unpack_options(plan_options([(64, 128)]))
         with pytest.raises(ValueError, match="duplicate patch id 0"):
-            allocate(options + options[:1], 0.5)
+            allocate(pack_options(rows + rows[:1]), 0.5)
 
     @pytest.mark.parametrize("mode", ["uniform", "sensitivity", "sensitivity_mixed"])
     def test_unknown_family(self, mode):
@@ -299,7 +306,8 @@ class TestAllocateArguments:
 
 def reference_greedy(options, target_ratio, mode, single_family) -> CompressionPlan:
     """The greedy of ``allocate`` as a full rescan: every step scores every
-    candidate of every patch and takes the smallest key."""
+    candidate of every patch, read through the options' views, and takes
+    the smallest key."""
     usable = {
         o.patch_id: [c for c in o.candidates if mode == "sensitivity_mixed" or c.family == single_family]
         for o in options
@@ -340,10 +348,13 @@ def reference_greedy(options, target_ratio, mode, single_family) -> CompressionP
         deg_now[pid] = cand.predicted_degradation
         current[pid] = cand
 
-    entries = [
-        planner._dense_entry(o.patch) if current[o.patch_id] is None else planner._entry(o.patch, current[o.patch_id])
-        for o in sorted(options, key=lambda o: o.patch_id)
-    ]
+    entries = []
+    for o in sorted(options, key=lambda o: o.patch_id):
+        c = current[o.patch_id]
+        if c is None:
+            entries.append(PlanEntry(o.patch, "dense", None, None, o.patch.dense_params, 0.0))
+        else:
+            entries.append(PlanEntry(o.patch, c.family, c.ratio, c.ranks, c.params, c.predicted_degradation))
     return CompressionPlan(
         mode=mode,
         target_ratio=target_ratio,
@@ -363,9 +374,10 @@ def plan_or_error(plan_fn, options, target, mode, family):
 
 @st.composite
 def patch_options(draw):
-    """A few patches; their candidates share a few (params, degradation)
-    pairs, so scores tie across patches, families and ratios. A degradation
-    below the current one makes a step's score inf."""
+    """A few patches, each with its candidates at distinct (family, ratio)
+    pairs; the candidates share a few (params, degradation) pairs, so
+    scores tie across patches, families and ratios. A degradation below the
+    current one makes a step's score inf."""
     steps = draw(
         st.lists(
             st.tuples(st.sampled_from([8, 16, 24, 32, 48, 64, 96]), st.sampled_from([0.0, 1e-3, 2e-3, 4e-3, 8e-3])),
@@ -381,18 +393,20 @@ def patch_options(draw):
     )
     n = draw(st.integers(1, 8))
     pids = draw(st.permutations(range(0, 3 * n, 3)))
-    return [
-        PatchOptions(
-            patch=flat_patch(pid, draw(st.sampled_from([32, 64]))),
-            candidates=draw(st.lists(candidates, max_size=6)),
-            compressible=draw(st.booleans()),
-            pinned=draw(st.booleans()),
-        )
-        for pid in pids
-    ]
+    return pack_options(
+        [
+            (
+                flat_patch(pid, draw(st.sampled_from([32, 64]))),
+                draw(st.lists(candidates, max_size=6, unique_by=lambda c: (c.family, c.ratio))),
+                draw(st.booleans()),
+                draw(st.booleans()),
+            )
+            for pid in pids
+        ]
+    )
 
 
-class TestHeapGreedy:
+class TestGreedyMerge:
     @settings(max_examples=400, deadline=None)
     @given(
         options=patch_options(),
@@ -400,7 +414,7 @@ class TestHeapGreedy:
         mode=st.sampled_from(["sensitivity_mixed", "sensitivity"]),
         family=st.sampled_from(FAMILIES),
     )
-    def test_equals_the_full_rescan(self, options, target, mode, family):
+    def test_merge_equals_the_full_rescan(self, options, target, mode, family):
         expected = plan_or_error(reference_greedy, options, target, mode, family)
         assert plan_or_error(allocate, options, target, mode, family) == expected
 
@@ -414,7 +428,7 @@ class TestHeapGreedy:
             Candidate("tt", 0.5, 32, 2e-3),
             Candidate("tt", 0.35, 32, 2e-3),
         ]
-        options = [PatchOptions(flat_patch(pid, 64), list(cands)) for pid in (5, 2, 7)]
+        options = pack_options([(flat_patch(pid, 64), list(cands)) for pid in (5, 2, 7)])
         for target in (0.9, 0.7, 0.4, 0.25):
             expected = plan_or_error(reference_greedy, options, target, mode, "tt")
             assert plan_or_error(allocate, options, target, mode, "tt") == expected
@@ -425,13 +439,6 @@ class TestHeapGreedy:
             (7, "dense", None),
         ]
 
-        # equal keys within one patch: the candidate listed first wins
-        twins = [PatchOptions(flat_patch(0, 64), [Candidate("tt", 0.5, 32, 2e-3), Candidate("tt", 0.5, 48, 1e-3)])]
-        for target in (0.8, 0.4):
-            expected = plan_or_error(reference_greedy, twins, target, mode, "tt")
-            assert plan_or_error(allocate, twins, target, mode, "tt") == expected
-        assert allocate(twins, 0.8, mode=mode, single_family="tt").achieved_params == 32
-
     @pytest.mark.parametrize(
         "cands, chosen",
         [
@@ -439,13 +446,11 @@ class TestHeapGreedy:
             ([Candidate("tt", 0.5, 16, 0.0), Candidate("tucker", 0.25, 48, 0.0)], ("tucker", 0.25, 48)),
             # then the larger ratio
             ([Candidate("tt", 0.25, 16, 0.0), Candidate("tt", 0.5, 48, -1e-3)], ("tt", 0.5, 48)),
-            # then the candidate listed first
-            ([Candidate("tt", 0.5, 40, 0.0), Candidate("tt", 0.5, 24, 0.0)], ("tt", 0.5, 40)),
         ],
     )
-    def test_infinite_scores_tie_on_family_then_ratio_then_listing(self, cands, chosen):
+    def test_infinite_scores_tie_on_family_then_ratio(self, cands, chosen):
         # a step that adds no degradation scores inf, and inf == inf is a tie
-        options = [PatchOptions(flat_patch(0, 64), cands)]
+        options = pack_options([(flat_patch(0, 64), cands)])
         plan = allocate(options, 0.9, mode="sensitivity_mixed")
         assert plan == reference_greedy(options, 0.9, "sensitivity_mixed", "tt")
         (entry,) = plan.entries
@@ -457,33 +462,47 @@ class TestHeapGreedy:
         [("sensitivity_mixed", a, b) for a in FAMILIES for b in FAMILIES] + [("sensitivity", f, f) for f in FAMILIES],
     )
     def test_a_tie_between_patches_steps_the_lower_id_first(self, mode, low, high, degradation):
-        # patch 8, listed first, ties patch 3 on score at a larger ratio and,
-        # in some cases, an earlier family: across patches only the id counts
-        options = [
-            PatchOptions(flat_patch(8, 64), [Candidate(high, 0.5, 32, degradation)]),
-            PatchOptions(flat_patch(3, 64), [Candidate(low, 0.25, 32, degradation)]),
-        ]
+        # patch 8 ties patch 3 on score at a larger ratio and, in some cases,
+        # an earlier family: across patches only the id counts
+        options = pack_options(
+            [
+                (flat_patch(8, 64), [Candidate(high, 0.5, 32, degradation)]),
+                (flat_patch(3, 64), [Candidate(low, 0.25, 32, degradation)]),
+            ]
+        )
         plan = allocate(options, 0.75, mode=mode, single_family=low)  # one step: 128 -> 96 params
         assert plan == reference_greedy(options, 0.75, mode, low)
         assert [(e.patch_id, e.family) for e in plan.entries] == [(3, low), (8, "dense")]
 
-    def test_each_step_rescores_only_its_patch(self, monkeypatch):
-        options = plan_options([(256, 256)] * 4)
-        scored = []
-        best_step = planner._best_step
+    @pytest.mark.parametrize("mode", ["sensitivity_mixed", "sensitivity"])
+    def test_a_later_step_scoring_higher_stays_behind_its_chain(self, mode):
+        # patch 1 steps 64 -> 48 params at score 16 / 0.005 = 3200, then
+        # 48 -> 16 at 32 / (0.015 - 0.005), which rounds above 3200. Patch 4
+        # ties the first step, so it ties the chain's running max too: patch
+        # 1 takes both its steps first, and its second never precedes its first
+        assert 32 / (0.015 - 0.005) > 16 / 0.005 == 48 / 0.015
+        options = pack_options(
+            [
+                (flat_patch(1, 64), [Candidate("tt", 0.5, 48, 0.005), Candidate("tt", 0.25, 16, 0.015)]),
+                (flat_patch(4, 64), [Candidate("tt", 0.5, 48, 0.005)]),
+            ]
+        )
+        for target in (0.9, 0.8, 0.625, 0.5):
+            expected = plan_or_error(reference_greedy, options, target, mode, "tt")
+            assert plan_or_error(allocate, options, target, mode, "tt") == expected
+        plan = allocate(options, 0.625, mode=mode, single_family="tt")  # two steps: 128 -> 80 params
+        assert [(e.patch_id, e.family, e.target_ratio) for e in plan.entries] == [(1, "tt", 0.25), (4, "dense", None)]
 
-        def recording(pid, cands, params, deg):
-            scored.append(pid)
-            return best_step(pid, cands, params, deg)
-
-        monkeypatch.setattr(planner, "_best_step", recording)
-        plan = allocate(options, 0.3)
-        assert all(e.family != "dense" for e in plan.entries)
-        # each patch is scored once to fill the heap, then once after each of
-        # its own steps; a step lowers its patch's params, so each candidate
-        # is taken at most once
-        assert sorted(scored[: len(options)]) == [o.patch_id for o in options]
-        assert len(scored) - len(options) <= sum(len(o.candidates) for o in options)
+    @pytest.mark.parametrize("mode", ["sensitivity_mixed", "sensitivity"])
+    def test_plan_workload_equals_the_full_rescan(self, mode):
+        # perfbench's plan workload on seed 1: its own target, an easy one and
+        # one below every plan, whose error must match too
+        work = WORKLOADS["plan"]({name: importlib.import_module(f"minima.{name}") for name in MODULES}, 1)
+        work.prepare(*work.setup())
+        options = build_options(work.records, work.patches)
+        for target in (0.9, work.targets[mode], 0.3):
+            expected = plan_or_error(reference_greedy, options, target, mode, "tt")
+            assert plan_or_error(allocate, options, target, mode, "tt") == expected
 
 
 class TestNonFinitePrediction:
@@ -491,9 +510,9 @@ class TestNonFinitePrediction:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_raises_naming_the_patch(self, mode, value):
         options = plan_options([(128, 128)])
-        bad = options[2].candidates[5]
-        options[2].candidates[5] = dataclasses.replace(bad, predicted_degradation=value)
-        with pytest.raises(ValueError, match=f"patch 2: predicted degradation {value} of {bad.family}"):
+        options.predicted[2, 5] = value
+        family, ratio = options.keys[5]
+        with pytest.raises(ValueError, match=f"patch 2: predicted degradation {value} of {family} at ratio {ratio} "):
             allocate(options, 0.5, mode=mode, single_family="tt")
 
 
@@ -521,7 +540,7 @@ class TestRankFitMemo:
 
         calls.clear()
         again = plan_options(model_shapes, kinds=["ffn", "attention_proj", "embedding"])
-        assert again == options
+        assert unpack_options(again) == unpack_options(options)
         assert len(calls) == 2 * len(FAMILIES) * len(RATIO_GRID)  # no memo outlives a call
 
     @pytest.mark.parametrize("family", FAMILIES)

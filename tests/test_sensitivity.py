@@ -94,7 +94,9 @@ class TestPartition:
             partition_patches(model, (8, 64))
 
     @pytest.mark.parametrize(
-        "size", [(16.9, 16.2), (16.0, 16), ("16", 16), (16, np.float64(16.0)), (16, 16, 99), (16,)], ids=str
+        "size",
+        [(16.9, 16.2), (16.0, 16), ("16", 16), (16, np.float64(16.0)), (16, 16, 99), (16,), 16, np.int64(16)],
+        ids=str,
     )
     def test_a_patch_size_of_other_than_two_integers_raises(self, rng, size):
         # int() once cut a 32x32 layer into 16x16 tiles at (16.9, 16.2), and
