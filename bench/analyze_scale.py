@@ -25,14 +25,15 @@ earlier call of the run already had. A call on a stack of matrices counts
 once in ``calls``; ``stacked_calls`` counts the calls that took a stack and
 ``slices`` the matrices that all calls took, so a plain call adds one to
 each of ``calls`` and ``slices``. It counts the eigendecompositions
-(``np.linalg.eigh``) that give Tucker's factors the same way. The same run
-is traced with ``perfbench/spans.py``; ``traced`` holds the rank searches'
-calls and time and the predictor training's time, the only wrapped
-functions that ``analyze`` calls. Each row also records the plans' achieved
-ratios, a digest of the probe records (``probe_digest``) and one of the
-sensitivity records' scores, predictions and recommendations
-(``record_digest``). Under ``--against``, the row's ``against`` entry also
-holds both sides' digests and the other side's ``analyze`` peaks.
+(``np.linalg.eigh``) that give Tucker's factors and the wide TT splits
+the same way. The same run is traced with ``perfbench/spans.py``;
+``traced`` holds the rank searches' calls and time and the predictor
+training's time, the only wrapped functions that ``analyze`` calls. Each
+row also records the plans' achieved ratios, a digest of the probe
+records (``probe_digest``) and one of the sensitivity records' scores,
+predictions and recommendations (``record_digest``). Under
+``--against``, the row's ``against`` entry also holds both sides' digests
+and the other side's ``analyze`` peaks.
 """
 
 import argparse

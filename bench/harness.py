@@ -107,11 +107,13 @@ def summary(runs, side: str = "this") -> dict:
     return {stage: quartiles(ts) for stage, ts in stage_times(runs, side).items()}
 
 
-def against_entry(runs) -> dict:
-    """The other checkout's summaries, and per stage the passes this one won."""
-    this, other = stage_times(runs, "this"), stage_times(runs, "against")
-    won = {stage: sum(a < b for a, b in zip(ts, other[stage])) for stage, ts in this.items()}
-    return {**summary(runs, "against"), "this_faster": won}
+def against_entry(runs, this: str = "this", against: str = "against") -> dict:
+    """The other checkout's summaries, and per stage the passes this one
+    won; a script whose sides are more than the two checkouts names the
+    pair of sides to compare."""
+    mine, other = stage_times(runs, this), stage_times(runs, against)
+    won = {stage: sum(a < b for a, b in zip(ts, other[stage])) for stage, ts in mine.items()}
+    return {**summary(runs, against), "this_faster": won}
 
 
 def traced_stage(fn):

@@ -8,6 +8,10 @@ Conventions of the whole package, stated here once:
 * Determinism: the same input bits give the same output bits on a given
   numpy/LAPACK build and BLAS thread count. Every SVD is LAPACK's
   ``numpy.linalg.svd`` and every eigendecomposition its ``eigh``.
+* LAPACK calls: a Tucker factor and a wide TT split (rows <= cols) take
+  the eigenvectors of their input's ``m x m`` Gram (``_leading_basis``),
+  a tall TT split takes an SVD (``tn_decompositions._train_split``), and
+  the spectral features take a values-only SVD (``sensitivity``).
 * Sign rule: each kept singular vector pair, or eigenvector, is flipped so
   that the left vector's largest-magnitude entry is positive, the lowest
   row index winning ties (``_column_signs``). A column's sign depends only
@@ -25,16 +29,19 @@ Conventions of the whole package, stated here once:
   Every entry that leads to LAPACK scans its input with ``as_tensor``
   before any other check, so a NaN or inf raises ``NumericsError`` ahead
   of a shape or rank error. Each LAPACK input derived from it, which may
-  overflow (a TT split, a basis's unfolding), is scanned where it is made.
+  overflow (a TT split, a basis's unfolding), is checked where it is
+  used, once: ``_leading_basis`` checks the peak it scales by, which a NaN
+  or inf reaches, and a tall or whole TT split is scanned.
 * Truncation is an integer rank: keep the leading ``r`` triplets or
   vectors. Ranks come from a ``ParamBudget`` through
   ``tn_decompositions.select_ranks``. A rank that keeps all ``m`` rows of
   an ``m x n`` input truncates nothing, and the decompositions take the
   identity for it.
 * ``truncated_svd``, ``full_svd`` and ``SvdResult`` have no caller in the
-  package, whose SVDs with vectors are stacked TT splits. They are the sign
-  rule's plain reference for the tests, and ``perfbench/spans.py`` wraps
-  them by name.
+  package, whose SVDs with vectors are stacked tall TT splits. They are
+  the sign rule's plain reference for the tests of tall splits, and
+  ``perfbench/spans.py`` wraps them by name; ``leading_basis`` is the
+  reference of Tucker factors and wide splits.
 """
 
 from __future__ import annotations
@@ -174,7 +181,24 @@ def full_svd(matrix: np.ndarray) -> SvdResult:
 
 def leading_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     """``rank`` orthonormal columns spanning the leading left singular
-    subspace of each matrix of a stack ``(P, m, n)``.
+    subspace of each matrix of a stack ``(P, m, n)``: ``as_tensor``, the
+    shape and rank checks, then ``_leading_basis``. ``rank`` outside ``[1,
+    m]`` raises ``RankError``.
+    """
+    m = as_tensor(matrix)
+    if m.ndim != 3:
+        raise ShapeError(f"expected a stack of rank-2 tensors, got rank {m.ndim}")
+    rows = m.shape[-2]
+    if not 1 <= rank <= rows:
+        raise RankError(f"rank {rank} out of range [1, {rows}] for a {m.shape[-2:]} matrix")
+    return _leading_basis(m, rank)
+
+
+def _leading_basis(m: np.ndarray, rank: int) -> np.ndarray:
+    """``leading_basis`` of a float64 stack ``m`` at a valid ``rank``, the
+    kernel the package calls: its one finiteness check is on each slice's
+    peak, which a NaN or inf reaches, so a non-finite slice raises
+    ``NumericsError`` before ``eigh``.
 
     The columns are the eigenvectors of the Gram ``s @ s.T``, largest
     eigenvalue first, under the sign rule: an ``m x n`` input costs an ``m
@@ -183,20 +207,19 @@ def leading_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     (``frexp``), so the Gram cannot overflow and its largest entry cannot
     underflow, and a power-of-two scale of the input (short of the
     subnormal range) changes no output bit. Up to sign the columns are
-    ``truncated_svd``'s left vectors wherever the spectrum separates them.
-    ``rank`` may exceed ``n``: the columns past the numerical rank are
-    still orthonormal. ``rank`` outside ``[1, m]`` raises ``RankError``.
+    ``truncated_svd``'s left vectors wherever the spectrum separates them;
+    where singular values fall below ``sqrt(eps)`` times the largest, the
+    Gram's rounding hides their order. ``rank`` may exceed ``n``: the
+    columns past the numerical rank are still orthonormal.
     """
-    m = as_tensor(matrix)
-    if m.ndim != 3:
-        raise ShapeError(f"expected a stack of rank-2 tensors, got rank {m.ndim}")
-    rows = m.shape[-2]
-    if not 1 <= rank <= rows:
-        raise RankError(f"rank {rank} out of range [1, {rows}] for a {m.shape[-2:]} matrix")
     peak = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    if not np.isfinite(peak).all():
+        raise NumericsError("tensor entries must be finite")
     _, exponent = np.frexp(peak)
     s = np.ldexp(m, -exponent)
-    _, vectors = np.linalg.eigh(s @ s.swapaxes(-1, -2))
+    gram = s @ s.swapaxes(-1, -2)
+    del s  # each temporary is held only while it is an operand
+    vectors = np.linalg.eigh(gram)[1]
+    del gram
     u = vectors[..., : -rank - 1 : -1]  # the last rank columns, largest eigenvalue first
     return u * _column_signs(u)
-

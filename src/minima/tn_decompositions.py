@@ -24,18 +24,19 @@ one reconstruction, of ``reconstruct`` and of the probes
 
 Finiteness follows ``tensor_core``: ``compress_matrix`` and the three
 decompositions scan their input with ``as_tensor`` before any other check.
-Each Tucker basis scans its unfolding (``leading_basis`` is an entry), and
-``_train_split`` scans each split, which may be a strided view that
-``as_tensor`` would copy. The stack routines leave the scan of their
-input to their callers.
+Each Tucker basis and each wide TT split checks its input's peak in
+``_leading_basis``, and ``_train_split`` scans each tall or whole split,
+which may be a strided view that ``as_tensor`` would copy. The stack
+routines leave the scan of their input to their callers.
 
 Whole modes: a Tucker mode with ``r_k = n_k``, or a TT split that keeps all
 of its rows, takes the identity as its factor, made by no ``eigh``, SVD or
 mode product, and the split carries its input on unchanged. An orthogonal
 factor on such a mode changes no other mode's Gram and no later split's
 spectrum (De Lathauwer et al. 2000; Oseledets 2011). A truncated Tucker
-factor is ``leading_basis`` of its unfolding, an ``n_k x n_k`` ``eigh``;
-a truncated TT split is one LAPACK SVD.
+factor is ``_leading_basis`` of its unfolding, an ``n_k x n_k`` ``eigh``
+of the Gram. A truncated TT split's shape picks its LAPACK call: a wide
+split (rows <= cols) is the Gram's ``eigh`` too, and a tall one an SVD.
 
 Sweeps: a Tucker decomposition is the truncated HOSVD refined by
 ``HOOI_SWEEPS`` HOOI sweeps (De Lathauwer, De Moor & Vandewalle 2000). The
@@ -58,8 +59,8 @@ from minima.errors import InfeasibleBudgetError, NumericsError, RankError, Shape
 from minima.tensor_core import (
     ParamBudget,
     _column_signs,
+    _leading_basis,
     as_tensor,
-    leading_basis,
     mode_dot,
     unfold,
 )
@@ -191,7 +192,7 @@ def _tucker_stack(t: np.ndarray, rank_tuples) -> Iterator[tuple[tuple[int, ...],
     last = {}  # truncated mode -> the index of the last tuple that truncates it
     for i, ranks in enumerate(rank_tuples):
         last.update((k, i) for k, n in enumerate(shape) if ranks[k] < n)
-    hosvd = {k: leading_basis(unfold(t, k), shape[k]) for k in sorted(last)}
+    hosvd = {k: _leading_basis(unfold(t, k), shape[k]) for k in sorted(last)}
     total = _slice_energies(t)
     for i, ranks in enumerate(rank_tuples):  # no local holds what is yielded, so the caller can free it
         done = [k for k, j in last.items() if j == i]
@@ -229,21 +230,27 @@ def _hooi(t: np.ndarray, ranks, factors: list, total: np.ndarray) -> tuple[np.nd
     the sweep has already updated, a prefix it extends by one ``mode_dot``
     after each update, then times the later factors of the previous sweep:
     c(c+1)/2 products for c truncated modes, not c(c-1)+1. After the last
-    update the prefix is the sweep's core.
+    update the prefix is the sweep's core. The start chain ``t`` times the
+    start factors of ``cut[1:]`` is the first sweep's first projection, so
+    the start core, whose energies the guard starts from, takes one more
+    product: c(c+1)/2 + 1 products for the first sweep and the start, and
+    c(c+1)/2 for each further sweep. Each projection is dropped once its
+    basis is taken. With no sweep the core is the start projection in mode
+    order, c products.
     """
-    slack = 64 * len(ranks) * np.finfo(np.float64).eps
     cut = [k for k, f in enumerate(factors) if f is not None]
-    core = t
-    for k in cut:
-        core = mode_dot(core, factors[k], k)
-    kept = _slice_energies(core)
+    if not HOOI_SWEEPS or not cut:
+        return _project(t, factors, cut), factors
+    slack = 64 * len(ranks) * np.finfo(np.float64).eps
+    proj = _project(t, factors, cut[1:])
+    kept = _slice_energies(mode_dot(proj, factors[cut[0]], cut[0]))
     for sweep in range(HOOI_SWEEPS):
         prefix = t  # t times this sweep's factors before k
         for i, k in enumerate(cut):
-            proj = prefix
-            for j in cut[i + 1 :]:
-                proj = mode_dot(proj, factors[j], j)
-            factors[k] = leading_basis(unfold(proj, k), ranks[k])
+            if proj is None:
+                proj = _project(prefix, factors, cut[i + 1 :])
+            factors[k] = _leading_basis(unfold(proj, k), ranks[k])
+            proj = None
             prefix = mode_dot(prefix, factors[k], k)
         core = prefix
         new_kept = _slice_energies(core)
@@ -257,6 +264,13 @@ def _hooi(t: np.ndarray, ranks, factors: list, total: np.ndarray) -> tuple[np.nd
             )
         kept = new_kept
     return core, factors
+
+
+def _project(t: np.ndarray, factors: list, modes) -> np.ndarray:
+    """``t`` times the factor of each of ``modes``, in their order."""
+    for k in modes:
+        t = mode_dot(t, factors[k], k)
+    return t
 
 
 def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
@@ -298,10 +312,11 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
     Split k's input depends only on the bonds kept before it, so the bond
     vectors that keep the same bonds there share one ``_train_split``, kept
     at the widest bond any of them keeps, and each takes its leading
-    columns, the same bits; one that keeps the split whole shares only the
-    identity. Bond vectors are taken in order of their kept bonds, and a
-    split is dropped when the next one no longer shares it. Cores may be
-    views of the shared splits.
+    columns and its carry (``_carry``), the bits of the split made at its
+    own bond; one that keeps the split whole shares only the identity.
+    Bond vectors are taken in order of their kept bonds, and a split is
+    dropped when the next one no longer shares it. Cores may be views of
+    the shared splits.
     """
     count, shape = len(t), t.shape[1:]
     kept = {}  # bonds -> the bonds each split keeps, capped by its unfolding
@@ -328,11 +343,11 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
             if k < len(path) and path[k][0].shape[-1] != width:  # a whole split beside truncated ones
                 del path[k:]
             if k == len(path):
-                c = t if k == 0 else path[k - 1][1][..., :r_prev, :]
+                c = t if k == 0 else _carry(*path[k - 1], r_prev)
                 path.append(_train_split(c.reshape(count, rows, -1), width))
             cores.append(path[k][0][..., :keep].reshape(count, r_prev, shape[k], keep))
             r_prev = keep
-        tail = path[-1][1][..., :r_prev, :]
+        tail = _carry(*path[-1], r_prev)
         if np.may_share_memory(tail, t):  # every split whole: the last core copies the input
             tail = tail.copy()
         cores.append(tail.reshape(count, r_prev, shape[-1], 1))
@@ -342,18 +357,29 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
 
 
 def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
-    """One TT split of each matrix of a stack ``(P, rows, cols)``, after a
-    finiteness scan: the leading ``keep`` left singular vectors ``(P, rows,
-    keep)`` and the carry to the next split, their values times their right
-    vectors ``(P, keep, cols)``, the bits of ``truncated_svd``'s ``left``
-    and ``values[:, None] * right.T``. At ``keep == rows``, the identity and
-    ``c`` itself, uncopied. Each is LAPACK's output, or a copy of its kept
-    part that replaces it at once (a view would keep all of it alive),
-    signed and scaled in place.
+    """One TT split of each matrix of a stack ``(P, rows, cols)``: the
+    leading ``keep`` left singular vectors ``(P, rows, keep)``, and what
+    ``_carry`` takes the carry to the next split from. The shape picks the
+    route:
+
+    * ``keep == rows``: the identity and ``c`` itself, uncopied, after a
+      finiteness scan;
+    * wide, ``rows <= cols``: ``_leading_basis`` (Austin, Ballard & Kolda
+      2016) and ``c``, whose carry is ``left.T @ c``. The error can exceed
+      the TT-SVD bound by about ``sqrt(eps) * ||c||`` where the spectrum
+      falls below ``sqrt(eps)`` times its largest value at the cut, the
+      Gram's rounding floor, which Tucker's factors share;
+    * tall: after a finiteness scan, ``truncated_svd``'s ``left`` and the
+      carry ``values[:, None] * right.T``, bit for bit, each LAPACK's
+      output or a copy of its kept part that replaces it at once (a view
+      would keep all of it alive), signed and scaled in place.
     """
+    rows, cols = c.shape[-2:]
+    if keep < rows <= cols:
+        return _leading_basis(c, keep), c
     if not np.isfinite(c).all():
         raise NumericsError("tensor entries must be finite")
-    if keep == c.shape[-2]:
+    if keep == rows:
         return np.eye(keep)[None].repeat(len(c), axis=0), c
     u, values, vt = np.linalg.svd(c, full_matrices=False)
     left = u if keep == u.shape[-1] else u[..., :keep].copy()
@@ -364,6 +390,18 @@ def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     del vt
     carry *= (values[..., :keep] * signs[..., 0, :])[..., None]
     return left, carry
+
+
+def _carry(left: np.ndarray, rest: np.ndarray, bond: int) -> np.ndarray:
+    """The carry of a ``_train_split`` ``(left, rest)`` at ``bond``, at
+    most its width: the leading rows of a tall split's carry or of a whole
+    split's input, or ``left[..., :bond].T @ c`` of a wide split's input
+    ``c``. Each is the bits of the split made at ``bond``: a product of the
+    leading columns, not the leading rows of a wider product, whose bits
+    BLAS does not promise (a one-row product is a ``gemv``)."""
+    if rest.shape[-2] == left.shape[-1]:
+        return rest[..., :bond, :]
+    return left[..., :bond].swapaxes(-1, -2) @ rest
 
 
 def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:

@@ -11,7 +11,9 @@ Each script's ``measure`` also runs once on its smallest input, all four in
 one such interpreter, with ``harness.REPEATS`` / ``MIN_SECONDS`` at 2 / 0.
 Its rows must carry the fields of the committed ``BENCH_*.json`` rows (less
 ``against``, which only ``--against`` writes), so a name that only a bench
-run reads fails here too; ``measure`` writes no file.
+run reads fails here too; ``measure`` writes no file. ``decompose_scale.py``
+also runs ``--against`` this same checkout, loaded a second time, and its
+rows' ``against`` entries must carry the committed ones' fields.
 """
 
 import json
@@ -45,19 +47,28 @@ def test_help_exits_cleanly(script):
     assert done.stdout.startswith("usage:"), done.stdout
 
 
-# each script's measure on its smallest input, its rows as sorted field lists
+# each script's measure on its smallest input, its rows as ``fields`` gives them
 MEASURE = """
 import json, harness
 harness.REPEATS, harness.MIN_SECONDS = 2, 0
 import analyze_scale, decompose_scale, plan_scale, train_scale
+fields = lambda row: [sorted(row), sorted(row.get("against", {}))]
 rows = {
     "analyze_scale.py": [analyze_scale.measure("small", harness.sides(None), None)],
-    "decompose_scale.py": decompose_scale.measure(32),
+    "decompose_scale.py": decompose_scale.measure(32, harness.sides(harness.ROOT)),
     "plan_scale.py": [plan_scale.measure(192, harness.sides(None))],
     "train_scale.py": [train_scale.measure(5)],
 }
-print(json.dumps({script: [sorted(row) for row in got] for script, got in rows.items()}))
+print(json.dumps({script: [fields(row) for row in got] for script, got in rows.items()}))
 """
+AGAINST = {"decompose_scale.py"}  # the scripts MEASURE runs with --against
+
+
+def fields(row: dict) -> list:
+    """A row's sorted fields and those of its ``against`` entry, as MEASURE lists them."""
+    return [sorted(row), sorted(row.get("against", {}))]
+
+
 # script -> the report it writes, and the field and value of the smallest input's rows
 REPORTS = {
     "analyze_scale.py": ("BENCH_analyze.json", "model", "small"),
@@ -91,4 +102,6 @@ def test_measure_writes_the_reported_fields(measured_fields, script):
     report, key, value = REPORTS[script]
     committed = [r for r in json.loads((ROOT / report).read_text())["rows"] if r[key] == value]
     assert committed, (report, key, value)
-    assert measured_fields[script] == [sorted(set(r) - {"against"}) for r in committed]
+    if script not in AGAINST:
+        committed = [{k: v for k, v in r.items() if k != "against"} for r in committed]
+    assert measured_fields[script] == [fields(r) for r in committed]

@@ -247,6 +247,10 @@ def compress_matrix_probes(w, families, ratio_grid, calib, patch_id=0):
 # in the order of the kept bonds: the first split, then for the bond vectors
 # (2, 2, 1), (3, 2, 2), (3, 3, 2) and (4, 3, 4) the splits they do not share
 TT_SPLITS_16x16 = [(4, 64), (8, 16), (8, 4), (12, 16), (8, 4), (12, 4), (16, 16), (12, 4)]
+# a wide split (rows <= cols) is an eigendecomposition of its rows x rows
+# Gram, a tall one an SVD
+TT_GRAMS_16x16 = [(m, m) for m, n in TT_SPLITS_16x16 if m <= n]
+TT_SVDS_16x16 = [(m, n) for m, n in TT_SPLITS_16x16 if m > n]
 
 
 def record_bits(records) -> list:
@@ -286,7 +290,8 @@ class TestDefaultSweeps:
         # start and one per sweep: at ratio 0.25 a 32 x 32 patch's (4, 8, 4, 8)
         # modes are cut at (4, 4, 3, 3), 3 truncated; a 16 x 16 patch probed
         # over the grid takes 4 start bases and 15 per sweep, alone or in a
-        # stack (TestProbeWork)
+        # stack, and its trains 4 more for their wide splits at any count
+        # (TestProbeWork)
         sweeps(count)
         w = decayed_matrix(rng, 32, 32, 0.1)
         budget = ratio_budget(0.25, w.size)
@@ -302,14 +307,14 @@ class TestDefaultSweeps:
         calib = rng.standard_normal((48, 16))
         eigh_calls.clear()
         result = analyze(make_model([("w", weights, "ffn")]), {"w": calib}, patch_size=(16, 16), probe_stride=1)
-        assert len(eigh_calls) == 4 + 15 * count
+        assert len(eigh_calls) == 4 + 15 * count + len(TT_GRAMS_16x16)
         assert len(result.probed_ids) == 3
         for patch in result.patches:
             cols = slice(*patch.col_range)
             block, x = weights[:, cols], calib[cols]
             eigh_calls.clear()
             alone = probe_patch(block, FAMILIES, self.GRID, x, patch_id=patch.patch_id)
-            assert len(eigh_calls) == 4 + 15 * count
+            assert len(eigh_calls) == 4 + 15 * count + len(TT_GRAMS_16x16)
             looped = compress_matrix_probes(block, FAMILIES, self.GRID, x, patch_id=patch.patch_id)
             in_stack = [r for r in result.probes if r.patch_id == patch.patch_id]
             assert record_bits(in_stack) == record_bits(alone) == record_bits(looped)
@@ -336,53 +341,58 @@ class TestProbeWork:
         assert len(fast) == 3 * (len(self.GRID) - 1)
         assert record_bits(fast) == record_bits(slow)
 
-    def test_a_16x16_probe_makes_8_svds_and_19_eigendecompositions(self, rng, lapack_calls, eigh_calls):
+    def test_a_16x16_probe_makes_4_svds_and_23_eigendecompositions(self, rng, lapack_calls, eigh_calls):
         # (4, 4, 4, 4) modes: Tucker takes 4 HOSVD unfolding bases, then 15 HOOI
         # sweep bases (one sweep, 4 ratios, 4 truncated modes but 3 at ranks
         # (4, 3, 3, 2), whose mode 0 is whole); TT takes its first split once
         # for the three bond vectors that truncate it, (2, 2, 1), (3, 2, 2) and
         # (3, 3, 2), and keeps it whole for (4, 3, 4), then the later splits,
-        # the second shared by the two that keep 3 before it; TR's splits are
-        # TT's. A patch alone is a stack of one. The compress_matrix loop makes
-        # 11 TT and 11 TR SVDs (the first split of (4, 3, 4) is whole) and 30
-        # eigendecompositions (6 at ranks (4, 3, 3, 2), 8 at each other ratio).
+        # the second shared by the two that keep 3 before it: 4 wide splits
+        # by their Grams' eigendecompositions and 4 tall ones by SVDs; TR's
+        # splits are TT's. A patch alone is a stack of one. The
+        # compress_matrix loop makes 4 TT and 4 TR SVDs, 7 TT and 7 TR Gram
+        # eigendecompositions (the first split of (4, 3, 4) is whole) and 30
+        # Tucker ones (6 at ranks (4, 3, 3, 2), 8 at each other ratio).
         w = decayed_matrix(rng, 16, 16, 0.1)
         probe_patch(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
-        assert lapack_calls == [(1, *shape) for shape in TT_SPLITS_16x16]
-        assert len(eigh_calls) == 19
+        assert lapack_calls == [(1, *shape) for shape in TT_SVDS_16x16]
+        assert len(eigh_calls) == 23 and eigh_calls[19:] == [(1, *shape) for shape in TT_GRAMS_16x16]
         lapack_calls.clear()
         eigh_calls.clear()
         compress_matrix_probes(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
-        assert (len(lapack_calls), len(eigh_calls)) == (22, 30)
+        assert (len(lapack_calls), len(eigh_calls)) == (8, 44)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("count", [1, 2])
-    def test_compress_matrix_keeps_one_svd_per_split(self, rng, sweeps, lapack_calls, eigh_calls, family, count):
+    def test_compress_matrix_keeps_one_lapack_call_per_split(self, rng, sweeps, lapack_calls, eigh_calls, family, count):
         # compress_matrix decomposes once: Tucker makes one HOSVD
         # eigendecomposition per truncated mode plus as many per sweep and no
-        # SVD, TT and TR one SVD per truncated split, TT's a stack of one. At
-        # ratio 0.5 Tucker's ranks (4, 5, 4, 5) truncate 2 modes, at 0.25
+        # SVD, TT and TR one LAPACK call per truncated split, a stack of one.
+        # At ratio 0.5 Tucker's ranks (4, 5, 4, 5) truncate 2 modes, at 0.25
         # (4, 4, 3, 3) truncate 3; TT's (4, 7, 7) and (4, 4, 4), and TR's
-        # rings (1, ...) of them, keep their first split whole.
+        # rings (1, ...) of them, keep their first split whole, take the wide
+        # (32, 32) split by its Gram's eigendecomposition and the tall (28, 8)
+        # or (16, 8) one by an SVD.
         w = decayed_matrix(rng, 32, 32, 0.1)  # (4, 8, 4, 8) modes
         sweeps(count)
         for ratio, truncated in ((0.5, 2), (0.25, 3)):
             lapack_calls.clear()
             eigh_calls.clear()
             compress_matrix(w, family, ratio_budget(ratio, w.size))
-            expected = (0, truncated * (1 + count)) if family == "tucker" else (2, 0)
+            expected = (0, truncated * (1 + count)) if family == "tucker" else (1, 1)
             assert (len(lapack_calls), len(eigh_calls)) == expected
 
-    def test_a_stack_of_16x16_patches_shares_its_19_eigendecompositions(self, rng, lapack_calls, eigh_calls):
-        # three 16 x 16 patches probed as one stack: the 19 eigendecompositions
-        # and the 8 TT splits of one patch, each over the stack of three, then
-        # one values-only SVD of the same stack for its features
+    def test_a_stack_of_16x16_patches_shares_its_23_eigendecompositions(self, rng, lapack_calls, eigh_calls):
+        # three 16 x 16 patches probed as one stack: the 19 Tucker and 4 TT
+        # eigendecompositions and the 4 TT SVDs of one patch, each over the
+        # stack of three, then one values-only SVD of the same stack for its
+        # features
         model = make_model([("w", decayed_matrix(rng, 16, 48, 0.1), "ffn")])
         calib = {"w": rng.standard_normal((48, 16))}
         result = analyze(model, calib, patch_size=(16, 16), probe_stride=1)
         assert len(result.probed_ids) == 3
-        assert len(eigh_calls) == 19 and all(shape == (3, 4, 4) for shape in eigh_calls)
-        assert lapack_calls == [(3, *shape) for shape in TT_SPLITS_16x16] + [(3, 16, 16)]
+        assert eigh_calls == [(3, 4, 4)] * 19 + [(3, *shape) for shape in TT_GRAMS_16x16]
+        assert lapack_calls == [(3, *shape) for shape in TT_SVDS_16x16] + [(3, 16, 16)]
 
     def test_analyze_searches_ranks_once_per_geometry_family_budget(self, rng, policy):
         # 32 x 32 and 32 x 16 patches, probed in both layers

@@ -204,7 +204,7 @@ class TestTucker:
 
     def test_guard_raises_when_a_sweep_increases_error(self, rng, monkeypatch):
         t = rng.standard_normal((4, 4, 4))
-        leading = tn.leading_basis
+        leading = tn._leading_basis
         calls = []
 
         def trailing_in_sweeps(unfolding, rank):
@@ -213,7 +213,7 @@ class TestTucker:
                 return leading(unfolding, rank)
             return np.linalg.svd(unfolding)[0][..., -rank:]
 
-        monkeypatch.setattr(tn, "leading_basis", trailing_in_sweeps)
+        monkeypatch.setattr(tn, "_leading_basis", trailing_in_sweeps)
         with pytest.raises(NumericsError, match="relative residual energy"):
             tucker_decompose(t, (2, 2, 2))
 
@@ -275,7 +275,7 @@ class TestTucker:
 
     def test_guard_raises_when_one_slice_of_a_stack_rises(self, rng, monkeypatch):
         t = rng.standard_normal((3, 4, 4, 4))
-        leading = tn.leading_basis
+        leading = tn._leading_basis
         calls = []
 
         def trailing_for_slice_1_in_sweeps(unfoldings, rank):
@@ -285,7 +285,7 @@ class TestTucker:
                 factors[1] = np.linalg.svd(unfoldings[1])[0][:, -rank:]
             return factors
 
-        monkeypatch.setattr(tn, "leading_basis", trailing_for_slice_1_in_sweeps)
+        monkeypatch.setattr(tn, "_leading_basis", trailing_for_slice_1_in_sweeps)
         with pytest.raises(NumericsError, match="relative residual energy of slice 1 "):
             stacked_tucker(t, (2, 2, 2))
 
@@ -321,16 +321,20 @@ class TestTucker:
             t = rng.standard_normal((5, *shape))
             for iters in (0, 1, 2):
                 sweeps(iters)
-                # HOSVD core c; per sweep truncated mode k applies its truncated
-                # suffix factors, then extends the shared prefix once: c(c+1)/2.
-                # A stack of 5 takes as many stacked products as one tensor.
+                # with no sweep, the HOSVD core: c. Per sweep truncated mode k
+                # applies its truncated suffix factors, then extends the shared
+                # prefix once: c(c+1)/2. The start chain of the c - 1 suffix
+                # factors is the first sweep's first projection, and the start
+                # core extends it once. A stack of 5 takes as many stacked
+                # products as one tensor.
+                expected = c if iters == 0 else min(c, 1) + iters * c * (c + 1) // 2
                 for stacked in (False, True):
                     calls.clear()
                     if stacked:
                         stacked_tucker(t, ranks)
                     else:
                         tucker_decompose(t[0], ranks)
-                    assert len(calls) == c + iters * c * (c + 1) // 2, (shape, ranks, iters, stacked)
+                    assert len(calls) == expected, (shape, ranks, iters, stacked)
                     assert set(calls) == {k for k, (r, n) in enumerate(zip(ranks, shape)) if r < n}
 
     @pytest.mark.parametrize("shape", [(4, 8, 4, 8), (3, 5, 2), (6, 1, 5)])
@@ -874,31 +878,33 @@ class TestInputChecks:
                     call(w)
 
     @pytest.mark.parametrize(
-        "family, svds, splits, bases",
+        "family, splits, bases",
         [
             # a factor per truncated mode at the start and per sweep: 2 modes at ratio 0.5, 3 at 0.25
-            ("tucker", 0, 0, tuple(c * (1 + tn.HOOI_SWEEPS) for c in (2, 3))),
-            ("tt", 0, 2, (0, 0)),
-            ("tr", 0, 2, (0, 0)),
+            ("tucker", 0, tuple(c * (1 + tn.HOOI_SWEEPS) for c in (2, 3))),
+            ("tt", 1, (1, 1)),
+            ("tr", 1, (1, 1)),
         ],
         ids=["tucker", "tt", "tr"],
     )
-    def test_compress_matrix_scans_at_each_entry_plus_each_svd_input(
-        self, rng, monkeypatch, lapack_calls, family, svds, splits, bases
+    def test_compress_matrix_scans_at_each_entry_plus_each_lapack_input(
+        self, rng, monkeypatch, lapack_calls, family, splits, bases
     ):
         """Two scans of the input: compress_matrix's, and the family's
-        decomposition's, each an entry. Each SVD and each Tucker factor also
-        scans its own input: an unfolding or projection can overflow, and
-        LAPACK must not see an inf. A TT split scans by ``_train_split``'s
-        scan (the near-overflow test sees it raise on a later split), a
-        Tucker factor by ``leading_basis``'s ``as_tensor``; a TR is its
+        decomposition's, each an entry. Each LAPACK input derived from it
+        is checked where it is made: an unfolding, projection or split can
+        overflow, and LAPACK must not see an inf. A Tucker factor and a wide
+        TT split check the peak that ``_leading_basis`` scales by, and a
+        tall TT split is scanned by ``_train_split`` (the near-overflow test
+        sees a later split raise); neither calls ``as_tensor``. A TR is its
         train. On these (4, 8, 4, 8) modes Tucker takes a factor per
         truncated mode at the start and per sweep (``HOOI_SWEEPS`` sweeps), 2
-        modes at ratio 0.5 and 3 at 0.25; TT and TR take one LAPACK SVD per
-        truncated split, a stack of one, and keep their first split whole.
-        Nothing calls the plain ``truncated_svd``."""
+        modes at ratio 0.5 and 3 at 0.25. TT and TR keep their first split
+        whole, then take a basis for the wide (32, 32) split and one LAPACK
+        SVD, a stack of one, for the tall (28, 8) or (16, 8) split. Nothing
+        calls the plain ``truncated_svd``."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
-        as_tensor, svd, basis = tc.as_tensor, tc.truncated_svd, tn.leading_basis
+        as_tensor, svd, basis = tc.as_tensor, tc.truncated_svd, tn._leading_basis
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -910,14 +916,14 @@ class TestInputChecks:
         for module in (tc, tn):
             monkeypatch.setattr(module, "as_tensor", counted("as_tensor", as_tensor))
         monkeypatch.setattr(tc, "truncated_svd", counted("svd", svd))
-        monkeypatch.setattr(tn, "leading_basis", counted("basis", basis))
+        monkeypatch.setattr(tn, "_leading_basis", counted("basis", basis))
         w = rng.standard_normal((32, 32))
         for ratio, ratio_bases in zip((0.5, 0.25), bases):
             calls.update(as_tensor=0, svd=0, basis=0)
             lapack_calls.clear()
             compress_matrix(w, family, ratio_budget(ratio, w.size))
-            assert (calls["svd"], len(lapack_calls), calls["basis"]) == (svds, splits, ratio_bases)
-            assert calls["as_tensor"] == 2 + ratio_bases
+            assert (calls["svd"], len(lapack_calls), calls["basis"]) == (0, splits, ratio_bases)
+            assert calls["as_tensor"] == 2
             assert all(len(shape) == 3 and shape[0] == 1 for shape in lapack_calls)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -956,7 +962,8 @@ class TestSweepCount:
     """The HOOI sweep count is ``HOOI_SWEEPS`` as it stands when a routine
     runs: a Tucker entry takes one eigendecomposition per truncated mode at
     the start and per sweep, and no sweep raises its error above the HOSVD's;
-    a train or ring takes no sweep, so its layer is the same at any count."""
+    a train or ring takes no sweep, so its layer and its LAPACK calls are
+    the same at any count."""
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
     @pytest.mark.parametrize("name, call, cut", SWEEP_ENTRIES, ids=[e[0] for e in SWEEP_ENTRIES])
@@ -964,14 +971,15 @@ class TestSweepCount:
         w = rng.standard_normal((32, 32))
         sweeps(0)
         hosvd = call(w)
-        start_svds = len(lapack_calls)
+        start = (list(lapack_calls), list(eigh_calls))
         lapack_calls.clear()
         eigh_calls.clear()
         sweeps(count)
         layer = call(w)
         assert layer.ranks == hosvd.ranks
         if cut is None:
-            assert eigh_calls == [] and len(lapack_calls) == start_svds
+            assert (lapack_calls, eigh_calls) == start
+            assert lapack_calls and eigh_calls  # each train has a tall split and a wide one
             assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(hosvd), strict=True))
         else:
             assert lapack_calls == [] and len(eigh_calls) == cut * (1 + count)
@@ -1037,7 +1045,7 @@ class TestSvdSource:
         # the first tuple's sweeps and mode 2's before the second's
         t = rng.standard_normal((2, 3, 4, 5, 6))
         bases, alive = {}, []
-        factor = tn.leading_basis
+        factor = tn._leading_basis
 
         def recording(unfoldings, rank):
             out = factor(unfoldings, rank)
@@ -1047,7 +1055,7 @@ class TestSvdSource:
                 alive.append(sorted(n for n, ref in bases.items() if ref() is not None))
             return out
 
-        monkeypatch.setattr(tn, "leading_basis", recording)
+        monkeypatch.setattr(tn, "_leading_basis", recording)
         sweeps(iters)
         for _ in tn._tucker_stack(t, [(2, 4, 3, 6), (3, 4, 2, 6)]):
             pass
@@ -1086,20 +1094,26 @@ class TestSvdSource:
 
 
 def plain_train(t, bonds):
-    """Oracle: the cores of a sequential TT-SVD of one tensor, each split a
-    ``truncated_svd`` capped at the unfolding's min dimension, or, where
-    that keeps all of the unfolding's rows, the identity carrying the
-    unfolding on."""
+    """Oracle: the cores of a sequential TT-SVD of one tensor, each split
+    capped at the unfolding's min dimension. A split that keeps all of the
+    unfolding's rows is the identity carrying the unfolding on; a wide one
+    (rows <= cols) is ``leading_basis`` of the unfolding and the carry
+    ``left.T @ c``; a tall one is a ``truncated_svd``."""
     cores, r_prev, c = [], 1, t
     for k, r in enumerate(bonds):
         c = c.reshape(r_prev * t.shape[k], -1)
         keep = min(r, min(c.shape))
         if keep == len(c):
             cores.append(np.eye(keep).reshape(r_prev, t.shape[k], keep))
+            r_prev = keep
+            continue
+        if len(c) <= c.shape[1]:
+            left = tc.leading_basis(c[None], keep)[0]
+            c = left.T @ c
         else:
             res = truncated_svd(c, keep)
-            cores.append(res.left.reshape(r_prev, t.shape[k], keep))
-            c = res.values[:, None] * res.right.T
+            left, c = res.left, res.values[:, None] * res.right.T
+        cores.append(left.reshape(r_prev, t.shape[k], keep))
         r_prev = keep
     cores.append(c.reshape(r_prev, t.shape[-1], 1))
     return cores
@@ -1114,13 +1128,23 @@ def dot_chain(cores):
 
 
 def train_stack(rng, mode_shape):
-    """A stack of four tensors of ``mode_shape``: full rank, rank 2 as a
+    """A stack of five tensors of ``mode_shape``: full rank, rank 2 as a
     matrix of its first mode against the rest, zero, and full rank scaled
-    by 2**-30."""
+    by 2**-30 and by 2**500."""
     n0, rest = mode_shape[0], math.prod(mode_shape[1:])
     low = rng.standard_normal((n0, 2)) @ rng.standard_normal((2, rest))
-    slices = [rng.standard_normal(mode_shape), low, np.zeros(mode_shape), rng.standard_normal(mode_shape) * 2.0**-30]
+    slices = [rng.standard_normal(mode_shape), low, np.zeros(mode_shape)]
+    slices += [rng.standard_normal(mode_shape) * 2.0**e for e in (-30, 500)]
     return np.stack([np.reshape(x, mode_shape) for x in slices])
+
+
+def assert_split_calls(count, shapes, lapack_calls, eigh_calls):
+    """Each truncated split of ``shapes`` made once over a stack of
+    ``count``: a wide one (rows <= cols) by an ``eigh`` of its rows x rows
+    Gram, a tall one by an SVD."""
+    wide = [(count, m, m) for m, n in shapes if m <= n]
+    tall = [(count, m, n) for m, n in shapes if m > n]
+    assert (sorted(eigh_calls), sorted(lapack_calls)) == (sorted(wide), sorted(tall))
 
 
 # (mode shape, bond vectors): capped bonds (16 > every split's min dimension),
@@ -1170,26 +1194,26 @@ class TestTrainStack:
                         owner = owner.base
                     assert owner.nbytes == core.nbytes and not np.shares_memory(core, t), (bonds, core.shape)
 
-    def test_bond_vectors_that_keep_the_same_bonds_share_their_splits(self, rng, lapack_calls):
+    def test_bond_vectors_that_keep_the_same_bonds_share_their_splits(self, rng, lapack_calls, eigh_calls):
         # kept bonds (1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 3, 2), (4, 3, 4) and
         # (4, 16, 4) twice: one first split, the second split once per first
         # bond, the third once per distinct pair of bonds before it
         t = train_stack(rng, (4, 4, 4, 4))
         list(tn._train_stack(t, TRAIN_CASES[0][1]))
         shapes = [(4, 64), (4, 16), (8, 16), (12, 16), (16, 16), (4, 4), (8, 4), (8, 4), (12, 4), (64, 4)]
-        assert sorted(lapack_calls) == sorted((len(t), *shape) for shape in shapes)
+        assert_split_calls(len(t), shapes, lapack_calls, eigh_calls)
 
-    def test_a_whole_split_is_shared_only_with_bond_vectors_that_keep_it_whole(self, rng, lapack_calls):
+    def test_a_whole_split_is_shared_only_with_bond_vectors_that_keep_it_whole(self, rng, lapack_calls, eigh_calls):
         # the default ratio grid's TT bonds on (4, 8, 4, 8): (4, 7, 7), (4, 5, 6)
         # and (4, 4, 4) keep the first split whole, (3, 3, 3) truncates it, so
-        # one stacked SVD makes that split for (3, 3, 3) alone
+        # one stacked eigendecomposition makes that split for (3, 3, 3) alone
         mode_shape = (4, 8, 4, 8)
         bond_vectors = [select_ranks(mode_shape, "tt", ratio_budget(r, 1024)) for r in (0.5, 0.35, 0.25, 0.15)]
         assert bond_vectors == [(4, 7, 7), (4, 5, 6), (4, 4, 4), (3, 3, 3)]
         t = train_stack(rng, mode_shape)
         trains = list(tn._train_stack(t, bond_vectors))
         shapes = [(4, 256), (24, 32), (32, 32), (12, 8), (16, 8), (20, 8), (28, 8)]
-        assert sorted(lapack_calls) == sorted((len(t), *shape) for shape in shapes)
+        assert_split_calls(len(t), shapes, lapack_calls, eigh_calls)
         for bonds, cores in trains:
             for p in range(len(t)):
                 alone = tt_decompose(t[p], bonds)
@@ -1229,3 +1253,90 @@ class TestTrainStack:
         t = np.stack([modes(near_overflow(rng)), rng.standard_normal(MODES_16x32)])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
             list(tn._train_stack(t, [(2, 2, 2)]))
+
+
+def decaying_matrix(rng, n, digits, knee):
+    """An n x n matrix of random singular vectors whose singular values
+    fall by ``digits`` decades every ``knee`` indices, to zero once they
+    underflow."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * 10.0 ** (-digits * np.arange(n) / knee)) @ v.T
+
+
+def tt_svd_bound(t, bonds):
+    """The TT-SVD bound of a train of ``t`` at its kept ``bonds`` (Oseledets
+    2011, Thm 2.2), the root of the summed squared tails of the sequential
+    unfoldings; the largest tail, which no train at those bonds beats
+    (Eckart & Young 1936); and the slack of the Gram route over the bound.
+
+    The slack: a truncated split of an ``m x n`` input ``c`` at bond ``r``
+    keeps the leading eigenvectors of a Gram computed with an error ``E``,
+    ``||E|| <= (m + n) eps ||c||_F**2`` (the product's and ``eigh``'s
+    rounding). By Weyl's and Ky Fan's inequalities its squared tail is at
+    most the exact one plus ``2 r ||E||``, and ``||c||_F <= ||t||``, so the
+    error is at most the bound plus ``||t|| sqrt(2 eps sum_k r_k (m_k +
+    n_k))``. That is ``sqrt(eps)`` times ``||t||``, far above the rounding
+    of a train built from SVDs alone."""
+    eps = np.finfo(np.float64).eps
+    tails, r_prev, spread = [], 1, 0.0
+    for k, r in enumerate(bonds):
+        rows, cols = r_prev * t.shape[k], math.prod(t.shape[k + 1 :])
+        values = np.linalg.svd(t.reshape(math.prod(t.shape[: k + 1]), -1), compute_uv=False)
+        tails.append(float(np.linalg.norm(values[r:])))
+        if r < rows:
+            spread += 2 * r * (rows + cols) * eps
+        r_prev = r
+    return math.sqrt(sum(x * x for x in tails)), max(tails), float(np.linalg.norm(t)) * math.sqrt(spread)
+
+
+class TestTrainBound:
+    """A train whose wide splits take the Gram eigenbasis keeps within the
+    TT-SVD bound, up to the Gram's rounding, where its spectra fall below
+    ``sqrt(eps)``; a NaN or inf in a split or a Tucker unfolding reaches no
+    LAPACK call."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_each_train_meets_the_tt_svd_bound(self, n):
+        rng = np.random.default_rng(n)
+        shape, _ = default_mode_shape(n, n)
+        # singular values that cross sqrt(eps) (about 1.5e-8) before, at and past
+        # the cuts, with the slices of train_stack among them
+        spectra = [decaying_matrix(rng, n, rng.uniform(4, 16), rng.integers(3, n)) for _ in range(8)]
+        stack = np.concatenate([np.stack(spectra).reshape(-1, *shape), train_stack(rng, shape)])
+        for ratio in (0.5, 0.35, 0.25, 0.15):
+            bonds = select_ranks(shape, "tt", ratio_budget(ratio, n * n))
+            for t in stack:
+                layer = tt_decompose(t, bonds)
+                bound, floor, slack = tt_svd_bound(t, layer.ranks)
+                err = float(np.linalg.norm(t - reconstruct(layer)))
+                assert floor - 1e-12 * float(np.linalg.norm(t)) <= err <= bound + slack, (ratio, err, bound, slack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_wide_split_or_unfolding_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
+        # the basis kernel's one check is on each slice's peak, which the
+        # stack routines and the sweeps leave to it
+        c = rng.standard_normal((3, 8, 32))
+        c[1, 5, 20] = bad
+        with pytest.raises(NumericsError):
+            tn._train_split(c, 3)
+        with pytest.raises(NumericsError):
+            tc._leading_basis(c, 8)
+        assert eigh_calls == [] and lapack_calls == []
+
+    @pytest.mark.parametrize("family", ["tucker", "tt"])
+    def test_an_overflowing_projection_or_split_never_reaches_lapack(self, rng, monkeypatch, family):
+        # the finite near-overflow input passes its entry's scan; a Tucker
+        # sweep's projection or a TT carry then overflows, and the basis or
+        # split made from it raises before its LAPACK call
+        finite = []
+        for name in ("eigh", "svd"):
+
+            def recording(a, *args, _call=getattr(np.linalg, name), **kwargs):
+                finite.append(bool(np.isfinite(a).all()))
+                return _call(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            compress_matrix(near_overflow(rng), family, ParamBudget(200))
+        assert finite and all(finite)
