@@ -13,8 +13,8 @@ side runs in turn within each pass and the machine's drift falls on all
 of them alike. A side's pass times ``select_ranks`` on the patch's mode
 shape cold, its process-wide memo cleared first so that the call runs the
 search (a TR search runs the TT search it takes its ranks from), then
-warm, a memo hit, then ``compress_matrix`` (``HOOI_SWEEPS`` HOOI sweeps for
-Tucker), whose search is then a memo hit too. Each row also records the
+warm, a memo hit, then ``compress_matrix`` (the HOSVD and one HOOI sweep
+for Tucker), whose search is then a memo hit too. Each row also records the
 selected ranks, the relative reconstruction error ||W - What|| / ||W|| and
 ``layer_digest``, a ``harness.digest`` of the layer's arrays and its
 reconstruction, so two checkouts can be compared for equal outputs. Under
@@ -97,13 +97,12 @@ def main():
     parser.add_argument("--against", type=Path, help="root of a second checkout to time alternately")
     args = parser.parse_args()
     sides = harness.sides(args.against)
-    hooi_sweeps = sides["this"]["tn_decompositions"].HOOI_SWEEPS
     rows = []
     for n in args.sizes:
         for row in measure(n, sides):
             rows.append(row)
             harness.show(row)
-    harness.report(args.out, rows, args.against, ratio=RATIO, hooi_sweeps=hooi_sweeps)
+    harness.report(args.out, rows, args.against, ratio=RATIO)
 
 
 if __name__ == "__main__":

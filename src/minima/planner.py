@@ -171,8 +171,8 @@ def build_options(records, patches) -> PlanOptions:
     the record's predictions are listed. Patches whose every prediction
     exceeds ``sensitivity.DEGRADATION_CAP`` are pinned dense;
     ``sensitivity.EXCLUDED_KINDS`` and patches without a record get no
-    candidates. Two records for one patch raise ``ValueError`` before any
-    work.
+    candidates. Two records for one patch, or a prediction at a ratio that
+    is not finite, raise ``ValueError`` before any fit.
     """
     by_id = {}
     for r in records:
@@ -192,6 +192,12 @@ def build_options(records, patches) -> PlanOptions:
         ((family, float(r)) for f, family in enumerate(FAMILIES) for r in set().union(*(fc[f] for fc in listed))),
         key=tie_order,
     )
+    if not all(math.isfinite(ratio) for _, ratio in keys):
+        pid, family, ratio = next(
+            (p.patch_id, family, r) for p, fc in zip(patches, curves) if fc is not None
+            for family, curve in zip(FAMILIES, fc) for r in curve if not math.isfinite(r)
+        )
+        raise ValueError(f"patch {pid}: a prediction of {family} at ratio {ratio}, which is not finite")
     cells = [(_FAMILY_ORDER[family], ratio) for family, ratio in keys]
 
     # a record that lists every column is one row of predictions; only a

@@ -624,15 +624,17 @@ def analyze(
     decomposition, the model's weights (``ModelContainer.validate``) and
     each probed layer's calibration are scanned once, and a probed layer
     that ``calib`` lacks or gives another shape, or a ``probe_stride``
-    below 1, raises ``ValueError``. Then each patch is copied out of the
-    model once, into a stack of same-shape patches (``_stack_pass``), and
-    the records come from one ``forward`` over all the patches
-    (``_records``); every output keeps patch order. Rank selection runs
-    once per distinct (mode shape, family, budget) in the process
-    (``select_ranks``' memo). ``seed`` is unused: ``calib`` is given and
-    the fit is closed-form. It stays because ``perfbench/workloads.py``
-    passes it.
+    that is not a Python or numpy integer of at least 1, raises
+    ``ValueError``. Then each patch is copied out of the model once, into a
+    stack of same-shape patches (``_stack_pass``), and the records come
+    from one ``forward`` over all the patches (``_records``); every output
+    keeps patch order. Rank selection runs once per distinct (mode shape,
+    family, budget) in the process (``select_ranks``' memo). ``seed`` is
+    unused: ``calib`` is given and the fit is closed-form. It stays because
+    ``perfbench/workloads.py`` passes it.
     """
+    if not isinstance(probe_stride, (int, np.integer)):
+        raise ValueError(f"probe_stride must be an integer, got {probe_stride!r}")
     if probe_stride < 1:
         raise ValueError(f"probe_stride must be >= 1, got {probe_stride}")
     model.validate()

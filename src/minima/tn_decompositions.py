@@ -38,12 +38,11 @@ factor is ``_leading_basis`` of its unfolding, an ``n_k x n_k`` ``eigh``
 of the Gram. A truncated TT split's shape picks its LAPACK call: a wide
 split (rows <= cols) is the Gram's ``eigh`` too, and a tall one an SVD.
 
-Sweeps: a Tucker decomposition is the truncated HOSVD refined by
-``HOOI_SWEEPS`` HOOI sweeps (De Lathauwer, De Moor & Vandewalle 2000). The
-count is this one constant, which ``_hooi`` reads when it runs, so every
-Tucker routine and the probes of ``sensitivity`` take the same count, and
-the layer that ``compress_matrix`` builds for a probed (patch, ratio) is
-the probe's decomposition bit for bit.
+Refinement: a Tucker decomposition is the truncated HOSVD refined by one
+HOOI sweep (De Lathauwer, De Moor & Vandewalle 2000), ``_hooi``, which every
+Tucker routine and the probes of ``sensitivity`` run, so the layer that
+``compress_matrix`` builds for a probed (patch, ratio) is the probe's
+decomposition bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from minima.tensor_core import (
 )
 
 FAMILIES = ("tucker", "tt", "tr")
-HOOI_SWEEPS = 1  # the HOOI sweep count of every Tucker decomposition
 
 
 def balanced_split(n: int) -> tuple[int, ...]:
@@ -184,7 +182,7 @@ def _tucker_stack(t: np.ndarray, rank_tuples) -> Iterator[tuple[tuple[int, ...],
     ``t`` itself. A mode's start basis is its full HOSVD eigenbasis, whose
     leading columns carry the bits of a basis computed at their rank;
     ``_hooi`` refines it. Each basis is dropped once the last tuple that
-    truncates its mode has copied its columns, before that tuple's sweeps.
+    truncates its mode has copied its columns, before that tuple's sweep.
     """
     if not rank_tuples:
         return
@@ -213,56 +211,49 @@ def _start_factors(hosvd: dict, ranks, done: list[int]) -> list[np.ndarray | Non
 
 
 def _hooi(t: np.ndarray, ranks, factors: list, total: np.ndarray) -> tuple[np.ndarray, list]:
-    """``HOOI_SWEEPS`` sweeps over the truncated modes of a stack ``t`` (those
-    whose start factor in ``factors`` is not ``None``), updated in place;
-    returns the core and ``factors``. ``total`` holds each slice's squared
-    norm.
+    """One HOOI sweep over the truncated modes of a stack ``t`` (those whose
+    start factor in ``factors`` is not ``None``), each factor updated in
+    place in mode order; returns the core and ``factors``, or ``t`` itself
+    with no truncated mode. ``total`` holds each slice's squared norm.
 
-    Each sweep recomputes every truncated factor from the unfolding of the
-    tensor projected onto the other factors. The relative residual energy
-    ``1 - ||G||**2 / ||T||**2`` (the squared relative error, the factors
-    being orthonormal) must not rise from sweep to sweep by more than a
-    slack of ``64 * d * eps``, the estimate's rounding; the check is
-    multiplied through by ``||T||**2``, so a zero slice passes. A rise in
-    any slice raises ``NumericsError`` naming the first such slice.
+    The relative residual energy ``1 - ||G||**2 / ||T||**2`` (the squared
+    relative error, the factors being orthonormal) must not rise from the
+    start core to the sweep's by more than a slack of ``64 * d * eps``, the
+    estimate's rounding; the check is multiplied through by ``||T||**2``, so
+    a zero slice passes. A rise raises ``NumericsError`` naming the first
+    such slice.
 
-    A sweep projects truncated mode k's input as ``t`` times the factors
-    the sweep has already updated, a prefix it extends by one ``mode_dot``
-    after each update, then times the later factors of the previous sweep:
-    c(c+1)/2 products for c truncated modes, not c(c-1)+1. After the last
-    update the prefix is the sweep's core. The start chain ``t`` times the
-    start factors of ``cut[1:]`` is the first sweep's first projection, so
-    the start core, whose energies the guard starts from, takes one more
-    product: c(c+1)/2 + 1 products for the first sweep and the start, and
-    c(c+1)/2 for each further sweep. Each projection is dropped once its
-    basis is taken. With no sweep the core is the start projection in mode
-    order, c products.
+    Mode k's factor is the leading basis of ``t`` times the factors already
+    updated, a prefix extended by one ``mode_dot`` per update that ends as
+    the core, then times the start factors of the later modes. The first
+    projection, ``t`` times the start factors of ``cut[1:]``, makes the
+    start core by one more product: c(c+1)/2 + 1 products for c truncated
+    modes, and one ``eigh`` per truncated mode at the start
+    (``_tucker_stack``) and one in the sweep. Each projection is dropped
+    once its basis is taken.
     """
     cut = [k for k, f in enumerate(factors) if f is not None]
-    if not HOOI_SWEEPS or not cut:
-        return _project(t, factors, cut), factors
+    if not cut:
+        return t, factors
     slack = 64 * len(ranks) * np.finfo(np.float64).eps
     proj = _project(t, factors, cut[1:])
-    kept = _slice_energies(mode_dot(proj, factors[cut[0]], cut[0]))
-    for sweep in range(HOOI_SWEEPS):
-        prefix = t  # t times this sweep's factors before k
-        for i, k in enumerate(cut):
-            if proj is None:
-                proj = _project(prefix, factors, cut[i + 1 :])
-            factors[k] = _leading_basis(unfold(proj, k), ranks[k])
-            proj = None
-            prefix = mode_dot(prefix, factors[k], k)
-        core = prefix
-        new_kept = _slice_energies(core)
-        rose = kept - new_kept > slack * total
-        if rose.any():
-            p = int(rose.argmax())
-            before, after = (1.0 - e[p] / total[p] for e in (kept, new_kept))
-            raise NumericsError(
-                f"refinement sweep {sweep} increased the relative residual energy of slice {p} "
-                f"{before:.3e} -> {after:.3e} (slack {slack:.1e})"
-            )
-        kept = new_kept
+    start = _slice_energies(mode_dot(proj, factors[cut[0]], cut[0]))
+    core = t  # t times the factors the sweep has updated
+    for i, k in enumerate(cut):
+        if i:
+            proj = _project(core, factors, cut[i + 1 :])
+        factors[k] = _leading_basis(unfold(proj, k), ranks[k])
+        del proj
+        core = mode_dot(core, factors[k], k)
+    kept = _slice_energies(core)
+    rose = start - kept > slack * total
+    if rose.any():
+        p = int(rose.argmax())
+        before, after = (1.0 - e[p] / total[p] for e in (start, kept))
+        raise NumericsError(
+            f"the HOOI sweep increased the relative residual energy of slice {p} "
+            f"{before:.3e} -> {after:.3e} (slack {slack:.1e})"
+        )
     return core, factors
 
 
@@ -496,13 +487,6 @@ def _is_identity(f: np.ndarray) -> bool:
 
 def layer_to_matrix(layer: CompressedLayer) -> np.ndarray:
     return reconstruct(layer).reshape(layer.matrix_shape)
-
-
-def param_count(layer: CompressedLayer) -> int:
-    """Stored scalars in the layer payload."""
-    if layer.family == "tucker":
-        return int(layer.core.size + sum(f.size for f in layer.factors))
-    return int(sum(c.size for c in layer.cores))
 
 
 def param_count_formula(family: str, mode_shape, ranks) -> int:

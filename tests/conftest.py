@@ -55,17 +55,6 @@ def solve_calls(monkeypatch):
 
 
 @pytest.fixture
-def sweeps(monkeypatch):
-    """``sweeps(n)`` sets ``HOOI_SWEEPS``, the HOOI sweep count of every
-    Tucker decomposition, to ``n`` for the rest of the test."""
-
-    def set_count(n: int) -> None:
-        monkeypatch.setattr("minima.tn_decompositions.HOOI_SWEEPS", n)
-
-    return set_count
-
-
-@pytest.fixture
 def policy(monkeypatch):
     """``policy(**values)`` sets any of sensitivity's ``FAMILIES``,
     ``RATIO_GRID``, ``DEGRADATION_CAP`` and ``EXCLUDED_KINDS``, which

@@ -205,6 +205,20 @@ class TestBuildOptions:
         with pytest.raises(ValueError, match="two sensitivity records for patch 3$"):
             build_options([robust, fragile], patches)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_ratio_raises_naming_it_before_any_fit(self, monkeypatch, ratio):
+        # inf once raised OverflowError and NaN a bare ValueError, from the
+        # ratio's budget in the fit
+        calls = select_ranks_calls(monkeypatch)
+        records = [
+            SensitivityRecord(0, 0.5, self.PREDICTIONS, {}),
+            SensitivityRecord(2, 0.5, {"tt": {0.5: 1e-3}, "tr": {0.5: 1e-3, ratio: 2e-3}}, {}),
+        ]
+        patches = [flat_patch(pid, 4096) for pid in range(4)]
+        with pytest.raises(ValueError, match=f"patch 2: a prediction of tr at ratio {ratio}, which is not finite$"):
+            build_options(records, patches)
+        assert calls == []
+
     @pytest.mark.parametrize("exclude, compressible", [((), True), (("ffn",), False)])
     def test_excluded_kinds_decide_compressibility(self, policy, exclude, compressible):
         record = SensitivityRecord(0, 0.5, self.PREDICTIONS, {})

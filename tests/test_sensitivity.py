@@ -261,7 +261,7 @@ class TestDefaultSweeps:
     """A Tucker probe record is the output deviation of the layer that
     ``compress_matrix``, or ``tucker_decompose`` at the selected ranks,
     builds for its (patch, ratio), bit for bit: the probes and the
-    decompositions read the one ``HOOI_SWEEPS`` when they run."""
+    decompositions run the same one HOOI sweep."""
 
     GRID = (0.5, 0.35, 0.25, 0.15)
 
@@ -275,7 +275,7 @@ class TestDefaultSweeps:
         for record in records:
             budget = ratio_budget(record.target_ratio, m * n)
             ranks = select_ranks(mode_shape, "tucker", budget)
-            assert ranks != mode_shape  # some mode is truncated, so the sweeps count
+            assert ranks != mode_shape  # some mode is truncated, so the sweep counts
             layers = [
                 compress_matrix(w, "tucker", budget),
                 tn.tucker_decompose(w.reshape(mode_shape), ranks),
@@ -284,15 +284,13 @@ class TestDefaultSweeps:
                 realized = output_error(w, tn.reconstruct(layer).reshape(m, n), x)
                 assert np.float64(realized).tobytes() == np.float64(record.measured_degradation).tobytes(), record
 
-    @pytest.mark.parametrize("count", [0, 2])
-    def test_every_tucker_routine_follows_the_constant(self, rng, sweeps, eigh_calls, count):
+    def test_every_tucker_routine_takes_one_sweep(self, rng, eigh_calls):
         # a Tucker factor is one eigendecomposition per truncated mode at the
-        # start and one per sweep: at ratio 0.25 a 32 x 32 patch's (4, 8, 4, 8)
+        # start and one in the sweep: at ratio 0.25 a 32 x 32 patch's (4, 8, 4, 8)
         # modes are cut at (4, 4, 3, 3), 3 truncated; a 16 x 16 patch probed
-        # over the grid takes 4 start bases and 15 per sweep, alone or in a
-        # stack, and its trains 4 more for their wide splits at any count
-        # (TestProbeWork)
-        sweeps(count)
+        # over the grid takes 4 start bases and 15 in the sweeps of its 4
+        # rank tuples, alone or in a stack, and its trains 4 more for their
+        # wide splits (TestProbeWork)
         w = decayed_matrix(rng, 32, 32, 0.1)
         budget = ratio_budget(0.25, w.size)
         assert select_ranks((4, 8, 4, 8), "tucker", budget) == (4, 4, 3, 3)
@@ -302,19 +300,19 @@ class TestDefaultSweeps:
         ):
             eigh_calls.clear()
             decompose()
-            assert len(eigh_calls) == 3 * (1 + count)
+            assert len(eigh_calls) == 3 * 2
         weights = decayed_matrix(rng, 16, 48, 0.1)
         calib = rng.standard_normal((48, 16))
         eigh_calls.clear()
         result = analyze(make_model([("w", weights, "ffn")]), {"w": calib}, patch_size=(16, 16), probe_stride=1)
-        assert len(eigh_calls) == 4 + 15 * count + len(TT_GRAMS_16x16)
+        assert len(eigh_calls) == 4 + 15 + len(TT_GRAMS_16x16)
         assert len(result.probed_ids) == 3
         for patch in result.patches:
             cols = slice(*patch.col_range)
             block, x = weights[:, cols], calib[cols]
             eigh_calls.clear()
             alone = probe_patch(block, FAMILIES, self.GRID, x, patch_id=patch.patch_id)
-            assert len(eigh_calls) == 4 + 15 * count + len(TT_GRAMS_16x16)
+            assert len(eigh_calls) == 4 + 15 + len(TT_GRAMS_16x16)
             looped = compress_matrix_probes(block, FAMILIES, self.GRID, x, patch_id=patch.patch_id)
             in_stack = [r for r in result.probes if r.patch_id == patch.patch_id]
             assert record_bits(in_stack) == record_bits(alone) == record_bits(looped)
@@ -325,12 +323,14 @@ class TestProbeWork:
     GRID = (0.5, 0.35, 0.25, 0.15, 0.01)
 
     @pytest.mark.parametrize(
-        "shape, rank", [((16, 16), None), ((32, 32), None), ((36, 64), None), ((32, 32), 3)],
-        ids=["16x16", "32x32", "36x64", "32x32-rank3"],
+        "shape, rank",
+        [
+            ((16, 16), None), ((32, 32), None), ((36, 64), None), ((32, 32), 3),
+            ((32, 16), None), ((16, 48), None), ((17, 40), None), ((16, 48), 2),
+        ],
+        ids=["16x16", "32x32", "36x64", "32x32-rank3", "32x16", "16x48", "17x40", "16x48-rank2"],
     )
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_records_equal_the_compress_matrix_loop_bitwise(self, rng, sweeps, shape, rank, count):
-        sweeps(count)
+    def test_records_equal_the_compress_matrix_loop_bitwise(self, rng, shape, rank):
         if rank is None:
             w = decayed_matrix(rng, *shape, 0.1)
         else:
@@ -362,25 +362,21 @@ class TestProbeWork:
         compress_matrix_probes(w, FAMILIES, (0.5, 0.35, 0.25, 0.15), seeded_calib(16, 3))
         assert (len(lapack_calls), len(eigh_calls)) == (8, 44)
 
+    @pytest.mark.parametrize("ratio, truncated", [(0.5, 2), (0.25, 3)], ids=["0.5", "0.25"])
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_compress_matrix_keeps_one_lapack_call_per_split(self, rng, sweeps, lapack_calls, eigh_calls, family, count):
+    def test_compress_matrix_keeps_one_lapack_call_per_split(self, rng, lapack_calls, eigh_calls, family, ratio, truncated):
         # compress_matrix decomposes once: Tucker makes one HOSVD
-        # eigendecomposition per truncated mode plus as many per sweep and no
-        # SVD, TT and TR one LAPACK call per truncated split, a stack of one.
+        # eigendecomposition per truncated mode plus as many in its sweep and
+        # no SVD, TT and TR one LAPACK call per truncated split, a stack of one.
         # At ratio 0.5 Tucker's ranks (4, 5, 4, 5) truncate 2 modes, at 0.25
         # (4, 4, 3, 3) truncate 3; TT's (4, 7, 7) and (4, 4, 4), and TR's
         # rings (1, ...) of them, keep their first split whole, take the wide
         # (32, 32) split by its Gram's eigendecomposition and the tall (28, 8)
         # or (16, 8) one by an SVD.
         w = decayed_matrix(rng, 32, 32, 0.1)  # (4, 8, 4, 8) modes
-        sweeps(count)
-        for ratio, truncated in ((0.5, 2), (0.25, 3)):
-            lapack_calls.clear()
-            eigh_calls.clear()
-            compress_matrix(w, family, ratio_budget(ratio, w.size))
-            expected = (0, truncated * (1 + count)) if family == "tucker" else (1, 1)
-            assert (len(lapack_calls), len(eigh_calls)) == expected
+        compress_matrix(w, family, ratio_budget(ratio, w.size))
+        expected = (0, 2 * truncated) if family == "tucker" else (1, 1)
+        assert (len(lapack_calls), len(eigh_calls)) == expected
 
     def test_a_stack_of_16x16_patches_shares_its_23_eigendecompositions(self, rng, lapack_calls, eigh_calls):
         # three 16 x 16 patches probed as one stack: the 19 Tucker and 4 TT
@@ -438,12 +434,14 @@ class TestProbeWork:
         with pytest.raises(ValueError, match=f"unknown family {unknown}"):
             probe_patch(rng.standard_normal((16, 16)), families, (0.5,), seeded_calib(16, 3))
 
-    @pytest.mark.parametrize("stride", [0, -1, -4])
+    @pytest.mark.parametrize("stride", [0, -1, -4, 2.5, 4.0])
     def test_analyze_rejects_a_probe_stride_below_1(self, rng, lapack_calls, stride):
-        # such a stride once probed every patch, as a stride of 1 does
+        # a stride below 1 once probed every patch, as a stride of 1 does; a
+        # float once passed that check and raised TypeError from the slice
         model = make_model([("w", rng.standard_normal((64, 64)), "ffn")])
         calib = {"w": rng.standard_normal((64, 16))}
-        with pytest.raises(ValueError, match=f"probe_stride must be >= 1, got {stride}"):
+        message = "an integer" if isinstance(stride, float) else ">= 1"
+        with pytest.raises(ValueError, match=f"probe_stride must be {message}, got {stride}"):
             analyze(model, calib, patch_size=(32, 32), probe_stride=stride)
         assert lapack_calls == []  # before any feature or probe
 
@@ -628,9 +626,7 @@ class TestStackedProbes:
             assert ranks[0] == 1, (shape, ratio, ranks)
             assert tn._probe_key("tr", ranks) == ("tt", ranks[1:]), (shape, ratio, ranks)
 
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng, sweeps, count):
-        sweeps(count)
+    def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng):
         # (4, 8, 4, 8) modes: Tucker keeps modes 0 and 2 whole at 0.5 and
         # mode 0 at 0.25, and every mode at 1.0; 0.01 is skipped
         grid = (1.0, 0.5, 0.35, 0.25, 0.15, 0.01)

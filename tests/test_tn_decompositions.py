@@ -18,7 +18,6 @@ from minima.tn_decompositions import (
     default_mode_shape,
     layer_to_matrix,
     maximal_ranks,
-    param_count,
     param_count_formula,
     ratio_budget,
     reconstruct,
@@ -59,6 +58,17 @@ def equals_its_slices(core, factors, t, ranks) -> bool:
         if not all(bitwise_equal(a, b) for a, b in zip(stacked, payload(plain), strict=True)):
             return False
     return True
+
+
+def hosvd_dense(t, ranks):
+    """The truncated HOSVD of ``t`` at ``ranks``, dense: ``t`` projected in
+    each truncated mode onto ``tc.leading_basis`` of its own unfolding."""
+    dense = t[None]
+    for k, r in enumerate(ranks):
+        if r < t.shape[k]:
+            u = tc.leading_basis(tc.unfold(t[None], k), r)
+            dense = mode_dot(mode_dot(dense, u, k), u.transpose(0, 2, 1), k)
+    return dense[0]
 
 
 def tensordot_chain(layer):
@@ -149,9 +159,8 @@ class TestModeShapes:
 
 
 class TestTucker:
-    def test_full_ranks_exact(self, rng, sweeps):
+    def test_full_ranks_exact(self, rng):
         t = rng.standard_normal((4, 3, 5))
-        sweeps(2)
         layer = tucker_decompose(t, (4, 3, 5))
         assert relerr(t, reconstruct(layer)) <= 1e-10
 
@@ -160,32 +169,19 @@ class TestTucker:
         layer = tucker_decompose(t, (1, 1, 1))
         assert relerr(t, reconstruct(layer)) <= 1e-12
 
-    def test_hooi_improves_on_hosvd(self, rng, sweeps):
+    def test_hooi_improves_on_hosvd(self, rng):
         t = rng.standard_normal((4, 4, 4))
-        sweeps(0)
-        hosvd_only = tucker_decompose(t, (2, 2, 2))
-        sweeps(5)
-        refined = tucker_decompose(t, (2, 2, 2))
-        err0 = relerr(t, reconstruct(hosvd_only))
-        err5 = relerr(t, reconstruct(refined))
-        assert err5 <= err0 + 1e-12
-
-    def test_sweep_monotonicity(self, rng, sweeps):
-        t = rng.standard_normal((4, 4, 4))
-        errs = []
-        for i in range(5):
-            sweeps(i)
-            errs.append(relerr(t, reconstruct(tucker_decompose(t, (2, 3, 2)))))
-        for a, b in zip(errs, errs[1:]):
-            assert b <= a + 1e-12
+        for ranks in ((2, 2, 2), (2, 3, 2)):
+            refined = tucker_decompose(t, ranks)
+            assert relerr(t, reconstruct(refined)) <= relerr(t, hosvd_dense(t, ranks)) + 1e-12, ranks
 
     def test_rank_out_of_range(self, rng):
         with pytest.raises(RankError):
             tucker_decompose(rng.standard_normal((3, 3)), (4, 2))
 
-    def test_exact_fit_above_multilinear_rank(self, rng, sweeps):
+    def test_exact_fit_above_multilinear_rank(self, rng):
         # exactly low multilinear rank, compressed above that rank but below
-        # the maximal ranks: the sweeps refine a fit that is already exact
+        # the maximal ranks: the sweep refines a fit that is already exact
         cases = [
             ((6, 6, 6), (2, 3, 2), (3, 4, 3)),
             ((4, 5, 6), (1, 2, 2), (2, 3, 4)),
@@ -197,46 +193,42 @@ class TestTucker:
                 t = rng.standard_normal(mlrank)
                 for k, n in enumerate(shape):
                     t = mode_dot(t[None], rng.standard_normal((1, mlrank[k], n)), k)[0]
-                for iters in (1, 3):
-                    sweeps(iters)
-                    layer = tucker_decompose(t, ranks)
-                    assert relerr(t, reconstruct(layer)) <= 1e-10, (shape, ranks, iters)
+                layer = tucker_decompose(t, ranks)
+                assert relerr(t, reconstruct(layer)) <= 1e-10, (shape, ranks)
 
     def test_guard_raises_when_a_sweep_increases_error(self, rng, monkeypatch):
         t = rng.standard_normal((4, 4, 4))
         leading = tn._leading_basis
         calls = []
 
-        def trailing_in_sweeps(unfolding, rank):
+        def trailing_in_the_sweep(unfolding, rank):
             calls.append(rank)
             if len(calls) <= t.ndim:  # HOSVD initialization
                 return leading(unfolding, rank)
             return np.linalg.svd(unfolding)[0][..., -rank:]
 
-        monkeypatch.setattr(tn, "_leading_basis", trailing_in_sweeps)
+        monkeypatch.setattr(tn, "_leading_basis", trailing_in_the_sweep)
         with pytest.raises(NumericsError, match="relative residual energy"):
             tucker_decompose(t, (2, 2, 2))
 
-    def test_core_is_the_factors_projection_bitwise(self, rng, sweeps):
+    def test_core_is_the_factors_projection_bitwise(self, rng):
         shape = (4, 3, 5, 2, 3)
         for d in range(2, 6):
             t = rng.standard_normal(shape[:d])
             ranks = tuple(max(1, n - 1) for n in shape[:d])
-            for iters in range(4):
-                sweeps(iters)
-                layer = tucker_decompose(t, ranks)
-                projection = t[None]
-                for k, f in enumerate(layer.factors):
-                    projection = mode_dot(projection, f[None], k)
-                projection = projection[0]
-                assert bitwise_equal(np.ascontiguousarray(layer.core), np.ascontiguousarray(projection)), (d, iters)
+            layer = tucker_decompose(t, ranks)
+            projection = t[None]
+            for k, f in enumerate(layer.factors):
+                projection = mode_dot(projection, f[None], k)
+            projection = projection[0]
+            assert bitwise_equal(np.ascontiguousarray(layer.core), np.ascontiguousarray(projection)), d
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("decay", [0.02, 0.1, 0.3])
-    def test_error_lies_between_the_eckart_young_tail_and_the_hosvd_bound(self, sweeps, n, decay):
+    def test_error_lies_between_the_eckart_young_tail_and_the_hosvd_bound(self, n, decay):
         """De Lathauwer et al. 2000: no rank-(r_0, ..., r_d-1) fit beats the
         largest mode-k tail, and the HOSVD error is at most the root of the sum of
-        the squared tails; HOOI sweeps only lower it."""
+        the squared tails; the HOOI sweep only lowers it."""
         rng = np.random.default_rng(n + int(100 * decay))
         u, _ = np.linalg.qr(rng.standard_normal((n, n)))
         v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -248,9 +240,8 @@ class TestTucker:
                 float(np.linalg.norm(np.linalg.svd(tc.unfold(t[None], k)[0], compute_uv=False)[r:]))
                 for k, r in enumerate(ranks)
             ]
-            for iters in (0, 1, 2):
-                sweeps(iters)
-                err = float(np.linalg.norm(t - reconstruct(tucker_decompose(t, ranks))))
+            for dense in (hosvd_dense(t, ranks), reconstruct(tucker_decompose(t, ranks))):
+                err = float(np.linalg.norm(t - dense))
                 assert max(tails) - 1e-12 * scale <= err <= math.sqrt(sum(x * x for x in tails)) + 1e-12 * scale
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -264,43 +255,40 @@ class TestTucker:
     @pytest.mark.parametrize(
         "shape, ranks", [((4, 4, 4, 4), (2, 3, 2, 1)), ((4, 8, 4, 8), (3, 5, 2, 4)), ((4, 64), (1, 3)), ((6, 1, 5), (2, 1, 5))]
     )
-    def test_a_stack_equals_its_slices_bitwise(self, rng, sweeps, shape, ranks):
+    def test_a_stack_equals_its_slices_bitwise(self, rng, shape, ranks):
         t = rng.standard_normal((4, *shape)) * np.ldexp(1.0, np.array([0, -30, 12, 0]))[(...,) + (None,) * len(shape)]
         t[3] = 0.0  # a zero slice: its guard must not divide by its zero norm
-        for iters in (0, 1, 2):
-            sweeps(iters)
-            core, factors = stacked_tucker(t, ranks)
-            assert core.shape == (4, *ranks)
-            assert equals_its_slices(core, factors, t, ranks), iters
+        core, factors = stacked_tucker(t, ranks)
+        assert core.shape == (4, *ranks)
+        assert equals_its_slices(core, factors, t, ranks)
 
     def test_guard_raises_when_one_slice_of_a_stack_rises(self, rng, monkeypatch):
         t = rng.standard_normal((3, 4, 4, 4))
         leading = tn._leading_basis
         calls = []
 
-        def trailing_for_slice_1_in_sweeps(unfoldings, rank):
+        def trailing_for_slice_1_in_the_sweep(unfoldings, rank):
             calls.append(rank)
             factors = leading(unfoldings, rank)
             if len(calls) > 3:  # after the HOSVD start: slice 1 takes its trailing vectors
                 factors[1] = np.linalg.svd(unfoldings[1])[0][:, -rank:]
             return factors
 
-        monkeypatch.setattr(tn, "_leading_basis", trailing_for_slice_1_in_sweeps)
+        monkeypatch.setattr(tn, "_leading_basis", trailing_for_slice_1_in_the_sweep)
         with pytest.raises(NumericsError, match="relative residual energy of slice 1 "):
             stacked_tucker(t, (2, 2, 2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_slice_raises_before_lapack(self, rng, sweeps, eigh_calls, lapack_calls, bad):
+    def test_a_non_finite_slice_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
         t = rng.standard_normal((3, *MODES_16x32))
         t[2, 1, 2, 3, 4] = bad
-        sweeps(2)
         with pytest.raises(NumericsError):
             stacked_tucker(t, (2, 2, 2, 2))
         with pytest.raises(NumericsError):  # the start's bases scan before any tuple is fitted
             list(tn._tucker_stack(t, [MODES_16x32, (2, 2, 2, 2)]))
         assert eigh_calls == [] and lapack_calls == []
 
-    def test_mode_products_per_call(self, rng, monkeypatch, sweeps):
+    def test_mode_products_per_call(self, rng, monkeypatch):
         calls = []
         mode_dot_ = tn.mode_dot
 
@@ -319,37 +307,32 @@ class TestTucker:
         ]
         for shape, ranks, c in cases:
             t = rng.standard_normal((5, *shape))
-            for iters in (0, 1, 2):
-                sweeps(iters)
-                # with no sweep, the HOSVD core: c. Per sweep truncated mode k
-                # applies its truncated suffix factors, then extends the shared
-                # prefix once: c(c+1)/2. The start chain of the c - 1 suffix
-                # factors is the first sweep's first projection, and the start
-                # core extends it once. A stack of 5 takes as many stacked
-                # products as one tensor.
-                expected = c if iters == 0 else min(c, 1) + iters * c * (c + 1) // 2
-                for stacked in (False, True):
-                    calls.clear()
-                    if stacked:
-                        stacked_tucker(t, ranks)
-                    else:
-                        tucker_decompose(t[0], ranks)
-                    assert len(calls) == expected, (shape, ranks, iters, stacked)
-                    assert set(calls) == {k for k, (r, n) in enumerate(zip(ranks, shape)) if r < n}
+            # in the sweep truncated mode k applies its truncated suffix
+            # factors, then extends the shared prefix once: c(c+1)/2. The
+            # start chain of the c - 1 suffix factors is the sweep's first
+            # projection, and the start core extends it once. A stack of 5
+            # takes as many stacked products as one tensor.
+            expected = min(c, 1) + c * (c + 1) // 2
+            for stacked in (False, True):
+                calls.clear()
+                if stacked:
+                    stacked_tucker(t, ranks)
+                else:
+                    tucker_decompose(t[0], ranks)
+                assert len(calls) == expected, (shape, ranks, stacked)
+                assert set(calls) == {k for k, (r, n) in enumerate(zip(ranks, shape)) if r < n}
 
     @pytest.mark.parametrize("shape", [(4, 8, 4, 8), (3, 5, 2), (6, 1, 5)])
-    def test_maximal_ranks_keep_identity_factors_and_the_tensor_as_core(self, rng, sweeps, eigh_calls, lapack_calls, shape):
+    def test_maximal_ranks_keep_identity_factors_and_the_tensor_as_core(self, rng, eigh_calls, lapack_calls, shape):
         t = rng.standard_normal((3, *shape))
         t[1] = 0.0
         t[2].flat[0] = -0.0
-        for iters in (0, 2):
-            sweeps(iters)
-            core, factors = stacked_tucker(t, shape)
-            assert core is t and factors == [None] * len(shape)  # the stack is its own core
-            for p in range(len(t)):
-                layer = tucker_decompose(t[p], shape)
-                assert bitwise_equal(layer.core, t[p]) and not np.shares_memory(layer.core, t)
-                assert all(bitwise_equal(f, np.eye(n)) for f, n in zip(layer.factors, shape, strict=True))
+        core, factors = stacked_tucker(t, shape)
+        assert core is t and factors == [None] * len(shape)  # the stack is its own core
+        for p in range(len(t)):
+            layer = tucker_decompose(t[p], shape)
+            assert bitwise_equal(layer.core, t[p]) and not np.shares_memory(layer.core, t)
+            assert all(bitwise_equal(f, np.eye(n)) for f, n in zip(layer.factors, shape, strict=True))
         assert eigh_calls == [] and lapack_calls == []
 
 
@@ -430,7 +413,7 @@ class TestReconstructChain:
             param_count_formula("tr", shape, ranks)
         with pytest.raises(RankError, match="closing bond"):
             tr_decompose(rng.standard_normal(shape), ranks)
-        assert param_count(random_ring(rng, shape, ranks)) == param_count_formula("tr", shape, (1, *ranks[1:]))
+        assert stored_entry_count(random_ring(rng, shape, ranks)) == param_count_formula("tr", shape, (1, *ranks[1:]))
 
     def test_compressed_patches_equal_a_tensordot_chain_bitwise(self, rng):
         for shape in ((32, 32), (36, 64), (7, 64)):
@@ -532,23 +515,19 @@ class TestParamCounts:
     def test_tucker_example(self, rng):
         t = rng.standard_normal((8, 8, 8, 8))
         layer = tucker_decompose(t, (4, 4, 4, 4))
-        assert param_count(layer) == 384
-        assert param_count(layer) == stored_entry_count(layer)
-        assert param_count_formula("tucker", (8, 8, 8, 8), (4, 4, 4, 4)) == 384
+        assert param_count_formula("tucker", (8, 8, 8, 8), (4, 4, 4, 4)) == stored_entry_count(layer) == 384
 
     def test_tt_example(self, rng):
         t = rng.standard_normal((8, 8, 8, 8))
         layer = tt_decompose(t, [4] * 3)
-        assert param_count(layer) == 320
-        assert param_count(layer) == stored_entry_count(layer)
-        assert param_count_formula("tt", (8, 8, 8, 8), (4, 4, 4)) == 320
+        assert param_count_formula("tt", (8, 8, 8, 8), (4, 4, 4)) == stored_entry_count(layer) == 320
 
     def test_tr_example(self, rng):
         layer = random_ring(rng, (8, 8, 8, 8), (1, 3, 3, 3))
-        assert param_count(layer) == stored_entry_count(layer) == 192
-        assert param_count_formula("tr", (8, 8, 8, 8), (1, 3, 3, 3)) == 192 == param_count_formula("tt", (8, 8, 8, 8), (3, 3, 3))
+        assert param_count_formula("tr", (8, 8, 8, 8), (1, 3, 3, 3)) == stored_entry_count(layer) == 192
+        assert param_count_formula("tt", (8, 8, 8, 8), (3, 3, 3)) == 192
 
-    def test_formula_matches_stored_entries_random_configs(self, rng, sweeps):
+    def test_formula_matches_stored_entries_random_configs(self, rng):
         shapes = [(4, 4, 4), (2, 3, 4), (6, 6, 6), (2, 2, 2, 2), (4, 3, 2, 5)]
         count = 0
         for shape in shapes:
@@ -556,10 +535,8 @@ class TestParamCounts:
             d = len(shape)
             for _ in range(4):
                 tucker_ranks = tuple(int(rng.integers(1, s + 1)) for s in shape)
-                sweeps(0)
                 layer = tucker_decompose(t, tucker_ranks)
-                assert param_count(layer) == param_count_formula("tucker", shape, tucker_ranks)
-                assert param_count(layer) == stored_entry_count(layer)
+                assert param_count_formula("tucker", shape, tucker_ranks) == stored_entry_count(layer)
 
                 caps = maximal_ranks("tt", shape)
                 bonds = []
@@ -569,8 +546,7 @@ class TestParamCounts:
                     bonds.append(int(rng.integers(1, hi + 1)))
                     left = bonds[-1]
                 layer = tt_decompose(t, bonds)
-                assert param_count(layer) == param_count_formula("tt", shape, tuple(bonds))
-                assert param_count(layer) == stored_entry_count(layer)
+                assert param_count_formula("tt", shape, tuple(bonds)) == stored_entry_count(layer)
                 count += 2
         assert count >= 40
 
@@ -718,7 +694,7 @@ class TestSelectRanks:
             ranks = select_ranks(shape, "tt", ParamBudget(budget))
             layer = layer_at(t, "tt", ranks)
             assert layer.ranks == ranks
-            assert param_count(layer) == param_count_formula("tt", shape, ranks) <= budget
+            assert stored_entry_count(layer) == param_count_formula("tt", shape, ranks) <= budget
 
     def test_selected_tr_ranks_always_achieved(self, rng):
         shape = (8, 8, 8, 8)
@@ -727,7 +703,7 @@ class TestSelectRanks:
             ranks = select_ranks(shape, "tr", ParamBudget(budget))
             layer = layer_at(t, "tr", ranks)
             assert layer.ranks == ranks
-            assert param_count(layer) <= budget
+            assert stored_entry_count(layer) == param_count_formula("tr", shape, ranks) <= budget
 
 
 class TestInvariants:
@@ -740,9 +716,8 @@ class TestInvariants:
                 layer = layer_at(t, family, ranks)
                 assert relerr(t, reconstruct(layer)) <= 1e-9, (family, shape)
 
-    def test_monotone_budget_tt_and_tucker(self, rng, sweeps):
+    def test_monotone_budget_tt_and_tucker(self, rng):
         t = rng.standard_normal((6, 6, 6))
-        sweeps(2)
         for family in ("tt", "tucker"):
             prev_err = np.inf
             for budget in (30, 60, 120, 216, 400):
@@ -880,8 +855,8 @@ class TestInputChecks:
     @pytest.mark.parametrize(
         "family, splits, bases",
         [
-            # a factor per truncated mode at the start and per sweep: 2 modes at ratio 0.5, 3 at 0.25
-            ("tucker", 0, tuple(c * (1 + tn.HOOI_SWEEPS) for c in (2, 3))),
+            # a factor per truncated mode at the start and in the sweep: 2 modes at ratio 0.5, 3 at 0.25
+            ("tucker", 0, (4, 6)),
             ("tt", 1, (1, 1)),
             ("tr", 1, (1, 1)),
         ],
@@ -898,11 +873,11 @@ class TestInputChecks:
         tall TT split is scanned by ``_train_split`` (the near-overflow test
         sees a later split raise); neither calls ``as_tensor``. A TR is its
         train. On these (4, 8, 4, 8) modes Tucker takes a factor per
-        truncated mode at the start and per sweep (``HOOI_SWEEPS`` sweeps), 2
-        modes at ratio 0.5 and 3 at 0.25. TT and TR keep their first split
-        whole, then take a basis for the wide (32, 32) split and one LAPACK
-        SVD, a stack of one, for the tall (28, 8) or (16, 8) split. Nothing
-        calls the plain ``truncated_svd``."""
+        truncated mode at the start and in the HOOI sweep, 2 modes at ratio
+        0.5 and 3 at 0.25. TT and TR keep their first split whole, then take
+        a basis for the wide (32, 32) split and one LAPACK SVD, a stack of
+        one, for the tall (28, 8) or (16, 8) split. Nothing calls the plain
+        ``truncated_svd``."""
         calls = {"as_tensor": 0, "svd": 0, "basis": 0}
         as_tensor, svd, basis = tc.as_tensor, tc.truncated_svd, tn._leading_basis
 
@@ -927,7 +902,7 @@ class TestInputChecks:
             assert all(len(shape) == 3 and shape[0] == 1 for shape in lapack_calls)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
-    def test_compress_matrix_equals_the_validated_chain_bitwise(self, sweeps, n):
+    def test_compress_matrix_equals_the_validated_chain_bitwise(self, n):
         """The patches of ``bench/decompose_scale.py``: ``compress_matrix``
         equals the chain it shortcuts, every step validating its input."""
         rng = np.random.default_rng(n)
@@ -935,7 +910,6 @@ class TestInputChecks:
         v, _ = np.linalg.qr(rng.standard_normal((n, n)))
         w = (u * np.exp(-0.1 * np.arange(n))) @ v.T
         mode_shape, row_modes = default_mode_shape(n, n)
-        sweeps(2)
         for family in FAMILIES:
             budget = ratio_budget(0.25, n * n)
             fast = compress_matrix(w, family, budget)
@@ -958,59 +932,64 @@ SWEEP_ENTRIES = [
 ]
 
 
-class TestSweepCount:
-    """The HOOI sweep count is ``HOOI_SWEEPS`` as it stands when a routine
-    runs: a Tucker entry takes one eigendecomposition per truncated mode at
-    the start and per sweep, and no sweep raises its error above the HOSVD's;
-    a train or ring takes no sweep, so its layer and its LAPACK calls are
-    the same at any count."""
+# 32 x 32 inputs the sweep count must not depend on: Gaussian, scaled far
+# up or down by an exact power of two, and exactly rank 4
+SWEEP_INPUTS = {
+    "gaussian": lambda rng: rng.standard_normal((32, 32)),
+    "scaled-up": lambda rng: 2.0**40 * rng.standard_normal((32, 32)),
+    "scaled-down": lambda rng: 2.0**-40 * rng.standard_normal((32, 32)),
+    "rank-4": lambda rng: rng.standard_normal((32, 4)) @ rng.standard_normal((4, 32)),
+}
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+
+class TestSweepCount:
+    """A Tucker entry runs one HOOI sweep (``_hooi``, once): one
+    eigendecomposition per truncated mode at the start and one in the sweep,
+    no SVD, and an error no larger than the HOSVD's; a train or ring runs
+    no sweep. The input's scale and rank change none of these counts."""
+
+    @pytest.mark.parametrize("kind", list(SWEEP_INPUTS))
     @pytest.mark.parametrize("name, call, cut", SWEEP_ENTRIES, ids=[e[0] for e in SWEEP_ENTRIES])
-    def test_every_entry_takes_the_count_the_constant_holds(self, rng, sweeps, lapack_calls, eigh_calls, name, call, cut, count):
-        w = rng.standard_normal((32, 32))
-        sweeps(0)
-        hosvd = call(w)
-        start = (list(lapack_calls), list(eigh_calls))
-        lapack_calls.clear()
-        eigh_calls.clear()
-        sweeps(count)
+    def test_a_tucker_entry_takes_one_sweep_and_a_train_none(self, rng, monkeypatch, lapack_calls, eigh_calls, name, call, cut, kind):
+        runs, hooi = [], tn._hooi
+
+        def counting(t, ranks, *args):
+            runs.append(ranks)
+            return hooi(t, ranks, *args)
+
+        monkeypatch.setattr(tn, "_hooi", counting)
+        w = SWEEP_INPUTS[kind](rng)
         layer = call(w)
-        assert layer.ranks == hosvd.ranks
         if cut is None:
-            assert (lapack_calls, eigh_calls) == start
+            assert runs == []
             assert lapack_calls and eigh_calls  # each train has a tall split and a wide one
-            assert all(bitwise_equal(a, b) for a, b in zip(payload(layer), payload(hosvd), strict=True))
         else:
-            assert lapack_calls == [] and len(eigh_calls) == cut * (1 + count)
+            assert runs == [layer.ranks] and lapack_calls == [] and len(eigh_calls) == 2 * cut
             dense = w.reshape(layer.mode_shape)
-            assert relerr(dense, reconstruct(layer)) <= relerr(dense, reconstruct(hosvd)) + 1e-12
+            assert relerr(dense, reconstruct(layer)) <= relerr(dense, hosvd_dense(dense, layer.ranks)) + 1e-12
 
 
 class TestSvdSource:
     """The routines' factor sources: given HOSVD bases change no bit of a
     layer, and a ring is its train."""
 
-    def test_a_tucker_stack_at_several_rank_tuples_equals_each_alone_bitwise(self, rng, sweeps, eigh_calls, lapack_calls):
+    def test_a_tucker_stack_at_several_rank_tuples_equals_each_alone_bitwise(self, rng, eigh_calls, lapack_calls):
         # the default grid's rank tuples on (4, 8, 4, 8): modes 0 and 2 stay
         # whole at 0.5 and 0.35, mode 0 at 0.25, and 0.15 truncates all four
         shape = (4, 8, 4, 8)
         tuples = [select_ranks(shape, "tucker", ratio_budget(r, 1024)) for r in (0.5, 0.35, 0.25, 0.15)]
         assert tuples == [(4, 5, 4, 5), (4, 4, 4, 4), (4, 4, 3, 3), (3, 3, 3, 3)]
         t = rng.standard_normal((3, *shape))
-        for iters in range(3):
-            sweeps(iters)
-            eigh_calls.clear()
-            fits = list(tn._tucker_stack(t, tuples))
-            # one start eigendecomposition per mode any tuple truncates, then
-            # one per truncated mode per sweep (2 + 2 + 3 + 4 per sweep)
-            start = sorted((3, n, n) for n in shape)
-            assert sorted(eigh_calls[:4]) == start and len(eigh_calls) == 4 + 11 * iters
-            assert [ranks for ranks, _, _ in fits] == tuples
-            for ranks, core, factors in fits:
-                assert equals_its_slices(core, factors, t, ranks), (ranks, iters)
-                # the start copies its columns of the shared bases
-                assert not any(f is not None and f.base is not None for f in factors)
+        fits = list(tn._tucker_stack(t, tuples))
+        # one start eigendecomposition per mode any tuple truncates, then
+        # one per truncated mode in each tuple's sweep (2 + 2 + 3 + 4)
+        start = sorted((3, n, n) for n in shape)
+        assert sorted(eigh_calls[:4]) == start and len(eigh_calls) == 4 + 11
+        assert [ranks for ranks, _, _ in fits] == tuples
+        for ranks, core, factors in fits:
+            assert equals_its_slices(core, factors, t, ranks), ranks
+            # the start copies its columns of the shared bases
+            assert not any(f is not None and f.base is not None for f in factors)
         assert lapack_calls == []  # Tucker takes no SVD
 
     def test_each_decomposition_is_dropped_before_the_next_is_made(self, rng):
@@ -1038,11 +1017,10 @@ class TestSvdSource:
         assert all(ref() is None for ref in refs)
         assert next(stack)[0] == (3, 3, 3, 3)
 
-    @pytest.mark.parametrize("iters", [1, 2])
-    def test_each_hosvd_basis_is_dropped_before_the_sweeps_that_no_longer_need_it(self, rng, monkeypatch, sweeps, iters):
+    def test_each_hosvd_basis_is_dropped_before_the_sweep_that_no_longer_needs_it(self, rng, monkeypatch):
         # mode sizes name the bases: the first tuple truncates modes 0 (n = 3)
         # and 2 (n = 5), the second mode 2 only, so mode 0's basis goes before
-        # the first tuple's sweeps and mode 2's before the second's
+        # the first tuple's sweep and mode 2's before the second's
         t = rng.standard_normal((2, 3, 4, 5, 6))
         bases, alive = {}, []
         factor = tn._leading_basis
@@ -1056,14 +1034,13 @@ class TestSvdSource:
             return out
 
         monkeypatch.setattr(tn, "_leading_basis", recording)
-        sweeps(iters)
         for _ in tn._tucker_stack(t, [(2, 4, 3, 6), (3, 4, 2, 6)]):
             pass
-        assert alive == ([[5], [5]] * iters) + [[]] * iters
+        assert alive == [[5], [5], []]
         bases.clear()
         alive.clear()
         tucker_decompose(t[0], (2, 4, 3, 6))
-        assert sorted(bases) == [3, 5] and alive == [[], []] * iters
+        assert sorted(bases) == [3, 5] and alive == [[], []]
 
     def test_a_ring_with_a_unit_closing_bond_has_the_train_cores_bitwise(self, rng):
         # what lets a probe of a ring take the train's deviation
@@ -1315,7 +1292,7 @@ class TestTrainBound:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_wide_split_or_unfolding_raises_before_lapack(self, rng, eigh_calls, lapack_calls, bad):
         # the basis kernel's one check is on each slice's peak, which the
-        # stack routines and the sweeps leave to it
+        # stack routines and the sweep leave to it
         c = rng.standard_normal((3, 8, 32))
         c[1, 5, 20] = bad
         with pytest.raises(NumericsError):
