@@ -30,10 +30,11 @@ the same way. The same run is traced with ``perfbench/spans.py``;
 ``traced`` holds the rank searches' calls and time and the predictor
 training's time, the only wrapped functions that ``analyze`` calls. Each
 row also records the plans' achieved ratios, a digest of the probe
-records (``probe_digest``) and one of the sensitivity records' scores,
-predictions and recommendations (``record_digest``). Under
-``--against``, the row's ``against`` entry also holds both sides' digests
-and the other side's ``analyze`` peaks.
+records (``probe_digest``), one of the sensitivity records' scores,
+predictions and recommendations (``record_digest``) and one of the two
+plans' entries, each entry's patch id, family, ratio, ranks and params
+(``plan_digest``). Under ``--against``, the row's ``against`` entry also
+holds both sides' digests and the other side's ``analyze`` peaks.
 """
 
 import argparse
@@ -152,6 +153,13 @@ def record_digest(records) -> str:
     return harness.digest(v for r in records for v in values(r))
 
 
+def plan_digest(plans) -> str:
+    """Digest of each plan entry's patch id, family, ratio, ranks and params."""
+    return harness.digest(
+        v for plan in plans for e in plan.entries for v in (e.patch_id, e.family, e.target_ratio, e.ranks, e.params)
+    )
+
+
 def peak_mb(mods, model, calib) -> float:
     return harness.traced(run_pass, mods, model, calib)[1]["analyze_s"][0] / 1e6
 
@@ -185,6 +193,7 @@ def measure(name: str, sides: dict, against: Path | None) -> dict:
     row["probes"] = len(result.probes)
     row["probe_digest"] = probe_digest(result.probes)
     row["record_digest"] = record_digest(result.records)
+    row["plan_digest"] = plan_digest((mixed, uniform))
     row["candidates"] = sum(len(o.candidates) for o in options)
     row["pinned"] = sum(o.pinned for o in options)
     row["mixed_achieved_ratio"] = mixed.achieved_ratio
@@ -192,7 +201,7 @@ def measure(name: str, sides: dict, against: Path | None) -> dict:
     row["peak_mb"] = peak_mb(sides["this"], model, calib)
     row["first_call_peak_mb"] = first_call_peak_mb(name)
     if against:
-        other = outs["against"][0]
+        other, _, *other_plans = outs["against"]
         row["against"] = {
             **harness.against_entry(runs),
             # this checkout's are the row's peak_mb and first_call_peak_mb
@@ -202,6 +211,8 @@ def measure(name: str, sides: dict, against: Path | None) -> dict:
             "this_probe_digest": row["probe_digest"],
             "against_record_digest": record_digest(other.records),
             "this_record_digest": row["record_digest"],
+            "against_plan_digest": plan_digest(other_plans),
+            "this_plan_digest": row["plan_digest"],
         }
     row["runs"] = runs
     return row

@@ -13,7 +13,6 @@ is the shortest prefix of that order that meets the budget.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from collections import Counter
@@ -377,19 +376,18 @@ def _interp_degradations(options: PlanOptions, family: str, ratio: float) -> lis
     return out.tolist()
 
 
-def _uniform_selection(shapes, family: str, ratio: float, fit):
+def _uniform_selection(shapes, family: str, ratio: float):
     """Stored scalars of all patches at one shared compression ratio, and
     the ``(ranks, params)`` chosen for each shape that compresses.
 
     ``shapes`` counts the patches per (geometry, compressible), so a pass
-    makes one ``fit`` lookup per compressible geometry; ``fit`` is the
-    calling ``_uniform``'s memo of ``_fit``.
+    makes one ``_fit`` per compressible geometry.
     """
     total = 0
     chosen = {}
     for shape, count in shapes.items():
         geometry, compressible = shape
-        ranks_params = fit(geometry, family, ratio) if compressible else None
+        ranks_params = _fit(geometry, family, ratio) if compressible else None
         if ranks_params is not None:
             chosen[shape] = ranks_params
         total += count * (geometry[0] * geometry[1] if ranks_params is None else ranks_params[1])
@@ -424,26 +422,25 @@ def _uniform(options: PlanOptions, target_ratio, family) -> CompressionPlan:
     dense_total = sum(p.dense_params for p in patches)
     budget = target_ratio * dense_total
     shapes = Counter(((p.rows, p.cols), ok) for p, ok in zip(patches, compressible))
-    fit = functools.cache(_fit)  # shared by every bisection pass of this call
 
     # total is not monotone in the ratio (below the rank-1 floor patches fall
-    # back to dense), so the bisection keeps total(lo) <= budget as its invariant
+    # back to dense), so the bisection keeps total(lo) <= budget as its
+    # invariant, and carries lo's selection
     lo, hi = _rank_one_floor(shapes, family), 1.0
-    total_lo, _ = _uniform_selection(shapes, family, lo, fit)
-    if total_lo > budget:
+    total, chosen = _uniform_selection(shapes, family, lo)
+    if total > budget:
         raise InfeasibleBudgetError(
             f"uniform {family} cannot reach ratio {target_ratio}",
-            best_achievable=total_lo / dense_total if dense_total else 1.0,
+            best_achievable=total / dense_total if dense_total else 1.0,
         )
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        total_mid, _ = _uniform_selection(shapes, family, mid, fit)
+        total_mid, chosen_mid = _uniform_selection(shapes, family, mid)
         if total_mid <= budget:
-            lo = mid
+            lo, total, chosen = mid, total_mid, chosen_mid
         else:
             hi = mid
     ratio = lo
-    total, chosen = _uniform_selection(shapes, family, ratio, fit)
 
     entries = []
     for patch, ok, degradation in zip(patches, compressible, _interp_degradations(options, family, ratio)):
@@ -471,8 +468,7 @@ def allocate(
     """Produce a plan meeting ``achieved <= target_ratio * dense_params``.
 
     ``uniform`` compresses every eligible patch with one family at one
-    shared ratio, found by bisection over the patches grouped by geometry,
-    with a memo of ``_fit`` for this call only.
+    shared ratio, found by bisection over the patches grouped by geometry.
 
     ``sensitivity`` (``single_family`` only) and ``sensitivity_mixed`` (all
     families) plan greedily: each step takes the candidate with the most

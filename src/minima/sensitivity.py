@@ -40,7 +40,7 @@ from minima.model import ModelContainer
 from minima.tensor_core import as_tensor
 from minima.tn_decompositions import (
     FAMILIES,
-    _probe_key,
+    _layout,
     _reconstructions,
     default_mode_shape,
     ratio_budget,
@@ -221,9 +221,9 @@ def _stack_features(stack: np.ndarray, patches: list[Patch], total_layers: int) 
 def _spectral_features(s: np.ndarray, long_side: int) -> np.ndarray:
     """Stable rank, top-10% energy, log condition and entropy ``(4, P)`` of
     the spectra ``s`` ``(P, k)`` of P matrices whose longer side is
-    ``long_side``; a zero spectrum keeps 0 for each. The entropy sums only a
-    spectrum's positive energies, a prefix of it, so spectra are grouped
-    by that prefix's length."""
+    ``long_side``; a zero spectrum keeps 0 for each. The entropy sums
+    ``-p log p`` over every energy share ``p`` of the spectrum, a zero
+    share adding 0, so each row sums as many terms as it does alone."""
     energies = s**2
     total = energies.sum(axis=1)
     live = total != 0.0
@@ -233,12 +233,8 @@ def _spectral_features(s: np.ndarray, long_side: int) -> np.ndarray:
         k = math.ceil(0.1 * s.shape[1])
         # values at or below the numerical-rank cutoff are rounding noise
         kept = (s > (long_side * np.finfo(np.float64).eps) * s[:, :1]).sum(axis=1)
-        positive = (energies > 0).sum(axis=1)
-        entropy = np.empty(len(s))
-        for length in set(positive.tolist()):  # not np.unique, whose first call imports numpy.ma
-            chosen = positive == length
-            p = energies[chosen, :length] / total[chosen, None]
-            entropy[chosen] = -(p * np.log(p)).sum(axis=1)
+        p = energies / total[:, None]
+        entropy = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=1)
         spectral[:, live] = (
             total / energies[:, 0],
             energies[:, :k].sum(axis=1) / total,
@@ -313,9 +309,9 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid) -> list[list[Pr
     over ``families`` in ``FAMILIES`` order: one list of records per patch,
     in family order, then ratio order. The stack is read, not written.
 
-    Probes are keyed by the structure they decompose (``_probe_key``), so a
-    ring takes its train's deviations and ratios that select the same ranks
-    share them. Each key's dense slices come from ``_reconstructions`` over
+    Probes are keyed by the structure they decompose, ``_layout`` of the
+    selected ranks, and the (family, ratio) pairs with one key share its
+    deviations. Each key's dense slices come from ``_reconstructions`` over
     the whole stack, and ||W X|| is computed once per patch.
     """
     m, n = stack.shape[1:]
@@ -328,7 +324,7 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid) -> list[list[Pr
             except InfeasibleBudgetError as exc:
                 skips[family, ratio] = exc
             else:
-                keys[family, ratio] = _probe_key(family, ranks)
+                keys[family, ratio] = _layout(family, len(mode_shape), ranks)
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
     tucker, trains = ([k[1] for k in dict.fromkeys(keys.values()) if k[0] == family] for family in ("tucker", "tt"))
     measured = {
@@ -375,13 +371,15 @@ class Predictor:
 
     def forward(self, feats: np.ndarray) -> np.ndarray:
         """The heads' outputs ``(N, 1 + len(heads))`` for feature rows ``(N,
-        12)``, or one row of 12. Each row is its own ``(1, 12) @ (12, H)``
-        product, a stacked ``(N, 1, 12) @ (12, H)``, so its bits are those
-        of the row alone; one ``(N, 12) @ (12, H)`` could sum in another
-        order and move the last bits."""
+        12)``, or one row of 12. Each output is its intercept ``coef[0, j]``
+        plus ``x_i * coef[1 + i, j]`` for the standardized features ``x_i``,
+        added in feature order by elementwise operations, so its bits depend
+        only on its row and its ``coef`` column: a row predicts the bits it
+        predicts alone, and heads with equal columns predict equal bits."""
         x = (np.atleast_2d(feats) - self.feat_mean) / self.feat_std
-        out = (x[:, None, :] @ self.coef[1:])[:, 0]
-        out += self.coef[0]
+        out = np.repeat(self.coef[:1], len(x), axis=0)
+        for i in range(x.shape[1]):
+            out += x[:, i : i + 1] * self.coef[1 + i]
         out[:, 0] = np.clip(out[:, 0], 0.0, 1.0)
         return out
 
@@ -423,9 +421,9 @@ def _ridge_fit(xs: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[np
     [0, 1]. Where a head's fit error is not at or below its mean's, its w
     falls back to 0.
     """
-    shared: dict[bytes, list[int]] = {}  # a row set -> the heads fitted on it
+    shared: dict[tuple, list[int]] = {}  # a row set -> the heads fitted on it
     for j in range(mask.shape[1]):
-        shared.setdefault(mask[:, j].tobytes(), []).append(j)
+        shared.setdefault(tuple(mask[:, j].tolist()), []).append(j)
     coef = np.zeros((1 + xs.shape[1], mask.shape[1]))
     sse = np.zeros((2, mask.shape[1]))
     for heads in shared.values():
@@ -532,15 +530,12 @@ def predict(predictor: Predictor, feats: np.ndarray, patch_id: int = 0) -> Sensi
 
 def _records(predictor: Predictor, feats: np.ndarray, patch_ids) -> list[SensitivityRecord]:
     """``predict`` of each row of ``feats`` and its patch id, from one
-    ``forward`` over the rows, each row's bits its own. A deviation head
-    whose ``coef`` column is bit-equal to an earlier one's (a ring's and
-    its train's) reads that head's output column, so twins predict the
-    same bits. Rows become Python floats one at a time, so no list of
-    every row is held beside the records."""
+    ``forward`` over the rows, each row's bits its own. Rows become Python
+    floats one at a time, so no list of every row is held beside the
+    records."""
     columns: dict[str, list[tuple[float, int]]] = {}  # family -> (ratio, column of forward's output)
-    first: dict[bytes, int] = {}  # a deviation head's coef column -> the first head column with its bits
     for j, (family, ratio) in enumerate(predictor.heads, start=1):
-        columns.setdefault(family, []).append((ratio, first.setdefault(predictor.coef[:, j].tobytes(), j)))
+        columns.setdefault(family, []).append((ratio, j))
     records = []
     for patch_id, row in zip(patch_ids, predictor.forward(feats)):
         row = row.tolist()

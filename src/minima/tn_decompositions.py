@@ -4,10 +4,12 @@ Ranks: Tucker ranks are per mode, ``core.shape == ranks`` and factor k is
 ``(mode_shape[k], ranks[k])``. TT ranks are the d-1 interior bonds, and
 core k is ``(r_{k-1}, mode_shape[k], r_k)`` with boundary bonds of 1. A
 ring is its train with a closing bond of 1, and this module alone decides
-so: its d ranks are ``(1, *bonds)``, ``ranks[k]`` the left bond of core k,
-and its cores are the train's. ``select_ranks``, ``param_count_formula``,
-``CompressedLayer`` and ``tr_decompose`` take no other ring, and a probe
-of a ring decomposes its train (``_probe_key``).
+so, in ``_layout``: its d ranks are ``(1, *bonds)``, ``ranks[k]`` the left
+bond of core k, and its cores are the train's. ``_layout`` is the one check
+of a family, a rank count and a closing bond; the decompositions,
+``param_count_formula`` and the probes of ``sensitivity`` take ranks
+through it. ``select_ranks`` and ``CompressedLayer`` take no other ring.
+Mode sizes are Python or numpy integers of at least 1 (``_mode_sizes``).
 
 Determinism, signs and stacks follow ``tensor_core``. ``_tucker_stack`` and
 ``_train_stack`` decompose a stack ``(P, n_0, ..., n_{d-1})`` at each of a
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -101,7 +104,7 @@ class CompressedLayer:
     cores: list[np.ndarray] = field(default_factory=list)  # tt / tr
 
     def __post_init__(self):
-        self.mode_shape = tuple(int(s) for s in self.mode_shape)
+        self.mode_shape = _mode_sizes(self.mode_shape)
         self.validate()
 
     @property
@@ -158,9 +161,7 @@ def tucker_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     raises ``RankError``.
     """
     t = as_tensor(t)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != t.ndim:
-        raise RankError(f"need {t.ndim} ranks, got {len(ranks)}")
+    _, ranks = _layout("tucker", t.ndim, tuple(int(r) for r in ranks))
     for k, r in enumerate(ranks):
         if not 1 <= r <= t.shape[k]:
             raise RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}")
@@ -276,18 +277,9 @@ def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
 def _train_layer(family: str, t: np.ndarray, ranks) -> CompressedLayer:
     """``tt_decompose`` or ``tr_decompose`` (``family``) of ``t``: one
     ``_train_stack`` of a stack of one, one layer built."""
-    d = t.ndim
-    if d < 2:
+    if t.ndim < 2:
         raise ShapeError(f"tensor-{'train' if family == 'tt' else 'ring'} needs at least 2 modes")
-    bonds = tuple(int(r) for r in ranks)
-    if family == "tr":
-        if len(bonds) != d:
-            raise RankError(f"need {d} cyclic ranks, got {len(bonds)}")
-        if bonds[0] != 1:
-            raise RankError(f"the closing bond ranks[0] must be 1, got {bonds[0]}")
-        bonds = bonds[1:]
-    if len(bonds) != d - 1:
-        raise RankError(f"need {d - 1} bond ranks, got {len(bonds)}")
+    _, bonds = _layout(family, t.ndim, tuple(int(r) for r in ranks))
     if min(bonds) < 1:
         raise RankError(f"bond ranks must be >= 1, got {bonds}")
     ((_, cores),) = _train_stack(t[None], [bonds])
@@ -451,14 +443,6 @@ def _dense_slices(core=None, factors=(), cores=()) -> Iterator[np.ndarray]:
         yield np.dot(head, tail.reshape(len(tail), -1)).reshape(shape)
 
 
-def _probe_key(family: str, ranks: tuple[int, ...]) -> tuple:
-    """The structure a probe decomposes: ``(family, ranks)``, and for a
-    ring its train's, ``("tt", ranks[1:])``."""
-    if family == "tr":
-        return ("tt", ranks[1:])
-    return (family, ranks)
-
-
 def _reconstructions(t: np.ndarray, rank_tuples, bond_vectors) -> Iterator[tuple[tuple, Iterator]]:
     """The dense slices of a stack ``t`` decomposed at each Tucker rank
     tuple, then at each TT bond vector: yields ``(("tucker", ranks) or
@@ -489,23 +473,43 @@ def layer_to_matrix(layer: CompressedLayer) -> np.ndarray:
     return reconstruct(layer).reshape(layer.matrix_shape)
 
 
-def param_count_formula(family: str, mode_shape, ranks) -> int:
-    """Closed-form stored-scalar count for a (family, ranks) configuration.
-    A wrong rank count, an unknown family, or a ring whose closing bond
+def _layout(family: str, d: int, ranks: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """The structure that ``family`` at the int tuple ``ranks`` decomposes
+    on d modes: ``("tucker", ranks)`` or ``("tt", ranks)``, the tuple
+    itself, and for a ring its train's, ``("tt", ranks[1:])``. An unknown
+    family, a count other than d (d-1 for TT), or a ring whose closing bond
     ``ranks[0]`` is not 1 raises ``RankError``."""
-    shape = tuple(int(s) for s in mode_shape)
-    ranks = tuple(int(r) for r in ranks)
-    d = len(shape)
     if family not in FAMILIES:
         raise RankError(f"unknown family {family!r}")
     count = d - 1 if family == "tt" else d
     if len(ranks) != count:
-        raise RankError(f"need {count} {family} ranks")
-    if family == "tr":
-        if ranks[0] != 1:
-            raise RankError(f"the closing bond ranks[0] must be 1, got {ranks[0]}")
-        family, ranks = "tt", ranks[1:]
-    return _param_count(family, shape, ranks)
+        raise RankError(f"need {count} {family} ranks, got {len(ranks)}")
+    if family != "tr":
+        return family, ranks
+    if ranks[0] != 1:
+        raise RankError(f"the closing bond ranks[0] must be 1, got {ranks[0]}")
+    return "tt", ranks[1:]
+
+
+def _mode_sizes(mode_shape) -> tuple[int, ...]:
+    """``mode_shape`` as Python ints; ``ShapeError`` unless each size is a
+    Python or numpy integer (``operator.index`` takes it) of at least 1."""
+    try:
+        sizes = tuple(map(operator.index, mode_shape))
+        if min(sizes, default=1) >= 1:
+            return sizes
+    except TypeError:
+        pass
+    raise ShapeError(f"mode sizes must be integers >= 1, got {mode_shape!r}")
+
+
+def param_count_formula(family: str, mode_shape, ranks) -> int:
+    """Closed-form stored-scalar count for a (family, ranks) configuration:
+    bad mode sizes raise ``ShapeError``, bad ranks ``_layout``'s
+    ``RankError``."""
+    shape = _mode_sizes(mode_shape)
+    kind, ranks = _layout(family, len(shape), tuple(int(r) for r in ranks))
+    return _param_count(kind, shape, ranks)
 
 
 def _param_count(family: str, shape: tuple[int, ...], ranks: tuple[int, ...]) -> int:
@@ -518,7 +522,7 @@ def _param_count(family: str, shape: tuple[int, ...], ranks: tuple[int, ...]) ->
 
 def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
     """Smallest ranks that make the decomposition exact for any tensor."""
-    shape = tuple(int(s) for s in mode_shape)
+    shape = _mode_sizes(mode_shape)
     d = len(shape)
     total = math.prod(shape)
     if family == "tucker":
@@ -565,8 +569,9 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> tuple[int, ...
     while the budget allows. A ring's ranks are ``(1, *bonds)`` of the
     train's search. Budgets below the rank-1 count raise
     ``InfeasibleBudgetError``. Only a ``ParamBudget`` selects ranks (other
-    targets raise ``TypeError``) and only for Tucker, TT or TR (others
-    raise ``RankError``).
+    targets raise ``TypeError``), only for Tucker, TT or TR (others raise
+    ``RankError``) and only on ``_mode_sizes`` (others raise
+    ``ShapeError``).
 
     Arguments are validated here, once; the search runs behind a
     process-wide memo of 4,096 (shape, family, budget) keys, least recently
@@ -575,7 +580,7 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> tuple[int, ...
     infeasible budget's rank-1 cost, from which every call raises a fresh
     ``InfeasibleBudgetError``.
     """
-    shape = tuple(int(s) for s in mode_shape)
+    shape = _mode_sizes(mode_shape)
     if family not in FAMILIES:
         raise RankError(f"no ranks to select for family {family!r}")
     if not isinstance(target, ParamBudget):

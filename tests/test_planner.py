@@ -564,15 +564,16 @@ class TestRankFitMemo:
         ratios = []
         selection = planner._uniform_selection
 
-        def recording(options, family, ratio, fit):
+        def recording(options, family, ratio):
             ratios.append(ratio)
-            return selection(options, family, ratio, fit)
+            return selection(options, family, ratio)
 
         monkeypatch.setattr(planner, "_uniform_selection", recording)
         allocate(options, 0.3, mode="uniform", single_family=family)
-        # eight 64 x 64 patches, 47 selection passes over 46 distinct ratios
-        assert len(ratios) == 47
-        assert len(calls) == len(set(ratios)) == 46
+        # eight 64 x 64 patches, 46 selection passes over 46 distinct ratios:
+        # the bisection carries lo's selection, so no pass repeats a ratio
+        assert len(ratios) == len(set(ratios)) == 46
+        assert len(calls) == 46
 
         calls.clear()
         allocate(options, 0.3, mode="uniform", single_family=family)

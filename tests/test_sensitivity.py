@@ -624,7 +624,7 @@ class TestStackedProbes:
             except InfeasibleBudgetError:
                 continue
             assert ranks[0] == 1, (shape, ratio, ranks)
-            assert tn._probe_key("tr", ranks) == ("tt", ranks[1:]), (shape, ratio, ranks)
+            assert tn._layout("tr", len(mode_shape), ranks) == ("tt", ranks[1:]), (shape, ratio, ranks)
 
     def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng):
         # (4, 8, 4, 8) modes: Tucker keeps modes 0 and 2 whole at 0.5 and
@@ -1239,6 +1239,23 @@ class TestDeterminism:
         assert rows.shape == (80, 1 + len(predictor.heads))
         for f, row in zip(feats, rows):
             assert predictor.forward(f).tobytes() == row.tobytes()
+
+    def test_heads_with_equal_coef_columns_predict_equal_bits(self):
+        # four heads whose coef columns equal four others', as TR's equal TT's;
+        # a matmul over all the columns gave the twins other bits
+        ratios = (0.5, 0.35, 0.25, 0.15)
+        heads = [(family, ratio) for family in ("tt", "tr") for ratio in ratios]
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            coef = rng.standard_normal((1 + N_FEATURES, 5)) * rng.uniform(0.01, 100.0, (1 + N_FEATURES, 1))
+            coef = np.column_stack([coef, coef[:, 1:]])  # column 5 + j twins column 1 + j
+            scale = rng.uniform(0.5, 2.0, N_FEATURES)
+            predictor = sensitivity.Predictor(coef, rng.standard_normal(N_FEATURES), scale, heads)
+            feats = rng.standard_normal((24, N_FEATURES)) * rng.uniform(0.1, 10.0, N_FEATURES)
+            rows = predictor.forward(feats)
+            assert rows[:, 1:5].tobytes() == rows[:, 5:].tobytes(), seed
+            for f, row in zip(feats, rows):
+                assert predictor.forward(f).tobytes() == row.tobytes(), seed
 
     def test_a_ring_predicts_its_trains_bits(self):
         # a TR probe is its TT probe, so the two heads' coef columns are equal

@@ -349,12 +349,6 @@ class TestTensorTrain:
         assert relerr(t, reconstruct(layer)) <= 1e-10
         assert layer.ranks == (4, 4)  # capped at the feasible split ranks
 
-    def test_wrong_bond_count(self, rng):
-        t = rng.standard_normal((4, 4, 4))
-        for ranks in ((2,), (2, 2, 2)):
-            with pytest.raises(RankError):
-                tt_decompose(t, ranks)
-
 
 class TestTensorRing:
     def test_all_ranks_one_on_rank_one_input(self, rng):
@@ -551,6 +545,80 @@ class TestParamCounts:
         assert count >= 40
 
 
+LAYOUT_SHAPE = (4, 3, 2, 5)
+DECOMPOSE = {"tucker": tucker_decompose, "tt": tt_decompose, "tr": tr_decompose}
+LAYOUT_ENTRIES = {
+    "decompose": lambda family, ranks: DECOMPOSE[family](np.ones(LAYOUT_SHAPE), ranks),
+    "param_count_formula": lambda family, ranks: param_count_formula(family, LAYOUT_SHAPE, ranks),
+}
+# (family, ranks, message) on LAYOUT_SHAPE's four modes
+LAYOUT_REJECTIONS = [
+    ("tucker", (2, 2, 2), "need 4 tucker ranks, got 3"),
+    ("tucker", (2, 2, 2, 2, 2), "need 4 tucker ranks, got 5"),
+    ("tt", (2, 2), "need 3 tt ranks, got 2"),
+    ("tt", (2, 2, 2, 2), "need 3 tt ranks, got 4"),
+    ("tr", (1, 2, 2), "need 4 tr ranks, got 3"),
+    ("tr", (1, 2, 2, 2, 2), "need 4 tr ranks, got 5"),
+    ("tr", (2, 2, 2, 2), r"closing bond ranks\[0\] must be 1, got 2"),
+    ("tr", (0, 2, 2, 2), r"closing bond ranks\[0\] must be 1, got 0"),
+    ("tr", (np.int64(3), 1, 1, 1), r"closing bond ranks\[0\] must be 1, got 3"),
+]
+LAYOUT_CASES = [(entry, *case) for entry in LAYOUT_ENTRIES for case in LAYOUT_REJECTIONS] + [
+    ("param_count_formula", "cp", (2, 2, 2, 2), "unknown family 'cp'"),
+    ("param_count_formula", "TT", (2, 2, 2), "unknown family 'TT'"),
+]
+
+
+class TestLayout:
+    """``_layout`` is the one check of a family, a rank count and a ring's
+    closing bond, before any LAPACK call, for every entry that takes ranks."""
+
+    @pytest.mark.parametrize(
+        "entry, family, ranks, message", [pytest.param(*case, id="{}-{}-{}".format(*case)) for case in LAYOUT_CASES]
+    )
+    def test_rejects(self, lapack_calls, eigh_calls, entry, family, ranks, message):
+        with pytest.raises(RankError, match=message):
+            LAYOUT_ENTRIES[entry](family, ranks)
+        assert lapack_calls == [] and eigh_calls == []
+
+    def test_a_ring_is_its_train_and_the_others_are_their_own_tuples(self):
+        tucker, bonds = (2, 3, 2, 4), (2, 3, 2)
+        assert tn._layout("tucker", 4, tucker)[1] is tucker and tn._layout("tt", 4, bonds)[1] is bonds
+        assert tn._layout("tr", 4, (1, *bonds)) == ("tt", bonds)
+        assert param_count_formula("tr", LAYOUT_SHAPE, (1, *bonds)) == param_count_formula("tt", LAYOUT_SHAPE, bonds)
+
+
+# mode shapes of a size that is not a Python or numpy integer of at least 1
+BAD_MODE_SHAPES = [(0, 4), (-4, 4), (4, 0, 4), (4.7, 4), (4, 4.0), ("4", 4), (4, None), (np.float64(4), 4)]
+
+
+class TestModeSizes:
+    @pytest.mark.parametrize("mode_shape", BAD_MODE_SHAPES, ids=str)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_bad_mode_size_raises_shape_error(self, family, mode_shape):
+        d = len(mode_shape)
+        ranks = (1,) * (d - 1 if family == "tt" else d)
+        calls = (
+            lambda: select_ranks(mode_shape, family, ParamBudget(5)),
+            lambda: param_count_formula(family, mode_shape, ranks),
+            lambda: maximal_ranks(family, mode_shape),
+        )
+        for call in calls:
+            with pytest.raises(ShapeError, match="mode sizes must be integers >= 1"):
+                call()
+
+    def test_a_bad_mode_size_is_checked_before_the_rank_memo(self):
+        assert select_ranks((4, 4), "tt", ParamBudget(8)) == (1,)
+        with pytest.raises(ShapeError):
+            select_ranks((4.7, 4), "tt", ParamBudget(8))  # once truncated to the memo's (4, 4)
+
+    def test_numpy_integer_sizes_are_python_ints(self):
+        shape = (np.int64(4), np.int32(3), np.uint8(5))
+        assert param_count_formula("tt", shape, (2, 2)) == param_count_formula("tt", (4, 3, 5), (2, 2)) == 8 + 12 + 10
+        assert select_ranks(shape, "tucker", ParamBudget(60)) == select_ranks((4, 3, 5), "tucker", ParamBudget(60))
+        assert all(type(n) is int for n in maximal_ranks("tr", shape))
+
+
 class TestSelectRanks:
     def test_tt_budget_inversion(self):
         ranks = select_ranks((8, 8, 8, 8), "tt", ParamBudget(320))
@@ -663,16 +731,6 @@ class TestSelectRanks:
                     except InfeasibleBudgetError as err:
                         got = ("infeasible", err.best_achievable)
                     assert got == expected, (shape, family, budget)
-
-    def test_public_counts_still_validate(self):
-        with pytest.raises(RankError):
-            param_count_formula("tucker", (4, 4, 4), (2, 2))
-        with pytest.raises(RankError):
-            param_count_formula("tt", (4, 4, 4), (2, 2, 2))
-        with pytest.raises(RankError):
-            param_count_formula("tr", (4, 4, 4), (2, 2))
-        with pytest.raises(RankError):
-            param_count_formula("cp", (4, 4, 4), (2, 2, 2))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_returns_a_tuple_of_python_ints(self, family):
@@ -1044,7 +1102,7 @@ class TestSvdSource:
 
     def test_a_ring_with_a_unit_closing_bond_has_the_train_cores_bitwise(self, rng):
         # what lets a probe of a ring take the train's deviation
-        # (tn._probe_key); (4, 8, 4) is capped at (4, 4, 4)
+        # (tn._layout); (4, 8, 4) is capped at (4, 4, 4)
         t = rng.standard_normal((4, 4, 4, 4))
         for bonds in [(3, 5, 2), (4, 8, 4), (2, 2, 1)]:
             tt, tr = tt_decompose(t, bonds), tr_decompose(t, (1, *bonds))
