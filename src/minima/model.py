@@ -7,16 +7,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from minima.errors import NumericsError, ShapeError
+from minima.tensor_core import as_count
 
 SUBMODULE_KINDS = ("attention_proj", "ffn", "embedding", "other")
 
 
 @dataclass(frozen=True)
 class LayerEntry:
-    """A named matrix at a layer index: a Python or numpy integer, stored
-    as ``int``; a negative index raises ``ShapeError``. Fields cannot be
-    reassigned once made; a write into the matrix is seen by
-    ``ModelContainer.validate``."""
+    """A named matrix at a layer index, a count of at least 0 stored as a
+    Python ``int`` (``as_count``, or ``ShapeError``); a complex matrix
+    raises ``NumericsError``. Fields cannot be reassigned once made; a
+    write into the matrix is seen by ``ModelContainer.validate``."""
 
     name: str
     matrix: np.ndarray  # 2-D, float32 storage allowed; compute paths upcast
@@ -24,12 +25,10 @@ class LayerEntry:
     submodule_kind: str = "other"
 
     def __post_init__(self):
-        if not isinstance(self.layer_index, (int, np.integer)):
-            raise ShapeError(f"entry {self.name!r} layer index {self.layer_index!r} is not an integer")
-        object.__setattr__(self, "layer_index", int(self.layer_index))
-        if self.layer_index < 0:
-            raise ShapeError(f"entry {self.name!r} layer index {self.layer_index} is negative")
-        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix))
+        object.__setattr__(self, "layer_index", as_count(self.layer_index, 0, f"entry {self.name!r} layer index"))
+        object.__setattr__(self, "matrix", np.ascontiguousarray(self.matrix))  # keeps the dtype: no cast
+        if self.matrix.dtype.kind == "c":
+            raise NumericsError(f"entry {self.name!r} has complex values")
         if self.matrix.ndim != 2:
             raise ShapeError(f"entry {self.name!r} must be a matrix, got rank {self.matrix.ndim}")
         if not np.all(np.isfinite(self.matrix)):

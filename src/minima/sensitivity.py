@@ -37,7 +37,7 @@ import numpy as np
 
 from minima.errors import EmptyModelError, InfeasibleBudgetError, NumericsError, ShapeError
 from minima.model import ModelContainer
-from minima.tensor_core import as_tensor
+from minima.tensor_core import as_count, as_tensor
 from minima.tn_decompositions import (
     FAMILIES,
     _layout,
@@ -96,18 +96,13 @@ def partition_patches(model: ModelContainer, patch_size=(64, 64)) -> list[Patch]
     """Tile every matrix exactly; ragged tiles stay at the right/bottom edges.
 
     Patch ids follow container order, then row-major tile order.
-    ``patch_size`` is two Python or numpy integers of at least 16, or
+    ``patch_size`` is a pair of counts of at least 16 (``as_count``), or
     ``ValueError``.
     """
-    try:
-        pair = len(patch_size) == 2 and all(isinstance(d, (int, np.integer)) for d in patch_size)
-    except TypeError:  # no length: a scalar
-        pair = False
-    if not pair:
+    sizes = tuple(patch_size) if np.iterable(patch_size) else ()
+    if len(sizes) != 2:
         raise ValueError(f"patch size must be two integers, got {patch_size!r}")
-    pr, pc = int(patch_size[0]), int(patch_size[1])
-    if pr < 16 or pc < 16:
-        raise ValueError(f"patch dimensions must be >= 16, got {(pr, pc)}")
+    pr, pc = (as_count(n, 16, "patch dimension", ValueError) for n in sizes)
     if not model.entries:
         raise EmptyModelError("model container holds no matrices")
     patches = []
@@ -324,7 +319,7 @@ def _probe_stack(patch_ids, stack, calibs, families, ratio_grid) -> list[list[Pr
             except InfeasibleBudgetError as exc:
                 skips[family, ratio] = exc
             else:
-                keys[family, ratio] = _layout(family, len(mode_shape), ranks)
+                keys[family, ratio] = _layout(family, mode_shape, ranks)
     refs = [float(np.linalg.norm(w @ x)) for w, x in zip(stack, calibs)]  # ||W X|| per patch
     tucker, trains = ([k[1] for k in dict.fromkeys(keys.values()) if k[0] == family] for family in ("tucker", "tt"))
     measured = {
@@ -619,7 +614,7 @@ def analyze(
     decomposition, the model's weights (``ModelContainer.validate``) and
     each probed layer's calibration are scanned once, and a probed layer
     that ``calib`` lacks or gives another shape, or a ``probe_stride``
-    that is not a Python or numpy integer of at least 1, raises
+    that is not a count of at least 1 (``as_count``), raises
     ``ValueError``. Then each patch is copied out of the model once, into a
     stack of same-shape patches (``_stack_pass``), and the records come
     from one ``forward`` over all the patches (``_records``); every output
@@ -628,10 +623,7 @@ def analyze(
     unused: ``calib`` is given and the fit is closed-form. It stays because
     ``perfbench/workloads.py`` passes it.
     """
-    if not isinstance(probe_stride, (int, np.integer)):
-        raise ValueError(f"probe_stride must be an integer, got {probe_stride!r}")
-    if probe_stride < 1:
-        raise ValueError(f"probe_stride must be >= 1, got {probe_stride}")
+    probe_stride = as_count(probe_stride, 1, "probe_stride", ValueError)
     model.validate()
     patches = partition_patches(model, patch_size)
     exclude_kinds = EXCLUDED_KINDS if exclude_kinds is None else exclude_kinds

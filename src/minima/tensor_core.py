@@ -32,6 +32,9 @@ Conventions of the whole package, stated here once:
   overflow (a TT split, a basis's unfolding), is checked where it is
   used, once: ``_leading_basis`` checks the peak it scales by, which a NaN
   or inf reaches, and a tall or whole TT split is scanned.
+* Counts: a rank, budget, mode size, stride or index is a Python or numpy
+  integer of at least its bound, checked once by ``as_count`` (a Python
+  ``int``); a float, string or ``None`` is rejected, never truncated.
 * Truncation is an integer rank: keep the leading ``r`` triplets or
   vectors. Ranks come from a ``ParamBudget`` through
   ``tn_decompositions.select_ranks``. A rank that keeps all ``m`` rows of
@@ -47,6 +50,7 @@ Conventions of the whole package, stated here once:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +58,23 @@ import numpy as np
 from minima.errors import NumericsError, RankError, ShapeError
 
 
+def as_count(value, low: int, what: str, error: type[Exception] = ShapeError) -> int:
+    """``value`` as a Python int: ``error`` unless ``operator.index`` takes
+    it (a Python or numpy integer) and it is at least ``low``."""
+    try:
+        count = operator.index(value)
+        if count >= low:
+            return count
+    except TypeError:
+        pass
+    raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def as_tensor(data) -> np.ndarray:
-    """Validate and normalize input to a finite float64 C-ordered array."""
+    """Validate and normalize input to a finite float64 C-ordered array; a
+    complex input raises ``NumericsError`` rather than lose its imaginary part."""
+    if np.iscomplexobj(data):
+        raise NumericsError("tensor entries must be real, got a complex array")
     t = np.ascontiguousarray(data, dtype=np.float64)
     if t.ndim == 0:
         t = t.reshape(1)
@@ -123,9 +142,7 @@ class ParamBudget:
     budget: int
 
     def __post_init__(self):
-        if int(self.budget) < 1:
-            raise RankError(f"parameter budget must be >= 1, got {self.budget}")
-        object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", as_count(self.budget, 1, "parameter budget", RankError))
 
 
 @dataclass(frozen=True)
@@ -155,13 +172,14 @@ def truncated_svd(matrix: np.ndarray, rank: int) -> SvdResult:
     thin LAPACK SVD, values non-increasing, under the sign rule: a prefix
     of ``full_svd`` bit for bit. Past the numerical rank the kept values
     are zero up to rounding and their vectors stay orthonormal. Another
-    rank of tensor raises ``ShapeError``, and ``rank`` outside ``[1, min(m,
-    n)]`` raises ``RankError``.
+    rank of tensor raises ``ShapeError``, and a ``rank`` that is not a count
+    in ``[1, min(m, n)]`` raises ``RankError``.
     """
     m = as_tensor(matrix)
     if m.ndim != 2:
         raise ShapeError(f"expected a rank-2 tensor, got rank {m.ndim}")
-    if not 1 <= rank <= min(m.shape):
+    rank = as_count(rank, 1, "rank", RankError)
+    if rank > min(m.shape):
         raise RankError(f"rank {rank} out of range [1, {min(m.shape)}] for a {m.shape} matrix")
     left, values, right_t = np.linalg.svd(m, full_matrices=False)
     left, right = left[:, :rank], right_t[:rank].T
@@ -182,15 +200,15 @@ def full_svd(matrix: np.ndarray) -> SvdResult:
 def leading_basis(matrix: np.ndarray, rank: int) -> np.ndarray:
     """``rank`` orthonormal columns spanning the leading left singular
     subspace of each matrix of a stack ``(P, m, n)``: ``as_tensor``, the
-    shape and rank checks, then ``_leading_basis``. ``rank`` outside ``[1,
-    m]`` raises ``RankError``.
+    shape and rank checks, then ``_leading_basis``. A ``rank`` that is not
+    a count in ``[1, m]`` raises ``RankError``.
     """
     m = as_tensor(matrix)
     if m.ndim != 3:
         raise ShapeError(f"expected a stack of rank-2 tensors, got rank {m.ndim}")
-    rows = m.shape[-2]
-    if not 1 <= rank <= rows:
-        raise RankError(f"rank {rank} out of range [1, {rows}] for a {m.shape[-2:]} matrix")
+    rank = as_count(rank, 1, "rank", RankError)
+    if rank > m.shape[-2]:
+        raise RankError(f"rank {rank} out of range [1, {m.shape[-2]}] for a {m.shape[-2:]} matrix")
     return _leading_basis(m, rank)
 
 

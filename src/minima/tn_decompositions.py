@@ -5,11 +5,11 @@ Ranks: Tucker ranks are per mode, ``core.shape == ranks`` and factor k is
 core k is ``(r_{k-1}, mode_shape[k], r_k)`` with boundary bonds of 1. A
 ring is its train with a closing bond of 1, and this module alone decides
 so, in ``_layout``: its d ranks are ``(1, *bonds)``, ``ranks[k]`` the left
-bond of core k, and its cores are the train's. ``_layout`` is the one check
-of a family, a rank count and a closing bond; the decompositions,
-``param_count_formula`` and the probes of ``sensitivity`` take ranks
-through it. ``select_ranks`` and ``CompressedLayer`` take no other ring.
-Mode sizes are Python or numpy integers of at least 1 (``_mode_sizes``).
+bond of core k, and its cores are the train's. ``_layout`` is the one rank
+check (family, count, each rank a count >= 1, a Tucker rank at most its
+mode, the closing bond): the decompositions, ``param_count_formula`` and
+``sensitivity``'s probes take ranks through it, and ``select_ranks`` and
+``maximal_ranks`` raise its unknown-family error. Mode sizes are counts >= 1.
 
 Determinism, signs and stacks follow ``tensor_core``. ``_tucker_stack`` and
 ``_train_stack`` decompose a stack ``(P, n_0, ..., n_{d-1})`` at each of a
@@ -62,6 +62,7 @@ from minima.tensor_core import (
     ParamBudget,
     _column_signs,
     _leading_basis,
+    as_count,
     as_tensor,
     mode_dot,
     unfold,
@@ -75,7 +76,7 @@ def balanced_split(n: int) -> tuple[int, ...]:
     if n <= 1:
         return (max(n, 1),)
     a = 1
-    for cand in range(int(math.isqrt(n)), 1, -1):
+    for cand in range(math.isqrt(n), 1, -1):
         if n % cand == 0:
             a = cand
             break
@@ -120,10 +121,10 @@ class CompressedLayer:
         return bonds if self.family == "tt" else (1, *bonds)
 
     def validate(self) -> None:
-        """Raise ``ShapeError`` unless the arrays fit the family and mode
-        shape; a ring is held to its train's chain, boundary bonds of 1."""
+        """Raise ``ShapeError`` unless ``row_mode_count`` is a count in [1, d)
+        and the arrays fit the family and modes, a ring's as its train's."""
         d = len(self.mode_shape)
-        if not 1 <= self.row_mode_count < d:
+        if as_count(self.row_mode_count, 1, "row_mode_count") >= d:
             raise ShapeError(f"row_mode_count {self.row_mode_count} invalid for {d} modes")
         if self.family == "tucker":
             if self.core is None or self.core.ndim != d or len(self.factors) != d:
@@ -157,14 +158,10 @@ def _slice_energies(t: np.ndarray) -> np.ndarray:
 def tucker_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     """Tucker decomposition at ``ranks``: ``_tucker_stack`` of a stack of
     one. The layer owns a copy of the core, and a whole mode's factor is
-    ``np.eye(n_k)``. A count other than d, or a rank outside ``[1, n_k]``,
-    raises ``RankError``.
+    ``np.eye(n_k)``. Ranks that ``_layout`` rejects raise its ``RankError``.
     """
     t = as_tensor(t)
-    _, ranks = _layout("tucker", t.ndim, tuple(int(r) for r in ranks))
-    for k, r in enumerate(ranks):
-        if not 1 <= r <= t.shape[k]:
-            raise RankError(f"rank {r} out of range [1, {t.shape[k]}] for mode {k}")
+    _, ranks = _layout("tucker", t.shape, ranks)
     ((_, core, factors),) = _tucker_stack(t[None], [ranks])
     return CompressedLayer(
         family="tucker",
@@ -269,8 +266,7 @@ def tt_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     """Sequential TT-SVD (Oseledets 2011) with the d-1 bond ranks ``ranks``,
     ``_train_stack`` of a stack of one. Each bond is capped at the min
     dimension of the unfolding it truncates, so ``layer.ranks`` may be
-    below ``ranks``. A count other than d-1, or a bond below 1, raises
-    ``RankError``."""
+    below ``ranks``. Bonds that ``_layout`` rejects raise its ``RankError``."""
     return _train_layer("tt", as_tensor(t), ranks)
 
 
@@ -279,9 +275,7 @@ def _train_layer(family: str, t: np.ndarray, ranks) -> CompressedLayer:
     ``_train_stack`` of a stack of one, one layer built."""
     if t.ndim < 2:
         raise ShapeError(f"tensor-{'train' if family == 'tt' else 'ring'} needs at least 2 modes")
-    _, bonds = _layout(family, t.ndim, tuple(int(r) for r in ranks))
-    if min(bonds) < 1:
-        raise RankError(f"bond ranks must be >= 1, got {bonds}")
+    _, bonds = _layout(family, t.shape, ranks)
     ((_, cores),) = _train_stack(t[None], [bonds])
     return CompressedLayer(family=family, mode_shape=t.shape, row_mode_count=1, cores=[core[0] for core in cores])
 
@@ -391,8 +385,8 @@ def tr_decompose(t: np.ndarray, ranks) -> CompressedLayer:
     """Tensor ring with the d cyclic ranks ``ranks``, whose closing bond
     ``ranks[0]`` is 1: the train ``tt_decompose(t, ranks[1:])`` stored as
     a ring, its cores the train's bit for bit and each bond capped as
-    ``tt_decompose`` caps it. A count other than d, a closing bond other
-    than 1, or a bond below 1 raises ``RankError``.
+    ``tt_decompose`` caps it. Ranks that ``_layout`` rejects raise its
+    ``RankError``.
     """
     return _train_layer("tr", as_tensor(t), ranks)
 
@@ -473,17 +467,25 @@ def layer_to_matrix(layer: CompressedLayer) -> np.ndarray:
     return reconstruct(layer).reshape(layer.matrix_shape)
 
 
-def _layout(family: str, d: int, ranks: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    """The structure that ``family`` at the int tuple ``ranks`` decomposes
-    on d modes: ``("tucker", ranks)`` or ``("tt", ranks)``, the tuple
-    itself, and for a ring its train's, ``("tt", ranks[1:])``. An unknown
-    family, a count other than d (d-1 for TT), or a ring whose closing bond
-    ``ranks[0]`` is not 1 raises ``RankError``."""
+def _layout(family: str, shape: tuple[int, ...], ranks) -> tuple[str, tuple[int, ...]]:
+    """The structure that ``family`` at ``ranks`` decomposes on the mode
+    sizes ``shape``, in Python ints: ``("tucker", ranks)``, ``("tt", ranks)``
+    or a ring's train ``("tt", ranks[1:])``. An unknown family, a rank not a
+    count >= 1, a count other than d (d-1 for TT), a Tucker rank above its
+    mode, or a closing bond other than 1 raises ``RankError``."""
     if family not in FAMILIES:
         raise RankError(f"unknown family {family!r}")
-    count = d - 1 if family == "tt" else d
-    if len(ranks) != count:
-        raise RankError(f"need {count} {family} ranks, got {len(ranks)}")
+    for r in ranks:
+        as_count(r, 1, f"{family} rank", RankError)
+    if type(ranks) is not tuple or any(type(r) is not int for r in ranks):
+        ranks = tuple(map(operator.index, ranks))  # a tuple of Python ints is kept: probe keys stay select_ranks' memo tuples
+    need = len(shape) - 1 if family == "tt" else len(shape)
+    if len(ranks) != need:
+        raise RankError(f"need {need} {family} ranks, got {len(ranks)}")
+    if family == "tucker":
+        for k, (r, n) in enumerate(zip(ranks, shape)):
+            if r > n:
+                raise RankError(f"tucker rank {r} exceeds the size {n} of mode {k}")
     if family != "tr":
         return family, ranks
     if ranks[0] != 1:
@@ -492,23 +494,16 @@ def _layout(family: str, d: int, ranks: tuple[int, ...]) -> tuple[str, tuple[int
 
 
 def _mode_sizes(mode_shape) -> tuple[int, ...]:
-    """``mode_shape`` as Python ints; ``ShapeError`` unless each size is a
-    Python or numpy integer (``operator.index`` takes it) of at least 1."""
-    try:
-        sizes = tuple(map(operator.index, mode_shape))
-        if min(sizes, default=1) >= 1:
-            return sizes
-    except TypeError:
-        pass
-    raise ShapeError(f"mode sizes must be integers >= 1, got {mode_shape!r}")
+    """``mode_shape`` as Python ints, each a count of at least 1, or ``ShapeError``."""
+    return tuple(as_count(n, 1, "mode size") for n in mode_shape)
 
 
 def param_count_formula(family: str, mode_shape, ranks) -> int:
     """Closed-form stored-scalar count for a (family, ranks) configuration:
-    bad mode sizes raise ``ShapeError``, bad ranks ``_layout``'s
+    bad mode sizes raise ``ShapeError``, ranks ``_layout`` rejects its
     ``RankError``."""
     shape = _mode_sizes(mode_shape)
-    kind, ranks = _layout(family, len(shape), tuple(int(r) for r in ranks))
+    kind, ranks = _layout(family, shape, ranks)
     return _param_count(kind, shape, ranks)
 
 
@@ -521,20 +516,16 @@ def _param_count(family: str, shape: tuple[int, ...], ranks: tuple[int, ...]) ->
 
 
 def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
-    """Smallest ranks that make the decomposition exact for any tensor."""
+    """Smallest ranks that make the decomposition exact for any tensor; an
+    unknown family raises ``_layout``'s ``RankError``."""
     shape = _mode_sizes(mode_shape)
-    d = len(shape)
     total = math.prod(shape)
     if family == "tucker":
         return tuple(min(n, total // n) for n in shape)
-    tt = tuple(
-        min(math.prod(shape[: k + 1]), math.prod(shape[k + 1 :])) for k in range(d - 1)
-    )
-    if family == "tt":
-        return tt
-    if family == "tr":
-        return (1,) + tt
-    raise RankError(f"unknown family {family!r}")
+    tt = tuple(min(math.prod(shape[: k + 1]), math.prod(shape[k + 1 :])) for k in range(len(shape) - 1))
+    if family not in ("tt", "tr"):
+        _layout(family, shape, tt)  # raises its "unknown family" error
+    return tt if family == "tt" else (1, *tt)
 
 
 def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
@@ -556,7 +547,7 @@ def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
 
 def ratio_budget(ratio: float, dense: int) -> ParamBudget:
     """Parameter budget of a compression ratio: ``max(floor(ratio * dense), 1)``."""
-    return ParamBudget(max(int(math.floor(ratio * dense)), 1))
+    return ParamBudget(max(math.floor(ratio * dense), 1))
 
 
 def select_ranks(mode_shape, family: str, target: ParamBudget) -> tuple[int, ...]:
@@ -570,7 +561,7 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> tuple[int, ...
     train's search. Budgets below the rank-1 count raise
     ``InfeasibleBudgetError``. Only a ``ParamBudget`` selects ranks (other
     targets raise ``TypeError``), only for Tucker, TT or TR (others raise
-    ``RankError``) and only on ``_mode_sizes`` (others raise
+    ``_layout``'s ``RankError``) and only on ``_mode_sizes`` (others raise
     ``ShapeError``).
 
     Arguments are validated here, once; the search runs behind a
@@ -582,7 +573,7 @@ def select_ranks(mode_shape, family: str, target: ParamBudget) -> tuple[int, ...
     """
     shape = _mode_sizes(mode_shape)
     if family not in FAMILIES:
-        raise RankError(f"no ranks to select for family {family!r}")
+        _layout(family, shape, ())  # raises its "unknown family" error
     if not isinstance(target, ParamBudget):
         raise TypeError(f"ranks are selected by a ParamBudget, got {target!r}")
     budget = target.budget

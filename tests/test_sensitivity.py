@@ -63,6 +63,11 @@ def decayed_matrix(rng, m, n, gamma):
     return (u[:, :k] * s) @ v[:, :k].T
 
 
+# patch sizes whose dimensions are not integers, and patch sizes that are not pairs
+BAD_PATCH_DIMENSIONS = [(16.9, 16.2), (16.0, 16), ("16", 16), (16, np.float64(16.0))]
+BAD_PATCH_PAIRS = [(16, 16, 99), (16,), 16, np.int64(16)]
+
+
 class TestPartition:
     def test_four_even_patches(self, rng):
         model = make_model([("w", rng.standard_normal((128, 128)), "ffn")])
@@ -94,15 +99,17 @@ class TestPartition:
             partition_patches(model, (8, 64))
 
     @pytest.mark.parametrize(
-        "size",
-        [(16.9, 16.2), (16.0, 16), ("16", 16), (16, np.float64(16.0)), (16, 16, 99), (16,), 16, np.int64(16)],
-        ids=str,
+        "size, message",
+        [
+            *(pytest.param(size, "patch dimension must be an integer >= 16", id=str(size)) for size in BAD_PATCH_DIMENSIONS),
+            *(pytest.param(size, "patch size must be two integers", id=str(size)) for size in BAD_PATCH_PAIRS),
+        ],
     )
-    def test_a_patch_size_of_other_than_two_integers_raises(self, rng, size):
+    def test_a_patch_size_of_other_than_two_integers_raises(self, rng, size, message):
         # int() once cut a 32x32 layer into 16x16 tiles at (16.9, 16.2), and
         # a third dimension was ignored
         model = make_model([("w", rng.standard_normal((32, 32)), "ffn")])
-        with pytest.raises(ValueError, match="patch size must be two integers, got .*16"):
+        with pytest.raises(ValueError, match=f"{message}, got .*16"):
             partition_patches(model, size)
 
     def test_a_numpy_integer_patch_size_tiles(self, rng):
@@ -440,8 +447,7 @@ class TestProbeWork:
         # float once passed that check and raised TypeError from the slice
         model = make_model([("w", rng.standard_normal((64, 64)), "ffn")])
         calib = {"w": rng.standard_normal((64, 16))}
-        message = "an integer" if isinstance(stride, float) else ">= 1"
-        with pytest.raises(ValueError, match=f"probe_stride must be {message}, got {stride}"):
+        with pytest.raises(ValueError, match=f"probe_stride must be an integer >= 1, got {stride}"):
             analyze(model, calib, patch_size=(32, 32), probe_stride=stride)
         assert lapack_calls == []  # before any feature or probe
 
@@ -624,7 +630,7 @@ class TestStackedProbes:
             except InfeasibleBudgetError:
                 continue
             assert ranks[0] == 1, (shape, ratio, ranks)
-            assert tn._layout("tr", len(mode_shape), ranks) == ("tt", ranks[1:]), (shape, ratio, ranks)
+            assert tn._layout("tr", mode_shape, ranks) == ("tt", ranks[1:]), (shape, ratio, ranks)
 
     def test_a_stack_of_three_equals_the_compress_matrix_loop_bitwise(self, rng):
         # (4, 8, 4, 8) modes: Tucker keeps modes 0 and 2 whole at 0.5 and

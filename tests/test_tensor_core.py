@@ -91,10 +91,26 @@ class TestModeDot:
                 mode_dot(t, mat, 0)
 
 
+COMPLEX_INPUTS = [np.ones(3) + 1j, np.ones((4, 3), dtype=np.complex64), [1.0, 2.0 + 0j]]
+
+
 class TestAsTensor:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericsError):
             as_tensor([np.nan, 1.0])
+
+    @pytest.mark.parametrize("data", COMPLEX_INPUTS, ids=["imaginary", "complex64", "list"])
+    def test_a_complex_input_raises_rather_than_lose_its_imaginary_part(self, data):
+        # the float64 cast once returned [1, 1, 1] for np.ones(3) + 1j, with only a ComplexWarning
+        with pytest.raises(NumericsError, match="must be real, got a complex array"):
+            as_tensor(data)
+
+    def test_a_complex_matrix_raises_before_lapack(self, lapack_calls, eigh_calls):
+        m = np.ones((4, 3)) + 1j
+        for call in (lambda: truncated_svd(m, 2), lambda: leading_basis(m[None], 2)):
+            with pytest.raises(NumericsError, match="complex"):
+                call()
+        assert lapack_calls == [] and eigh_calls == []
 
 
 class TestTruncatedSvd:

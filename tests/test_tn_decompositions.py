@@ -560,8 +560,19 @@ LAYOUT_REJECTIONS = [
     ("tr", (1, 2, 2), "need 4 tr ranks, got 3"),
     ("tr", (1, 2, 2, 2, 2), "need 4 tr ranks, got 5"),
     ("tr", (2, 2, 2, 2), r"closing bond ranks\[0\] must be 1, got 2"),
-    ("tr", (0, 2, 2, 2), r"closing bond ranks\[0\] must be 1, got 0"),
+    ("tr", (0, 2, 2, 2), "tr rank must be an integer >= 1, got 0"),
     ("tr", (np.int64(3), 1, 1, 1), r"closing bond ranks\[0\] must be 1, got 3"),
+    # each rank a count of at least 1, never truncated by int(), and a Tucker rank at most its mode
+    ("tt", (0, 2, 2), "tt rank must be an integer >= 1, got 0"),
+    ("tt", (2, -3, 2), "tt rank must be an integer >= 1, got -3"),
+    ("tr", (1, 2, 2, 0), "tr rank must be an integer >= 1, got 0"),
+    ("tr", (1, -3, 2, 2), "tr rank must be an integer >= 1, got -3"),
+    ("tucker", (5, 2, 2, 2), "tucker rank 5 exceeds the size 4 of mode 0"),
+    ("tucker", (2, 3, 3, 2), "tucker rank 3 exceeds the size 2 of mode 2"),
+    ("tt", (2.7, 2, 2), "tt rank must be an integer >= 1, got 2.7"),
+    ("tr", (1, 2, 2.7, 2), "tr rank must be an integer >= 1, got 2.7"),
+    ("tucker", (2, 2, 2, "3"), "tucker rank must be an integer >= 1, got '3'"),
+    ("tucker", (1.5, 2, 2, 2), "tucker rank must be an integer >= 1, got 1.5"),
 ]
 LAYOUT_CASES = [(entry, *case) for entry in LAYOUT_ENTRIES for case in LAYOUT_REJECTIONS] + [
     ("param_count_formula", "cp", (2, 2, 2, 2), "unknown family 'cp'"),
@@ -583,8 +594,9 @@ class TestLayout:
 
     def test_a_ring_is_its_train_and_the_others_are_their_own_tuples(self):
         tucker, bonds = (2, 3, 2, 4), (2, 3, 2)
-        assert tn._layout("tucker", 4, tucker)[1] is tucker and tn._layout("tt", 4, bonds)[1] is bonds
-        assert tn._layout("tr", 4, (1, *bonds)) == ("tt", bonds)
+        assert tn._layout("tucker", LAYOUT_SHAPE, tucker)[1] is tucker
+        assert tn._layout("tt", LAYOUT_SHAPE, bonds)[1] is bonds
+        assert tn._layout("tr", LAYOUT_SHAPE, (1, *bonds)) == ("tt", bonds)
         assert param_count_formula("tr", LAYOUT_SHAPE, (1, *bonds)) == param_count_formula("tt", LAYOUT_SHAPE, bonds)
 
 
@@ -604,7 +616,7 @@ class TestModeSizes:
             lambda: maximal_ranks(family, mode_shape),
         )
         for call in calls:
-            with pytest.raises(ShapeError, match="mode sizes must be integers >= 1"):
+            with pytest.raises(ShapeError, match="mode size must be an integer >= 1, got"):
                 call()
 
     def test_a_bad_mode_size_is_checked_before_the_rank_memo(self):
