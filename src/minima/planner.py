@@ -6,8 +6,16 @@ The planner's inputs are columnar. ``build_options`` gives one
 with each cell's stored scalars and predicted degradation. The greedy
 modes plan as the greedy of the multiple-choice knapsack (Sinha & Zoltners,
 Oper. Res. 1979). Every patch's chain of best next steps is walked for all
-patches at once. The steps of all chains are then sorted once, and a plan
-is the shortest prefix of that order that meets the budget.
+patches at once. The steps of all chains are then sorted once, by (key,
+patch, step), and a plan is the shortest prefix of that order that meets
+the budget.
+
+The walk (``_walks``) takes one step of every chain per round. A round
+gathers the cells of its rows from the options and holds about two
+``(rows x columns)`` float tables at a time; what it keeps is its steps,
+four scalars each (patch row, column, params saved, key). No table of the
+options is copied up front, and no ``(patches x columns)`` table of steps
+is made.
 """
 
 from __future__ import annotations
@@ -171,7 +179,8 @@ def build_options(records, patches) -> PlanOptions:
     exceeds ``sensitivity.DEGRADATION_CAP`` are pinned dense;
     ``sensitivity.EXCLUDED_KINDS`` and patches without a record get no
     candidates. Two records for one patch, or a prediction at a ratio that
-    is not finite, raise ``ValueError`` before any fit.
+    is not a finite number > 0, raise ``ValueError`` before any fit. Each
+    per-patch list is dropped once the arrays it fills exist.
     """
     by_id = {}
     for r in records:
@@ -186,35 +195,22 @@ def build_options(records, patches) -> PlanOptions:
         else None
         for p, ok in zip(patches, compressible)
     ]
+    del by_id
+    compressible = np.array(compressible, dtype=bool)
     listed = [fc for fc in curves if fc is not None]
     keys = sorted(
         ((family, float(r)) for f, family in enumerate(FAMILIES) for r in set().union(*(fc[f] for fc in listed))),
         key=tie_order,
     )
-    if not all(math.isfinite(ratio) for _, ratio in keys):
+    del listed
+    if not all(0.0 < ratio < math.inf for _, ratio in keys):
         pid, family, ratio = next(
             (p.patch_id, family, r) for p, fc in zip(patches, curves) if fc is not None
-            for family, curve in zip(FAMILIES, fc) for r in curve if not math.isfinite(r)
+            for family, curve in zip(FAMILIES, fc) for r in curve if not 0.0 < r < math.inf
         )
-        raise ValueError(f"patch {pid}: a prediction of {family} at ratio {ratio}, which is not finite")
+        problem = "not finite" if not math.isfinite(ratio) else "not above 0"
+        raise ValueError(f"patch {pid}: a prediction of {family} at ratio {ratio}, which is {problem}")
     cells = [(_FAMILY_ORDER[family], ratio) for family, ratio in keys]
-
-    # a record that lists every column is one row of predictions; only a
-    # record without some pair needs a mask of the pairs it has
-    absent = [0.0] * len(keys)
-    rows, masks = [], {}
-    for i, fc in enumerate(curves):
-        if fc is None:
-            rows.append(absent)
-            masks[i] = False
-            continue
-        rows.append([fc[f].get(r, 0.0) for f, r in cells])
-        if sum(map(len, fc)) != len(keys):
-            masks[i] = [r in fc[f] for f, r in cells]
-    predicted = np.array(rows, dtype=np.float64).reshape(len(patches), len(keys))
-    present = np.ones(predicted.shape, dtype=bool)
-    for i, mask in masks.items():
-        present[i] = mask
 
     ranks, fits = {}, {}
     for p, fc in zip(patches, curves):
@@ -229,6 +225,27 @@ def build_options(records, patches) -> PlanOptions:
             else:
                 ranks[geometry, key], params = ranks_params
                 row.append(params)
+
+    # a record that lists every column is one row of predictions; only a
+    # record without some pair needs a mask of the pairs it has
+    absent = [0.0] * len(keys)
+    rows, masks = [], {}
+    for i, fc in enumerate(curves):
+        if fc is None:
+            rows.append(absent)
+            masks[i] = False
+            continue
+        rows.append([fc[f].get(r, 0.0) for f, r in cells])
+        if sum(map(len, fc)) != len(keys):
+            masks[i] = [r in fc[f] for f, r in cells]
+    del curves
+    predicted = np.array(rows, dtype=np.float64).reshape(len(patches), len(keys))
+    del rows
+    present = np.ones(predicted.shape, dtype=bool)
+    for i, mask in masks.items():
+        present[i] = mask
+    del masks
+
     no_fit = [NO_FIT] * len(keys)
     params = np.array([fits.get((p.rows, p.cols), no_fit) for p in patches], dtype=np.int64)
     params = np.where(present, params.reshape(predicted.shape), NO_FIT)
@@ -236,69 +253,105 @@ def build_options(records, patches) -> PlanOptions:
     predicted = np.where(candidate, predicted, 0.0)
     over_cap = predicted > sensitivity.DEGRADATION_CAP
     pinned = candidate.any(axis=1) & (over_cap | ~candidate).all(axis=1)
-    return PlanOptions(patches, np.array(compressible, dtype=bool), pinned, keys, params, predicted, ranks)
+    return PlanOptions(patches, compressible, pinned, keys, params, predicted, ranks)
 
 
 def _dense_entry(patch: Patch, params: int) -> PlanEntry:
     return PlanEntry(patch, "dense", None, None, params, 0.0)
 
 
-def _walks(params, predicted, dense):
-    """Every row's chain of best next steps, from ``dense`` params and no
-    predicted degradation, walked for all rows at once.
+def _columns(keys, mode: str, single_family: str) -> slice:
+    """The columns a greedy ``mode`` plans over: every column, or those of
+    ``single_family``, one run because ``keys`` run in ``tie_order``."""
+    families = [family for family, _ in keys]
+    if mode == "sensitivity_mixed":
+        return slice(0, len(families))
+    if single_family not in families:
+        return slice(0, 0)
+    first = families.index(single_family)
+    return slice(first, first + families.count(single_family))
+
+
+def _walks(options: PlanOptions, live, columns: slice, dense):
+    """The chain of best next steps of each patch ``live[i]`` over the
+    ``columns`` of ``options``, from ``dense[i]`` params and no predicted
+    degradation, walked for all of them at once.
 
     A step's score is its params saved per unit of added degradation,
     ``inf`` when it adds none. Only cells below the row's current params
-    count, and of equal scores the first column wins. Returns ``(cols,
-    saved, keys)``, each with step ``k`` of row ``i`` at ``[i, k]``: the
-    step's column (-1 past the chain's end), its params saved, and the
-    running max of ``-score`` along the chain up to it.
+    count, and of equal scores the first column wins. Round k takes step k
+    of every chain still walking: it gathers those rows' cells from the
+    options and drops each table once it is read, the params once the
+    scores and the mask of the cells not below the current params exist,
+    the added degradations once they have scored. So about two ``(walking
+    rows x columns)`` float tables are alive at once, and a round keeps
+    only its steps, four scalars each.
+
+    Returns ``(rows, cols, saved, keys)``, one entry per step in round
+    order (step k of every chain that has one, by row, then step k + 1):
+    the step's row ``i``, its column, its params saved and the running max
+    of ``-score`` along its chain up to it. The rounds' pieces are joined
+    one field at a time.
     """
-    n, h = params.shape
-    cols = np.full((n, h), -1, dtype=np.intp)
-    saved = np.zeros((n, h), dtype=np.int64)
-    keys = np.zeros((n, h))
-    now_params, now_deg = dense.copy(), np.zeros(n)
-    top = np.full(n, -np.inf)
+    n = len(live)
+    rows, cols, saved, keys = [], [], [], []  # per round, one entry for each row that steps
     active = np.arange(n)
-    for step in range(h):  # a step lowers its row's params, so no chain is longer
-        p, current = params[active], now_params[active, None]
-        added = predicted[active]  # a copy, as fancy indexing makes
-        added -= now_deg[active, None]
+    now_params, now_deg, top = dense, np.zeros(n), np.full(n, -np.inf)  # of the active rows
+    for _ in range(columns.stop - columns.start):  # a step lowers its row's params, so no chain is longer
+        at_rows = live[active]
+        current = now_params[:, None]
+        p = options.params[at_rows, columns]
         score = np.subtract(current, p, dtype=np.float64)  # exact: params < 2**53
+        blocked = p >= current
+        del p
+        added = options.predicted[at_rows, columns]
+        added -= now_deg[:, None]
         np.divide(score, added, out=score, where=added > 0)
         score[added <= 0] = np.inf
-        score[p >= current] = -np.inf
+        del added
+        score[blocked] = -np.inf
         best = score.argmax(axis=1)
-        moving = np.flatnonzero(score[np.arange(len(active)), best] > -np.inf)
+        best_score = score[np.arange(len(active)), best]
+        del score, blocked
+        moving = np.flatnonzero(best_score > -np.inf)
         if not moving.size:
             break
-        rows, best = active[moving], best[moving]
-        stepped, top[rows] = params[rows, best], np.maximum(top[rows], -score[moving, best])
-        cols[rows, step], saved[rows, step], keys[rows, step] = best, now_params[rows] - stepped, top[rows]
-        now_params[rows], now_deg[rows] = stepped, predicted[rows, best]
-        active = rows
-    return cols, saved, keys
+        active, best = active[moving], best[moving] + columns.start
+        at = (at_rows[moving], best)
+        stepped, top = options.params[at], np.maximum(top[moving], -best_score[moving])
+        rows.append(active)
+        cols.append(best)
+        saved.append(now_params[moving] - stepped)
+        keys.append(top)
+        now_params, now_deg = stepped, options.predicted[at]
+    fields = (rows, np.intp), (cols, np.intp), (saved, np.int64), (keys, np.float64)
+    return tuple(_joined(pieces, dtype) for pieces, dtype in fields)
 
 
-def _greedy(options: PlanOptions, target_ratio, mode, single_family) -> CompressionPlan:
-    patches = options.patches
-    dense = np.array([p.dense_params for p in patches], dtype=np.int64)
+def _joined(pieces: list, dtype) -> np.ndarray:
+    """The ``pieces`` in one array, of ``dtype`` when there are none; the
+    list is emptied, so its pieces are dropped once they are copied."""
+    out = np.concatenate(pieces) if pieces else np.empty(0, dtype)
+    pieces.clear()
+    return out
+
+
+def _choose(options: PlanOptions, columns: slice, dense, target_ratio) -> tuple[np.ndarray, int]:
+    """The greedy plan over ``columns`` of patches of ``dense`` params:
+    each patch's column (-1 for dense) and the plan's params, those of the
+    shortest prefix of the steps' order that meets the budget, or
+    ``InfeasibleBudgetError`` if no prefix does."""
+    live = np.flatnonzero(options.compressible & ~options.pinned)
+    rows, cols, saved, keys = _walks(options, live, columns, dense[live])
     dense_total = int(dense.sum())
     limit = math.floor(target_ratio * dense_total)  # an int is <= the budget iff <= its floor
-    columns = np.array(
-        [j for j, (family, _) in enumerate(options.keys) if mode == "sensitivity_mixed" or family == single_family],
-        dtype=np.intp,
-    )
-    live = np.flatnonzero(options.compressible & ~options.pinned)
-    cells = np.ix_(live, columns)
-    cols, saved, keys = _walks(options.params[cells], options.predicted[cells], dense[live])
 
-    # steps listed by (patch id, step) and sorted stably by key: the order in
-    # which a heap of each patch's next step, keyed (-score, patch id), takes them
-    rows, steps = np.nonzero(cols >= 0)
-    order = np.argsort(keys[rows, steps], kind="stable")
-    achieved = dense_total - np.cumsum(saved[rows, steps][order])
+    # steps by (key, patch id, step), a stable sort of round order: the order
+    # in which a heap of each patch's next step, keyed (-score, patch id), takes them
+    order = np.lexsort((rows, keys))
+    del keys
+    achieved = dense_total - np.cumsum(saved[order])
+    del saved
     taken = 0
     if dense_total > limit:
         meets = achieved <= limit
@@ -311,17 +364,27 @@ def _greedy(options: PlanOptions, target_ratio, mode, single_family) -> Compress
                 best_achievable=total / dense_total if dense_total else 1.0,
             )
         taken = int(meets.argmax()) + 1
+    total = int(achieved[taken - 1]) if taken else dense_total
+    del achieved
 
-    # a patch's steps in the prefix are the first of its chain
-    counts = np.bincount(rows[order[:taken]], minlength=len(live))
-    moved = np.flatnonzero(counts)
-    chosen = np.full(len(patches), -1, dtype=np.intp)
-    chosen[live[moved]] = columns[cols[moved, counts[moved] - 1]]
+    # a patch's steps in the prefix are the first of its chain, and the last
+    # of them sits latest in round order
+    last = np.full(len(live), -1, dtype=np.intp)
+    np.maximum.at(last, rows[order[:taken]], order[:taken])
+    moved = np.flatnonzero(last >= 0)
+    chosen = np.full(len(options.patches), -1, dtype=np.intp)
+    chosen[live[moved]] = cols[last[moved]]
+    return chosen, total
+
+
+def _greedy(options: PlanOptions, target_ratio, mode, single_family) -> CompressionPlan:
+    dense = np.array([p.dense_params for p in options.patches], dtype=np.int64)
+    chosen, total = _choose(options, _columns(options.keys, mode, single_family), dense, target_ratio)
     return CompressionPlan(
         mode=mode,
         target_ratio=target_ratio,
-        dense_params=dense_total,
-        achieved_params=int(achieved[taken - 1]) if taken else dense_total,
+        dense_params=int(dense.sum()),
+        achieved_params=total,
         entries=_entries(options, chosen, dense.tolist()),
     )
 

@@ -10,6 +10,9 @@ check (family, count, each rank a count >= 1, a Tucker rank at most its
 mode, the closing bond): the decompositions, ``param_count_formula`` and
 ``sensitivity``'s probes take ranks through it, and ``select_ranks`` and
 ``maximal_ranks`` raise its unknown-family error. Mode sizes are counts >= 1.
+A TT or TR bond above the min dimension of the unfolding its split
+truncates is not an error: the train keeps the capped bond
+(``_kept_bonds``), and ``param_count_formula`` counts the layer it builds.
 
 Determinism, signs and stacks follow ``tensor_core``. ``_tucker_stack`` and
 ``_train_stack`` decompose a stack ``(P, n_0, ..., n_{d-1})`` at each of a
@@ -296,13 +299,7 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
     the shared splits.
     """
     count, shape = len(t), t.shape[1:]
-    kept = {}  # bonds -> the bonds each split keeps, capped by its unfolding
-    for bonds in bond_vectors:
-        r_prev, keeps = 1, []
-        for k, r in enumerate(bonds):
-            r_prev = min(r, r_prev * shape[k], math.prod(shape[k + 1 :]))
-            keeps.append(r_prev)
-        kept[bonds] = tuple(keeps)
+    kept = {bonds: _kept_bonds(shape, bonds) for bonds in bond_vectors}  # the bonds each split keeps
     widest = {}  # the bonds kept before a split -> the widest bond kept there short of its rows
     for keeps in kept.values():
         for k, r in enumerate(keeps):
@@ -331,6 +328,19 @@ def _train_stack(t: np.ndarray, bond_vectors) -> Iterator[tuple[tuple[int, ...],
         last = keeps
         yield bonds, cores
         del cores, tail
+
+
+def _kept_bonds(shape: tuple[int, ...], bonds: tuple[int, ...]) -> tuple[int, ...]:
+    """The bonds a train on the mode sizes ``shape`` keeps: each of ``bonds``
+    capped at the min dimension of the unfolding its split truncates, the
+    kept bond before it times its mode by the modes after it."""
+    left, rest, keeps = 1, math.prod(shape), []
+    for n, r in zip(shape, bonds):
+        left, rest = left * n, rest // n  # the split's rows and columns
+        # min() only where a bond caps: the uniform plan fits at every bisection pass
+        left = r if r <= left and r <= rest else min(r, left, rest)
+        keeps.append(left)
+    return tuple(keeps)
 
 
 def _train_split(c: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,20 +509,25 @@ def _mode_sizes(mode_shape) -> tuple[int, ...]:
 
 
 def param_count_formula(family: str, mode_shape, ranks) -> int:
-    """Closed-form stored-scalar count for a (family, ranks) configuration:
-    bad mode sizes raise ``ShapeError``, ranks ``_layout`` rejects its
-    ``RankError``."""
+    """Closed-form stored-scalar count for a (family, ranks) configuration,
+    the count of the layer its decomposition builds: TT and TR bonds count
+    as ``_kept_bonds`` keeps them. Bad mode sizes raise ``ShapeError``,
+    ranks ``_layout`` rejects its ``RankError``."""
     shape = _mode_sizes(mode_shape)
     kind, ranks = _layout(family, shape, ranks)
-    return _param_count(kind, shape, ranks)
+    return _param_count(kind, shape, ranks if kind == "tucker" else _kept_bonds(shape, ranks))
 
 
 def _param_count(family: str, shape: tuple[int, ...], ranks: tuple[int, ...]) -> int:
-    """``param_count_formula`` of Tucker ranks or TT bonds on validated int tuples."""
+    """The stored scalars of Tucker ranks or TT bonds, validated int tuples,
+    each bond counted as given."""
     if family == "tucker":
         return math.prod(ranks) + sum(n * r for n, r in zip(shape, ranks))
-    bonds = (1,) + ranks + (1,)
-    return sum(bonds[k] * n * bonds[k + 1] for k, n in enumerate(shape))
+    total, left = 0, 1
+    for n, right in zip(shape, ranks + (1,)):  # core k is (left, n_k, right)
+        total += left * n * right
+        left = right
+    return total
 
 
 def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
@@ -546,7 +561,11 @@ def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
 
 
 def ratio_budget(ratio: float, dense: int) -> ParamBudget:
-    """Parameter budget of a compression ratio: ``max(floor(ratio * dense), 1)``."""
+    """Parameter budget of a compression ratio, a finite number > 0:
+    ``max(floor(ratio * dense), 1)``. Any other ratio raises ``ValueError``
+    naming it."""
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"compression ratio {ratio} is not a finite number > 0")
     return ParamBudget(max(math.floor(ratio * dense), 1))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,17 +206,18 @@ class TestBuildOptions:
         with pytest.raises(ValueError, match="two sensitivity records for patch 3$"):
             build_options([robust, fragile], patches)
 
-    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
-    def test_a_non_finite_ratio_raises_naming_it_before_any_fit(self, monkeypatch, ratio):
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_a_ratio_not_finite_and_above_0_raises_naming_it_before_any_fit(self, monkeypatch, ratio):
         # inf once raised OverflowError and NaN a bare ValueError, from the
-        # ratio's budget in the fit
+        # ratio's budget in the fit; 0.0 and -0.5 fitted at a budget of 1
         calls = select_ranks_calls(monkeypatch)
         records = [
             SensitivityRecord(0, 0.5, self.PREDICTIONS, {}),
             SensitivityRecord(2, 0.5, {"tt": {0.5: 1e-3}, "tr": {0.5: 1e-3, ratio: 2e-3}}, {}),
         ]
         patches = [flat_patch(pid, 4096) for pid in range(4)]
-        with pytest.raises(ValueError, match=f"patch 2: a prediction of tr at ratio {ratio}, which is not finite$"):
+        problem = "not finite" if not math.isfinite(ratio) else "not above 0"
+        with pytest.raises(ValueError, match=f"patch 2: a prediction of tr at ratio {ratio}, which is {problem}$"):
             build_options(records, patches)
         assert calls == []
 
@@ -517,6 +519,93 @@ class TestGreedyMerge:
         for target in (0.9, work.targets[mode], 0.3):
             expected = plan_or_error(reference_greedy, options, target, mode, "tt")
             assert plan_or_error(allocate, options, target, mode, "tt") == expected
+
+
+def reference_walk(options, row, columns, dense):
+    """One patch's chain of best next steps by the rule of ``_walks``, in
+    pure Python: from ``dense`` params, each step takes the first column of
+    ``columns`` with the highest score among those below the current params.
+    Gives ``(column, params saved, running max of -score)`` per step."""
+    params, predicted = options.params[row].tolist(), options.predicted[row].tolist()
+    now_params, now_deg, top, steps = dense, 0.0, -math.inf, []
+    while True:
+        best = None
+        for j in range(columns.start, columns.stop):
+            if params[j] >= now_params:
+                continue
+            added = predicted[j] - now_deg
+            score = math.inf if added <= 0 else (now_params - params[j]) / added
+            if best is None or score > best[1]:
+                best = j, score
+        if best is None:
+            return steps
+        j, score = best
+        top = max(top, -score)
+        steps.append((j, now_params - params[j], top))
+        now_params, now_deg = params[j], predicted[j]
+
+
+def scale_inputs(n_patches):
+    """Patches and records as ``bench/plan_scale.py`` makes them: 64 x 64
+    patches of 256 x 256 layers, and predictions that grow as the ratio
+    shrinks, above the cap for one patch in eight."""
+    rng = np.random.default_rng(n_patches)
+    patches = []
+    for pid in range(n_patches):
+        layer, tile = divmod(pid, 16)
+        r0, c0 = 64 * (tile // 4), 64 * (tile % 4)
+        kind = ("attention_proj", "ffn")[layer % 2]
+        patches.append(Patch(pid, f"layer{layer}.{kind}", layer, kind, (r0, r0 + 64), (c0, c0 + 64)))
+    n_fragile = n_patches // 8
+    levels = rng.permutation(
+        np.concatenate([np.geomspace(1e-3, 1.5e-2, n_patches - n_fragile), np.geomspace(3e-2, 8e-2, n_fragile)])
+    )
+    factor = {"tucker": 1.25, "tt": 1.0, "tr": 1.1}
+    records = []
+    for p, level in zip(patches, levels.tolist()):
+        jitter = np.exp(0.03 * rng.standard_normal((len(FAMILIES), len(RATIO_GRID))))
+        predictions = {
+            f: {r: level * factor[f] * (0.5 / r) ** 2 * jitter[i, j] for j, r in enumerate(RATIO_GRID)}
+            for i, f in enumerate(FAMILIES)
+        }
+        records.append(SensitivityRecord(p.patch_id, 0.0, predictions, {}))
+    return records, patches
+
+
+class TestWalks:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        options=patch_options(),
+        mode=st.sampled_from(["sensitivity_mixed", "sensitivity"]),
+        family=st.sampled_from(FAMILIES),
+    )
+    def test_steps_are_each_patch_walked_alone(self, options, mode, family):
+        columns = planner._columns(options.keys, mode, family)
+        dense = np.array([p.dense_params for p in options.patches], dtype=np.int64)
+        live = np.flatnonzero(options.compressible & ~options.pinned)
+        rows, cols, saved, keys = planner._walks(options, live, columns, dense[live])
+        by_patch = np.argsort(rows, kind="stable")  # round order is (step, patch); the chains' is (patch, step)
+        rows, cols, saved, keys = rows[by_patch], cols[by_patch], saved[by_patch], keys[by_patch]
+        chains = [reference_walk(options, i, columns, int(dense[i])) for i in live.tolist()]
+        steps = [step for chain in chains for step in chain]
+        assert rows.tolist() == [i for i, chain in enumerate(chains) for _ in chain]
+        assert cols.tolist() == [j for j, _, _ in steps]
+        assert saved.tolist() == [s for _, s, _ in steps]
+        assert keys.tobytes() == np.array([k for _, _, k in steps], dtype=np.float64).tobytes()
+
+    def test_the_mixed_plan_holds_under_700_bytes_per_patch(self):
+        # the walk keeps each round's steps, not (patches x columns) tables of
+        # them: the traced peak was 931 bytes per patch at 1,536 patches
+        n_patches = 1536
+        options = build_options(*scale_inputs(n_patches))
+        allocate(options, 0.45, mode="sensitivity_mixed")  # fills the free lists first
+        tracemalloc.start()
+        try:
+            allocate(options, 0.45, mode="sensitivity_mixed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_patches < 700
 
 
 class TestNonFinitePrediction:

@@ -407,7 +407,8 @@ class TestReconstructChain:
             param_count_formula("tr", shape, ranks)
         with pytest.raises(RankError, match="closing bond"):
             tr_decompose(rng.standard_normal(shape), ranks)
-        assert stored_entry_count(random_ring(rng, shape, ranks)) == param_count_formula("tr", shape, (1, *ranks[1:]))
+        ring = (1, *ranks[1:])
+        assert stored_entry_count(tr_decompose(rng.standard_normal(shape), ring)) == param_count_formula("tr", shape, ring)
 
     def test_compressed_patches_equal_a_tensordot_chain_bitwise(self, rng):
         for shape in ((32, 32), (36, 64), (7, 64)):
@@ -543,6 +544,33 @@ class TestParamCounts:
                 assert param_count_formula("tt", shape, tuple(bonds)) == stored_entry_count(layer)
                 count += 2
         assert count >= 40
+
+    def test_formula_counts_the_train_its_bonds_build(self, rng):
+        # a bond above its split's unfolding is kept capped, and counted so:
+        # (100, 2, 2) on four modes of 4 once counted 1,224 scalars, not 72
+        assert param_count_formula("tt", (4, 4, 4, 4), (100, 2, 2)) == 72
+        capped = 0
+        for _ in range(60):
+            shape = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(2, 6))))
+            bonds = tuple(int(r) for r in rng.integers(1, 2 * max(shape) + 1, size=len(shape) - 1))
+            t = rng.standard_normal(shape)
+            train, ring = tt_decompose(t, bonds), tr_decompose(t, (1, *bonds))
+            assert param_count_formula("tt", shape, bonds) == stored_entry_count(train), (shape, bonds)
+            assert param_count_formula("tr", shape, (1, *bonds)) == stored_entry_count(ring), (shape, bonds)
+            capped += train.ranks != bonds
+        assert capped >= 20
+
+
+class TestRatioBudget:
+    def test_floor_of_the_ratio_times_dense_and_at_least_1(self):
+        assert [ratio_budget(r, 100).budget for r in (0.25, 0.251, 0.001, 1.5)] == [25, 25, 1, 150]
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_a_ratio_not_finite_and_above_0_raises_naming_it(self, ratio):
+        # 0.0 and -0.5 once gave a budget of 1, NaN a bare ValueError from
+        # math.floor and inf an OverflowError
+        with pytest.raises(ValueError, match=f"^compression ratio {ratio} is not a finite number > 0$"):
+            ratio_budget(ratio, 100)
 
 
 LAYOUT_SHAPE = (4, 3, 2, 5)
