@@ -461,9 +461,11 @@ def _rank_one_floor(shapes, family: str) -> float:
     """Smallest shared ratio at which every compressible patch fits rank 1.
 
     ``shapes`` is keyed like ``_uniform_selection``'s. Shapes whose rank-1
-    configuration is not smaller than dense never compress and do not count.
+    configuration is not smaller than dense never compress and do not count;
+    with none counted, the floor is the least ratio > 0, where each fit
+    meets budget 1, as at any ratio below ``1 / dense``.
     """
-    floor = 0.0
+    floor = math.ulp(0.0)
     for geometry, compressible in shapes:
         if not compressible:
             continue

@@ -337,8 +337,7 @@ def _kept_bonds(shape: tuple[int, ...], bonds: tuple[int, ...]) -> tuple[int, ..
     left, rest, keeps = 1, math.prod(shape), []
     for n, r in zip(shape, bonds):
         left, rest = left * n, rest // n  # the split's rows and columns
-        # min() only where a bond caps: the uniform plan fits at every bisection pass
-        left = r if r <= left and r <= rest else min(r, left, rest)
+        left = min(r, left, rest)
         keeps.append(left)
     return tuple(keeps)
 
@@ -523,11 +522,8 @@ def _param_count(family: str, shape: tuple[int, ...], ranks: tuple[int, ...]) ->
     each bond counted as given."""
     if family == "tucker":
         return math.prod(ranks) + sum(n * r for n, r in zip(shape, ranks))
-    total, left = 0, 1
-    for n, right in zip(shape, ranks + (1,)):  # core k is (left, n_k, right)
-        total += left * n * right
-        left = right
-    return total
+    bonds = (1,) + ranks + (1,)
+    return sum(bonds[k] * n * bonds[k + 1] for k, n in enumerate(shape))
 
 
 def maximal_ranks(family: str, mode_shape) -> tuple[int, ...]:
@@ -547,17 +543,9 @@ def _ranks_feasible(family: str, shape, ranks, caps) -> bool:
     """Whether Tucker ranks or TT bonds are reached; ``caps`` is
     ``maximal_ranks(family, shape)``, which the caller already holds.
     ``shape`` and ``ranks`` are int tuples of matching lengths."""
-    if any(r > c for r, c in zip(ranks, caps)):
-        return False
     if family == "tucker":  # every Tucker cap is at most its mode size
-        return True
-    # sequential achievability: each bond fits the running split rows
-    left = 1
-    for k, r in enumerate(ranks):
-        if r > left * shape[k]:
-            return False
-        left = r
-    return True
+        return all(r <= c for r, c in zip(ranks, caps))
+    return _kept_bonds(shape, ranks) == ranks  # no split caps a bond
 
 
 def ratio_budget(ratio: float, dense: int) -> ParamBudget:

@@ -88,6 +88,18 @@ class TestUniform:
         assert plan.entries[0].family == family
         assert plan.achieved_ratio <= floor * 1.001
 
+    def test_patches_that_never_compress_stay_dense(self, family):
+        # a 2 x 2 or 1 x 17 patch stores no fewer scalars at rank 1 than
+        # dense, so no shape sets the rank-1 floor
+        options = plan_options([(2, 2), (1, 17)], patch_size=(16, 32))
+        assert rank_one_ratio(family, 2, 2) >= 1.0 and rank_one_ratio(family, 1, 17) >= 1.0
+        plan = allocate(options, 1.0, mode="uniform", single_family=family)
+        assert [e.family for e in plan.entries] == ["dense"] * 2
+        assert plan.achieved_params == plan.dense_params == 21
+        with pytest.raises(InfeasibleBudgetError) as exc:
+            allocate(options, 0.5, mode="uniform", single_family=family)
+        assert exc.value.best_achievable == 1.0
+
 
 @pytest.mark.parametrize("mode", ["sensitivity_mixed", "sensitivity"])
 class TestSensitivity:
